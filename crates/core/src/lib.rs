@@ -14,9 +14,13 @@
 //! 3. Relays **aggregate** their group's responses into a single
 //!    combined message back to the leader ([`relay::RelayTable`]).
 //!
-//! Decision-making is untouched — this crate reuses the `paxos` crate's
-//! [`paxos::Leader`] and [`paxos::Acceptor`] state machines verbatim, so
-//! Paxos's safety argument carries over, as the paper argues in §3.3.
+//! Decision-making is untouched, by construction: a [`PigReplica`] *is*
+//! the `paxos` crate's replica, [`paxos::Replica`], instantiated with
+//! this crate's [`RelayTree`] as its [`paxos::Dissemination`]. Every
+//! ballot, quorum, commit, catch-up and batching decision is the core's
+//! single copy; this crate supplies only the relay groups, the
+//! aggregation table, and the quorum-read proxy — so Paxos's safety
+//! argument carries over, as the paper argues in §3.3.
 //!
 //! Optimizations from the paper also implemented here:
 //! - relay timeouts and leader re-dissemination through fresh relays
@@ -60,4 +64,4 @@ pub use messages::{PigMsg, RelayPlan};
 pub use pqr::{PendingReads, ReadOutcome};
 pub use probe_batch::{ProbeBatcher, ProbePush};
 pub use relay::UplinkCoalescer;
-pub use replica::{build_plan, PigReplica};
+pub use replica::{build_plan, PigReplica, RelayTree};

@@ -38,6 +38,36 @@ pub enum AggKey {
     QrBatch(NodeId, u64),
 }
 
+impl AggKey {
+    /// The round a relayed request opens, `None` for fan-out-only
+    /// messages. Keyed by the *request's* ballot: a rejecting answer is
+    /// headed by the ballot the voter promised instead, but it is still
+    /// an answer to this round.
+    pub fn of_request(msg: &PaxosMsg) -> Option<AggKey> {
+        Some(match *msg {
+            PaxosMsg::P1a { ballot, .. } => AggKey::P1(ballot),
+            PaxosMsg::P2a { ballot, slot, .. } => AggKey::P2(ballot, slot),
+            PaxosMsg::P2aBatch {
+                ballot,
+                first_slot,
+                ref commands,
+                ..
+            } => {
+                let last_slot = first_slot + commands.len().saturating_sub(1) as u64;
+                AggKey::P2Span(ballot, first_slot, last_slot)
+            }
+            PaxosMsg::QrRead {
+                reader,
+                id,
+                attempt,
+                ..
+            } => AggKey::Qr(reader, id, attempt),
+            PaxosMsg::QrReadBatch { reader, wave, .. } => AggKey::QrBatch(reader, wave),
+            _ => return None,
+        })
+    }
+}
+
 /// Collected votes (phase-matched with the key).
 #[derive(Debug, Clone)]
 pub enum VoteSet {
@@ -52,7 +82,7 @@ pub enum VoteSet {
 }
 
 impl VoteSet {
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             VoteSet::P1(v) => v.len(),
             VoteSet::P2(v) => v.len(),
@@ -90,6 +120,44 @@ impl VoteSet {
             VoteSet::Qr(v) => VoteSet::Qr(std::mem::take(v)),
             VoteSet::QrBatch(v) => VoteSet::QrBatch(std::mem::take(v)),
         }
+    }
+
+    /// Split a Paxos response into its round key and votes — the
+    /// inverse of [`VoteSet::into_message`]. Moves the vote vector, so
+    /// a relay can seed an aggregation with its own answer, and look at
+    /// every arriving response, without a copy. Anything that is not a
+    /// vote-carrying response comes back untouched.
+    #[allow(clippy::result_large_err)] // the "error" is the caller's own message, handed back
+    pub fn from_message(msg: PaxosMsg) -> Result<(AggKey, VoteSet), PaxosMsg> {
+        Ok(match msg {
+            PaxosMsg::P1b { ballot, votes } => (AggKey::P1(ballot), VoteSet::P1(votes)),
+            PaxosMsg::P2b {
+                ballot,
+                slot,
+                votes,
+            } => (AggKey::P2(ballot, slot), VoteSet::P2(votes)),
+            PaxosMsg::P2bBatch {
+                ballot,
+                first_slot,
+                last_slot,
+                votes,
+            } => (
+                AggKey::P2Span(ballot, first_slot, last_slot),
+                VoteSet::P2(votes),
+            ),
+            PaxosMsg::QrVote {
+                reader,
+                id,
+                attempt,
+                votes,
+            } => (AggKey::Qr(reader, id, attempt), VoteSet::Qr(votes)),
+            PaxosMsg::QrVoteBatch {
+                reader,
+                wave,
+                votes,
+            } => (AggKey::QrBatch(reader, wave), VoteSet::QrBatch(votes)),
+            other => return Err(other),
+        })
     }
 
     /// Render as the Paxos response message for `key`.
@@ -229,6 +297,16 @@ impl RelayTable {
             },
         );
         None
+    }
+
+    /// True when an open round for `key` still awaits `from`'s votes,
+    /// i.e. [`RelayTable::add`] would absorb them. At a node that is
+    /// relaying nothing — the leader, always — this is one probe of an
+    /// empty map.
+    pub fn expects(&self, key: AggKey, from: NodeId) -> bool {
+        self.pending
+            .get(&key)
+            .is_some_and(|agg| agg.expect.contains(&from))
     }
 
     /// Record votes arriving from `from` (a follower or sub-relay).
@@ -725,24 +803,85 @@ mod tests {
     }
 
     #[test]
-    fn into_message_round_trips() {
-        let votes = VoteSet::P2(vec![P2bVote {
-            node: NodeId(1),
+    fn from_message_inverts_into_message() {
+        let msg = PaxosMsg::P2bBatch {
+            ballot: b(),
+            first_slot: 4,
+            last_slot: 7,
+            votes: (4..=7)
+                .map(|slot| P2bVote {
+                    node: NodeId(1),
+                    ballot: b(),
+                    slot,
+                    ok: true,
+                })
+                .collect(),
+        };
+        let (key, votes) = VoteSet::from_message(msg.clone()).expect("carries votes");
+        assert_eq!(key, AggKey::P2Span(b(), 4, 7));
+        assert_eq!(votes.len(), 4);
+        assert_eq!(votes.into_message(key), msg, "handed back untouched");
+
+        let request = PaxosMsg::P1a {
+            ballot: b(),
+            from: 3,
+        };
+        let back = VoteSet::from_message(request.clone()).expect_err("no votes inside");
+        assert_eq!(back, request);
+    }
+
+    #[test]
+    fn expects_only_owed_votes_of_open_rounds() {
+        let mut t = RelayTable::new();
+        assert!(
+            !t.expects(key(), NodeId(2)),
+            "nothing open: the leader's case"
+        );
+        t.open(
+            key(),
+            NodeId(0),
+            expect(&[2, 3]),
+            own_p2(1, true),
+            0,
+            SimTime::from_millis(50),
+        );
+        assert!(t.expects(key(), NodeId(2)));
+        assert!(!t.expects(key(), NodeId(9)), "not in the group");
+        assert!(!t.expects(KEY, NodeId(2)), "another ballot's round");
+        t.add(key(), NodeId(2), peer_p2(2));
+        assert!(!t.expects(key(), NodeId(2)), "already answered");
+    }
+
+    #[test]
+    fn a_rejected_round_keeps_its_request_key() {
+        // A voter that promised a higher ballot heads its answer with
+        // that ballot; the round it answers is still the request's.
+        let higher = Ballot::new(9, NodeId(2));
+        let request = PaxosMsg::P2a {
             ballot: b(),
             slot: 7,
-            ok: true,
-        }]);
-        match votes.into_message(AggKey::P2(b(), 7)) {
-            PaxosMsg::P2b {
-                ballot,
-                slot,
-                votes,
-            } => {
-                assert_eq!(ballot, b());
-                assert_eq!(slot, 7);
-                assert_eq!(votes.len(), 1);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+            command: paxi::Command {
+                id: paxi::RequestId {
+                    client: NodeId(9),
+                    seq: 1,
+                },
+                op: paxi::Operation::Get(1),
+            },
+            commit_up_to: 0,
+        };
+        let answer = PaxosMsg::P2b {
+            ballot: higher,
+            slot: 7,
+            votes: vec![P2bVote {
+                node: NodeId(1),
+                ballot: higher,
+                slot: 7,
+                ok: false,
+            }],
+        };
+        assert_eq!(AggKey::of_request(&request), Some(key()));
+        assert_eq!(AggKey::of_request(&answer), None, "answers open no round");
+        let (answer_key, _) = VoteSet::from_message(answer).unwrap();
+        assert_eq!(answer_key, AggKey::P2(higher, 7));
     }
 }

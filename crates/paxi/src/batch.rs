@@ -23,10 +23,10 @@
 //! amortizing the reply leg the same way `P2aBatch` amortizes the
 //! accept leg.
 //!
-//! The batcher is protocol-agnostic plumbing: `paxos::PaxosReplica`
-//! sends one `P2aBatch` per follower per flush, and the PigPaxos replica
-//! sends one per *relay group*, so the two compose (relay fan-in × batch
-//! amortization).
+//! The batcher is protocol-agnostic plumbing: the Paxos replica sends
+//! one `P2aBatch` per follower per flush under direct dissemination and
+//! one per *relay group* under PigPaxos's relay tree, so the two
+//! compose (relay fan-in × batch amortization).
 
 use crate::command::{ClientReply, Command, RequestId};
 use crate::envelope::ProtoMessage;
@@ -400,26 +400,23 @@ impl ReplyBatcher {
     }
 
     /// Route one executed-command reply: sent immediately when
-    /// coalescing is off; otherwise buffered, arming the caller's
-    /// `t_reply` flush timer on the first push of a non-zero window.
+    /// coalescing is off; otherwise buffered. Returns the window the
+    /// caller's flush timer must cover when this push started a
+    /// non-empty buffer under a non-zero window (the caller owns the
+    /// timer kind and knows whether one is already in flight).
     pub fn deliver<P: ProtoMessage>(
         &mut self,
         client: NodeId,
         reply: ClientReply,
-        timer_armed: &mut bool,
-        t_reply: u64,
         ctx: &mut Ctx<P>,
-    ) {
+    ) -> Option<SimDuration> {
         if !self.enabled() {
             ctx.reply(client, reply);
-            return;
+            return None;
         }
         let window = self.mode.window();
         let first = self.push(client, reply);
-        if first && window > SimDuration::ZERO && !*timer_armed {
-            *timer_armed = true;
-            ctx.set_timer(window, t_reply);
-        }
+        (first && window > SimDuration::ZERO).then_some(window)
     }
 
     /// End of one execution wave: in zero-window mode the wave's

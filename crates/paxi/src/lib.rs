@@ -46,7 +46,8 @@
 //!   generator and closed-loop clients.
 //! - [`SafetyMonitor`]: machine-checks agreement on every run.
 //! - [`experiment`]: the unified entry point; [`harness`]: the
-//!   measurement engine it drives.
+//!   measurement engine it drives; [`conformance`]: the replica checks
+//!   every single-leader protocol's tests share.
 //!
 //! Protocol crates (`paxos`, `pigpaxos`, `epaxos`) implement
 //! [`Replica`] on top of these pieces — exactly as the paper's
@@ -60,6 +61,7 @@ pub mod batch;
 pub mod client;
 pub mod cluster;
 pub mod command;
+pub mod conformance;
 pub mod envelope;
 pub mod experiment;
 pub mod harness;

@@ -1,9 +1,11 @@
-//! Shared leader/acceptor plumbing for batched accept rounds.
+//! Leader/acceptor plumbing for batched accept rounds.
 //!
-//! Both the direct Multi-Paxos replica and the PigPaxos overlay batch
-//! identically — only the *dissemination* of the resulting `P2aBatch`
-//! (full fan-out vs. relay tree) differs. Everything else lives here
-//! once so the two replicas cannot drift:
+//! There is one replica ([`crate::replica::Replica`]) and it batches one
+//! way — only the *dissemination* of the resulting `P2aBatch` (full
+//! fan-out vs. relay tree) is pluggable, so the two protocols cannot
+//! drift by construction. This module holds the pieces of that path
+//! that need no handler context, which is also what lets
+//! `pigpaxos_bench::hotpath` drive them without a simulator:
 //!
 //! - [`BatchLane`]: client-command admission at an active leader —
 //!   duplicate suppression, per-client sequencing (pipelined clients'
@@ -13,15 +15,14 @@
 //!   (or adaptive) batch buffer;
 //! - [`propose_batch`] / [`accept_batch`]: slot allocation, self-voting,
 //!   and follower-side acceptance for a batched phase-2a;
-//! - [`count_batch_votes`]: the leader-side quorum counting guard.
+//! - [`count_batch_votes`] / [`apply_batch_votes`]: the leader-side
+//!   quorum counting guard and commit-the-wave-then-execute-once step.
 
 use crate::acceptor::{Acceptor, CommitAdvance};
 use crate::leader::{BatchVotesOutcome, Leader};
 use crate::messages::P2bVote;
-use paxi::{
-    Ballot, BatchConfig, BatchPush, Batcher, Command, Ctx, ProtoMessage, ReplicaCtx, ReplyBatcher,
-    SessionTable,
-};
+use crate::replica::Timer;
+use paxi::{Ballot, BatchConfig, BatchPush, Batcher, Command, Ctx, ProtoMessage, SessionTable};
 use simnet::{NodeId, SimTime, TimerId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -32,10 +33,8 @@ pub type Batch = Vec<(NodeId, Command)>;
 
 /// Client-command admission and batching state for an active leader.
 ///
-/// The lane is the part of the request path that was previously
-/// mirrored between `PaxosReplica` and `PigReplica`; the replicas keep
-/// only their dissemination policy. Every batch the lane emits must be
-/// proposed (via [`propose_batch`]) by the caller.
+/// Every batch the lane emits must be proposed (via [`propose_batch`])
+/// by the caller; its `max_delay` flush timer is [`Timer::Batch`].
 #[derive(Debug)]
 pub struct BatchLane {
     batcher: Batcher,
@@ -95,7 +94,7 @@ impl BatchLane {
 
     /// Record one executed wave for drain-aware sizing (no-op unless
     /// the policy sets [`BatchConfig::drain_aware`]). Called from the
-    /// shared reply leg so both replicas feed the same estimator.
+    /// replica's reply leg.
     pub fn note_drain(&mut self, now: SimTime, executed: usize) {
         self.batcher.note_drain(now, executed);
     }
@@ -151,7 +150,6 @@ impl BatchLane {
         client: NodeId,
         cmd: Command,
         ctx: &mut Ctx<P>,
-        t_batch: u64,
         out: &mut Vec<Batch>,
     ) {
         self.note_proposed(cmd.id.client, cmd.id.seq);
@@ -163,14 +161,14 @@ impl BatchLane {
                 out.push(batch);
             }
             BatchPush::ArmTimer => {
-                self.timer = Some(ctx.set_timer(self.batcher.config().max_delay, t_batch));
+                let delay = self.batcher.config().max_delay;
+                self.timer = Some(ctx.set_timer(delay, Timer::Batch as u64));
             }
             BatchPush::Buffered => {}
         }
     }
 
     /// Release held successors of `client` that are now in sequence.
-    #[allow(clippy::too_many_arguments)]
     fn release_client<P: ProtoMessage>(
         &mut self,
         leader: &Leader,
@@ -178,7 +176,6 @@ impl BatchLane {
         sessions: &SessionTable,
         client: NodeId,
         ctx: &mut Ctx<P>,
-        t_batch: u64,
         out: &mut Vec<Batch>,
     ) {
         loop {
@@ -206,7 +203,7 @@ impl BatchLane {
                 self.note_proposed(cmd.id.client, cmd.id.seq);
                 continue;
             }
-            self.push(client, cmd, ctx, t_batch, out);
+            self.push(client, cmd, ctx, out);
         }
     }
 
@@ -214,7 +211,6 @@ impl BatchLane {
     /// already answered session replays and dropped stale duplicates.
     /// Returns the batches (possibly several, when the command unblocks
     /// held successors) that must be proposed now.
-    #[allow(clippy::too_many_arguments)]
     pub fn admit<P: ProtoMessage>(
         &mut self,
         leader: &Leader,
@@ -223,7 +219,6 @@ impl BatchLane {
         client: NodeId,
         cmd: Command,
         ctx: &mut Ctx<P>,
-        t_batch: u64,
     ) -> Vec<Batch> {
         let mut out = Vec::new();
         let id = cmd.id;
@@ -240,9 +235,7 @@ impl BatchLane {
             // comes at execution. Advancing the floor lets any held
             // successors through.
             self.note_proposed(id.client, id.seq);
-            self.release_client(
-                leader, acceptor, sessions, id.client, ctx, t_batch, &mut out,
-            );
+            self.release_client(leader, acceptor, sessions, id.client, ctx, &mut out);
             return out;
         }
         if self.sequencing {
@@ -279,10 +272,8 @@ impl BatchLane {
                 return out;
             }
         }
-        self.push(client, cmd, ctx, t_batch, &mut out);
-        self.release_client(
-            leader, acceptor, sessions, id.client, ctx, t_batch, &mut out,
-        );
+        self.push(client, cmd, ctx, &mut out);
+        self.release_client(leader, acceptor, sessions, id.client, ctx, &mut out);
         out
     }
 
@@ -296,7 +287,6 @@ impl BatchLane {
         acceptor: &Acceptor,
         sessions: &SessionTable,
         ctx: &mut Ctx<P>,
-        t_batch: u64,
     ) -> Vec<Batch> {
         let mut out = Vec::new();
         if self.held_count == 0 {
@@ -304,7 +294,7 @@ impl BatchLane {
         }
         let clients: Vec<NodeId> = self.held.keys().copied().collect();
         for client in clients {
-            self.release_client(leader, acceptor, sessions, client, ctx, t_batch, &mut out);
+            self.release_client(leader, acceptor, sessions, client, ctx, &mut out);
         }
         out
     }
@@ -375,82 +365,6 @@ pub fn apply_batch_votes(
         executed: acceptor.execute_ready(),
         preempted: out.preempted,
     })
-}
-
-/// Handle one wave of executed commands at a replica — the reply leg
-/// shared by the direct and relay-tree replicas: charge execution cost,
-/// record every reply in the session table, route waiting clients'
-/// replies through the (possibly coalescing) reply batcher, close the
-/// wave, and release any held admissions the session advance unblocked.
-/// Returns the batches the caller must propose (its dissemination
-/// policy is the only part that differs between replicas).
-#[allow(clippy::too_many_arguments)]
-pub fn handle_executed<P: ProtoMessage>(
-    lane: &mut BatchLane,
-    replies: &mut ReplyBatcher,
-    reply_timer_armed: &mut bool,
-    sessions: &mut SessionTable,
-    waiting: &mut HashMap<u64, NodeId>,
-    leader: &Leader,
-    acceptor: &Acceptor,
-    exec_cost: simnet::SimDuration,
-    executed: Vec<(u64, paxi::RequestId, Option<paxi::Value>)>,
-    t_batch: u64,
-    t_reply: u64,
-    ctx: &mut Ctx<P>,
-) -> Vec<Batch> {
-    if executed.is_empty() {
-        return Vec::new();
-    }
-    ctx.charge(exec_cost * executed.len() as u64);
-    // Feed the drain side of the adaptive estimator: a slowed
-    // commit/execute pipe (e.g. a lagging follower) shows up here as
-    // sparse waves and shrinks subsequent batch targets.
-    lane.note_drain(ctx.now(), executed.len());
-    for (slot, id, value) in executed {
-        let reply = paxi::ClientReply::ok(id, value);
-        // Every replica caches the reply so retries are answered
-        // without another consensus round, even after a leader change.
-        sessions.record(&reply);
-        if let Some(client) = waiting.remove(&slot) {
-            replies.deliver(client, reply, reply_timer_armed, t_reply, ctx);
-        }
-    }
-    replies.end_wave(ctx);
-    // Executions advance the session table, which can release held
-    // out-of-order commands.
-    if leader.is_active() {
-        lane.drain_ready(leader, acceptor, sessions, ctx, t_batch)
-    } else {
-        Vec::new()
-    }
-}
-
-/// Abandon leadership — the other reply-leg path shared by both
-/// replicas: redirect every command queued during the campaign and
-/// every command the admission lane still holds (buffered or awaiting
-/// predecessors) toward `redirect_to`, cancel the batch flush timer so
-/// it cannot fire into the next term, and ship any replies still
-/// buffered for coalescing (executed results stay valid across
-/// abdication).
-pub fn abandon_leadership<P: ProtoMessage>(
-    lane: &mut BatchLane,
-    replies: &mut ReplyBatcher,
-    leader: &mut Leader,
-    redirect_to: Option<NodeId>,
-    ctx: &mut Ctx<P>,
-) {
-    while let Some((client, cmd)) = leader.pending.pop_front() {
-        ctx.reply(client, paxi::ClientReply::redirect(cmd.id, redirect_to));
-    }
-    let (abandoned, timer) = lane.abandon();
-    for (client, cmd) in abandoned {
-        ctx.reply(client, paxi::ClientReply::redirect(cmd.id, redirect_to));
-    }
-    if let Some(t) = timer {
-        ctx.cancel_timer(t);
-    }
-    replies.flush_into(ctx);
 }
 
 /// Everything a replica must apply and send after proposing a batch:
@@ -698,8 +612,6 @@ mod tests {
     use paxi::Envelope;
     use simnet::{Actor, Context, CpuCostModel, SimDuration, Simulation, Topology};
 
-    const T_BATCH: u64 = 7;
-
     /// Drive a closure with a real simulator context (the lane needs
     /// one for timers).
     fn with_ctx(f: impl FnOnce(&mut Ctx<crate::messages::PaxosMsg>) + 'static) {
@@ -747,7 +659,6 @@ mod tests {
                 NodeId(10),
                 client_cmd(10, 2),
                 ctx,
-                T_BATCH,
             );
             assert!(held.is_empty(), "out-of-order arrival must be held");
             assert_eq!(lane.held_count(), 1);
@@ -761,7 +672,6 @@ mod tests {
                 NodeId(10),
                 client_cmd(10, 1),
                 ctx,
-                T_BATCH,
             );
             assert_eq!(batches.len(), 1);
             let seqs: Vec<u64> = batches[0].iter().map(|(_, c)| c.id.seq).collect();
@@ -785,7 +695,6 @@ mod tests {
                 NodeId(10),
                 client_cmd(10, 1),
                 ctx,
-                T_BATCH,
             );
             assert_eq!(lane.buffered(), 1);
             // Retry of the buffered command: suppressed.
@@ -796,7 +705,6 @@ mod tests {
                 NodeId(10),
                 client_cmd(10, 1),
                 ctx,
-                T_BATCH,
             );
             assert!(out.is_empty());
             assert_eq!(lane.buffered(), 1, "no duplicate buffered");
@@ -809,7 +717,6 @@ mod tests {
                 NodeId(10),
                 client_cmd(10, 3),
                 ctx,
-                T_BATCH,
             );
             assert_eq!(lane.held_count(), 1);
             lane.admit(
@@ -819,7 +726,6 @@ mod tests {
                 NodeId(10),
                 client_cmd(10, 3),
                 ctx,
-                T_BATCH,
             );
             assert_eq!(lane.held_count(), 1, "held retry not duplicated");
         });
@@ -843,7 +749,6 @@ mod tests {
                 NodeId(10),
                 client_cmd(10, 1),
                 ctx,
-                T_BATCH,
             );
             assert_eq!(first.len(), 1);
             lane.abandon();
@@ -858,7 +763,6 @@ mod tests {
                 NodeId(10),
                 client_cmd(10, 1),
                 ctx,
-                T_BATCH,
             );
             assert_eq!(
                 retry.len(),
@@ -886,7 +790,6 @@ mod tests {
                     NodeId(10),
                     client_cmd(10, seq),
                     ctx,
-                    T_BATCH,
                 );
             }
             lane.abandon();
@@ -901,7 +804,6 @@ mod tests {
                 NodeId(10),
                 client_cmd(10, 2),
                 ctx,
-                T_BATCH,
             );
             assert!(first.is_empty(), "seq 2 must wait for seq 1's retry");
             assert_eq!(lane.held_count(), 1);
@@ -912,7 +814,6 @@ mod tests {
                 NodeId(10),
                 client_cmd(10, 1),
                 ctx,
-                T_BATCH,
             );
             let seqs: Vec<u64> = second
                 .iter()
@@ -937,7 +838,6 @@ mod tests {
                 NodeId(10),
                 client_cmd(10, 1),
                 ctx,
-                T_BATCH,
             );
             lane.admit(
                 &leader,
@@ -946,7 +846,6 @@ mod tests {
                 NodeId(11),
                 client_cmd(11, 5),
                 ctx,
-                T_BATCH,
             );
             let (cmds, timer) = lane.abandon();
             assert_eq!(cmds.len(), 2, "one buffered + one held");
@@ -972,7 +871,6 @@ mod tests {
                 NodeId(10),
                 client_cmd(10, 2),
                 ctx,
-                T_BATCH,
             );
             assert_eq!(lane.held_count(), 1);
 
@@ -984,7 +882,7 @@ mod tests {
                 },
                 None,
             ));
-            let batches = lane.drain_ready(&leader, &acceptor, &sessions, ctx, T_BATCH);
+            let batches = lane.drain_ready(&leader, &acceptor, &sessions, ctx);
             assert_eq!(batches.len(), 1, "session advance releases the successor");
             assert_eq!(batches[0][0].1.id.seq, 2);
         });

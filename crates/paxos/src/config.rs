@@ -16,8 +16,6 @@ pub struct PaxosConfig {
     pub election_timeout_max: SimDuration,
     /// Leader re-sends phase-2a for a slot still uncommitted after this.
     pub p2_retry_timeout: SimDuration,
-    /// Phase-1 retry timeout for a candidate that cannot gather promises.
-    pub p1_retry_timeout: SimDuration,
     /// CPU time charged per command applied to the state machine
     /// (matches `CpuCostModel::calibrated().exec_cost` by default).
     pub exec_cost: SimDuration,
@@ -62,7 +60,6 @@ impl PaxosConfig {
             election_timeout_min: SimDuration::from_millis(100),
             election_timeout_max: SimDuration::from_millis(200),
             p2_retry_timeout: SimDuration::from_millis(50),
-            p1_retry_timeout: SimDuration::from_millis(100),
             exec_cost: SimDuration::from_micros(40),
             learn_delay: SimDuration::from_millis(100),
             flexible_quorums: None,
@@ -93,7 +90,6 @@ impl PaxosConfig {
             election_timeout_min: SimDuration::from_millis(600),
             election_timeout_max: SimDuration::from_millis(1200),
             p2_retry_timeout: SimDuration::from_millis(400),
-            p1_retry_timeout: SimDuration::from_millis(600),
             exec_cost: SimDuration::from_micros(40),
             learn_delay: SimDuration::from_millis(300),
             flexible_quorums: None,

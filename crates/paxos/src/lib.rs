@@ -6,10 +6,13 @@
 //! phase-3 commits on subsequent phase-2a/heartbeat messages via a commit
 //! watermark.
 //!
-//! The [`Acceptor`] and [`Leader`] role state machines are shared with
-//! the `pigpaxos` crate, which replaces only the communication pattern —
-//! mirroring the paper's claim that PigPaxos "required almost no changes
-//! to the core Paxos code".
+//! The protocol core is [`Replica<D>`]: the [`Acceptor`] and [`Leader`]
+//! role state machines plus every handler and timer, generic over a
+//! [`Dissemination`] — the leader↔follower communication flow. [`Direct`]
+//! (this crate) makes it Multi-Paxos; the `pigpaxos` crate supplies a
+//! relay tree and nothing else — the paper's claim that PigPaxos
+//! "required almost no changes to the core Paxos code", as a type
+//! parameter.
 
 #![warn(missing_docs)]
 
@@ -23,15 +26,12 @@ pub mod replica;
 
 pub use acceptor::{Acceptor, CommitAdvance, LearnAnswer};
 pub use batching::{
-    abandon_leadership, accept_batch, apply_batch_votes, count_batch_votes, handle_executed,
-    propose_batch, Batch, BatchAccept, BatchLane, BatchProposal, VoteWave,
-};
-pub use catchup::{
-    apply_snapshot_transfer, compact_after_execution, install_p1b_snapshots, install_peer_snapshot,
+    accept_batch, apply_batch_votes, count_batch_votes, propose_batch, Batch, BatchAccept,
+    BatchLane, BatchProposal, VoteWave,
 };
 pub use config::PaxosConfig;
 pub use leader::{BatchVotesOutcome, Leader, Outstanding, Phase1Outcome};
 pub use messages::{
     P1bVote, P2bVote, PaxosMsg, QrProbe, QrProbeVote, QrVoteEntry, QR_PROBE_LABELS,
 };
-pub use replica::PaxosReplica;
+pub use replica::{Direct, Dissemination, Executed, PaxosReplica, Reach, Replica, Timer};

@@ -3,6 +3,8 @@
 //! the batched leader pipeline must decide commands within a recorded
 //! allocation budget — at three levels:
 //!
+//! 0. the relay's first look at a vote message it is not aggregating
+//!    (every uplink arriving at the leader): zero allocations,
 //! 1. the component-level hot path (the same harness `alloc_gate`
 //!    measures, so a regression here pinpoints the protocol layer),
 //! 2. a full `Experiment` on the deterministic simulator,
@@ -45,8 +47,41 @@ fn b16_experiment() -> Experiment<PaxosConfig> {
     Experiment::lan(cfg, 5).clients(8).client_pipeline(4)
 }
 
+/// What `RelayTree` does with a `P2bBatch` uplink at a node that has
+/// no aggregation open for it: split it into round key + votes, ask the
+/// relay table, put it back together for the Paxos core. Copying the
+/// vote vector to ask would cost every uplink an allocation.
+fn first_look_allocs() -> u64 {
+    use pigpaxos::relay::{RelayTable, VoteSet};
+    let ballot = paxi::Ballot::new(1, simnet::NodeId(0));
+    let uplink = paxos::PaxosMsg::P2bBatch {
+        ballot,
+        first_slot: 0,
+        last_slot: 15,
+        votes: (0..16)
+            .map(|slot| paxos::P2bVote {
+                node: simnet::NodeId(1),
+                ballot,
+                slot,
+                ok: true,
+            })
+            .collect(),
+    };
+    let table = RelayTable::new();
+    let (back, d) = alloc::measure(|| {
+        let (key, votes) = VoteSet::from_message(uplink).expect("a vote message");
+        assert!(!table.expects(key, simnet::NodeId(1)));
+        votes.into_message(key)
+    });
+    assert!(matches!(back, paxos::PaxosMsg::P2bBatch { votes, .. } if votes.len() == 16));
+    d.allocs
+}
+
 #[test]
 fn batched_pipeline_stays_within_alloc_budget() {
+    // --- The leader's uplink path through the relay seam: by move. ---
+    assert_eq!(first_look_allocs(), 0, "first look must not copy votes");
+
     // --- Component level: exactly the alloc_gate hot path. ---
     let mut pipe = LeaderPipeline::new(5, 16);
     pipe.run(8); // steady-state warmup
