@@ -396,10 +396,7 @@ impl Dissemination for RelayTree {
         } else {
             UplinkCoalescer::disabled()
         };
-        let mut paxos = cfg.paxos.clone();
-        // Kept from the pre-merge PigReplica, which built its leader
-        // with majority quorums whatever the configuration said.
-        paxos.flexible_quorums = None;
+        let paxos = cfg.paxos.clone();
         let tree = RelayTree {
             me,
             groups: RelayGroups::build(&cluster.peers(me), &spec),
@@ -407,7 +404,10 @@ impl Dissemination for RelayTree {
             coalescer,
             agg_timer_armed: false,
             reads: PendingReads::new(),
-            read_quorum: cluster.majority(),
+            // A read must meet every phase-2 quorum, as phase 1 must.
+            read_quorum: paxos
+                .flexible_quorums
+                .map_or(cluster.majority(), |(q1, _q2)| q1),
             probes: ProbeBatcher::new(cfg.probe_batch.clone()),
             stats: cluster.stats.clone(),
             cfg,
@@ -659,6 +659,31 @@ mod tests {
         let r = with_cfg(cfg, 9, 4).run_sim(paxi::DEFAULT_SEED);
         assert!(r.violations.is_empty());
         assert!(r.throughput > 100.0);
+    }
+
+    #[test]
+    fn flexible_quorums_outlive_half_the_cluster() {
+        // The paper's §2.2 example: N=10, Q1=8, Q2=3. Once a leader is
+        // elected, losing five nodes — a whole relay group — leaves
+        // phase 2 its quorum of three; majorities (six) cannot commit.
+        let run = |cfg: PigConfig| {
+            with_cfg(cfg, 10, 4).run_sim_with(paxi::DEFAULT_SEED, |sim, _| {
+                for node in 1..=5 {
+                    sim.schedule_control(SimTime::from_millis(200), Control::Crash(NodeId(node)));
+                }
+            })
+        };
+        let mut flexible = PigConfig::lan(2);
+        flexible.paxos.flexible_quorums = Some((8, 3));
+        let (flexible, majority) = (run(flexible), run(PigConfig::lan(2)));
+        assert!(flexible.violations.is_empty(), "{:?}", flexible.violations);
+        assert!(majority.violations.is_empty(), "{:?}", majority.violations);
+        assert!(
+            flexible.throughput > 100.0,
+            "q2 = 3 of the 5 survivors must keep committing: {} ops/s",
+            flexible.throughput
+        );
+        assert_eq!(majority.samples, 0, "5 of 10 cannot form a majority");
     }
 
     #[test]

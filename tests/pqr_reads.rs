@@ -397,6 +397,35 @@ fn stale_attempt_vote_must_not_complete_restarted_read() {
     assert_eq!(stats.pqr_inflight(), 0, "pending table must drain");
 }
 
+/// Under flexible quorums a write is chosen once `q2` replicas accept
+/// it, so a quorum read must hear from `q1` of them (`q1 + q2 > n`) to
+/// be sure of meeting one — a majority can miss them all. Here
+/// `(q1, q2) = (3, 1)` on three replicas: a write chosen at node 0 alone
+/// is invisible to the proxy and to node 2, and the read may only
+/// complete once node 0 has answered.
+#[test]
+fn flexible_quorum_read_waits_for_q1_answers() {
+    let at = SimDuration::from_millis;
+    let proxy = NodeId(1);
+    let script = vec![
+        (at(1), proxy, get_request(1, 7)),
+        // Own vote + node 2: a majority, both without the write.
+        (at(2), proxy, Envelope::Proto(qr_vote(1, 1, 1, 2, 0, false))),
+        // Node 0 holds the chosen write (slot 6).
+        (at(4), proxy, Envelope::Proto(qr_vote(1, 1, 1, 0, 6, false))),
+    ];
+    let mut cfg = PigConfig::lan(1).with_pqr();
+    cfg.paxos.flexible_quorums = Some((3, 1));
+    let (replies, stats) = scripted_proxy_run(cfg, script, SimDuration::from_millis(40));
+    assert_eq!(replies.len(), 1, "exactly one read completion: {replies:?}");
+    assert_eq!(
+        replies[0].value.as_ref().map(|v| v.len()),
+        Some(6),
+        "the read must see the write chosen at q2 = 1 replica"
+    );
+    assert_eq!(stats.pqr_inflight(), 0, "pending table must drain");
+}
+
 /// Exceeding `pqr_max_attempts` must abort the read, redirect the
 /// client to the leader, and leave nothing behind in the pending table
 /// (the rinse-abort → leader-redirect path).
