@@ -21,7 +21,7 @@
 use crate::acceptor::{Acceptor, CommitAdvance};
 use crate::leader::{BatchVotesOutcome, Leader};
 use crate::messages::P2bVote;
-use crate::replica::Timer;
+use crate::replica::{Executed, Timer};
 use paxi::{Ballot, BatchConfig, BatchPush, Batcher, Command, Ctx, ProtoMessage, SessionTable};
 use simnet::{NodeId, SimTime, TimerId};
 use std::collections::{BTreeMap, HashMap};
@@ -341,7 +341,7 @@ pub fn count_batch_votes(
 #[derive(Debug)]
 pub struct VoteWave {
     /// Executed `(slot, request, value)` triples, in slot order.
-    pub executed: Vec<(u64, paxi::RequestId, Option<paxi::Value>)>,
+    pub executed: Vec<Executed>,
     /// Highest preempting ballot observed, if any.
     pub preempted: Option<Ballot>,
 }
