@@ -256,3 +256,53 @@ fn golden_pig_n13_two_level_threshold_leader_crash() {
         },
     );
 }
+
+/// The sharded shape: 3 Paxos groups of 3 behind gates, 6 routers, and
+/// the range starting at key 333 moving from group 1 to group 2 in the
+/// middle of the measurement window. Returns the result and each
+/// group's decided count.
+fn sharded_paxos_live_move() -> (paxi::RunResult, Vec<u64>) {
+    use std::sync::{Arc, Mutex};
+    let safeties = Arc::new(Mutex::new(Vec::new()));
+    let captured = safeties.clone();
+    let r = paxi::ShardedExperiment::new(PaxosConfig::lan(), 3, 3)
+        .routers(6)
+        .warmup(SimDuration::from_millis(200))
+        .measure(SimDuration::from_millis(600))
+        .move_range(SimDuration::from_millis(450), 333, 2)
+        .run_sim_with(42, move |_, layout| {
+            *captured.lock().expect("lock") = layout
+                .clusters
+                .iter()
+                .map(|c| c.safety.clone())
+                .collect::<Vec<_>>();
+        });
+    let decided = safeties
+        .lock()
+        .expect("lock")
+        .iter()
+        .map(|s| s.decided_count())
+        .collect();
+    (r, decided)
+}
+
+#[test]
+fn golden_sharded_paxos_3x3_live_move() {
+    let (r, shard_decided) = sharded_paxos_live_move();
+    println!(
+        "sharded paxos 3x3: samples {} decided {} retries {} shard_decided {:?} node_msgs {:?}",
+        r.samples, r.decided, r.client_retries, shard_decided, r.node_msgs
+    );
+    assert!(r.violations.is_empty(), "{:?}", r.violations);
+    assert_eq!(r.samples, 3455);
+    assert_eq!(r.decided, 4791);
+    assert_eq!(r.client_retries, 4, "the move forced redirects");
+    assert_eq!(shard_decided, [1625, 879, 2287]);
+    assert_eq!(
+        r.node_msgs,
+        [
+            7480, 2504, 2504, 3048, 1020, 1020, 10910, 3728, 3728, 1157, 1151, 1155, 1157, 1151,
+            1153
+        ]
+    );
+}
