@@ -24,7 +24,7 @@ fn main() {
         .warmup(SimDuration::from_secs(0))
         .measure(SimDuration::from_secs(total_secs))
         .timeline_bucket(SimDuration::from_secs(1))
-        .run_sim_with(SEED, move |sim, _cluster| {
+        .run_sim_with(SEED, move |sim, _| {
             sim.schedule_control(SimTime::from_secs(fault_start), Control::Crash(faulty));
             sim.schedule_control(SimTime::from_secs(fault_end), Control::Recover(faulty));
         });

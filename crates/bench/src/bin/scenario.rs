@@ -13,13 +13,11 @@
 //!   safety, or misses its `[expect]` block.
 
 use paxi::{
-    Experiment, Fault, Nemesis, NemesisLog, ProtocolSpec, RunResult, Scenario, ShardedExperiment,
-    TopologyKind,
+    Experiment, Fault, Nemesis, NemesisLog, ProtocolSpec, RunResult, Scenario, TopologyKind,
 };
 use pigpaxos_bench as bench;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
 
 fn corpus_paths() -> Vec<PathBuf> {
     let explicit: Vec<PathBuf> = std::env::args()
@@ -50,7 +48,8 @@ fn load(path: &Path) -> Result<Scenario, String> {
 }
 
 /// Run one scenario under any protocol: attach the nemesis into the
-/// extra client slot and execute on the simulator.
+/// extra client slot and execute on the simulator. With `shards` set,
+/// `replicas` is per shard and the clients are routers.
 fn run_with<P: ProtocolSpec>(proto: P, sc: &Scenario) -> (RunResult, NemesisLog) {
     let mut exp = match sc.topology {
         TopologyKind::Lan => Experiment::lan(proto, sc.replicas),
@@ -63,6 +62,9 @@ fn run_with<P: ProtocolSpec>(proto: P, sc: &Scenario) -> (RunResult, NemesisLog)
     .measure(sc.measure)
     .drain(sc.drain)
     .extra_client_nodes(1);
+    if let Some(shards) = sc.shards {
+        exp = exp.shards(shards);
+    }
     if let Some(t) = sc.retry_timeout {
         exp = exp.retry_timeout(t);
     }
@@ -72,14 +74,6 @@ fn run_with<P: ProtocolSpec>(proto: P, sc: &Scenario) -> (RunResult, NemesisLog)
         sim.add_actor(Box::new(Nemesis::<P::Msg>::new(faults, nemesis_log)));
     });
     (result, log)
-}
-
-/// Per-shard observations from a sharded run, for `min_shard_decided`
-/// judging: decided commands per shard, and whether any scheduled
-/// fault touched one of the shard's replicas.
-struct ShardInfo {
-    decided: Vec<u64>,
-    affected: Vec<bool>,
 }
 
 /// Replica nodes a fault acts on (for the affected-shard computation;
@@ -98,42 +92,9 @@ fn fault_nodes(f: &Fault) -> Vec<u32> {
     }
 }
 
-/// Run one sharded scenario: replicas-per-shard comes from `replicas`,
-/// clients become routers, and the nemesis rides the extra client slot
-/// exactly as in the flat path.
-fn run_sharded<P: ProtocolSpec>(
-    proto: P,
-    sc: &Scenario,
-    shards: usize,
-) -> (RunResult, NemesisLog, Option<ShardInfo>) {
-    let mut exp = ShardedExperiment::new(proto, shards, sc.replicas)
-        .routers(sc.clients)
-        .pipeline(sc.pipeline)
-        .workload(sc.workload.clone())
-        .warmup(sc.warmup)
-        .measure(sc.measure)
-        .extra_client_nodes(1);
-    if let Some(t) = sc.retry_timeout {
-        exp = exp.retry_timeout(t);
-    }
-    let log = NemesisLog::new();
-    let (faults, nemesis_log) = (sc.faults.clone(), log.clone());
-    let safeties = Arc::new(Mutex::new(Vec::new()));
-    let captured = safeties.clone();
-    let result = exp.run_sim_with(sc.seed, move |sim, layout| {
-        *captured.lock().expect("capture lock") = layout
-            .clusters
-            .iter()
-            .map(|c| c.safety.clone())
-            .collect::<Vec<_>>();
-        sim.add_actor(Box::new(Nemesis::<P::Msg>::new(faults, nemesis_log)));
-    });
-    let decided: Vec<u64> = safeties
-        .lock()
-        .expect("capture lock")
-        .iter()
-        .map(|s| s.decided_count())
-        .collect();
+/// Which of the `shards` groups any scheduled fault touches, for
+/// `min_shard_decided` judging.
+fn affected_shards(sc: &Scenario, shards: usize) -> Vec<bool> {
     let replicas_per_shard = sc.replicas as u32;
     let mut affected = vec![false; shards];
     for ev in &sc.faults {
@@ -150,50 +111,33 @@ fn run_sharded<P: ProtocolSpec>(
             }
         }
     }
-    (result, log, Some(ShardInfo { decided, affected }))
+    affected
 }
 
-fn dispatch(sc: &Scenario) -> (RunResult, NemesisLog, Option<ShardInfo>) {
-    if let Some(shards) = sc.shards {
-        // Validation already pinned sharded scenarios to LAN.
-        return match sc.protocol.as_str() {
-            "paxos" => run_sharded(paxos::PaxosConfig::lan(), sc, shards),
-            "pigpaxos" => {
-                let groups = sc
-                    .groups
-                    .unwrap_or_else(|| (sc.replicas as f64).sqrt() as usize);
-                run_sharded(pigpaxos::PigConfig::lan(groups), sc, shards)
-            }
-            "epaxos" => run_sharded(epaxos::EpaxosConfig::default(), sc, shards),
-            other => unreachable!("parser admits only known protocols, got {other}"),
-        };
-    }
-    let (result, log) = match sc.protocol.as_str() {
-        "paxos" => match sc.topology {
-            TopologyKind::Lan => run_with(paxos::PaxosConfig::lan(), sc),
-            TopologyKind::Wan => run_with(paxos::PaxosConfig::wan(), sc),
-        },
+fn dispatch(sc: &Scenario) -> (RunResult, NemesisLog) {
+    let wan = matches!(sc.topology, TopologyKind::Wan);
+    match sc.protocol.as_str() {
+        "paxos" if wan => run_with(paxos::PaxosConfig::wan(), sc),
+        "paxos" => run_with(paxos::PaxosConfig::lan(), sc),
         "pigpaxos" => {
             let groups = sc
                 .groups
                 .unwrap_or_else(|| (sc.replicas as f64).sqrt() as usize);
-            match sc.topology {
-                TopologyKind::Lan => run_with(pigpaxos::PigConfig::lan(groups), sc),
-                TopologyKind::Wan => run_with(
-                    pigpaxos::PigConfig::wan(pigpaxos::GroupSpec::Chunks(groups)),
-                    sc,
-                ),
-            }
+            let cfg = if wan {
+                pigpaxos::PigConfig::wan(pigpaxos::GroupSpec::Chunks(groups))
+            } else {
+                pigpaxos::PigConfig::lan(groups)
+            };
+            run_with(cfg, sc)
         }
         "epaxos" => run_with(epaxos::EpaxosConfig::default(), sc),
         other => unreachable!("parser admits only known protocols, got {other}"),
-    };
-    (result, log, None)
+    }
 }
 
 /// Judge one result against the scenario's expectations. Returns the
 /// list of failures (empty = pass).
-fn judge(sc: &Scenario, r: &RunResult, log: &NemesisLog, shard: Option<&ShardInfo>) -> Vec<String> {
+fn judge(sc: &Scenario, r: &RunResult, log: &NemesisLog) -> Vec<String> {
     let mut fails = Vec::new();
     if !r.violations.is_empty() {
         fails.push(format!("SAFETY VIOLATIONS: {:?}", r.violations));
@@ -233,25 +177,19 @@ fn judge(sc: &Scenario, r: &RunResult, log: &NemesisLog, shard: Option<&ShardInf
             fails.push(format!("samples {} < required {min}", r.samples));
         }
     }
+    // Validation admits `min_shard_decided` only on sharded scenarios.
     if let Some(min) = sc.expect.min_shard_decided {
-        match shard {
-            Some(info) => {
-                for (s, (&decided, &hit)) in
-                    info.decided.iter().zip(info.affected.iter()).enumerate()
-                {
-                    if !hit && decided < min {
-                        fails.push(format!(
-                            "unaffected shard {s} decided {decided} < required {min}"
-                        ));
-                    }
-                }
-                if info.affected.iter().all(|&a| a) {
-                    fails.push(
-                        "min_shard_decided set but every shard is touched by a fault".to_string(),
-                    );
-                }
+        let affected = affected_shards(sc, r.groups.len());
+        for (s, (group, &hit)) in r.groups.iter().zip(&affected).enumerate() {
+            let decided = group.safety.decided_count();
+            if !hit && decided < min {
+                fails.push(format!(
+                    "unaffected shard {s} decided {decided} < required {min}"
+                ));
             }
-            None => fails.push("min_shard_decided set but run was not sharded".to_string()),
+        }
+        if affected.iter().all(|&a| a) {
+            fails.push("min_shard_decided set but every shard is touched by a fault".to_string());
         }
     }
     fails
@@ -308,8 +246,8 @@ fn main() -> ExitCode {
         if quick && !sc.quick {
             continue;
         }
-        let (result, log, shard) = dispatch(sc);
-        let fails = judge(sc, &result, &log, shard.as_ref());
+        let (result, log) = dispatch(sc);
+        let fails = judge(sc, &result, &log);
         let converged = match result.converged() {
             Some(true) => "yes",
             Some(false) => "NO",

@@ -20,7 +20,7 @@
 //! extends to 16 and 32. `--json <path>` writes `shard{N}_tput` keys
 //! plus the `shard_scaling_8_over_1` ratio as a flat JSON object.
 
-use paxi::ShardedExperiment;
+use paxi::Experiment;
 use paxos::PaxosConfig;
 use pigpaxos_bench::{csv_mode, json, json_path, quick_mode, SEED};
 use simnet::SimDuration;
@@ -43,8 +43,9 @@ fn run(shards: usize) -> f64 {
             SimDuration::from_millis(4000),
         )
     };
-    let r = ShardedExperiment::new(PaxosConfig::lan(), shards, REPLICAS_PER_SHARD)
-        .routers(2 * shards)
+    let r = Experiment::lan(PaxosConfig::lan(), REPLICAS_PER_SHARD)
+        .shards(shards)
+        .clients(2 * shards)
         .warmup(warmup)
         .measure(measure)
         .run_sim(SEED);

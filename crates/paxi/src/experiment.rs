@@ -1,23 +1,27 @@
 //! The unified experiment API: one protocol-generic, substrate-generic
-//! entry point for clusters, workloads, and measurements.
+//! builder for clusters, workloads, and measurements.
 //!
 //! The paper's whole argument is comparative — PigPaxos vs. Paxos vs.
 //! EPaxos across node counts, relay-group counts, and workloads — so
-//! the framework makes the four experimental axes orthogonal builder
-//! parameters:
+//! the framework makes the experimental axes orthogonal builder
+//! parameters of one type, [`Experiment`]:
 //!
 //! * **protocol** — any [`ProtocolSpec`] (a protocol crate's config
 //!   type: `PaxosConfig`, `PigConfig`, `EpaxosConfig`);
 //! * **topology** — a [`simnet::Topology`] (LAN, multi-region WAN);
 //! * **workload & clients** — [`Workload`], client count, pipeline
 //!   depth, target policy;
+//! * **sharding** — unset, one consensus group serves every key;
+//!   [`Experiment::shards`] runs that many independent groups behind
+//!   key-range routing (see [`crate::shard`]);
 //! * **substrate** — the deterministic simulator
 //!   ([`Experiment::run_sim`]), real OS threads with in-process
 //!   channels ([`Experiment::run_threads`]), or real TCP sockets over
 //!   loopback with full wire encoding ([`Experiment::run_net`]).
 //!
-//! All substrates drive the *same unmodified replica actors* and yield
-//! the same [`RunResult`] shape — substrate parity is a first-class API
+//! All substrates drive the *same unmodified replica actors* through
+//! the one engine in [`crate::harness`] and yield the same
+//! [`RunResult`] shape — substrate parity is a first-class API
 //! property, not a demo.
 //!
 //! ```
@@ -67,6 +71,13 @@
 //! let result = Experiment::lan(PigConfig::lan(3), 25)
 //!     .clients(40)
 //!     .run_sim(paxi::DEFAULT_SEED);
+//!
+//! // Four Paxos groups of three, eight routers, one live range move:
+//! let sharded = Experiment::lan(PaxosConfig::lan(), 3)
+//!     .shards(4)
+//!     .clients(8)
+//!     .move_range(SimDuration::from_millis(600), 250, 3)
+//!     .run_sim(paxi::DEFAULT_SEED);
 //! ```
 //!
 //! and sweeps that used to be copy-pasted binaries become loops:
@@ -78,13 +89,15 @@
 //! }
 //! ```
 
-use crate::client::{ClientRecorder, ClosedLoopClient, TargetPolicy};
+use crate::client::TargetPolicy;
 use crate::cluster::ClusterConfig;
+use crate::command::Key;
 use crate::envelope::{Envelope, ProtoMessage};
-use crate::harness::{self, LoadPoint, RunResult, RunSpec};
-use crate::metrics::{mean, percentile};
+use crate::harness::{self, BoxedActor, Deployment, LoadPoint, RunResult};
+use crate::shard::{GroupId, ShardLayout, ShardMove};
 use crate::workload::Workload;
-use simnet::{Actor, CpuCostModel, NodeId, RegionId, SimDuration, SimTime, Simulation, Topology};
+use simnet::{Actor, CpuCostModel, NodeId, RegionId, SimDuration, Simulation, Topology};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A consensus protocol as seen by the experiment harness: a cheaply
@@ -122,8 +135,10 @@ pub trait ProtocolSpec: Clone + 'static {
     }
 }
 
+type ClientFactory<M> = Arc<dyn Fn(&ShardLayout) -> BoxedActor<M> + Send + Sync>;
+
 /// One fully described experiment: protocol × topology × workload ×
-/// client population, runnable on either execution substrate.
+/// client population × sharding, runnable on any execution substrate.
 ///
 /// Construct with [`Experiment::lan`], [`Experiment::wan`], or
 /// [`Experiment::builder`] for a custom [`Topology`]; refine with the
@@ -135,12 +150,30 @@ pub trait ProtocolSpec: Clone + 'static {
 /// [`max_throughput`](Experiment::max_throughput).
 ///
 /// The value is reusable: run methods take `&self`, so one experiment
-/// can be executed under several seeds or on both substrates.
+/// can be executed under several seeds or on every substrate.
 #[derive(Clone)]
 pub struct Experiment<P: ProtocolSpec> {
-    proto: P,
-    spec: RunSpec,
+    pub(crate) proto: P,
+    /// Covers one group's replicas; clients (and, when sharded, the
+    /// other groups) are appended at run time.
+    pub(crate) topology: Topology,
+    pub(crate) n_clients: usize,
+    pub(crate) client_pipeline: usize,
+    pub(crate) extra_client_nodes: usize,
+    pub(crate) client_region: RegionId,
+    pub(crate) cost: CpuCostModel,
+    pub(crate) workload: Workload,
+    pub(crate) warmup: SimDuration,
+    pub(crate) measure: SimDuration,
+    pub(crate) retry_timeout: SimDuration,
+    pub(crate) timeline_bucket: Option<SimDuration>,
+    pub(crate) drain: SimDuration,
+    pub(crate) capture_trace: bool,
     target: Option<TargetPolicy>,
+    pub(crate) shards: Option<usize>,
+    pub(crate) key_space: u64,
+    pub(crate) moves: Vec<ShardMove>,
+    pub(crate) extra_actors: Vec<ClientFactory<P::Msg>>,
 }
 
 impl<P: ProtocolSpec> Experiment<P> {
@@ -148,13 +181,26 @@ impl<P: ProtocolSpec> Experiment<P> {
     /// the paper-default workload, zero clients, and LAN-grade timing
     /// defaults (1 s warmup, 4 s measurement, 100 ms client retry).
     pub fn builder(proto: P, topology: Topology) -> Self {
-        let n = topology.num_nodes();
-        let mut spec = RunSpec::lan(n, 0);
-        spec.topology = topology;
         Experiment {
             proto,
-            spec,
+            topology,
+            n_clients: 0,
+            client_pipeline: 1,
+            extra_client_nodes: 0,
+            client_region: 0,
+            cost: CpuCostModel::calibrated(),
+            workload: Workload::paper_default(),
+            warmup: SimDuration::from_secs(1),
+            measure: SimDuration::from_secs(4),
+            retry_timeout: SimDuration::from_millis(100),
+            timeline_bucket: None,
+            drain: SimDuration::ZERO,
+            capture_trace: false,
             target: None,
+            shards: None,
+            key_space: 0,
+            moves: Vec::new(),
+            extra_actors: Vec::new(),
         }
     }
 
@@ -167,75 +213,79 @@ impl<P: ProtocolSpec> Experiment<P> {
     /// and Oregon; clients co-located with the leader in Virginia; a
     /// WAN-grade 2 s client retry timeout.
     pub fn wan(proto: P, n_replicas: usize) -> Self {
-        let mut exp = Self::builder(proto, Topology::wan_virginia_california_oregon(n_replicas));
-        exp.spec.retry_timeout = SimDuration::from_secs(2);
-        exp
+        Self::builder(proto, Topology::wan_virginia_california_oregon(n_replicas))
+            .retry_timeout(SimDuration::from_secs(2))
     }
 
     // ---- fluent settings -------------------------------------------------
 
-    /// Number of closed-loop clients (the offered-load control).
+    /// Number of closed-loop clients (the offered-load control);
+    /// routers when the experiment is sharded.
     pub fn clients(mut self, n: usize) -> Self {
-        self.spec.n_clients = n;
+        self.n_clients = n;
         self
     }
 
     /// Requests each client keeps in flight (default 1; higher values
     /// model one connection multiplexing several user sessions).
     pub fn client_pipeline(mut self, depth: usize) -> Self {
-        self.spec.client_pipeline = depth;
+        self.client_pipeline = depth;
         self
     }
 
     /// Extra client-side topology nodes with **no** harness-spawned
     /// clients; a [`run_sim_with`](Experiment::run_sim_with) hook can
     /// populate them with custom client actors (sequential checkers,
-    /// linearizability probes).
+    /// linearizability probes, a nemesis).
     pub fn extra_client_nodes(mut self, n: usize) -> Self {
-        self.spec.extra_client_nodes = n;
+        self.extra_client_nodes = n;
         self
     }
 
     /// Region the clients attach to (default 0 — the leader's region).
     pub fn client_region(mut self, region: RegionId) -> Self {
-        self.spec.client_region = region;
+        self.client_region = region;
         self
     }
 
     /// CPU cost model for every node (default
     /// [`CpuCostModel::calibrated`]).
     pub fn cost(mut self, cost: CpuCostModel) -> Self {
-        self.spec.cost = cost;
+        self.cost = cost;
         self
     }
 
     /// Workload specification (default [`Workload::paper_default`]).
     pub fn workload(mut self, workload: Workload) -> Self {
-        self.spec.workload = workload;
+        self.workload = workload;
         self
     }
 
-    /// Ramp-up time excluded from measurement.
+    /// Ramp-up time excluded from measurement (simulator substrate).
     pub fn warmup(mut self, warmup: SimDuration) -> Self {
-        self.spec.warmup = warmup;
+        self.warmup = warmup;
         self
     }
 
-    /// Measurement window length.
+    /// Measurement window length (simulator substrate).
     pub fn measure(mut self, measure: SimDuration) -> Self {
-        self.spec.measure = measure;
+        self.measure = measure;
         self
     }
 
     /// Client retry timeout.
     pub fn retry_timeout(mut self, timeout: SimDuration) -> Self {
-        self.spec.retry_timeout = timeout;
+        self.retry_timeout = timeout;
         self
     }
 
     /// Also produce a per-bucket throughput timeline (Fig. 13 style).
     pub fn timeline_bucket(mut self, bucket: SimDuration) -> Self {
-        self.spec.timeline_bucket = Some(bucket);
+        assert!(
+            bucket > SimDuration::ZERO,
+            "timeline bucket must be positive"
+        );
+        self.timeline_bucket = Some(bucket);
         self
     }
 
@@ -245,7 +295,7 @@ impl<P: ProtocolSpec> Experiment<P> {
     /// Default [`SimDuration::ZERO`] skips the phase — the event
     /// schedule then stays bit-identical to a drain-less run.
     pub fn drain(mut self, d: SimDuration) -> Self {
-        self.spec.drain = d;
+        self.drain = d;
         self
     }
 
@@ -253,14 +303,64 @@ impl<P: ProtocolSpec> Experiment<P> {
     /// message accounting, [`RunResult::label_counts`]). Off by default
     /// — high-throughput runs generate millions of entries.
     pub fn capture_trace(mut self) -> Self {
-        self.spec.capture_trace = true;
+        self.capture_trace = true;
         self
     }
 
     /// Override the client target policy. Without this, clients use the
-    /// protocol's [`ProtocolSpec::default_target`].
+    /// protocol's [`ProtocolSpec::default_target`]. Ignored when
+    /// sharded: routers send each key to its owning group's leader.
     pub fn target(mut self, target: TargetPolicy) -> Self {
         self.target = Some(target);
+        self
+    }
+
+    /// Run `shards` independent consensus groups, each a copy of this
+    /// experiment's replica topology (group *g* owns nodes
+    /// `[g*R, (g+1)*R)`), every replica behind a
+    /// [`crate::ShardGate`] and every client a [`crate::ShardRouter`].
+    /// The key space is split into `shards` equal ranges. `shards(1)`
+    /// is a real, gated one-group deployment — not the same run as
+    /// leaving this unset. Requires a single-region topology.
+    pub fn shards(mut self, shards: usize) -> Self {
+        assert!(shards >= 1, "need at least one shard");
+        assert_eq!(
+            self.topology.num_regions(),
+            1,
+            "sharded experiments run on a single-region topology"
+        );
+        self.shards = Some(shards);
+        self
+    }
+
+    /// Key space the initial shard map partitions (default 0 = the
+    /// workload's `num_keys`).
+    pub fn key_space(mut self, keys: u64) -> Self {
+        self.key_space = keys;
+        self
+    }
+
+    /// Schedule a live range move at `at`: the range starting at
+    /// `start` migrates to shard `to`. May be called repeatedly;
+    /// chained moves must be spaced far enough apart for each to
+    /// commit before the next fires. Needs [`shards`](Self::shards).
+    pub fn move_range(mut self, at: SimDuration, start: Key, to: GroupId) -> Self {
+        self.moves.push(ShardMove { at, start, to });
+        self
+    }
+
+    /// Add a custom client actor built from the concrete layout
+    /// (checkers, probes). Each factory gets its own node, placed
+    /// after the clients; the factory sees the full [`ShardLayout`]
+    /// including per-group safety handles.
+    pub fn with_client(
+        mut self,
+        factory: impl Fn(&ShardLayout) -> Box<dyn Actor<Envelope<P::Msg>> + Send>
+            + Send
+            + Sync
+            + 'static,
+    ) -> Self {
+        self.extra_actors.push(Arc::new(factory));
         self
     }
 
@@ -271,23 +371,24 @@ impl<P: ProtocolSpec> Experiment<P> {
         &self.proto
     }
 
-    /// The replica topology (clients are appended at run time).
+    /// The replica topology of one group (clients are appended at run
+    /// time).
     pub fn topology(&self) -> &Topology {
-        &self.spec.topology
+        &self.topology
     }
 
-    /// Number of consensus replicas.
+    /// Number of consensus replicas (per group, when sharded).
     pub fn n_replicas(&self) -> usize {
-        self.spec.n_replicas
+        self.topology.num_nodes()
     }
 
-    /// The target policy clients will use: the explicit override if
-    /// set, otherwise the protocol's default.
+    /// The target policy unsharded clients will use: the explicit
+    /// override if set, otherwise the protocol's default.
     pub fn resolved_target(&self) -> TargetPolicy {
         match &self.target {
             Some(t) => t.clone(),
             None => {
-                let replicas: Vec<NodeId> = (0..self.spec.n_replicas).map(NodeId::from).collect();
+                let replicas: Vec<NodeId> = (0..self.n_replicas()).map(NodeId::from).collect();
                 self.proto.default_target(&replicas)
             }
         }
@@ -307,22 +408,19 @@ impl<P: ProtocolSpec> Experiment<P> {
     /// fires after all actors are registered and before the simulation
     /// starts — schedule crashes, partitions, drop rates, or add custom
     /// client actors into [`extra_client_nodes`](Self::extra_client_nodes)
-    /// slots. It also receives the run's [`ClusterConfig`], whose
-    /// shared safety monitor can be cloned out for post-run decided-log
-    /// inspection.
+    /// slots. It also receives the run's [`ShardLayout`] (one group
+    /// unless sharded), to aim faults at a group's node range.
     pub fn run_sim_with<H>(&self, seed: u64, hook: H) -> RunResult
     where
-        H: FnOnce(&mut Simulation<Envelope<P::Msg>>, &ClusterConfig),
+        H: FnOnce(&mut Simulation<Envelope<P::Msg>>, &ShardLayout),
     {
-        let mut spec = self.spec.clone();
-        spec.seed = seed;
-        let target = self.resolved_target();
-        harness::execute(
-            &spec,
-            |node, cluster| self.proto.build_replica(node, cluster),
-            target,
-            hook,
-        )
+        let Deployment {
+            layout,
+            actors,
+            recorder,
+        } = harness::deploy(self);
+        let seen = harness::drive_sim(self, seed, &layout, actors, hook);
+        harness::assemble(self.timeline_bucket, layout, &recorder, seen)
     }
 
     /// Run the *same* experiment on real OS threads via `pig-runtime`:
@@ -332,84 +430,21 @@ impl<P: ProtocolSpec> Experiment<P> {
     /// ([`simnet::derive_node_seed`]).
     ///
     /// Wall-clock execution is not deterministic, so the whole `wall`
-    /// window is measured (the sim-substrate `warmup`/`measure` split
-    /// does not apply) and the network-accounting fields of
-    /// [`RunResult`] that only the simulator can observe are empty:
-    /// `node_msgs`, the `*_msgs_per_op` loads, and every
-    /// `capture_trace` metric. Client-observed metrics (throughput,
-    /// latency percentiles, samples), the decided-slot count, and the
-    /// machine-checked safety violations are fully populated — which is
-    /// exactly what substrate-parity assertions need.
+    /// span is measured (the `warmup`/`measure`/`drain` phases do not
+    /// apply) and only what clients and replicas themselves report is
+    /// populated — see the table in [`crate::harness`].
     pub fn run_threads(&self, seed: u64, wall: Duration) -> RunResult {
-        let n = self.spec.n_replicas;
-        let cluster = ClusterConfig::new(n);
-        let mut rt: pig_runtime::Runtime<Envelope<P::Msg>> = pig_runtime::Runtime::new(seed);
-        for i in 0..n {
-            rt.add_actor(self.proto.build_replica(NodeId::from(i), &cluster));
-        }
-        let recorder = ClientRecorder::new();
-        let target = self.resolved_target();
-        for _ in 0..self.spec.n_clients {
-            rt.add_actor(
-                ClosedLoopClient::<P::Msg>::new(
-                    target.clone(),
-                    self.spec.workload.clone(),
-                    recorder.clone(),
-                    self.spec.retry_timeout,
-                )
-                .with_pipeline(self.spec.client_pipeline),
-            );
-        }
-        rt.run_for(wall);
-
-        let samples = recorder.samples();
-        let secs = wall.as_secs_f64().max(f64::MIN_POSITIVE);
-        let lat_ms: Vec<f64> = samples
-            .iter()
-            .map(|s| s.latency().as_millis_f64())
-            .collect();
-        let timeline = match self.spec.timeline_bucket {
-            None => Vec::new(),
-            Some(bucket) => harness::bucket_timeline(
-                &samples,
-                bucket,
-                SimTime::from_nanos(wall.as_nanos() as u64),
-            ),
-        };
-        RunResult {
-            throughput: samples.len() as f64 / secs,
-            mean_latency_ms: mean(&lat_ms),
-            p50_latency_ms: percentile(&lat_ms, 50.0),
-            p99_latency_ms: percentile(&lat_ms, 99.0),
-            samples: samples.len(),
-            decided: cluster.safety.decided_count(),
-            violations: cluster.safety.violations(),
-            node_msgs: Vec::new(),
-            leader_msgs_per_op: 0.0,
-            follower_msgs_per_op: 0.0,
-            cross_region_msgs_per_op: 0.0,
-            timeline,
-            client_retries: recorder.retries(),
-            max_log_len: cluster.stats.max_log_len(),
-            snapshots_taken: cluster.stats.snapshots_taken(),
-            snapshots_installed: cluster.stats.snapshots_installed(),
-            trace_fingerprint: None,
-            leader_proto_sent_per_op: None,
-            leader_replies_per_op: None,
-            leader_sent_per_op: None,
-            leader_proto_recv_per_op: None,
-            label_counts: None,
-            pqr_reads_started: cluster.stats.pqr_started(),
-            pqr_reads_inflight: cluster.stats.pqr_inflight(),
-            replica_digests: Vec::new(),
-        }
+        let d = harness::deploy(self);
+        let seen = harness::drive_threads(seed, wall, d.actors);
+        harness::assemble(self.timeline_bucket, d.layout, &d.recorder, seen)
     }
 
     /// Run the *same* experiment over real TCP sockets via
     /// `pig_runtime::NetRuntime`: one thread per node, a loopback TCP
     /// connection per communicating pair, every cross-node message
-    /// encoded to its [`simnet::Wire`] bytes and decoded on arrival —
-    /// the full production I/O path minus geographic distance.
+    /// (client, protocol, and shard-control) encoded to its
+    /// [`simnet::Wire`] bytes and decoded on arrival — the full
+    /// production I/O path minus geographic distance.
     ///
     /// Requires `P::Msg: Wire` (all three protocol crates implement
     /// it); the [`Envelope`] blanket impl then covers the client
@@ -417,93 +452,26 @@ impl<P: ProtocolSpec> Experiment<P> {
     /// [`ProtoMessage::wire_size`], so the bytes crossing these sockets
     /// are exactly the bytes the simulator's CPU model charges for.
     ///
-    /// Like [`run_threads`](Self::run_threads) this substrate is not
-    /// deterministic and measures the whole `wall` window. Unlike
-    /// `run_threads`, the transport observes real per-node traffic, so
-    /// [`RunResult::node_msgs`] (sent + received per node, replicas
-    /// first then clients) and [`RunResult::label_counts`] are
-    /// populated — counted over the whole run by the transport, not
-    /// over a measurement window by a trace, so compare rates rather
-    /// than raw counts against simulator runs.
+    /// Like [`run_threads`](Self::run_threads) this measures the whole
+    /// `wall` span. Unlike it, the transport observes real traffic:
+    /// [`RunResult::net`] carries its counters, and
+    /// [`RunResult::node_msgs`] and [`RunResult::label_counts`] derive
+    /// from them — over the whole run, election and connection set-up
+    /// included, so compare rates rather than raw counts against
+    /// simulator runs.
     pub fn run_net(&self, seed: u64, wall: Duration) -> RunResult
     where
         P::Msg: simnet::Wire,
     {
-        let n = self.spec.n_replicas;
-        let cluster = ClusterConfig::new(n);
-        let mut rt: pig_runtime::NetRuntime<Envelope<P::Msg>> = pig_runtime::NetRuntime::new(seed);
-        for i in 0..n {
-            rt.add_actor(self.proto.build_replica(NodeId::from(i), &cluster));
-        }
-        let recorder = ClientRecorder::new();
-        let target = self.resolved_target();
-        for _ in 0..self.spec.n_clients {
-            rt.add_actor(
-                ClosedLoopClient::<P::Msg>::new(
-                    target.clone(),
-                    self.spec.workload.clone(),
-                    recorder.clone(),
-                    self.spec.retry_timeout,
-                )
-                .with_pipeline(self.spec.client_pipeline),
-            );
-        }
-        let net = rt.run_for(wall);
-
-        let samples = recorder.samples();
-        let secs = wall.as_secs_f64().max(f64::MIN_POSITIVE);
-        let lat_ms: Vec<f64> = samples
-            .iter()
-            .map(|s| s.latency().as_millis_f64())
-            .collect();
-        let timeline = match self.spec.timeline_bucket {
-            None => Vec::new(),
-            Some(bucket) => harness::bucket_timeline(
-                &samples,
-                bucket,
-                SimTime::from_nanos(wall.as_nanos() as u64),
-            ),
-        };
-        let node_msgs: Vec<u64> = net
-            .per_node_sent
-            .iter()
-            .zip(net.per_node_received.iter())
-            .map(|(s, r)| s + r)
-            .collect();
-        RunResult {
-            throughput: samples.len() as f64 / secs,
-            mean_latency_ms: mean(&lat_ms),
-            p50_latency_ms: percentile(&lat_ms, 50.0),
-            p99_latency_ms: percentile(&lat_ms, 99.0),
-            samples: samples.len(),
-            decided: cluster.safety.decided_count(),
-            violations: cluster.safety.violations(),
-            node_msgs,
-            leader_msgs_per_op: 0.0,
-            follower_msgs_per_op: 0.0,
-            cross_region_msgs_per_op: 0.0,
-            timeline,
-            client_retries: recorder.retries(),
-            max_log_len: cluster.stats.max_log_len(),
-            snapshots_taken: cluster.stats.snapshots_taken(),
-            snapshots_installed: cluster.stats.snapshots_installed(),
-            trace_fingerprint: None,
-            leader_proto_sent_per_op: None,
-            leader_replies_per_op: None,
-            leader_sent_per_op: None,
-            leader_proto_recv_per_op: None,
-            label_counts: Some(net.delivered_by_label),
-            pqr_reads_started: cluster.stats.pqr_started(),
-            pqr_reads_inflight: cluster.stats.pqr_inflight(),
-            replica_digests: Vec::new(),
-        }
+        let d = harness::deploy(self);
+        let seen = harness::drive_net(seed, wall, d.actors);
+        harness::assemble(self.timeline_bucket, d.layout, &d.recorder, seen)
     }
 
     /// Sweep offered load (client counts) on the simulator and return
     /// one point per count — the raw material of the paper's
-    /// latency/throughput figures (8–11). Each point derives its seed
-    /// from `seed` and its client count, matching the historical
-    /// harness behaviour.
+    /// latency/throughput figures (8–11). Each point runs under `seed`
+    /// plus its client count.
     pub fn load_sweep(&self, seed: u64, client_counts: &[usize]) -> Vec<LoadPoint> {
         client_counts
             .iter()
@@ -511,7 +479,7 @@ impl<P: ProtocolSpec> Experiment<P> {
                 let result = self
                     .clone()
                     .clients(clients)
-                    .run_sim(harness::sweep_seed(seed, clients));
+                    .run_sim(seed.wrapping_add(clients as u64));
                 LoadPoint { clients, result }
             })
             .collect()
@@ -528,13 +496,17 @@ impl<P: ProtocolSpec> Experiment<P> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::command::{ClientReply, ClientRequest};
+    use crate::kv::KvStore;
     use crate::replica::{Ctx, Replica, ReplicaActor, ReplicaCtx};
 
+    // ---- the instant-ack protocol every harness-level unit test in
+    // ---- this crate runs (here, `harness`, `shard`) -------------------
+
     #[derive(Debug, Clone)]
-    struct NoProto;
+    pub(crate) struct NoProto;
     impl ProtoMessage for NoProto {
         fn wire_size(&self) -> usize {
             0
@@ -552,22 +524,30 @@ mod tests {
         }
     }
 
-    /// Instant-ack replica recording decisions into the safety monitor.
+    /// Single-replica "consensus": applies every request to a local KV
+    /// and records the decision with its group's safety monitor.
     struct Instant {
-        slot: u64,
         cluster: ClusterConfig,
+        kv: KvStore,
+        slot: u64,
     }
     impl Replica<NoProto> for Instant {
         fn on_request(&mut self, client: NodeId, req: ClientRequest, ctx: &mut Ctx<NoProto>) {
             self.cluster.safety.record(0, self.slot, req.command.id);
             self.slot += 1;
-            ctx.reply(client, ClientReply::ok(req.command.id, None));
+            let value = self.kv.apply(&req.command.op);
+            ctx.reply(client, ClientReply::ok(req.command.id, value));
         }
         fn on_proto(&mut self, _f: NodeId, _m: NoProto, _c: &mut Ctx<NoProto>) {}
+        /// Every replica of a group reports the same digest, and no
+        /// two groups do.
+        fn state_digest(&self) -> Option<u64> {
+            Some(self.cluster.leader.0 as u64)
+        }
     }
 
     #[derive(Clone)]
-    struct InstantSpec;
+    pub(crate) struct InstantSpec;
     impl ProtocolSpec for InstantSpec {
         type Msg = NoProto;
         fn protocol_name(&self) -> &'static str {
@@ -579,13 +559,15 @@ mod tests {
             cluster: &ClusterConfig,
         ) -> Box<dyn Actor<Envelope<NoProto>> + Send> {
             Box::new(ReplicaActor(Instant {
-                slot: 0,
                 cluster: cluster.clone(),
+                kv: KvStore::new(),
+                slot: 0,
             }))
         }
     }
 
-    fn small() -> Experiment<InstantSpec> {
+    /// One instant-ack replica, 200 ms warm-up, 800 ms window.
+    pub(crate) fn small() -> Experiment<InstantSpec> {
         Experiment::lan(InstantSpec, 1)
             .warmup(SimDuration::from_millis(200))
             .measure(SimDuration::from_millis(800))
@@ -622,36 +604,6 @@ mod tests {
         assert!(r.violations.is_empty());
         assert!(r.decided > 0);
         assert!(r.p99_latency_ms >= r.p50_latency_ms);
-    }
-
-    #[test]
-    fn run_sim_matches_hand_built_spec_exactly() {
-        // The builder is plumbing over the engine, not a behaviour
-        // change: the same settings handed straight to the engine must
-        // produce a bit-identical run.
-        let new = small().clients(4).capture_trace().run_sim(42);
-        let spec = RunSpec {
-            warmup: SimDuration::from_millis(200),
-            measure: SimDuration::from_millis(800),
-            seed: 42,
-            capture_trace: true,
-            ..RunSpec::lan(1, 4)
-        };
-        let old = harness::execute(
-            &spec,
-            |_, cluster| {
-                Box::new(ReplicaActor(Instant {
-                    slot: 0,
-                    cluster: cluster.clone(),
-                }))
-            },
-            TargetPolicy::Fixed(NodeId(0)),
-            |_, _| {},
-        );
-        assert_eq!(new.samples, old.samples);
-        assert_eq!(new.node_msgs, old.node_msgs);
-        assert_eq!(new.trace_fingerprint, old.trace_fingerprint);
-        assert_eq!(new.throughput, old.throughput);
     }
 
     #[test]
@@ -701,6 +653,51 @@ mod tests {
         let labels = r.label_counts.as_ref().expect("net counts labels");
         assert!(labels.get("request").copied().unwrap_or(0) > 20);
         assert!(labels.get("reply").copied().unwrap_or(0) > 20);
+        let net = r.net.as_ref().expect("transport counters reach the result");
+        assert_eq!((net.decode_errors, net.frames_dropped), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "timeline bucket must be positive")]
+    fn zero_timeline_bucket_is_rejected() {
+        let _ = small().timeline_bucket(SimDuration::ZERO);
+    }
+
+    #[test]
+    fn one_shard_is_gated_and_differs_from_unsharded() {
+        // With one group and instant acks the gate and router add no
+        // traffic, so the difference shows in what the replicas are
+        // told: a shard group must tolerate gaps in client sequences.
+        let plain = small().clients(2).run_sim(7);
+        let gated = small().clients(2).shards(1).run_sim(7);
+        assert!(gated.violations.is_empty());
+        assert!(gated.samples > 100, "got {}", gated.samples);
+        assert!(!plain.groups[0].client_gaps);
+        assert!(gated.groups[0].client_gaps, "a shard group sees gappy seqs");
+    }
+
+    #[test]
+    fn sharded_drain_judges_convergence_within_each_group() {
+        let r = Experiment::lan(InstantSpec, 2)
+            .shards(2)
+            .clients(4)
+            .warmup(SimDuration::from_millis(100))
+            .measure(SimDuration::from_millis(300))
+            .drain(SimDuration::from_millis(50))
+            .run_sim(7);
+        assert_eq!(r.groups.len(), 2);
+        assert_eq!(r.replica_digests.len(), 4);
+        assert_ne!(
+            r.replica_digests[0], r.replica_digests[2],
+            "groups hold different state"
+        );
+        assert_eq!(r.converged(), Some(true));
+    }
+
+    #[test]
+    #[should_panic(expected = "single-region topology")]
+    fn sharding_a_multi_region_topology_is_rejected() {
+        let _ = Experiment::wan(InstantSpec, 3).shards(2);
     }
 
     #[test]

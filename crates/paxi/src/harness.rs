@@ -1,122 +1,52 @@
-//! The measurement engine behind [`crate::Experiment`]: builds a
-//! cluster + clients on the simulator, runs warmup and a measurement
-//! window, and reports the metrics the paper's figures plot
-//! (throughput, latency percentiles, per-node message loads, WAN
-//! traffic, and optional per-second timelines).
+//! The run engine behind [`crate::Experiment`]. Every run — any
+//! protocol, one group or many, any substrate — takes one path:
 //!
-//! The types here ([`RunSpec`], [`RunResult`], [`LoadPoint`]) are the
-//! engine's vocabulary; callers should not assemble a [`RunSpec`] by
-//! hand — use [`crate::Experiment`], which owns one internally and
-//! exposes every knob as a typed builder method. (The PR-3 free-function
-//! shims `run`/`run_spec`/`load_sweep`/`max_throughput` are gone; the
-//! `Experiment` methods of the same names are the only entry points.)
+//! 1. **deploy**: stamp out all actors in node-id order —
+//!    each group's replicas (behind [`ShardGate`]s when the experiment
+//!    is sharded), the clients ([`ClosedLoopClient`]s, or
+//!    [`ShardRouter`]s when sharded), then custom client actors — plus
+//!    the [`ShardLayout`] that says who is where and the
+//!    [`ClientRecorder`] every client reports into.
+//! 2. **drive**: run the actors on one substrate. The simulator driver
+//!    fires the setup hook, then runs warm-up, the measurement window
+//!    and the optional drain; the thread and TCP drivers run for a
+//!    wall-clock span and measure all of it — the window `(0, wall]`.
+//!    Each returns what it observed.
+//! 3. **assemble**: the one place a [`RunResult`] is
+//!    built — windowing, percentiles, per-node loads, and the safety,
+//!    compaction and PQR counters merged over groups.
+//!
+//! What each substrate can observe (anything else is zero, empty or
+//! `None`, never garbage):
+//!
+//! | `RunResult` field | simulator | threads | TCP |
+//! |---|---|---|---|
+//! | throughput, latencies, `samples`, `timeline`, `client_retries` | measurement window | whole run | whole run |
+//! | `decided`, `violations`, `groups`, log/snapshot/PQR counters | yes | yes | yes |
+//! | `node_msgs`, `leader_msgs_per_op`, `follower_msgs_per_op` | window, from simulator stats | — | whole run, from the transport |
+//! | `cross_region_msgs_per_op` | yes | — | — |
+//! | `label_counts` | with `capture_trace` | — | whole run, from the transport |
+//! | `trace_fingerprint`, `leader_*_per_op` | with `capture_trace` | — | — |
+//! | `replica_digests`, `converged()` | with `drain` | — | — |
+//! | `net` | — | — | yes |
 
-use crate::client::{ClientRecorder, ClosedLoopClient, Sample, TargetPolicy};
+use crate::client::{ClientRecorder, ClosedLoopClient, Sample};
 use crate::cluster::ClusterConfig;
 use crate::envelope::{Envelope, ProtoMessage};
+use crate::experiment::{Experiment, ProtocolSpec};
 use crate::metrics::{mean, percentile};
-use crate::workload::Workload;
-use simnet::{Actor, CpuCostModel, NodeId, RegionId, SimDuration, SimTime, Simulation, Topology};
+use crate::shard::{GroupId, ShardGate, ShardLayout, ShardMap, ShardRouter};
+use pig_runtime::NetRunStats;
+use simnet::{Actor, NodeId, SimDuration, SimTime, Simulation, Wire};
 use std::collections::BTreeMap;
+use std::time::Duration;
 
-/// Everything needed to run one experiment point.
-///
-/// Owned and populated by [`crate::Experiment`]; kept public so the
-/// deprecated free-function shims still compile, and because
-/// [`RunResult`] docs refer to its fields.
-#[derive(Debug, Clone)]
-pub struct RunSpec {
-    /// Number of consensus replicas (nodes 0..n).
-    pub n_replicas: usize,
-    /// Number of closed-loop clients (offered load control).
-    pub n_clients: usize,
-    /// Requests each client keeps in flight (1 = classic closed loop;
-    /// higher values model one connection multiplexing several user
-    /// sessions, the workload reply coalescing amortizes).
-    pub client_pipeline: usize,
-    /// Extra client-side topology nodes *without* harness-spawned
-    /// closed-loop clients. A fault-injection / setup hook may populate
-    /// these slots with custom client actors (sequential checkers,
-    /// read-your-writes probes); they are appended after the
-    /// closed-loop clients, in `client_region`.
-    pub extra_client_nodes: usize,
-    /// Topology covering the replicas (clients are appended).
-    pub topology: Topology,
-    /// Region clients attach to (0 for LAN; the leader's region for WAN,
-    /// matching the paper's setup with clients near the leader).
-    pub client_region: RegionId,
-    /// CPU cost model for every node.
-    pub cost: CpuCostModel,
-    /// Master seed; every source of randomness in the run derives from it.
-    pub seed: u64,
-    /// Workload specification.
-    pub workload: Workload,
-    /// Ramp-up time excluded from measurement.
-    pub warmup: SimDuration,
-    /// Measurement window length.
-    pub measure: SimDuration,
-    /// Client retry timeout.
-    pub retry_timeout: SimDuration,
-    /// If set, also produce a per-bucket throughput timeline (Fig. 13).
-    pub timeline_bucket: Option<SimDuration>,
-    /// Quiescence phase after the measurement window: all client nodes
-    /// are crashed and the simulation runs for this long with only
-    /// replica-to-replica traffic, letting in-flight commits and
-    /// heartbeat-driven watermark propagation finish before
-    /// [`RunResult::replica_digests`] is collected. `ZERO` (the
-    /// default) skips the phase entirely, keeping the event schedule
-    /// byte-identical to pre-drain harness versions.
-    pub drain: SimDuration,
-    /// Capture a full message trace: populates
-    /// [`RunResult::trace_fingerprint`] (determinism regressions),
-    /// [`RunResult::leader_proto_sent_per_op`] (message-amortization
-    /// accounting), and [`RunResult::label_counts`]. Off by default —
-    /// high-throughput runs generate millions of entries.
-    pub capture_trace: bool,
-}
-
-impl RunSpec {
-    /// A LAN cluster with the paper-default workload.
-    pub fn lan(n_replicas: usize, n_clients: usize) -> Self {
-        RunSpec {
-            n_replicas,
-            n_clients,
-            client_pipeline: 1,
-            extra_client_nodes: 0,
-            topology: Topology::lan(n_replicas),
-            client_region: 0,
-            cost: CpuCostModel::calibrated(),
-            seed: DEFAULT_SEED,
-            workload: Workload::paper_default(),
-            warmup: SimDuration::from_secs(1),
-            measure: SimDuration::from_secs(4),
-            retry_timeout: SimDuration::from_millis(100),
-            timeline_bucket: None,
-            drain: SimDuration::ZERO,
-            capture_trace: false,
-        }
-    }
-
-    /// The paper's Fig. 9 WAN: replicas over Virginia/California/Oregon,
-    /// clients co-located with the leader in Virginia.
-    pub fn wan(n_replicas: usize, n_clients: usize) -> Self {
-        RunSpec {
-            topology: Topology::wan_virginia_california_oregon(n_replicas),
-            client_region: 0,
-            retry_timeout: SimDuration::from_secs(2),
-            ..RunSpec::lan(n_replicas, n_clients)
-        }
-    }
-}
-
-/// Default master seed used by [`RunSpec`] constructors and
-/// [`crate::Experiment`] call sites that have no better choice.
+/// Default master seed for [`crate::Experiment`] call sites that have
+/// no better choice.
 pub const DEFAULT_SEED: u64 = 0x9199_7a05;
 
-/// Metrics from one run, identical in shape for both execution
-/// substrates (simulator and thread runtime). Fields the thread
-/// substrate cannot measure are documented on
-/// [`crate::Experiment::run_threads`].
+/// Metrics from one run, identical in shape on every substrate; the
+/// [module docs](self) tabulate which fields each substrate fills.
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// Completed operations per second in the measurement window.
@@ -129,15 +59,20 @@ pub struct RunResult {
     pub p99_latency_ms: f64,
     /// Number of samples in the window.
     pub samples: usize,
-    /// Distinct slots decided across the run.
+    /// Distinct slots decided across the run, summed over groups.
     pub decided: u64,
-    /// Safety violations detected (must be empty).
+    /// Safety violations detected in any group (must be empty).
     pub violations: Vec<String>,
+    /// The consensus groups that ran — one, unless the experiment was
+    /// sharded — each with the [`crate::SafetyMonitor`] and compaction
+    /// counters its replicas reported into, for per-group inspection
+    /// (decided counts, decision logs) after the run.
+    pub groups: Vec<ClusterConfig>,
     /// Per-node messages handled (sent + received) in the window,
     /// indexed by node id; replicas first, then clients.
     pub node_msgs: Vec<u64>,
-    /// Messages handled by the leader per completed operation — the
-    /// empirical `Ml` of the paper's §6.
+    /// Messages handled by a group's leader per completed operation —
+    /// the empirical `Ml` of the paper's §6 (mean over groups).
     pub leader_msgs_per_op: f64,
     /// Mean messages handled per non-leader replica per operation — the
     /// empirical `Mf`.
@@ -145,7 +80,7 @@ pub struct RunResult {
     /// Cross-region messages per operation (paper §6.4).
     pub cross_region_msgs_per_op: f64,
     /// Per-bucket throughput timeline `(bucket_end_secs, ops_per_sec)`,
-    /// present when [`RunSpec::timeline_bucket`] was set.
+    /// present when [`crate::Experiment::timeline_bucket`] was set.
     pub timeline: Vec<(f64, f64)>,
     /// Client retries observed (an indicator of failures during the run).
     pub client_retries: u64,
@@ -162,33 +97,32 @@ pub struct RunResult {
     /// was truncated everywhere).
     pub snapshots_installed: u64,
     /// FNV fingerprint of the full message trace, present when
-    /// [`RunSpec::capture_trace`] was set. Identical seeds + configs
-    /// must produce identical fingerprints.
+    /// [`crate::Experiment::capture_trace`] was set. Identical seeds +
+    /// configs must produce identical fingerprints.
     pub trace_fingerprint: Option<u64>,
     /// Leader-sent *protocol* messages (everything except client
-    /// replies) per completed operation in the window, present when
-    /// [`RunSpec::capture_trace`] was set — the precise measure of what
-    /// relay trees and batching amortize.
+    /// replies) per completed operation in the window — the precise
+    /// measure of what relay trees and batching amortize. This and the
+    /// three fields below need `capture_trace` and are means over
+    /// group leaders.
     pub leader_proto_sent_per_op: Option<f64>,
     /// Leader-sent client-reply envelopes (`reply` + `reply_batch`) per
-    /// completed operation — what reply coalescing amortizes. Present
-    /// when [`RunSpec::capture_trace`] was set.
+    /// completed operation — what reply coalescing amortizes.
     pub leader_replies_per_op: Option<f64>,
     /// All leader-sent messages (protocol + replies) per completed
     /// operation — the end-to-end outbound leader load the batching
-    /// pipeline attacks. Present when [`RunSpec::capture_trace`] was
-    /// set.
+    /// pipeline attacks.
     pub leader_sent_per_op: Option<f64>,
     /// Protocol messages *received* by the leader per completed
     /// operation (the relay→leader uplink hop that multi-round
-    /// aggregate coalescing amortizes). Present when
-    /// [`RunSpec::capture_trace`] was set.
+    /// aggregate coalescing amortizes).
     pub leader_proto_recv_per_op: Option<f64>,
-    /// Delivered (non-dropped) messages in the measurement window by
-    /// wire label (`"p2a"`, `"qr_read"`, `"reply_batch"`, …). Present
-    /// when [`RunSpec::capture_trace`] was set. The typed handle on
-    /// message-shape questions — e.g. "how many quorum-read probes did
-    /// PQR send per operation?" — without hand-rolling a simulation.
+    /// Delivered (non-dropped) messages by wire label (`"p2a"`,
+    /// `"qr_read"`, `"reply_batch"`, …): in the measurement window when
+    /// the simulator captured a trace, over the whole run on TCP. The
+    /// typed handle on message-shape questions — e.g. "how many
+    /// quorum-read probes did PQR send per operation?" — without
+    /// hand-rolling a simulation.
     pub label_counts: Option<BTreeMap<&'static str, u64>>,
     /// Quorum reads opened at proxies across the whole run (0 for
     /// non-PQR configurations).
@@ -199,28 +133,28 @@ pub struct RunResult {
     /// larger is a `PendingReads` leak.
     pub pqr_reads_inflight: u64,
     /// Per-replica state digests collected after the drain phase,
-    /// indexed by replica id. `None` entries are replicas that do not
-    /// report a digest (or were crashed when sampled). Empty unless
-    /// [`RunSpec::drain`] was non-zero. The thread substrate cannot
-    /// sample digests and always leaves this empty.
+    /// indexed by replica node id. `None` entries are replicas that do
+    /// not report a digest (or were crashed when sampled). Empty unless
+    /// [`crate::Experiment::drain`] was non-zero on the simulator.
     pub replica_digests: Vec<Option<u64>>,
+    /// The TCP transport's own counters (reconnects, frames that failed
+    /// to decode, frames dropped): a healthy run has zero decode errors
+    /// and zero dropped frames even when client retries would have
+    /// papered over them.
+    pub net: Option<NetRunStats>,
 }
 
 impl RunResult {
     /// Delivered messages with `label` per completed operation in the
-    /// window. Returns `None` unless the run captured a trace.
+    /// window. Returns `None` unless labels were counted.
     pub fn label_per_op(&self, label: &str) -> Option<f64> {
-        let ops = self.samples.max(1) as f64;
-        self.label_counts
-            .as_ref()
-            .map(|c| c.get(label).copied().unwrap_or(0) as f64 / ops)
+        self.labels_per_op(&[label])
     }
 
     /// Sum of [`RunResult::label_per_op`] over several labels — the
     /// handle on message families that batch under a different label
     /// (e.g. PQR probe cost = `qr_read` + `qr_vote` + `qr_read_batch` +
-    /// `qr_vote_batch`). Returns `None` unless the run captured a
-    /// trace.
+    /// `qr_vote_batch`). Returns `None` unless labels were counted.
     pub fn labels_per_op(&self, labels: &[&str]) -> Option<f64> {
         let ops = self.samples.max(1) as f64;
         self.label_counts.as_ref().map(|c| {
@@ -232,194 +166,388 @@ impl RunResult {
         })
     }
 
-    /// Whether every digest-reporting replica converged to the same
-    /// state after the drain phase. `None` when no digests were
-    /// collected (drain disabled, thread substrate, or no replica
-    /// reports one); `Some(true)` requires at least two reporting
-    /// replicas agreeing.
+    /// Whether, within every group, all digest-reporting replicas
+    /// converged to the same state after the drain phase (groups hold
+    /// different keys, so digests are never compared across groups).
+    /// `None` when no group has two reporting replicas (drain disabled,
+    /// wall-clock substrate, or no replica reports a digest).
     pub fn converged(&self) -> Option<bool> {
-        let digests: Vec<u64> = self.replica_digests.iter().flatten().copied().collect();
-        if digests.len() < 2 {
-            return None;
+        let mut verdict = None;
+        for group in &self.groups {
+            let digests: Vec<u64> = group
+                .replicas
+                .iter()
+                .filter_map(|r| self.replica_digests.get(r.index()).copied().flatten())
+                .collect();
+            if digests.len() >= 2 {
+                let agree = digests.windows(2).all(|w| w[0] == w[1]);
+                verdict = Some(verdict.unwrap_or(true) && agree);
+            }
         }
-        Some(digests.windows(2).all(|w| w[0] == w[1]))
+        verdict
     }
 }
 
-/// The engine: everything [`crate::Experiment::run_sim`] ultimately
-/// executes. Kept monolithic so the event schedule is byte-identical to
-/// the pre-`Experiment` harness (the perf gate's determinism contract).
-pub(crate) fn execute<P, B, H>(spec: &RunSpec, build: B, target: TargetPolicy, hook: H) -> RunResult
-where
-    P: ProtoMessage,
-    B: Fn(NodeId, &ClusterConfig) -> Box<dyn Actor<Envelope<P>>>,
-    H: FnOnce(&mut Simulation<Envelope<P>>, &ClusterConfig),
-{
-    let mut topology = spec.topology.clone();
-    assert_eq!(
-        topology.num_nodes(),
-        spec.n_replicas,
-        "spec topology must cover exactly the replicas"
-    );
-    topology.add_nodes(spec.n_clients + spec.extra_client_nodes, spec.client_region);
+/// One point of a latency/throughput sweep.
+#[derive(Debug, Clone)]
+pub struct LoadPoint {
+    /// Number of closed-loop clients for this point.
+    pub clients: usize,
+    /// The full run metrics.
+    pub result: RunResult,
+}
 
-    let mut sim: Simulation<Envelope<P>> = Simulation::new(topology, spec.cost.clone(), spec.seed);
-    if spec.capture_trace {
-        sim.enable_trace();
-    }
-    let cluster = ClusterConfig::new(spec.n_replicas);
+pub(crate) type BoxedActor<M> = Box<dyn Actor<Envelope<M>> + Send>;
 
-    for i in 0..spec.n_replicas {
-        sim.add_actor(build(NodeId::from(i), &cluster));
-    }
+/// Everything one run deploys.
+pub(crate) struct Deployment<M> {
+    pub(crate) layout: ShardLayout,
+    /// All actors, in node-id order.
+    pub(crate) actors: Vec<BoxedActor<M>>,
+    pub(crate) recorder: ClientRecorder,
+}
+
+/// Materialize the node assignment and the actors for one run (fresh
+/// per-group safety monitors and compaction counters). Node-id space,
+/// in order: group 0's replicas, group 1's, …, clients, custom client
+/// actors, empty hook slots.
+pub(crate) fn deploy<P: ProtocolSpec>(exp: &Experiment<P>) -> Deployment<P::Msg> {
+    let r = exp.topology.num_nodes();
+    let clusters: Vec<ClusterConfig> = match exp.shards {
+        None => vec![ClusterConfig::new(r)],
+        Some(s) => (0..s)
+            .map(|g| ClusterConfig::with_range(g * r, r))
+            .collect(),
+    };
+    let n_replicas = clusters.len() * r;
+    let ids = |from: usize, count: usize| (from..from + count).map(NodeId::from).collect();
+    let routers: Vec<NodeId> = ids(n_replicas, exp.n_clients);
+    let n_extras = exp.extra_actors.len() + exp.extra_client_nodes;
+    let key_space = match exp.key_space {
+        0 => exp.workload.num_keys,
+        keys => keys,
+    };
+    let layout = ShardLayout {
+        shards: clusters.len(),
+        replicas_per_shard: r,
+        map: ShardMap::uniform(clusters.len() as u32, key_space),
+        leaders: clusters.iter().map(|c| c.leader).collect(),
+        clusters,
+        extras: ids(n_replicas + routers.len(), n_extras),
+        total_nodes: n_replicas + routers.len() + n_extras,
+        routers,
+    };
 
     let recorder = ClientRecorder::new();
-    for _ in 0..spec.n_clients {
-        sim.add_actor(Box::new(
-            ClosedLoopClient::<P>::new(
-                target.clone(),
-                spec.workload.clone(),
-                recorder.clone(),
-                spec.retry_timeout,
-            )
-            .with_pipeline(spec.client_pipeline),
-        ));
+    let gated = exp.shards.is_some();
+    let notify: Vec<NodeId> = layout
+        .leaders
+        .iter()
+        .chain(layout.routers.iter())
+        .copied()
+        .collect();
+    let mut actors: Vec<BoxedActor<P::Msg>> = Vec::with_capacity(layout.total_nodes);
+    for (g, cluster) in layout.clusters.iter().enumerate() {
+        for &node in &cluster.replicas {
+            let replica = exp.proto.build_replica(node, cluster);
+            if !gated {
+                actors.push(replica);
+                continue;
+            }
+            let mut gate = ShardGate::new(
+                replica,
+                g as GroupId,
+                layout.map.clone(),
+                layout.leaders.clone(),
+                notify.clone(),
+            );
+            if node == cluster.leader {
+                gate = gate.with_moves(exp.moves.clone());
+            }
+            actors.push(Box::new(gate));
+        }
     }
+    let target = exp.resolved_target();
+    for _ in 0..exp.n_clients {
+        actors.push(if gated {
+            Box::new(
+                ShardRouter::<P::Msg>::new(
+                    layout.map.clone(),
+                    layout.leaders.clone(),
+                    exp.workload.clone(),
+                    recorder.clone(),
+                    exp.retry_timeout,
+                )
+                .with_pipeline(exp.client_pipeline),
+            )
+        } else {
+            Box::new(
+                ClosedLoopClient::<P::Msg>::new(
+                    target.clone(),
+                    exp.workload.clone(),
+                    recorder.clone(),
+                    exp.retry_timeout,
+                )
+                .with_pipeline(exp.client_pipeline),
+            )
+        });
+    }
+    for factory in &exp.extra_actors {
+        actors.push(factory(&layout));
+    }
+    Deployment {
+        layout,
+        actors,
+        recorder,
+    }
+}
 
-    hook(&mut sim, &cluster);
+/// What one driver saw: the measured window, plus whatever only its
+/// substrate can observe (the rest stays at its empty default).
+#[derive(Default)]
+pub(crate) struct Observed {
+    /// Samples completing in `(window.0, window.1]` are measured.
+    window: (SimTime, SimTime),
+    /// Per-node sent + received in the window (simulator).
+    node_msgs: Vec<u64>,
+    cross_region_msgs: u64,
+    trace: Option<TraceCounts>,
+    replica_digests: Vec<Option<u64>>,
+    net: Option<NetRunStats>,
+}
 
-    // Warmup.
-    sim.run_for(spec.warmup);
-    let warmup_end = sim.now();
-    let stats_before = sim.stats().clone();
+/// Message counts over the traced measurement window.
+struct TraceCounts {
+    fingerprint: u64,
+    /// Delivered messages by wire label.
+    labels: BTreeMap<&'static str, u64>,
+    /// Sent by / received at group leaders, summed over leaders.
+    leader_proto_sent: usize,
+    leader_replies_sent: usize,
+    leader_proto_recv: usize,
+}
 
-    // Measurement window.
-    sim.run_for(spec.measure);
-    let window_end = sim.now();
-    let stats_after = sim.stats().clone();
+/// The simulator driver: `hook`, then warm-up, the measurement window
+/// and the optional drain, in simulated time.
+pub(crate) fn drive_sim<P, H>(
+    exp: &Experiment<P>,
+    seed: u64,
+    layout: &ShardLayout,
+    actors: Vec<BoxedActor<P::Msg>>,
+    hook: H,
+) -> Observed
+where
+    P: ProtocolSpec,
+    H: FnOnce(&mut Simulation<Envelope<P::Msg>>, &ShardLayout),
+{
+    let mut topology = exp.topology.clone();
+    topology.add_nodes(layout.total_nodes - topology.num_nodes(), exp.client_region);
+    let mut sim: Simulation<Envelope<P::Msg>> = Simulation::new(topology, exp.cost.clone(), seed);
+    if exp.capture_trace {
+        sim.enable_trace();
+    }
+    for actor in actors {
+        sim.add_actor(actor);
+    }
+    hook(&mut sim, layout);
+
+    sim.run_for(exp.warmup);
+    let start = sim.now();
+    let before = sim.stats().clone();
+    sim.run_for(exp.measure);
+    let end = sim.now();
+    let after = sim.stats().clone();
 
     // Optional drain: silence all client traffic and let the replica
-    // group quiesce, then snapshot per-replica state digests for
+    // groups quiesce, then sample per-replica state digests for
     // convergence checks. Skipped entirely (no extra events, schedule
     // unchanged) when `drain` is zero.
+    let n_replicas = layout.shards * layout.replicas_per_shard;
     let mut replica_digests = Vec::new();
-    if spec.drain > SimDuration::ZERO {
-        let total_nodes = spec.n_replicas + spec.n_clients + spec.extra_client_nodes;
-        for i in spec.n_replicas..total_nodes {
+    if exp.drain > SimDuration::ZERO {
+        for i in n_replicas..layout.total_nodes {
             sim.crash(NodeId::from(i));
         }
-        sim.run_for(spec.drain);
-        replica_digests = (0..spec.n_replicas)
+        sim.run_for(exp.drain);
+        replica_digests = (0..n_replicas)
             .map(|i| sim.actor(NodeId::from(i)).state_digest())
             .collect();
     }
 
-    let all_samples = recorder.samples();
-    let window: Vec<&Sample> = all_samples
-        .iter()
-        .filter(|s| s.completed > warmup_end && s.completed <= window_end)
-        .collect();
-
-    let secs = spec.measure.as_secs_f64();
-    let throughput = window.len() as f64 / secs;
-    let lat_ms: Vec<f64> = window.iter().map(|s| s.latency().as_millis_f64()).collect();
-
-    let node_msgs: Vec<u64> = stats_after
-        .nodes
-        .iter()
-        .zip(stats_before.nodes.iter())
-        .map(|(a, b)| a.msgs_total() - b.msgs_total())
-        .collect();
-
-    let ops = window.len().max(1) as f64;
-    let leader = cluster.leader.index();
-    let leader_msgs_per_op = node_msgs.get(leader).copied().unwrap_or(0) as f64 / ops;
-    let followers: Vec<f64> = (0..spec.n_replicas)
-        .filter(|&i| i != leader)
-        .map(|i| node_msgs[i] as f64 / ops)
-        .collect();
-    let follower_msgs_per_op = mean(&followers);
-    let cross_region_msgs_per_op =
-        (stats_after.cross_region_msgs - stats_before.cross_region_msgs) as f64 / ops;
-
-    let timeline = match spec.timeline_bucket {
-        None => Vec::new(),
-        Some(bucket) => bucket_timeline(&all_samples, bucket, window_end),
-    };
-
-    let mut trace_fingerprint = None;
-    let mut leader_proto_sent_per_op = None;
-    let mut leader_replies_per_op = None;
-    let mut leader_sent_per_op = None;
-    let mut leader_proto_recv_per_op = None;
-    let mut label_counts = None;
-    if let Some(trace) = sim.trace() {
-        let leader_node = NodeId::from(leader);
+    let trace = sim.trace().map(|trace| {
         let is_reply = |label: &str| label == "reply" || label == "reply_batch";
-        let mut proto_sent = 0usize;
-        let mut replies_sent = 0usize;
-        let mut proto_recv = 0usize;
-        let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
+        let is_leader = |n: NodeId| layout.leaders.contains(&n);
+        let mut counts = TraceCounts {
+            fingerprint: trace.fingerprint(),
+            labels: BTreeMap::new(),
+            leader_proto_sent: 0,
+            leader_replies_sent: 0,
+            leader_proto_recv: 0,
+        };
         for e in trace.entries() {
-            if e.at <= warmup_end || e.at > window_end {
+            if e.at <= start || e.at > end {
                 continue;
             }
             if !e.dropped {
-                *counts.entry(e.label).or_insert(0) += 1;
+                *counts.labels.entry(e.label).or_insert(0) += 1;
             }
-            if e.from == leader_node {
+            if is_leader(e.from) {
                 if is_reply(e.label) {
-                    replies_sent += 1;
+                    counts.leader_replies_sent += 1;
                 } else {
-                    proto_sent += 1;
+                    counts.leader_proto_sent += 1;
                 }
-            } else if e.to == leader_node && e.label != "request" && !is_reply(e.label) {
-                proto_recv += 1;
+            } else if is_leader(e.to) && e.label != "request" && !is_reply(e.label) {
+                counts.leader_proto_recv += 1;
             }
         }
-        trace_fingerprint = Some(trace.fingerprint());
-        leader_proto_sent_per_op = Some(proto_sent as f64 / ops);
-        leader_replies_per_op = Some(replies_sent as f64 / ops);
-        leader_sent_per_op = Some((proto_sent + replies_sent) as f64 / ops);
-        leader_proto_recv_per_op = Some(proto_recv as f64 / ops);
-        label_counts = Some(counts);
+        counts
+    });
+
+    Observed {
+        window: (start, end),
+        node_msgs: after
+            .nodes
+            .iter()
+            .zip(before.nodes.iter())
+            .map(|(a, b)| a.msgs_total() - b.msgs_total())
+            .collect(),
+        cross_region_msgs: after.cross_region_msgs - before.cross_region_msgs,
+        trace,
+        replica_digests,
+        net: None,
     }
+}
+
+/// A wall-clock run measures all of itself.
+fn whole_run(wall: Duration) -> (SimTime, SimTime) {
+    (SimTime::ZERO, SimTime::from_nanos(wall.as_nanos() as u64))
+}
+
+/// The thread driver: one OS thread per actor, channels as the
+/// network, for `wall` of real time.
+pub(crate) fn drive_threads<M>(seed: u64, wall: Duration, actors: Vec<BoxedActor<M>>) -> Observed
+where
+    M: ProtoMessage + Send,
+{
+    let mut rt = pig_runtime::Runtime::new(seed);
+    for actor in actors {
+        rt.add_actor(actor);
+    }
+    rt.run_for(wall);
+    Observed {
+        window: whole_run(wall),
+        ..Observed::default()
+    }
+}
+
+/// The TCP driver: one OS thread per actor, a loopback socket per
+/// communicating pair, every message as its [`Wire`] bytes.
+pub(crate) fn drive_net<M>(seed: u64, wall: Duration, actors: Vec<BoxedActor<M>>) -> Observed
+where
+    M: ProtoMessage + Send + Wire,
+{
+    let mut rt = pig_runtime::NetRuntime::new(seed);
+    for actor in actors {
+        rt.add_actor(actor);
+    }
+    Observed {
+        window: whole_run(wall),
+        net: Some(rt.run_for(wall)),
+        ..Observed::default()
+    }
+}
+
+/// Turn what the clients recorded, what the groups counted and what
+/// the driver saw into the run's result.
+pub(crate) fn assemble(
+    timeline_bucket: Option<SimDuration>,
+    layout: ShardLayout,
+    recorder: &ClientRecorder,
+    seen: Observed,
+) -> RunResult {
+    let (start, end) = seen.window;
+    let all_samples = recorder.samples();
+    let window: Vec<&Sample> = all_samples
+        .iter()
+        .filter(|s| s.completed > start && s.completed <= end)
+        .collect();
+    let secs = (end - start).as_secs_f64().max(f64::MIN_POSITIVE);
+    let lat_ms: Vec<f64> = window.iter().map(|s| s.latency().as_millis_f64()).collect();
+    let ops = window.len().max(1) as f64;
+
+    // The TCP transport counts its own traffic; the simulator's counts
+    // come from its stats and trace.
+    let (node_msgs, label_counts) = match &seen.net {
+        Some(net) => (
+            net.per_node_sent
+                .iter()
+                .zip(net.per_node_received.iter())
+                .map(|(s, r)| s + r)
+                .collect(),
+            Some(net.delivered_by_label.clone()),
+        ),
+        None => (
+            seen.node_msgs,
+            seen.trace.as_ref().map(|t| t.labels.clone()),
+        ),
+    };
+    let load = |n: &NodeId| node_msgs.get(n.index()).copied().unwrap_or(0) as f64 / ops;
+    let groups = layout.clusters;
+    let leader_loads: Vec<f64> = groups.iter().map(|c| load(&c.leader)).collect();
+    let follower_loads: Vec<f64> = groups
+        .iter()
+        .flat_map(|c| c.replicas.iter().filter(move |&&n| n != c.leader))
+        .map(load)
+        .collect();
+    let trace = seen.trace.as_ref();
+    let per_leader_op = |count: fn(&TraceCounts) -> usize| {
+        trace.map(|t| count(t) as f64 / (ops * groups.len() as f64))
+    };
+    let sum = |f: fn(&ClusterConfig) -> u64| groups.iter().map(f).sum::<u64>();
 
     RunResult {
-        throughput,
+        throughput: window.len() as f64 / secs,
         mean_latency_ms: mean(&lat_ms),
         p50_latency_ms: percentile(&lat_ms, 50.0),
         p99_latency_ms: percentile(&lat_ms, 99.0),
         samples: window.len(),
-        decided: cluster.safety.decided_count(),
-        violations: cluster.safety.violations(),
+        decided: sum(|c| c.safety.decided_count()),
+        violations: groups.iter().flat_map(|c| c.safety.violations()).collect(),
+        leader_msgs_per_op: mean(&leader_loads),
+        follower_msgs_per_op: mean(&follower_loads),
+        cross_region_msgs_per_op: seen.cross_region_msgs as f64 / ops,
         node_msgs,
-        leader_msgs_per_op,
-        follower_msgs_per_op,
-        cross_region_msgs_per_op,
-        timeline,
+        timeline: timeline_bucket
+            .map(|bucket| bucket_timeline(&all_samples, bucket, end))
+            .unwrap_or_default(),
         client_retries: recorder.retries(),
-        max_log_len: cluster.stats.max_log_len(),
-        snapshots_taken: cluster.stats.snapshots_taken(),
-        snapshots_installed: cluster.stats.snapshots_installed(),
-        trace_fingerprint,
-        leader_proto_sent_per_op,
-        leader_replies_per_op,
-        leader_sent_per_op,
-        leader_proto_recv_per_op,
+        max_log_len: groups
+            .iter()
+            .map(|c| c.stats.max_log_len())
+            .max()
+            .unwrap_or(0),
+        snapshots_taken: sum(|c| c.stats.snapshots_taken()),
+        snapshots_installed: sum(|c| c.stats.snapshots_installed()),
+        trace_fingerprint: trace.map(|t| t.fingerprint),
+        leader_proto_sent_per_op: per_leader_op(|t| t.leader_proto_sent),
+        leader_replies_per_op: per_leader_op(|t| t.leader_replies_sent),
+        leader_sent_per_op: per_leader_op(|t| t.leader_proto_sent + t.leader_replies_sent),
+        leader_proto_recv_per_op: per_leader_op(|t| t.leader_proto_recv),
         label_counts,
-        pqr_reads_started: cluster.stats.pqr_started(),
-        pqr_reads_inflight: cluster.stats.pqr_inflight(),
-        replica_digests,
+        pqr_reads_started: sum(|c| c.stats.pqr_started()),
+        pqr_reads_inflight: sum(|c| c.stats.pqr_inflight()),
+        replica_digests: seen.replica_digests,
+        net: seen.net,
+        groups,
     }
 }
 
-pub(crate) fn bucket_timeline(
-    samples: &[Sample],
-    bucket: SimDuration,
-    end: SimTime,
-) -> Vec<(f64, f64)> {
-    let nb = (end.as_nanos() / bucket.as_nanos().max(1)) as usize;
+/// Completions per `bucket` of run time up to `end`, as
+/// `(bucket_end_secs, ops_per_sec)`. `bucket` is non-zero: the setter
+/// rejects zero.
+fn bucket_timeline(samples: &[Sample], bucket: SimDuration, end: SimTime) -> Vec<(f64, f64)> {
+    let nb = (end.as_nanos() / bucket.as_nanos()) as usize;
     let mut counts = vec![0u64; nb + 1];
     for s in samples {
         let idx = (s.completed.as_nanos() / bucket.as_nanos()) as usize;
@@ -436,90 +564,15 @@ pub(crate) fn bucket_timeline(
         .collect()
 }
 
-/// One point of a latency/throughput sweep.
-#[derive(Debug, Clone)]
-pub struct LoadPoint {
-    /// Number of closed-loop clients for this point.
-    pub clients: usize,
-    /// The full run metrics.
-    pub result: RunResult,
-}
-
-pub(crate) fn sweep_seed(base_seed: u64, clients: usize) -> u64 {
-    base_seed.wrapping_add(clients as u64)
-}
-
-/// The default client-count ladder for max-throughput searches.
-pub const DEFAULT_CLIENT_SWEEP: &[usize] = &[1, 2, 5, 10, 20, 40, 80, 160, 320];
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::command::{ClientReply, ClientRequest};
-    use crate::replica::{Ctx, Replica, ReplicaActor, ReplicaCtx};
-
-    #[derive(Debug, Clone)]
-    struct NoProto;
-    impl ProtoMessage for NoProto {
-        fn wire_size(&self) -> usize {
-            0
-        }
-    }
-
-    /// A fake "consensus" replica that acks immediately (1 node).
-    struct Instant {
-        slot: u64,
-        cluster: ClusterConfig,
-    }
-    impl Replica<NoProto> for Instant {
-        fn on_request(&mut self, client: NodeId, req: ClientRequest, ctx: &mut Ctx<NoProto>) {
-            self.cluster.safety.record(0, self.slot, req.command.id);
-            self.slot += 1;
-            ctx.reply(client, ClientReply::ok(req.command.id, None));
-        }
-        fn on_proto(&mut self, _f: NodeId, _m: NoProto, _c: &mut Ctx<NoProto>) {}
-    }
-
-    fn build_instant(_: NodeId, cluster: &ClusterConfig) -> Box<dyn Actor<Envelope<NoProto>>> {
-        Box::new(ReplicaActor(Instant {
-            slot: 0,
-            cluster: cluster.clone(),
-        }))
-    }
-
-    fn small_spec(clients: usize) -> RunSpec {
-        RunSpec {
-            warmup: SimDuration::from_millis(200),
-            measure: SimDuration::from_millis(800),
-            ..RunSpec::lan(1, clients)
-        }
-    }
-
-    /// The engine entry point with no hook, as `Experiment::run_sim`
-    /// invokes it.
-    fn exec(spec: &RunSpec) -> RunResult {
-        execute(
-            spec,
-            build_instant,
-            TargetPolicy::Fixed(NodeId(0)),
-            |_, _| {},
-        )
-    }
-
-    #[test]
-    fn run_produces_throughput_and_latency() {
-        let r = exec(&small_spec(4));
-        assert!(r.throughput > 100.0, "throughput {}", r.throughput);
-        assert!(r.mean_latency_ms > 0.0);
-        assert!(r.p99_latency_ms >= r.p50_latency_ms);
-        assert!(r.violations.is_empty());
-        assert!(r.decided > 0);
-    }
+    use crate::experiment::tests::small;
+    use simnet::SimDuration;
 
     #[test]
     fn more_clients_more_throughput_until_saturation() {
-        let lo = exec(&small_spec(1));
-        let hi = exec(&small_spec(8));
+        let lo = small().clients(1).run_sim(crate::DEFAULT_SEED);
+        let hi = small().clients(8).run_sim(crate::DEFAULT_SEED);
         assert!(
             hi.throughput > lo.throughput * 2.0,
             "8 clients ({}) should beat 1 client ({}) substantially",
@@ -530,12 +583,10 @@ mod tests {
 
     #[test]
     fn timeline_buckets_cover_run() {
-        let spec = RunSpec {
-            timeline_bucket: Some(SimDuration::from_millis(250)),
-            ..small_spec(4)
-        };
-        let r = exec(&spec);
-        assert!(!r.timeline.is_empty());
+        let r = small()
+            .clients(4)
+            .timeline_bucket(SimDuration::from_millis(250))
+            .run_sim(crate::DEFAULT_SEED);
         // Total run is 1s -> 4 buckets.
         assert_eq!(r.timeline.len(), 4);
         // Steady load: later buckets should show similar throughput.
@@ -545,7 +596,7 @@ mod tests {
 
     #[test]
     fn leader_msgs_per_op_counted() {
-        let r = exec(&small_spec(2));
+        let r = small().clients(2).run_sim(crate::DEFAULT_SEED);
         // The instant server handles exactly 1 recv + 1 send per op.
         assert!(
             (r.leader_msgs_per_op - 2.0).abs() < 0.2,
@@ -556,15 +607,14 @@ mod tests {
 
     #[test]
     fn label_counts_present_only_with_trace() {
-        let no_trace = exec(&small_spec(2));
+        let no_trace = small().clients(2).run_sim(crate::DEFAULT_SEED);
         assert!(no_trace.label_counts.is_none());
         assert!(no_trace.label_per_op("request").is_none());
 
-        let spec = RunSpec {
-            capture_trace: true,
-            ..small_spec(2)
-        };
-        let traced = exec(&spec);
+        let traced = small()
+            .clients(2)
+            .capture_trace()
+            .run_sim(crate::DEFAULT_SEED);
         let counts = traced.label_counts.as_ref().expect("trace captured");
         assert!(counts.get("request").copied().unwrap_or(0) > 100);
         assert!(counts.get("reply").copied().unwrap_or(0) > 100);

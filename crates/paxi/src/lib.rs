@@ -6,14 +6,15 @@
 //! ## Running experiments: [`Experiment`]
 //!
 //! The public entry point is the [`Experiment`] builder, which makes
-//! the four experimental axes orthogonal:
+//! the experimental axes orthogonal:
 //!
 //! | axis | type | examples |
 //! |---|---|---|
 //! | protocol | any [`ProtocolSpec`] | `PaxosConfig`, `PigConfig`, `EpaxosConfig` |
 //! | topology | [`simnet::Topology`] | `Topology::lan(25)`, 3-region WAN |
 //! | workload & clients | [`Workload`] + builder knobs | read ratio, payload, pipeline |
-//! | substrate | a run method | [`Experiment::run_sim`], [`Experiment::run_threads`] |
+//! | sharding | [`Experiment::shards`] | unset = one group; `shards(4)` = four groups behind key-range routing |
+//! | substrate | a run method | [`Experiment::run_sim`], [`Experiment::run_threads`], [`Experiment::run_net`] |
 //!
 //! ```text
 //! use paxi::Experiment;
@@ -45,8 +46,8 @@
 //! - [`Workload`] / [`ClosedLoopClient`]: the benchmark workload
 //!   generator and closed-loop clients.
 //! - [`SafetyMonitor`]: machine-checks agreement on every run.
-//! - [`experiment`]: the unified entry point; [`harness`]: the
-//!   measurement engine it drives; [`conformance`]: the replica checks
+//! - [`experiment`]: the one builder; [`harness`]: the one run engine
+//!   behind it (deploy → drive → assemble); [`conformance`]: the replica checks
 //!   every single-leader protocol's tests share.
 //!
 //! Protocol crates (`paxos`, `pigpaxos`, `epaxos`) implement
@@ -88,7 +89,7 @@ pub use command::{
 };
 pub use envelope::{Envelope, ProtoMessage};
 pub use experiment::{Experiment, ProtocolSpec};
-pub use harness::{LoadPoint, RunResult, RunSpec, DEFAULT_SEED};
+pub use harness::{LoadPoint, RunResult, DEFAULT_SEED};
 pub use kv::KvStore;
 pub use log::{Log, LogEntry};
 pub use nemesis::{Nemesis, NemesisLog};
@@ -99,7 +100,6 @@ pub use scenario::{Expectations, Fault, FaultEvent, Scenario, ScenarioError, Top
 pub use session::{SessionTable, DEFAULT_SESSION_WINDOW};
 pub use shard::{
     GroupId, KeyRange, ShardCtl, ShardGate, ShardLayout, ShardMap, ShardMove, ShardRouter,
-    ShardedExperiment,
 };
 pub use snapshot::{CompactionStats, Snapshot, SnapshotConfig};
 pub use workload::{KeyDistribution, Workload};

@@ -62,13 +62,13 @@
 //!
 //! ## Sharded scenarios
 //!
-//! Setting `shards = N` at the root runs the scenario on a
-//! [`crate::ShardedExperiment`] instead of a single cluster:
+//! Setting `shards = N` at the root sets [`crate::Experiment::shards`]:
 //! `replicas` becomes the per-shard replica count (so the node-id space
 //! is `N * replicas` replicas — shard *s* owning the contiguous range
 //! `[s*replicas, (s+1)*replicas)` — followed by `clients` routers), and
 //! fault node ids may reference any replica in that larger space.
-//! Sharded scenarios are LAN-only. The extra expectation
+//! Sharded scenarios are LAN-only; `drain_ms` and `converged` work as
+//! for a single cluster, judged within each shard. The extra expectation
 //! `min_shard_decided` then asserts that every shard whose nodes are
 //! *not* referenced by any fault still decided at least that many
 //! slots — the blast-radius check that a fault in one shard leaves the
@@ -203,8 +203,8 @@ pub struct Scenario {
     /// Number of consensus replicas — per shard, when `shards` is set.
     pub replicas: usize,
     /// Number of key-range shards; `None` runs a single unsharded
-    /// cluster. When set, the run uses a [`crate::ShardedExperiment`]
-    /// with `shards * replicas` replica nodes and `clients` routers.
+    /// cluster. When set, the run sets [`crate::Experiment::shards`]:
+    /// `shards * replicas` replica nodes and `clients` routers.
     pub shards: Option<usize>,
     /// PigPaxos relay-group count (ignored by other protocols).
     pub groups: Option<usize>,
@@ -702,13 +702,6 @@ impl Scenario {
                 self.name
             )));
         }
-        if self.shards.is_some() && self.expect.converged.is_some() {
-            return Err(ScenarioError(format!(
-                "scenario `{}`: sharded runs do not collect convergence digests; \
-                 drop `expect.converged`",
-                self.name
-            )));
-        }
         let n = (self.replicas * self.shards.unwrap_or(1)) as u32;
         let horizon = self.warmup + self.measure;
         let check_node = |node: u32, what: &str| {
@@ -988,6 +981,7 @@ replicas = 3
 shards = 3
 clients = 6
 measure_ms = 4000
+drain_ms = 500
 
 [[faults]]
 at_ms = 500
@@ -998,6 +992,7 @@ count = 3
 
 [expect]
 min_shard_decided = 50
+converged = true    # sharded runs drain and judge each shard
 "#;
         let s = parse(text).expect("parses");
         assert_eq!(s.shards, Some(3));
@@ -1010,6 +1005,7 @@ min_shard_decided = 50
             }
         );
         assert_eq!(s.expect.min_shard_decided, Some(50));
+        assert_eq!(s.expect.converged, Some(true));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! One consensus group serializes *everything* through one leader; past
 //! its saturation point the only way up is to stop sharing. This module
 //! partitions the key space into contiguous ranges, gives each range to
-//! an independent consensus group (any [`ProtocolSpec`] — Paxos,
+//! an independent consensus group (any [`crate::ProtocolSpec`] — Paxos,
 //! PigPaxos, EPaxos), and multiplexes all groups over one shared
 //! network substrate so the existing simulator, thread, and TCP
 //! harnesses run N-group systems unchanged.
@@ -24,11 +24,13 @@
 //!   against its (possibly stale) map copy, sends to the owning
 //!   group's leader, and follows `redirect` replies when a move beat
 //!   its map; [`ShardCtl::MapUpdate`] broadcasts re-freshen it.
-//! * [`ShardedExperiment`] — the builder that stamps out N gated
-//!   protocol instances with disjoint node-id namespaces (shard *s*
-//!   owns nodes `[s*R, (s+1)*R)`), routers behind them, and runs the
-//!   whole assembly on any substrate, merging per-shard safety and
-//!   compaction counters into one [`RunResult`].
+//! * [`crate::Experiment::shards`] — the builder axis that stamps out
+//!   N gated protocol instances with disjoint node-id namespaces
+//!   (shard *s* owns nodes `[s*R, (s+1)*R)`) and routers in front of
+//!   them; the run engine ([`crate::harness`]) then drives the whole
+//!   assembly on any substrate like any other experiment, merging
+//!   per-shard safety and compaction counters into one
+//!   [`crate::RunResult`] whose `groups` keep the per-shard handles.
 //!
 //! ## Rebalancing = snapshot + redirect
 //!
@@ -53,22 +55,17 @@ use crate::client::{jitter_seed, ClientRecorder, Sample, MAX_BACKOFF_SHIFT};
 use crate::cluster::ClusterConfig;
 use crate::command::{ClientReply, ClientRequest, Command, Key, Operation, RequestId};
 use crate::envelope::{Envelope, ProtoMessage};
-use crate::experiment::ProtocolSpec;
-use crate::harness::RunResult;
 use crate::kv::KvStore;
-use crate::metrics::{mean, percentile};
 use crate::session::SessionTable;
 use crate::snapshot::Snapshot;
 use crate::workload::Workload;
 use simnet::wire::{WireHeader, DOMAIN_SHARD, WIRE_HEADER_BYTES};
 use simnet::{
-    Actor, Context, CpuCostModel, Effect, NodeId, SimDuration, SimTime, Simulation, TimerId,
-    Topology, Wire, WireError, WirePut, WireReader,
+    Actor, Context, Effect, NodeId, SimDuration, SimTime, TimerId, Wire, WireError, WirePut,
+    WireReader,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::marker::PhantomData;
-use std::sync::Arc;
-use std::time::Duration;
 
 /// Identifies one consensus group (one shard's replica set).
 pub type GroupId = u32;
@@ -1106,14 +1103,15 @@ impl<P: ProtoMessage> Actor<Envelope<P>> for ShardRouter<P> {
     }
 }
 
-/// The concrete node assignment of one sharded run: who is where.
+/// The concrete node assignment of one run: who is where. An
+/// unsharded run is the one-shard layout with plain clients in the
+/// router slots.
 ///
 /// Node-id space, in order: shard 0's replicas, shard 1's replicas, …,
 /// then routers, then extra client nodes (custom actors first, empty
 /// hook slots last). Each shard's [`ClusterConfig`] carries its own
 /// shared [`crate::SafetyMonitor`] and [`crate::snapshot::CompactionStats`]
-/// handles — clone them out in a run hook for post-run per-shard
-/// inspection.
+/// handles; the same configs come back as [`crate::RunResult::groups`].
 pub struct ShardLayout {
     /// Number of shards (consensus groups).
     pub shards: usize,
@@ -1145,487 +1143,12 @@ impl ShardLayout {
     }
 }
 
-type ExtraActorFactory<P> =
-    Arc<dyn Fn(&ShardLayout) -> Box<dyn Actor<Envelope<P>> + Send> + Send + Sync>;
-
-/// Builder for a sharded deployment: N independent instances of any
-/// [`ProtocolSpec`], each wrapped in [`ShardGate`]s, multiplexed over
-/// one shared substrate with [`ShardRouter`] clients in front.
-///
-/// ```
-/// # use paxi::{ShardedExperiment, ClusterConfig, Envelope, ProtocolSpec};
-/// # use paxi::{ClientReply, ClientRequest, Ctx, Replica, ReplicaActor, ReplicaCtx};
-/// # use simnet::{Actor, NodeId, SimDuration};
-/// # #[derive(Debug, Clone)]
-/// # struct NoMsg;
-/// # impl paxi::ProtoMessage for NoMsg { fn wire_size(&self) -> usize { 0 } }
-/// # struct Ack(ClusterConfig, u64);
-/// # impl Replica<NoMsg> for Ack {
-/// #     fn on_request(&mut self, c: NodeId, req: ClientRequest, ctx: &mut Ctx<NoMsg>) {
-/// #         self.0.safety.record(0, self.1, req.command.id);
-/// #         self.1 += 1;
-/// #         ctx.reply(c, ClientReply::ok(req.command.id, None));
-/// #     }
-/// #     fn on_proto(&mut self, _f: NodeId, _m: NoMsg, _c: &mut Ctx<NoMsg>) {}
-/// # }
-/// # #[derive(Clone)]
-/// # struct AckSpec;
-/// # impl ProtocolSpec for AckSpec {
-/// #     type Msg = NoMsg;
-/// #     fn protocol_name(&self) -> &'static str { "ack" }
-/// #     fn build_replica(
-/// #         &self,
-/// #         _node: NodeId,
-/// #         cluster: &ClusterConfig,
-/// #     ) -> Box<dyn Actor<Envelope<NoMsg>> + Send> {
-/// #         Box::new(ReplicaActor(Ack(cluster.clone(), 0)))
-/// #     }
-/// # }
-/// // 2 shards × 1 replica, 4 routers:
-/// let result = ShardedExperiment::new(AckSpec, 2, 1)
-///     .routers(4)
-///     .warmup(SimDuration::from_millis(100))
-///     .measure(SimDuration::from_millis(400))
-///     .run_sim(paxi::DEFAULT_SEED);
-/// assert!(result.violations.is_empty());
-/// assert!(result.samples > 0);
-/// ```
-pub struct ShardedExperiment<P: ProtocolSpec> {
-    proto: P,
-    shards: usize,
-    replicas_per_shard: usize,
-    routers: usize,
-    pipeline: usize,
-    workload: Workload,
-    warmup: SimDuration,
-    measure: SimDuration,
-    retry_timeout: SimDuration,
-    cost: CpuCostModel,
-    key_space: u64,
-    moves: Vec<ShardMove>,
-    extra_nodes: usize,
-    extra_actors: Vec<ExtraActorFactory<P::Msg>>,
-}
-
-impl<P: ProtocolSpec> ShardedExperiment<P> {
-    /// `shards` independent `proto` groups of `replicas_per_shard`
-    /// replicas each, with LAN-grade defaults: 4 routers, pipeline 1,
-    /// the paper-default workload, 500 ms warmup, 2 s measurement,
-    /// 100 ms client retry, calibrated CPU costs.
-    pub fn new(proto: P, shards: usize, replicas_per_shard: usize) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        assert!(replicas_per_shard >= 1, "need at least one replica");
-        ShardedExperiment {
-            proto,
-            shards,
-            replicas_per_shard,
-            routers: 4,
-            pipeline: 1,
-            workload: Workload::paper_default(),
-            warmup: SimDuration::from_millis(500),
-            measure: SimDuration::from_secs(2),
-            retry_timeout: SimDuration::from_millis(100),
-            cost: CpuCostModel::calibrated(),
-            key_space: 0,
-            moves: Vec::new(),
-            extra_nodes: 0,
-            extra_actors: Vec::new(),
-        }
-    }
-
-    /// Number of router clients (the offered-load control).
-    pub fn routers(mut self, n: usize) -> Self {
-        self.routers = n;
-        self
-    }
-
-    /// Requests each router keeps in flight (default 1).
-    pub fn pipeline(mut self, depth: usize) -> Self {
-        assert!(depth >= 1, "pipeline depth must be at least 1");
-        self.pipeline = depth;
-        self
-    }
-
-    /// Workload specification (default [`Workload::paper_default`]).
-    pub fn workload(mut self, workload: Workload) -> Self {
-        self.workload = workload;
-        self
-    }
-
-    /// Ramp-up time excluded from measurement (simulator substrate).
-    pub fn warmup(mut self, warmup: SimDuration) -> Self {
-        self.warmup = warmup;
-        self
-    }
-
-    /// Measurement window length (simulator substrate).
-    pub fn measure(mut self, measure: SimDuration) -> Self {
-        self.measure = measure;
-        self
-    }
-
-    /// Router retry timeout.
-    pub fn retry_timeout(mut self, timeout: SimDuration) -> Self {
-        self.retry_timeout = timeout;
-        self
-    }
-
-    /// CPU cost model (default [`CpuCostModel::calibrated`]).
-    pub fn cost(mut self, cost: CpuCostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Key space the initial map partitions (default 0 = the
-    /// workload's `num_keys`).
-    pub fn key_space(mut self, keys: u64) -> Self {
-        self.key_space = keys;
-        self
-    }
-
-    /// Schedule a live range move at `at`: the range starting at
-    /// `start` migrates to shard `to`. May be called repeatedly;
-    /// chained moves must be spaced far enough apart for each to
-    /// commit before the next fires.
-    pub fn move_range(mut self, at: SimDuration, start: Key, to: GroupId) -> Self {
-        self.moves.push(ShardMove { at, start, to });
-        self
-    }
-
-    /// Extra client-side nodes with no harness-spawned actors; a
-    /// [`run_sim_with`](Self::run_sim_with) hook can populate them.
-    pub fn extra_client_nodes(mut self, n: usize) -> Self {
-        self.extra_nodes = n;
-        self
-    }
-
-    /// Add a custom client actor built from the concrete layout
-    /// (checkers, probes). Each factory gets its own node, placed
-    /// after the routers; the factory sees the full [`ShardLayout`]
-    /// including per-shard safety handles.
-    pub fn with_client(
-        mut self,
-        factory: impl Fn(&ShardLayout) -> Box<dyn Actor<Envelope<P::Msg>> + Send>
-            + Send
-            + Sync
-            + 'static,
-    ) -> Self {
-        self.extra_actors.push(Arc::new(factory));
-        self
-    }
-
-    /// Materialize the node assignment for one run (fresh per-shard
-    /// safety monitors and compaction counters).
-    fn make_layout(&self) -> ShardLayout {
-        let r = self.replicas_per_shard;
-        let clusters: Vec<ClusterConfig> = (0..self.shards)
-            .map(|s| ClusterConfig::with_range(s * r, r))
-            .collect();
-        let leaders: Vec<NodeId> = clusters.iter().map(|c| c.leader).collect();
-        let n_replicas = self.shards * r;
-        let routers: Vec<NodeId> = (0..self.routers)
-            .map(|i| NodeId::from(n_replicas + i))
-            .collect();
-        let n_extras = self.extra_actors.len() + self.extra_nodes;
-        let extras: Vec<NodeId> = (0..n_extras)
-            .map(|i| NodeId::from(n_replicas + self.routers + i))
-            .collect();
-        let key_space = if self.key_space == 0 {
-            self.workload.num_keys
-        } else {
-            self.key_space
-        };
-        ShardLayout {
-            shards: self.shards,
-            replicas_per_shard: r,
-            map: ShardMap::uniform(self.shards as u32, key_space),
-            clusters,
-            leaders,
-            routers,
-            extras,
-            total_nodes: n_replicas + self.routers + n_extras,
-        }
-    }
-
-    /// All actors in node-id order: gated replicas, routers, custom
-    /// clients.
-    fn build_actors(
-        &self,
-        layout: &ShardLayout,
-        recorder: &ClientRecorder,
-    ) -> Vec<Box<dyn Actor<Envelope<P::Msg>> + Send>> {
-        let notify: Vec<NodeId> = layout
-            .leaders
-            .iter()
-            .chain(layout.routers.iter())
-            .copied()
-            .collect();
-        let mut actors: Vec<Box<dyn Actor<Envelope<P::Msg>> + Send>> = Vec::new();
-        for (s, cluster) in layout.clusters.iter().enumerate() {
-            for &node in &cluster.replicas {
-                let inner = self.proto.build_replica(node, cluster);
-                let mut gate = ShardGate::new(
-                    inner,
-                    s as GroupId,
-                    layout.map.clone(),
-                    layout.leaders.clone(),
-                    notify.clone(),
-                );
-                if node == cluster.leader {
-                    gate = gate.with_moves(self.moves.clone());
-                }
-                actors.push(Box::new(gate));
-            }
-        }
-        for _ in 0..self.routers {
-            actors.push(Box::new(
-                ShardRouter::<P::Msg>::new(
-                    layout.map.clone(),
-                    layout.leaders.clone(),
-                    self.workload.clone(),
-                    recorder.clone(),
-                    self.retry_timeout,
-                )
-                .with_pipeline(self.pipeline),
-            ));
-        }
-        for factory in &self.extra_actors {
-            actors.push(factory(layout));
-        }
-        actors
-    }
-
-    /// Merge the per-shard safety and compaction counters.
-    #[allow(clippy::type_complexity)]
-    fn merged_counters(layout: &ShardLayout) -> (u64, Vec<String>, u64, u64, u64, u64, u64) {
-        let mut decided = 0;
-        let mut violations = Vec::new();
-        let mut max_log_len = 0;
-        let mut taken = 0;
-        let mut installed = 0;
-        let mut pqr_started = 0;
-        let mut pqr_inflight = 0;
-        for c in &layout.clusters {
-            decided += c.safety.decided_count();
-            violations.extend(c.safety.violations());
-            max_log_len = max_log_len.max(c.stats.max_log_len());
-            taken += c.stats.snapshots_taken();
-            installed += c.stats.snapshots_installed();
-            pqr_started += c.stats.pqr_started();
-            pqr_inflight += c.stats.pqr_inflight();
-        }
-        (
-            decided,
-            violations,
-            max_log_len,
-            taken,
-            installed,
-            pqr_started,
-            pqr_inflight,
-        )
-    }
-
-    /// Run on the deterministic simulator; identical `(experiment,
-    /// seed)` pairs produce bit-identical results.
-    pub fn run_sim(&self, seed: u64) -> RunResult {
-        self.run_sim_with(seed, |_, _| {})
-    }
-
-    /// Run on the simulator with a setup/fault-injection hook, which
-    /// fires after all actors are registered and before the simulation
-    /// starts. The hook receives the run's [`ShardLayout`] — clone per-
-    /// shard safety handles out of `layout.clusters` for post-run
-    /// inspection, or target faults at specific shards' node ranges.
-    pub fn run_sim_with<H>(&self, seed: u64, hook: H) -> RunResult
-    where
-        H: FnOnce(&mut Simulation<Envelope<P::Msg>>, &ShardLayout),
-    {
-        let layout = self.make_layout();
-        let n_replicas = self.shards * self.replicas_per_shard;
-        let mut topology = Topology::lan(n_replicas);
-        topology.add_nodes(layout.total_nodes - n_replicas, 0);
-        let mut sim: Simulation<Envelope<P::Msg>> =
-            Simulation::new(topology, self.cost.clone(), seed);
-        let recorder = ClientRecorder::new();
-        for actor in self.build_actors(&layout, &recorder) {
-            sim.add_actor(actor);
-        }
-        hook(&mut sim, &layout);
-
-        sim.run_for(self.warmup);
-        let warmup_end = sim.now();
-        let stats_before = sim.stats().clone();
-        sim.run_for(self.measure);
-        let window_end = sim.now();
-        let stats_after = sim.stats().clone();
-
-        let all_samples = recorder.samples();
-        let window: Vec<&Sample> = all_samples
-            .iter()
-            .filter(|s| s.completed > warmup_end && s.completed <= window_end)
-            .collect();
-        let secs = self.measure.as_secs_f64();
-        let lat_ms: Vec<f64> = window.iter().map(|s| s.latency().as_millis_f64()).collect();
-
-        let node_msgs: Vec<u64> = stats_after
-            .nodes
-            .iter()
-            .zip(stats_before.nodes.iter())
-            .map(|(a, b)| a.msgs_total() - b.msgs_total())
-            .collect();
-        let ops = window.len().max(1) as f64;
-        let leader_loads: Vec<f64> = layout
-            .leaders
-            .iter()
-            .map(|l| node_msgs.get(l.index()).copied().unwrap_or(0) as f64 / ops)
-            .collect();
-        let follower_loads: Vec<f64> = (0..n_replicas)
-            .filter(|&i| !layout.leaders.contains(&NodeId::from(i)))
-            .map(|i| node_msgs[i] as f64 / ops)
-            .collect();
-        let cross_region_msgs_per_op =
-            (stats_after.cross_region_msgs - stats_before.cross_region_msgs) as f64 / ops;
-
-        let (decided, violations, max_log_len, taken, installed, pqr_started, pqr_inflight) =
-            Self::merged_counters(&layout);
-
-        RunResult {
-            throughput: window.len() as f64 / secs,
-            mean_latency_ms: mean(&lat_ms),
-            p50_latency_ms: percentile(&lat_ms, 50.0),
-            p99_latency_ms: percentile(&lat_ms, 99.0),
-            samples: window.len(),
-            decided,
-            violations,
-            node_msgs,
-            leader_msgs_per_op: mean(&leader_loads),
-            follower_msgs_per_op: mean(&follower_loads),
-            cross_region_msgs_per_op,
-            timeline: Vec::new(),
-            client_retries: recorder.retries(),
-            max_log_len,
-            snapshots_taken: taken,
-            snapshots_installed: installed,
-            trace_fingerprint: None,
-            leader_proto_sent_per_op: None,
-            leader_replies_per_op: None,
-            leader_sent_per_op: None,
-            leader_proto_recv_per_op: None,
-            label_counts: None,
-            pqr_reads_started: pqr_started,
-            pqr_reads_inflight: pqr_inflight,
-            replica_digests: Vec::new(),
-        }
-    }
-
-    /// Run the same sharded deployment on real OS threads via
-    /// `pig-runtime` (wall-clock, not deterministic; the whole `wall`
-    /// window is measured, and simulator-only accounting is empty —
-    /// same contract as [`crate::Experiment::run_threads`]).
-    pub fn run_threads(&self, seed: u64, wall: Duration) -> RunResult {
-        self.run_threads_with(seed, wall, |_| {})
-    }
-
-    /// [`run_threads`](Self::run_threads) with a pre-run hook that
-    /// receives the concrete [`ShardLayout`] (clone safety handles out
-    /// for post-run per-shard assertions).
-    pub fn run_threads_with<H>(&self, seed: u64, wall: Duration, hook: H) -> RunResult
-    where
-        H: FnOnce(&ShardLayout),
-    {
-        let layout = self.make_layout();
-        hook(&layout);
-        let mut rt: pig_runtime::Runtime<Envelope<P::Msg>> = pig_runtime::Runtime::new(seed);
-        let recorder = ClientRecorder::new();
-        for actor in self.build_actors(&layout, &recorder) {
-            rt.add_actor(actor);
-        }
-        rt.run_for(wall);
-        Self::wall_result(&layout, &recorder, wall, Vec::new(), None)
-    }
-
-    /// Run the same sharded deployment over real TCP sockets via
-    /// `pig_runtime::NetRuntime` — every cross-node message (client,
-    /// protocol, *and* shard-control) travels as its [`Wire`] bytes.
-    pub fn run_net(&self, seed: u64, wall: Duration) -> RunResult
-    where
-        P::Msg: Wire,
-    {
-        let layout = self.make_layout();
-        let mut rt: pig_runtime::NetRuntime<Envelope<P::Msg>> = pig_runtime::NetRuntime::new(seed);
-        let recorder = ClientRecorder::new();
-        for actor in self.build_actors(&layout, &recorder) {
-            rt.add_actor(actor);
-        }
-        let net = rt.run_for(wall);
-        let node_msgs: Vec<u64> = net
-            .per_node_sent
-            .iter()
-            .zip(net.per_node_received.iter())
-            .map(|(s, r)| s + r)
-            .collect();
-        Self::wall_result(
-            &layout,
-            &recorder,
-            wall,
-            node_msgs,
-            Some(net.delivered_by_label),
-        )
-    }
-
-    /// Shared wall-clock result assembly for the thread and TCP
-    /// substrates.
-    fn wall_result(
-        layout: &ShardLayout,
-        recorder: &ClientRecorder,
-        wall: Duration,
-        node_msgs: Vec<u64>,
-        label_counts: Option<std::collections::BTreeMap<&'static str, u64>>,
-    ) -> RunResult {
-        let samples = recorder.samples();
-        let secs = wall.as_secs_f64().max(f64::MIN_POSITIVE);
-        let lat_ms: Vec<f64> = samples
-            .iter()
-            .map(|s| s.latency().as_millis_f64())
-            .collect();
-        let (decided, violations, max_log_len, taken, installed, pqr_started, pqr_inflight) =
-            Self::merged_counters(layout);
-        RunResult {
-            throughput: samples.len() as f64 / secs,
-            mean_latency_ms: mean(&lat_ms),
-            p50_latency_ms: percentile(&lat_ms, 50.0),
-            p99_latency_ms: percentile(&lat_ms, 99.0),
-            samples: samples.len(),
-            decided,
-            violations,
-            node_msgs,
-            leader_msgs_per_op: 0.0,
-            follower_msgs_per_op: 0.0,
-            cross_region_msgs_per_op: 0.0,
-            timeline: Vec::new(),
-            client_retries: recorder.retries(),
-            max_log_len,
-            snapshots_taken: taken,
-            snapshots_installed: installed,
-            trace_fingerprint: None,
-            leader_proto_sent_per_op: None,
-            leader_replies_per_op: None,
-            leader_sent_per_op: None,
-            leader_proto_recv_per_op: None,
-            label_counts,
-            pqr_reads_started: pqr_started,
-            pqr_reads_inflight: pqr_inflight,
-            replica_digests: Vec::new(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::command::Value;
-    use crate::replica::{Ctx, Replica, ReplicaActor, ReplicaCtx};
-    use crate::DEFAULT_SEED;
+    use crate::experiment::tests::InstantSpec;
+    use crate::{Experiment, DEFAULT_SEED};
 
     #[test]
     fn uniform_map_routes_and_validates() {
@@ -1745,79 +1268,34 @@ mod tests {
         ));
     }
 
-    // ---- a minimal protocol for gate/router integration tests --------
+    // ---- gate/router integration over the instant-ack protocol ---------
 
-    #[derive(Debug, Clone)]
-    struct NoMsg;
-    impl ProtoMessage for NoMsg {
-        fn wire_size(&self) -> usize {
-            0
-        }
-    }
-
-    /// Single-replica "consensus": applies every request to a local KV
-    /// and records the decision with the shard's safety monitor.
-    struct InstantKv {
-        cluster: ClusterConfig,
-        kv: KvStore,
-        slot: u64,
-    }
-
-    impl Replica<NoMsg> for InstantKv {
-        fn on_request(&mut self, client: NodeId, req: ClientRequest, ctx: &mut Ctx<NoMsg>) {
-            self.cluster.safety.record(0, self.slot, req.command.id);
-            self.slot += 1;
-            let value = self.kv.apply(&req.command.op);
-            ctx.reply(client, ClientReply::ok(req.command.id, value));
-        }
-        fn on_proto(&mut self, _f: NodeId, _m: NoMsg, _c: &mut Ctx<NoMsg>) {}
-    }
-
-    #[derive(Clone)]
-    struct InstantSpec;
-    impl ProtocolSpec for InstantSpec {
-        type Msg = NoMsg;
-        fn protocol_name(&self) -> &'static str {
-            "instant"
-        }
-        fn build_replica(
-            &self,
-            _node: NodeId,
-            cluster: &ClusterConfig,
-        ) -> Box<dyn Actor<Envelope<NoMsg>> + Send> {
-            Box::new(ReplicaActor(InstantKv {
-                cluster: cluster.clone(),
-                kv: KvStore::new(),
-                slot: 0,
-            }))
-        }
+    fn sharded(shards: usize, routers: usize, measure_ms: u64) -> Experiment<InstantSpec> {
+        Experiment::lan(InstantSpec, 1)
+            .shards(shards)
+            .clients(routers)
+            .warmup(SimDuration::from_millis(100))
+            .measure(SimDuration::from_millis(measure_ms))
     }
 
     #[test]
     fn sharded_run_spreads_load_and_stays_safe() {
-        let mut shard_safety = Vec::new();
-        let result = ShardedExperiment::new(InstantSpec, 4, 1)
-            .routers(8)
-            .warmup(SimDuration::from_millis(100))
-            .measure(SimDuration::from_millis(500))
-            .run_sim_with(DEFAULT_SEED, |_, layout| {
-                shard_safety = layout.clusters.iter().map(|c| c.safety.clone()).collect();
-            });
+        let result = sharded(4, 8, 500).run_sim(DEFAULT_SEED);
         assert!(result.violations.is_empty());
         assert!(result.samples > 100, "got {}", result.samples);
         assert_eq!(result.client_retries, 0, "uniform load, fresh maps");
         // Every shard decided something: the routers really spread keys.
-        for (s, safety) in shard_safety.iter().enumerate() {
-            assert!(safety.decided_count() > 0, "shard {s} decided nothing");
+        for (s, group) in result.groups.iter().enumerate() {
+            assert!(
+                group.safety.decided_count() > 0,
+                "shard {s} decided nothing"
+            );
         }
     }
 
     #[test]
     fn sharded_run_is_deterministic() {
-        let exp = ShardedExperiment::new(InstantSpec, 2, 1)
-            .routers(4)
-            .warmup(SimDuration::from_millis(100))
-            .measure(SimDuration::from_millis(300));
+        let exp = sharded(2, 4, 300);
         let a = exp.run_sim(7);
         let b = exp.run_sim(7);
         assert_eq!(a.samples, b.samples);
@@ -1827,32 +1305,23 @@ mod tests {
 
     #[test]
     fn live_move_completes_with_no_violations_or_stalls() {
-        // 2 shards; at t=300ms shard 0's second range half... actually
-        // move shard 0's whole range [0, 500) to shard 1 mid-run.
-        let mut shard_safety = Vec::new();
-        let result = ShardedExperiment::new(InstantSpec, 2, 1)
-            .routers(6)
-            .warmup(SimDuration::from_millis(100))
-            .measure(SimDuration::from_millis(900))
+        // Move shard 0's whole range [0, 500) to shard 1 mid-run.
+        let result = sharded(2, 6, 900)
             .move_range(SimDuration::from_millis(300), 0, 1)
-            .run_sim_with(DEFAULT_SEED, |_, layout| {
-                shard_safety = layout.clusters.iter().map(|c| c.safety.clone()).collect();
-            });
+            .run_sim(DEFAULT_SEED);
         assert!(result.violations.is_empty());
         assert!(result.samples > 100, "got {}", result.samples);
         // After the move every key belongs to shard 1: shard 1 keeps
         // deciding well past shard 0's handoff.
-        assert!(shard_safety[1].decided_count() > shard_safety[0].decided_count());
+        let decided = |g: usize| result.groups[g].safety.decided_count();
+        assert!(decided(1) > decided(0));
     }
 
     #[test]
     fn moved_range_redirects_settle_without_lost_requests() {
         // Schedule the move during the measurement window and confirm
         // throughput continues (retries happen, requests never vanish).
-        let result = ShardedExperiment::new(InstantSpec, 4, 1)
-            .routers(8)
-            .warmup(SimDuration::from_millis(100))
-            .measure(SimDuration::from_secs(1))
+        let result = sharded(4, 8, 1000)
             .move_range(SimDuration::from_millis(400), 250, 3)
             .run_sim(DEFAULT_SEED);
         assert!(result.violations.is_empty());

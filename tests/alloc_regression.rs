@@ -141,6 +141,12 @@ fn batched_pipeline_stays_within_alloc_budget() {
             "net p={payload} must make progress: {}",
             r.decided
         );
+        let net = r.net.as_ref().expect("run_net reports its transport");
+        assert_eq!(
+            (net.decode_errors, net.frames_dropped),
+            (0, 0),
+            "net p={payload}: decode errors / dropped frames"
+        );
         (d.allocs as f64 / r.decided as f64, r.decided)
     };
     let (net_small, small_decided) = run_net(8);

@@ -38,19 +38,18 @@ fn run_cluster<P: ProtocolSpec>(
     seed: u64,
     measure: SimDuration,
 ) -> ClusterConfig {
-    let mut captured = None;
-    let r = Experiment::lan(proto, n)
+    let mut r = Experiment::lan(proto, n)
         .clients(clients)
         .client_pipeline(pipeline)
         .warmup(SimDuration::ZERO)
         .measure(measure)
-        .run_sim_with(seed, |_, cluster| captured = Some(cluster.clone()));
+        .run_sim(seed);
     assert!(
         r.samples > 100,
         "cluster must make progress, got {}",
         r.samples
     );
-    captured.expect("hook ran")
+    r.groups.remove(0)
 }
 
 /// In slot order, every client's sequence numbers must be strictly

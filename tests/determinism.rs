@@ -262,27 +262,14 @@ fn golden_pig_n13_two_level_threshold_leader_crash() {
 /// middle of the measurement window. Returns the result and each
 /// group's decided count.
 fn sharded_paxos_live_move() -> (paxi::RunResult, Vec<u64>) {
-    use std::sync::{Arc, Mutex};
-    let safeties = Arc::new(Mutex::new(Vec::new()));
-    let captured = safeties.clone();
-    let r = paxi::ShardedExperiment::new(PaxosConfig::lan(), 3, 3)
-        .routers(6)
+    let r = Experiment::lan(PaxosConfig::lan(), 3)
+        .shards(3)
+        .clients(6)
         .warmup(SimDuration::from_millis(200))
         .measure(SimDuration::from_millis(600))
         .move_range(SimDuration::from_millis(450), 333, 2)
-        .run_sim_with(42, move |_, layout| {
-            *captured.lock().expect("lock") = layout
-                .clusters
-                .iter()
-                .map(|c| c.safety.clone())
-                .collect::<Vec<_>>();
-        });
-    let decided = safeties
-        .lock()
-        .expect("lock")
-        .iter()
-        .map(|s| s.decided_count())
-        .collect();
+        .run_sim(42);
+    let decided = r.groups.iter().map(|g| g.safety.decided_count()).collect();
     (r, decided)
 }
 

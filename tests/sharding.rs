@@ -4,8 +4,8 @@
 //! decision of every client command across all shard logs.
 
 use paxi::{
-    ClientRequest, Command, Envelope, Key, Operation, ProtoMessage, RequestId, SafetyMonitor,
-    ShardMap, ShardedExperiment, Value, DEFAULT_SEED,
+    ClientRequest, ClusterConfig, Command, Envelope, Experiment, Key, Operation, ProtoMessage,
+    RequestId, ShardMap, Value, DEFAULT_SEED,
 };
 use paxos::PaxosConfig;
 use simnet::{Actor, Context, NodeId, SimDuration, TimerId};
@@ -151,10 +151,10 @@ impl<P: ProtoMessage> Actor<Envelope<P>> for MoveChecker<P> {
 /// Every client-issued command (routers and checkers — any id from a
 /// non-replica node) must appear exactly once across all shard decision
 /// logs: nothing lost, nothing executed twice through redirects.
-fn assert_exactly_once(safeties: &[SafetyMonitor], n_replicas: u32) {
+fn assert_exactly_once(groups: &[ClusterConfig], n_replicas: u32) {
     let mut seen: HashMap<RequestId, u64> = HashMap::new();
-    for s in safeties {
-        for ((_space, _slot), id) in s.decisions() {
+    for g in groups {
+        for ((_space, _slot), id) in g.safety.decisions() {
             if id.client.0 >= n_replicas {
                 *seen.entry(id).or_default() += 1;
             }
@@ -165,15 +165,16 @@ fn assert_exactly_once(safeties: &[SafetyMonitor], n_replicas: u32) {
     assert!(dups.is_empty(), "commands decided more than once: {dups:?}");
 }
 
-fn checker_experiment(report: Arc<Mutex<Report>>) -> ShardedExperiment<PaxosConfig> {
+fn checker_experiment(report: Arc<Mutex<Report>>) -> Experiment<PaxosConfig> {
     // 4 shards x 3 replicas over a 2000-key map (stride 500). The
     // routers' background workload only touches keys 0..1000 (shards 0
     // and 1); the range [1000, 1500) moves from shard 2 to shard 3 at
     // 600ms, mid-run, and the checker hammers keys inside that moving
     // range only — no other writer touches them, so every get must see
     // the checker's own latest acked put.
-    ShardedExperiment::new(PaxosConfig::lan(), 4, 3)
-        .routers(4)
+    Experiment::lan(PaxosConfig::lan(), 3)
+        .shards(4)
+        .clients(4)
         .key_space(2000)
         .warmup(SimDuration::from_millis(200))
         .measure(SimDuration::from_millis(1800))
@@ -189,40 +190,30 @@ fn checker_experiment(report: Arc<Mutex<Report>>) -> ShardedExperiment<PaxosConf
 }
 
 #[test]
-fn sharded_paxos_all_shards_commit() {
-    let safeties = Arc::new(Mutex::new(Vec::new()));
-    let captured = safeties.clone();
-    let r = ShardedExperiment::new(PaxosConfig::lan(), 3, 3)
-        .routers(9)
+fn sharded_paxos_all_shards_commit_and_converge() {
+    let r = Experiment::lan(PaxosConfig::lan(), 3)
+        .shards(3)
+        .clients(9)
         .warmup(SimDuration::from_millis(500))
         .measure(SimDuration::from_millis(2000))
-        .run_sim_with(DEFAULT_SEED, move |_, layout| {
-            *captured.lock().expect("lock") = layout
-                .clusters
-                .iter()
-                .map(|c| c.safety.clone())
-                .collect::<Vec<_>>();
-        });
+        .drain(SimDuration::from_millis(500))
+        .run_sim(DEFAULT_SEED);
     assert!(r.violations.is_empty(), "{:?}", r.violations);
     assert!(r.throughput > 100.0, "throughput {}", r.throughput);
-    for (s, safety) in safeties.lock().expect("lock").iter().enumerate() {
-        assert!(safety.decided_count() > 50, "shard {s} barely committed");
+    for (s, group) in r.groups.iter().enumerate() {
+        let decided = group.safety.decided_count();
+        assert!(decided > 50, "shard {s} barely committed: {decided}");
     }
-    assert_exactly_once(&safeties.lock().expect("lock"), 9);
+    assert_exactly_once(&r.groups, 9);
+    // Sharded runs drain like any other: within each group the
+    // replicas end in the same state.
+    assert_eq!(r.converged(), Some(true), "{:?}", r.replica_digests);
 }
 
 #[test]
 fn per_key_linearizability_across_live_move_sim() {
     let report = Arc::new(Mutex::new(Report::default()));
-    let safeties = Arc::new(Mutex::new(Vec::new()));
-    let captured = safeties.clone();
-    let r = checker_experiment(report.clone()).run_sim_with(DEFAULT_SEED, move |_, layout| {
-        *captured.lock().expect("lock") = layout
-            .clusters
-            .iter()
-            .map(|c| c.safety.clone())
-            .collect::<Vec<_>>();
-    });
+    let r = checker_experiment(report.clone()).run_sim(DEFAULT_SEED);
     assert!(r.violations.is_empty(), "{:?}", r.violations);
     let rep = report.lock().expect("report lock");
     assert!(rep.violations.is_empty(), "{:?}", rep.violations);
@@ -236,25 +227,14 @@ fn per_key_linearizability_across_live_move_sim() {
     // Post-move, the checker's stale map sends every request to the old
     // owner first, so redirects must actually have been exercised.
     assert!(rep.redirects > 0, "move never forced a redirect");
-    assert_exactly_once(&safeties.lock().expect("lock"), 12);
+    assert_exactly_once(&r.groups, 12);
 }
 
 #[test]
 fn per_key_linearizability_across_live_move_threads() {
     let report = Arc::new(Mutex::new(Report::default()));
-    let safeties = Arc::new(Mutex::new(Vec::new()));
-    let captured = safeties.clone();
-    let r = checker_experiment(report.clone()).run_threads_with(
-        DEFAULT_SEED,
-        Duration::from_millis(1500),
-        move |layout| {
-            *captured.lock().expect("lock") = layout
-                .clusters
-                .iter()
-                .map(|c| c.safety.clone())
-                .collect::<Vec<_>>();
-        },
-    );
+    let r =
+        checker_experiment(report.clone()).run_threads(DEFAULT_SEED, Duration::from_millis(1500));
     assert!(r.violations.is_empty(), "{:?}", r.violations);
     let rep = report.lock().expect("report lock");
     assert!(rep.violations.is_empty(), "{:?}", rep.violations);
@@ -264,5 +244,5 @@ fn per_key_linearizability_across_live_move_threads() {
         "only {} rounds completed",
         rep.completed
     );
-    assert_exactly_once(&safeties.lock().expect("lock"), 12);
+    assert_exactly_once(&r.groups, 12);
 }

@@ -7,11 +7,22 @@
 //! actors are byte-for-byte the same code; only the run method differs.
 
 use epaxos::EpaxosConfig;
-use paxi::{Experiment, ProtocolSpec, ShardedExperiment};
+use paxi::{Experiment, ProtocolSpec, RunResult};
 use paxos::PaxosConfig;
 use pigpaxos::PigConfig;
 use simnet::SimDuration;
 use std::time::Duration;
+
+/// A TCP run is only healthy if every frame decoded and none was
+/// dropped — client retries would otherwise paper over either.
+fn assert_clean_transport(name: &str, net: &RunResult) {
+    let stats = net.net.as_ref().expect("run_net reports its transport");
+    assert_eq!(
+        (stats.decode_errors, stats.frames_dropped),
+        (0, 0),
+        "{name} net: decode errors / dropped frames"
+    );
+}
 
 fn assert_parity<P: ProtocolSpec>(proto: P, n: usize, min_thread_ops: usize)
 where
@@ -84,6 +95,7 @@ where
         net.label_counts.is_some(),
         "{name} net: label counts populated"
     );
+    assert_clean_transport(name, &net);
 }
 
 #[test]
@@ -190,14 +202,15 @@ fn compacting_epaxos_bounds_memory_on_both_substrates() {
 }
 
 /// The sharded deployment is substrate-agnostic the same way: one
-/// `ShardedExperiment` value — four consensus groups multiplexed over
+/// sharded `Experiment` value — four consensus groups multiplexed over
 /// one node-id space, routed by key — must commit with zero violations
 /// on the simulator, on OS threads, and over TCP loopback with every
 /// message (client, protocol, and shard-control) as wire bytes.
 #[test]
 fn sharded_experiment_runs_on_all_three_substrates() {
-    let experiment = ShardedExperiment::new(PaxosConfig::lan(), 4, 1)
-        .routers(4)
+    let experiment = Experiment::lan(PaxosConfig::lan(), 1)
+        .shards(4)
+        .clients(4)
         .warmup(SimDuration::from_millis(200))
         .measure(SimDuration::from_millis(600));
 
@@ -229,6 +242,7 @@ fn sharded_experiment_runs_on_all_three_substrates() {
         net.node_msgs
     );
     assert!(net.label_counts.is_some(), "net: label counts populated");
+    assert_clean_transport("sharded paxos", &net);
 }
 
 #[test]
