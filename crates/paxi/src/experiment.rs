@@ -93,7 +93,7 @@ use crate::client::TargetPolicy;
 use crate::cluster::ClusterConfig;
 use crate::command::Key;
 use crate::envelope::{Envelope, ProtoMessage};
-use crate::harness::{self, BoxedActor, Deployment, LoadPoint, RunResult};
+use crate::harness::{self, BoxedActor, LoadPoint, RunResult};
 use crate::shard::{GroupId, ShardLayout, ShardMove};
 use crate::workload::Workload;
 use simnet::{Actor, CpuCostModel, NodeId, RegionId, SimDuration, Simulation, Topology};
@@ -414,13 +414,9 @@ impl<P: ProtocolSpec> Experiment<P> {
     where
         H: FnOnce(&mut Simulation<Envelope<P::Msg>>, &ShardLayout),
     {
-        let Deployment {
-            layout,
-            actors,
-            recorder,
-        } = harness::deploy(self);
-        let seen = harness::drive_sim(self, seed, &layout, actors, hook);
-        harness::assemble(self.timeline_bucket, layout, &recorder, seen)
+        let d = harness::deploy(self);
+        let seen = harness::drive_sim(self, seed, &d.layout, d.actors, hook);
+        harness::assemble(self.timeline_bucket, d.layout, &d.recorder, seen)
     }
 
     /// Run the *same* experiment on real OS threads via `pig-runtime`:
