@@ -13,12 +13,19 @@
 //!   (`wire_decode_large_allocs_per_op`,
 //!   `wire_decode_large_kb_per_op`): with `Bytes`-backed frames the
 //!   payloads ride out of the decoder as slices, so allocated bytes per
-//!   decode stay O(1) in the value size instead of O(batch × value).
+//!   decode stay O(1) in the value size instead of O(batch × value),
+//! - what those slices cost once they are *kept*
+//!   (`retained_backing_bytes_per_value_byte`): the memory a follower
+//!   holds resident per byte of 8-byte value in its log, store and
+//!   session table, when the values arrived as windows of 64 KiB
+//!   receive buffers. Allocation counts cannot see this — a window
+//!   allocates nothing and pins everything.
 //!
-//! Two figures are additionally checked in-process: the leader number
+//! Three figures are additionally checked in-process: the leader number
 //! against the pre-optimization figure recorded below (≥ 25%
-//! reduction), and the `P2aBatch` decode against
-//! [`MAX_DECODE_ALLOCS_PER_OP`] — the zero-copy pipeline's budget.
+//! reduction), the `P2aBatch` decode against
+//! [`MAX_DECODE_ALLOCS_PER_OP`] — the zero-copy pipeline's budget — and
+//! the retained ratio against [`MAX_RETAINED_BYTES_PER_VALUE_BYTE`].
 //! `--json <path>` writes the metrics for `perf_gate` (vs
 //! `BENCH_alloc_baseline.json`); `--quick` shortens the run (counts are
 //! per-op, so quick mode barely changes them).
@@ -48,6 +55,11 @@ const REQUIRED_REDUCTION: f64 = 0.25;
 /// leaves only the command vector and its `Arc<[Command]>` conversion.
 const MAX_DECODE_ALLOCS_PER_OP: f64 = 4.0;
 
+/// Ceiling on resident bytes per retained byte of small value. A value
+/// that owns its bytes scores 1; one kept as a window into its receive
+/// buffer scores 8192 at 8 B.
+const MAX_RETAINED_BYTES_PER_VALUE_BYTE: f64 = 2.0;
+
 fn main() {
     let quick = quick_mode();
     let total_cmds: u64 = if quick { 1024 } else { 8192 };
@@ -75,8 +87,10 @@ fn main() {
     let relay_per_op = relay.allocs as f64 / (rounds * batch as u64) as f64;
 
     // Wire encode/decode of a B=16 wave message. The frame is frozen
-    // into `Bytes` once, outside the loop — exactly what the net
-    // substrate's reader does per receive buffer.
+    // into `Bytes` once, outside the loop, as the net substrate's
+    // reader does per receive buffer — but into a buffer of its own
+    // size, so its values stay slices; `retained` below decodes out of
+    // 64 KiB buffers, where small values are copied.
     let msg = hotpath::sample_p2a_batch(batch);
     let frame = simnet::Bytes::from(hotpath::encode_message(&msg));
     let iters = 512u64;
@@ -107,6 +121,9 @@ fn main() {
     let decode_large_per_op = dec_large.allocs as f64 / iters as f64;
     let decode_large_kb_per_op = dec_large.bytes as f64 / iters as f64 / 1024.0;
 
+    // What a follower holds resident for the 8-byte values it keeps.
+    let retained = hotpath::retained_backing_ratio(if quick { 32 } else { 256 }, batch, 8);
+
     let reduction = 1.0 - leader_per_op / LEGACY_LEADER_ALLOCS_PER_OP;
 
     println!("alloc_gate (B={batch}, n={n}, {decided} commands decided)");
@@ -121,6 +138,7 @@ fn main() {
     println!("  wire_decode_allocs_per_op    {decode_per_op:>10.3}");
     println!("  wire_decode_large_allocs_per_op {decode_large_per_op:>7.3}");
     println!("  wire_decode_large_kb_per_op  {decode_large_kb_per_op:>10.3}");
+    println!("  retained_backing_bytes_per_value_byte {retained:>1.3}");
 
     if let Some(path) = json_path() {
         let rows = vec![
@@ -136,6 +154,10 @@ fn main() {
             (
                 "wire_decode_large_kb_per_op".to_string(),
                 decode_large_kb_per_op,
+            ),
+            (
+                "retained_backing_bytes_per_value_byte".to_string(),
+                retained,
             ),
         ];
         std::fs::write(&path, json::render(&rows)).expect("write json");
@@ -159,8 +181,14 @@ fn main() {
              (zero-copy budget is {MAX_DECODE_ALLOCS_PER_OP})",
         );
     }
+    assert!(
+        retained <= MAX_RETAINED_BYTES_PER_VALUE_BYTE,
+        "a follower holds {retained:.1} bytes resident per byte of 8 B value it keeps \
+         (budget {MAX_RETAINED_BYTES_PER_VALUE_BYTE}): small values pin their receive buffers",
+    );
     println!(
-        "alloc_gate: OK (≥{:.0}% leader reduction held, decode ≤{MAX_DECODE_ALLOCS_PER_OP} allocs/op)",
+        "alloc_gate: OK (≥{:.0}% leader reduction held, decode ≤{MAX_DECODE_ALLOCS_PER_OP} allocs/op, \
+         ≤{MAX_RETAINED_BYTES_PER_VALUE_BYTE} bytes held per small-value byte)",
         REQUIRED_REDUCTION * 100.0
     );
 }

@@ -236,6 +236,89 @@ pub fn relay_aggregate_round(ballot: Ballot, first_slot: u64, batch: usize, grou
     panic!("aggregation over the full group must flush");
 }
 
+/// Size of the receive buffers the socket substrate decodes frames out
+/// of (`READ_CHUNK` in `pig_runtime::net`).
+const RECV_BUFFER_BYTES: usize = 64 * 1024;
+
+/// Memory a follower keeps resident per byte of value it retains.
+///
+/// Feeds a follower `waves` `P2aBatch`es of `batch - 1` writes of
+/// `value_bytes` each and one read, the way they arrive over TCP — each
+/// decoded as a window of a 64 KiB receive buffer — then walks every
+/// value reachable from its log, its store and its session table, and
+/// divides the capacity of the allocations those values keep alive by
+/// the values' own lengths. An allocation shared by k values counts k
+/// times, so this is an upper bound; 1.0 means every value owns exactly
+/// its bytes, and a window into a receive buffer scores thousands.
+pub fn retained_backing_ratio(waves: usize, batch: usize, value_bytes: usize) -> f64 {
+    assert!(batch >= 2 && value_bytes >= 1);
+    let ballot = Ballot::new(1, NodeId(0));
+    let mut follower = Acceptor::new(NodeId(1), SafetyMonitor::new());
+    follower.on_p1a(ballot, 0);
+    let mut sessions = SessionTable::new();
+    let mut ids = Vec::new();
+    for wave in 0..waves as u64 {
+        let first_slot = wave * batch as u64;
+        let commands: Vec<Command> = (0..batch as u64)
+            .map(|i| {
+                let key = (first_slot + i) % 256;
+                let op = if i + 1 == batch as u64 {
+                    Operation::Get(key - 1)
+                } else {
+                    Operation::Put(key, Value::from(&vec![wave as u8; value_bytes][..]))
+                };
+                let id = RequestId {
+                    client: NodeId(100 + (i % 8) as u32),
+                    seq: first_slot + i + 1,
+                };
+                Command { id, op }
+            })
+            .collect();
+        let sent = PaxosMsg::P2aBatch {
+            ballot,
+            first_slot,
+            commands: commands.into(),
+            commit_up_to: first_slot, // every earlier wave is decided
+        };
+        let encoded = encode_message(&sent);
+        let mut buf = vec![0; RECV_BUFFER_BYTES.max(encoded.len())];
+        buf[..encoded.len()].copy_from_slice(&encoded);
+        let frame = Bytes::from(buf).slice(..encoded.len());
+        let PaxosMsg::P2aBatch {
+            commands,
+            commit_up_to,
+            ..
+        } = decode_message(&frame)
+        else {
+            unreachable!("a P2aBatch decodes as one")
+        };
+        let accepted = accept_batch(&mut follower, ballot, first_slot, &commands, commit_up_to);
+        for (_slot, id, value) in accepted.advances.into_iter().flat_map(|a| a.executed) {
+            sessions.record(&ClientReply::ok(id, value));
+            ids.push(id);
+        }
+    }
+
+    let log = follower.log().entries_from(0);
+    let store = follower.kv().sorted_entries();
+    let logged = log.iter().filter_map(|(_, _, cmd)| match &cmd.op {
+        Operation::Put(_, v) => Some(v),
+        _ => None,
+    });
+    let stored = store.iter().map(|(_, v)| v);
+    let replied = ids
+        .iter()
+        .filter_map(|&id| sessions.replay(id)?.value.as_ref());
+    let (held, own) = logged
+        .chain(stored)
+        .chain(replied)
+        .fold((0usize, 0usize), |(held, own), v| {
+            (held + v.0.backing_capacity(), own + v.len())
+        });
+    assert!(own > 0, "the follower must have retained values");
+    held as f64 / own as f64
+}
+
 /// A representative `P2aBatch` wave message with `batch` commands.
 pub fn sample_p2a_batch(batch: usize) -> PaxosMsg {
     sample_p2a_batch_with_values(batch, VALUE_BYTES)
@@ -269,7 +352,21 @@ pub fn encode_message(msg: &PaxosMsg) -> Vec<u8> {
 
 /// Decode a frame back into a message (the per-receive cost). The frame
 /// arrives as [`Bytes`] — the form the net substrate hands decoders —
-/// so every value inside the result is a zero-copy slice of it.
+/// so a value inside the result is a zero-copy slice of it unless the
+/// frame's buffer dwarfs the value (`simnet::wire::VALUE_PIN_RATIO`).
 pub fn decode_message(frame: &Bytes) -> PaxosMsg {
     PaxosMsg::decode_frame(frame).expect("harness frames are valid")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn retained_ratio_sees_windows_and_not_copies() {
+        // 8 B values are copied out of their receive buffers; 4 KiB ones
+        // stay windows into 64 KiB, and the probe shows it.
+        assert_eq!(retained_backing_ratio(4, 16, 8), 1.0);
+        assert_eq!(retained_backing_ratio(4, 16, 4096), 16.0);
+    }
 }

@@ -72,9 +72,10 @@ pub fn encode_command_body(cmd: &Command, out: &mut Vec<u8>) {
 /// Decode a command body written by [`encode_command_body`]. `tag` is
 /// the operation tag the caller carried; `value_len` is the value's
 /// byte count for sized embeddings, or `None` for a trailing value
-/// (consumes the rest of the frame). The value is taken as a zero-copy
-/// slice of the frame buffer — the decoded command shares the received
-/// allocation instead of re-materializing its payload.
+/// (consumes the rest of the frame). The value comes from
+/// [`WireReader::read_value`] / [`WireReader::rest_value`]: a zero-copy
+/// slice of the frame buffer when it is large enough to be worth keeping
+/// that buffer alive for, a copy of its own otherwise.
 pub fn decode_command_body(
     tag: u8,
     value_len: Option<usize>,

@@ -386,8 +386,9 @@ const KIND_QR_VOTE_BATCH: u8 = 13;
 
 /// Largest value that fits the 14-bit length half of a packed
 /// `(op tag, len)` entry metadata word (log entries inside P1b
-/// promises, learn replies, and snapshot tails).
-const META_LEN_MAX: usize = (1 << 14) - 1;
+/// promises, learn replies, and snapshot tails). A replica refuses a
+/// larger write at admission, so no such entry ever reaches a log.
+pub(crate) const META_LEN_MAX: usize = (1 << 14) - 1;
 
 fn encode_entry_meta(cmd: &Command, out: &mut Vec<u8>) {
     let len = paxi::wire::command_value_len(cmd);

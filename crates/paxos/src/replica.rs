@@ -27,7 +27,7 @@ use crate::acceptor::{Acceptor, CommitAdvance, LearnAnswer};
 use crate::batching::{self, Batch, BatchLane};
 use crate::config::PaxosConfig;
 use crate::leader::{Leader, Phase1Outcome};
-use crate::messages::{P2bVote, PaxosMsg, QrProbeVote, QrVoteEntry};
+use crate::messages::{P2bVote, PaxosMsg, QrProbeVote, QrVoteEntry, META_LEN_MAX};
 use paxi::{
     Ballot, ClientReply, ClientRequest, ClusterConfig, Command, Ctx, Envelope, Key, ProtoMessage,
     ReplicaActor, ReplicaCtx, ReplyBatcher, RequestId, SessionTable, Value,
@@ -667,6 +667,15 @@ impl<D: Dissemination> paxi::Replica<D::Msg> for Replica<D> {
 
     fn on_request(&mut self, client: NodeId, req: ClientRequest, ctx: &mut Ctx<D::Msg>) {
         let cmd = req.command;
+        // A value the log's entry encoding cannot carry is refused here,
+        // for good (no redirect): once chosen it would abort every
+        // replica that has to ship it in a P1b, learn reply or snapshot.
+        // Nothing was admitted, so the sequence number is the client's
+        // to use again (the lane would wait for it otherwise).
+        if paxi::wire::command_value_len(&cmd) > META_LEN_MAX {
+            ctx.reply(client, ClientReply::redirect(cmd.id, None));
+            return;
+        }
         // Exactly-once: a retry of the last executed command gets the
         // cached reply; anything older is a stale duplicate.
         if let Some(reply) = self.sessions.replay(cmd.id) {

@@ -49,7 +49,7 @@ pub mod net;
 
 pub use net::{NetRunStats, NetRuntime};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,6 +62,28 @@ use std::time::{Duration, Instant};
 pub(crate) enum Inbound<M> {
     Deliver { from: NodeId, msg: M },
     Stop,
+}
+
+/// Where a [`node_loop`] puts the messages its actor sends.
+pub(crate) trait Outbound<M> {
+    /// Take one message for `to`; it may be held until the next `flush`.
+    fn send(&mut self, to: NodeId, msg: M);
+    /// Push out everything `send` held back. The loop calls this before
+    /// it blocks and at least once every [`FLUSH_EVERY`] handler runs.
+    fn flush(&mut self) {}
+}
+
+/// Handler runs (messages and timers) after which [`node_loop`] flushes
+/// even though its inbox never ran empty, so a node that is never idle
+/// cannot hold its peers' frames back for ever.
+pub(crate) const FLUSH_EVERY: u32 = 64;
+
+/// A plain function is a transport that holds nothing back: the
+/// in-process [`Runtime`]'s push into the peer's inbox.
+impl<M, F: FnMut(NodeId, M)> Outbound<M> for F {
+    fn send(&mut self, to: NodeId, msg: M) {
+        self(to, msg)
+    }
 }
 
 /// Aggregate counters from a runtime run.
@@ -146,12 +168,12 @@ impl<M: Message + Send> Runtime<M> {
             let seed = simnet::derive_node_seed(self.seed, i);
             let done = done_tx.clone();
             handles.push(std::thread::spawn(move || {
-                let outbound = move |to: NodeId, msg: M| {
+                let mut outbound = move |to: NodeId, msg: M| {
                     if let Some(tx) = senders.get(to.index()) {
                         let _ = tx.send(Inbound::Deliver { from: node, msg });
                     }
                 };
-                node_loop(node, actor, rx, outbound, stats, epoch, seed);
+                node_loop(node, actor, rx, &mut outbound, stats, epoch, seed);
                 let _ = done.send(());
             }));
         }
@@ -169,14 +191,17 @@ impl<M: Message + Send> Runtime<M> {
 }
 
 /// The per-node event loop shared by every real-thread substrate: fires
-/// due timers, blocks on the inbound channel up to the next deadline,
-/// and routes `Effect::Send` through `outbound` — a channel send for the
-/// in-process [`Runtime`], an encode-and-frame for [`net::NetRuntime`].
+/// due timers, takes what is in the inbox, and only when the inbox is
+/// empty flushes `out` and blocks up to the next deadline. `Effect::Send`
+/// goes through `out` — a channel push for the in-process [`Runtime`], an
+/// encode onto the peer's output buffer for [`net::NetRuntime`], which
+/// therefore pays its socket writes once per wake-up and not once per
+/// message.
 pub(crate) fn node_loop<M: Message + Send>(
     node: NodeId,
     mut actor: Box<dyn Actor<M> + Send>,
     rx: Receiver<Inbound<M>>,
-    mut outbound: impl FnMut(NodeId, M),
+    out: &mut impl Outbound<M>,
     stats: Arc<Mutex<RuntimeStats>>,
     epoch: Instant,
     seed: u64,
@@ -188,6 +213,8 @@ pub(crate) fn node_loop<M: Message + Send>(
     let mut effects: Vec<Effect<M>> = Vec::new();
     let mut delivered = 0u64;
     let mut fired = 0u64;
+    // Handler runs since the last flush.
+    let mut unflushed = 0u32;
 
     let now_sim = |epoch: Instant| SimTime::from_nanos(epoch.elapsed().as_nanos() as u64);
 
@@ -196,7 +223,8 @@ pub(crate) fn node_loop<M: Message + Send>(
         let mut ctx = Context::new(now_sim(epoch), node, &mut rng, &mut effects, &mut timer_seq);
         actor.on_start(&mut ctx);
     }
-    apply_effects(&mut effects, &mut outbound, &mut timers, &mut cancelled);
+    apply_effects(&mut effects, out, &mut timers, &mut cancelled);
+    out.flush();
 
     loop {
         // Fire due timers first.
@@ -212,34 +240,44 @@ pub(crate) fn node_loop<M: Message + Send>(
             let mut ctx =
                 Context::new(now_sim(epoch), node, &mut rng, &mut effects, &mut timer_seq);
             actor.on_timer(t.id, t.kind, &mut ctx);
-            apply_effects(&mut effects, &mut outbound, &mut timers, &mut cancelled);
+            apply_effects(&mut effects, out, &mut timers, &mut cancelled);
+            flush_if_due(out, &mut unflushed);
         }
 
-        let next_deadline = timers.peek().map(|t| t.at);
-        let inbound = match next_deadline {
-            Some(at) => {
-                let timeout = at.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(timeout) {
-                    Ok(m) => Some(m),
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+        let inbound = match rx.try_recv() {
+            Ok(m) => m,
+            Err(TryRecvError::Disconnected) => break,
+            Err(TryRecvError::Empty) => {
+                // About to block: everything the handlers since the
+                // last wake-up produced leaves now.
+                out.flush();
+                unflushed = 0;
+                match timers.peek().map(|t| t.at) {
+                    Some(at) => {
+                        let timeout = at.saturating_duration_since(Instant::now());
+                        match rx.recv_timeout(timeout) {
+                            Ok(m) => m,
+                            Err(RecvTimeoutError::Timeout) => continue, // timer due
+                            Err(RecvTimeoutError::Disconnected) => break,
+                        }
+                    }
+                    None => match rx.recv() {
+                        Ok(m) => m,
+                        Err(_) => break,
+                    },
                 }
             }
-            None => match rx.recv() {
-                Ok(m) => Some(m),
-                Err(_) => break,
-            },
         };
 
         match inbound {
-            None => continue, // timer due; handled at loop top
-            Some(Inbound::Stop) => break,
-            Some(Inbound::Deliver { from, msg }) => {
+            Inbound::Stop => break,
+            Inbound::Deliver { from, msg } => {
                 delivered += 1;
                 let mut ctx =
                     Context::new(now_sim(epoch), node, &mut rng, &mut effects, &mut timer_seq);
                 actor.on_message(from, msg, &mut ctx);
-                apply_effects(&mut effects, &mut outbound, &mut timers, &mut cancelled);
+                apply_effects(&mut effects, out, &mut timers, &mut cancelled);
+                flush_if_due(out, &mut unflushed);
             }
         }
     }
@@ -249,15 +287,24 @@ pub(crate) fn node_loop<M: Message + Send>(
     s.timers_fired += fired;
 }
 
+/// Count one handler run and flush when [`FLUSH_EVERY`] have gone by.
+fn flush_if_due<M>(out: &mut impl Outbound<M>, unflushed: &mut u32) {
+    *unflushed += 1;
+    if *unflushed >= FLUSH_EVERY {
+        out.flush();
+        *unflushed = 0;
+    }
+}
+
 fn apply_effects<M: Message + Send>(
     effects: &mut Vec<Effect<M>>,
-    outbound: &mut impl FnMut(NodeId, M),
+    out: &mut impl Outbound<M>,
     timers: &mut BinaryHeap<PendingTimer>,
     cancelled: &mut HashSet<u64>,
 ) {
     for effect in effects.drain(..) {
         match effect {
-            Effect::Send { to, msg } => outbound(to, msg),
+            Effect::Send { to, msg } => out.send(to, msg),
             Effect::SetTimer { id, delay, kind } => {
                 timers.push(PendingTimer {
                     at: Instant::now() + Duration::from_nanos(delay.as_nanos()),

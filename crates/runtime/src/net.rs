@@ -12,24 +12,48 @@
 //!
 //! ## Transport
 //!
-//! - One listener per node on `127.0.0.1:<ephemeral>`; an acceptor
-//!   thread spawns a reader thread per inbound connection.
-//! - One outbound connection (and writer thread) per `(sender, peer)`
-//!   pair, created on first send, with reconnect-and-backoff (10 ms
-//!   doubling to 500 ms). A frame that cannot be delivered after the
-//!   retry budget is dropped — exactly the failure mode the protocols
-//!   already tolerate (their retry/learn machinery repairs losses).
+//! Threads per node: one actor thread, one acceptor, and one reader per
+//! inbound connection. There are no writer threads.
+//!
+//! - **Send side, on the actor thread.** The node owns one outbound
+//!   `TcpStream` and one output buffer per peer. A send encodes its
+//!   frame onto the end of that buffer; the event loop flushes every
+//!   buffer with one `write` per peer when its inbox runs empty, before
+//!   it blocks — so the syscalls are paid per wake-up, not per message.
+//!   A buffer is also flushed once it holds `FLUSH_BYTES`, and the
+//!   loop flushes at least every `FLUSH_EVERY` handler runs, which
+//!   bounds how long a node that is never idle can hold a frame.
+//! - **The actor thread never sleeps.** A peer that cannot be connected
+//!   to goes into back-off (10 ms doubling to 500 ms) as a *deadline*:
+//!   until it passes, frames for that peer are dropped and counted in
+//!   `frames_dropped` — a loss the protocols' retry/learn machinery
+//!   repairs — and timers and other peers are not delayed.
+//! - **The stream stays frame-aligned.** When a write fails part-way,
+//!   the frames the kernel took whole are forgotten and the rest is
+//!   written to a fresh connection from the start of the first frame not
+//!   known fully written. The receiver discards the torn frame with the
+//!   old connection, so it sees no frame twice and none in part.
+//! - **Receive side.** The acceptor blocks in `accept` and spawns a
+//!   reader per inbound connection; a reader blocks in `read` until EOF.
+//!   Nothing polls: teardown joins the actor threads, which closes every
+//!   outbound stream and so ends every reader, and wakes each acceptor
+//!   with one throw-away connection.
+//! - **No deadlock.** A blocking `write` on an actor thread waits for the
+//!   peer's *reader*, never for the peer's actor: readers push into an
+//!   unbounded inbox and go straight back to `read`, whatever the actor
+//!   is doing (including blocking in a `write` of its own). The price is
+//!   that an overrun node queues in memory instead of pushing back.
 //! - Frames are `[payload len: u32 LE][sender node id: u32 LE]` +
 //!   payload (see [`simnet::wire`] for the payload format). Self-sends
-//!   short-circuit through the node's inbound channel without touching
-//!   a socket, like every other substrate.
-//! - The receive path is zero-copy: a reader thread reads straight into
-//!   its reassembly buffer, freezes the buffer into a refcounted
-//!   [`Bytes`] once it holds complete frames, and decodes every payload
-//!   as a slice of that one allocation — a `Put` value travels from
-//!   socket to state machine without its bytes ever being copied. The
-//!   frozen buffer is reclaimed for the next read as soon as no decoded
-//!   message still borrows it.
+//!   go through the node's inbox without touching a socket.
+//! - A reader reads straight into its reassembly buffer, freezes it
+//!   into a refcounted [`Bytes`] once it holds complete frames, and
+//!   decodes every payload as a slice of that one allocation. Large
+//!   values stay windows into it, zero-copy from socket to state
+//!   machine; small ones the decoder copies out
+//!   ([`simnet::wire::VALUE_PIN_RATIO`]), or an 8-byte value kept in a
+//!   store would hold a whole receive buffer resident. The buffer is
+//!   reused for the next read once no decoded message borrows it.
 //!
 //! Unlike the simulator this substrate is *not* deterministic — it
 //! measures real sockets, real syscalls, and real thread scheduling.
@@ -37,12 +61,12 @@
 //! back in [`NetRunStats`] so runs remain comparable with simulator
 //! metrics.
 
-use crate::{node_loop, Inbound, RuntimeStats};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::{node_loop, Inbound, Outbound, RuntimeStats};
+use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use simnet::{Actor, Bytes, Message, NodeId, Wire};
-use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Write};
+use std::collections::BTreeMap;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -55,101 +79,43 @@ const FRAME_PREFIX: usize = 8;
 /// Ceiling on a single frame's payload; a corrupted length prefix must
 /// not trigger a huge allocation.
 const MAX_FRAME: usize = 64 * 1024 * 1024;
-/// How long a parked reader/writer sleeps between liveness checks.
-const IDLE_POLL: Duration = Duration::from_millis(25);
-/// First reconnect delay; doubles per failed attempt up to
-/// [`MAX_BACKOFF`].
+/// First reconnect delay; doubles per failed attempt to [`MAX_BACKOFF`].
 const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
 /// Reconnect delay ceiling.
 const MAX_BACKOFF: Duration = Duration::from_millis(500);
-/// Connect/write attempts per frame before it is dropped.
-const MAX_ATTEMPTS: u32 = 20;
-/// Ceiling on buffers retained per node by the opt-in frame pool.
-const POOL_CAP: usize = 64;
 /// Reader-side granularity: initial receive-buffer size and the step a
 /// buffer grows by when a frame straddles its end.
 const READ_CHUNK: usize = 64 * 1024;
+/// A peer's output buffer is written out as soon as it holds this much,
+/// without waiting for the event loop's flush.
+const FLUSH_BYTES: usize = READ_CHUNK;
 
-/// True when `PIG_NET_POOL` requests pooled frame buffers (any value
-/// but `0`). Off by default: the pool changes no bytes on the wire
-/// (asserted by `pooled_frames_are_byte_identical`), but it stays
-/// opt-in until the perf gate has tracked it across environments.
-pub fn frame_pooling_enabled() -> bool {
-    std::env::var_os("PIG_NET_POOL").is_some_and(|v| v != "0")
+/// A full-length receive buffer of at least `min_len` bytes. Receive
+/// buffers keep `len == capacity` (zero-filled once) so
+/// `TcpStream::read` can write directly into `buf[filled..]` with no
+/// staging chunk; the valid prefix is tracked separately by the reader.
+fn recv_buffer(min_len: usize) -> Vec<u8> {
+    vec![0; min_len.max(READ_CHUNK)]
 }
 
-/// A bounded free-list of spent frame buffers, shared between a node's
-/// sender and its writer threads. With pooling enabled, every frame a
-/// writer finishes with returns here and the next send reuses its
-/// capacity — the steady-state send path stops allocating entirely.
-/// Disabled, `get` is exactly the old `Vec::with_capacity` path.
-struct FramePool {
-    enabled: bool,
-    free: Mutex<Vec<Vec<u8>>>,
-}
-
-impl FramePool {
-    fn new(enabled: bool) -> Self {
-        FramePool {
-            enabled,
-            free: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn get(&self, capacity: usize) -> Vec<u8> {
-        if self.enabled {
-            if let Some(mut buf) = self.free.lock().pop() {
-                buf.clear();
-                buf.reserve(capacity);
-                return buf;
-            }
-        }
-        Vec::with_capacity(capacity)
-    }
-
-    fn put(&self, buf: Vec<u8>) {
-        if !self.enabled {
-            return;
-        }
-        let mut free = self.free.lock();
-        if free.len() < POOL_CAP {
-            free.push(buf);
-        }
-    }
-}
-
-/// A full-length receive buffer of at least `min_len` bytes, drawn from
-/// `pool`. Receive buffers keep `len == capacity` (zero-filled once at
-/// acquisition) so `TcpStream::read` can write directly into
-/// `buf[filled..]` with no staging chunk; the valid prefix is tracked
-/// separately by the reader.
-fn recv_buffer(pool: &FramePool, min_len: usize) -> Vec<u8> {
-    let mut buf = pool.get(min_len.max(READ_CHUNK));
-    let len = buf.capacity().max(min_len);
-    buf.resize(len, 0);
-    buf
-}
-
-/// Build one transport frame for `msg` from `from`, drawing the buffer
-/// from `pool`: `[payload len u32 LE][sender u32 LE]` + encoded
-/// payload. The bytes are a pure function of `(from, msg)` — pooling
-/// only changes where the buffer came from.
-fn encode_frame<M: Message + Wire>(from: NodeId, msg: &M, pool: &FramePool) -> Vec<u8> {
-    let mut frame = pool.get(FRAME_PREFIX + msg.wire_size());
-    frame.extend_from_slice(&[0u8; FRAME_PREFIX]);
-    msg.encode_into(&mut frame);
-    let payload_len = (frame.len() - FRAME_PREFIX) as u32;
-    frame[..4].copy_from_slice(&payload_len.to_le_bytes());
-    frame[4..8].copy_from_slice(&from.0.to_le_bytes());
-    frame
+/// Append one transport frame for `msg` from `from` to `out`:
+/// `[payload len u32 LE][sender u32 LE]` + encoded payload, written in
+/// place. The bytes are a pure function of `(from, msg)`.
+fn encode_frame<M: Message + Wire>(from: NodeId, msg: &M, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.reserve(FRAME_PREFIX + msg.wire_size());
+    out.extend_from_slice(&[0u8; FRAME_PREFIX]);
+    msg.encode_into(out);
+    let payload_len = (out.len() - start - FRAME_PREFIX) as u32;
+    out[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&from.0.to_le_bytes());
 }
 
 /// Counters from a [`NetRuntime`] run — the socket substrate's
 /// equivalent of the simulator's per-node message stats.
 #[derive(Debug, Default, Clone)]
 pub struct NetRunStats {
-    /// Messages delivered to actors across all nodes (self-sends
-    /// included).
+    /// Messages delivered to actors across all nodes, self-sends too.
     pub msgs_delivered: u64,
     /// Timers fired across all nodes.
     pub timers_fired: u64,
@@ -166,10 +132,11 @@ pub struct NetRunStats {
     /// Frames that failed to decode (0 on a healthy run — anything else
     /// means the wire schema disagrees with itself).
     pub decode_errors: u64,
-    /// Frames dropped after exhausting the reconnect/retry budget.
+    /// Frames dropped because their peer could not be reached.
     pub frames_dropped: u64,
 }
 
+#[derive(Default)]
 struct NetMetrics {
     sent: Vec<AtomicU64>,
     received: Vec<AtomicU64>,
@@ -185,19 +152,33 @@ impl NetMetrics {
         NetMetrics {
             sent: (0..n).map(|_| AtomicU64::new(0)).collect(),
             received: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            labels: Mutex::new(BTreeMap::new()),
-            bytes_sent: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            decode_errors: AtomicU64::new(0),
-            frames_dropped: AtomicU64::new(0),
+            ..NetMetrics::default()
         }
     }
+}
 
-    fn note_delivery(&self, to: NodeId, label: &'static str) {
-        if let Some(c) = self.received.get(to.index()) {
-            c.fetch_add(1, Ordering::Relaxed);
+/// What one thread delivered to one node, counted without sharing and
+/// merged into [`NetMetrics`] once, when the thread is done.
+#[derive(Default)]
+struct Deliveries {
+    received: u64,
+    labels: BTreeMap<&'static str, u64>,
+}
+
+impl Deliveries {
+    fn note(&mut self, label: &'static str) {
+        self.received += 1;
+        *self.labels.entry(label).or_insert(0) += 1;
+    }
+
+    fn merge_into(self, metrics: &NetMetrics, to: NodeId) {
+        if let Some(c) = metrics.received.get(to.index()) {
+            c.fetch_add(self.received, Ordering::Relaxed);
         }
-        *self.labels.lock().entry(label).or_insert(0) += 1;
+        let mut labels = metrics.labels.lock();
+        for (label, count) in self.labels {
+            *labels.entry(label).or_insert(0) += count;
+        }
     }
 }
 
@@ -245,100 +226,72 @@ impl<M: Message + Wire + Send + 'static> NetRuntime<M> {
         let metrics = Arc::new(NetMetrics::new(n));
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(Mutex::new(RuntimeStats::default()));
-        // Reader/writer threads are spawned dynamically (per accepted
-        // connection, per first-send edge); their handles land here so
-        // teardown can join everything.
-        let io_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
-        // Inbound actor channels and listeners, all bound before any
-        // actor starts so no node races its peers' listeners.
-        let mut txs: Vec<Sender<Inbound<M>>> = Vec::with_capacity(n);
-        let mut rxs: Vec<Option<Receiver<Inbound<M>>>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            txs.push(tx);
-            rxs.push(Some(rx));
-        }
-        let mut listeners = Vec::with_capacity(n);
-        let mut addrs: Vec<SocketAddr> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
-            addrs.push(listener.local_addr().expect("listener addr"));
-            listeners.push(listener);
-        }
-        let addrs = Arc::new(addrs);
-
-        let pooling = frame_pooling_enabled();
-        let mut acceptor_handles = Vec::with_capacity(n);
-        for (i, listener) in listeners.into_iter().enumerate() {
-            acceptor_handles.push(spawn_acceptor(
-                NodeId::from(i),
-                listener,
-                txs[i].clone(),
-                metrics.clone(),
-                stop.clone(),
-                io_handles.clone(),
-                Arc::new(FramePool::new(pooling)),
-            ));
-        }
+        // Listeners are all bound before any actor starts, so no node
+        // races its peers' listeners.
+        let listeners: Vec<TcpListener> = (0..n)
+            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback listener"))
+            .collect();
+        let addrs: Vec<SocketAddr> = listeners
+            .iter()
+            .map(|l| l.local_addr().expect("listener addr"))
+            .collect();
 
         let epoch = Instant::now();
-        let mut actor_handles = Vec::with_capacity(n);
-        for i in 0..n {
-            let actor = self.actors[i].take().expect("actor already running");
-            let rx = rxs[i].take().expect("receiver already running");
+        let mut txs = Vec::with_capacity(n);
+        let mut acceptors = Vec::with_capacity(n);
+        let mut nodes = Vec::with_capacity(n);
+        for (i, listener) in listeners.into_iter().enumerate() {
             let node = NodeId::from(i);
+            let (tx, rx) = unbounded();
+            acceptors.push(spawn_acceptor(
+                node,
+                listener,
+                tx.clone(),
+                metrics.clone(),
+                stop.clone(),
+            ));
+            let actor = self.actors[i].take().expect("actor already running");
             let seed = simnet::derive_node_seed(self.seed, i);
             let stats = stats.clone();
-            let sender = NetSender {
-                node,
-                addrs: addrs.clone(),
-                self_tx: txs[i].clone(),
-                writers: HashMap::new(),
-                metrics: metrics.clone(),
-                stop: stop.clone(),
-                io_handles: io_handles.clone(),
-                pool: Arc::new(FramePool::new(pooling)),
-            };
-            actor_handles.push(std::thread::spawn(move || {
-                let mut sender = sender;
-                let outbound = move |to: NodeId, msg: M| sender.send(to, msg);
-                node_loop(node, actor, rx, outbound, stats, epoch, seed);
+            let mut sender = NetSender::new(node, &addrs, tx.clone(), metrics.clone());
+            nodes.push(std::thread::spawn(move || {
+                node_loop(node, actor, rx, &mut sender, stats, epoch, seed);
+                sender.finish();
             }));
+            txs.push(tx);
         }
 
         std::thread::sleep(wall);
-        stop.store(true, Ordering::SeqCst);
         for tx in &txs {
             let _ = tx.send(Inbound::Stop);
         }
-        for h in actor_handles {
+        // Joining the actor threads drops every outbound stream, which
+        // is the EOF each reader is blocked waiting for.
+        for h in nodes {
             let _ = h.join();
         }
-        for h in acceptor_handles {
-            let _ = h.join();
+        // An acceptor blocked in `accept` sees `stop` on its next wake-up.
+        stop.store(true, Ordering::SeqCst);
+        for addr in &addrs {
+            let _ = TcpStream::connect(addr);
         }
-        // Acceptors are joined, so no new io threads appear now.
-        let io = std::mem::take(&mut *io_handles.lock());
-        for h in io {
-            let _ = h.join();
+        for h in acceptors {
+            for reader in h.join().unwrap_or_default() {
+                let _ = reader.join();
+            }
         }
 
         let rt = stats.lock().clone();
         let delivered_by_label = metrics.labels.lock().clone();
+        let load_all = |counters: &[AtomicU64]| -> Vec<u64> {
+            counters.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+        };
         NetRunStats {
             msgs_delivered: rt.msgs_delivered,
             timers_fired: rt.timers_fired,
-            per_node_sent: metrics
-                .sent
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            per_node_received: metrics
-                .received
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
+            per_node_sent: load_all(&metrics.sent),
+            per_node_received: load_all(&metrics.received),
             delivered_by_label,
             bytes_sent: metrics.bytes_sent.load(Ordering::Relaxed),
             reconnects: metrics.reconnects.load(Ordering::Relaxed),
@@ -348,170 +301,220 @@ impl<M: Message + Wire + Send + 'static> NetRuntime<M> {
     }
 }
 
-/// Per-node outbound side: owns one writer thread (and its queue) per
-/// peer this node has sent to.
+/// One outbound edge: the stream to a peer and the frames waiting to be
+/// written to it.
+struct Peer {
+    addr: SocketAddr,
+    stream: Option<TcpStream>,
+    connected_before: bool,
+    /// Encoded frames not yet handed to the socket, back to back.
+    out: Vec<u8>,
+    /// Delay the next failed connect imposes.
+    backoff: Duration,
+    /// While this lies in the future the peer counts as unreachable.
+    retry_at: Option<Instant>,
+}
+
+impl Peer {
+    /// Hand `out` to the socket: over the connection in hand and, if
+    /// that turns out dead, once more over a fresh one. A peer that
+    /// cannot be connected to loses these frames and goes into back-off.
+    /// Never sleeps; blocks only while the peer's reader is behind.
+    fn flush(&mut self, metrics: &NetMetrics) {
+        if self.out.is_empty() {
+            return;
+        }
+        for _ in 0..2 {
+            if self.stream.is_none() {
+                let Ok(stream) = TcpStream::connect(self.addr) else {
+                    break;
+                };
+                let _ = stream.set_nodelay(true);
+                if self.connected_before {
+                    metrics.reconnects.fetch_add(1, Ordering::Relaxed);
+                }
+                self.connected_before = true;
+                self.backoff = INITIAL_BACKOFF;
+                self.stream = Some(stream);
+            }
+            let stream = self.stream.as_mut().expect("connected above");
+            let written = write_some(stream, &self.out);
+            // Only whole frames count as sent; a torn one is sent again
+            // from its first byte.
+            let (bytes, frames) = whole_frames(&self.out, written);
+            let payload = bytes as u64 - FRAME_PREFIX as u64 * frames;
+            metrics.bytes_sent.fetch_add(payload, Ordering::Relaxed);
+            self.out.drain(..bytes);
+            if self.out.is_empty() {
+                return;
+            }
+            self.stream = None;
+        }
+        let (_, lost) = whole_frames(&self.out, self.out.len());
+        metrics.frames_dropped.fetch_add(lost, Ordering::Relaxed);
+        self.out.clear();
+        self.retry_at = Some(Instant::now() + self.backoff);
+        self.backoff = (self.backoff * 2).min(MAX_BACKOFF);
+    }
+}
+
+/// Write as much of `buf` as the stream takes; returns the byte count,
+/// short of `buf.len()` exactly when the connection failed.
+fn write_some(stream: &mut TcpStream, buf: &[u8]) -> usize {
+    let mut written = 0;
+    while written < buf.len() {
+        match stream.write(&buf[written..]) {
+            Ok(0) => break,
+            Ok(n) => written += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    written
+}
+
+/// The payload length the frame starting `buf` declares.
+fn frame_len(buf: &[u8]) -> usize {
+    u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize
+}
+
+/// The frames of `buf` (back-to-back encoded frames) that lie wholly
+/// inside its first `written` bytes: their total length and count.
+fn whole_frames(buf: &[u8], written: usize) -> (usize, u64) {
+    let (mut end, mut frames) = (0, 0);
+    while end + FRAME_PREFIX <= written {
+        let len = frame_len(&buf[end..]);
+        if end + FRAME_PREFIX + len > written {
+            break;
+        }
+        end += FRAME_PREFIX + len;
+        frames += 1;
+    }
+    (end, frames)
+}
+
+/// Per-node outbound side, owned by the node's actor thread: one
+/// [`Peer`] per node id (its own entry stays unused).
 struct NetSender<M> {
     node: NodeId,
-    addrs: Arc<Vec<SocketAddr>>,
     self_tx: Sender<Inbound<M>>,
-    writers: HashMap<usize, Sender<Vec<u8>>>,
+    peers: Vec<Peer>,
     metrics: Arc<NetMetrics>,
-    stop: Arc<AtomicBool>,
-    io_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    pool: Arc<FramePool>,
+    sent: u64,
+    /// Self-sends, which no reader thread sees.
+    looped: Deliveries,
 }
 
 impl<M: Message + Wire + Send + 'static> NetSender<M> {
-    fn send(&mut self, to: NodeId, msg: M) {
-        if let Some(c) = self.metrics.sent.get(self.node.index()) {
-            c.fetch_add(1, Ordering::Relaxed);
+    fn new(
+        node: NodeId,
+        addrs: &[SocketAddr],
+        self_tx: Sender<Inbound<M>>,
+        metrics: Arc<NetMetrics>,
+    ) -> Self {
+        let peers = addrs
+            .iter()
+            .map(|&addr| Peer {
+                addr,
+                stream: None,
+                connected_before: false,
+                out: Vec::new(),
+                backoff: INITIAL_BACKOFF,
+                retry_at: None,
+            })
+            .collect();
+        NetSender {
+            node,
+            self_tx,
+            peers,
+            metrics,
+            sent: 0,
+            looped: Deliveries::default(),
         }
+    }
+
+    /// Publish this node's counters; called once, after its loop ended.
+    fn finish(self) {
+        if let Some(c) = self.metrics.sent.get(self.node.index()) {
+            c.fetch_add(self.sent, Ordering::Relaxed);
+        }
+        self.looped.merge_into(&self.metrics, self.node);
+    }
+}
+
+impl<M: Message + Wire + Send + 'static> Outbound<M> for NetSender<M> {
+    fn send(&mut self, to: NodeId, msg: M) {
+        self.sent += 1;
         if to == self.node {
             // Loopback within the node: no socket, like the other
             // substrates, but still a counted delivery.
-            self.metrics.note_delivery(to, msg.label());
+            self.looped.note(msg.label());
             let _ = self.self_tx.send(Inbound::Deliver {
                 from: self.node,
                 msg,
             });
             return;
         }
-        let Some(&addr) = self.addrs.get(to.index()) else {
+        let Some(peer) = self.peers.get_mut(to.index()) else {
             return; // unknown destination: drop, as the simulator does
         };
-        let frame = encode_frame(self.node, &msg, &self.pool);
-
-        let writer = self.writers.entry(to.index()).or_insert_with(|| {
-            let (tx, rx) = unbounded::<Vec<u8>>();
-            let metrics = self.metrics.clone();
-            let stop = self.stop.clone();
-            let pool = self.pool.clone();
-            let handle = std::thread::spawn(move || writer_loop(addr, rx, metrics, stop, pool));
-            self.io_handles.lock().push(handle);
-            tx
-        });
-        let _ = writer.send(frame);
-    }
-}
-
-/// Outbound writer thread for one `(sender, peer)` edge: drains the
-/// frame queue into a TCP stream, connecting lazily and reconnecting
-/// with exponential backoff on failure.
-fn writer_loop(
-    addr: SocketAddr,
-    rx: Receiver<Vec<u8>>,
-    metrics: Arc<NetMetrics>,
-    stop: Arc<AtomicBool>,
-    pool: Arc<FramePool>,
-) {
-    let mut stream: Option<TcpStream> = None;
-    let mut connected_before = false;
-    loop {
-        let frame = match rx.recv_timeout(IDLE_POLL) {
-            Ok(f) => f,
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
+        if let Some(at) = peer.retry_at {
+            if Instant::now() < at {
+                self.metrics.frames_dropped.fetch_add(1, Ordering::Relaxed);
+                return;
             }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-        };
-
-        let mut backoff = INITIAL_BACKOFF;
-        let mut attempts = 0u32;
-        loop {
-            if attempts >= MAX_ATTEMPTS || (attempts > 0 && stop.load(Ordering::SeqCst)) {
-                metrics.frames_dropped.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            if stream.is_none() {
-                match TcpStream::connect(addr) {
-                    Ok(s) => {
-                        let _ = s.set_nodelay(true);
-                        if connected_before {
-                            metrics.reconnects.fetch_add(1, Ordering::Relaxed);
-                        }
-                        connected_before = true;
-                        stream = Some(s);
-                    }
-                    Err(_) => {
-                        attempts += 1;
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(MAX_BACKOFF);
-                        continue;
-                    }
-                }
-            }
-            match stream.as_mut().expect("connected").write_all(&frame) {
-                Ok(()) => {
-                    metrics
-                        .bytes_sent
-                        .fetch_add((frame.len() - FRAME_PREFIX) as u64, Ordering::Relaxed);
-                    break;
-                }
-                Err(_) => {
-                    stream = None; // reconnect and retry this frame
-                    attempts += 1;
-                }
-            }
+            peer.retry_at = None;
         }
-        // Written or dropped either way: the buffer's capacity can be
-        // reused by the next send (no-op unless pooling is enabled).
-        pool.put(frame);
+        encode_frame(self.node, &msg, &mut peer.out);
+        if peer.out.len() >= FLUSH_BYTES {
+            peer.flush(&self.metrics);
+        }
+    }
+
+    fn flush(&mut self) {
+        for peer in &mut self.peers {
+            peer.flush(&self.metrics);
+        }
     }
 }
 
-/// Listener thread for one node: accepts inbound connections and hands
-/// each to its own reader thread.
+/// Listener thread for one node: blocks in `accept` and hands each
+/// inbound connection to a reader thread of its own. Returns the
+/// readers it started, for teardown to join.
 fn spawn_acceptor<M: Message + Wire + Send + 'static>(
     node: NodeId,
     listener: TcpListener,
     tx: Sender<Inbound<M>>,
     metrics: Arc<NetMetrics>,
     stop: Arc<AtomicBool>,
-    io_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    pool: Arc<FramePool>,
-) -> JoinHandle<()> {
+) -> JoinHandle<Vec<JoinHandle<()>>> {
     std::thread::spawn(move || {
-        listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
-        while !stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((conn, _)) => {
-                    let tx = tx.clone();
-                    let metrics = metrics.clone();
-                    let stop = stop.clone();
-                    let pool = pool.clone();
-                    let handle = std::thread::spawn(move || {
-                        reader_loop(node, conn, tx, metrics, stop, pool)
-                    });
-                    io_handles.lock().push(handle);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => break,
+        let mut readers = Vec::new();
+        while let Ok((conn, _)) = listener.accept() {
+            if stop.load(Ordering::SeqCst) {
+                break; // the connection that woke us carries nothing
             }
+            let (tx, metrics) = (tx.clone(), metrics.clone());
+            readers.push(std::thread::spawn(move || {
+                reader_loop(node, conn, tx, &metrics)
+            }));
         }
+        readers
     })
 }
 
 /// Reader thread for one inbound connection: reads straight into its
 /// reassembly buffer (a short read never loses data — bytes accumulate
 /// until a frame completes), then freezes and decodes complete frames
-/// zero-copy via [`drain_frames`].
+/// via [`drain_frames`]. Ends when the peer closes the connection.
 fn reader_loop<M: Message + Wire + Send>(
     node: NodeId,
     mut conn: TcpStream,
     tx: Sender<Inbound<M>>,
-    metrics: Arc<NetMetrics>,
-    stop: Arc<AtomicBool>,
-    pool: Arc<FramePool>,
+    metrics: &NetMetrics,
 ) {
-    let _ = conn.set_read_timeout(Some(IDLE_POLL));
-    let mut buf = recv_buffer(&pool, READ_CHUNK);
+    let mut seen = Deliveries::default();
+    let mut buf = recv_buffer(READ_CHUNK);
     let mut filled = 0usize;
     loop {
         if filled == buf.len() {
@@ -519,58 +522,39 @@ fn reader_loop<M: Message + Wire + Send>(
             buf.resize(filled + READ_CHUNK, 0);
         }
         match conn.read(&mut buf[filled..]) {
-            Ok(0) => return, // peer closed
+            Ok(0) => break, // peer closed
             Ok(n) => {
                 filled += n;
-                drain_frames(node, &mut buf, &mut filled, &tx, &metrics, &pool);
+                drain_frames(&mut buf, &mut filled, &tx, metrics, &mut seen);
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => break,
         }
     }
+    seen.merge_into(metrics, node);
 }
 
 /// Scan-and-freeze frame delivery. Finds every complete frame in
 /// `buf[..filled]`, freezes the buffer into one refcounted [`Bytes`]
 /// (an `Arc` around the existing allocation — no byte is copied), and
-/// decodes each payload as a zero-copy slice of it. A partial frame at
-/// the tail is carried into the next receive buffer; the frozen
-/// allocation itself is reclaimed for reuse the moment no decoded
-/// message still borrows it (vote traffic drops its slices immediately;
-/// a decoded `Put` keeps the frame alive until the value leaves the
-/// store — which is the point of zero-copy).
+/// decodes each payload as a slice of it. A partial frame at the tail
+/// is carried over; the allocation itself comes back for the next read
+/// if no decoded message still borrows it (vote traffic and small
+/// values never do; a large decoded value keeps it until the value is
+/// dropped, and a fresh buffer takes over meanwhile).
 fn drain_frames<M: Message + Wire + Send>(
-    node: NodeId,
     buf: &mut Vec<u8>,
     filled: &mut usize,
     tx: &Sender<Inbound<M>>,
     metrics: &NetMetrics,
-    pool: &FramePool,
+    seen: &mut Deliveries,
 ) {
     // Pass 1: walk the length prefixes to find the end of the last
-    // complete frame. No payload is touched.
-    let mut consumed = 0;
-    let mut corrupt = false;
-    while *filled - consumed >= FRAME_PREFIX {
-        let len = u32::from_le_bytes(buf[consumed..consumed + 4].try_into().unwrap()) as usize;
-        if len > MAX_FRAME {
-            // Unrecoverable framing corruption: count it, deliver what
-            // preceded it, and drop the poisoned bytes.
-            corrupt = true;
-            break;
-        }
-        if *filled - consumed < FRAME_PREFIX + len {
-            break; // incomplete frame; wait for more bytes
-        }
-        consumed += FRAME_PREFIX + len;
-    }
+    // complete frame. No payload is touched. A length past MAX_FRAME is
+    // unrecoverable framing corruption: count it, deliver what preceded
+    // it, and drop the poisoned bytes.
+    let (consumed, _) = whole_frames(buf, *filled);
+    let corrupt = *filled - consumed >= FRAME_PREFIX && frame_len(&buf[consumed..]) > MAX_FRAME;
     if corrupt {
         metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
     }
@@ -588,12 +572,12 @@ fn drain_frames<M: Message + Wire + Send>(
     let mut off = 0;
     while off < consumed {
         let s = frozen.as_slice();
-        let len = u32::from_le_bytes(s[off..off + 4].try_into().unwrap()) as usize;
+        let len = frame_len(&s[off..]);
         let from = NodeId(u32::from_le_bytes(s[off + 4..off + 8].try_into().unwrap()));
         let payload = frozen.slice(off + FRAME_PREFIX..off + FRAME_PREFIX + len);
         match M::decode_frame(&payload) {
             Ok(msg) => {
-                metrics.note_delivery(node, msg.label());
+                seen.note(msg.label());
                 let _ = tx.send(Inbound::Deliver { from, msg });
             }
             Err(_) => {
@@ -603,27 +587,26 @@ fn drain_frames<M: Message + Wire + Send>(
         off += FRAME_PREFIX + len;
     }
 
-    // Restore a receive buffer. If every decoded slice has already been
-    // dropped the frozen allocation comes straight back; otherwise some
-    // message still pins it and a fresh buffer takes over.
-    if tail > 0 {
-        let mut next = recv_buffer(pool, tail);
-        next[..tail].copy_from_slice(&frozen.as_slice()[consumed..consumed + tail]);
-        if let Ok(v) = frozen.try_reclaim() {
-            pool.put(v);
+    // Restore a receive buffer with the partial frame at its front: the
+    // frozen allocation itself unless some message still pins it.
+    *buf = match frozen.try_reclaim() {
+        Ok(mut same) => {
+            same.copy_within(consumed..consumed + tail, 0);
+            same
         }
-        *buf = next;
-    } else {
-        *buf = frozen
-            .try_reclaim()
-            .unwrap_or_else(|_| recv_buffer(pool, READ_CHUNK));
-    }
+        Err(pinned) => {
+            let mut fresh = recv_buffer(tail);
+            fresh[..tail].copy_from_slice(&pinned.as_slice()[consumed..consumed + tail]);
+            fresh
+        }
+    };
     *filled = tail;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::Receiver;
     use simnet::{Context, SimDuration, TimerId, WireError, WireHeader, WireReader};
 
     #[derive(Debug, Clone, PartialEq)]
@@ -729,63 +712,74 @@ mod tests {
         assert!(stats.timers_fired >= 1);
     }
 
-    #[test]
-    fn pooled_frames_are_byte_identical() {
-        let fresh = FramePool::new(false);
-        let pooled = FramePool::new(true);
-        // Seed the pool with a dirty, over-sized spent buffer so reuse
-        // actually exercises the clear+reserve path.
-        pooled.put(vec![0xAAu8; 4096]);
-        for seq in [0u64, 1, 42, u64::MAX] {
-            let msg = Num(seq);
-            let a = encode_frame(NodeId(3), &msg, &fresh);
-            let b = encode_frame(NodeId(3), &msg, &pooled);
-            assert_eq!(a, b, "pooling changed the bytes of frame {seq}");
-            // Return the frame as writer_loop does; the next iteration
-            // reuses it.
-            pooled.put(b);
-        }
-        // The frame layout itself: [len][sender] prefix then payload.
-        let frame = encode_frame(NodeId(7), &Num(5), &fresh);
-        let payload_len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
-        let sender = u32::from_le_bytes(frame[4..8].try_into().unwrap());
-        assert_eq!(payload_len, frame.len() - FRAME_PREFIX);
-        assert_eq!(sender, 7);
+    /// `msg` from `from` as a frame of its own.
+    fn frame_of(from: NodeId, msg: &Num) -> Vec<u8> {
+        let mut frame = Vec::new();
+        encode_frame(from, msg, &mut frame);
+        frame
     }
 
-    fn drain_all(msgs: &[u64], cut: usize) -> (Vec<(NodeId, u64)>, u64) {
+    #[test]
+    fn frames_are_encoded_in_place_behind_their_prefix() {
+        // Appending to a buffer that already holds frames gives each
+        // frame the bytes it has alone, and leaves the earlier ones be.
+        let mut coalesced = vec![0xAA; 3]; // not a frame: must survive
+        let mut apart = coalesced.clone();
+        for seq in [0u64, 1, 42, u64::MAX] {
+            encode_frame(NodeId(3), &Num(seq), &mut coalesced);
+            apart.extend_from_slice(&frame_of(NodeId(3), &Num(seq)));
+        }
+        assert_eq!(coalesced, apart);
+        // The frame layout itself: [len][sender] prefix then payload.
+        let msg = Num(5);
+        let frame = frame_of(NodeId(7), &msg);
+        let payload_len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
+        let sender = u32::from_le_bytes(frame[4..8].try_into().unwrap());
+        assert_eq!(payload_len, msg.wire_size());
+        assert_eq!(payload_len, frame.len() - FRAME_PREFIX);
+        assert_eq!(sender, 7);
+        assert_eq!(&frame[FRAME_PREFIX..], &msg.encode()[..]);
+    }
+
+    /// Everything `drain_frames` delivers when `stream` reaches it in
+    /// the two pieces either side of `cut`, and the decode errors.
+    fn drain_all(stream: &[u8], cut: usize) -> (Vec<(NodeId, u64)>, u64) {
         let (tx, rx) = unbounded::<Inbound<Num>>();
         let metrics = NetMetrics::new(2);
-        let pool = FramePool::new(false);
-        let mut stream = Vec::new();
-        for &m in msgs {
-            stream.extend_from_slice(&encode_frame(NodeId(1), &Num(m), &pool));
-        }
-        let mut buf = recv_buffer(&pool, stream.len().max(READ_CHUNK));
+        let mut seen = Deliveries::default();
+        let mut buf = recv_buffer(stream.len());
         let mut filled = 0;
         for part in [&stream[..cut], &stream[cut..]] {
             buf[filled..filled + part.len()].copy_from_slice(part);
             filled += part.len();
-            drain_frames(NodeId(0), &mut buf, &mut filled, &tx, &metrics, &pool);
+            drain_frames(&mut buf, &mut filled, &tx, &metrics, &mut seen);
         }
         assert_eq!(filled, 0, "no partial frame left at stream end");
-        let mut got = Vec::new();
-        while let Ok(i) = rx.try_recv() {
-            match i {
-                Inbound::Deliver { from, msg } => got.push((from, msg.0)),
-                _ => panic!("unexpected inbound"),
-            }
-        }
+        let got: Vec<_> = delivered(&rx).collect();
+        assert_eq!(seen.received, got.len() as u64);
         (got, metrics.decode_errors.load(Ordering::Relaxed))
+    }
+
+    /// The `(sender, number)` of every delivery waiting in `rx`.
+    fn delivered(rx: &Receiver<Inbound<Num>>) -> impl Iterator<Item = (NodeId, u64)> + '_ {
+        std::iter::from_fn(|| match rx.try_recv().ok()? {
+            Inbound::Deliver { from, msg } => Some((from, msg.0)),
+            Inbound::Stop => panic!("unexpected stop"),
+        })
     }
 
     #[test]
     fn drain_reassembles_frames_split_at_any_point() {
+        // One peer's output buffer after a wake-up that produced three
+        // frames; wherever TCP splits it, they arrive whole and in order.
         let msgs = [7u64, 8, 9];
-        let total = msgs.len() * encode_frame(NodeId(1), &Num(0), &FramePool::new(false)).len();
-        for cut in [0, 3, FRAME_PREFIX, FRAME_PREFIX + 1, total / 2, total - 1] {
-            let (got, errors) = drain_all(&msgs, cut);
-            let want: Vec<(NodeId, u64)> = msgs.iter().map(|&m| (NodeId(1), m)).collect();
+        let mut stream = Vec::new();
+        for &m in &msgs {
+            encode_frame(NodeId(1), &Num(m), &mut stream);
+        }
+        let want: Vec<(NodeId, u64)> = msgs.iter().map(|&m| (NodeId(1), m)).collect();
+        for cut in 0..=stream.len() {
+            let (got, errors) = drain_all(&stream, cut);
             assert_eq!(got, want, "split at byte {cut}");
             assert_eq!(errors, 0);
         }
@@ -795,27 +789,220 @@ mod tests {
     fn oversized_length_prefix_counts_error_and_resets() {
         let (tx, _rx) = unbounded::<Inbound<Num>>();
         let metrics = NetMetrics::new(1);
-        let pool = FramePool::new(false);
-        let mut buf = recv_buffer(&pool, READ_CHUNK);
+        let mut buf = recv_buffer(READ_CHUNK);
         buf[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         buf[4..8].copy_from_slice(&1u32.to_le_bytes());
         let mut filled = FRAME_PREFIX;
-        drain_frames::<Num>(NodeId(0), &mut buf, &mut filled, &tx, &metrics, &pool);
+        let mut seen = Deliveries::default();
+        drain_frames::<Num>(&mut buf, &mut filled, &tx, &metrics, &mut seen);
         assert_eq!(filled, 0, "poisoned bytes dropped");
         assert_eq!(metrics.decode_errors.load(Ordering::Relaxed), 1);
     }
 
+    /// A sender for node 0 whose only peer, node 1, is at `peer`.
+    fn sender_to(peer: SocketAddr) -> (NetSender<Num>, Receiver<Inbound<Num>>, Arc<NetMetrics>) {
+        let (tx, rx) = unbounded();
+        let metrics = Arc::new(NetMetrics::new(2));
+        let sender = NetSender::new(NodeId(0), &[peer, peer], tx, metrics.clone());
+        (sender, rx, metrics)
+    }
+
+    /// Read `conn` to its end through `drain_frames`, as a reader thread
+    /// does; returns the numbers received and the decode errors.
+    fn read_to_end(conn: TcpStream) -> (Vec<u64>, u64) {
+        let (tx, rx) = unbounded::<Inbound<Num>>();
+        let metrics = NetMetrics::new(2);
+        reader_loop(NodeId(1), conn, tx, &metrics);
+        let got = delivered(&rx).map(|(_, n)| n).collect();
+        (got, metrics.decode_errors.load(Ordering::Relaxed))
+    }
+
     #[test]
-    fn frame_pool_caps_retained_buffers() {
-        let pool = FramePool::new(true);
-        for _ in 0..(POOL_CAP + 10) {
-            pool.put(Vec::with_capacity(64));
+    fn a_peer_that_hangs_up_costs_only_frames_in_flight() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (mut sender, _rx, metrics) = sender_to(listener.local_addr().unwrap());
+        // The peer takes the first connection, reads one frame, hangs up.
+        sender.send(NodeId(1), Num(0));
+        sender.flush();
+        let (mut first, _) = listener.accept().unwrap();
+        let mut frame = [0u8; FRAME_PREFIX + 32];
+        first.read_exact(&mut frame).unwrap();
+        drop(first);
+        // The sender finds out on some later write and reconnects; every
+        // write is one frame, so frames are lost whole or not at all.
+        const LAST: u64 = 400;
+        for n in 1..=LAST {
+            sender.send(NodeId(1), Num(n));
+            sender.flush();
         }
-        assert_eq!(pool.free.lock().len(), POOL_CAP);
-        // Disabled pools retain nothing.
-        let off = FramePool::new(false);
-        off.put(Vec::with_capacity(64));
-        assert!(off.free.lock().is_empty());
-        assert_eq!(off.get(16).capacity(), 16);
+        drop(sender);
+        let (second, _) = listener.accept().unwrap();
+        let (got, decode_errors) = read_to_end(second);
+        assert_eq!(decode_errors, 0, "the new stream starts on a frame");
+        assert!(metrics.reconnects.load(Ordering::Relaxed) >= 1);
+        assert_eq!(metrics.frames_dropped.load(Ordering::Relaxed), 0);
+        assert!(got.windows(2).all(|w| w[0] < w[1]), "in order, none twice");
+        assert_eq!(got.last(), Some(&LAST), "later frames get through");
+        let lost = LAST as usize - got.len();
+        assert!(lost <= 8, "{lost} frames lost to one hang-up");
+    }
+
+    #[test]
+    fn a_failed_write_is_resent_from_the_start_of_its_first_unsent_frame() {
+        // Three 40-byte frames of which a connection took one and a half.
+        let mut out = Vec::new();
+        for n in 0..3 {
+            encode_frame(NodeId(0), &Num(n), &mut out);
+        }
+        assert_eq!(whole_frames(&out, 39), (0, 0));
+        assert_eq!(whole_frames(&out, 60), (40, 1));
+        assert_eq!(whole_frames(&out, 80), (80, 2));
+        assert_eq!(whole_frames(&out, out.len()), (120, 3));
+
+        // End to end: the connection dies under a buffer of three frames;
+        // all three arrive, once, on the connection that replaces it.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (mut sender, _rx, metrics) = sender_to(listener.local_addr().unwrap());
+        sender.send(NodeId(1), Num(0));
+        sender.flush();
+        let stream = sender.peers[1].stream.as_ref().expect("connected");
+        stream.shutdown(std::net::Shutdown::Both).unwrap();
+        for n in 1..=3 {
+            sender.send(NodeId(1), Num(n));
+        }
+        sender.flush();
+        drop(sender);
+        assert_eq!(read_to_end(listener.accept().unwrap().0), (vec![0], 0));
+        assert_eq!(
+            read_to_end(listener.accept().unwrap().0),
+            (vec![1, 2, 3], 0)
+        );
+        assert_eq!(metrics.reconnects.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.frames_dropped.load(Ordering::Relaxed), 0);
+        assert_eq!(metrics.bytes_sent.load(Ordering::Relaxed), 4 * 32);
+    }
+
+    #[test]
+    fn a_full_buffer_is_written_without_waiting_for_the_loop() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (mut sender, _rx, _metrics) = sender_to(listener.local_addr().unwrap());
+        let reader = std::thread::spawn(move || read_to_end(listener.accept().unwrap().0));
+        // One frame more than the buffer may hold, and no flush.
+        let frames = (FLUSH_BYTES / (FRAME_PREFIX + 32) + 1) as u64;
+        for n in 0..frames {
+            sender.send(NodeId(1), Num(n));
+        }
+        let held = (sender.peers[1].out.len() / (FRAME_PREFIX + 32)) as u64;
+        assert!(
+            held <= 1,
+            "{held} frames still held after the buffer filled"
+        );
+        drop(sender);
+        let (got, _) = reader.join().unwrap();
+        assert_eq!(got, (0..frames - held).collect::<Vec<_>>());
+    }
+
+    /// Run `actor` as node 0 over `sender` on a thread of its own.
+    fn spawn_node(
+        actor: impl Actor<Num> + Send + 'static,
+        mut sender: NetSender<Num>,
+        rx: Receiver<Inbound<Num>>,
+    ) -> JoinHandle<()> {
+        std::thread::spawn(move || {
+            let stats = Arc::new(Mutex::new(RuntimeStats::default()));
+            let actor = Box::new(actor);
+            node_loop(NodeId(0), actor, rx, &mut sender, stats, Instant::now(), 1);
+        })
+    }
+
+    /// Every millisecond, sends to its peer and records how long it had
+    /// to wait for the tick.
+    struct Ticker {
+        last: Instant,
+        gaps: Arc<Mutex<Vec<Duration>>>,
+    }
+    impl Actor<Num> for Ticker {
+        fn on_start(&mut self, ctx: &mut Context<Num>) {
+            self.last = Instant::now();
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+        fn on_message(&mut self, _f: NodeId, _m: Num, _c: &mut Context<Num>) {}
+        fn on_timer(&mut self, _i: TimerId, _k: u64, ctx: &mut Context<Num>) {
+            self.gaps.lock().push(self.last.elapsed());
+            self.last = Instant::now();
+            ctx.send(NodeId(1), Num(0));
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+    }
+
+    #[test]
+    fn an_unreachable_peer_does_not_delay_timers() {
+        // Nothing listens where the peer should be: connects are refused.
+        let dead = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let (sender, rx, metrics) = sender_to(dead);
+        let tx = sender.self_tx.clone();
+        let gaps = Arc::new(Mutex::new(Vec::new()));
+        let ticker = Ticker {
+            last: Instant::now(),
+            gaps: gaps.clone(),
+        };
+        let node = spawn_node(ticker, sender, rx);
+        std::thread::sleep(Duration::from_millis(200));
+        tx.send(Inbound::Stop).unwrap();
+        node.join().unwrap();
+        // Back-off slept through on this thread would let one tick by
+        // per connect attempt, 10, 20, 40, 80 ms apart; as a deadline it
+        // costs the timers nothing. (Nine ticks in ten, not all: the
+        // host may stop the whole process for longer than that.)
+        let mut gaps = gaps.lock().clone();
+        gaps.sort_unstable();
+        assert!(gaps.len() >= 40, "only {} ticks in 200 ms", gaps.len());
+        let p90 = gaps[gaps.len() * 9 / 10];
+        assert!(p90 < INITIAL_BACKOFF, "ticks waited {p90:?}");
+        let dropped = metrics.frames_dropped.load(Ordering::Relaxed);
+        assert_eq!(dropped, gaps.len() as u64, "every frame counted as dropped");
+        assert_eq!(metrics.bytes_sent.load(Ordering::Relaxed), 0);
+    }
+
+    /// Keeps its own inbox non-empty for ever; its first handler run
+    /// also sends one message to its peer.
+    struct Spinner {
+        runs: u64,
+    }
+    impl Actor<Num> for Spinner {
+        fn on_start(&mut self, ctx: &mut Context<Num>) {
+            let me = ctx.node();
+            ctx.send(me, Num(0));
+        }
+        fn on_message(&mut self, _f: NodeId, _m: Num, ctx: &mut Context<Num>) {
+            if self.runs == 0 {
+                ctx.send(NodeId(1), Num(99));
+            }
+            self.runs += 1;
+            let me = ctx.node();
+            ctx.send(me, Num(self.runs));
+        }
+        fn on_timer(&mut self, _i: TimerId, _k: u64, _c: &mut Context<Num>) {}
+    }
+
+    #[test]
+    fn a_node_that_is_never_idle_still_sends_within_the_flush_bound() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (sender, rx, _metrics) = sender_to(listener.local_addr().unwrap());
+        let tx = sender.self_tx.clone();
+        let node = spawn_node(Spinner { runs: 0 }, sender, rx);
+        // The inbox never runs empty, so only the handler-count bound
+        // can get the frame out; without it this read waits for ever.
+        let (mut conn, _) = listener.accept().unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut frame = [0u8; FRAME_PREFIX + 32];
+        conn.read_exact(&mut frame)
+            .expect("the frame left although the inbox never emptied");
+        assert_eq!(frame[..], frame_of(NodeId(0), &Num(99))[..]);
+        tx.send(Inbound::Stop).unwrap();
+        node.join().unwrap();
     }
 }

@@ -92,6 +92,14 @@ pub const DOMAIN_EPAXOS: u8 = 3;
 /// installs, routing-map updates).
 pub const DOMAIN_SHARD: u8 = 4;
 
+/// A decoded value stays a window into its frame's allocation only while
+/// that allocation is at most this many times the value's own length;
+/// past it the value is copied out. A window keeps the *whole* allocation
+/// resident, so without the bound one 8-byte value in a store pins the
+/// 64 KiB receive buffer it arrived in. On those buffers the bound
+/// copies values under 1 KiB and leaves larger ones zero-copy.
+pub const VALUE_PIN_RATIO: usize = 64;
+
 /// A decoding failure. Encoding is infallible (size invariants are
 /// asserted — they are internal protocol bounds, not user input).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,11 +178,12 @@ pub trait Wire: Sized {
 
     /// Decode a complete frame payload, rejecting leftover bytes.
     ///
-    /// Takes the frame as [`Bytes`] so variable-length values inside it
-    /// (command payloads, read results) decode as zero-copy slices of
-    /// the frame buffer instead of fresh allocations — the received
-    /// buffer is shared, refcounted, all the way into the state
-    /// machine.
+    /// Takes the frame as [`Bytes`] so large variable-length values
+    /// inside it (command payloads, read results) decode as zero-copy
+    /// slices of the frame buffer instead of fresh allocations — the
+    /// received buffer is shared, refcounted, all the way into the state
+    /// machine. Values too small to justify keeping that buffer alive
+    /// are copied out ([`VALUE_PIN_RATIO`]).
     fn decode_frame(frame: &Bytes) -> Result<Self, WireError> {
         let mut r = WireReader::new(frame);
         let v = Self::decode(&mut r)?;
@@ -191,8 +200,8 @@ pub trait Wire: Sized {
 /// Cursor over an encoded frame payload.
 ///
 /// Backed by a [`Bytes`] frame so value-sized reads can be taken as
-/// zero-copy slices ([`WireReader::read_value`]) while fixed-width
-/// primitive reads stay plain borrowed slices.
+/// zero-copy slices where that is worth it ([`WireReader::read_value`])
+/// while fixed-width primitive reads stay plain borrowed slices.
 #[derive(Debug)]
 pub struct WireReader<'a> {
     frame: &'a Bytes,
@@ -277,15 +286,28 @@ impl<'a> WireReader<'a> {
         self.take(n, what)
     }
 
-    /// Consume exactly `n` bytes as an owned, zero-copy slice of the
-    /// frame buffer (refcount bump — no payload copy). This is how
-    /// decoded values keep their bytes: they share the received frame's
-    /// allocation instead of re-materializing it.
+    /// The frame's bytes `start..end` as a value that owns what it keeps
+    /// alive: a zero-copy slice of the frame buffer (refcount bump) when
+    /// the buffer is within [`VALUE_PIN_RATIO`] of the value's length, a
+    /// copy of its own otherwise, and nothing at all when empty.
+    fn value(&self, start: usize, end: usize) -> Bytes {
+        let len = end - start;
+        if len == 0 {
+            Bytes::new()
+        } else if self.frame.backing_capacity() > len.saturating_mul(VALUE_PIN_RATIO) {
+            Bytes::copy_from_slice(&self.frame.as_slice()[start..end])
+        } else {
+            self.frame.slice(start..end)
+        }
+    }
+
+    /// Consume exactly `n` bytes as an owned value — shared with the
+    /// frame buffer or copied out of it, see [`VALUE_PIN_RATIO`].
     pub fn read_value(&mut self, n: usize, what: &'static str) -> Result<Bytes, WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated { what });
         }
-        let b = self.frame.slice(self.pos..self.pos + n);
+        let b = self.value(self.pos, self.pos + n);
         self.pos += n;
         Ok(b)
     }
@@ -298,11 +320,10 @@ impl<'a> WireReader<'a> {
         s
     }
 
-    /// Consume every remaining byte as an owned, zero-copy slice of the
-    /// frame buffer — the trailing-value counterpart of
-    /// [`WireReader::read_value`].
+    /// Consume every remaining byte as an owned value — the
+    /// trailing-value counterpart of [`WireReader::read_value`].
     pub fn rest_value(&mut self) -> Bytes {
-        let b = self.frame.slice(self.pos..);
+        let b = self.value(self.pos, self.frame.len());
         self.pos = self.frame.len();
         b
     }
@@ -505,6 +526,49 @@ mod tests {
         // cannot be reclaimed while they're alive.
         assert!(frame.clone().try_reclaim().is_err());
         drop((v, tail));
+    }
+
+    #[test]
+    fn small_values_do_not_pin_a_large_frame_buffer() {
+        // A receive buffer as the socket reader keeps it: 64 KiB, of
+        // which one frame holds an 8-byte value, an empty one and a
+        // 2 KiB one.
+        let mut buf = vec![7u8; 8 + 2048];
+        buf.resize(64 * 1024, 0);
+        let frozen = Bytes::from(buf);
+        let frame = frozen.slice(..8 + 2048);
+        let mut r = WireReader::new(&frame);
+        let small = r.read_value(8, "small").unwrap();
+        let empty = r.read_value(0, "empty").unwrap();
+        let large = r.rest_value();
+        assert_eq!(&small[..], &[7; 8]);
+        assert_eq!(
+            small.backing_capacity(),
+            8,
+            "copied into its own allocation"
+        );
+        assert_eq!(empty.backing_capacity(), 0, "an empty value holds nothing");
+        assert_eq!(large.len(), 2048);
+        assert_eq!(
+            large.backing_capacity(),
+            64 * 1024,
+            "large values stay slices"
+        );
+        // Only the large value stands between the buffer and its reuse.
+        drop(frame);
+        let frozen = frozen.try_reclaim().expect_err("the large value pins it");
+        drop(large);
+        assert!(
+            frozen.try_reclaim().is_ok(),
+            "small and empty values do not"
+        );
+        drop((small, empty));
+
+        // An empty trailing value is empty too, whatever the frame.
+        let frame = Bytes::from(vec![1u8; 16]);
+        let mut r = WireReader::new(&frame);
+        r.bytes(16, "all").unwrap();
+        assert_eq!(r.rest_value().backing_capacity(), 0);
     }
 
     #[test]

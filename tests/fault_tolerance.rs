@@ -3,10 +3,15 @@
 //! liveness whenever a majority is reachable. Fault schedules ride the
 //! `run_sim_with` hook; everything else is the standard builder.
 
-use paxi::{Experiment, ProtocolSpec, TargetPolicy};
+use paxi::{
+    ClientRequest, Command, Envelope, Experiment, Operation, ProtoMessage, ProtocolSpec, RequestId,
+    TargetPolicy, Value,
+};
 use paxos::PaxosConfig;
 use pigpaxos::PigConfig;
-use simnet::{Control, NodeId, SimDuration, SimTime};
+use simnet::{Actor, Context, Control, NodeId, SimDuration, SimTime, TimerId};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn exp<P: ProtocolSpec>(proto: P, n: usize, clients: usize) -> Experiment<P> {
     Experiment::lan(proto, n)
@@ -236,4 +241,146 @@ fn paxos_and_pigpaxos_handle_leader_crash_with_reelection() {
             r.throughput
         );
     }
+}
+
+/// Largest value the log's packed entry metadata can carry
+/// (`paxos::messages::META_LEN_MAX`, 14 bits).
+const MAX_VALUE: usize = (1 << 14) - 1;
+
+/// What the scripted client of
+/// [`oversized_writes_are_refused_and_the_largest_legal_one_survives_failover`]
+/// saw.
+#[derive(Default)]
+struct BigWriteOutcome {
+    refused_without_redirect: bool,
+    committed: bool,
+    read_back_after_failover: bool,
+    served_after_failover: bool,
+}
+
+/// Writes a value one byte too large, then the largest legal one; after
+/// the leader has crashed it reads that value back and writes again. An
+/// unanswered or redirected request goes to the next replica every
+/// 100 ms. The refused write was never admitted, so the write after it
+/// takes its sequence number: the leader's per-client lane proposes a
+/// client's requests in sequence order and would wait for it for ever.
+struct BigWriter<P> {
+    replicas: u32,
+    target: u32,
+    step: u32,
+    seq: u64,
+    op: Option<Operation>,
+    outcome: Rc<RefCell<BigWriteOutcome>>,
+    _proto: std::marker::PhantomData<P>,
+}
+
+impl<P: ProtoMessage> BigWriter<P> {
+    fn big() -> Value {
+        Value::from(vec![0xAB; MAX_VALUE].as_slice())
+    }
+
+    fn issue(&mut self, op: Operation, ctx: &mut Context<Envelope<P>>) {
+        self.step += 1;
+        self.op = Some(op);
+        self.resend(ctx);
+    }
+
+    fn resend(&mut self, ctx: &mut Context<Envelope<P>>) {
+        let Some(op) = self.op.clone() else { return };
+        let id = RequestId {
+            client: ctx.node(),
+            seq: self.seq,
+        };
+        let command = Command { id, op };
+        ctx.send(
+            NodeId(self.target),
+            Envelope::Request(ClientRequest { command }),
+        );
+    }
+}
+
+impl<P: ProtoMessage> Actor<Envelope<P>> for BigWriter<P> {
+    fn on_start(&mut self, ctx: &mut Context<Envelope<P>>) {
+        self.issue(Operation::Put(1, Value::zeros(MAX_VALUE + 1)), ctx);
+        ctx.set_timer(SimDuration::from_millis(100), 0);
+    }
+
+    fn on_message(&mut self, _f: NodeId, msg: Envelope<P>, ctx: &mut Context<Envelope<P>>) {
+        let Envelope::Reply(reply) = msg else { return };
+        if reply.id.seq != self.seq || self.op.is_none() {
+            return;
+        }
+        let outcome = self.outcome.clone();
+        let mut outcome = outcome.borrow_mut();
+        match self.step {
+            1 => {
+                outcome.refused_without_redirect = !reply.ok && reply.redirect.is_none();
+                self.issue(Operation::Put(1, Self::big()), ctx);
+            }
+            _ if !reply.ok => {} // not the leader: the timer tries the next one
+            2 => {
+                outcome.committed = true;
+                self.op = None; // the timer picks up after the crash
+                self.seq += 1;
+            }
+            3 => {
+                outcome.read_back_after_failover = reply.value == Some(Self::big());
+                self.seq += 1;
+                self.issue(Operation::Put(2, Value::zeros(8)), ctx);
+            }
+            _ => {
+                outcome.served_after_failover = true;
+                self.op = None;
+            }
+        }
+    }
+
+    fn on_timer(&mut self, _i: TimerId, _k: u64, ctx: &mut Context<Envelope<P>>) {
+        ctx.set_timer(SimDuration::from_millis(100), 0);
+        if self.op.is_some() {
+            self.target = (self.target + 1) % self.replicas;
+            self.resend(ctx);
+        } else if self.step == 2 && ctx.now() >= SimTime::from_millis(1000) {
+            self.issue(Operation::Get(1), ctx);
+        }
+    }
+}
+
+fn check_big_writes<P: ProtocolSpec>(proto: P) {
+    let outcome = Rc::new(RefCell::new(BigWriteOutcome::default()));
+    let seen = outcome.clone();
+    let r = exp(proto, 5, 1)
+        .extra_client_nodes(1)
+        .measure(SimDuration::from_secs(3))
+        .run_sim_with(paxi::DEFAULT_SEED, move |sim, _| {
+            sim.add_actor(Box::new(BigWriter::<P::Msg> {
+                replicas: 5,
+                target: 0,
+                step: 0,
+                seq: 1,
+                op: None,
+                outcome: seen,
+                _proto: std::marker::PhantomData,
+            }));
+            sim.schedule_control(SimTime::from_millis(500), Control::Crash(NodeId(0)));
+        });
+    assert!(r.violations.is_empty(), "{:?}", r.violations);
+    let outcome = outcome.borrow();
+    assert!(
+        outcome.refused_without_redirect,
+        "a {} B write must be refused for good",
+        MAX_VALUE + 1
+    );
+    assert!(outcome.committed, "a {MAX_VALUE} B write must commit");
+    assert!(
+        outcome.read_back_after_failover,
+        "the new leader must have recovered the {MAX_VALUE} B value"
+    );
+    assert!(outcome.served_after_failover, "the cluster keeps serving");
+}
+
+#[test]
+fn oversized_writes_are_refused_and_the_largest_legal_one_survives_failover() {
+    check_big_writes(PaxosConfig::lan());
+    check_big_writes(PigConfig::lan(2));
 }
