@@ -400,7 +400,8 @@ impl ReplyBatcher {
     }
 
     /// Route one executed-command reply: sent immediately when
-    /// coalescing is off; otherwise buffered. Returns the window the
+    /// coalescing is off or the reply is too large for a batch's packed
+    /// length field; otherwise buffered. Returns the window the
     /// caller's flush timer must cover when this push started a
     /// non-empty buffer under a non-zero window (the caller owns the
     /// timer kind and knows whether one is already in flight).
@@ -410,7 +411,7 @@ impl ReplyBatcher {
         reply: ClientReply,
         ctx: &mut Ctx<P>,
     ) -> Option<SimDuration> {
-        if !self.enabled() {
+        if !self.enabled() || !crate::wire::fits_reply_batch(&reply) {
             ctx.reply(client, reply);
             return None;
         }

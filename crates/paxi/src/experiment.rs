@@ -436,8 +436,8 @@ impl<P: ProtocolSpec> Experiment<P> {
     }
 
     /// Run the *same* experiment over real TCP sockets via
-    /// `pig_runtime::NetRuntime`: one thread per node, a loopback TCP
-    /// connection per communicating pair, every cross-node message
+    /// `pig_runtime::NetRuntime`: one readiness loop per core, a loopback
+    /// TCP connection per communicating pair, every cross-node message
     /// (client, protocol, and shard-control) encoded to its
     /// [`simnet::Wire`] bytes and decoded on arrival — the full
     /// production I/O path minus geographic distance.

@@ -138,9 +138,9 @@ pub struct RunResult {
     /// [`crate::Experiment::drain`] was non-zero on the simulator.
     pub replica_digests: Vec<Option<u64>>,
     /// The TCP transport's own counters (reconnects, frames that failed
-    /// to decode, frames dropped): a healthy run has zero decode errors
-    /// and zero dropped frames even when client retries would have
-    /// papered over them.
+    /// to decode, frames dropped, time spent on each node): a healthy
+    /// run has zero decode errors and zero dropped frames even when
+    /// client retries would have papered over them.
     pub net: Option<NetRunStats>,
 }
 
@@ -441,7 +441,7 @@ where
     }
 }
 
-/// The TCP driver: one OS thread per actor, a loopback socket per
+/// The TCP driver: one readiness loop per core, a loopback socket per
 /// communicating pair, every message as its [`Wire`] bytes.
 pub(crate) fn drive_net<M>(seed: u64, wall: Duration, actors: Vec<BoxedActor<M>>) -> Observed
 where

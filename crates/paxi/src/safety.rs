@@ -9,12 +9,17 @@
 
 use crate::command::RequestId;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 #[derive(Debug, Default)]
 struct Inner {
-    decided: HashMap<(u32, u64), RequestId>,
+    /// Per space, the first decision of every slot, indexed by slot.
+    /// Slots are dense from 0 in every protocol here, so a vector grown
+    /// to the highest slot seen costs 24 B a slot and never holds two
+    /// copies of itself, as a rehashing map does.
+    decided: BTreeMap<u32, Vec<Option<RequestId>>>,
+    decided_count: u64,
     violations: Vec<String>,
     commits: u64,
 }
@@ -34,13 +39,20 @@ impl SafetyMonitor {
     /// Report that a node learned `(space, slot) = id`. Counts one commit
     /// observation and records a violation on disagreement.
     pub fn record(&self, space: u32, slot: u64, id: RequestId) {
-        let mut inner = self.0.lock();
+        let mut guard = self.0.lock();
+        let inner = &mut *guard;
         inner.commits += 1;
-        match inner.decided.get(&(space, slot)) {
+        let slots = inner.decided.entry(space).or_default();
+        let index = usize::try_from(slot).expect("slot fits the address space");
+        if index >= slots.len() {
+            slots.resize(index + 1, None);
+        }
+        match slots[index] {
             None => {
-                inner.decided.insert((space, slot), id);
+                slots[index] = Some(id);
+                inner.decided_count += 1;
             }
-            Some(prev) if *prev == id => {}
+            Some(prev) if prev == id => {}
             Some(prev) => {
                 let msg = format!(
                     "safety violation: space {space} slot {slot} decided as {prev} and {id}"
@@ -52,22 +64,19 @@ impl SafetyMonitor {
 
     /// Distinct decided slots.
     pub fn decided_count(&self) -> u64 {
-        self.0.lock().decided.len() as u64
+        self.0.lock().decided_count
     }
 
     /// Snapshot of every decision, sorted by `(space, slot)` — lets
     /// tests assert ordering properties (e.g. per-client FIFO under
     /// batching) on the actual decided log.
     pub fn decisions(&self) -> Vec<((u32, u64), RequestId)> {
-        let mut v: Vec<_> = self
-            .0
-            .lock()
-            .decided
-            .iter()
-            .map(|(&k, &id)| (k, id))
-            .collect();
-        v.sort();
-        v
+        let inner = self.0.lock();
+        let per_space = inner.decided.iter().flat_map(|(&space, slots)| {
+            let decided = slots.iter().zip(0u64..);
+            decided.filter_map(move |(id, slot)| Some(((space, slot), (*id)?)))
+        });
+        per_space.collect()
     }
 
     /// Total commit observations (each replica's learn counts once).
@@ -127,6 +136,20 @@ mod tests {
         m.record(0, 0, id(1));
         m.record(1, 0, id(2)); // same slot, different space: fine
         assert!(m.violations().is_empty());
+    }
+
+    #[test]
+    fn decisions_come_sorted_and_skip_undecided_slots() {
+        let m = SafetyMonitor::new();
+        m.record(1, 2, id(5));
+        m.record(0, 3, id(4));
+        m.record(0, 1, id(3));
+        m.record(0, 3, id(4));
+        assert_eq!(m.decided_count(), 3);
+        assert_eq!(
+            m.decisions(),
+            vec![((0, 1), id(3)), ((0, 3), id(4)), ((1, 2), id(5))]
+        );
     }
 
     #[test]

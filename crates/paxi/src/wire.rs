@@ -211,6 +211,15 @@ const BMETA_OK: u16 = 1 << 14;
 const BMETA_REDIRECT: u16 = 1 << 13;
 const BMETA_PAYLOAD: u16 = (1 << 13) - 1;
 
+/// Whether `reply`'s value length or redirect id fits the 13-bit field
+/// of a batched reply; one that does not must travel as its own
+/// [`Envelope::Reply`].
+pub(crate) fn fits_reply_batch(reply: &ClientReply) -> bool {
+    let len = reply.value.as_ref().map_or(0, |v| v.len());
+    let redirect = reply.redirect.map_or(0, |n| n.0);
+    len <= BMETA_PAYLOAD as usize && redirect <= BMETA_PAYLOAD as u32
+}
+
 fn encode_batched_reply(reply: &ClientReply, out: &mut Vec<u8>) {
     let mut meta = 0u16;
     if reply.ok {

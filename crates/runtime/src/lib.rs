@@ -1,16 +1,24 @@
-//! # pig-runtime — real-thread execution for simnet actors
+//! # pig-runtime — wall-clock execution for simnet actors
 //!
 //! The protocols in this workspace are written against the
 //! [`simnet::Actor`] abstraction, which makes them execution-agnostic:
 //! the deterministic simulator drives them for experiments, and this
-//! crate drives the *same unmodified code* on OS threads with real
-//! channels and wall-clock timers — one thread per node, crossbeam
-//! channels as the network.
+//! crate drives the *same unmodified code* on OS threads with wall-clock
+//! timers, over either of two transports:
 //!
-//! This is the shape of a production deployment (minus serialization and
-//! TCP): it demonstrates that nothing in the protocol crates depends on
-//! simulation, and it provides a second, independent execution substrate
-//! for validating protocol behaviour.
+//! - [`Runtime`] — one thread per node, crossbeam channels as the
+//!   network. The shape of a production deployment minus serialization
+//!   and TCP: it demonstrates that nothing in the protocol crates
+//!   depends on simulation.
+//! - [`NetRuntime`] ([`net`]) — one `epoll` readiness loop per core,
+//!   loopback TCP sockets as the network, every message as its
+//!   [`simnet::Wire`] bytes.
+//!
+//! What a node *is* exists once, in the crate-private `Node`: the actor,
+//! its RNG (seeded as the simulator seeds it), its timers and its
+//! counters, behind `start`, `fire_due`, `deliver` and `next_deadline`,
+//! each of which takes the closure the handler's sends go to. A runtime
+//! decides when to call them and what that closure does.
 //!
 //! ## Example
 //!
@@ -45,46 +53,23 @@
 
 #![warn(missing_docs)]
 
+mod epoll;
 pub mod net;
 
 pub use net::{NetRunStats, NetRuntime};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use parking_lot::Mutex;
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simnet::{Actor, Context, Effect, Message, NodeId, SimDuration, SimTime, TimerId};
+use simnet::{Actor, Context, Effect, Message, NodeId, SimTime, TimerId};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-pub(crate) enum Inbound<M> {
-    Deliver { from: NodeId, msg: M },
-    Stop,
-}
-
-/// Where a [`node_loop`] puts the messages its actor sends.
-pub(crate) trait Outbound<M> {
-    /// Take one message for `to`; it may be held until the next `flush`.
-    fn send(&mut self, to: NodeId, msg: M);
-    /// Push out everything `send` held back. The loop calls this before
-    /// it blocks and at least once every [`FLUSH_EVERY`] handler runs.
-    fn flush(&mut self) {}
-}
-
-/// Handler runs (messages and timers) after which [`node_loop`] flushes
-/// even though its inbox never ran empty, so a node that is never idle
-/// cannot hold its peers' frames back for ever.
-pub(crate) const FLUSH_EVERY: u32 = 64;
-
-/// A plain function is a transport that holds nothing back: the
-/// in-process [`Runtime`]'s push into the peer's inbox.
-impl<M, F: FnMut(NodeId, M)> Outbound<M> for F {
-    fn send(&mut self, to: NodeId, msg: M) {
-        self(to, msg)
-    }
-}
+/// What a node thread's inbox carries: a message and its sender, or
+/// `None` to stop.
+type Inbound<M> = Option<(NodeId, M)>;
 
 /// Aggregate counters from a runtime run.
 #[derive(Debug, Default, Clone)]
@@ -95,236 +80,196 @@ pub struct RuntimeStats {
     pub timers_fired: u64,
 }
 
-#[derive(PartialEq, Eq)]
-struct PendingTimer {
-    at: Instant,
-    id: TimerId,
-    kind: u64,
+/// A pending timer — when due, its id, its kind — ordered for a
+/// max-heap so that the earliest is on top.
+type PendingTimer = Reverse<(Instant, TimerId, u64)>;
+
+/// One actor and everything about it that is the same on every
+/// wall-clock substrate: its seeded RNG, its timers and its counters.
+/// Every entry point takes `out`, which receives the handler's
+/// `Effect::Send`s in order — a channel push for [`Runtime`], an encode
+/// onto a socket buffer for [`net::NetRuntime`].
+pub(crate) struct Node<M: Message> {
+    pub(crate) id: NodeId,
+    actor: Box<dyn Actor<M> + Send>,
+    rng: StdRng,
+    timers: BinaryHeap<PendingTimer>,
+    cancelled: HashSet<u64>,
+    timer_seq: u64,
+    effects: Vec<Effect<M>>,
+    epoch: Instant,
+    /// Messages handed to `on_message`.
+    pub(crate) delivered: u64,
+    /// Timers that reached `on_timer`.
+    pub(crate) fired: u64,
 }
 
-impl Ord for PendingTimer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse order: BinaryHeap is a max-heap, we want earliest first.
-        other.at.cmp(&self.at).then(other.id.cmp(&self.id))
+impl<M: Message> Node<M> {
+    /// `actor` as node `id` of a run that began at `epoch`. The per-node
+    /// seed derivation is `simnet::Simulation`'s, so a protocol actor
+    /// sees an identical RNG stream for a given (master seed, node) pair
+    /// on every substrate.
+    pub(crate) fn new(
+        id: NodeId,
+        actor: Box<dyn Actor<M> + Send>,
+        epoch: Instant,
+        master_seed: u64,
+    ) -> Self {
+        Node {
+            id,
+            actor,
+            rng: StdRng::seed_from_u64(simnet::derive_node_seed(master_seed, id.index())),
+            timers: BinaryHeap::new(),
+            cancelled: HashSet::new(),
+            timer_seq: (id.0 as u64) << 40, // per-node unique ids
+            effects: Vec::new(),
+            epoch,
+            delivered: 0,
+            fired: 0,
+        }
     }
-}
-impl PartialOrd for PendingTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    /// Run one handler and carry out what it asked for.
+    fn run(
+        &mut self,
+        handler: impl FnOnce(&mut dyn Actor<M>, &mut Context<M>),
+        out: &mut impl FnMut(NodeId, M),
+    ) {
+        let now = SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64);
+        let mut ctx = Context::new(
+            now,
+            self.id,
+            &mut self.rng,
+            &mut self.effects,
+            &mut self.timer_seq,
+        );
+        handler(self.actor.as_mut(), &mut ctx);
+        for effect in self.effects.drain(..) {
+            match effect {
+                Effect::Send { to, msg } => out(to, msg),
+                Effect::SetTimer { id, delay, kind } => {
+                    let at = Instant::now() + Duration::from_nanos(delay.as_nanos());
+                    self.timers.push(Reverse((at, id, kind)));
+                }
+                Effect::CancelTimer(id) => {
+                    self.cancelled.insert(id.0);
+                }
+                // Real CPU time is really spent; nothing to account.
+                Effect::Charge(_) => {}
+                // Fault injection is a simulator facility; real threads
+                // have no crash/partition switchboard. Dropped so that
+                // nemesis-bearing actor sets still run under threads
+                // (they just run fault-free).
+                Effect::Control(_) => {}
+            }
+        }
+    }
+
+    /// `on_start`.
+    pub(crate) fn start(&mut self, out: &mut impl FnMut(NodeId, M)) {
+        self.run(|actor, ctx| actor.on_start(ctx), out);
+    }
+
+    /// Fire every timer due at `now`. A timer armed by one of these
+    /// handlers is not due before the next call, whatever its delay, so
+    /// a self-re-arming chain cannot hold the caller here.
+    pub(crate) fn fire_due(&mut self, now: Instant, out: &mut impl FnMut(NodeId, M)) {
+        while self.next_deadline().is_some_and(|at| at <= now) {
+            let Reverse((_, id, kind)) = self.timers.pop().expect("peeked");
+            if !self.cancelled.remove(&id.0) {
+                self.fired += 1;
+                self.run(|actor, ctx| actor.on_timer(id, kind, ctx), out);
+            }
+        }
+    }
+
+    /// `on_message`.
+    pub(crate) fn deliver(&mut self, from: NodeId, msg: M, out: &mut impl FnMut(NodeId, M)) {
+        self.delivered += 1;
+        self.run(|actor, ctx| actor.on_message(from, msg, ctx), out);
+    }
+
+    /// When the earliest timer is due; the caller need not come back
+    /// before then unless a message arrives.
+    pub(crate) fn next_deadline(&self) -> Option<Instant> {
+        self.timers.peek().map(|Reverse((at, ..))| *at)
     }
 }
 
 /// A thread-per-node runtime for [`simnet::Actor`]s.
 pub struct Runtime<M: Message + Send> {
     seed: u64,
-    senders: Vec<Sender<Inbound<M>>>,
-    receivers: Vec<Option<Receiver<Inbound<M>>>>,
-    actors: Vec<Option<Box<dyn Actor<M> + Send>>>,
-    stats: Arc<Mutex<RuntimeStats>>,
-    epoch: Instant,
+    actors: Vec<Box<dyn Actor<M> + Send>>,
 }
 
 impl<M: Message + Send> Runtime<M> {
     /// New runtime; actors added next get node ids 0, 1, …
     pub fn new(seed: u64) -> Self {
-        Runtime {
-            seed,
-            senders: Vec::new(),
-            receivers: Vec::new(),
-            actors: Vec::new(),
-            stats: Arc::new(Mutex::new(RuntimeStats::default())),
-            epoch: Instant::now(),
-        }
+        let actors = Vec::new();
+        Runtime { seed, actors }
     }
 
     /// Register the next actor; returns its node id.
     pub fn add_actor(&mut self, actor: impl Actor<M> + Send + 'static) -> NodeId {
-        let id = NodeId::from(self.actors.len());
-        let (tx, rx) = unbounded();
-        self.senders.push(tx);
-        self.receivers.push(Some(rx));
-        self.actors.push(Some(Box::new(actor)));
-        id
+        self.actors.push(Box::new(actor));
+        NodeId::from(self.actors.len() - 1)
     }
 
     /// Run every actor on its own thread for `duration`, then stop all
     /// threads and return aggregate stats.
     pub fn run_for(&mut self, duration: Duration) -> RuntimeStats {
-        let n = self.actors.len();
-        let mut handles: Vec<JoinHandle<()>> = Vec::with_capacity(n);
-        let (done_tx, done_rx) = bounded::<()>(n);
-        self.epoch = Instant::now();
-
-        for i in 0..n {
-            let actor = self.actors[i].take().expect("actor already running");
-            let rx = self.receivers[i].take().expect("receiver already running");
-            let senders = self.senders.clone();
-            let stats = self.stats.clone();
-            let epoch = self.epoch;
-            let node = NodeId::from(i);
-            // Same per-node seed derivation as `simnet::Simulation`, so a
-            // protocol actor sees an identical RNG stream for a given
-            // (master seed, node) pair on either substrate.
-            let seed = simnet::derive_node_seed(self.seed, i);
-            let done = done_tx.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut outbound = move |to: NodeId, msg: M| {
-                    if let Some(tx) = senders.get(to.index()) {
-                        let _ = tx.send(Inbound::Deliver { from: node, msg });
-                    }
-                };
-                node_loop(node, actor, rx, &mut outbound, stats, epoch, seed);
-                let _ = done.send(());
-            }));
-        }
+        let epoch = Instant::now();
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            self.actors.iter().map(|_| unbounded()).unzip();
+        let actors = std::mem::take(&mut self.actors).into_iter();
+        let handles: Vec<JoinHandle<Node<M>>> = actors
+            .zip(receivers)
+            .enumerate()
+            .map(|(i, (actor, rx))| {
+                let node = Node::new(NodeId::from(i), actor, epoch, self.seed);
+                let senders = senders.clone();
+                std::thread::spawn(move || node_thread(node, rx, senders))
+            })
+            .collect();
 
         std::thread::sleep(duration);
-        for tx in &self.senders {
-            let _ = tx.send(Inbound::Stop);
+        for tx in &senders {
+            let _ = tx.send(None);
         }
+        let mut stats = RuntimeStats::default();
         for h in handles {
-            let _ = h.join();
+            let node = h.join().expect("a node thread panicked");
+            stats.msgs_delivered += node.delivered;
+            stats.timers_fired += node.fired;
         }
-        drop(done_rx);
-        self.stats.lock().clone()
+        stats
     }
 }
 
-/// The per-node event loop shared by every real-thread substrate: fires
-/// due timers, takes what is in the inbox, and only when the inbox is
-/// empty flushes `out` and blocks up to the next deadline. `Effect::Send`
-/// goes through `out` — a channel push for the in-process [`Runtime`], an
-/// encode onto the peer's output buffer for [`net::NetRuntime`], which
-/// therefore pays its socket writes once per wake-up and not once per
-/// message.
-pub(crate) fn node_loop<M: Message + Send>(
-    node: NodeId,
-    mut actor: Box<dyn Actor<M> + Send>,
+/// One node on a thread of its own, its inbox a channel: fires due
+/// timers, then blocks for the next message up to the next deadline.
+fn node_thread<M: Message + Send>(
+    mut node: Node<M>,
     rx: Receiver<Inbound<M>>,
-    out: &mut impl Outbound<M>,
-    stats: Arc<Mutex<RuntimeStats>>,
-    epoch: Instant,
-    seed: u64,
-) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut timers: BinaryHeap<PendingTimer> = BinaryHeap::new();
-    let mut cancelled: HashSet<u64> = HashSet::new();
-    let mut timer_seq: u64 = (node.0 as u64) << 40; // per-node unique ids
-    let mut effects: Vec<Effect<M>> = Vec::new();
-    let mut delivered = 0u64;
-    let mut fired = 0u64;
-    // Handler runs since the last flush.
-    let mut unflushed = 0u32;
-
-    let now_sim = |epoch: Instant| SimTime::from_nanos(epoch.elapsed().as_nanos() as u64);
-
-    // on_start
-    {
-        let mut ctx = Context::new(now_sim(epoch), node, &mut rng, &mut effects, &mut timer_seq);
-        actor.on_start(&mut ctx);
-    }
-    apply_effects(&mut effects, out, &mut timers, &mut cancelled);
-    out.flush();
-
+    senders: Vec<Sender<Inbound<M>>>,
+) -> Node<M> {
+    let from = node.id;
+    let mut out = move |to: NodeId, msg: M| {
+        if let Some(tx) = senders.get(to.index()) {
+            let _ = tx.send(Some((from, msg)));
+        }
+    };
+    node.start(&mut out);
     loop {
-        // Fire due timers first.
-        while let Some(t) = timers.peek() {
-            if t.at > Instant::now() {
-                break;
-            }
-            let t = timers.pop().expect("peeked");
-            if cancelled.remove(&t.id.0) {
-                continue;
-            }
-            fired += 1;
-            let mut ctx =
-                Context::new(now_sim(epoch), node, &mut rng, &mut effects, &mut timer_seq);
-            actor.on_timer(t.id, t.kind, &mut ctx);
-            apply_effects(&mut effects, out, &mut timers, &mut cancelled);
-            flush_if_due(out, &mut unflushed);
-        }
-
-        let inbound = match rx.try_recv() {
-            Ok(m) => m,
-            Err(TryRecvError::Disconnected) => break,
-            Err(TryRecvError::Empty) => {
-                // About to block: everything the handlers since the
-                // last wake-up produced leaves now.
-                out.flush();
-                unflushed = 0;
-                match timers.peek().map(|t| t.at) {
-                    Some(at) => {
-                        let timeout = at.saturating_duration_since(Instant::now());
-                        match rx.recv_timeout(timeout) {
-                            Ok(m) => m,
-                            Err(RecvTimeoutError::Timeout) => continue, // timer due
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        }
-                    }
-                    None => match rx.recv() {
-                        Ok(m) => m,
-                        Err(_) => break,
-                    },
-                }
-            }
+        node.fire_due(Instant::now(), &mut out);
+        let inbound = match node.next_deadline() {
+            Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
-
         match inbound {
-            Inbound::Stop => break,
-            Inbound::Deliver { from, msg } => {
-                delivered += 1;
-                let mut ctx =
-                    Context::new(now_sim(epoch), node, &mut rng, &mut effects, &mut timer_seq);
-                actor.on_message(from, msg, &mut ctx);
-                apply_effects(&mut effects, out, &mut timers, &mut cancelled);
-                flush_if_due(out, &mut unflushed);
-            }
-        }
-    }
-
-    let mut s = stats.lock();
-    s.msgs_delivered += delivered;
-    s.timers_fired += fired;
-}
-
-/// Count one handler run and flush when [`FLUSH_EVERY`] have gone by.
-fn flush_if_due<M>(out: &mut impl Outbound<M>, unflushed: &mut u32) {
-    *unflushed += 1;
-    if *unflushed >= FLUSH_EVERY {
-        out.flush();
-        *unflushed = 0;
-    }
-}
-
-fn apply_effects<M: Message + Send>(
-    effects: &mut Vec<Effect<M>>,
-    out: &mut impl Outbound<M>,
-    timers: &mut BinaryHeap<PendingTimer>,
-    cancelled: &mut HashSet<u64>,
-) {
-    for effect in effects.drain(..) {
-        match effect {
-            Effect::Send { to, msg } => out.send(to, msg),
-            Effect::SetTimer { id, delay, kind } => {
-                timers.push(PendingTimer {
-                    at: Instant::now() + Duration::from_nanos(delay.as_nanos()),
-                    id,
-                    kind,
-                });
-            }
-            Effect::CancelTimer(id) => {
-                cancelled.insert(id.0);
-            }
-            Effect::Charge(_) => {
-                // Real CPU time is really spent; nothing to account.
-                let _ = SimDuration::ZERO;
-            }
-            Effect::Control(_) => {
-                // Fault injection is a simulator facility; real threads
-                // have no crash/partition switchboard. Dropped so that
-                // nemesis-bearing actor sets still run under threads
-                // (they just run fault-free).
-            }
+            Ok(Some((from, msg))) => node.deliver(from, msg, &mut out),
+            Err(RecvTimeoutError::Timeout) => {} // a timer is due
+            Ok(None) | Err(RecvTimeoutError::Disconnected) => return node,
         }
     }
 }
@@ -332,6 +277,9 @@ fn apply_effects<M: Message + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
+    use simnet::SimDuration;
+    use std::sync::Arc;
 
     #[derive(Debug, Clone)]
     enum Msg {

@@ -1,4 +1,5 @@
-//! `NetRuntime` teardown: nothing in the transport sleeps or polls, so a
+//! `NetRuntime`'s threads: one readiness loop per core however many
+//! nodes there are, and nothing in the transport sleeps or polls, so a
 //! run ends when its wall time does, and every thread it started is
 //! joined. One test in a binary of its own — the thread count of the
 //! process is only meaningful while no other test runs beside it.
@@ -24,8 +25,8 @@ impl Wire for Ping {
     }
 }
 
-/// Pings every other node once and answers every ping, so all 20
-/// directed connections of a 5-node mesh exist and stay busy.
+/// Pings every other node once and answers every ping, so all
+/// `n (n - 1)` directed connections of the mesh exist and stay busy.
 struct Mesh {
     n: u32,
 }
@@ -48,22 +49,48 @@ fn threads_alive() -> usize {
         .count()
 }
 
-#[test]
-fn run_for_returns_on_time_and_leaves_no_thread_behind() {
-    let before = threads_alive();
+/// Run an `n`-node mesh for `wall`; returns how long that took and the
+/// most threads the process had while it ran.
+fn run_mesh(n: u32, wall: Duration) -> (Duration, usize) {
     let mut rt: NetRuntime<Ping> = NetRuntime::new(3);
-    for _ in 0..5 {
-        rt.add_actor(Mesh { n: 5 });
+    for _ in 0..n {
+        rt.add_actor(Mesh { n });
     }
     let started = Instant::now();
-    let stats = rt.run_for(Duration::from_millis(50));
+    let (stats, peak) = std::thread::scope(|scope| {
+        let run = scope.spawn(|| rt.run_for(wall));
+        let mut peak = 0;
+        while !run.is_finished() {
+            peak = peak.max(threads_alive());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        (run.join().expect("the run"), peak)
+    });
     let took = started.elapsed();
     assert!(stats.msgs_delivered > 100, "the mesh was busy: {stats:?}");
     assert!(stats.per_node_received.iter().all(|&r| r > 0));
     assert_eq!((stats.decode_errors, stats.frames_dropped), (0, 0));
+    (took, peak)
+}
+
+#[test]
+fn run_for_returns_on_time_and_leaves_no_thread_behind() {
+    let before = threads_alive();
+    let (took, _) = run_mesh(5, Duration::from_millis(50));
     assert!(
         took < Duration::from_millis(150),
         "a 50 ms run took {took:?}: something waited out a poll interval"
+    );
+    assert_eq!(threads_alive(), before, "every thread is joined");
+
+    // 25 nodes are 600 connections and still one loop per core: beside
+    // the loops there are this test's thread, the one that calls
+    // `run_for`, and the harness's main thread.
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let (_, peak) = run_mesh(25, Duration::from_millis(200));
+    assert!(
+        peak <= cores + 3,
+        "{peak} threads during a 25-node run on {cores} cores"
     );
     assert_eq!(threads_alive(), before, "every thread is joined");
 }

@@ -303,6 +303,108 @@ fn adaptive_coalesced_read_your_writes() {
     check_read_your_writes(PigConfig::lan(2).with_batch(adaptive_coalesced(32)), 5);
 }
 
+/// Writes one 16 000 B value and one small one, then reads both back
+/// in a single burst of four gets, and records the shape of every
+/// envelope that answers the burst.
+struct BigReadClient {
+    acked: u64,
+    /// Replies per envelope of the read burst, in arrival order.
+    envelopes: Rc<RefCell<Vec<usize>>>,
+    /// The value each get returned, by sequence number.
+    reads: Rc<RefCell<HashMap<u64, Option<Value>>>>,
+}
+
+const BIG: usize = 16_000;
+
+impl BigReadClient {
+    fn issue(seq: u64, op: Operation, ctx: &mut Context<Envelope<paxos::PaxosMsg>>) {
+        let id = RequestId {
+            client: ctx.node(),
+            seq,
+        };
+        let command = Command { id, op };
+        ctx.send(NodeId(0), Envelope::Request(ClientRequest { command }));
+    }
+}
+
+impl Actor<Envelope<paxos::PaxosMsg>> for BigReadClient {
+    fn on_start(&mut self, ctx: &mut Context<Envelope<paxos::PaxosMsg>>) {
+        Self::issue(1, Operation::Put(1, Value::from(&[0xAB; BIG][..])), ctx);
+        Self::issue(2, Operation::Put(2, Value::from(&[0xCD; 8][..])), ctx);
+    }
+
+    fn on_message(
+        &mut self,
+        _f: NodeId,
+        msg: Envelope<paxos::PaxosMsg>,
+        ctx: &mut Context<Envelope<paxos::PaxosMsg>>,
+    ) {
+        // What a socket would do to this envelope: the simulator never
+        // encodes, and the packed length field only exists on the wire.
+        let bytes = simnet::Wire::encode(&msg);
+        assert_eq!(bytes.len(), simnet::Message::wire_size(&msg));
+        let decoded: Envelope<paxos::PaxosMsg> =
+            simnet::Wire::decode_frame(&simnet::Bytes::from(bytes)).expect("decodes");
+        assert_eq!(decoded, msg);
+        let replies = match msg {
+            Envelope::Reply(r) => vec![r],
+            Envelope::ReplyBatch(rs) => rs,
+            _ => return,
+        };
+        if replies[0].id.seq > 2 {
+            self.envelopes.borrow_mut().push(replies.len());
+        }
+        for reply in replies {
+            assert!(reply.ok, "{reply:?}");
+            if reply.id.seq > 2 {
+                self.reads.borrow_mut().insert(reply.id.seq, reply.value);
+                continue;
+            }
+            self.acked += 1;
+            if self.acked == 2 {
+                for (seq, key) in [(3, 2), (4, 1), (5, 2), (6, 2)] {
+                    Self::issue(seq, Operation::Get(key), ctx);
+                }
+            }
+        }
+    }
+
+    fn on_timer(&mut self, _i: TimerId, _k: u64, _c: &mut Context<Envelope<paxos::PaxosMsg>>) {}
+}
+
+/// A read result too long for a batched reply's 13-bit length field
+/// travels as a `Reply` of its own; at the parent of this test's commit
+/// it rode the batch and aborted the replica at encode time.
+#[test]
+fn an_oversized_read_result_leaves_the_reply_batch() {
+    let envelopes = Rc::new(RefCell::new(Vec::new()));
+    let reads = Rc::new(RefCell::new(HashMap::new()));
+    let (envelopes2, reads2) = (envelopes.clone(), reads.clone());
+    let batch = batched(16).with_reply_coalescing(SimDuration::ZERO);
+    let r = Experiment::lan(PaxosConfig::lan().with_batch(batch), 3)
+        .extra_client_nodes(1)
+        .warmup(SimDuration::ZERO)
+        .measure(SimDuration::from_millis(200))
+        .run_sim_with(5, move |sim, _| {
+            sim.add_actor(Box::new(BigReadClient {
+                acked: 0,
+                envelopes: envelopes2,
+                reads: reads2,
+            }));
+        });
+    assert!(r.violations.is_empty(), "{:?}", r.violations);
+    let reads = reads.borrow();
+    assert_eq!(reads.len(), 4, "every get answered: {:?}", reads.keys());
+    assert_eq!(reads[&4], Some(Value::from(&[0xAB; BIG][..])));
+    for seq in [3, 5, 6] {
+        assert_eq!(reads[&seq], Some(Value::from(&[0xCD; 8][..])));
+    }
+    // One wave: the big value alone, its three neighbours together.
+    let mut shapes = envelopes.borrow().clone();
+    shapes.sort_unstable();
+    assert_eq!(shapes, vec![1, 3]);
+}
+
 fn pipelined<P: ProtocolSpec>(proto: P) -> Experiment<P> {
     Experiment::lan(proto, 5)
         .clients(4)

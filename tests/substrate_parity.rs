@@ -115,6 +115,60 @@ fn epaxos_runs_identically_shaped_on_all_three_substrates() {
     assert_parity(EpaxosConfig::default(), 5, 20);
 }
 
+/// The paper's scale over real sockets: 25 replicas and 8 clients are
+/// 33 listeners and several hundred connections, on as many threads as
+/// the machine has cores.
+fn assert_runs_at_25<P: ProtocolSpec>(proto: P) -> RunResult
+where
+    P::Msg: simnet::Wire,
+{
+    let experiment = Experiment::lan(proto, 25).clients(8);
+    let name = experiment.protocol().protocol_name();
+    let net = experiment.run_net(7, Duration::from_secs(1));
+    assert!(
+        net.violations.is_empty(),
+        "{name} n=25: {:?}",
+        net.violations
+    );
+    assert!(net.samples > 100, "{name} n=25 progressed: {}", net.samples);
+    assert!(net.decided > 100, "{name} n=25 decided: {}", net.decided);
+    assert_clean_transport(name, &net);
+    net
+}
+
+#[test]
+fn paxos_runs_at_the_papers_scale_over_tcp() {
+    assert_runs_at_25(PaxosConfig::lan());
+}
+
+#[test]
+fn pigpaxos_runs_at_the_papers_scale_over_tcp() {
+    let net = assert_runs_at_25(PigConfig::lan(3));
+    // Time is accounted per node. Every write passes the leader, so a
+    // loop spent at least as long on it as on the median follower; and
+    // no loop can have been busy for longer than the run lasted.
+    let stats = net.net.as_ref().expect("transport counters");
+    let busy = &stats.per_node_busy_ns;
+    assert_eq!(busy.len(), 25 + 8);
+    let mut followers = busy[1..25].to_vec();
+    followers.sort_unstable();
+    let median = followers[followers.len() / 2];
+    assert!(
+        busy[0] > 0 && busy[0] >= median,
+        "leader {} ns, median follower {median} ns",
+        busy[0]
+    );
+    let loops = std::thread::available_parallelism()
+        .map_or(1, |c| c.get())
+        .min(busy.len());
+    let wall_ns = 1_100_000_000 * loops as u64;
+    let total: u64 = busy.iter().sum();
+    assert!(
+        total <= wall_ns,
+        "{total} ns busy on {loops} loops in a 1 s run"
+    );
+}
+
 /// The same compaction-enabled `Experiment` value must bound memory on
 /// both substrates: snapshots fire, the retained log stays near the
 /// interval, and safety holds — on the deterministic simulator and on
