@@ -5,9 +5,9 @@
 //! [`CountingAllocator`] that wraps the system allocator and bumps
 //! process-wide atomic counters on every `alloc`/`realloc`. Binaries
 //! that want the counters install it as their `#[global_allocator]`
-//! (the `alloc_gate` bin, the `hotpath` criterion bench, and the
-//! allocation-regression integration test each do); library code and
-//! the ordinary test suite keep the plain system allocator.
+//! (the `alloc_gate` bin and the allocation-regression integration
+//! test each do); library code and the ordinary test suite keep the
+//! plain system allocator.
 //!
 //! Counting is process-global, so precise measurements should run the
 //! measured region on a single thread (or accept that concurrent

@@ -32,7 +32,7 @@
 
 use pigpaxos_bench::alloc::{self, CountingAllocator};
 use pigpaxos_bench::hotpath::{self, LeaderPipeline};
-use pigpaxos_bench::{json, json_path, quick_mode};
+use pigpaxos_bench::{Opts, Report};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -61,7 +61,8 @@ const MAX_DECODE_ALLOCS_PER_OP: f64 = 4.0;
 const MAX_RETAINED_BYTES_PER_VALUE_BYTE: f64 = 2.0;
 
 fn main() {
-    let quick = quick_mode();
+    let opts = Opts::from_env();
+    let quick = opts.quick;
     let total_cmds: u64 = if quick { 1024 } else { 8192 };
     let batch = 16usize;
     let n = 5usize;
@@ -126,43 +127,26 @@ fn main() {
 
     let reduction = 1.0 - leader_per_op / LEGACY_LEADER_ALLOCS_PER_OP;
 
-    println!("alloc_gate (B={batch}, n={n}, {decided} commands decided)");
-    println!("  leader_batch_allocs_per_op   {leader_per_op:>10.3}");
     println!(
-        "  legacy (pre-optimization)    {:>10.3}",
-        LEGACY_LEADER_ALLOCS_PER_OP
+        "alloc_gate (B={batch}, n={n}, {decided} commands decided; \
+         legacy leader allocs/op {LEGACY_LEADER_ALLOCS_PER_OP:.3})"
     );
-    println!("  reduction vs legacy          {:>9.1}%", reduction * 100.0);
-    println!("  relay_aggregate_allocs_per_op{relay_per_op:>10.3}");
-    println!("  wire_encode_allocs_per_op    {encode_per_op:>10.3}");
-    println!("  wire_decode_allocs_per_op    {decode_per_op:>10.3}");
-    println!("  wire_decode_large_allocs_per_op {decode_large_per_op:>7.3}");
-    println!("  wire_decode_large_kb_per_op  {decode_large_kb_per_op:>10.3}");
-    println!("  retained_backing_bytes_per_value_byte {retained:>1.3}");
-
-    if let Some(path) = json_path() {
-        let rows = vec![
-            ("leader_batch_allocs_per_op".to_string(), leader_per_op),
-            ("leader_batch_alloc_reduction".to_string(), reduction),
-            ("relay_aggregate_allocs_per_op".to_string(), relay_per_op),
-            ("wire_encode_allocs_per_op".to_string(), encode_per_op),
-            ("wire_decode_allocs_per_op".to_string(), decode_per_op),
-            (
-                "wire_decode_large_allocs_per_op".to_string(),
-                decode_large_per_op,
-            ),
-            (
-                "wire_decode_large_kb_per_op".to_string(),
-                decode_large_kb_per_op,
-            ),
-            (
-                "retained_backing_bytes_per_value_byte".to_string(),
-                retained,
-            ),
-        ];
-        std::fs::write(&path, json::render(&rows)).expect("write json");
-        println!("wrote {path}");
-    }
+    let metrics = [
+        ("leader_batch_allocs_per_op", leader_per_op),
+        ("leader_batch_alloc_reduction", reduction),
+        ("relay_aggregate_allocs_per_op", relay_per_op),
+        ("wire_encode_allocs_per_op", encode_per_op),
+        ("wire_decode_allocs_per_op", decode_per_op),
+        ("wire_decode_large_allocs_per_op", decode_large_per_op),
+        ("wire_decode_large_kb_per_op", decode_large_kb_per_op),
+        ("retained_backing_bytes_per_value_byte", retained),
+    ];
+    let report = Report {
+        tables: Vec::new(),
+        metrics: metrics.map(|(key, value)| (key.to_string(), value)).into(),
+    };
+    print!("{}", report.render(opts.csv));
+    opts.write_json(&report.metrics);
 
     assert!(
         reduction >= REQUIRED_REDUCTION,

@@ -6,7 +6,7 @@
 //! metrics file and the set is merged (duplicate keys are an error —
 //! two producers claiming the same metric would make the gate
 //! ambiguous). All files are flat JSON objects as produced by
-//! `batch_sweep --json`, `shard_sweep --json`, or `alloc_gate --json`.
+//! `figures --json` (`batch_sweep`, `shard_sweep`) or `alloc_gate --json`.
 //! The gate compares every key present in the baseline:
 //!
 //! - `*_per_op` / `*_ms` (lower is better): fail when the current value

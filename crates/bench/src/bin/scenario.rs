@@ -15,16 +15,13 @@
 use paxi::{
     Experiment, Fault, Nemesis, NemesisLog, ProtocolSpec, RunResult, Scenario, TopologyKind,
 };
-use pigpaxos_bench as bench;
+use pigpaxos_bench::Cell::Float;
+use pigpaxos_bench::{Opts, Table};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn corpus_paths() -> Vec<PathBuf> {
-    let explicit: Vec<PathBuf> = std::env::args()
-        .skip(1)
-        .filter(|a| !a.starts_with("--"))
-        .map(PathBuf::from)
-        .collect();
+fn corpus_paths(opts: &Opts) -> Vec<PathBuf> {
+    let explicit: Vec<PathBuf> = opts.names.iter().map(PathBuf::from).collect();
     if !explicit.is_empty() {
         return explicit;
     }
@@ -196,9 +193,9 @@ fn judge(sc: &Scenario, r: &RunResult, log: &NemesisLog) -> Vec<String> {
 }
 
 fn main() -> ExitCode {
-    let check_only = std::env::args().any(|a| a == "--check");
-    let quick = bench::quick_mode();
-    let paths = corpus_paths();
+    let opts = Opts::from_env();
+    let (check_only, quick) = (opts.check, opts.quick);
+    let paths = corpus_paths(&opts);
     if paths.is_empty() {
         eprintln!("scenario: no scenario files found (looked in scenarios/)");
         return ExitCode::FAILURE;
@@ -233,14 +230,8 @@ fn main() -> ExitCode {
         };
     }
 
-    if bench::csv_mode() {
-        println!("scenario,protocol,tput,p99_ms,retries,faults,converged,status");
-    } else {
-        println!(
-            "{:<28} {:>9} {:>9} {:>9} {:>8} {:>7} {:>10}  status",
-            "scenario", "protocol", "tput", "p99(ms)", "retries", "faults", "converged"
-        );
-    }
+    let columns = "scenario,protocol,tput,p99_ms,retries,faults,converged,status";
+    let mut table = Table::new("", columns);
     let mut ran = 0usize;
     for sc in &scenarios {
         if quick && !sc.quick {
@@ -254,31 +245,16 @@ fn main() -> ExitCode {
             None => "-",
         };
         let status = if fails.is_empty() { "pass" } else { "FAIL" };
-        if bench::csv_mode() {
-            println!(
-                "{},{},{:.1},{:.3},{},{},{},{}",
-                sc.name,
-                sc.protocol,
-                result.throughput,
-                result.p99_latency_ms,
-                result.client_retries,
-                log.len(),
-                converged,
-                status
-            );
-        } else {
-            println!(
-                "{:<28} {:>9} {:>9.0} {:>9.2} {:>8} {:>7} {:>10}  {}",
-                sc.name,
-                sc.protocol,
-                result.throughput,
-                result.p99_latency_ms,
-                result.client_retries,
-                log.len(),
-                converged,
-                status
-            );
-        }
+        table.row([
+            sc.name.as_str().into(),
+            sc.protocol.to_string().into(),
+            Float(result.throughput, 1),
+            Float(result.p99_latency_ms, 3),
+            result.client_retries.into(),
+            log.len().into(),
+            converged.into(),
+            status.into(),
+        ]);
         for f in &fails {
             eprintln!("  {}: {f}", sc.name);
         }
@@ -287,6 +263,7 @@ fn main() -> ExitCode {
         }
         ran += 1;
     }
+    print!("{}", table.render(opts.csv));
     println!(
         "\n{} scenario(s) ran, {} failed{}",
         ran,

@@ -6,11 +6,11 @@
 //! `accept_batch` → vote counting → execution → replies), the relay
 //! aggregation path (PigPaxos `RelayTable`), and `Wire` encode/decode.
 //! This module drives each one directly — no simulator, no actors, no
-//! timers — over the same public APIs the replicas use, so criterion
-//! benches, the `alloc_gate` binary, and the allocation-regression test
-//! all measure identical work.
+//! timers — over the same public APIs the replicas use, so the
+//! `alloc_gate` binary and the allocation-regression test measure
+//! identical work.
 //!
-//! [`LeaderPipeline::drive_wave`] separates *leader-side* work from
+//! [`LeaderPipeline::run`] separates *leader-side* work from
 //! *follower-side* work with the counting allocator (see
 //! [`crate::alloc`]): the reported `leader_allocs` covers exactly the
 //! segments a real leader executes per wave, which is the number the
@@ -29,16 +29,7 @@ use simnet::{Bytes, NodeId, SimTime, Wire};
 use std::collections::HashSet;
 
 /// Payload bytes per benched `Put` value (matches the default workload).
-pub const VALUE_BYTES: usize = 64;
-
-/// One decided wave's measurements.
-#[derive(Debug, Clone, Copy)]
-pub struct WaveReport {
-    /// Commands decided and executed by this wave.
-    pub decided: usize,
-    /// Allocations charged to the leader-side segments of the wave.
-    pub leader_allocs: u64,
-}
+const VALUE_BYTES: usize = 64;
 
 /// A self-contained n-replica cluster driven wave-by-wave through the
 /// batched leader pipeline: exactly the per-wave work a loaded
@@ -60,7 +51,7 @@ pub struct LeaderPipeline {
 impl LeaderPipeline {
     /// Build an `n`-replica cluster (node 0 leads) deciding `batch`
     /// commands per wave. The campaign is completed here so every
-    /// subsequent [`Self::drive_wave`] measures steady state.
+    /// subsequent [`Self::run`] measures steady state.
     pub fn new(n: usize, batch: usize) -> Self {
         assert!(n >= 2, "pipeline needs at least one follower");
         assert!(batch >= 1, "empty waves decide nothing");
@@ -110,10 +101,10 @@ impl LeaderPipeline {
     /// Run one full wave: propose a batch, fan the `P2aBatch` out to
     /// every follower, accept it at each, count the returning vote
     /// batches at the leader, execute the decided prefix, and build the
-    /// client replies. Returns what was decided and the allocations the
-    /// *leader-side* segments performed (zero unless the binary installs
-    /// [`crate::alloc::CountingAllocator`]).
-    pub fn drive_wave(&mut self) -> WaveReport {
+    /// client replies. Decides the whole batch and returns the
+    /// allocations the *leader-side* segments performed (zero unless the
+    /// binary installs [`crate::alloc::CountingAllocator`]).
+    fn drive_wave(&mut self) -> u64 {
         self.now += simnet::SimDuration::from_micros(200);
         let batch = self.next_batch();
         let now = self.now;
@@ -179,22 +170,13 @@ impl LeaderPipeline {
         leader_allocs += d.allocs;
 
         assert_eq!(decided, self.batch, "every wave must fully decide");
-        WaveReport {
-            decided,
-            leader_allocs,
-        }
+        leader_allocs
     }
 
     /// Drive `waves` waves and return total (decided, leader allocations).
     pub fn run(&mut self, waves: usize) -> (u64, u64) {
-        let mut decided = 0u64;
-        let mut allocs = 0u64;
-        for _ in 0..waves {
-            let r = self.drive_wave();
-            decided += r.decided as u64;
-            allocs += r.leader_allocs;
-        }
-        (decided, allocs)
+        let allocs = (0..waves).map(|_| self.drive_wave()).sum();
+        ((waves * self.batch) as u64, allocs)
     }
 }
 

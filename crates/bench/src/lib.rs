@@ -1,47 +1,111 @@
-//! Shared plumbing for the figure/table regeneration binaries.
+//! The figure/table regeneration driver and the perf gates' plumbing.
 //!
-//! Every binary accepts:
+//! Every figure, table, ablation and sweep is one row of
+//! [`figures::ENTRIES`], run by the `figures` bin; each returns a
+//! [`Report`] of [`Table`]s that one function renders as CSV or as
+//! aligned text. The bins share one command line, parsed once into
+//! [`Opts`]:
 //! - `--quick` (or env `PIG_QUICK=1`): much shorter simulated windows,
 //!   for CI smoke runs; numbers are noisier.
-//! - `--csv`: machine-readable output instead of the aligned table.
+//! - `--csv`: machine-readable output instead of the aligned tables.
+//! - `--json <path>`: also write the headline metrics as a flat JSON
+//!   object (the CI perf-gate artifact).
 
-use paxi::{Experiment, LoadPoint, ProtocolSpec};
+use paxi::{Experiment, ProtocolSpec};
 use simnet::SimDuration;
 
 pub mod alloc;
+pub mod figures;
 pub mod hotpath;
+mod table;
 
-/// Client-count ladder used by the latency/throughput figures.
-pub const CURVE_CLIENTS: &[usize] = &[1, 2, 5, 10, 20, 40, 80, 160];
+pub use table::{Cell, Report, Table};
 
-/// Client-count ladder used by max-throughput searches.
-pub const MAX_TPUT_CLIENTS: &[usize] = &[20, 40, 80, 160];
-
-/// Client ladder for WAN curves: at ~65 ms RTT a closed-loop client
-/// offers only ~15 req/s, so saturating the cluster needs far more
-/// clients than on a LAN.
-pub const WAN_CURVE_CLIENTS: &[usize] = &[20, 80, 160, 320, 640, 1280];
-
-/// True when the binary should run in quick (smoke) mode.
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var_os("PIG_QUICK").is_some()
+/// The command line shared by the bench bins, parsed once.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Opts {
+    /// Short simulated windows (`--quick` or env `PIG_QUICK`).
+    pub quick: bool,
+    /// CSV instead of aligned text (`--csv`).
+    pub csv: bool,
+    /// Print the entry names and exit (`--list`; `figures` only).
+    pub list: bool,
+    /// Parse and validate only (`--check`; `scenario` only).
+    pub check: bool,
+    /// Where to write the headline metrics (`--json <path>`).
+    pub json: Option<String>,
+    /// Positional arguments: entry names, or scenario paths.
+    pub names: Vec<String>,
 }
 
-/// True when CSV output was requested.
-pub fn csv_mode() -> bool {
-    std::env::args().any(|a| a == "--csv")
-}
+impl Opts {
+    /// Parse arguments (without the program name). An unknown `--flag`
+    /// is an error: a typo'd `--quick` must not become a full-length run.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Opts, String> {
+        let mut opts = Opts {
+            quick: std::env::var_os("PIG_QUICK").is_some(),
+            ..Opts::default()
+        };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--quick" => opts.quick = true,
+                "--csv" => opts.csv = true,
+                "--list" => opts.list = true,
+                "--check" => opts.check = true,
+                "--json" => opts.json = Some(args.next().ok_or("--json needs a path")?),
+                flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+                _ => opts.names.push(arg),
+            }
+        }
+        Ok(opts)
+    }
 
-/// Path given via `--json <path>`: the binary writes its headline
-/// metrics there as a flat JSON object (the CI perf-gate artifact).
-pub fn json_path() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return args.next();
+    /// [`Opts::parse`] over this process's arguments; exits with status
+    /// 2 on a bad command line.
+    pub fn from_env() -> Opts {
+        Opts::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// `quick` under `--quick`, `full` otherwise.
+    pub fn pick<T>(&self, quick: T, full: T) -> T {
+        if self.quick {
+            quick
+        } else {
+            full
         }
     }
-    None
+
+    /// Standard LAN experiment for a figure run (shorter measurement
+    /// windows under `--quick`). Protocol and cluster size are the
+    /// caller's two axes; everything else is the paper default.
+    pub fn lan<P: ProtocolSpec>(&self, proto: P, n_replicas: usize) -> Experiment<P> {
+        let (warmup_ms, measure_ms) = self.pick((300, 700), (1000, 3000));
+        Experiment::lan(proto, n_replicas)
+            .warmup(SimDuration::from_millis(warmup_ms))
+            .measure(SimDuration::from_millis(measure_ms))
+    }
+
+    /// Standard WAN experiment (Virginia/California/Oregon).
+    pub fn wan<P: ProtocolSpec>(&self, proto: P, n_replicas: usize) -> Experiment<P> {
+        let (warmup_ms, measure_ms) = self.pick((500, 1000), (2000, 6000));
+        Experiment::wan(proto, n_replicas)
+            .warmup(SimDuration::from_millis(warmup_ms))
+            .measure(SimDuration::from_millis(measure_ms))
+    }
+
+    /// Write `metrics` to the `--json` path, if one was given.
+    pub fn write_json(&self, metrics: &[(String, f64)]) {
+        if let Some(path) = &self.json {
+            std::fs::write(path, json::render(metrics)).expect("write json metrics");
+            if !self.csv {
+                println!("wrote {} metrics to {path}", metrics.len());
+            }
+        }
+    }
 }
 
 /// Flat `{"key": number}` JSON read/write for bench artifacts. The
@@ -110,95 +174,28 @@ pub mod json {
     }
 }
 
-/// Master seed every figure binary runs under (re-exported so call
-/// sites read `bench::SEED` rather than importing two crates).
-pub const SEED: u64 = paxi::DEFAULT_SEED;
-
-/// Standard LAN experiment for a figure run (shorter measurement
-/// windows under `--quick`). Protocol and cluster size are the caller's
-/// two axes; everything else is the paper default.
-pub fn lan_experiment<P: ProtocolSpec>(proto: P, n_replicas: usize) -> Experiment<P> {
-    let exp = Experiment::lan(proto, n_replicas);
-    if quick_mode() {
-        exp.warmup(SimDuration::from_millis(300))
-            .measure(SimDuration::from_millis(700))
-    } else {
-        exp.warmup(SimDuration::from_secs(1))
-            .measure(SimDuration::from_secs(3))
-    }
-}
-
-/// Standard WAN experiment (Virginia/California/Oregon).
-pub fn wan_experiment<P: ProtocolSpec>(proto: P, n_replicas: usize) -> Experiment<P> {
-    let exp = Experiment::wan(proto, n_replicas);
-    if quick_mode() {
-        exp.warmup(SimDuration::from_millis(500))
-            .measure(SimDuration::from_secs(1))
-    } else {
-        exp.warmup(SimDuration::from_secs(2))
-            .measure(SimDuration::from_secs(6))
-    }
-}
-
-/// Print one latency/throughput curve in the format the paper's figures
-/// plot (one row per offered-load point).
-pub fn print_curve(name: &str, points: &[LoadPoint]) {
-    if csv_mode() {
-        for p in points {
-            println!(
-                "{name},{},{:.1},{:.3},{:.3},{:.3}",
-                p.clients,
-                p.result.throughput,
-                p.result.mean_latency_ms,
-                p.result.p50_latency_ms,
-                p.result.p99_latency_ms
-            );
-        }
-        return;
-    }
-    println!("\n── {name} ──");
-    println!(
-        "{:>8} {:>12} {:>12} {:>12} {:>12}",
-        "clients", "tput(req/s)", "mean(ms)", "p50(ms)", "p99(ms)"
-    );
-    for p in points {
-        println!(
-            "{:>8} {:>12.0} {:>12.2} {:>12.2} {:>12.2}",
-            p.clients,
-            p.result.throughput,
-            p.result.mean_latency_ms,
-            p.result.p50_latency_ms,
-            p.result.p99_latency_ms
-        );
-    }
-}
-
-/// CSV header matching [`print_curve`]'s CSV rows.
-pub fn print_csv_header() {
-    if csv_mode() {
-        println!("series,clients,throughput,mean_ms,p50_ms,p99_ms");
-    }
-}
-
-/// Print a `key = value` style scalar result row.
-pub fn print_scalar(name: &str, value: f64, unit: &str) {
-    if csv_mode() {
-        println!("{name},{value}");
-    } else {
-        println!("{name:<42} {value:>10.1} {unit}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn experiments_are_consistent() {
-        let e = lan_experiment(paxos::PaxosConfig::lan(), 25);
+        let opts = Opts::default();
+        let e = opts.lan(paxos::PaxosConfig::lan(), 25);
         assert_eq!(e.n_replicas(), 25);
         assert_eq!(e.topology().num_nodes(), 25);
-        let w = wan_experiment(paxos::PaxosConfig::wan(), 15);
+        let w = opts.wan(paxos::PaxosConfig::wan(), 15);
         assert_eq!(w.topology().num_regions(), 3);
+    }
+
+    #[test]
+    fn opts_parse_flags_names_and_reject_typos() {
+        let parse = |s: &str| Opts::parse(s.split_whitespace().map(String::from));
+        let o = parse("--csv fig7 --json out.json tables").expect("valid");
+        assert!(o.csv && !o.list);
+        assert_eq!(o.json.as_deref(), Some("out.json"));
+        assert_eq!(o.names, ["fig7", "tables"]);
+        assert!(parse("--quik fig7").is_err());
+        assert!(parse("--json").is_err());
     }
 }

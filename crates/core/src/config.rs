@@ -29,9 +29,6 @@ pub struct PigConfig {
     /// single-level trees (`levels == 1`); sub-relays must preserve
     /// per-round uplinks for their parents' round matching.
     pub relay_coalesce_window: SimDuration,
-    /// Maximum rounds one coalesced uplink may span before it is
-    /// flushed regardless of the window.
-    pub relay_coalesce_rounds: usize,
     /// Dynamic relay groups (§4.1): reshuffle membership at this period.
     pub reshuffle_interval: Option<SimDuration>,
     /// Relay tree depth: 1 = the paper's default single relay layer;
@@ -78,7 +75,6 @@ impl PigConfig {
             relay_scan_interval: SimDuration::from_millis(5),
             partial_threshold: None,
             relay_coalesce_window: SimDuration::from_micros(250),
-            relay_coalesce_rounds: 4,
             reshuffle_interval: None,
             levels: 1,
             rotate_relays: true,
@@ -153,7 +149,6 @@ impl PigConfig {
             relay_scan_interval: SimDuration::from_millis(25),
             partial_threshold: None,
             relay_coalesce_window: SimDuration::from_millis(2),
-            relay_coalesce_rounds: 4,
             reshuffle_interval: None,
             levels: 1,
             rotate_relays: true,

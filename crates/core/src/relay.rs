@@ -381,6 +381,10 @@ struct SpanBuf {
     rounds: usize,
 }
 
+/// Maximum rounds one coalesced uplink may span before it is flushed
+/// regardless of the window.
+pub const MAX_COALESCED_ROUNDS: usize = 4;
+
 /// Coalesces completed batched-round aggregates bound for the same
 /// destination into one multi-round `P2bBatch` uplink.
 ///
@@ -391,24 +395,22 @@ struct SpanBuf {
 #[derive(Debug)]
 pub struct UplinkCoalescer {
     window: SimDuration,
-    max_rounds: usize,
     buf: BTreeMap<(NodeId, Ballot), SpanBuf>,
 }
 
 impl UplinkCoalescer {
-    /// Coalesce for up to `window` or `max_rounds` rounds per uplink.
-    /// A zero `window` disables coalescing entirely.
-    pub fn new(window: SimDuration, max_rounds: usize) -> Self {
+    /// Coalesce for up to `window` or [`MAX_COALESCED_ROUNDS`] rounds
+    /// per uplink. A zero `window` disables coalescing entirely.
+    pub fn new(window: SimDuration) -> Self {
         UplinkCoalescer {
             window,
-            max_rounds: max_rounds.max(1),
             buf: BTreeMap::new(),
         }
     }
 
     /// A pass-through coalescer (every flush ships immediately).
     pub fn disabled() -> Self {
-        UplinkCoalescer::new(SimDuration::ZERO, 1)
+        UplinkCoalescer::new(SimDuration::ZERO)
     }
 
     /// The configured coalescing window.
@@ -456,7 +458,7 @@ impl UplinkCoalescer {
         entry.last_slot = entry.last_slot.max(last);
         entry.votes.extend(votes);
         entry.rounds += 1;
-        if entry.rounds >= self.max_rounds {
+        if entry.rounds >= MAX_COALESCED_ROUNDS {
             let key = (f.reply_to, ballot);
             let buf = self.buf.remove(&key).expect("present");
             return (vec![(f.reply_to, Self::into_msg(ballot, buf))], false);
@@ -726,7 +728,7 @@ mod tests {
 
     #[test]
     fn coalescer_merges_rounds_into_one_uplink() {
-        let mut c = UplinkCoalescer::new(SimDuration::from_micros(250), 4);
+        let mut c = UplinkCoalescer::new(SimDuration::from_micros(250));
         let (out, arm) = c.offer(span_flush(0, 0, 3, true));
         assert!(out.is_empty(), "first round buffered");
         assert!(arm, "first buffered round starts the window");
@@ -751,16 +753,19 @@ mod tests {
 
     #[test]
     fn coalescer_round_cap_flushes_immediately() {
-        let mut c = UplinkCoalescer::new(SimDuration::from_micros(250), 2);
-        assert!(c.offer(span_flush(0, 0, 1, true)).0.is_empty());
-        let (out, _) = c.offer(span_flush(0, 2, 3, true));
+        let mut c = UplinkCoalescer::new(SimDuration::from_micros(250));
+        for round in 0..MAX_COALESCED_ROUNDS as u64 - 1 {
+            let held = c.offer(span_flush(0, 2 * round, 2 * round + 1, true));
+            assert!(held.0.is_empty());
+        }
+        let (out, _) = c.offer(span_flush(0, 6, 7, true));
         assert_eq!(out.len(), 1, "round cap ships the merged uplink");
         assert!(c.is_empty());
     }
 
     #[test]
     fn coalescer_rejection_drains_buffer_and_passes_through() {
-        let mut c = UplinkCoalescer::new(SimDuration::from_micros(250), 8);
+        let mut c = UplinkCoalescer::new(SimDuration::from_micros(250));
         c.offer(span_flush(0, 0, 1, true));
         let (out, arm) = c.offer(span_flush(0, 2, 3, false));
         assert!(!arm);
@@ -779,7 +784,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(!arm);
 
-        let mut c = UplinkCoalescer::new(SimDuration::from_micros(250), 4);
+        let mut c = UplinkCoalescer::new(SimDuration::from_micros(250));
         let single = Flush {
             reply_to: NodeId(0),
             key: AggKey::P2(b(), 7),
@@ -793,7 +798,7 @@ mod tests {
 
     #[test]
     fn coalescer_keeps_destinations_separate() {
-        let mut c = UplinkCoalescer::new(SimDuration::from_micros(250), 8);
+        let mut c = UplinkCoalescer::new(SimDuration::from_micros(250));
         c.offer(span_flush(0, 0, 1, true));
         c.offer(span_flush(5, 2, 3, true));
         let flushed = c.flush_all();

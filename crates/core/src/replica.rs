@@ -392,7 +392,7 @@ impl Dissemination for RelayTree {
         // aggregation is keyed by the round's exact span), so multi-
         // round coalescing is only safe on single-level trees.
         let coalescer = if cfg.levels == 1 {
-            UplinkCoalescer::new(cfg.relay_coalesce_window, cfg.relay_coalesce_rounds)
+            UplinkCoalescer::new(cfg.relay_coalesce_window)
         } else {
             UplinkCoalescer::disabled()
         };

@@ -48,10 +48,6 @@ pub struct RateEstimator {
     /// second arrival establishes a gap).
     ewma_gap_ns: Option<f64>,
     last_arrival: Option<SimTime>,
-    /// EWMA of per-command *drain* gaps — the commit/execute side of
-    /// the pipe (`None` until two drain waves establish one).
-    ewma_drain_gap_ns: Option<f64>,
-    last_drain: Option<SimTime>,
 }
 
 impl RateEstimator {
@@ -84,45 +80,6 @@ impl RateEstimator {
             }
         }
     }
-
-    /// Record that `executed` commands drained (committed and executed)
-    /// at `now`, updating the per-command drain-gap EWMA. Drains arrive
-    /// in waves, so the gap since the previous wave is spread evenly
-    /// over the wave's commands.
-    ///
-    /// This closes the bug where adaptive sizing looked only at the
-    /// *arrival* side of the queue: a slowed follower (or relay) lowers
-    /// the commit rate, not the arrival rate, so the old target kept
-    /// batches at `max` while the in-flight window backed up. Folding
-    /// commit latency in lets [`Self::drain_capacity`] shrink batches
-    /// to what the pipeline is actually clearing.
-    pub fn observe_drain(&mut self, now: SimTime, executed: usize) {
-        if executed == 0 {
-            return;
-        }
-        if let Some(prev) = self.last_drain {
-            let gap = now.saturating_sub(prev).as_nanos().max(1) as f64 / executed as f64;
-            self.ewma_drain_gap_ns = Some(match self.ewma_drain_gap_ns {
-                Some(ewma) => EWMA_ALPHA * gap + (1.0 - EWMA_ALPHA) * ewma,
-                None => gap,
-            });
-        }
-        self.last_drain = Some(now);
-    }
-
-    /// Commands the commit/execute pipeline is draining per `window`,
-    /// clamped to `[1, max]`. `max` until a drain estimate exists (no
-    /// evidence of a slow pipe means no throttling).
-    pub fn drain_capacity(&self, max: usize, window: SimDuration) -> usize {
-        match self.ewma_drain_gap_ns {
-            None => max,
-            Some(gap_ns) => {
-                let window_ns = window.as_nanos() as f64;
-                let expected = window_ns / gap_ns.max(1.0);
-                (expected as usize).clamp(1, max)
-            }
-        }
-    }
 }
 
 /// Batching policy for a leader.
@@ -138,11 +95,6 @@ pub struct BatchConfig {
     /// Adaptive sizing: the fill target tracks the observed arrival
     /// rate in `[1, max_batch]` instead of sitting at `max_batch`.
     pub adaptive: bool,
-    /// Drain-aware sizing: additionally clamp the fill target to the
-    /// observed commit/execute drain rate, so a slowed follower shrinks
-    /// batches instead of inflating the in-flight window. Off by
-    /// default (the baseline configs predate it).
-    pub drain_aware: bool,
     /// Client-reply coalescing policy for executed commands.
     pub replies: ReplyCoalesce,
 }
@@ -154,7 +106,6 @@ impl BatchConfig {
             max_batch: 1,
             max_delay: SimDuration::ZERO,
             adaptive: false,
-            drain_aware: false,
             replies: ReplyCoalesce::Off,
         }
     }
@@ -167,7 +118,6 @@ impl BatchConfig {
             max_batch,
             max_delay,
             adaptive: false,
-            drain_aware: false,
             replies: ReplyCoalesce::Off,
         }
     }
@@ -179,13 +129,6 @@ impl BatchConfig {
             adaptive: true,
             ..BatchConfig::new(max_batch, max_delay)
         }
-    }
-
-    /// Additionally clamp the fill target to the observed drain rate
-    /// (see [`BatchConfig::drain_aware`]).
-    pub fn with_drain_awareness(mut self) -> Self {
-        self.drain_aware = true;
-        self
     }
 
     /// Enable reply coalescing with the given flush window
@@ -279,26 +222,10 @@ impl Batcher {
     /// mode, the arrivals expected within one `max_delay` window given
     /// the EWMA arrival rate, clamped to `[1, max_batch]`.
     pub fn target(&self) -> usize {
-        let arrival = if self.cfg.adaptive {
+        if self.cfg.adaptive {
             self.rate.target(self.cfg.max_batch, self.cfg.max_delay)
         } else {
             self.cfg.max_batch
-        };
-        if self.cfg.drain_aware {
-            arrival.min(
-                self.rate
-                    .drain_capacity(self.cfg.max_batch, self.cfg.max_delay),
-            )
-        } else {
-            arrival
-        }
-    }
-
-    /// Record one executed wave for drain-aware sizing (no-op unless
-    /// [`BatchConfig::drain_aware`] is set).
-    pub fn note_drain(&mut self, now: SimTime, executed: usize) {
-        if self.cfg.drain_aware {
-            self.rate.observe_drain(now, executed);
         }
     }
 
@@ -552,74 +479,6 @@ mod tests {
             (2..=8).contains(&target),
             "expected a mid-range target for 50us gaps, got {target}"
         );
-    }
-
-    #[test]
-    fn drain_aware_shrinks_batches_when_the_pipe_slows() {
-        // Saturating arrivals (2 us gaps, 200 us window) would drive the
-        // target to max — but a scripted slow-drain schedule (one
-        // 16-command wave every 400 us => 25 us per command) must clamp
-        // it to roughly window/25us = 8.
-        let cfg = BatchConfig::adaptive(32, SimDuration::from_micros(200)).with_drain_awareness();
-        let mut b = Batcher::new(cfg);
-        let mut t = 0u64;
-        for seq in 1..=64 {
-            b.push(NodeId(1), cmd(seq), at(t));
-            t += 2;
-        }
-        assert_eq!(b.target(), 32, "no drain evidence yet: arrival rate rules");
-
-        let mut drain_t = 0u64;
-        for _ in 0..16 {
-            b.note_drain(at(drain_t), 16);
-            drain_t += 400;
-        }
-        let throttled = b.target();
-        assert!(
-            (4..=12).contains(&throttled),
-            "slow drain (25us/cmd) must clamp the target near 8, got {throttled}"
-        );
-
-        // The pipe recovers: fast drains restore the arrival-driven max.
-        for _ in 0..32 {
-            b.note_drain(at(drain_t), 16);
-            drain_t += 16;
-        }
-        assert_eq!(b.target(), 32, "fast drain restores the arrival target");
-        b.flush();
-    }
-
-    #[test]
-    fn drain_awareness_is_opt_in() {
-        let cfg = BatchConfig::adaptive(32, SimDuration::from_micros(200));
-        assert!(!cfg.drain_aware);
-        let mut b = Batcher::new(cfg);
-        let mut t = 0u64;
-        for seq in 1..=64 {
-            b.push(NodeId(1), cmd(seq), at(t));
-            t += 2;
-        }
-        // Scripted slow drains are ignored without the flag.
-        for i in 0..16 {
-            b.note_drain(at(i * 400), 16);
-        }
-        assert_eq!(b.target(), 32, "default configs must not change behavior");
-        b.flush();
-    }
-
-    #[test]
-    fn drain_capacity_defaults_to_max_without_evidence() {
-        let r = RateEstimator::new();
-        assert_eq!(r.drain_capacity(32, SimDuration::from_micros(200)), 32);
-        let mut r = RateEstimator::new();
-        r.observe_drain(at(0), 16);
-        assert_eq!(
-            r.drain_capacity(32, SimDuration::from_micros(200)),
-            32,
-            "one wave fixes no gap yet"
-        );
-        r.observe_drain(at(0), 0); // empty waves are ignored
-        assert_eq!(r.drain_capacity(32, SimDuration::from_micros(200)), 32);
     }
 
     #[test]

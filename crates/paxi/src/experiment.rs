@@ -318,7 +318,8 @@ impl<P: ProtocolSpec> Experiment<P> {
     /// Run `shards` independent consensus groups, each a copy of this
     /// experiment's replica topology (group *g* owns nodes
     /// `[g*R, (g+1)*R)`), every replica behind a
-    /// [`crate::ShardGate`] and every client a [`crate::ShardRouter`].
+    /// [`crate::ShardGate`] and every client routing by key
+    /// ([`TargetPolicy::ByKey`]).
     /// The key space is split into `shards` equal ranges. `shards(1)`
     /// is a real, gated one-group deployment — not the same run as
     /// leaving this unset. Requires a single-region topology.

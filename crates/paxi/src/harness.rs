@@ -3,8 +3,8 @@
 //!
 //! 1. **deploy**: stamp out all actors in node-id order —
 //!    each group's replicas (behind [`ShardGate`]s when the experiment
-//!    is sharded), the clients ([`ClosedLoopClient`]s, or
-//!    [`ShardRouter`]s when sharded), then custom client actors — plus
+//!    is sharded), the clients ([`ClosedLoopClient`]s, routing by key
+//!    when sharded), then custom client actors — plus
 //!    the [`ShardLayout`] that says who is where and the
 //!    [`ClientRecorder`] every client reports into.
 //! 2. **drive**: run the actors on one substrate. The simulator driver
@@ -30,12 +30,12 @@
 //! | `replica_digests`, `converged()` | with `drain` | — | — |
 //! | `net` | — | — | yes |
 
-use crate::client::{ClientRecorder, ClosedLoopClient, Sample};
+use crate::client::{ClientRecorder, ClosedLoopClient, Sample, TargetPolicy};
 use crate::cluster::ClusterConfig;
 use crate::envelope::{Envelope, ProtoMessage};
 use crate::experiment::{Experiment, ProtocolSpec};
 use crate::metrics::{mean, percentile};
-use crate::shard::{GroupId, ShardGate, ShardLayout, ShardMap, ShardRouter};
+use crate::shard::{GroupId, ShardGate, ShardLayout, ShardMap};
 use pig_runtime::NetRunStats;
 use simnet::{Actor, NodeId, SimDuration, SimTime, Simulation, Wire};
 use std::collections::BTreeMap;
@@ -267,30 +267,24 @@ pub(crate) fn deploy<P: ProtocolSpec>(exp: &Experiment<P>) -> Deployment<P::Msg>
             actors.push(Box::new(gate));
         }
     }
-    let target = exp.resolved_target();
+    let target = if gated {
+        TargetPolicy::ByKey {
+            map: layout.map.clone(),
+            leaders: layout.leaders.clone(),
+        }
+    } else {
+        exp.resolved_target()
+    };
     for _ in 0..exp.n_clients {
-        actors.push(if gated {
-            Box::new(
-                ShardRouter::<P::Msg>::new(
-                    layout.map.clone(),
-                    layout.leaders.clone(),
-                    exp.workload.clone(),
-                    recorder.clone(),
-                    exp.retry_timeout,
-                )
-                .with_pipeline(exp.client_pipeline),
+        actors.push(Box::new(
+            ClosedLoopClient::<P::Msg>::new(
+                target.clone(),
+                exp.workload.clone(),
+                recorder.clone(),
+                exp.retry_timeout,
             )
-        } else {
-            Box::new(
-                ClosedLoopClient::<P::Msg>::new(
-                    target.clone(),
-                    exp.workload.clone(),
-                    recorder.clone(),
-                    exp.retry_timeout,
-                )
-                .with_pipeline(exp.client_pipeline),
-            )
-        });
+            .with_pipeline(exp.client_pipeline),
+        ));
     }
     for factory in &exp.extra_actors {
         actors.push(factory(&layout));

@@ -98,8 +98,6 @@ pub use replica::{Ctx, Replica, ReplicaActor, ReplicaCtx};
 pub use safety::SafetyMonitor;
 pub use scenario::{Expectations, Fault, FaultEvent, Scenario, ScenarioError, TopologyKind};
 pub use session::{SessionTable, DEFAULT_SESSION_WINDOW};
-pub use shard::{
-    GroupId, KeyRange, ShardCtl, ShardGate, ShardLayout, ShardMap, ShardMove, ShardRouter,
-};
+pub use shard::{GroupId, KeyRange, ShardCtl, ShardGate, ShardLayout, ShardMap, ShardMove};
 pub use snapshot::{CompactionStats, Snapshot, SnapshotConfig};
 pub use workload::{KeyDistribution, Workload};

@@ -20,10 +20,11 @@
 //!   freeze/drain/ship state machine of a live range move, and
 //!   installing an inbound range through the group's own consensus log
 //!   (so the transferred state is as durable as any other write).
-//! * [`ShardRouter`] — the client actor: resolves each operation's key
-//!   against its (possibly stale) map copy, sends to the owning
-//!   group's leader, and follows `redirect` replies when a move beat
-//!   its map; [`ShardCtl::MapUpdate`] broadcasts re-freshen it.
+//! * [`crate::TargetPolicy::ByKey`] — the client side: a
+//!   [`crate::ClosedLoopClient`] resolves each operation's key against
+//!   its (possibly stale) map copy, sends to the owning group's leader,
+//!   and follows `redirect` replies when a move beat its map;
+//!   [`ShardCtl::MapUpdate`] broadcasts re-freshen it.
 //! * [`crate::Experiment::shards`] — the builder axis that stamps out
 //!   N gated protocol instances with disjoint node-id namespaces
 //!   (shard *s* owns nodes `[s*R, (s+1)*R)`) and routers in front of
@@ -51,21 +52,17 @@
 //! Per-key linearizability across a live move is asserted by the
 //! workspace test-suite (`tests/sharding.rs`), not just argued here.
 
-use crate::client::{jitter_seed, ClientRecorder, Sample, MAX_BACKOFF_SHIFT};
 use crate::cluster::ClusterConfig;
 use crate::command::{ClientReply, ClientRequest, Command, Key, Operation, RequestId};
 use crate::envelope::{Envelope, ProtoMessage};
 use crate::kv::KvStore;
 use crate::session::SessionTable;
 use crate::snapshot::Snapshot;
-use crate::workload::Workload;
 use simnet::wire::{WireHeader, DOMAIN_SHARD, WIRE_HEADER_BYTES};
 use simnet::{
-    Actor, Context, Effect, NodeId, SimDuration, SimTime, TimerId, Wire, WireError, WirePut,
-    WireReader,
+    Actor, Context, Effect, NodeId, SimDuration, TimerId, Wire, WireError, WirePut, WireReader,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::marker::PhantomData;
 
 /// Identifies one consensus group (one shard's replica set).
 pub type GroupId = u32;
@@ -933,173 +930,6 @@ impl<P: ProtoMessage> Actor<Envelope<P>> for ShardGate<P> {
 
     fn state_digest(&self) -> Option<u64> {
         self.inner.state_digest()
-    }
-}
-
-struct RouterOutstanding {
-    issued: SimTime,
-    command: Command,
-    is_read: bool,
-    attempts: u32,
-}
-
-/// Closed-loop sharded client: like [`crate::ClosedLoopClient`], but
-/// each operation routes by key through a local [`ShardMap`] copy to
-/// the owning group's leader. Redirect replies (a stale map losing to a
-/// live move) re-send to the hinted leader; [`ShardCtl::MapUpdate`]
-/// broadcasts re-freshen the map wholesale. Retry timeouts back off
-/// exponentially with the same deterministic jitter schedule as the
-/// unsharded client.
-pub struct ShardRouter<P> {
-    map: ShardMap,
-    leaders: Vec<NodeId>,
-    workload: Workload,
-    recorder: ClientRecorder,
-    retry_timeout: SimDuration,
-    pipeline: usize,
-    seq: u64,
-    outstanding: HashMap<u64, RouterOutstanding>,
-    _proto: PhantomData<P>,
-}
-
-impl<P> ShardRouter<P> {
-    /// A router over `map` (leaders indexed by [`GroupId`]) recording
-    /// completions into `recorder`.
-    pub fn new(
-        map: ShardMap,
-        leaders: Vec<NodeId>,
-        workload: Workload,
-        recorder: ClientRecorder,
-        retry_timeout: SimDuration,
-    ) -> Self {
-        assert!(!leaders.is_empty(), "need at least one group leader");
-        ShardRouter {
-            map,
-            leaders,
-            workload,
-            recorder,
-            retry_timeout,
-            pipeline: 1,
-            seq: 0,
-            outstanding: HashMap::new(),
-            _proto: PhantomData,
-        }
-    }
-
-    /// Keep `depth` requests outstanding instead of one.
-    pub fn with_pipeline(mut self, depth: usize) -> Self {
-        assert!(depth >= 1, "pipeline depth must be at least 1");
-        self.pipeline = depth;
-        self
-    }
-
-    /// The leader this router would send `op` to under its current map.
-    fn route(&self, op: &Operation) -> NodeId {
-        match op.key() {
-            Some(k) => {
-                let g = self.map.group_for(k) as usize;
-                self.leaders.get(g).copied().unwrap_or(self.leaders[0])
-            }
-            None => self.leaders[0],
-        }
-    }
-}
-
-impl<P: ProtoMessage> ShardRouter<P> {
-    fn retry_delay(&self, node: NodeId, seq: u64, attempt: u32) -> SimDuration {
-        if attempt == 0 {
-            return self.retry_timeout;
-        }
-        let base = self.retry_timeout.as_nanos().max(1);
-        let delay = base.saturating_mul(1 << attempt.min(MAX_BACKOFF_SHIFT));
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(jitter_seed(node, seq, attempt));
-        let jitter = rng.gen_range(0..=delay / 2);
-        SimDuration::from_nanos(delay.saturating_add(jitter))
-    }
-
-    fn issue_next(&mut self, ctx: &mut Context<Envelope<P>>) {
-        self.seq += 1;
-        let op = self.workload.next_op(ctx.rng());
-        let is_read = op.is_read();
-        let to = self.route(&op);
-        let id = RequestId {
-            client: ctx.node(),
-            seq: self.seq,
-        };
-        let command = Command { id, op };
-        self.outstanding.insert(
-            self.seq,
-            RouterOutstanding {
-                issued: ctx.now(),
-                command: command.clone(),
-                is_read,
-                attempts: 0,
-            },
-        );
-        ctx.send(to, Envelope::Request(ClientRequest { command }));
-        ctx.set_timer(self.retry_timeout, self.seq);
-    }
-
-    fn resend(&mut self, seq: u64, to: Option<NodeId>, ctx: &mut Context<Envelope<P>>) {
-        if let Some(out) = self.outstanding.get(&seq) {
-            let command = out.command.clone();
-            let attempt = out.attempts;
-            self.recorder.record_retry();
-            // Without a redirect hint, re-resolve against the current
-            // map — it may have been refreshed since the first send.
-            let to = to.unwrap_or_else(|| self.route(&command.op));
-            ctx.send(to, Envelope::Request(ClientRequest { command }));
-            let delay = self.retry_delay(ctx.node(), seq, attempt);
-            ctx.set_timer(delay, seq);
-        }
-    }
-
-    fn handle_reply(&mut self, reply: ClientReply, ctx: &mut Context<Envelope<P>>) {
-        if !self.outstanding.contains_key(&reply.id.seq) {
-            return; // stale (a retry raced the original)
-        }
-        if !reply.ok {
-            self.resend(reply.id.seq, reply.redirect, ctx);
-            return;
-        }
-        let out = self.outstanding.remove(&reply.id.seq).expect("checked");
-        self.recorder.record(Sample {
-            issued: out.issued,
-            completed: ctx.now(),
-            is_read: out.is_read,
-        });
-        self.issue_next(ctx);
-    }
-}
-
-impl<P: ProtoMessage> Actor<Envelope<P>> for ShardRouter<P> {
-    fn on_start(&mut self, ctx: &mut Context<Envelope<P>>) {
-        for _ in 0..self.pipeline {
-            self.issue_next(ctx);
-        }
-    }
-
-    fn on_message(&mut self, _from: NodeId, msg: Envelope<P>, ctx: &mut Context<Envelope<P>>) {
-        match msg {
-            Envelope::Reply(r) => self.handle_reply(r, ctx),
-            Envelope::ReplyBatch(rs) => {
-                for r in rs {
-                    self.handle_reply(r, ctx);
-                }
-            }
-            Envelope::Shard(ShardCtl::MapUpdate { map }) if map.version() > self.map.version() => {
-                self.map = map;
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, _id: TimerId, kind: u64, ctx: &mut Context<Envelope<P>>) {
-        if let Some(out) = self.outstanding.get_mut(&kind) {
-            out.attempts += 1;
-            self.resend(kind, None, ctx);
-        }
     }
 }
 

@@ -92,13 +92,6 @@ impl BatchLane {
         self.held_count
     }
 
-    /// Record one executed wave for drain-aware sizing (no-op unless
-    /// the policy sets [`BatchConfig::drain_aware`]). Called from the
-    /// replica's reply leg.
-    pub fn note_drain(&mut self, now: SimTime, executed: usize) {
-        self.batcher.note_drain(now, executed);
-    }
-
     fn next_expected(&self, sessions: &SessionTable, client: NodeId) -> u64 {
         let hw = self.proposed_hw.get(&client).copied().unwrap_or(0);
         let executed = sessions.latest_seq(client).unwrap_or(0);

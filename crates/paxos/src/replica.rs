@@ -380,10 +380,6 @@ impl<D: Dissemination> Replica<D> {
             return;
         }
         ctx.charge(self.cfg.exec_cost * executed.len() as u64);
-        // Feed the drain side of the adaptive estimator: a slowed
-        // commit/execute pipe (e.g. a lagging follower) shows up here
-        // as sparse waves and shrinks subsequent batch targets.
-        self.lane.note_drain(ctx.now(), executed.len());
         for (slot, id, value) in executed {
             let reply = ClientReply::ok(id, value);
             // Every replica caches the reply so retries are answered

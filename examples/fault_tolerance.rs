@@ -5,7 +5,7 @@
 //!
 //! Unlike the paper's Fig. 13 (clients pinned to the healthy leader,
 //! showing the *protocol's* ≈3% dip — regenerate with
-//! `cargo run -p pigpaxos-bench --bin fig13`), clients here pick random
+//! `cargo run -p pigpaxos_bench --bin figures -- fig13`), clients here pick random
 //! replicas, so the visible dips are dominated by *client-side* retry
 //! stalls against crashed nodes. The protocol itself keeps committing
 //! throughout; safety is asserted at the end.
