@@ -26,7 +26,6 @@ use paxos::{
 };
 use pigpaxos::relay::{AggKey, Flush, RelayTable, VoteSet};
 use simnet::{Bytes, NodeId, SimTime, Wire};
-use std::collections::HashSet;
 
 /// Payload bytes per benched `Put` value (matches the default workload).
 const VALUE_BYTES: usize = 64;
@@ -198,7 +197,7 @@ pub fn relay_aggregate_round(ballot: Ballot, first_slot: u64, batch: usize, grou
             .collect()
     };
     let mut table = RelayTable::new();
-    let expect: HashSet<NodeId> = (2..=group as u32).map(NodeId).collect();
+    let expect: Vec<NodeId> = (2..=group as u32).map(NodeId).collect();
     let deadline = SimTime::from_millis(10);
     if let Some(flush) = table.open(
         key,

@@ -16,7 +16,7 @@
 use paxi::Ballot;
 use paxos::{P1bVote, P2bVote, PaxosMsg, QrProbeVote, QrVoteEntry};
 use simnet::{NodeId, SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// Identifies one aggregation round at a relay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,7 +53,8 @@ impl AggKey {
                 ref commands,
                 ..
             } => {
-                let last_slot = first_slot + commands.len().saturating_sub(1) as u64;
+                // Off the wire: a forged `first_slot` must not overflow.
+                let last_slot = first_slot.saturating_add(commands.len().saturating_sub(1) as u64);
                 AggKey::P2Span(ballot, first_slot, last_slot)
             }
             PaxosMsg::QrRead {
@@ -196,7 +197,10 @@ impl VoteSet {
 #[derive(Debug)]
 struct PendingAgg {
     reply_to: NodeId,
-    expect: HashSet<NodeId>,
+    /// Nodes that still owe votes, in no order: a group is a handful of
+    /// nodes, so scanning beats hashing each of them in and out again
+    /// every round.
+    expect: Vec<NodeId>,
     votes: VoteSet,
     deadline: SimTime,
     threshold: usize,
@@ -245,7 +249,7 @@ impl RelayTable {
         &mut self,
         key: AggKey,
         reply_to: NodeId,
-        expect: HashSet<NodeId>,
+        expect: Vec<NodeId>,
         own_vote: VoteSet,
         threshold: usize,
         deadline: SimTime,
@@ -315,9 +319,10 @@ impl RelayTable {
     /// flush) return `None`.
     pub fn add(&mut self, key: AggKey, from: NodeId, votes: VoteSet) -> Option<Flush> {
         let agg = self.pending.get_mut(&key)?;
-        if !agg.expect.remove(&from) {
+        let Some(owed) = agg.expect.iter().position(|&n| n == from) else {
             return None; // unsolicited or duplicate
-        }
+        };
+        agg.expect.swap_remove(owed);
         agg.collected += votes.len();
         let reject = votes.has_rejection();
         agg.votes.append(votes);
@@ -505,7 +510,7 @@ mod tests {
         own_p2(node, true)
     }
 
-    fn expect(nodes: &[u32]) -> HashSet<NodeId> {
+    fn expect(nodes: &[u32]) -> Vec<NodeId> {
         nodes.iter().map(|&n| NodeId(n)).collect()
     }
 
@@ -542,7 +547,7 @@ mod tests {
             .open(
                 key(),
                 NodeId(0),
-                HashSet::new(),
+                Vec::new(),
                 own_p2(1, true),
                 0,
                 SimTime::ZERO,

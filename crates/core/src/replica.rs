@@ -121,7 +121,7 @@ impl RelayTree {
             };
             ctx.send_proto(*sub, msg);
         }
-        let expect: HashSet<NodeId> = plan
+        let expect: Vec<NodeId> = plan
             .peers
             .iter()
             .copied()

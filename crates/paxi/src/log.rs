@@ -4,10 +4,27 @@
 //! *accepted* (under some ballot) → *committed* → *executed*. Execution
 //! is strictly in slot order with no gaps, which is what gives
 //! linearizability of commands.
+//!
+//! Slots are dense — a leader proposes into consecutive slots and
+//! compaction only ever drops a prefix — so the log is a ring of cells
+//! indexed by `slot − floor`, not an ordered map: every per-message
+//! operation is one index. The price is that a *hole* (a slot below the
+//! highest seen that holds nothing yet) costs an empty cell where a map
+//! would cost nothing, so a message may open at most [`MAX_HOLE`] of
+//! them; see [`Log::reach`].
 
 use crate::ballot::Ballot;
 use crate::command::Command;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
+
+/// How far past the highest slot the log has seen one `accept` or
+/// `commit` may land. Slots come off the wire, and the ring allocates a
+/// cell for every slot up to the one it stores, so without a bound a
+/// forged `slot: 1 << 40` would size a terabyte allocation. 2^20 empty
+/// cells are ≈ 72 MiB — the order of the transport's largest frame, and
+/// two orders of magnitude past the widest in-flight window of any
+/// checked-in run.
+pub const MAX_HOLE: u64 = 1 << 20;
 
 /// One slot's state.
 #[derive(Debug, Clone)]
@@ -22,16 +39,22 @@ pub struct LogEntry {
     pub executed: bool,
 }
 
-/// A sparse, slot-indexed replicated log.
+/// A slot-indexed replicated log: a ring of cells, one per slot from the
+/// compaction floor to the highest slot stored, empty where nothing was
+/// accepted yet.
 ///
 /// Supports **compaction**: once slots are executed, [`Log::truncate_below`]
-/// drops them (their effect lives on in a state-machine snapshot) and
-/// [`Log::compacted_up_to`] records the floor. Accepts and commits for
-/// slots below the executed frontier are ignored — an executed slot is
-/// decided by definition, so a late message about it is stale.
+/// pops them off the front (their effect lives on in a state-machine
+/// snapshot) and [`Log::compacted_up_to`] records the floor. Accepts and
+/// commits for slots below the executed frontier are ignored — an
+/// executed slot is decided by definition, so a late message about it is
+/// stale. Accepts and commits at or beyond [`Log::reach`] are refused.
 #[derive(Debug, Default, Clone)]
 pub struct Log {
-    entries: BTreeMap<u64, LogEntry>,
+    /// Cell `i` is slot `compacted + i`.
+    cells: VecDeque<Option<LogEntry>>,
+    /// Occupied cells.
+    len: usize,
     /// Next slot the leader will propose into.
     next_slot: u64,
     /// Lowest slot that has not been executed yet.
@@ -61,84 +84,111 @@ impl Log {
         s
     }
 
+    /// The first slot out of reach: [`MAX_HOLE`] past the highest slot
+    /// seen. [`Log::accept`] and [`Log::commit`] store slots below it and
+    /// refuse the rest; `u64::MAX` is always refused (no slot follows it).
+    pub fn reach(&self) -> u64 {
+        self.next_slot.saturating_add(MAX_HOLE)
+    }
+
+    /// The cell of an in-reach `slot` at or above the floor, growing the
+    /// ring with empty cells up to it.
+    fn cell_mut(&mut self, slot: u64) -> &mut Option<LogEntry> {
+        let i = (slot - self.compacted) as usize;
+        if i >= self.cells.len() {
+            self.cells.resize_with(i + 1, || None);
+        }
+        &mut self.cells[i]
+    }
+
+    /// Occupied cells at or above `from`, with their slots, in order.
+    fn occupied_from(&self, from: u64) -> impl Iterator<Item = (u64, &LogEntry)> {
+        let first = from.max(self.compacted);
+        let skip = (first - self.compacted).min(self.cells.len() as u64) as usize;
+        let cells = self.cells.range(skip..).zip(first..);
+        cells.filter_map(|(cell, slot)| Some((slot, cell.as_ref()?)))
+    }
+
     /// Record an accepted `(ballot, command)` in `slot`, overwriting any
     /// value accepted under a lower ballot. Returns `false` (and leaves
-    /// the entry alone) if the slot already holds a value under a higher
-    /// ballot or is already committed with a different value source.
+    /// the log alone) if the slot already holds a value under a higher
+    /// ballot, or is out of reach.
     pub fn accept(&mut self, slot: u64, ballot: Ballot, command: Command) -> bool {
-        if slot >= self.next_slot {
-            self.next_slot = slot + 1;
+        if slot >= self.reach() {
+            return false;
         }
+        self.next_slot = self.next_slot.max(slot + 1);
         if slot < self.execute_cursor {
             // Already executed (possibly truncated away): decided, so
             // the accept is a no-op — and must not re-insert an entry
             // below the cursor after compaction.
             return true;
         }
-        match self.entries.get_mut(&slot) {
-            Some(e) if e.committed => true, // decided: accept is a no-op
-            Some(e) if e.ballot > ballot => false,
+        let bytes = command.payload_bytes();
+        match self.cell_mut(slot) {
+            Some(e) if e.committed => return true, // decided: accept is a no-op
+            Some(e) if e.ballot > ballot => return false,
             Some(e) => {
+                let old = std::mem::replace(&mut e.command, command).payload_bytes();
                 e.ballot = ballot;
-                self.retained_bytes = self
-                    .retained_bytes
-                    .saturating_sub(e.command.payload_bytes())
-                    + command.payload_bytes();
-                e.command = command;
-                true
+                self.retained_bytes -= old;
             }
-            None => {
-                self.retained_bytes += command.payload_bytes();
-                self.entries.insert(
-                    slot,
-                    LogEntry {
-                        ballot,
-                        command,
-                        committed: false,
-                        executed: false,
-                    },
-                );
-                true
+            empty => {
+                *empty = Some(LogEntry {
+                    ballot,
+                    command,
+                    committed: false,
+                    executed: false,
+                });
+                self.len += 1;
             }
         }
+        self.retained_bytes += bytes;
+        true
     }
 
     /// Mark a slot committed with the given command (idempotent). If the
     /// slot held a different uncommitted value, the committed value wins.
-    pub fn commit(&mut self, slot: u64, ballot: Ballot, command: Command) {
-        if slot >= self.next_slot {
-            self.next_slot = slot + 1;
+    /// Returns `true` if this call decided the slot: `false` for a slot
+    /// already committed, already executed, or out of reach.
+    pub fn commit(&mut self, slot: u64, ballot: Ballot, command: Command) -> bool {
+        if slot >= self.reach() {
+            return false;
         }
+        self.next_slot = self.next_slot.max(slot + 1);
         if slot < self.execute_cursor {
             // Executed (and possibly compacted away): a late commit for
             // it must not re-insert an entry below the cursor.
-            return;
+            return false;
         }
-        let bytes = &mut self.retained_bytes;
-        let e = self.entries.entry(slot).or_insert_with(|| {
-            *bytes += command.payload_bytes();
-            LogEntry {
-                ballot,
-                command: command.clone(),
-                committed: false,
-                executed: false,
+        let bytes = command.payload_bytes();
+        let old = match self.cell_mut(slot) {
+            Some(e) if e.committed => return false,
+            Some(e) => {
+                let old = std::mem::replace(&mut e.command, command).payload_bytes();
+                e.ballot = ballot;
+                e.committed = true;
+                old
             }
-        });
-        if !e.committed {
-            e.ballot = ballot;
-            self.retained_bytes = self
-                .retained_bytes
-                .saturating_sub(e.command.payload_bytes())
-                + command.payload_bytes();
-            e.command = command;
-            e.committed = true;
-        }
+            empty => {
+                *empty = Some(LogEntry {
+                    ballot,
+                    command,
+                    committed: true,
+                    executed: false,
+                });
+                self.len += 1;
+                0
+            }
+        };
+        self.retained_bytes = self.retained_bytes - old + bytes;
+        true
     }
 
     /// The next command ready to execute: the lowest committed, unexecuted
     /// slot with no uncommitted gap below it.
     pub fn next_executable(&self) -> Option<(u64, &Command)> {
-        let e = self.entries.get(&self.execute_cursor)?;
+        let e = self.get(self.execute_cursor)?;
         if e.committed && !e.executed {
             Some((self.execute_cursor, &e.command))
         } else {
@@ -151,8 +201,9 @@ impl Log {
     pub fn mark_executed(&mut self, slot: u64) {
         assert_eq!(slot, self.execute_cursor, "out-of-order execution");
         let e = self
-            .entries
-            .get_mut(&slot)
+            .cells
+            .get_mut((slot - self.compacted) as usize)
+            .and_then(Option::as_mut)
             .expect("executing a missing slot");
         assert!(e.committed, "executing an uncommitted slot");
         e.executed = true;
@@ -162,7 +213,8 @@ impl Log {
 
     /// Entry at `slot`, if any.
     pub fn get(&self, slot: u64) -> Option<&LogEntry> {
-        self.entries.get(&slot)
+        let i = usize::try_from(slot.checked_sub(self.compacted)?).ok()?;
+        self.cells.get(i)?.as_ref()
     }
 
     /// Next slot a proposal would go into.
@@ -177,18 +229,18 @@ impl Log {
 
     /// Number of committed slots.
     pub fn committed_count(&self) -> u64 {
-        self.entries.values().filter(|e| e.committed).count() as u64
+        self.cells.iter().flatten().filter(|e| e.committed).count() as u64
     }
 
     /// Number of retained entries — the memory footprint compaction
     /// bounds (and [`crate::CompactionStats`] tracks the maximum of).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True when no entry is retained.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Compaction floor: every slot below it has been truncated away
@@ -213,6 +265,20 @@ impl Log {
         self.executed_bytes
     }
 
+    /// Pop every cell below `up_to` off the front and make it the floor.
+    fn drop_below(&mut self, up_to: u64) {
+        let n = (up_to - self.compacted).min(self.cells.len() as u64) as usize;
+        for e in self.cells.drain(..n).flatten() {
+            let bytes = e.command.payload_bytes();
+            self.len -= 1;
+            self.retained_bytes -= bytes;
+            if e.executed {
+                self.executed_bytes -= bytes;
+            }
+        }
+        self.compacted = up_to;
+    }
+
     /// Drop every entry below `up_to`. Only the executed prefix may be
     /// truncated — the caller must hold a snapshot covering `[0, up_to)`.
     /// Panics if `up_to` exceeds the executed frontier (compaction must
@@ -224,12 +290,9 @@ impl Log {
             up_to,
             self.execute_cursor
         );
-        if up_to <= self.compacted {
-            return;
+        if up_to > self.compacted {
+            self.drop_below(up_to);
         }
-        self.entries = self.entries.split_off(&up_to);
-        self.compacted = up_to;
-        self.recompute_bytes();
     }
 
     /// Install a snapshot covering `[0, up_to)`: drop every entry below
@@ -241,26 +304,10 @@ impl Log {
         if up_to <= self.execute_cursor {
             return false;
         }
-        self.entries = self.entries.split_off(&up_to);
+        self.drop_below(up_to);
         self.execute_cursor = up_to;
         self.next_slot = self.next_slot.max(up_to);
-        self.compacted = self.compacted.max(up_to);
-        self.recompute_bytes();
         true
-    }
-
-    fn recompute_bytes(&mut self) {
-        self.retained_bytes = self
-            .entries
-            .values()
-            .map(|e| e.command.payload_bytes())
-            .sum();
-        self.executed_bytes = self
-            .entries
-            .values()
-            .filter(|e| e.executed)
-            .map(|e| e.command.payload_bytes())
-            .sum();
     }
 
     /// True if any unexecuted entry (accepted or committed) at or above
@@ -270,8 +317,7 @@ impl Log {
     /// neither the leader's outstanding set nor the session table, and
     /// re-proposing a client retry of it would decide the command twice.
     pub fn has_unexecuted_command(&self, id: crate::command::RequestId) -> bool {
-        self.entries
-            .range(self.execute_cursor..)
+        self.occupied_from(self.execute_cursor)
             .any(|(_, e)| !e.executed && e.command.id == id)
     }
 
@@ -279,8 +325,7 @@ impl Log {
     /// window (accepted or committed, not yet executed). Used to rebuild
     /// a leader's per-client proposal floor after re-election.
     pub fn highest_unexecuted_seq(&self, client: simnet::NodeId) -> Option<u64> {
-        self.entries
-            .range(self.execute_cursor..)
+        self.occupied_from(self.execute_cursor)
             .filter(|(_, e)| !e.executed && e.command.id.client == client)
             .map(|(_, e)| e.command.id.seq)
             .max()
@@ -293,24 +338,21 @@ impl Log {
     /// over committed prefixes, `from_slot` bounds the payload to the
     /// in-flight window).
     pub fn entries_from(&self, from_slot: u64) -> Vec<(u64, Ballot, Command)> {
-        self.entries
-            .range(from_slot..)
-            .map(|(&s, e)| (s, e.ballot, e.command.clone()))
+        self.occupied_from(from_slot)
+            .map(|(s, e)| (s, e.ballot, e.command.clone()))
             .collect()
     }
 
     /// Slots in `[from, to)` that have no entry (holes a recovering leader
     /// fills with no-ops).
     pub fn holes(&self, from: u64, to: u64) -> Vec<u64> {
-        (from..to)
-            .filter(|s| !self.entries.contains_key(s))
-            .collect()
+        (from..to).filter(|&s| self.get(s).is_none()).collect()
     }
 
     /// True if any accepted-but-uncommitted entry at or above `from`
     /// writes `key` — the "pending write" check of Paxos Quorum Reads.
     pub fn has_uncommitted_write(&self, key: crate::command::Key, from: u64) -> bool {
-        self.entries.range(from..).any(|(_, e)| {
+        self.occupied_from(from).any(|(_, e)| {
             !e.committed && !e.command.op.is_read() && e.command.op.key() == Some(key)
         })
     }
@@ -497,6 +539,39 @@ mod tests {
         assert!(full > 0);
         assert_eq!(log.retained_bytes(), 0);
         assert!(log.is_empty());
+    }
+
+    #[test]
+    fn slots_out_of_reach_are_refused_and_leave_no_trace() {
+        let mut log = Log::new();
+        log.commit(0, b(1), cmd(1));
+        assert_eq!(log.reach(), 1 + MAX_HOLE);
+        for slot in [log.reach(), 1 << 40, u64::MAX - 1, u64::MAX] {
+            assert!(!log.accept(slot, b(1), cmd(2)), "accept {slot}");
+            assert!(!log.commit(slot, b(1), cmd(2)), "commit {slot}");
+            assert!(log.get(slot).is_none());
+        }
+        assert_eq!((log.len(), log.next_slot(), log.cells.len()), (1, 1, 1));
+        // In reach: a hole costs its empty cells and nothing else.
+        assert!(log.accept(9, b(1), cmd(2)));
+        assert_eq!((log.len(), log.next_slot(), log.cells.len()), (2, 10, 10));
+        assert_eq!(log.holes(0, 10), (1..9).collect::<Vec<_>>());
+        assert_eq!(
+            log.reach(),
+            10 + MAX_HOLE,
+            "reach follows the highest slot seen"
+        );
+    }
+
+    #[test]
+    fn commit_reports_whether_it_decided() {
+        let mut log = Log::new();
+        assert!(log.commit(0, b(1), cmd(1)), "a hole");
+        assert!(!log.commit(0, b(1), cmd(1)), "already committed");
+        log.accept(1, b(1), cmd(2));
+        assert!(log.commit(1, b(1), cmd(2)), "an accepted entry");
+        log.mark_executed(0);
+        assert!(!log.commit(0, b(2), cmd(1)), "already executed");
     }
 
     #[test]

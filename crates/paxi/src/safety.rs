@@ -9,16 +9,41 @@
 
 use crate::command::RequestId;
 use parking_lot::Mutex;
+use simnet::NodeId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// The first decision of every slot of one space, indexed by slot: a
+/// [`RequestId`] split into two parallel vectors. Slots are dense from
+/// 0 in every protocol here, so vectors grown to the highest slot seen
+/// never hold two copies of themselves, as a rehashing map does — and
+/// split, a slot costs the id's own 12 B, where `Option<RequestId>`
+/// pads it to 24.
+#[derive(Debug, Default)]
+struct Decided {
+    client: Vec<u32>,
+    seq: Vec<u64>,
+}
+
+/// What an undecided slot holds. No command carries it: clients count
+/// from 1 and [`crate::Command::noop`] is `(u32::MAX, 0)`.
+const UNDECIDED: RequestId = RequestId {
+    client: NodeId(u32::MAX),
+    seq: u64::MAX,
+};
+
+impl Decided {
+    fn get(&self, index: usize) -> RequestId {
+        RequestId {
+            client: NodeId(self.client[index]),
+            seq: self.seq[index],
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
-    /// Per space, the first decision of every slot, indexed by slot.
-    /// Slots are dense from 0 in every protocol here, so a vector grown
-    /// to the highest slot seen costs 24 B a slot and never holds two
-    /// copies of itself, as a rehashing map does.
-    decided: BTreeMap<u32, Vec<Option<RequestId>>>,
+    decided: BTreeMap<u32, Decided>,
     decided_count: u64,
     violations: Vec<String>,
     commits: u64,
@@ -44,21 +69,19 @@ impl SafetyMonitor {
         inner.commits += 1;
         let slots = inner.decided.entry(space).or_default();
         let index = usize::try_from(slot).expect("slot fits the address space");
-        if index >= slots.len() {
-            slots.resize(index + 1, None);
+        if index >= slots.seq.len() {
+            slots.client.resize(index + 1, UNDECIDED.client.0);
+            slots.seq.resize(index + 1, UNDECIDED.seq);
         }
-        match slots[index] {
-            None => {
-                slots[index] = Some(id);
-                inner.decided_count += 1;
-            }
-            Some(prev) if prev == id => {}
-            Some(prev) => {
-                let msg = format!(
-                    "safety violation: space {space} slot {slot} decided as {prev} and {id}"
-                );
-                inner.violations.push(msg);
-            }
+        let prev = slots.get(index);
+        if prev == UNDECIDED {
+            slots.client[index] = id.client.0;
+            slots.seq[index] = id.seq;
+            inner.decided_count += 1;
+        } else if prev != id {
+            let msg =
+                format!("safety violation: space {space} slot {slot} decided as {prev} and {id}");
+            inner.violations.push(msg);
         }
     }
 
@@ -73,8 +96,9 @@ impl SafetyMonitor {
     pub fn decisions(&self) -> Vec<((u32, u64), RequestId)> {
         let inner = self.0.lock();
         let per_space = inner.decided.iter().flat_map(|(&space, slots)| {
-            let decided = slots.iter().zip(0u64..);
-            decided.filter_map(move |(id, slot)| Some(((space, slot), (*id)?)))
+            let decided = (0..slots.seq.len()).map(|i| (i as u64, slots.get(i)));
+            let decided = decided.filter(|&(_, id)| id != UNDECIDED);
+            decided.map(move |(slot, id)| ((space, slot), id))
         });
         per_space.collect()
     }

@@ -19,21 +19,33 @@
 
 use crate::command::{ClientReply, RequestId, Value};
 use simnet::{NodeId, Wire, WireError, WirePut, WireReader};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Replies retained per client by [`SessionTable::new`]. Covers any
 /// client pipeline depth up to this many in-flight requests.
 pub const DEFAULT_SESSION_WINDOW: usize = 16;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Session {
     /// Highest executed sequence number.
     latest: u64,
-    /// The `window` highest executed replies by seq. Kept as a map (not
-    /// a contiguous ring) because protocols that execute in dependency
-    /// order (EPaxos) can execute a pipelined client's commands out of
-    /// sequence order.
-    replies: BTreeMap<u64, ClientReply>,
+    /// The `window` highest executed replies, ascending by seq. In-order
+    /// execution appends and pops the front; protocols that execute in
+    /// dependency order (EPaxos) can execute a pipelined client's
+    /// commands out of sequence order, which is an insert in the middle.
+    replies: VecDeque<ClientReply>,
+}
+
+impl Session {
+    /// Where the reply for `seq` is (`Ok`), or where it would go (`Err`).
+    fn find(&self, seq: u64) -> Result<usize, usize> {
+        match self.replies.back() {
+            Some(newest) if newest.id.seq >= seq => {
+                self.replies.binary_search_by_key(&seq, |r| r.id.seq)
+            }
+            _ => Err(self.replies.len()),
+        }
+    }
 }
 
 /// Recently executed replies per client. `Clone` copies the table —
@@ -42,7 +54,8 @@ struct Session {
 #[derive(Debug, Clone)]
 pub struct SessionTable {
     window: usize,
-    sessions: HashMap<NodeId, Session>,
+    /// Ordered by client, which is the order the encoding wants.
+    sessions: BTreeMap<NodeId, Session>,
 }
 
 impl Default for SessionTable {
@@ -63,7 +76,7 @@ impl SessionTable {
         assert!(window >= 1, "session window must retain at least 1 reply");
         SessionTable {
             window,
-            sessions: HashMap::new(),
+            sessions: BTreeMap::new(),
         }
     }
 
@@ -92,21 +105,31 @@ impl SessionTable {
         if id.client == NodeId(u32::MAX) {
             return; // noop filler, no client session
         }
-        let s = self.sessions.entry(id.client).or_insert(Session {
-            latest: 0,
-            replies: BTreeMap::new(),
-        });
+        let s = self.sessions.entry(id.client).or_default();
         s.latest = s.latest.max(id.seq);
-        s.replies.entry(id.seq).or_insert_with(|| reply.clone());
+        if let Err(at) = s.find(id.seq) {
+            if at == s.replies.len() {
+                // In order: the oldest reply leaves before the newest
+                // enters, so a full ring never grows past the window.
+                while s.replies.len() >= self.window {
+                    s.replies.pop_front();
+                }
+                s.replies.push_back(reply.clone());
+            } else {
+                s.replies.insert(at, reply.clone());
+            }
+        }
+        // Out of order, or a decoded table fuller than this window.
         while s.replies.len() > self.window {
-            s.replies.pop_first();
+            s.replies.pop_front();
         }
     }
 
     /// Cached reply if `id` is one of the client's recently executed
     /// requests (the retry-of-lost-reply case).
     pub fn replay(&self, id: RequestId) -> Option<&ClientReply> {
-        self.sessions.get(&id.client)?.replies.get(&id.seq)
+        let s = self.sessions.get(&id.client)?;
+        Some(&s.replies[s.find(id.seq).ok()?])
     }
 
     /// Fold another table's retained replies into this one (snapshot
@@ -115,10 +138,8 @@ impl SessionTable {
     /// ([`SessionTable::record`] keeps the first reply per seq and the
     /// highest `latest`).
     pub fn merge_from(&mut self, other: &SessionTable) {
-        for session in other.sessions.values() {
-            for reply in session.replies.values() {
-                self.record(reply);
-            }
+        for reply in other.sessions.values().flat_map(|s| &s.replies) {
+            self.record(reply);
         }
     }
 
@@ -133,7 +154,7 @@ impl SessionTable {
             .map(|s| {
                 16 + s
                     .replies
-                    .values()
+                    .iter()
                     .map(|r| {
                         10 + r.value.as_ref().map_or(0, |v| v.len())
                             + if r.redirect.is_some() { 4 } else { 0 }
@@ -156,8 +177,8 @@ impl SessionTable {
                 id.seq < s.latest
                     && s.replies.len() >= self.window
                     && s.replies
-                        .first_key_value()
-                        .is_some_and(|(oldest, _)| id.seq < *oldest)
+                        .front()
+                        .is_some_and(|oldest| id.seq < oldest.id.seq)
             }
             None => false,
         }
@@ -181,14 +202,11 @@ impl Wire for SessionTable {
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.put_u32(self.window as u32);
         out.put_u32(self.sessions.len() as u32);
-        let mut clients: Vec<NodeId> = self.sessions.keys().copied().collect();
-        clients.sort_unstable();
-        for client in clients {
-            let s = &self.sessions[&client];
+        for (client, s) in &self.sessions {
             out.put_u32(client.0);
             out.put_u64(s.latest);
             out.put_u32(s.replies.len() as u32);
-            for (seq, reply) in &s.replies {
+            for reply in &s.replies {
                 let vlen = reply.value.as_ref().map_or(0, |v| v.len());
                 assert!(
                     vlen <= SMETA_LEN as usize,
@@ -204,7 +222,7 @@ impl Wire for SessionTable {
                 if reply.redirect.is_some() {
                     meta |= SMETA_REDIRECT;
                 }
-                out.put_u64(*seq);
+                out.put_u64(reply.id.seq);
                 out.put_u16(meta);
                 if let Some(v) = &reply.value {
                     out.extend_from_slice(&v.0);
@@ -226,12 +244,14 @@ impl Wire for SessionTable {
         }
         let n_sessions = r.u32("sessions.count")?;
         // 4 client + 8 latest + 4 count per session.
-        let mut sessions = HashMap::with_capacity(r.capacity_for(n_sessions as usize, 16));
+        let mut sessions = BTreeMap::new();
         for _ in 0..n_sessions {
             let client = NodeId(r.u32("session.client")?);
             let latest = r.u64("session.latest")?;
             let n_replies = r.u32("session.reply_count")?;
-            let mut replies = BTreeMap::new();
+            // 8 seq + 2 meta per reply.
+            let replies = VecDeque::with_capacity(r.capacity_for(n_replies as usize, 10));
+            let mut session = Session { latest, replies };
             for _ in 0..n_replies {
                 let seq = r.u64("session.seq")?;
                 let meta = r.u16("session.meta")?;
@@ -246,17 +266,20 @@ impl Wire for SessionTable {
                 } else {
                     None
                 };
-                replies.insert(
-                    seq,
-                    ClientReply {
-                        id: RequestId { client, seq },
-                        value,
-                        ok: meta & SMETA_OK != 0,
-                        redirect,
-                    },
-                );
+                let reply = ClientReply {
+                    id: RequestId { client, seq },
+                    value,
+                    ok: meta & SMETA_OK != 0,
+                    redirect,
+                };
+                // An honest encoder wrote ascending seqs; one that did
+                // not still decodes to a sorted, duplicate-free ring.
+                match session.find(seq) {
+                    Ok(at) => session.replies[at] = reply,
+                    Err(at) => session.replies.insert(at, reply),
+                }
             }
-            sessions.insert(client, Session { latest, replies });
+            sessions.insert(client, session);
         }
         Ok(SessionTable { window, sessions })
     }

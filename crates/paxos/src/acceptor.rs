@@ -115,46 +115,51 @@ impl Acceptor {
 
     /// Handle a phase-2a accept request. On success also advances commits
     /// using the piggybacked watermark; the caller must process the
-    /// returned [`CommitAdvance`].
+    /// returned [`CommitAdvance`]. `None` — no vote, and no trace of the
+    /// message here — when `slot` is beyond the log's reach
+    /// ([`Log::reach`]): slots come off the wire, and a forged one
+    /// must not size the log.
     pub fn on_p2a(
         &mut self,
         ballot: Ballot,
         slot: u64,
         command: Command,
         commit_up_to: u64,
-    ) -> (P2bVote, CommitAdvance) {
-        if ballot >= self.promised {
-            self.promised = ballot;
-            self.log.accept(slot, ballot, command);
-            let adv = self.advance_commits(commit_up_to, ballot);
-            (
-                P2bVote {
-                    node: self.node,
-                    ballot,
-                    slot,
-                    ok: true,
-                },
-                adv,
-            )
-        } else {
-            (
-                P2bVote {
-                    node: self.node,
-                    ballot: self.promised,
-                    slot,
-                    ok: false,
-                },
-                CommitAdvance::default(),
-            )
+    ) -> Option<(P2bVote, CommitAdvance)> {
+        if ballot < self.promised {
+            let nack = P2bVote {
+                node: self.node,
+                ballot: self.promised,
+                slot,
+                ok: false,
+            };
+            return Some((nack, CommitAdvance::default()));
         }
+        // Nothing accepted here carries a ballot above the promise, so
+        // the log turns down only a slot it cannot reach.
+        if !self.log.accept(slot, ballot, command) {
+            return None;
+        }
+        self.promised = ballot;
+        let adv = self.advance_commits(commit_up_to, ballot);
+        let ack = P2bVote {
+            node: self.node,
+            ballot,
+            slot,
+            ok: true,
+        };
+        Some((ack, adv))
     }
 
     /// Process the commit watermark from a leader message: every slot
     /// `< commit_up_to` is decided. Entries accepted under
     /// `leader_ballot` are committed as-is; a hole or an entry from an
-    /// older ballot needs repair (`learn_needed`).
+    /// older ballot needs repair (`learn_needed`). A watermark beyond
+    /// the log's reach is cut back to it: no entry can lie out there,
+    /// and the repair it asks for must stay a range this log can hold.
     pub fn advance_commits(&mut self, commit_up_to: u64, leader_ballot: Ballot) -> CommitAdvance {
         let mut adv = CommitAdvance::default();
+        let commit_up_to = commit_up_to.min(self.log.reach());
         for s in self.log.execute_cursor()..commit_up_to {
             let committable = match self.log.get(s) {
                 Some(e) if e.committed => None, // already done
@@ -174,16 +179,14 @@ impl Acceptor {
 
     /// Commit a decided `(slot, command)` (from vote counting at the
     /// leader, or from a `LearnRep`). Slots below the executed frontier
-    /// — including truncated ones — are already decided; a late commit
-    /// for them is ignored.
+    /// — including truncated ones — are already decided, and slots
+    /// beyond the log's reach cannot be stored; a commit for either is
+    /// ignored, and the safety monitor hears only of slots this call
+    /// decided.
     pub fn commit(&mut self, slot: u64, ballot: Ballot, command: Command) {
-        if slot < self.log.execute_cursor() {
-            return;
-        }
-        let already = self.log.get(slot).map(|e| e.committed).unwrap_or(false);
-        if !already {
-            self.safety.record(0, slot, command.id);
-            self.log.commit(slot, ballot, command);
+        let id = command.id;
+        if self.log.commit(slot, ballot, command) {
+            self.safety.record(0, slot, id);
         }
     }
 
@@ -493,20 +496,39 @@ mod tests {
     fn p2a_accept_and_reject_by_ballot() {
         let mut a = acc();
         a.on_p1a(b(5), 0);
-        let (v, _) = a.on_p2a(b(5), 0, cmd(1), 0);
+        let (v, _) = a.on_p2a(b(5), 0, cmd(1), 0).unwrap();
         assert!(v.ok, "equal ballot accepted");
-        let (v, _) = a.on_p2a(b(3), 1, cmd(2), 0);
+        let (v, _) = a.on_p2a(b(3), 1, cmd(2), 0).unwrap();
         assert!(!v.ok, "lower ballot rejected");
         assert_eq!(v.ballot, b(5), "nack reports promised ballot");
     }
 
     #[test]
+    fn forged_slots_get_no_vote_and_leave_no_entry() {
+        let safety = SafetyMonitor::new();
+        let mut a = Acceptor::new(NodeId(1), safety.clone());
+        a.on_p1a(b(1), 0);
+        for slot in [1 << 40, u64::MAX - 1, u64::MAX] {
+            assert!(a.on_p2a(b(2), slot, cmd(1), 0).is_none(), "slot {slot}");
+            a.commit(slot, b(2), cmd(1));
+        }
+        assert_eq!(a.promised(), b(1), "a refused accept promises nothing");
+        assert!(a.log().is_empty());
+        assert_eq!(a.log().next_slot(), 0);
+        assert_eq!(safety.commit_observations(), 0, "nor does the monitor hear");
+        // A forged watermark asks for repair only as far as the log reaches.
+        let adv = a.advance_commits(u64::MAX, b(1));
+        assert_eq!(adv.learn_needed, Some(a.log().reach()));
+        assert!(adv.executed.is_empty());
+    }
+
+    #[test]
     fn watermark_commits_and_executes() {
         let mut a = acc();
-        let (_, adv) = a.on_p2a(b(1), 0, cmd(1), 0);
+        let (_, adv) = a.on_p2a(b(1), 0, cmd(1), 0).unwrap();
         assert!(adv.executed.is_empty());
         // Second p2a carries watermark 1 -> slot 0 commits and executes.
-        let (_, adv) = a.on_p2a(b(1), 1, cmd(2), 1);
+        let (_, adv) = a.on_p2a(b(1), 1, cmd(2), 1).unwrap();
         assert_eq!(adv.executed.len(), 1);
         assert_eq!(adv.executed[0].0, 0);
         assert!(adv.learn_needed.is_none());
@@ -518,7 +540,7 @@ mod tests {
     fn gap_triggers_learn() {
         let mut a = acc();
         // Accept slot 2 only; watermark says 3 -> slots 0,1 missing.
-        let (_, adv) = a.on_p2a(b(1), 2, cmd(3), 3);
+        let (_, adv) = a.on_p2a(b(1), 2, cmd(3), 3).unwrap();
         assert_eq!(adv.learn_needed, Some(3));
         assert!(adv.executed.is_empty());
     }
@@ -528,7 +550,7 @@ mod tests {
         let mut a = acc();
         a.on_p2a(b(1), 0, cmd(1), 0);
         // New leader at b2; its watermark covers slot 0 but our entry is b1.
-        let (_, adv) = a.on_p2a(b(2), 1, cmd(2), 1);
+        let (_, adv) = a.on_p2a(b(2), 1, cmd(2), 1).unwrap();
         assert_eq!(adv.learn_needed, Some(1));
     }
 

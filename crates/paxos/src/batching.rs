@@ -402,7 +402,9 @@ pub fn propose_batch(
         let slot = leader.propose(Some(client), cmd.clone(), now);
         first_slot.get_or_insert(slot);
         waiting.push((slot, client));
-        let (own, adv) = acceptor.on_p2a(ballot, slot, cmd.clone(), commit_up_to);
+        let (own, adv) = acceptor
+            .on_p2a(ballot, slot, cmd.clone(), commit_up_to)
+            .expect("a slot this leader allocated is in reach of its own log");
         advances.push(adv);
         if let Ok(Some((slot, cmd, _))) = leader.on_p2b_vote(own) {
             self_commits.push((slot, cmd));
@@ -438,7 +440,9 @@ pub struct BatchAccept {
     pub reply_ballot: Ballot,
 }
 
-/// Accept every slot of a batched phase-2a against `acceptor`.
+/// Accept every slot of a batched phase-2a against `acceptor`. Slots
+/// the acceptor's log cannot reach (or that overflow `u64`) get no vote;
+/// they are a suffix of the batch, reach being a single bound.
 pub fn accept_batch(
     acceptor: &mut Acceptor,
     ballot: Ballot,
@@ -450,8 +454,12 @@ pub fn accept_batch(
     let mut advances = Vec::with_capacity(commands.len());
     let mut any_ok = false;
     for (i, command) in commands.iter().enumerate() {
-        let (vote, adv) =
-            acceptor.on_p2a(ballot, first_slot + i as u64, command.clone(), commit_up_to);
+        let Some((vote, adv)) = first_slot
+            .checked_add(i as u64)
+            .and_then(|slot| acceptor.on_p2a(ballot, slot, command.clone(), commit_up_to))
+        else {
+            break;
+        };
         any_ok |= vote.ok;
         votes.push(vote);
         advances.push(adv);

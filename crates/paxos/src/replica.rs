@@ -34,7 +34,7 @@ use paxi::{
 };
 use rand::Rng;
 use simnet::{Actor, NodeId, SimDuration, SimTime, TimerId};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// Largest number of slots requested in one batched `LearnReq`.
 const LEARN_BATCH_MAX: usize = 4096;
@@ -178,8 +178,10 @@ pub struct Replica<D: Dissemination> {
     leader: Leader,
     known_leader: Option<NodeId>,
     last_leader_contact: SimTime,
-    /// Clients waiting for a slot to execute, by slot.
-    waiting: HashMap<u64, NodeId>,
+    /// Clients waiting for a slot to execute, ascending by slot: this
+    /// node proposes into ever higher slots and executes in slot order,
+    /// so the next reply owed is at the front.
+    waiting: VecDeque<(u64, NodeId)>,
     /// Recently executed replies per client, for exactly-once retries.
     pub(crate) sessions: SessionTable,
     /// Client-command admission: duplicate suppression, per-client
@@ -225,7 +227,7 @@ impl<D: Dissemination> Replica<D> {
             leader,
             known_leader: Some(cluster.leader),
             last_leader_contact: SimTime::ZERO,
-            waiting: HashMap::new(),
+            waiting: VecDeque::new(),
             sessions: SessionTable::new(),
             election_timeout: SimDuration::ZERO,
             repair_up_to: 0,
@@ -322,7 +324,7 @@ impl<D: Dissemination> Replica<D> {
         if batch.len() <= 1 {
             if let Some((client, cmd)) = batch.pop() {
                 let slot = self.leader.propose(Some(client), cmd.clone(), ctx.now());
-                self.waiting.insert(slot, client);
+                self.waiting.push_back((slot, client));
                 self.send_accepts(slot, cmd, ctx);
             }
             return;
@@ -350,7 +352,8 @@ impl<D: Dissemination> Replica<D> {
         let commit_up_to = self.acceptor.commit_watermark();
         let (own, adv) = self
             .acceptor
-            .on_p2a(ballot, slot, command.clone(), commit_up_to);
+            .on_p2a(ballot, slot, command.clone(), commit_up_to)
+            .expect("a slot this leader allocated is in reach of its own log");
         self.finish_advance(adv, ctx);
         if let Ok(Some((slot, cmd, _client))) = self.leader.on_p2b_vote(own) {
             self.commit_and_execute(slot, cmd, ctx);
@@ -386,7 +389,7 @@ impl<D: Dissemination> Replica<D> {
             // without another consensus round, even after a leader
             // change.
             self.sessions.record(&reply);
-            let Some(client) = self.waiting.remove(&slot) else {
+            let Some(client) = self.take_waiting(slot) else {
                 continue;
             };
             if let Some(window) = self.replies.deliver(client, reply, ctx) {
@@ -408,6 +411,22 @@ impl<D: Dissemination> Replica<D> {
             }
         }
         self.compact_after_execution();
+    }
+
+    /// The client owed a reply for `slot`, if this node proposed it.
+    /// Slots below it still waiting were skipped by a snapshot install
+    /// and will never execute here; they go too.
+    fn take_waiting(&mut self, slot: u64) -> Option<NodeId> {
+        while let Some(&(s, client)) = self.waiting.front() {
+            if s > slot {
+                break;
+            }
+            self.waiting.pop_front();
+            if s == slot {
+                return Some(client);
+            }
+        }
+        None
     }
 
     fn finish_advance(&mut self, adv: CommitAdvance, ctx: &mut Ctx<D::Msg>) {
@@ -499,7 +518,7 @@ impl<D: Dissemination> Replica<D> {
                 command,
                 commit_up_to,
             } => {
-                let (vote, adv) = self.acceptor.on_p2a(ballot, slot, command, commit_up_to);
+                let (vote, adv) = self.acceptor.on_p2a(ballot, slot, command, commit_up_to)?;
                 if vote.ok {
                     self.follow(ballot, false, ctx);
                 }
@@ -545,10 +564,11 @@ impl<D: Dissemination> Replica<D> {
                 if acc.any_ok {
                     self.follow(ballot, false, ctx);
                 }
+                let last_slot = acc.votes.last()?.slot;
                 Some(PaxosMsg::P2bBatch {
                     ballot: acc.reply_ballot,
                     first_slot,
-                    last_slot: first_slot + commands.len().saturating_sub(1) as u64,
+                    last_slot,
                     votes: acc.votes,
                 })
             }

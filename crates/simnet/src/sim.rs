@@ -90,33 +90,29 @@ enum EventKind<M> {
     Control(Control),
 }
 
-struct QueuedEvent<M> {
+/// What the heap orders: when the event fires, a push counter that
+/// breaks ties in push order, and where its payload waits. Sifting moves
+/// these 24 bytes, not the message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct QueuedEvent {
     at: SimTime,
     seq: u64,
-    kind: EventKind<M>,
+    /// Index into [`Simulation::slab`]; `seq` is unique, so this never
+    /// decides an order.
+    cell: u32,
 }
 
-impl<M> PartialEq for QueuedEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for QueuedEvent<M> {}
-impl<M> PartialOrd for QueuedEvent<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for QueuedEvent<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
+const _: () = assert!(std::mem::size_of::<QueuedEvent>() <= 24);
 
 /// The deterministic discrete-event simulator.
 pub struct Simulation<M: Message> {
     time: SimTime,
-    queue: BinaryHeap<Reverse<QueuedEvent<M>>>,
+    queue: BinaryHeap<Reverse<QueuedEvent>>,
+    /// Payloads of the queued events; a popped event's cell goes on
+    /// `free_cells` and is the next one filled, so the slab is as long as
+    /// the most events ever in flight at once.
+    slab: Vec<Option<EventKind<M>>>,
+    free_cells: Vec<u32>,
     seq: u64,
     actors: Vec<Option<Box<dyn Actor<M>>>>,
     topology: Topology,
@@ -145,6 +141,8 @@ impl<M: Message> Simulation<M> {
         Simulation {
             time: SimTime::ZERO,
             queue: BinaryHeap::new(),
+            slab: Vec::new(),
+            free_cells: Vec::new(),
             seq: 0,
             actors: Vec::with_capacity(n),
             busy_until: vec![SimTime::ZERO; n],
@@ -274,11 +272,31 @@ impl<M: Message> Simulation<M> {
 
     fn push_event(&mut self, at: SimTime, kind: EventKind<M>) {
         self.seq += 1;
-        self.queue.push(Reverse(QueuedEvent {
-            at,
-            seq: self.seq,
-            kind,
-        }));
+        let cell = match self.free_cells.pop() {
+            Some(cell) => {
+                self.slab[cell as usize] = Some(kind);
+                cell
+            }
+            None => {
+                let cell = u32::try_from(self.slab.len()).expect("under 2^32 events in flight");
+                self.slab.push(Some(kind));
+                cell
+            }
+        };
+        let seq = self.seq;
+        self.queue.push(Reverse(QueuedEvent { at, seq, cell }));
+    }
+
+    /// Take the earliest event off the queue if it is due by `deadline`.
+    fn pop_event(&mut self, deadline: SimTime) -> Option<(SimTime, EventKind<M>)> {
+        let Reverse(ev) = *self.queue.peek()?;
+        if ev.at > deadline {
+            return None;
+        }
+        self.queue.pop();
+        self.free_cells.push(ev.cell);
+        let kind = self.slab[ev.cell as usize].take();
+        Some((ev.at, kind.expect("a queued event owns a full cell")))
     }
 
     fn apply_control(&mut self, c: Control) {
@@ -351,13 +369,9 @@ impl<M: Message> Simulation<M> {
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         self.start();
         let mut processed = 0;
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.at > deadline {
-                break;
-            }
-            let Reverse(ev) = self.queue.pop().expect("peeked");
-            self.time = ev.at;
-            self.dispatch(ev.kind);
+        while let Some((at, kind)) = self.pop_event(deadline) {
+            self.time = at;
+            self.dispatch(kind);
             processed += 1;
         }
         // Advance the clock to the deadline even if the queue drained early
@@ -377,10 +391,10 @@ impl<M: Message> Simulation<M> {
     /// Process a single event; returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.start();
-        match self.queue.pop() {
-            Some(Reverse(ev)) => {
-                self.time = ev.at;
-                self.dispatch(ev.kind);
+        match self.pop_event(SimTime::MAX) {
+            Some((at, kind)) => {
+                self.time = at;
+                self.dispatch(kind);
                 true
             }
             None => false,
@@ -1048,6 +1062,75 @@ mod tests {
         // 3 pings + 3 pongs across VA<->CA.
         assert_eq!(sim.stats().cross_region_msgs, 6);
         assert_eq!(sim.stats().cross_region_bytes, 6 * 16);
+    }
+
+    /// Records the payload of every ping it is sent; `bounce` sends
+    /// each one straight back.
+    struct Recorder {
+        seen: Seen,
+        bounce: bool,
+    }
+    impl Actor<TestMsg> for Recorder {
+        fn on_message(&mut self, from: NodeId, msg: TestMsg, ctx: &mut Context<TestMsg>) {
+            if let TestMsg::Ping(k) = msg {
+                self.seen.borrow_mut().push(k);
+                if self.bounce {
+                    ctx.send(from, TestMsg::Ping(k));
+                }
+            }
+        }
+        fn on_timer(&mut self, _i: TimerId, _k: u64, _c: &mut Context<TestMsg>) {}
+    }
+
+    type Seen = std::rc::Rc<std::cell::RefCell<Vec<u64>>>;
+
+    fn recorder_pair(bounce: bool) -> (Simulation<TestMsg>, Seen) {
+        let topo = Topology::lan_with(2, LatencyModel::constant(SimDuration::from_micros(100)));
+        let mut sim = Simulation::new(topo, CpuCostModel::free(), 1);
+        let seen = Seen::default();
+        for _ in 0..2 {
+            let seen = Seen::clone(&seen);
+            sim.add_actor(Box::new(Recorder { seen, bounce }));
+        }
+        (sim, seen)
+    }
+
+    #[test]
+    fn one_instant_pops_in_push_order_through_reused_cells() {
+        let (mut sim, seen) = recorder_pair(false);
+        let us = SimDuration::from_micros;
+        let ping = |sim: &mut Simulation<TestMsg>, k, delay| {
+            sim.inject(NodeId(0), NodeId(1), TestMsg::Ping(k), delay);
+        };
+        // Cells 0..3 wait for t=10us; cells 3 and 4 are due first.
+        (0..3).for_each(|k| ping(&mut sim, k, us(10)));
+        (100..102).for_each(|k| ping(&mut sim, k, us(5)));
+        assert!(sim.step() && sim.step());
+        assert_eq!(sim.now(), SimTime::from_micros(5));
+        // Three more for t=10us: two land in the freed cells — last
+        // freed, first filled, so cell order is neither push order nor
+        // time order — and the third grows the slab.
+        (3..6).for_each(|k| ping(&mut sim, k, us(5)));
+        assert_eq!(sim.free_cells, [], "both freed cells were refilled");
+        assert_eq!(sim.slab.len(), 6);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(*seen.borrow(), [100, 101, 0, 1, 2, 3, 4, 5]);
+        assert_eq!(sim.free_cells.len(), sim.slab.len(), "every cell came back");
+    }
+
+    #[test]
+    fn slab_is_as_long_as_the_most_events_ever_in_flight() {
+        let (mut sim, seen) = recorder_pair(true);
+        for k in 0..7 {
+            let delay = SimDuration::from_micros(k);
+            sim.inject(NodeId(0), NodeId(1), TestMsg::Ping(k), delay);
+        }
+        // Seven pings bounce for ever: seven events in flight, always.
+        let events = sim.run_until(SimTime::from_secs(1));
+        assert!(events > 50_000, "only {events} events");
+        assert_eq!(seen.borrow().len() as u64, events);
+        assert_eq!(sim.queue.len(), 7);
+        assert_eq!(sim.slab.len(), 7, "a bounce refills the cell its ping left");
     }
 
     #[test]

@@ -482,7 +482,9 @@ fn snapshot_install_restores_quorum_read_freshness_index() {
     let mut writer = paxos::Acceptor::new(NodeId(0), paxi::SafetyMonitor::new());
     let mut executed = 0;
     for (slot, key, len) in [(0, 1, 3), (1, 2, 4), (2, 1, 5)] {
-        let (_, adv) = writer.on_p2a(ballot, slot, mk_cmd(slot + 1, key, len), 0);
+        let (_, adv) = writer
+            .on_p2a(ballot, slot, mk_cmd(slot + 1, key, len), 0)
+            .expect("in reach");
         executed += adv.executed.len();
         writer.commit(slot, ballot, mk_cmd(slot + 1, key, len));
     }
