@@ -15,9 +15,10 @@
 //!   [`Experiment::shards`] runs that many independent groups behind
 //!   key-range routing (see [`crate::shard`]);
 //! * **substrate** — the deterministic simulator
-//!   ([`Experiment::run_sim`]), real OS threads with in-process
-//!   channels ([`Experiment::run_threads`]), or real TCP sockets over
-//!   loopback with full wire encoding ([`Experiment::run_net`]).
+//!   ([`Experiment::run_sim`]), or real OS threads on one readiness loop
+//!   per core, passing messages in memory ([`Experiment::run_threads`])
+//!   or over loopback TCP sockets with full wire encoding
+//!   ([`Experiment::run_net`]).
 //!
 //! All substrates drive the *same unmodified replica actors* through
 //! the one engine in [`crate::harness`] and yield the same
@@ -96,6 +97,7 @@ use crate::envelope::{Envelope, ProtoMessage};
 use crate::harness::{self, BoxedActor, LoadPoint, RunResult};
 use crate::shard::{GroupId, ShardLayout, ShardMove};
 use crate::workload::Workload;
+use pig_runtime::{NetRuntime, Runtime};
 use simnet::{Actor, CpuCostModel, NodeId, RegionId, SimDuration, Simulation, Topology};
 use std::sync::Arc;
 use std::time::Duration;
@@ -420,48 +422,46 @@ impl<P: ProtocolSpec> Experiment<P> {
         harness::assemble(self.timeline_bucket, d.layout, &d.recorder, seen)
     }
 
-    /// Run the *same* experiment on real OS threads via `pig-runtime`:
-    /// one thread per node, crossbeam channels as the network,
-    /// wall-clock timers — no simulator anywhere. Per-node RNG seeds
-    /// derive from `seed` with the same scheme the simulator uses
-    /// ([`simnet::derive_node_seed`]).
+    /// Run the *same* experiment on real OS threads via
+    /// `pig_runtime::Runtime`: one readiness loop per core, messages
+    /// passed between nodes as values, wall-clock timers — no simulator
+    /// anywhere. Per-node RNG seeds derive from `seed` with the same
+    /// scheme the simulator uses ([`simnet::derive_node_seed`]).
     ///
     /// Wall-clock execution is not deterministic, so the whole `wall`
     /// span is measured (the `warmup`/`measure`/`drain` phases do not
-    /// apply) and only what clients and replicas themselves report is
-    /// populated — see the table in [`crate::harness`].
+    /// apply). The transport observes real traffic: [`RunResult::net`]
+    /// carries its counters (the socket ones are 0), and
+    /// [`RunResult::node_msgs`] and [`RunResult::label_counts`] derive
+    /// from them — over the whole run, election included, so compare
+    /// rates rather than raw counts against simulator runs. See the table
+    /// in [`crate::harness`].
     pub fn run_threads(&self, seed: u64, wall: Duration) -> RunResult {
         let d = harness::deploy(self);
-        let seen = harness::drive_threads(seed, wall, d.actors);
+        let seen = harness::drive_wall(Runtime::new(seed), Runtime::run_for, wall, d.actors);
         harness::assemble(self.timeline_bucket, d.layout, &d.recorder, seen)
     }
 
     /// Run the *same* experiment over real TCP sockets via
-    /// `pig_runtime::NetRuntime`: one readiness loop per core, a loopback
-    /// TCP connection per communicating pair, every cross-node message
-    /// (client, protocol, and shard-control) encoded to its
-    /// [`simnet::Wire`] bytes and decoded on arrival — the full
-    /// production I/O path minus geographic distance.
+    /// `pig_runtime::NetRuntime`: the same loops as
+    /// [`run_threads`](Self::run_threads), a loopback TCP connection per
+    /// communicating pair, every cross-node message (client, protocol,
+    /// and shard-control) encoded to its [`simnet::Wire`] bytes and
+    /// decoded on arrival — the full production I/O path minus
+    /// geographic distance. It reports what `run_threads` reports, plus
+    /// the socket counters in [`RunResult::net`].
     ///
     /// Requires `P::Msg: Wire` (all three protocol crates implement
     /// it); the [`Envelope`] blanket impl then covers the client
     /// traffic. The encoded size of every message equals its
     /// [`ProtoMessage::wire_size`], so the bytes crossing these sockets
     /// are exactly the bytes the simulator's CPU model charges for.
-    ///
-    /// Like [`run_threads`](Self::run_threads) this measures the whole
-    /// `wall` span. Unlike it, the transport observes real traffic:
-    /// [`RunResult::net`] carries its counters, and
-    /// [`RunResult::node_msgs`] and [`RunResult::label_counts`] derive
-    /// from them — over the whole run, election and connection set-up
-    /// included, so compare rates rather than raw counts against
-    /// simulator runs.
     pub fn run_net(&self, seed: u64, wall: Duration) -> RunResult
     where
         P::Msg: simnet::Wire,
     {
         let d = harness::deploy(self);
-        let seen = harness::drive_net(seed, wall, d.actors);
+        let seen = harness::drive_wall(NetRuntime::new(seed), NetRuntime::run_for, wall, d.actors);
         harness::assemble(self.timeline_bucket, d.layout, &d.recorder, seen)
     }
 
@@ -631,8 +631,19 @@ pub(crate) mod tests {
         assert!(r.samples > 20, "threads made progress: {}", r.samples);
         assert!(r.throughput > 100.0);
         assert!(r.decided > 0);
+        // The in-memory transport counts what it carries, as TCP does.
+        assert_eq!(r.node_msgs.len(), 3, "1 replica + 2 clients");
+        assert!(r.node_msgs.iter().all(|&m| m > 0));
+        assert!(r.leader_msgs_per_op > 0.0 && r.follower_msgs_per_op == 0.0);
+        let labels = r.label_counts.as_ref().expect("threads count labels");
+        assert!(labels.get("request").copied().unwrap_or(0) > 20);
+        let net = r.net.as_ref().expect("transport counters reach the result");
+        assert!(net.per_node_busy_ns.iter().all(|&ns| ns > 0));
+        assert_eq!(
+            (net.bytes_sent, net.decode_errors, net.frames_dropped),
+            (0, 0, 0)
+        );
         // Simulator-only accounting is absent, not garbage.
-        assert!(r.node_msgs.is_empty());
         assert!(r.trace_fingerprint.is_none());
     }
 
@@ -644,7 +655,7 @@ pub(crate) mod tests {
         assert!(r.samples > 20, "tcp made progress: {}", r.samples);
         assert!(r.decided > 0);
         // The transport observes real traffic: per-node counts and
-        // label counts are populated (unlike `run_threads`).
+        // label counts are populated.
         assert_eq!(r.node_msgs.len(), 3, "1 replica + 2 clients");
         assert!(r.node_msgs.iter().all(|&m| m > 0));
         let labels = r.label_counts.as_ref().expect("net counts labels");

@@ -9,9 +9,9 @@
 //!    [`ClientRecorder`] every client reports into.
 //! 2. **drive**: run the actors on one substrate. The simulator driver
 //!    fires the setup hook, then runs warm-up, the measurement window
-//!    and the optional drain; the thread and TCP drivers run for a
-//!    wall-clock span and measure all of it — the window `(0, wall]`.
-//!    Each returns what it observed.
+//!    and the optional drain; the wall-clock driver runs the readiness
+//!    loops, in memory or over TCP, for a wall-clock span and measures
+//!    all of it — the window `(0, wall]`. Each returns what it observed.
 //! 3. **assemble**: the one place a [`RunResult`] is
 //!    built — windowing, percentiles, per-node loads, and the safety,
 //!    compaction and PQR counters merged over groups.
@@ -23,12 +23,12 @@
 //! |---|---|---|---|
 //! | throughput, latencies, `samples`, `timeline`, `client_retries` | measurement window | whole run | whole run |
 //! | `decided`, `violations`, `groups`, log/snapshot/PQR counters | yes | yes | yes |
-//! | `node_msgs`, `leader_msgs_per_op`, `follower_msgs_per_op` | window, from simulator stats | — | whole run, from the transport |
+//! | `node_msgs`, `leader_msgs_per_op`, `follower_msgs_per_op` | window, from simulator stats | whole run, from the transport | whole run, from the transport |
 //! | `cross_region_msgs_per_op` | yes | — | — |
-//! | `label_counts` | with `capture_trace` | — | whole run, from the transport |
+//! | `label_counts` | with `capture_trace` | whole run, from the transport | whole run, from the transport |
 //! | `trace_fingerprint`, `leader_*_per_op` | with `capture_trace` | — | — |
 //! | `replica_digests`, `converged()` | with `drain` | — | — |
-//! | `net` | — | — | yes |
+//! | `net` | — | yes; socket counters 0 | yes |
 
 use crate::client::{ClientRecorder, ClosedLoopClient, Sample, TargetPolicy};
 use crate::cluster::ClusterConfig;
@@ -36,8 +36,8 @@ use crate::envelope::{Envelope, ProtoMessage};
 use crate::experiment::{Experiment, ProtocolSpec};
 use crate::metrics::{mean, percentile};
 use crate::shard::{GroupId, ShardGate, ShardLayout, ShardMap};
-use pig_runtime::NetRunStats;
-use simnet::{Actor, NodeId, SimDuration, SimTime, Simulation, Wire};
+use pig_runtime::{LoopRuntime, NetRunStats};
+use simnet::{Actor, NodeId, SimDuration, SimTime, Simulation};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -119,7 +119,8 @@ pub struct RunResult {
     pub leader_proto_recv_per_op: Option<f64>,
     /// Delivered (non-dropped) messages by wire label (`"p2a"`,
     /// `"qr_read"`, `"reply_batch"`, …): in the measurement window when
-    /// the simulator captured a trace, over the whole run on TCP. The
+    /// the simulator captured a trace, over the whole run on the
+    /// wall-clock substrates. The
     /// typed handle on message-shape questions — e.g. "how many
     /// quorum-read probes did PQR send per operation?" — without
     /// hand-rolling a simulation.
@@ -137,10 +138,10 @@ pub struct RunResult {
     /// not report a digest (or were crashed when sampled). Empty unless
     /// [`crate::Experiment::drain`] was non-zero on the simulator.
     pub replica_digests: Vec<Option<u64>>,
-    /// The TCP transport's own counters (reconnects, frames that failed
-    /// to decode, frames dropped, time spent on each node): a healthy
-    /// run has zero decode errors and zero dropped frames even when
-    /// client retries would have papered over them.
+    /// The wall-clock transport's own counters (time spent on each node;
+    /// over TCP also reconnects, frames that failed to decode, frames
+    /// dropped): a healthy run has zero decode errors and zero dropped
+    /// frames even when client retries would have papered over them.
     pub net: Option<NetRunStats>,
 }
 
@@ -418,36 +419,26 @@ fn whole_run(wall: Duration) -> (SimTime, SimTime) {
     (SimTime::ZERO, SimTime::from_nanos(wall.as_nanos() as u64))
 }
 
-/// The thread driver: one OS thread per actor, channels as the
-/// network, for `wall` of real time.
-pub(crate) fn drive_threads<M>(seed: u64, wall: Duration, actors: Vec<BoxedActor<M>>) -> Observed
+/// A wall-clock runtime's `run_for`.
+pub(crate) type RunFor<M, T> = fn(&mut LoopRuntime<Envelope<M>, T>, Duration) -> NetRunStats;
+
+/// The wall-clock driver: the actors on `rt`, one readiness loop per
+/// core, in memory or over TCP, for `wall` of real time.
+pub(crate) fn drive_wall<M, T>(
+    mut rt: LoopRuntime<Envelope<M>, T>,
+    run_for: RunFor<M, T>,
+    wall: Duration,
+    actors: Vec<BoxedActor<M>>,
+) -> Observed
 where
     M: ProtoMessage + Send,
 {
-    let mut rt = pig_runtime::Runtime::new(seed);
-    for actor in actors {
-        rt.add_actor(actor);
-    }
-    rt.run_for(wall);
-    Observed {
-        window: whole_run(wall),
-        ..Observed::default()
-    }
-}
-
-/// The TCP driver: one readiness loop per core, a loopback socket per
-/// communicating pair, every message as its [`Wire`] bytes.
-pub(crate) fn drive_net<M>(seed: u64, wall: Duration, actors: Vec<BoxedActor<M>>) -> Observed
-where
-    M: ProtoMessage + Send + Wire,
-{
-    let mut rt = pig_runtime::NetRuntime::new(seed);
     for actor in actors {
         rt.add_actor(actor);
     }
     Observed {
         window: whole_run(wall),
-        net: Some(rt.run_for(wall)),
+        net: Some(run_for(&mut rt, wall)),
         ..Observed::default()
     }
 }
@@ -470,8 +461,8 @@ pub(crate) fn assemble(
     let lat_ms: Vec<f64> = window.iter().map(|s| s.latency().as_millis_f64()).collect();
     let ops = window.len().max(1) as f64;
 
-    // The TCP transport counts its own traffic; the simulator's counts
-    // come from its stats and trace.
+    // A wall-clock transport counts its own traffic; the simulator's
+    // counts come from its stats and trace.
     let (node_msgs, label_counts) = match &seen.net {
         Some(net) => (
             net.per_node_sent

@@ -1,37 +1,37 @@
 //! # pig-runtime — wall-clock execution for simnet actors
 //!
-//! The protocols in this workspace are written against the
-//! [`simnet::Actor`] abstraction, which makes them execution-agnostic:
-//! the deterministic simulator drives them for experiments, and this
-//! crate drives the *same unmodified code* on OS threads with wall-clock
-//! timers, over either of two transports:
+//! Runs the [`simnet::Actor`]s the simulator runs, unmodified, on OS
+//! threads with wall-clock timers: one runtime, [`LoopRuntime`], with two
+//! transports, so that what separates them is the socket and the codec.
+//! [`Runtime`] passes messages as values ([`Mem`]); [`NetRuntime`] as
+//! [`simnet::Wire`] bytes over loopback TCP ([`Tcp`], see [`net`]).
 //!
-//! - [`Runtime`] — one thread per node, crossbeam channels as the
-//!   network. The shape of a production deployment minus serialization
-//!   and TCP: it demonstrates that nothing in the protocol crates
-//!   depends on simulation.
-//! - [`NetRuntime`] ([`net`]) — one `epoll` readiness loop per core,
-//!   loopback TCP sockets as the network, every message as its
-//!   [`simnet::Wire`] bytes.
+//! `run_for` starts `min(available_parallelism, nodes)` `epoll`
+//! readiness loops (Linux only) and no other thread; node *i* lives on
+//! loop *i mod loops*. A turn of a loop:
 //!
-//! What a node *is* exists once, in the crate-private `Node`: the actor,
-//! its RNG (seeded as the simulator seeds it), its timers and its
-//! counters, behind `start`, `fire_due`, `deliver` and `next_deadline`,
-//! each of which takes the closure the handler's sends go to. A runtime
-//! decides when to call them and what that closure does.
+//! 1. fire its nodes' due timers;
+//! 2. handle up to `SELF_BUDGET` (64) messages from its local queue —
+//!    what a node sent itself, and in memory a neighbour on the loop — so
+//!    a node that keeps itself busy starves no other node, timer or peer;
+//! 3. flush what the turn's handlers sent elsewhere;
+//! 4. wait in `epoll_pwait2` for a ready descriptor or the earliest timer
+//!    (a nanosecond timeout: clients tick every millisecond), and handle
+//!    what is ready right there: no inbox, no second wake-up.
 //!
-//! ## Example
+//! A loop is woken through a channel and an `eventfd`: the in-memory
+//! transport posts batches there, `run_for` a stop when time is up, and
+//! it joins every loop before dropping any (so none sees a peer vanish)
+//! and sums their counters into one [`NetRunStats`]. Nothing polls or
+//! sleeps. The time between waits is charged to the nodes it went to.
 //!
 //! ```
 //! use pig_runtime::Runtime;
 //! use simnet::{Actor, Context, Message, NodeId, TimerId};
-//! use std::time::Duration;
 //!
 //! #[derive(Debug, Clone)]
 //! struct Ping;
-//! impl Message for Ping {
-//!     fn wire_size(&self) -> usize { 8 }
-//! }
+//! impl Message for Ping { fn wire_size(&self) -> usize { 8 } }
 //!
 //! struct Echo;
 //! impl Actor<Ping> for Echo {
@@ -47,106 +47,133 @@
 //! let mut rt = Runtime::new(42);
 //! rt.add_actor(Echo);
 //! rt.add_actor(Echo);
-//! let stats = rt.run_for(Duration::from_millis(50));
+//! let stats = rt.run_for(std::time::Duration::from_millis(50));
 //! assert!(stats.msgs_delivered >= 2);
 //! ```
 
 #![warn(missing_docs)]
 
 mod epoll;
+mod event_loop;
+mod mem;
 pub mod net;
 
-pub use net::{NetRunStats, NetRuntime};
+pub use mem::{Mem, Runtime};
+pub use net::{NetRuntime, Tcp};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simnet::{Actor, Context, Effect, Message, NodeId, SimTime, TimerId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
-use std::thread::JoinHandle;
+use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
-/// What a node thread's inbox carries: a message and its sender, or
-/// `None` to stop.
-type Inbound<M> = Option<(NodeId, M)>;
-
-/// Aggregate counters from a runtime run.
+/// Counters from a run on either transport, as the simulator's stats.
 #[derive(Debug, Default, Clone)]
-pub struct RuntimeStats {
-    /// Messages delivered to actors across all nodes.
+pub struct NetRunStats {
+    /// Messages delivered to actors across all nodes, self-sends too.
     pub msgs_delivered: u64,
     /// Timers fired across all nodes.
     pub timers_fired: u64,
+    /// Messages sent per node (indexed by node id).
+    pub per_node_sent: Vec<u64>,
+    /// Messages received per node (indexed by node id).
+    pub per_node_received: Vec<u64>,
+    /// Nanoseconds a loop spent on each node (indexed by node id).
+    pub per_node_busy_ns: Vec<u64>,
+    /// Deliveries per message label over the whole run.
+    pub delivered_by_label: BTreeMap<&'static str, u64>,
+    /// Payload bytes that crossed a socket (0 in memory, as below).
+    pub bytes_sent: u64,
+    /// Successful re-establishments of a dropped peer connection.
+    pub reconnects: u64,
+    /// Frames that failed to decode (the wire schema disagrees with itself).
+    pub decode_errors: u64,
+    /// Frames dropped because their peer could not be reached.
+    pub frames_dropped: u64,
 }
 
-/// A pending timer — when due, its id, its kind — ordered for a
-/// max-heap so that the earliest is on top.
-type PendingTimer = Reverse<(Instant, TimerId, u64)>;
+/// Actors for the loops, over [`Runtime`]'s or [`NetRuntime`]'s transport.
+pub struct LoopRuntime<M: Message, T> {
+    seed: u64,
+    actors: Vec<Boxed<M>>,
+    transport: PhantomData<T>,
+}
 
-/// One actor and everything about it that is the same on every
-/// wall-clock substrate: its seeded RNG, its timers and its counters.
-/// Every entry point takes `out`, which receives the handler's
-/// `Effect::Send`s in order — a channel push for [`Runtime`], an encode
-/// onto a socket buffer for [`net::NetRuntime`].
+impl<M: Message + Send, T> LoopRuntime<M, T> {
+    /// New runtime; actors added next get node ids 0, 1, …
+    pub fn new(seed: u64) -> Self {
+        LoopRuntime {
+            seed,
+            actors: Vec::new(),
+            transport: PhantomData,
+        }
+    }
+
+    /// Register the next actor; returns its node id.
+    pub fn add_actor(&mut self, actor: impl Actor<M> + Send + 'static) -> NodeId {
+        self.actors.push(Box::new(actor));
+        NodeId::from(self.actors.len() - 1)
+    }
+}
+
+/// An actor, as the runtime holds it.
+type Boxed<M> = Box<dyn Actor<M> + Send>;
+/// Where a handler's sends go, in order.
+pub(crate) type Out<'a, M> = &'a mut dyn FnMut(NodeId, M);
+
+/// One actor and its seeded RNG, timers (when due, id, kind; earliest on
+/// top) and counters: what is the same on both transports.
 pub(crate) struct Node<M: Message> {
     pub(crate) id: NodeId,
-    actor: Box<dyn Actor<M> + Send>,
+    actor: Boxed<M>,
     rng: StdRng,
-    timers: BinaryHeap<PendingTimer>,
+    timers: BinaryHeap<Reverse<(Instant, TimerId, u64)>>,
     cancelled: HashSet<u64>,
     timer_seq: u64,
     effects: Vec<Effect<M>>,
     epoch: Instant,
-    /// Messages handed to `on_message`.
-    pub(crate) delivered: u64,
-    /// Timers that reached `on_timer`.
-    pub(crate) fired: u64,
+    labels: BTreeMap<&'static str, u64>,
+    fired: u64,
+    sent: u64,
+    busy: Duration,
 }
 
 impl<M: Message> Node<M> {
-    /// `actor` as node `id` of a run that began at `epoch`. The per-node
-    /// seed derivation is `simnet::Simulation`'s, so a protocol actor
-    /// sees an identical RNG stream for a given (master seed, node) pair
-    /// on every substrate.
-    pub(crate) fn new(
-        id: NodeId,
-        actor: Box<dyn Actor<M> + Send>,
-        epoch: Instant,
-        master_seed: u64,
-    ) -> Self {
+    /// `actor` as node `id` of a run begun at `epoch`, its RNG seeded as
+    /// `simnet::Simulation` seeds it: the same stream on every substrate.
+    pub(crate) fn new(id: NodeId, actor: Boxed<M>, epoch: Instant, seed: u64) -> Self {
         Node {
             id,
             actor,
-            rng: StdRng::seed_from_u64(simnet::derive_node_seed(master_seed, id.index())),
+            rng: StdRng::seed_from_u64(simnet::derive_node_seed(seed, id.index())),
             timers: BinaryHeap::new(),
             cancelled: HashSet::new(),
             timer_seq: (id.0 as u64) << 40, // per-node unique ids
             effects: Vec::new(),
             epoch,
-            delivered: 0,
+            labels: BTreeMap::new(),
             fired: 0,
+            sent: 0,
+            busy: Duration::ZERO,
         }
     }
 
     /// Run one handler and carry out what it asked for.
-    fn run(
-        &mut self,
-        handler: impl FnOnce(&mut dyn Actor<M>, &mut Context<M>),
-        out: &mut impl FnMut(NodeId, M),
-    ) {
+    pub(crate) fn run(&mut self, f: impl FnOnce(&mut dyn Actor<M>, &mut Context<M>), out: Out<M>) {
         let now = SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64);
-        let mut ctx = Context::new(
-            now,
-            self.id,
-            &mut self.rng,
-            &mut self.effects,
-            &mut self.timer_seq,
+        let (rng, effects, seq) = (&mut self.rng, &mut self.effects, &mut self.timer_seq);
+        f(
+            self.actor.as_mut(),
+            &mut Context::new(now, self.id, rng, effects, seq),
         );
-        handler(self.actor.as_mut(), &mut ctx);
         for effect in self.effects.drain(..) {
             match effect {
-                Effect::Send { to, msg } => out(to, msg),
+                Effect::Send { to, msg } => {
+                    self.sent += 1;
+                    out(to, msg);
+                }
                 Effect::SetTimer { id, delay, kind } => {
                     let at = Instant::now() + Duration::from_nanos(delay.as_nanos());
                     self.timers.push(Reverse((at, id, kind)));
@@ -156,24 +183,15 @@ impl<M: Message> Node<M> {
                 }
                 // Real CPU time is really spent; nothing to account.
                 Effect::Charge(_) => {}
-                // Fault injection is a simulator facility; real threads
-                // have no crash/partition switchboard. Dropped so that
-                // nemesis-bearing actor sets still run under threads
-                // (they just run fault-free).
+                // Fault injection is the simulator's: nemeses run fault-free.
                 Effect::Control(_) => {}
             }
         }
     }
 
-    /// `on_start`.
-    pub(crate) fn start(&mut self, out: &mut impl FnMut(NodeId, M)) {
-        self.run(|actor, ctx| actor.on_start(ctx), out);
-    }
-
-    /// Fire every timer due at `now`. A timer armed by one of these
-    /// handlers is not due before the next call, whatever its delay, so
-    /// a self-re-arming chain cannot hold the caller here.
-    pub(crate) fn fire_due(&mut self, now: Instant, out: &mut impl FnMut(NodeId, M)) {
+    /// Fire every timer due at `now`; one these handlers arm waits for the
+    /// next call, so a self-re-arming chain cannot hold the caller here.
+    pub(crate) fn fire_due(&mut self, now: Instant, out: Out<M>) {
         while self.next_deadline().is_some_and(|at| at <= now) {
             let Reverse((_, id, kind)) = self.timers.pop().expect("peeked");
             if !self.cancelled.remove(&id.0) {
@@ -184,92 +202,33 @@ impl<M: Message> Node<M> {
     }
 
     /// `on_message`.
-    pub(crate) fn deliver(&mut self, from: NodeId, msg: M, out: &mut impl FnMut(NodeId, M)) {
-        self.delivered += 1;
+    pub(crate) fn deliver(&mut self, from: NodeId, msg: M, out: Out<M>) {
+        *self.labels.entry(msg.label()).or_insert(0) += 1;
         self.run(|actor, ctx| actor.on_message(from, msg, ctx), out);
     }
 
-    /// When the earliest timer is due; the caller need not come back
-    /// before then unless a message arrives.
+    /// When the earliest timer is due: nothing to do before, but messages.
     pub(crate) fn next_deadline(&self) -> Option<Instant> {
         self.timers.peek().map(|Reverse((at, ..))| *at)
     }
-}
 
-/// A thread-per-node runtime for [`simnet::Actor`]s.
-pub struct Runtime<M: Message + Send> {
-    seed: u64,
-    actors: Vec<Box<dyn Actor<M> + Send>>,
-}
-
-impl<M: Message + Send> Runtime<M> {
-    /// New runtime; actors added next get node ids 0, 1, …
-    pub fn new(seed: u64) -> Self {
-        let actors = Vec::new();
-        Runtime { seed, actors }
+    /// Charge this node the time since `mark`, and move `mark` to now.
+    pub(crate) fn charge(&mut self, mark: &mut Instant) {
+        let now = Instant::now();
+        self.busy += now - *mark;
+        *mark = now;
     }
 
-    /// Register the next actor; returns its node id.
-    pub fn add_actor(&mut self, actor: impl Actor<M> + Send + 'static) -> NodeId {
-        self.actors.push(Box::new(actor));
-        NodeId::from(self.actors.len() - 1)
-    }
-
-    /// Run every actor on its own thread for `duration`, then stop all
-    /// threads and return aggregate stats.
-    pub fn run_for(&mut self, duration: Duration) -> RuntimeStats {
-        let epoch = Instant::now();
-        let (senders, receivers): (Vec<_>, Vec<_>) =
-            self.actors.iter().map(|_| unbounded()).unzip();
-        let actors = std::mem::take(&mut self.actors).into_iter();
-        let handles: Vec<JoinHandle<Node<M>>> = actors
-            .zip(receivers)
-            .enumerate()
-            .map(|(i, (actor, rx))| {
-                let node = Node::new(NodeId::from(i), actor, epoch, self.seed);
-                let senders = senders.clone();
-                std::thread::spawn(move || node_thread(node, rx, senders))
-            })
-            .collect();
-
-        std::thread::sleep(duration);
-        for tx in &senders {
-            let _ = tx.send(None);
-        }
-        let mut stats = RuntimeStats::default();
-        for h in handles {
-            let node = h.join().expect("a node thread panicked");
-            stats.msgs_delivered += node.delivered;
-            stats.timers_fired += node.fired;
-        }
-        stats
-    }
-}
-
-/// One node on a thread of its own, its inbox a channel: fires due
-/// timers, then blocks for the next message up to the next deadline.
-fn node_thread<M: Message + Send>(
-    mut node: Node<M>,
-    rx: Receiver<Inbound<M>>,
-    senders: Vec<Sender<Inbound<M>>>,
-) -> Node<M> {
-    let from = node.id;
-    let mut out = move |to: NodeId, msg: M| {
-        if let Some(tx) = senders.get(to.index()) {
-            let _ = tx.send(Some((from, msg)));
-        }
-    };
-    node.start(&mut out);
-    loop {
-        node.fire_due(Instant::now(), &mut out);
-        let inbound = match node.next_deadline() {
-            Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
-            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-        };
-        match inbound {
-            Ok(Some((from, msg))) => node.deliver(from, msg, &mut out),
-            Err(RecvTimeoutError::Timeout) => {} // a timer is due
-            Ok(None) | Err(RecvTimeoutError::Disconnected) => return node,
+    /// Add this node's counters to `stats`, after those of nodes before it.
+    pub(crate) fn count(&self, stats: &mut NetRunStats) {
+        let delivered = self.labels.values().sum();
+        stats.msgs_delivered += delivered;
+        stats.timers_fired += self.fired;
+        stats.per_node_sent.push(self.sent);
+        stats.per_node_received.push(delivered);
+        stats.per_node_busy_ns.push(self.busy.as_nanos() as u64);
+        for (label, count) in &self.labels {
+            *stats.delivered_by_label.entry(label).or_insert(0) += count;
         }
     }
 }
@@ -277,9 +236,8 @@ fn node_thread<M: Message + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
     use simnet::SimDuration;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     #[derive(Debug, Clone)]
     enum Msg {
@@ -302,7 +260,7 @@ mod tests {
         }
         fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Context<Msg>) {
             if let Msg::Pong(k) = msg {
-                *self.pongs.lock() += 1;
+                *self.pongs.lock().unwrap() += 1;
                 ctx.send(from, Msg::Ping(k + 1));
             }
         }
@@ -329,7 +287,7 @@ mod tests {
         });
         rt.add_actor(Ponger);
         let stats = rt.run_for(Duration::from_millis(100));
-        let got = *pongs.lock();
+        let got = *pongs.lock().unwrap();
         assert!(got > 100, "expected thousands of round trips, got {got}");
         assert!(stats.msgs_delivered > got);
     }
@@ -343,7 +301,7 @@ mod tests {
         }
         fn on_message(&mut self, _f: NodeId, _m: Msg, _c: &mut Context<Msg>) {}
         fn on_timer(&mut self, _i: TimerId, kind: u64, ctx: &mut Context<Msg>) {
-            *self.fired.lock() += 1;
+            *self.fired.lock().unwrap() += 1;
             ctx.set_timer(SimDuration::from_millis(5), kind);
         }
     }
@@ -356,7 +314,7 @@ mod tests {
             fired: fired.clone(),
         });
         rt.run_for(Duration::from_millis(120));
-        let got = *fired.lock();
+        let got = *fired.lock().unwrap();
         // ~24 expected at 5ms period over 120ms; allow generous slack for
         // CI scheduling noise.
         assert!((5..60).contains(&got), "timer chain fired {got} times");
@@ -372,7 +330,7 @@ mod tests {
         }
         fn on_message(&mut self, _f: NodeId, _m: Msg, _c: &mut Context<Msg>) {}
         fn on_timer(&mut self, _i: TimerId, _k: u64, _c: &mut Context<Msg>) {
-            *self.fired.lock() += 1;
+            *self.fired.lock().unwrap() += 1;
         }
     }
 
@@ -384,7 +342,7 @@ mod tests {
             fired: fired.clone(),
         });
         rt.run_for(Duration::from_millis(50));
-        assert_eq!(*fired.lock(), 0);
+        assert_eq!(*fired.lock().unwrap(), 0);
     }
 
     /// Records the first value its per-node RNG produces.
@@ -395,7 +353,7 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Context<Msg>) {
             use rand::Rng;
             let v = ctx.rng().gen::<u64>();
-            self.out.lock().push((ctx.node().index(), v));
+            self.out.lock().unwrap().push((ctx.node().index(), v));
         }
         fn on_message(&mut self, _f: NodeId, _m: Msg, _c: &mut Context<Msg>) {}
         fn on_timer(&mut self, _i: TimerId, _k: u64, _c: &mut Context<Msg>) {}
@@ -425,9 +383,9 @@ mod tests {
         }
         sim.run_until(SimTime::from_millis(1));
 
-        let mut a = threads.lock().clone();
+        let mut a = threads.lock().unwrap().clone();
         a.sort_unstable();
-        let mut b = simulated.lock().clone();
+        let mut b = simulated.lock().unwrap().clone();
         b.sort_unstable();
         assert_eq!(a, b, "per-node RNG streams must match across substrates");
     }

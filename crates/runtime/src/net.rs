@@ -1,90 +1,54 @@
-//! # netsub — TCP socket execution for simnet actors
+//! # netsub — the TCP transport
 //!
-//! The third execution substrate: the same unmodified [`simnet::Actor`]
-//! protocol code, but with real sockets between nodes. Every node has a
-//! TCP listener and lazily established outbound connections to the
-//! peers it talks to, and is otherwise the crate's `Node` (wall-clock
-//! timers, per-node seeded RNG). Messages cross node boundaries as
-//! encoded [`Wire`] frames — the exact bytes `Message::wire_size()`
-//! charges on the simulator — so a protocol exercised here has a
-//! complete, decodable wire schema, not an estimate.
+//! [`NetRuntime`] runs the crate's readiness loops with real sockets
+//! between nodes: every message to another node, also one on the same
+//! loop, crosses loopback TCP as a [`Wire`] frame — the exact bytes
+//! `Message::wire_size()` charges on the simulator, so a protocol run
+//! here has a complete, decodable wire schema, not an estimate.
 //!
-//! ## Transport
-//!
-//! Threads: `min(available_parallelism, nodes)` readiness loops and
-//! nothing else — none per node, listener or connection. Node *i* lives
-//! on loop *i mod loops*. A loop owns, for each of its nodes, the actor,
-//! the nonblocking listener, every inbound connection with its receive
-//! buffer, and one outbound stream and output buffer per peer. Linux
-//! only: readiness is `epoll`, through the `extern "C"` declarations in
-//! the crate's `epoll` module.
-//!
-//! - **One turn of a loop.** For each of its nodes: fire the due timers,
-//!   deliver a bounded number of self-sent messages, write out every
-//!   non-empty peer buffer. Then wait in `epoll_pwait2` until a socket
-//!   is ready or the earliest timer is due (a nanosecond timeout: the
-//!   clients tick every millisecond). Then, per ready descriptor,
-//!   `accept`, or `read` once into that connection's buffer, decode the
-//!   complete frames and call `on_message` right there. A message is
-//!   handled on the thread that read it: no inbox, no second wake-up.
-//! - **Send side.** A send encodes its frame onto the end of the peer's
-//!   buffer, so `write`s are paid per turn, not per message; a buffer
-//!   that reaches `FLUSH_BYTES` is written at once.
-//! - **Nothing blocks but `epoll_pwait2`.** Every socket is nonblocking.
-//!   When the kernel takes part of a buffer the rest stays, with the
-//!   offset into the torn first frame, and the loop asks for `EPOLLOUT`
-//!   on that stream only while bytes wait. So a peer that never reads
-//!   costs memory, not the loop's other peers and timers, and two loops
-//!   cannot wait for each other. (`connect` is a blocking call, but to a
-//!   loopback listener the kernel completes or refuses it on the spot,
-//!   without the peer's thread.) The price: an overrun peer queues in
-//!   the sender's memory instead of pushing back.
-//! - **Fairness.** At most `SELF_BUDGET` self-sent messages per node and
-//!   one `read` per ready connection per turn, so neither a node that
-//!   keeps itself busy nor one fat connection starves the loop's other
-//!   nodes or their timers.
-//! - **Unreachable peers.** A failed connect puts the peer into back-off
-//!   (10 ms doubling to 500 ms) as a *deadline*: until it passes, frames
-//!   for that peer are dropped and counted in `frames_dropped` — a loss
-//!   the protocols' retry/learn machinery repairs.
-//! - **The stream stays frame-aligned.** When a connection fails, the
-//!   frames the kernel took whole are forgotten and the rest goes to a
-//!   fresh connection from the first byte of the first frame not known
-//!   fully written, wherever in it a partial write had stopped. The
-//!   receiver discards the torn frame with the old connection, so it
-//!   sees no frame twice and none in part.
-//! - **Teardown.** `run_for` writes one byte to each loop's wake
-//!   descriptor and joins; nothing polls a flag. The loops hand their
-//!   sockets back open, so none sees a peer vanish while still running.
+//! - **Per node**, a loop keeps a nonblocking listener, its inbound
+//!   connections with their receive buffers, and a lazily connected
+//!   outbound stream and output buffer per peer.
+//! - **Receive**: `accept`, or one `read` into the connection's buffer
+//!   per ready descriptor and turn, its complete frames decoded and
+//!   handled right there. A payload is a slice of that buffer, which
+//!   comes back for the next read once no message borrows it
+//!   (`drain_frames`; [`simnet::wire::VALUE_PIN_RATIO`] decides which
+//!   values are copied out).
+//! - **Send**: a frame is encoded onto its peer's buffer, so `write`s are
+//!   paid per turn, not per message; a buffer that reaches `FLUSH_BYTES`
+//!   is written at once.
+//! - **Nothing blocks but `epoll_pwait2`.** What the kernel does not take
+//!   waits, with the offset into the torn first frame, and the stream is
+//!   watched for `EPOLLOUT` only while it does: a peer that never reads
+//!   costs memory, not the loop's other peers and timers, and no loop
+//!   waits for another — but an overrun peer queues in the sender's
+//!   memory instead of pushing back. (`connect` blocks, but the kernel
+//!   completes or refuses a loopback one at once.)
+//! - **Unreachable peers**: a failed connect puts the peer into back-off
+//!   (10 ms doubling to 500 ms) as a *deadline*; until it passes, its
+//!   frames are dropped and counted in `frames_dropped`, a loss the
+//!   protocols' retry/learn machinery repairs.
+//! - **The stream stays frame-aligned**: a failed connection's frames the
+//!   kernel took whole are forgotten, and the rest goes to a fresh one
+//!   from the first byte of the first frame not known fully written. The
+//!   receiver discards a torn frame with its connection, so it sees no
+//!   frame twice and none in part.
 //! - Frames are `[payload len: u32 LE][sender node id: u32 LE]` +
-//!   payload (see [`simnet::wire`]). Every cross-node message crosses a
-//!   loopback socket, also between two nodes of one loop; self-sends
-//!   wait in a queue in the node.
-//! - A loop reads straight into a connection's reassembly buffer and
-//!   decodes every payload as a slice of that one allocation, which
-//!   comes back for the next read once no decoded message borrows it
-//!   (`drain_frames`); [`simnet::wire::VALUE_PIN_RATIO`] decides which
-//!   values stay windows into it and which are copied out.
-//!
-//! Unlike the simulator this substrate is *not* deterministic — it
-//! measures real sockets, syscalls and scheduling. [`NetRunStats`]
-//! keeps runs comparable with simulator metrics.
+//!   payload (see [`simnet::wire`]).
 
-use crate::epoll::{Epoll, EpollEvent, EPOLLIN, EPOLLOUT, EPOLL_CTL_ADD, EPOLL_CTL_DEL};
-use crate::Node;
-use simnet::{Actor, Bytes, Message, NodeId, Wire};
-use std::collections::{BTreeMap, VecDeque};
+use crate::epoll::{Epoll, EPOLLIN, EPOLLOUT, EPOLL_CTL_ADD, EPOLL_CTL_DEL};
+use crate::event_loop::{loops_for, Deliver, Door, Local, Transport};
+use crate::{LoopRuntime, NetRunStats};
+use simnet::{Bytes, Message, NodeId, Wire};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
-/// Bytes before the payload in every transport frame: payload length
-/// (u32) + sender node id (u32).
+/// Bytes before a frame's payload: its length and its sender, u32 each.
 const FRAME_PREFIX: usize = 8;
-/// Ceiling on a single frame's payload; a corrupted length prefix must
-/// not trigger a huge allocation.
+/// Longest payload a length prefix may claim, so corruption cannot allocate.
 const MAX_FRAME: usize = 64 * 1024 * 1024;
 /// First reconnect delay; doubles per failed attempt to [`MAX_BACKOFF`].
 const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
@@ -92,32 +56,32 @@ const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
 const MAX_BACKOFF: Duration = Duration::from_millis(500);
 /// Receive buffers start this long and grow by as much at a time.
 const READ_CHUNK: usize = 64 * 1024;
-/// A peer's output buffer is written out as soon as it holds this much,
-/// without waiting for the top of the next turn.
+/// A peer's buffer this long is written at once, not at the end of the turn.
 const FLUSH_BYTES: usize = READ_CHUNK;
-/// Self-sent messages one node may handle per turn.
-const SELF_BUDGET: usize = 64;
 
-/// Token of a loop's wake descriptor.
-const WAKE: u64 = u64::MAX;
-/// Token of every outbound stream: that it is writable again needs no
-/// handling of its own, since each turn starts by writing what waits.
+/// Token of every outbound stream, which needs no handling: turns end writing.
 const WRITABLE: u64 = u64::MAX - 1;
-/// Set in the token of slot *s*'s listener, `LISTENER | s`. An inbound
-/// connection's token is its descriptor number.
+/// `LISTENER | s` is slot *s*'s listener's token; a connection's is its fd.
 const LISTENER: u64 = 1 << 62;
 
-/// A full-length receive buffer of at least `min_len` bytes. Receive
-/// buffers keep `len == capacity` (zero-filled once) so
-/// `TcpStream::read` can write directly into `buf[filled..]` with no
-/// staging chunk; the valid prefix is tracked separately by its owner.
+/// The wall-clock runtime with the TCP transport, for actors whose
+/// message type implements [`Wire`].
+pub type NetRuntime<M> = LoopRuntime<M, Tcp>;
+
+impl<M: Message + Wire + Send> NetRuntime<M> {
+    /// Run the actors for `wall` on one loop per core (at most one each).
+    pub fn run_for(&mut self, wall: Duration) -> NetRunStats {
+        self.run_on(loops_for(self.actors.len()), wall)
+    }
+}
+
+/// A zero-filled receive buffer of at least `min_len` bytes, kept at
+/// `len == capacity` so `read` fills `buf[filled..]` directly.
 fn recv_buffer(min_len: usize) -> Vec<u8> {
     vec![0; min_len.max(READ_CHUNK)]
 }
 
-/// Append one transport frame for `msg` from `from` to `out`:
-/// `[payload len u32 LE][sender u32 LE]` + encoded payload, written in
-/// place. The bytes are a pure function of `(from, msg)`.
+/// Append the frame of `msg` from `from` to `out`, encoded in place.
 fn encode_frame<M: Message + Wire>(from: NodeId, msg: &M, out: &mut Vec<u8>) {
     let start = out.len();
     out.reserve(FRAME_PREFIX + msg.wire_size());
@@ -128,137 +92,12 @@ fn encode_frame<M: Message + Wire>(from: NodeId, msg: &M, out: &mut Vec<u8>) {
     out[start + 4..start + 8].copy_from_slice(&from.0.to_le_bytes());
 }
 
-/// Counters from a [`NetRuntime`] run — the socket substrate's
-/// equivalent of the simulator's per-node message stats.
-#[derive(Debug, Default, Clone)]
-pub struct NetRunStats {
-    /// Messages delivered to actors across all nodes, self-sends too.
-    pub msgs_delivered: u64,
-    /// Timers fired across all nodes.
-    pub timers_fired: u64,
-    /// Messages sent per node (indexed by node id).
-    pub per_node_sent: Vec<u64>,
-    /// Messages received per node (indexed by node id).
-    pub per_node_received: Vec<u64>,
-    /// Nanoseconds a loop spent on each node (indexed by node id):
-    /// reading and decoding its connections, its handlers, encoding and
-    /// writing what they sent. Waiting in `epoll_pwait2` is nobody's.
-    pub per_node_busy_ns: Vec<u64>,
-    /// Deliveries per message label over the whole run.
-    pub delivered_by_label: BTreeMap<&'static str, u64>,
-    /// Encoded payload bytes that crossed a socket.
-    pub bytes_sent: u64,
-    /// Successful re-establishments of a dropped peer connection.
-    pub reconnects: u64,
-    /// Frames that failed to decode (0 on a healthy run — anything else
-    /// means the wire schema disagrees with itself).
-    pub decode_errors: u64,
-    /// Frames dropped because their peer could not be reached.
-    pub frames_dropped: u64,
-}
-
-/// What one node's sockets saw; summed into [`NetRunStats`] at the end.
-#[derive(Default)]
-struct Counters {
-    bytes_sent: u64,
-    reconnects: u64,
-    decode_errors: u64,
-    frames_dropped: u64,
-}
-
-/// A readiness-loop, TCP-per-edge runtime for [`simnet::Actor`]s whose
-/// message type implements [`Wire`].
-///
-/// Mirrors [`crate::Runtime`]'s API: `new(seed)`, `add_actor`,
-/// `run_for(wall)` — the substrate really is one orthogonal axis.
-pub struct NetRuntime<M: Message + Wire + Send + 'static> {
-    seed: u64,
-    actors: Vec<Box<dyn Actor<M> + Send>>,
-}
-
-impl<M: Message + Wire + Send + 'static> NetRuntime<M> {
-    /// New runtime; actors added next get node ids 0, 1, …
-    pub fn new(seed: u64) -> Self {
-        let actors = Vec::new();
-        NetRuntime { seed, actors }
-    }
-
-    /// Register the next actor; returns its node id.
-    pub fn add_actor(&mut self, actor: impl Actor<M> + Send + 'static) -> NodeId {
-        self.actors.push(Box::new(actor));
-        NodeId::from(self.actors.len() - 1)
-    }
-
-    /// Run the actors for `wall` on one readiness loop per core (never
-    /// more loops than actors), with TCP loopback sockets between
-    /// nodes, then tear everything down and return the run's counters.
-    pub fn run_for(&mut self, wall: Duration) -> NetRunStats {
-        let n = self.actors.len();
-        // Listeners are all bound before any actor starts, so no node
-        // races its peers' listeners.
-        let bind = |_| TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
-        let listeners: Vec<TcpListener> = (0..n).map(bind).collect();
-        let addr = |l: &TcpListener| l.local_addr().expect("listener addr");
-        let addrs: Vec<SocketAddr> = listeners.iter().map(addr).collect();
-
-        let epoch = Instant::now();
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        let mut per_loop: Vec<Vec<Slot<M>>> = (0..cores.min(n)).map(|_| Vec::new()).collect();
-        let actors = std::mem::take(&mut self.actors).into_iter();
-        for (i, (actor, listener)) in actors.zip(listeners).enumerate() {
-            let node = Node::new(NodeId::from(i), actor, epoch, self.seed);
-            let loops = per_loop.len();
-            per_loop[i % loops].push(Slot::new(node, listener, &addrs));
-        }
-        let spawn = |slots| {
-            let (wake, woken) = UnixStream::pair().expect("wake descriptor pair");
-            let thread = std::thread::spawn(move || Loop::new(slots).run(woken));
-            (wake, thread)
-        };
-        let loops: Vec<_> = per_loop.into_iter().map(spawn).collect();
-
-        std::thread::sleep(wall);
-        for (wake, _) in &loops {
-            (&*wake).write_all(&[1]).expect("wake a loop");
-        }
-        // All are joined before any is dropped: a loop's sockets stay
-        // open until every loop has stopped, so none sees a peer hang up.
-        let joined = loops.into_iter().map(|(_, thread)| thread.join());
-        let loops: Vec<Loop<M>> = joined.map(|l| l.expect("a loop panicked")).collect();
-
-        let mut stats = NetRunStats {
-            per_node_sent: vec![0; n],
-            per_node_received: vec![0; n],
-            per_node_busy_ns: vec![0; n],
-            ..NetRunStats::default()
-        };
-        for slot in loops.iter().flat_map(|l| &l.slots) {
-            let (i, net) = (slot.node.id.index(), &slot.links.net);
-            stats.msgs_delivered += slot.node.delivered;
-            stats.timers_fired += slot.node.fired;
-            stats.per_node_sent[i] = slot.links.sent;
-            stats.per_node_received[i] = slot.received;
-            stats.per_node_busy_ns[i] = slot.busy.as_nanos() as u64;
-            for (label, count) in &slot.labels {
-                *stats.delivered_by_label.entry(label).or_insert(0) += count;
-            }
-            stats.bytes_sent += net.bytes_sent;
-            stats.reconnects += net.reconnects;
-            stats.decode_errors += net.decode_errors;
-            stats.frames_dropped += net.frames_dropped;
-        }
-        stats
-    }
-}
-
-/// One outbound edge: the stream to a peer and the frames waiting to be
-/// written to it.
+/// One outbound edge: the stream to a peer and the frames waiting for it.
 struct Peer {
     addr: SocketAddr,
     stream: Option<TcpStream>,
     connected_before: bool,
-    /// Encoded frames not yet wholly handed to the socket, back to back
-    /// from the start of a frame.
+    /// Frames not yet wholly handed to the socket, from a frame's start.
     out: Vec<u8>,
     /// Bytes of `out`'s first frame the current connection has taken.
     taken: usize,
@@ -287,11 +126,10 @@ impl Peer {
         }
     }
 
-    /// Hand `out` to the socket, as far as it takes it without
-    /// blocking: over the connection in hand and, if that turns out
-    /// dead, once more over a fresh one. A peer that cannot be
-    /// connected to loses these frames and goes into back-off.
-    fn flush(&mut self, net: &mut Counters) {
+    /// Hand `out` to the socket as far as it takes it without blocking,
+    /// over the connection in hand or, if that is dead, a fresh one. A
+    /// peer that cannot be connected to loses them and backs off.
+    fn flush(&mut self, net: &mut NetRunStats) {
         self.full = false;
         if self.out.is_empty() {
             return;
@@ -315,7 +153,7 @@ impl Peer {
     }
 
     /// A fresh nonblocking connection in place of none.
-    fn connect(&mut self, net: &mut Counters) -> bool {
+    fn connect(&mut self, net: &mut NetRunStats) -> bool {
         let Ok(stream) = TcpStream::connect(self.addr) else {
             return false;
         };
@@ -331,7 +169,7 @@ impl Peer {
 
     /// Write until `out` is empty or the socket is full, and forget the
     /// frames it took whole. False when the connection failed instead.
-    fn write_out(&mut self, net: &mut Counters) -> bool {
+    fn write_out(&mut self, net: &mut NetRunStats) -> bool {
         let stream = self.stream.as_mut().expect("connected by the caller");
         let (mut written, mut alive) = (self.taken, true);
         while alive && !self.full && written < self.out.len() {
@@ -371,190 +209,46 @@ fn whole_frames(buf: &[u8], written: usize) -> (usize, u64) {
     (end, frames)
 }
 
-/// A node's way out: one [`Peer`] per node id (its own entry stays
-/// unused) and the queue its self-sends wait in.
-struct Links<M> {
-    node: NodeId,
-    peers: Vec<Peer>,
-    to_self: VecDeque<M>,
-    sent: u64,
-    net: Counters,
-}
-
-impl<M: Message + Wire> Links<M> {
-    /// Take one message the node's actor sent.
-    fn send(&mut self, to: NodeId, msg: M) {
-        self.sent += 1;
-        if to == self.node {
-            // Loopback within the node: no socket, like the other
-            // substrates, but still a counted delivery.
-            return self.to_self.push_back(msg);
-        }
-        let Some(peer) = self.peers.get_mut(to.index()) else {
-            return; // unknown destination: drop, as the simulator does
-        };
-        if peer.retry_at.is_some_and(|at| Instant::now() < at) {
-            self.net.frames_dropped += 1;
-            return;
-        }
-        peer.retry_at = None;
-        encode_frame(self.node, &msg, &mut peer.out);
-        if peer.out.len() >= FLUSH_BYTES && !peer.full {
-            peer.flush(&mut self.net);
-        }
-    }
-
-    /// Write out every buffer that holds something, and have `ep`
-    /// report exactly the streams that did not take it all.
-    fn flush(&mut self, ep: &Epoll) {
-        for peer in &mut self.peers {
-            if peer.out.is_empty() && !peer.armed {
-                continue;
-            }
-            peer.flush(&mut self.net);
-            match (&peer.stream, peer.full, peer.armed) {
-                (Some(stream), true, false) => ep.ctl(EPOLL_CTL_ADD, stream, EPOLLOUT, WRITABLE),
-                (Some(stream), false, true) => ep.ctl(EPOLL_CTL_DEL, stream, 0, 0),
-                _ => continue,
-            }
-            peer.armed = peer.full;
-        }
-    }
-}
-
-/// One node on a loop: the actor, its listener and its outbound side.
-struct Slot<M: Message> {
-    node: Node<M>,
-    listener: TcpListener,
-    links: Links<M>,
-    /// Messages delivered to the actor, and how many of each label.
-    received: u64,
-    labels: BTreeMap<&'static str, u64>,
-    /// Time the loop spent on this node.
-    busy: Duration,
-}
-
-impl<M: Message + Wire> Slot<M> {
-    /// `node` accepting on `listener`, with node *i* at `addrs[i]`.
-    fn new(node: Node<M>, listener: TcpListener, addrs: &[SocketAddr]) -> Self {
-        listener.set_nonblocking(true).expect("nonblocking");
-        let links = Links {
-            node: node.id,
-            peers: addrs.iter().copied().map(Peer::new).collect(),
-            to_self: VecDeque::new(),
-            sent: 0,
-            net: Counters::default(),
-        };
-        Slot {
-            node,
-            listener,
-            links,
-            received: 0,
-            labels: BTreeMap::new(),
-            busy: Duration::ZERO,
-        }
-    }
-
-    fn deliver(&mut self, from: NodeId, msg: M) {
-        self.received += 1;
-        *self.labels.entry(msg.label()).or_insert(0) += 1;
-        let links = &mut self.links;
-        self.node.deliver(from, msg, &mut |to, m| links.send(to, m));
-    }
-
-    /// The part of a turn that waits for no descriptor: due timers, a
-    /// budget of self-sent messages, and everything those and the last
-    /// turn's handlers left in the output buffers.
-    fn work(&mut self, now: Instant, ep: &Epoll) {
-        let links = &mut self.links;
-        self.node.fire_due(now, &mut |to, m| links.send(to, m));
-        for _ in 0..SELF_BUDGET {
-            let Some(msg) = self.links.to_self.pop_front() else {
-                break;
-            };
-            self.deliver(self.links.node, msg);
-        }
-        self.links.flush(ep);
-    }
-
-    /// Charge this node the time since `mark`, and move `mark` to now.
-    fn charge(&mut self, mark: &mut Instant) {
-        let now = Instant::now();
-        self.busy += now - *mark;
-        *mark = now;
-    }
+/// The TCP transport of the [module docs](self). What a loop keeps: per
+/// slot, a listener and a `Peer` per node id (its own unused); inbound
+/// connections by descriptor; what the sockets saw.
+#[derive(Default)]
+pub struct Tcp {
+    listeners: Vec<TcpListener>,
+    peers: Vec<Vec<Peer>>,
+    conns: Vec<Option<Conn>>,
+    net: NetRunStats,
 }
 
 /// One inbound connection and the bytes of it not yet decoded.
 struct Conn {
     stream: TcpStream,
-    /// Index in the loop's `slots` of the node it was accepted for.
+    /// The slot of the node it was accepted for.
     slot: usize,
     buf: Vec<u8>,
     filled: usize,
 }
 
-/// One readiness loop: an epoll instance, the nodes that live on it and
-/// their inbound connections, indexed by descriptor number.
-struct Loop<M: Message> {
-    ep: Epoll,
-    slots: Vec<Slot<M>>,
-    conns: Vec<Option<Conn>>,
-}
-
-impl<M: Message + Wire> Loop<M> {
-    fn new(slots: Vec<Slot<M>>) -> Self {
-        let (ep, conns) = (Epoll::new(), Vec::new());
-        for (s, slot) in slots.iter().enumerate() {
-            ep.ctl(EPOLL_CTL_ADD, &slot.listener, EPOLLIN, LISTENER | s as u64);
-        }
-        Loop { ep, slots, conns }
-    }
-
-    /// Turn, as the module docs describe, until `woken` is readable.
-    fn run(mut self, woken: UnixStream) -> Self {
-        self.ep.ctl(EPOLL_CTL_ADD, &woken, EPOLLIN, WAKE);
-        let mut events = [EpollEvent::default(); 64];
-        let mut mark = Instant::now();
-        for slot in &mut self.slots {
-            let links = &mut slot.links;
-            slot.node.start(&mut |to, m| links.send(to, m));
-        }
-        loop {
-            let mut self_sends_wait = false;
-            for slot in &mut self.slots {
-                slot.work(mark, &self.ep);
-                self_sends_wait |= !slot.links.to_self.is_empty();
-                slot.charge(&mut mark);
-            }
-            let deadlines = self.slots.iter().filter_map(|s| s.node.next_deadline());
-            let timeout = match self_sends_wait {
-                true => Some(Duration::ZERO),
-                false => deadlines.min().map(|at| at.saturating_duration_since(mark)),
-            };
-            let ready = self.ep.wait(&mut events, timeout);
-            mark = Instant::now();
-            for event in &events[..ready] {
-                let token = event.token; // by value: the struct is packed
-                let s = match token {
-                    WAKE => return self,
-                    WRITABLE => continue,
-                    t if t & LISTENER != 0 => self.accept((t ^ LISTENER) as usize),
-                    fd => self.read(fd as usize),
-                };
-                self.slots[s].charge(&mut mark);
-            }
-        }
+impl Tcp {
+    /// Give the node in the next slot `listener`, registered on `ep`,
+    /// and node *i* at `addrs[i]` as its peers.
+    fn add(&mut self, listener: TcpListener, addrs: &[SocketAddr], ep: &Epoll) {
+        listener.set_nonblocking(true).expect("nonblocking");
+        let token = LISTENER | self.listeners.len() as u64;
+        ep.ctl(EPOLL_CTL_ADD, &listener, EPOLLIN, token);
+        self.listeners.push(listener);
+        self.peers
+            .push(addrs.iter().copied().map(Peer::new).collect());
     }
 
     /// Take every connection waiting at slot `s`'s listener; returns `s`.
-    fn accept(&mut self, s: usize) -> usize {
-        while let Ok((stream, _)) = self.slots[s].listener.accept() {
+    fn accept(&mut self, s: usize, ep: &Epoll) -> usize {
+        while let Ok((stream, _)) = self.listeners[s].accept() {
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
             let fd = stream.as_raw_fd() as usize;
-            self.ep.ctl(EPOLL_CTL_ADD, &stream, EPOLLIN, fd as u64);
+            ep.ctl(EPOLL_CTL_ADD, &stream, EPOLLIN, fd as u64);
             if self.conns.len() <= fd {
                 self.conns.resize_with(fd + 1, || None);
             }
@@ -569,50 +263,108 @@ impl<M: Message + Wire> Loop<M> {
         s
     }
 
-    /// `read` once from the connection with descriptor `fd` (a short
-    /// read never loses data — bytes accumulate until a frame
-    /// completes) and deliver the frames that completes; the connection
-    /// goes when its peer has closed it. Returns its slot.
-    fn read(&mut self, fd: usize) -> usize {
-        let conn = self.conns[fd].as_mut().expect("a registered connection");
-        let (s, slot) = (conn.slot, &mut self.slots[conn.slot]);
+    /// `read` once from connection `fd` and deliver the frames that
+    /// completes; a closed connection goes. Returns its slot.
+    fn read<M: Message + Wire>(&mut self, fd: usize, mut deliver: impl Deliver<M, Self>) -> usize {
+        // Out of its place while its frames are handled by `self`.
+        let mut conn = self.conns[fd].take().expect("a registered connection");
+        let s = conn.slot;
         if conn.filled == conn.buf.len() {
             // A frame straddles the buffer end: grow in place.
             conn.buf.resize(conn.filled + READ_CHUNK, 0);
         }
         match conn.stream.read(&mut conn.buf[conn.filled..]) {
-            Ok(0) => self.conns[fd] = None,
+            Ok(0) => return s,
             Ok(n) => {
                 conn.filled += n;
-                let deliver = |from, msg| slot.deliver(from, msg);
-                let errors = drain_frames(&mut conn.buf, &mut conn.filled, deliver);
-                slot.links.net.decode_errors += errors;
+                let to_slot = |from, msg| deliver(self, s, from, msg);
+                let errors = drain_frames(&mut conn.buf, &mut conn.filled, to_slot);
+                self.net.decode_errors += errors;
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
-            Err(_) => self.conns[fd] = None,
+            Err(_) => return s,
         }
+        self.conns[fd] = Some(conn);
         s
     }
 }
 
-/// Scan-and-freeze frame delivery. Finds every complete frame in
-/// `buf[..filled]`, freezes the buffer into one refcounted [`Bytes`]
-/// (an `Arc` around the existing allocation — no byte is copied),
-/// decodes each payload as a slice of it and hands it to `deliver`.
-/// Returns the number of frames that did not decode. A partial frame at
-/// the tail is carried over; the allocation itself comes back for the
-/// next read if no decoded message still borrows it (vote traffic and
-/// small values never do; a large decoded value keeps it until the
-/// value is dropped, and a fresh buffer takes over meanwhile).
-fn drain_frames<M: Message + Wire>(
+impl<M: Message + Wire + Send> Transport<M> for Tcp {
+    fn for_loops(n: usize, _doors: &[Door<M>], eps: &[Epoll]) -> Vec<Self> {
+        // All are bound before any actor starts, so none races a listener.
+        let bind = |_| TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
+        let listeners: Vec<TcpListener> = (0..n).map(bind).collect();
+        let addr = |l: &TcpListener| l.local_addr().expect("listener addr");
+        let addrs: Vec<SocketAddr> = listeners.iter().map(addr).collect();
+        let mut loops: Vec<Self> = eps.iter().map(|_| Self::default()).collect();
+        for (i, listener) in listeners.into_iter().enumerate() {
+            loops[i % eps.len()].add(listener, &addrs, &eps[i % eps.len()]);
+        }
+        loops
+    }
+
+    fn send(&mut self, s: usize, from: NodeId, to: NodeId, msg: M, _local: &mut Local<M>) {
+        let Some(peer) = self.peers[s].get_mut(to.index()) else {
+            return; // unknown destination: drop, as the simulator does
+        };
+        if peer.retry_at.is_some_and(|at| Instant::now() < at) {
+            self.net.frames_dropped += 1;
+            return;
+        }
+        peer.retry_at = None;
+        encode_frame(from, &msg, &mut peer.out);
+        if peer.out.len() >= FLUSH_BYTES && !peer.full {
+            peer.flush(&mut self.net);
+        }
+    }
+
+    /// Write out every buffer that holds something; `ep` reports the
+    /// streams that did not take it all.
+    fn flush(&mut self, ep: &Epoll, mut charge: impl FnMut(usize)) {
+        for (s, peers) in self.peers.iter_mut().enumerate() {
+            for peer in peers.iter_mut().filter(|p| !p.out.is_empty() || p.armed) {
+                peer.flush(&mut self.net);
+                match (&peer.stream, peer.full, peer.armed) {
+                    (Some(stream), true, false) => {
+                        ep.ctl(EPOLL_CTL_ADD, stream, EPOLLOUT, WRITABLE)
+                    }
+                    (Some(stream), false, true) => ep.ctl(EPOLL_CTL_DEL, stream, 0, 0),
+                    _ => continue,
+                }
+                peer.armed = peer.full;
+            }
+            charge(s);
+        }
+    }
+
+    fn ready(&mut self, token: u64, ep: &Epoll, deliver: impl Deliver<M, Self>) -> Option<usize> {
+        match token {
+            WRITABLE => None,
+            t if t & LISTENER != 0 => Some(self.accept((t ^ LISTENER) as usize, ep)),
+            fd => Some(self.read(fd as usize, deliver)),
+        }
+    }
+
+    fn count(&self, stats: &mut NetRunStats) {
+        stats.bytes_sent += self.net.bytes_sent;
+        stats.reconnects += self.net.reconnects;
+        stats.decode_errors += self.net.decode_errors;
+        stats.frames_dropped += self.net.frames_dropped;
+    }
+}
+
+/// Deliver every complete frame in `buf[..filled]`, each payload decoded
+/// as a slice of the buffer frozen into one [`Bytes`] (no byte copied);
+/// returns how many did not decode. A partial frame at the tail is kept;
+/// the allocation comes back for the next read unless a decoded message
+/// still borrows it (a large value does, until it is dropped).
+fn drain_frames<M: Wire>(
     buf: &mut Vec<u8>,
     filled: &mut usize,
     mut deliver: impl FnMut(NodeId, M),
 ) -> u64 {
-    // Pass 1: walk the length prefixes to find the end of the last
-    // complete frame. No payload is touched. A length past MAX_FRAME is
-    // unrecoverable framing corruption: count it, deliver what preceded
-    // it, and drop the poisoned bytes.
+    // Find the end of the last complete frame. A length past MAX_FRAME
+    // is corruption: count it, deliver what precedes it, drop the rest.
     let (consumed, _) = whole_frames(buf, *filled);
     let corrupt = *filled - consumed >= FRAME_PREFIX && frame_len(&buf[consumed..]) > MAX_FRAME;
     let mut errors = u64::from(corrupt);
@@ -624,8 +376,6 @@ fn drain_frames<M: Message + Wire>(
     }
     let tail = if corrupt { 0 } else { *filled - consumed };
 
-    // Pass 2: freeze the buffer and decode every payload as a slice of
-    // the shared frame.
     let frozen = Bytes::from(std::mem::take(buf));
     let mut off = 0;
     while off < consumed {
@@ -640,8 +390,8 @@ fn drain_frames<M: Message + Wire>(
         off += FRAME_PREFIX + len;
     }
 
-    // Restore a receive buffer with the partial frame at its front: the
-    // frozen allocation itself unless some message still pins it.
+    // The partial frame goes to the front of the buffer, or of a fresh
+    // one while some message pins this.
     *buf = match frozen.try_reclaim() {
         Ok(mut same) => {
             same.copy_within(consumed..consumed + tail, 0);
@@ -660,9 +410,11 @@ fn drain_frames<M: Message + Wire>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
-    use simnet::{Context, SimDuration, TimerId, WireError, WireHeader, WireReader};
-    use std::sync::{mpsc, Arc};
+    use crate::event_loop::{mailbox, Loop};
+    use crate::mem::Mem;
+    use crate::Node;
+    use simnet::{Actor, Context, SimDuration, TimerId, WireError, WireHeader, WireReader};
+    use std::sync::{mpsc, Arc, Mutex};
 
     #[derive(Debug, Clone, PartialEq)]
     struct Num(u64);
@@ -689,6 +441,17 @@ mod tests {
     }
     /// Bytes of one `Num` frame.
     const NUM_FRAME: usize = FRAME_PREFIX + 32;
+
+    type Boxed = Box<dyn Actor<Num> + Send>;
+
+    /// `actors` as nodes 0, 1, … on `loops` loops over transport `T`.
+    fn run_on<T: Transport<Num>>(actors: Vec<Boxed>, loops: usize, wall: Duration) -> NetRunStats {
+        let mut rt = LoopRuntime::<Num, T>::new(1);
+        for actor in actors {
+            rt.add_actor(actor);
+        }
+        rt.run_on(loops, wall)
+    }
 
     struct Pinger {
         peer: NodeId,
@@ -760,13 +523,16 @@ mod tests {
 
     #[test]
     fn self_sends_skip_the_socket_but_count() {
-        let mut rt: NetRuntime<Num> = NetRuntime::new(8);
-        rt.add_actor(SelfSender { sent: false });
-        let stats = rt.run_for(Duration::from_millis(60));
-        assert_eq!(stats.per_node_sent, vec![1]);
-        assert_eq!(stats.per_node_received, vec![1]);
-        assert_eq!(stats.bytes_sent, 0, "no socket traffic for self-sends");
-        assert!(stats.timers_fired >= 1);
+        fn on<T: Transport<Num>>() {
+            let node: Boxed = Box::new(SelfSender { sent: false });
+            let stats = run_on::<T>(vec![node], 1, Duration::from_millis(60));
+            assert_eq!(stats.per_node_sent, vec![1]);
+            assert_eq!(stats.per_node_received, vec![1]);
+            assert_eq!(stats.bytes_sent, 0, "no socket traffic for self-sends");
+            assert!(stats.timers_fired >= 1);
+        }
+        on::<Mem<Num>>();
+        on::<Tcp>();
     }
 
     /// `msg` from `from` as a frame of its own.
@@ -879,7 +645,7 @@ mod tests {
     #[test]
     fn a_peer_that_hangs_up_costs_only_frames_in_flight() {
         let (listener, addr) = listen();
-        let (mut peer, mut net) = (Peer::new(addr), Counters::default());
+        let (mut peer, mut net) = (Peer::new(addr), NetRunStats::default());
         // The peer takes the first connection, reads one frame, hangs up.
         queue(&mut peer, 0);
         peer.flush(&mut net);
@@ -920,7 +686,7 @@ mod tests {
         // End to end: the connection dies under a buffer of three frames;
         // all three arrive, once, on the connection that replaces it.
         let (listener, addr) = listen();
-        let (mut peer, mut net) = (Peer::new(addr), Counters::default());
+        let (mut peer, mut net) = (Peer::new(addr), NetRunStats::default());
         queue(&mut peer, 0);
         peer.flush(&mut net);
         let stream = peer.stream.as_ref().expect("connected");
@@ -950,7 +716,7 @@ mod tests {
             (first, read_to_end(listener.accept().unwrap().0))
         });
         // Fill the socket until the kernel stops mid-buffer.
-        let (mut peer, mut net) = (Peer::new(addr), Counters::default());
+        let (mut peer, mut net) = (Peer::new(addr), NetRunStats::default());
         let mut queued = 0;
         while !peer.full {
             (queued..queued + 4096).for_each(|n| queue(&mut peer, n));
@@ -979,40 +745,37 @@ mod tests {
         assert_eq!(net.bytes_sent, queued * 32);
     }
 
-    /// Node `id` running `actor`, with node *i* at `addrs[i]` whatever
-    /// listens there. Its own listener is not among them: nobody calls.
-    fn slot(id: u32, actor: impl Actor<Num> + Send + 'static, addrs: &[SocketAddr]) -> Slot<Num> {
-        let node = Node::new(NodeId(id), Box::new(actor), Instant::now(), 1);
-        Slot::new(node, listen().0, addrs)
-    }
-
-    /// Run `slots` on one loop for `wall`, or until `until` is sent to;
-    /// returns the loop once it has stopped.
-    fn run_loop(slots: Vec<Slot<Num>>, wall: Duration, until: mpsc::Receiver<()>) -> Loop<Num> {
-        let (wake, woken) = UnixStream::pair().unwrap();
-        let thread = std::thread::spawn(move || Loop::new(slots).run(woken));
-        let _ = until.recv_timeout(wall);
-        (&wake).write_all(&[1]).unwrap();
+    /// Node 0 running `actor` on one TCP loop for `wall`, with node *i*
+    /// at `addrs[i]` whatever listens there; its own listener is not
+    /// among them, so nobody calls. Returns the loop once it has stopped.
+    fn run_tcp_loop(
+        actor: impl Actor<Num> + Send + 'static,
+        addrs: &[SocketAddr],
+        wall: Duration,
+    ) -> Loop<Num, Tcp> {
+        let (ep, (door, mailbox), mut links) = (Epoll::new(), mailbox(), Tcp::default());
+        links.add(listen().0, addrs, &ep);
+        let mut tcp = Loop::new(ep, mailbox, links);
+        let node = Node::new(NodeId(0), Box::new(actor), Instant::now(), 1);
+        tcp.slots.nodes.push(node);
+        let thread = std::thread::spawn(move || tcp.run());
+        std::thread::sleep(wall);
+        door.post(None);
         thread.join().unwrap()
-    }
-
-    /// `run_loop` for the whole of `wall`.
-    fn run_loop_for(slots: Vec<Slot<Num>>, wall: Duration) -> Loop<Num> {
-        let (_never, until) = mpsc::channel();
-        run_loop(slots, wall, until)
     }
 
     #[test]
     fn a_full_buffer_is_written_without_waiting_for_the_loop() {
         let (listener, addr) = listen();
-        let mut links = slot(0, Spinner { runs: 0 }, &[addr, addr]).links;
+        let mut links = Tcp::default();
+        links.add(listen().0, &[addr, addr], &Epoll::new());
         let reader = std::thread::spawn(move || read_to_end(listener.accept().unwrap().0));
         // One frame more than the buffer may hold, and no flush.
         let frames = (FLUSH_BYTES / NUM_FRAME + 1) as u64;
         for n in 0..frames {
-            links.send(NodeId(1), Num(n));
+            links.send(0, NodeId(0), NodeId(1), Num(n), &mut Local::new());
         }
-        let held = (links.peers[1].out.len() / NUM_FRAME) as u64;
+        let held = (links.peers[0][1].out.len() / NUM_FRAME) as u64;
         assert!(
             held <= 1,
             "{held} frames still held after the buffer filled"
@@ -1061,7 +824,7 @@ mod tests {
         fn on_timer(&mut self, _i: TimerId, _k: u64, ctx: &mut Context<Num>) {
             let now = Instant::now();
             let tick = (now - self.last, now.saturating_duration_since(self.due));
-            self.ticks.lock().push(tick);
+            self.ticks.lock().unwrap().push(tick);
             self.last = now;
             for &peer in &self.peers {
                 ctx.send(peer, Num(0));
@@ -1083,16 +846,16 @@ mod tests {
     fn an_unreachable_peer_does_not_delay_timers() {
         let (ticker, ticks) = Ticker::new(&[1]);
         let addrs = [dead_addr(), dead_addr()];
-        let done = run_loop_for(vec![slot(0, ticker, &addrs)], Duration::from_millis(200));
+        let done = run_tcp_loop(ticker, &addrs, Duration::from_millis(200));
         // Back-off slept through on this thread would let one tick by
         // per connect attempt, 10, 20, 40, 80 ms apart; as a deadline it
         // costs the timers nothing. (Nine ticks in ten, not all: the
         // host may stop the whole process for longer than that.)
-        let ticks = ticks.lock().clone();
+        let ticks = ticks.lock().unwrap().clone();
         assert!(ticks.len() >= 40, "only {} ticks in 200 ms", ticks.len());
         let (p90, _) = gap_p90_and_median_lateness(&ticks);
         assert!(p90 < INITIAL_BACKOFF, "ticks waited {p90:?}");
-        let net = &done.slots[0].links.net;
+        let net = &done.links.net;
         assert_eq!(
             net.frames_dropped,
             ticks.len() as u64,
@@ -1108,83 +871,82 @@ mod tests {
         // milliseconds rounds a 1.5 ms wait to 2 (half a millisecond
         // late every time) or to 1 (and then spins); nanoseconds leave
         // only scheduling noise.
-        let (mut ticker, ticks) = Ticker::new(&[]);
-        ticker.period = Duration::from_micros(1500);
-        run_loop_for(vec![slot(0, ticker, &[])], Duration::from_millis(300));
-        let ticks = ticks.lock().clone();
-        assert!(ticks.len() >= 100, "only {} ticks in 300 ms", ticks.len());
-        let (_, late) = gap_p90_and_median_lateness(&ticks);
-        assert!(
-            late < Duration::from_micros(300),
-            "median tick {late:?} late"
-        );
+        fn on<T: Transport<Num>>() {
+            let (mut ticker, ticks) = Ticker::new(&[]);
+            ticker.period = Duration::from_micros(1500);
+            run_on::<T>(vec![Box::new(ticker)], 1, Duration::from_millis(300));
+            let ticks = ticks.lock().unwrap().clone();
+            assert!(ticks.len() >= 100, "only {} ticks in 300 ms", ticks.len());
+            let (_, late) = gap_p90_and_median_lateness(&ticks);
+            assert!(
+                late < Duration::from_micros(300),
+                "median tick {late:?} late"
+            );
+        }
+        on::<Mem<Num>>();
+        on::<Tcp>();
     }
 
     /// Keeps its own queue non-empty for ever; its first handler run
-    /// also sends one message to node 2.
-    struct Spinner {
-        runs: u64,
-    }
+    /// also sends `Num(99)` to node 1.
+    struct Spinner;
     impl Actor<Num> for Spinner {
         fn on_start(&mut self, ctx: &mut Context<Num>) {
             let me = ctx.node();
             ctx.send(me, Num(0));
         }
-        fn on_message(&mut self, _f: NodeId, _m: Num, ctx: &mut Context<Num>) {
-            if self.runs == 0 {
-                ctx.send(NodeId(2), Num(99));
+        fn on_message(&mut self, _f: NodeId, m: Num, ctx: &mut Context<Num>) {
+            if m.0 == 0 {
+                ctx.send(NodeId(1), Num(99));
             }
-            self.runs += 1;
             let me = ctx.node();
-            ctx.send(me, Num(self.runs));
+            ctx.send(me, Num(m.0 + 1));
+        }
+        fn on_timer(&mut self, _i: TimerId, _k: u64, _c: &mut Context<Num>) {}
+    }
+
+    /// Everything a [`Recorder`] was sent: sender and number, in order.
+    type Got = Arc<Mutex<Vec<(NodeId, u64)>>>;
+
+    /// Records every message it is sent.
+    struct Recorder(Got);
+    impl Actor<Num> for Recorder {
+        fn on_message(&mut self, from: NodeId, m: Num, _c: &mut Context<Num>) {
+            self.0.lock().unwrap().push((from, m.0));
         }
         fn on_timer(&mut self, _i: TimerId, _k: u64, _c: &mut Context<Num>) {}
     }
 
     #[test]
     fn a_node_that_is_never_idle_still_sends_within_the_flush_bound() {
-        // Node 0 never runs out of self-sent messages; node 1 shares its
-        // loop and ticks; node 2 is this test.
-        let (listener, addr) = listen();
-        let addrs = [dead_addr(), dead_addr(), addr];
-        let (ticker, ticks) = Ticker::new(&[2]);
-        let slots = vec![
-            slot(0, Spinner { runs: 0 }, &addrs),
-            slot(1, ticker, &addrs),
-        ];
-        let (got_it, until) = mpsc::channel();
-        let reader = std::thread::spawn(move || {
-            // Without the per-turn budget the spinner's first frame
-            // never leaves and this read waits for ever.
-            let mut from_spinner = None;
-            for _ in 0..2 {
-                let (mut conn, _) = listener.accept().unwrap();
-                conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-                let mut frame = [0u8; NUM_FRAME];
-                conn.read_exact(&mut frame).expect("a frame from each node");
-                if frame[4] == 0 {
-                    from_spinner = Some(frame);
-                }
-            }
-            std::thread::sleep(Duration::from_millis(100));
-            got_it.send(()).unwrap();
-            from_spinner.expect("the frame left although the node never idled")
-        });
-        let done = run_loop(slots, Duration::from_secs(10), until);
-        assert_eq!(
-            reader.join().unwrap()[..],
-            frame_of(NodeId(0), &Num(99))[..]
-        );
-        assert!(done.slots[0].node.delivered > 1000, "the spinner spun");
-        // The second node was not starved of its timers either.
-        let ticks = ticks.lock().clone();
-        assert!(
-            ticks.len() >= 50,
-            "only {} ticks beside a spinner",
-            ticks.len()
-        );
-        let (p90, _) = gap_p90_and_median_lateness(&ticks);
-        assert!(p90 < Duration::from_millis(10), "ticks waited {p90:?}");
+        // Node 0 never runs out of self-sent messages; node 2 shares its
+        // loop and ticks; node 1, on the other loop, records.
+        fn on<T: Transport<Num>>() {
+            let got = Got::default();
+            let (ticker, ticks) = Ticker::new(&[1]);
+            let nodes: Vec<Boxed> = vec![
+                Box::new(Spinner),
+                Box::new(Recorder(got.clone())),
+                Box::new(ticker),
+            ];
+            let stats = run_on::<T>(nodes, 2, Duration::from_millis(300));
+            // Without the per-turn budget the spinner's first message
+            // never leaves its loop.
+            let got = got.lock().unwrap().clone();
+            assert!(got.contains(&(NodeId(0), 99)), "the spinner's message left");
+            assert!(stats.per_node_received[0] > 1000, "the spinner spun");
+            // The ticking node was not starved of its timers either.
+            let ticks = ticks.lock().unwrap().clone();
+            assert!(
+                ticks.len() >= 50,
+                "only {} ticks beside a spinner",
+                ticks.len()
+            );
+            let (p90, _) = gap_p90_and_median_lateness(&ticks);
+            assert!(p90 < Duration::from_millis(10), "ticks waited {p90:?}");
+        }
+        on::<Mem<Num>>();
+        on::<Tcp>();
     }
 
     #[test]
@@ -1199,15 +961,15 @@ mod tests {
         peers.push(2);
         let (ticker, ticks) = Ticker::new(&peers);
         let addrs = [dead_addr(), deaf_addr, addr];
-        let done = run_loop_for(vec![slot(0, ticker, &addrs)], Duration::from_millis(300));
-        let deaf = &done.slots[0].links.peers[1];
+        let done = run_tcp_loop(ticker, &addrs, Duration::from_millis(300));
+        let deaf = &done.links.peers[0][1];
         assert!(deaf.full && deaf.armed, "the socket filled up");
         assert!(deaf.out.len() > 1 << 20, "and the rest waits in memory");
-        let ticks = ticks.lock().clone();
+        let ticks = ticks.lock().unwrap().clone();
         assert!(ticks.len() >= 60, "only {} ticks in 300 ms", ticks.len());
         let (p90, _) = gap_p90_and_median_lateness(&ticks);
         assert!(p90 < Duration::from_millis(10), "ticks waited {p90:?}");
-        let net = &done.slots[0].links.net;
+        let net = &done.links.net;
         assert_eq!((net.frames_dropped, net.reconnects), (0, 0));
         drop(done);
         let (got, errors) = reader.join().unwrap();

@@ -1,10 +1,11 @@
-//! `NetRuntime`'s threads: one readiness loop per core however many
-//! nodes there are, and nothing in the transport sleeps or polls, so a
-//! run ends when its wall time does, and every thread it started is
-//! joined. One test in a binary of its own — the thread count of the
-//! process is only meaningful while no other test runs beside it.
+//! The runtimes' threads: one readiness loop per core however many
+//! nodes there are, in memory as over TCP, and nothing in either
+//! transport sleeps or polls, so a run ends when its wall time does, and
+//! every thread it started is joined. One test in a binary of its own —
+//! the thread count of the process is only meaningful while no other
+//! test runs beside it.
 
-use pig_runtime::NetRuntime;
+use pig_runtime::{LoopRuntime, NetRunStats, NetRuntime, Runtime};
 use simnet::wire::WIRE_HEADER_BYTES;
 use simnet::{Actor, Context, Message, NodeId, TimerId, Wire, WireError, WireHeader, WireReader};
 use std::time::{Duration, Instant};
@@ -26,7 +27,7 @@ impl Wire for Ping {
 }
 
 /// Pings every other node once and answers every ping, so all
-/// `n (n - 1)` directed connections of the mesh exist and stay busy.
+/// `n (n - 1)` directed edges of the mesh exist and stay busy.
 struct Mesh {
     n: u32,
 }
@@ -49,16 +50,23 @@ fn threads_alive() -> usize {
         .count()
 }
 
-/// Run an `n`-node mesh for `wall`; returns how long that took and the
-/// most threads the process had while it ran.
-fn run_mesh(n: u32, wall: Duration) -> (Duration, usize) {
-    let mut rt: NetRuntime<Ping> = NetRuntime::new(3);
+/// A runtime's `run_for`.
+type RunFor<T> = fn(&mut LoopRuntime<Ping, T>, Duration) -> NetRunStats;
+
+/// Run an `n`-node mesh on `rt` for `wall`; returns how long that took
+/// and the most threads the process had while it ran.
+fn run_mesh<T: Send>(
+    mut rt: LoopRuntime<Ping, T>,
+    run_for: RunFor<T>,
+    n: u32,
+    wall: Duration,
+) -> (Duration, usize) {
     for _ in 0..n {
         rt.add_actor(Mesh { n });
     }
     let started = Instant::now();
     let (stats, peak) = std::thread::scope(|scope| {
-        let run = scope.spawn(|| rt.run_for(wall));
+        let run = scope.spawn(|| run_for(&mut rt, wall));
         let mut peak = 0;
         while !run.is_finished() {
             peak = peak.max(threads_alive());
@@ -75,22 +83,29 @@ fn run_mesh(n: u32, wall: Duration) -> (Duration, usize) {
 
 #[test]
 fn run_for_returns_on_time_and_leaves_no_thread_behind() {
-    let before = threads_alive();
-    let (took, _) = run_mesh(5, Duration::from_millis(50));
-    assert!(
-        took < Duration::from_millis(150),
-        "a 50 ms run took {took:?}: something waited out a poll interval"
-    );
-    assert_eq!(threads_alive(), before, "every thread is joined");
-
-    // 25 nodes are 600 connections and still one loop per core: beside
-    // the loops there are this test's thread, the one that calls
+    // 25 nodes (600 connections over TCP) are still one loop per core:
+    // beside the loops there are this test's thread, the one that calls
     // `run_for`, and the harness's main thread.
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let (_, peak) = run_mesh(25, Duration::from_millis(200));
-    assert!(
-        peak <= cores + 3,
-        "{peak} threads during a 25-node run on {cores} cores"
-    );
-    assert_eq!(threads_alive(), before, "every thread is joined");
+    let before = threads_alive();
+    let check = |name: &str, run: &dyn Fn(u32, Duration) -> (Duration, usize)| {
+        for (n, wall) in [(5, 50), (25, 200)].map(|(n, ms)| (n, Duration::from_millis(ms))) {
+            let (took, peak) = run(n, wall);
+            assert!(
+                took < wall + Duration::from_millis(100),
+                "{name}: a {wall:?} run took {took:?}: something waited out a poll interval"
+            );
+            assert!(
+                peak <= cores + 3,
+                "{name}: {peak} threads during a {n}-node run on {cores} cores"
+            );
+            assert_eq!(threads_alive(), before, "{name}: every thread is joined");
+        }
+    };
+    check("in memory", &|n, wall| {
+        run_mesh(Runtime::new(3), Runtime::run_for, n, wall)
+    });
+    check("tcp", &|n, wall| {
+        run_mesh(NetRuntime::new(3), NetRuntime::run_for, n, wall)
+    });
 }

@@ -53,7 +53,7 @@ pub trait Actor<M: Message> {
 }
 
 /// Boxed actors are actors too. This lets execution substrates that
-/// accept `impl Actor<M>` (e.g. the thread-per-node runtime) consume
+/// accept `impl Actor<M>` (e.g. the wall-clock runtime) consume
 /// the `Box<dyn Actor<M> + Send>` values a protocol-generic factory
 /// produces, without an unboxing adapter at every call site.
 impl<M: Message, A: Actor<M> + ?Sized> Actor<M> for Box<A> {

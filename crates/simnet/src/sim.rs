@@ -34,7 +34,7 @@ use crate::trace::{Trace, TraceEntry};
 /// Derive the RNG seed for node `index` from a master seed.
 ///
 /// This is the single source of truth for per-node randomness handoff:
-/// the deterministic simulator and the thread-per-node runtime
+/// the deterministic simulator and the wall-clock runtime
 /// (`pig-runtime`) both seed node `i`'s `StdRng` with
 /// `derive_node_seed(master, i)`, so a protocol actor observes the same
 /// RNG stream for a given `(master seed, node)` pair regardless of the

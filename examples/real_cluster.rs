@@ -1,9 +1,9 @@
 //! Substrate parity, demonstrated: the *same* `Experiment` value runs
 //! once on the deterministic simulator, once as a real cluster — one
-//! OS thread per node, crossbeam channels as the network, wall-clock
-//! timers — and once over real loopback TCP sockets with every message
-//! encoded to its wire bytes, through the same builder, with
-//! machine-checked safety on all three.
+//! readiness loop per core, messages passed in memory, wall-clock
+//! timers — and once on the same loops over real loopback TCP sockets
+//! with every message encoded to its wire bytes, through the same
+//! builder, with machine-checked safety on all three.
 //!
 //! ```sh
 //! cargo run --release --example real_cluster

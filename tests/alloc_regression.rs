@@ -8,8 +8,9 @@
 //! 1. the component-level hot path (the same harness `alloc_gate`
 //!    measures, so a regression here pinpoints the protocol layer),
 //! 2. a full `Experiment` on the deterministic simulator,
-//! 3. the same `Experiment` on the OS-thread substrate (channel
-//!    transport — adds runtime plumbing but no sockets), and
+//! 3. the same `Experiment` on the OS-thread substrate (the readiness
+//!    loops with in-memory transport — runtime plumbing but no
+//!    sockets), and
 //! 4. the TCP-socket substrate, probed *differentially*: the same
 //!    experiment with 8-byte and 1 KiB values. With the `Bytes`-backed
 //!    decode pipeline a large received payload is sliced out of its
@@ -113,7 +114,7 @@ fn batched_pipeline_stays_within_alloc_budget() {
         r.decided, d.allocs
     );
 
-    // --- Thread substrate: real threads + channel transport. ---
+    // --- Thread substrate: real threads + in-memory transport. ---
     let exp = b16_experiment()
         .warmup(SimDuration::from_millis(100))
         .measure(SimDuration::from_millis(400));
@@ -162,7 +163,7 @@ fn batched_pipeline_stays_within_alloc_budget() {
 
     // Substrate bounds set after the printed measurements above were
     // recorded on the optimized tree: sim ~4.1/op and threads ~4.6/op
-    // (event queue, workload generator, and channel transport
+    // (event queue, workload generator, and in-memory transport
     // included). The threads denominator is wall-clock-sized, so both
     // bounds leave several× headroom.
     assert!(

@@ -1,10 +1,11 @@
 //! Substrate parity as a first-class API property: the *same*
 //! `Experiment` value — same protocol config, topology, workload, and
 //! client population — runs on the deterministic simulator, on real OS
-//! threads with channel transport (`run_threads`), and over real TCP
+//! threads passing messages in memory (`run_threads`), and over real TCP
 //! loopback sockets with full wire encoding (`run_net`), and must make
 //! progress with zero safety violations on all three. The replica
-//! actors are byte-for-byte the same code; only the run method differs.
+//! actors are byte-for-byte the same code; only the run method differs,
+//! and the two wall-clock ones run on the same loops and report alike.
 
 use epaxos::EpaxosConfig;
 use paxi::{Experiment, ProtocolSpec, RunResult};
@@ -22,6 +23,18 @@ fn assert_clean_transport(name: &str, net: &RunResult) {
         (0, 0),
         "{name} net: decode errors / dropped frames"
     );
+}
+
+/// Both wall-clock transports count real traffic: every one of `nodes`
+/// nodes moved messages, and deliveries are counted by label.
+fn assert_counted(name: &str, run: &RunResult, nodes: usize) {
+    assert_eq!(run.node_msgs.len(), nodes, "{name}: replicas + clients");
+    assert!(
+        run.node_msgs.iter().all(|&m| m > 0),
+        "{name}: every node moved messages: {:?}",
+        run.node_msgs
+    );
+    assert!(run.label_counts.is_some(), "{name}: label counts populated");
 }
 
 fn assert_parity<P: ProtocolSpec>(proto: P, n: usize, min_thread_ops: usize)
@@ -67,6 +80,7 @@ where
         "{name} threads decided slots: {}",
         threads.decided
     );
+    assert_counted(&format!("{name} threads"), &threads, n + 4);
 
     // Third axis: every cross-node message encoded to its wire bytes,
     // shipped over a loopback TCP socket, and decoded on arrival. A
@@ -84,17 +98,7 @@ where
         net.samples
     );
     assert!(net.decided > 0, "{name} net decided slots: {}", net.decided);
-    // The transport counts real traffic: every node participated.
-    assert_eq!(net.node_msgs.len(), n + 4, "{name}: replicas + clients");
-    assert!(
-        net.node_msgs.iter().all(|&m| m > 0),
-        "{name} net: every node moved messages: {:?}",
-        net.node_msgs
-    );
-    assert!(
-        net.label_counts.is_some(),
-        "{name} net: label counts populated"
-    );
+    assert_counted(&format!("{name} net"), &net, n + 4);
     assert_clean_transport(name, &net);
 }
 
@@ -289,13 +293,7 @@ fn sharded_experiment_runs_on_all_three_substrates() {
     assert!(net.violations.is_empty(), "net: {:?}", net.violations);
     assert!(net.samples > 50, "net made progress: {}", net.samples);
     // 4 shard replicas + 4 routers all moved real TCP traffic.
-    assert_eq!(net.node_msgs.len(), 8, "replicas + routers");
-    assert!(
-        net.node_msgs.iter().all(|&m| m > 0),
-        "net: every node moved messages: {:?}",
-        net.node_msgs
-    );
-    assert!(net.label_counts.is_some(), "net: label counts populated");
+    assert_counted("sharded net", &net, 8);
     assert_clean_transport("sharded paxos", &net);
 }
 
