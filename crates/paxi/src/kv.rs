@@ -59,8 +59,11 @@ impl KvStore {
     /// unbounded. The `applied` count is carried over verbatim — the
     /// filter carves the key space, not the history — so the unbounded
     /// full range (`0, None`) is bit-identical to a plain clone,
-    /// fingerprint included.
+    /// fingerprint included — and is one, not a rebuild key by key.
     pub fn filtered(&self, start: Key, end: Option<Key>) -> KvStore {
+        if start == Key::MIN && end.is_none() {
+            return self.clone();
+        }
         let data = self
             .data
             .iter()
