@@ -5,6 +5,7 @@
 use std::fs::File;
 use std::io::{Error, ErrorKind};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// `struct epoll_event`, which only x86-64 packs.
@@ -35,22 +36,28 @@ extern "C" {
 const CLOEXEC: i32 = 0o2000000;
 const NONBLOCK: i32 = 0o4000;
 pub(crate) const EPOLL_CTL_ADD: i32 = 1;
-pub(crate) const EPOLL_CTL_DEL: i32 = 2;
+pub(crate) const EPOLL_CTL_MOD: i32 = 3;
 pub(crate) const EPOLLIN: u32 = 0x1;
 pub(crate) const EPOLLOUT: u32 = 0x4;
 
-/// An epoll instance, closed when dropped. Level-triggered: a descriptor
-/// left with unread bytes or a pending accept is reported again.
-pub(crate) struct Epoll(OwnedFd);
+/// A handle to an epoll instance, closed when the last is dropped: a
+/// loop and its transport share one. Level-triggered: a descriptor left
+/// with unread bytes or a pending accept is reported again.
+#[derive(Clone)]
+pub(crate) struct Epoll(Arc<OwnedFd>);
 
 impl Epoll {
     pub(crate) fn new() -> Self {
         // SAFETY: the call takes no pointer.
-        Epoll(owned(unsafe { epoll_create1(CLOEXEC) }, "epoll_create1"))
+        Epoll(Arc::new(owned(
+            unsafe { epoll_create1(CLOEXEC) },
+            "epoll_create1",
+        )))
     }
 
     /// `EPOLL_CTL_ADD`: report `fd` as `token` while it has any of
-    /// `events`; `EPOLL_CTL_DEL`: stop (as closing `fd` also does).
+    /// `events`; `EPOLL_CTL_MOD`: the same for an `fd` already added.
+    /// Closing `fd` ends its registration.
     pub(crate) fn ctl(&self, op: i32, fd: &impl AsRawFd, events: u32, token: u64) {
         let mut event = EpollEvent { events, token };
         // SAFETY: `event` is a live `epoll_event` for the length of the

@@ -33,9 +33,10 @@ pub(crate) trait Transport<M: Message>: Send + Sized + 'static {
     /// that is on this loop.
     fn send(&mut self, s: usize, from: NodeId, to: NodeId, msg: M, local: &mut Local<M>);
     /// Hand on what the turn's handlers sent; `charge(s)` after slot `s`'s.
-    fn flush(&mut self, ep: &Epoll, charge: impl FnMut(usize));
-    /// Handle the descriptor registered as `token`; returns whose time it was.
-    fn ready(&mut self, _: u64, _: &Epoll, _: impl Deliver<M, Self>) -> Option<usize> {
+    fn flush(&mut self, charge: impl FnMut(usize));
+    /// Handle the descriptor registered as `token`, ready for `events`;
+    /// returns whose time it was.
+    fn ready(&mut self, _token: u64, _events: u32, _: impl Deliver<M, Self>) -> Option<usize> {
         None
     }
     /// Add what this transport counted to `stats`.
@@ -143,7 +144,7 @@ impl<M: Message, T: Transport<M>> Loop<M, T> {
                 self.slots.nodes[s].charge(&mut mark);
             }
             let Slots { nodes, local } = &mut self.slots;
-            self.links.flush(&self.ep, |s| nodes[s].charge(&mut mark));
+            self.links.flush(|s| nodes[s].charge(&mut mark));
             let deadlines = nodes.iter().filter_map(Node::next_deadline);
             let timeout = match local.is_empty() {
                 false => Some(Duration::ZERO),
@@ -152,7 +153,7 @@ impl<M: Message, T: Transport<M>> Loop<M, T> {
             let ready = self.ep.wait(&mut events, timeout);
             mark = Instant::now();
             for event in &events[..ready] {
-                let token = event.token; // by value: the struct is packed
+                let (token, events) = (event.token, event.events); // by value: packed
                 if token == WAKE {
                     if !self.open_mail(&mut mark) {
                         return self;
@@ -161,7 +162,7 @@ impl<M: Message, T: Transport<M>> Loop<M, T> {
                 }
                 let slots = &mut self.slots;
                 let deliver = |links: &mut T, s, from, msg| slots.deliver(links, s, from, msg);
-                if let Some(s) = self.links.ready(token, &self.ep, deliver) {
+                if let Some(s) = self.links.ready(token, events, deliver) {
                     self.slots.nodes[s].charge(&mut mark);
                 }
             }

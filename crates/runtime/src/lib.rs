@@ -86,6 +86,9 @@ pub struct NetRunStats {
     pub delivered_by_label: BTreeMap<&'static str, u64>,
     /// Payload bytes that crossed a socket (0 in memory, as below).
     pub bytes_sent: u64,
+    /// Sockets opened by a node's connect, reconnects included; each
+    /// carries both directions of its node pair.
+    pub connections: u64,
     /// Successful re-establishments of a dropped peer connection.
     pub reconnects: u64,
     /// Frames that failed to decode (the wire schema disagrees with itself).

@@ -48,7 +48,7 @@ impl<M: Message + Send> Transport<M> for Mem<M> {
         }
     }
 
-    fn flush(&mut self, _ep: &Epoll, _charge: impl FnMut(usize)) {
+    fn flush(&mut self, _charge: impl FnMut(usize)) {
         for (door, batch) in self.doors.iter().zip(&mut self.batches) {
             if !batch.is_empty() {
                 let next = Vec::with_capacity(batch.len());
@@ -156,15 +156,18 @@ mod tests {
     #[test]
     fn a_stop_with_batches_in_flight_neither_panics_nor_hangs() {
         // A thousand messages bounce between two loops, so every stop
-        // lands with batches under way, and one loop stops first.
+        // lands with batches under way, and one loop stops first. The
+        // host may stop the process for longer than one 5 ms window, so
+        // progress is asserted over all of them.
+        let mut delivered = 0;
         for _ in 0..20 {
             let wall = Duration::from_millis(5);
             let started = Instant::now();
             let nodes: Vec<Box<dyn Actor<Seq> + Send>> = vec![Box::new(Bouncer), Box::new(Bouncer)];
-            let stats = run_on(nodes, 2, wall);
-            assert!(stats.msgs_delivered > 0);
+            delivered += run_on(nodes, 2, wall).msgs_delivered;
             assert!(started.elapsed() < wall + Duration::from_millis(100));
         }
+        assert!(delivered > 0);
         // Mail for a loop that has stopped is dropped, before and after
         // the loop itself is.
         let (door, mailbox) = mailbox::<Seq>();
