@@ -717,9 +717,12 @@ mod tests {
         (listener, addr)
     }
 
-    /// An address where connects are refused: nothing listens there.
+    /// An address where connects are refused: nothing listens there. A
+    /// freed port of 127.0.0.1 may be bound again by a test running
+    /// beside this one, or be picked as a connect's own source port, so
+    /// the port is taken on 127.0.0.2, where no listener here binds.
     fn dead_addr() -> SocketAddr {
-        listen().1
+        SocketAddr::from(([127, 0, 0, 2], listen().1.port()))
     }
 
     /// Read a blocking `conn` to its end through `drain_frames`, as a
