@@ -1068,9 +1068,7 @@ mod tests {
             let got = got.lock().unwrap().clone();
             assert!(got.contains(&(NodeId(0), 99)), "the spinner's message left");
             assert!(stats.per_node_received[0] > 1000, "the spinner spun");
-            // The ticking node was not starved of its timers either. Its
-            // loop never sleeps, so on a loaded host it runs in the
-            // scheduler's slices, and a gap may be a slice's length.
+            // The ticking node was not starved of its timers either.
             let ticks = ticks.lock().unwrap().clone();
             assert!(
                 ticks.len() >= 50,
@@ -1078,7 +1076,7 @@ mod tests {
                 ticks.len()
             );
             let (p90, _) = gap_p90_and_median_lateness(&ticks);
-            assert!(p90 < Duration::from_millis(25), "ticks waited {p90:?}");
+            assert!(p90 < Duration::from_millis(10), "ticks waited {p90:?}");
         }
         on::<Mem<Num>>();
         on::<Tcp>();

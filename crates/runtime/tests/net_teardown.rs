@@ -50,13 +50,14 @@ fn threads_alive() -> usize {
         .count()
 }
 
-/// The thread count once it is back to `before`, or after a second. A
-/// joined thread may still be listed for a moment: `join` returns when
-/// the kernel wakes it, a little before the task is gone.
+/// The thread count once it is back to `before`, or after the 100 ms
+/// slack a run already has. On a loaded host a joined thread can stay
+/// listed for some microseconds: `join` returns when the kernel wakes the
+/// joiner, a little before the exiting task is released.
 fn threads_settled(before: usize) -> usize {
-    let deadline = Instant::now() + Duration::from_secs(1);
+    let deadline = Instant::now() + Duration::from_millis(100);
     while threads_alive() != before && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
+        std::thread::yield_now();
     }
     threads_alive()
 }
