@@ -63,7 +63,7 @@ impl LeaderPipeline {
         let ballot = leader.start_campaign(Ballot::ZERO);
         let mut votes = vec![leader_acc.on_p1a(ballot, 0)];
         votes.extend(followers.iter_mut().map(|f| f.on_p1a(ballot, 0)));
-        match leader.on_p1b_votes(votes, 0) {
+        match leader.on_p1b_votes(votes, 0, leader_acc.log().reach()) {
             Phase1Outcome::Won { reproposals } => assert!(reproposals.is_empty()),
             other => panic!("campaign on a fresh cluster must win, got {other:?}"),
         }

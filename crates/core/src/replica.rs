@@ -22,11 +22,11 @@ use crate::messages::{PigMsg, RelayPlan};
 use crate::pqr::{PendingReads, ReadOutcome};
 use crate::probe_batch::{ProbeBatcher, ProbePush, ProbeRelease};
 use crate::relay::{AggKey, Flush, RelayTable, UplinkCoalescer, VoteSet};
-use paxi::{ClientReply, ClusterConfig, Command, CompactionStats, Ctx, Envelope, ReplicaCtx};
+use paxi::{ClientReply, ClusterConfig, Command, CompactionStats, Ctx, ReplicaCtx};
 use paxos::{Dissemination, PaxosConfig, PaxosMsg, QrProbe, QrProbeVote, QrVoteEntry, Reach};
 use rand::rngs::StdRng;
 use rand::Rng;
-use simnet::{Actor, NodeId};
+use simnet::NodeId;
 use std::collections::{HashMap, HashSet};
 
 // Timer kinds live in the low byte, above the core's [`paxos::Timer`]
@@ -541,18 +541,14 @@ impl Dissemination for RelayTree {
 /// replicas so follower proxies serve the reads (§4.3).
 impl paxi::ProtocolSpec for PigConfig {
     type Msg = PigMsg;
+    type Replica = PigReplica;
 
     fn protocol_name(&self) -> &'static str {
         "pigpaxos"
     }
 
-    fn build_replica(
-        &self,
-        node: NodeId,
-        cluster: &ClusterConfig,
-    ) -> Box<dyn Actor<Envelope<PigMsg>> + Send> {
-        let replica = PigReplica::new(node, cluster.clone(), self.clone());
-        Box::new(paxi::ReplicaActor(replica))
+    fn replica(&self, node: NodeId, cluster: &ClusterConfig) -> PigReplica {
+        PigReplica::new(node, cluster.clone(), self.clone())
     }
 
     fn default_target(&self, replicas: &[NodeId]) -> paxi::TargetPolicy {

@@ -19,9 +19,9 @@ use crate::graph::{plan_execution, InstStatus, InstanceView};
 use crate::messages::{Attrs, EpaxosMsg, InstanceId};
 use paxi::{
     fast_quorum, majority, Ballot, ClientReply, ClientRequest, ClusterConfig, Command, Ctx,
-    Envelope, KvStore, Replica, ReplicaActor, ReplicaCtx, RequestId, SessionTable,
+    KvStore, Replica, ReplicaCtx, RequestId, SessionTable,
 };
-use simnet::{Actor, NodeId, TimerId};
+use simnet::{NodeId, TimerId};
 use std::collections::{BTreeSet, HashMap};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,14 +172,6 @@ impl EpaxosReplica {
     /// The local state machine (tests/diagnostics).
     pub fn kv(&self) -> &KvStore {
         &self.kv
-    }
-
-    /// A copy of the state machine restricted to keys in `[start, end)`
-    /// (`end = None` unbounded). EPaxos has no slot-log snapshot value;
-    /// this is its range-filtered capture for shard moves — the
-    /// departing slice without cloning the keys that stay.
-    pub fn kv_range(&self, start: paxi::Key, end: Option<paxi::Key>) -> KvStore {
-        self.kv.filtered(start, end)
     }
 
     /// Number of committed-but-unexecuted instances (the window whose
@@ -503,8 +495,10 @@ impl Replica<EpaxosMsg> for EpaxosReplica {
 
     fn on_timer(&mut self, _id: TimerId, _kind: u64, _ctx: &mut Ctx<EpaxosMsg>) {}
 
-    fn state_digest(&self) -> Option<u64> {
-        Some(self.kv.fingerprint())
+    /// `try_execute` records every executed command's reply in
+    /// `sessions` before the reply can leave.
+    fn applied(&self) -> Option<(&KvStore, &SessionTable)> {
+        Some((&self.kv, &self.sessions))
     }
 }
 
@@ -515,21 +509,14 @@ impl Replica<EpaxosMsg> for EpaxosReplica {
 /// client setup.
 impl paxi::ProtocolSpec for EpaxosConfig {
     type Msg = EpaxosMsg;
+    type Replica = EpaxosReplica;
 
     fn protocol_name(&self) -> &'static str {
         "epaxos"
     }
 
-    fn build_replica(
-        &self,
-        node: NodeId,
-        cluster: &ClusterConfig,
-    ) -> Box<dyn Actor<Envelope<EpaxosMsg>> + Send> {
-        Box::new(ReplicaActor(EpaxosReplica::new(
-            node,
-            cluster.clone(),
-            self.clone(),
-        )))
+    fn replica(&self, node: NodeId, cluster: &ClusterConfig) -> EpaxosReplica {
+        EpaxosReplica::new(node, cluster.clone(), self.clone())
     }
 
     fn default_target(&self, replicas: &[NodeId]) -> paxi::TargetPolicy {
@@ -605,7 +592,7 @@ mod tests {
 
     #[test]
     fn retried_commands_do_not_become_new_instances() {
-        use paxi::{ClusterConfig, Envelope, Operation, Value};
+        use paxi::{ClusterConfig, Envelope, Operation, ReplicaActor, Value};
         use simnet::{Actor, Context, CpuCostModel, SimTime, Simulation, TimerId, Topology};
 
         /// Sends the same Put three times (original + two retries),

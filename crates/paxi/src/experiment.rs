@@ -27,10 +27,10 @@
 //!
 //! ```
 //! use paxi::Experiment;
-//! # use paxi::{ClusterConfig, Envelope, ProtocolSpec, TargetPolicy};
+//! # use paxi::{ClusterConfig, ProtocolSpec};
 //! # use paxi::{ClientReply, ClientRequest};
-//! # use paxi::{Ctx, Replica, ReplicaActor, ReplicaCtx};
-//! # use simnet::{Actor, NodeId, SimDuration};
+//! # use paxi::{Ctx, Replica, ReplicaCtx};
+//! # use simnet::{NodeId, SimDuration};
 //! # #[derive(Debug, Clone)]
 //! # struct NoMsg;
 //! # impl paxi::ProtoMessage for NoMsg { fn wire_size(&self) -> usize { 0 } }
@@ -47,13 +47,10 @@
 //! # struct AckSpec;
 //! # impl ProtocolSpec for AckSpec {
 //! #     type Msg = NoMsg;
+//! #     type Replica = Ack;
 //! #     fn protocol_name(&self) -> &'static str { "ack" }
-//! #     fn build_replica(
-//! #         &self,
-//! #         _node: NodeId,
-//! #         cluster: &ClusterConfig,
-//! #     ) -> Box<dyn Actor<Envelope<NoMsg>> + Send> {
-//! #         Box::new(ReplicaActor(Ack(cluster.clone(), 0)))
+//! #     fn replica(&self, _node: NodeId, cluster: &ClusterConfig) -> Ack {
+//! #         Ack(cluster.clone(), 0)
 //! #     }
 //! # }
 //! // A 1-node "cluster" of instant-ack replicas, 4 closed-loop clients:
@@ -95,6 +92,7 @@ use crate::cluster::ClusterConfig;
 use crate::command::Key;
 use crate::envelope::{Envelope, ProtoMessage};
 use crate::harness::{self, BoxedActor, LoadPoint, RunResult};
+use crate::replica::{Replica, ReplicaActor};
 use crate::shard::{GroupId, ShardLayout, ShardMove};
 use crate::workload::Workload;
 use pig_runtime::{NetRuntime, Runtime};
@@ -103,8 +101,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// A consensus protocol as seen by the experiment harness: a cheaply
-/// clonable configuration value that can stamp out one replica actor
-/// per node.
+/// clonable configuration value that can stamp out one replica per
+/// node.
 ///
 /// Protocol crates implement this on their config types (`PaxosConfig`,
 /// `PigConfig`, `EpaxosConfig`), which keeps every protocol-specific
@@ -116,17 +114,27 @@ pub trait ProtocolSpec: Clone + 'static {
     /// thread substrate moves messages across OS threads.
     type Msg: ProtoMessage + Send;
 
+    /// The concrete replica type [`ProtocolSpec::replica`] builds.
+    /// Named, not boxed, so a decorator such as [`crate::ShardGate`]
+    /// can read its [`Replica::applied`] state. `Send` so the same
+    /// replica serves both the simulator and the wall-clock runtimes.
+    type Replica: Replica<Self::Msg> + Send;
+
     /// Short protocol name for reports ("paxos", "pigpaxos", "epaxos").
     fn protocol_name(&self) -> &'static str;
 
-    /// Build the replica actor for `node`. The actor must be `Send` so
-    /// the same factory serves both the simulator and the thread
-    /// runtime.
+    /// Build the replica for `node` of `cluster`.
+    fn replica(&self, node: NodeId, cluster: &ClusterConfig) -> Self::Replica;
+
+    /// The replica for `node` as a boxed actor: [`ProtocolSpec::replica`]
+    /// behind a [`ReplicaActor`].
     fn build_replica(
         &self,
         node: NodeId,
         cluster: &ClusterConfig,
-    ) -> Box<dyn Actor<Envelope<Self::Msg>> + Send>;
+    ) -> Box<dyn Actor<Envelope<Self::Msg>> + Send> {
+        Box::new(ReplicaActor(self.replica(node, cluster)))
+    }
 
     /// The target policy clients use when the experiment does not set
     /// one explicitly. Defaults to the stable leader (replica 0);
@@ -497,7 +505,8 @@ pub(crate) mod tests {
     use super::*;
     use crate::command::{ClientReply, ClientRequest};
     use crate::kv::KvStore;
-    use crate::replica::{Ctx, Replica, ReplicaActor, ReplicaCtx};
+    use crate::replica::{Ctx, ReplicaCtx};
+    use crate::session::SessionTable;
 
     // ---- the instant-ack protocol every harness-level unit test in
     // ---- this crate runs (here, `harness`, `shard`) -------------------
@@ -521,11 +530,13 @@ pub(crate) mod tests {
         }
     }
 
-    /// Single-replica "consensus": applies every request to a local KV
-    /// and records the decision with its group's safety monitor.
-    struct Instant {
+    /// Single-replica "consensus": applies every request to a local KV,
+    /// records its reply in a session table, and records the decision
+    /// with its group's safety monitor.
+    pub(crate) struct Instant {
         cluster: ClusterConfig,
         kv: KvStore,
+        sessions: SessionTable,
         slot: u64,
     }
     impl Replica<NoProto> for Instant {
@@ -533,9 +544,14 @@ pub(crate) mod tests {
             self.cluster.safety.record(0, self.slot, req.command.id);
             self.slot += 1;
             let value = self.kv.apply(&req.command.op);
-            ctx.reply(client, ClientReply::ok(req.command.id, value));
+            let reply = ClientReply::ok(req.command.id, value);
+            self.sessions.record(&reply);
+            ctx.reply(client, reply);
         }
         fn on_proto(&mut self, _f: NodeId, _m: NoProto, _c: &mut Ctx<NoProto>) {}
+        fn applied(&self) -> Option<(&KvStore, &SessionTable)> {
+            Some((&self.kv, &self.sessions))
+        }
         /// Every replica of a group reports the same digest, and no
         /// two groups do.
         fn state_digest(&self) -> Option<u64> {
@@ -547,19 +563,17 @@ pub(crate) mod tests {
     pub(crate) struct InstantSpec;
     impl ProtocolSpec for InstantSpec {
         type Msg = NoProto;
+        type Replica = Instant;
         fn protocol_name(&self) -> &'static str {
             "instant"
         }
-        fn build_replica(
-            &self,
-            _node: NodeId,
-            cluster: &ClusterConfig,
-        ) -> Box<dyn Actor<Envelope<NoProto>> + Send> {
-            Box::new(ReplicaActor(Instant {
+        fn replica(&self, _node: NodeId, cluster: &ClusterConfig) -> Instant {
+            Instant {
                 cluster: cluster.clone(),
                 kv: KvStore::new(),
+                sessions: SessionTable::new(),
                 slot: 0,
-            }))
+            }
         }
     }
 

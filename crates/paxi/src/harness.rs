@@ -250,13 +250,12 @@ pub(crate) fn deploy<P: ProtocolSpec>(exp: &Experiment<P>) -> Deployment<P::Msg>
     let mut actors: Vec<BoxedActor<P::Msg>> = Vec::with_capacity(layout.total_nodes);
     for (g, cluster) in layout.clusters.iter().enumerate() {
         for &node in &cluster.replicas {
-            let replica = exp.proto.build_replica(node, cluster);
             if !gated {
-                actors.push(replica);
+                actors.push(exp.proto.build_replica(node, cluster));
                 continue;
             }
             let mut gate = ShardGate::new(
-                replica,
+                exp.proto.replica(node, cluster),
                 g as GroupId,
                 layout.map.clone(),
                 layout.leaders.clone(),

@@ -7,6 +7,8 @@
 
 use crate::command::{ClientReply, ClientRequest};
 use crate::envelope::{Envelope, ProtoMessage};
+use crate::kv::KvStore;
+use crate::session::SessionTable;
 use simnet::{Actor, Context, NodeId, TimerId};
 
 /// The context type replicas operate on.
@@ -49,12 +51,23 @@ pub trait Replica<P: ProtoMessage>: 'static {
     fn on_proto(&mut self, from: NodeId, msg: P, ctx: &mut Ctx<P>);
     /// A timer fired.
     fn on_timer(&mut self, _id: TimerId, _kind: u64, _ctx: &mut Ctx<P>) {}
-    /// A stable digest of this replica's applied state (e.g. a KV-store
-    /// fingerprint). Convergence checks compare digests across replicas
-    /// after faults heal and traffic drains; the default `None` opts
-    /// out. See [`simnet::Actor::state_digest`].
-    fn state_digest(&self) -> Option<u64> {
+    /// The state this replica has executed, read-only: its key-value
+    /// store and the session table that records the reply of every
+    /// executed command. A replica that answers a client only after
+    /// executing the command here lets a sharding gate serve range
+    /// moves from the store and retries from the table instead of
+    /// keeping copies of its own ([`crate::ShardGate`] requires
+    /// `Some`). The default `None` opts out.
+    fn applied(&self) -> Option<(&KvStore, &SessionTable)> {
         None
+    }
+    /// A stable digest of this replica's applied state. Convergence
+    /// checks compare digests across replicas after faults heal and
+    /// traffic drains. Defaults to the fingerprint of the
+    /// [`Replica::applied`] store, so `None` when that opts out. See
+    /// [`simnet::Actor::state_digest`].
+    fn state_digest(&self) -> Option<u64> {
+        self.applied().map(|(kv, _)| kv.fingerprint())
     }
 }
 

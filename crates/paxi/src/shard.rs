@@ -15,11 +15,13 @@
 //!   coverage hold by construction (a range ends where the next one
 //!   starts; the first starts at key 0; the last is unbounded).
 //! * [`ShardGate`] — a protocol-agnostic decorator in front of every
-//!   replica actor. It owns the shard-facing duties the protocol never
-//!   sees: reject-or-redirect for keys the group does not own, the
+//!   replica. It owns the shard-facing duties the protocol never sees:
+//!   reject-or-redirect for keys the group does not own, the
 //!   freeze/drain/ship state machine of a live range move, and
 //!   installing an inbound range through the group's own consensus log
-//!   (so the transferred state is as durable as any other write).
+//!   (so the transferred state is as durable as any other write). It
+//!   keeps no copy of the replica's state: it reads the replica's own
+//!   store and session table through [`Replica::applied`].
 //! * [`crate::TargetPolicy::ByKey`] — the client side: a
 //!   [`crate::ClosedLoopClient`] resolves each operation's key against
 //!   its (possibly stale) map copy, sends to the owning group's leader,
@@ -38,16 +40,16 @@
 //! A [`ShardMove`] rides the machinery that already exists instead of
 //! inventing a transfer protocol: the source leader's gate **freezes**
 //! the moving range (buffering new requests), **drains** in-flight
-//! writes, captures a range-filtered [`Snapshot`]
-//! ([`Snapshot::for_range`]), and ships it to the destination leader,
-//! whose gate **installs** it by proposing each entry through its own
-//! group's log. On the destination's ack the source bumps its map
-//! version, redirects the buffered clients, and broadcasts the new map.
-//! Clients that still hold the stale map are corrected per-request by
-//! redirect — exactly the mechanism that already handles a moved
-//! Paxos leader. Retries of requests acknowledged before the move are
-//! re-answered from a windowed reply cache, not re-executed, so a move
-//! never duplicates a client command.
+//! writes, cuts a range-filtered [`Snapshot`] from the leader replica's
+//! own store, and ships it to the destination leader, whose gate
+//! **installs** it by proposing each entry through its own group's log.
+//! On the destination's ack the source bumps its map version, redirects
+//! the buffered clients, and broadcasts the new map. Clients that still
+//! hold the stale map are corrected per-request by redirect — exactly
+//! the mechanism that already handles a moved Paxos leader. Retries of
+//! requests executed before the move are re-answered from the group's
+//! [`SessionTable`], not re-executed, so a move never duplicates a
+//! client command.
 //!
 //! Per-key linearizability across a live move is asserted by the
 //! workspace test-suite (`tests/sharding.rs`), not just argued here.
@@ -56,13 +58,15 @@ use crate::cluster::ClusterConfig;
 use crate::command::{ClientReply, ClientRequest, Command, Key, Operation, RequestId};
 use crate::envelope::{Envelope, ProtoMessage};
 use crate::kv::KvStore;
+use crate::replica::{Replica, ReplicaActor};
 use crate::session::SessionTable;
 use crate::snapshot::Snapshot;
 use simnet::wire::{WireHeader, DOMAIN_SHARD, WIRE_HEADER_BYTES};
 use simnet::{
     Actor, Context, Effect, NodeId, SimDuration, TimerId, Wire, WireError, WirePut, WireReader,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
+use std::marker::PhantomData;
 
 /// Identifies one consensus group (one shard's replica set).
 pub type GroupId = u32;
@@ -268,15 +272,6 @@ pub struct ShardMove {
 /// the network with client and protocol traffic on every substrate.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShardCtl {
-    /// Tell the owning group's leader gate to start moving the range
-    /// beginning at `start` to group `to` (the message form of
-    /// [`ShardMove`]; scheduled moves use a timer instead).
-    Move {
-        /// Start key of the range to move.
-        start: Key,
-        /// Destination group.
-        to: GroupId,
-    },
     /// Source → destination leader: the drained range's state. Boxed —
     /// a snapshot dwarfs every other variant.
     Install {
@@ -301,7 +296,8 @@ pub enum ShardCtl {
     },
 }
 
-const SHARD_KIND_MOVE: u8 = 0;
+// Kind 0 is unassigned and decodes to `BadTag`: a move starts only from
+// the source gate's own timer, never from a message off the network.
 const SHARD_KIND_INSTALL: u8 = 1;
 const SHARD_KIND_INSTALL_ACK: u8 = 2;
 const SHARD_KIND_MAP_UPDATE: u8 = 3;
@@ -311,7 +307,6 @@ impl ShardCtl {
     /// [`Wire`] encoding length exactly.
     pub fn wire_size(&self) -> usize {
         match self {
-            ShardCtl::Move { .. } => WIRE_HEADER_BYTES + 12,
             // version + start + end-presence byte + end + snapshot.
             ShardCtl::Install { snapshot, .. } => WIRE_HEADER_BYTES + 25 + snapshot.wire_bytes(),
             ShardCtl::InstallAck { .. } => WIRE_HEADER_BYTES + 8,
@@ -322,7 +317,6 @@ impl ShardCtl {
     /// Short label for traces and per-label delivery counts.
     pub fn label(&self) -> &'static str {
         match self {
-            ShardCtl::Move { .. } => "shard_move",
             ShardCtl::Install { .. } => "shard_install",
             ShardCtl::InstallAck { .. } => "shard_install_ack",
             ShardCtl::MapUpdate { .. } => "shard_map",
@@ -337,11 +331,6 @@ impl Wire for ShardCtl {
     /// little-endian fields (see [`ShardCtl::wire_size`] for layouts).
     fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            ShardCtl::Move { start, to } => {
-                WireHeader::new(DOMAIN_SHARD, SHARD_KIND_MOVE).encode_into(out);
-                out.put_u64(*start);
-                out.put_u32(*to);
-            }
             ShardCtl::Install {
                 version,
                 range,
@@ -374,10 +363,6 @@ impl Wire for ShardCtl {
             });
         }
         match h.kind {
-            SHARD_KIND_MOVE => Ok(ShardCtl::Move {
-                start: r.u64("shard.move.start")?,
-                to: r.u32("shard.move.to")?,
-            }),
             SHARD_KIND_INSTALL => {
                 let version = r.u64("shard.install.version")?;
                 let start = r.u64("shard.install.start")?;
@@ -420,9 +405,6 @@ const GATE_TIMER_BIT: u64 = 1 << 63;
 const DRAIN_KIND: u64 = GATE_TIMER_BIT | (1 << 62);
 /// How often a draining gate re-checks for in-flight writes.
 const DRAIN_TICK: SimDuration = SimDuration::from_millis(1);
-/// Per-client window of recently acknowledged replies kept for
-/// exactly-once retry replay across a move.
-const RECENT_WINDOW: usize = 32;
 
 /// Source-side state of one in-progress outbound move.
 struct MoveState {
@@ -444,28 +426,36 @@ struct InstallState {
     from: NodeId,
     /// Sequence numbers of install writes not yet acknowledged by the
     /// local consensus group.
-    outstanding: HashSet<u64>,
+    outstanding: BTreeSet<u64>,
     /// Client requests for the arriving range, parked until the state
     /// is installed (then served locally).
     buffered: Vec<(NodeId, ClientRequest)>,
 }
 
-/// Protocol-agnostic sharding decorator wrapped around a replica actor.
+/// Protocol-agnostic sharding decorator wrapped around a replica.
 ///
 /// The gate intercepts the replica's network-facing surface: inbound
 /// client requests are admitted, buffered, redirected, or re-answered
-/// from the reply cache depending on range ownership and move state;
-/// inbound [`ShardCtl`] traffic drives the move/install state machines;
-/// everything else — protocol messages, timers — passes through
-/// untouched. Outbound effects are observed via [`Context::capture`] so
-/// the gate can mirror acknowledged writes (the mirror is what a move
-/// ships) without knowing anything about the protocol inside.
+/// from the replica's session table depending on range ownership and
+/// move state; inbound [`ShardCtl`] traffic drives the move/install
+/// state machines; everything else — protocol messages, timers —
+/// passes through untouched. Outbound effects are observed via
+/// [`Context::capture`] so the gate sees when a write it forwarded has
+/// been answered, without knowing anything about the protocol inside.
+///
+/// The gate holds no copy of the replica's state. A move ships a range
+/// cut from the replica's own store, and a retry is answered from the
+/// replica's own session table, both read through [`Replica::applied`].
+/// That is sound for any replica that answers a write only after
+/// executing it, so [`ShardGate::new`] refuses one whose `applied` is
+/// `None`.
 ///
 /// One gate wraps **every** replica, but only the gate in front of a
 /// group's leader acts on moves; follower gates merely keep their maps
 /// fresh and redirect strays.
-pub struct ShardGate<P: ProtoMessage> {
-    inner: Box<dyn Actor<Envelope<P>> + Send>,
+pub struct ShardGate<P: ProtoMessage, R: Replica<P>> {
+    inner: ReplicaActor<R>,
+    _msg: PhantomData<fn() -> P>,
     group: GroupId,
     map: ShardMap,
     /// Initial leader of every group, indexed by [`GroupId`].
@@ -476,43 +466,41 @@ pub struct ShardGate<P: ProtoMessage> {
     /// Scheduled moves this gate initiates (leader gates only).
     moves: Vec<ShardMove>,
     node: NodeId,
-    /// Writes acknowledged by the local group, replayed from observed
-    /// `ok` replies — the state a move ships.
-    mirror: KvStore,
-    /// Writes proposed but not yet acknowledged (client and install
-    /// writes); a move may not ship while any overlap its range.
-    pending: HashMap<RequestId, Operation>,
-    /// Per-client window of recent acknowledged replies, for
-    /// exactly-once retry replay after the range moved away.
-    recent: HashMap<NodeId, VecDeque<(u64, ClientReply)>>,
+    /// Keys of the writes forwarded (client and install writes) and not
+    /// yet answered; a move may not ship while any lies in its range.
+    pending: BTreeMap<RequestId, Key>,
     moving: Option<MoveState>,
     installing: Option<InstallState>,
     /// Sequence source for gate-issued install writes.
     gate_seq: u64,
 }
 
-impl<P: ProtoMessage> ShardGate<P> {
-    /// Wrap `inner` (a replica of `group`) with the sharding gate.
+impl<P: ProtoMessage, R: Replica<P>> ShardGate<P, R> {
+    /// Wrap `replica` (a replica of `group`) with the sharding gate.
     /// `leaders[g]` is group *g*'s leader node; `notify` lists the
-    /// nodes to send map updates to after a committed move.
+    /// nodes to send map updates to after a committed move. Panics
+    /// unless the replica exposes its [`Replica::applied`] state.
     pub fn new(
-        inner: Box<dyn Actor<Envelope<P>> + Send>,
+        replica: R,
         group: GroupId,
         map: ShardMap,
         leaders: Vec<NodeId>,
         notify: Vec<NodeId>,
     ) -> Self {
+        assert!(
+            replica.applied().is_some(),
+            "a gated replica must expose its applied state"
+        );
         ShardGate {
-            inner,
+            inner: ReplicaActor(replica),
+            _msg: PhantomData,
             group,
             map,
             leaders,
             notify,
             moves: Vec::new(),
             node: NodeId(u32::MAX),
-            mirror: KvStore::new(),
-            pending: HashMap::new(),
-            recent: HashMap::new(),
+            pending: BTreeMap::new(),
             moving: None,
             installing: None,
             gate_seq: 0,
@@ -537,16 +525,27 @@ impl<P: ProtoMessage> ShardGate<P> {
     fn invoke(
         &mut self,
         ctx: &mut Context<Envelope<P>>,
-        f: impl FnOnce(&mut (dyn Actor<Envelope<P>> + Send), &mut Context<Envelope<P>>),
+        f: impl FnOnce(&mut ReplicaActor<R>, &mut Context<Envelope<P>>),
     ) {
         let inner = &mut self.inner;
-        let ((), effects) = ctx.capture(|c| f(inner.as_mut(), c));
+        let ((), effects) = ctx.capture(|c| f(inner, c));
         self.process_effects(effects, ctx);
     }
 
-    /// Re-emit the replica's captured effects, observing replies on the
-    /// way out. Replies addressed to this very node are gate-issued
-    /// install writes completing — they are consumed, not sent.
+    /// The replica's executed store and session table.
+    fn applied(&self) -> (&KvStore, &SessionTable) {
+        self.inner.0.applied().expect("checked in ShardGate::new")
+    }
+
+    /// The group's reply to `id`, if its replica executed it recently.
+    fn replay(&self, id: RequestId) -> Option<ClientReply> {
+        self.applied().1.replay(id).cloned()
+    }
+
+    /// Re-emit the replica's captured effects. A reply, whatever its
+    /// outcome, settles the write it answers. Replies addressed to this
+    /// very node are gate-issued install writes completing — they are
+    /// consumed, not sent.
     fn process_effects(
         &mut self,
         effects: Vec<Effect<Envelope<P>>>,
@@ -556,7 +555,7 @@ impl<P: ProtoMessage> ShardGate<P> {
             match effect {
                 Effect::Send { to, msg } => match msg {
                     Envelope::Reply(r) => {
-                        self.note_reply(&r);
+                        self.pending.remove(&r.id);
                         if to == self.node {
                             self.on_self_reply(&r, ctx);
                         } else {
@@ -565,7 +564,7 @@ impl<P: ProtoMessage> ShardGate<P> {
                     }
                     Envelope::ReplyBatch(rs) => {
                         for r in &rs {
-                            self.note_reply(r);
+                            self.pending.remove(&r.id);
                         }
                         if to == self.node {
                             for r in &rs {
@@ -578,26 +577,6 @@ impl<P: ProtoMessage> ShardGate<P> {
                     other => ctx.send(to, other),
                 },
                 other => ctx.emit(other),
-            }
-        }
-    }
-
-    /// Observe one outbound reply: settle the pending write (feeding
-    /// the mirror on success) and cache it for retry replay.
-    fn note_reply(&mut self, r: &ClientReply) {
-        if !r.ok {
-            self.pending.remove(&r.id);
-            return;
-        }
-        if let Some(op) = self.pending.remove(&r.id) {
-            self.mirror.apply(&op);
-        }
-        if r.id.client != self.node {
-            let entry = self.recent.entry(r.id.client).or_default();
-            entry.retain(|(seq, _)| *seq != r.id.seq);
-            entry.push_back((r.id.seq, r.clone()));
-            if entry.len() > RECENT_WINDOW {
-                entry.pop_front();
             }
         }
     }
@@ -620,18 +599,10 @@ impl<P: ProtoMessage> ShardGate<P> {
         }
     }
 
-    fn cached_reply(&self, id: &RequestId) -> Option<ClientReply> {
-        self.recent
-            .get(&id.client)?
-            .iter()
-            .find(|(seq, _)| *seq == id.seq)
-            .map(|(_, r)| r.clone())
-    }
-
     /// Admission control for client requests: buffer during an install
-    /// or a freeze, replay cached replies for retries of acknowledged
-    /// requests, redirect keys this group does not own, and pass owned
-    /// traffic to the replica.
+    /// or a freeze, replay the session table's reply to a retry of an
+    /// executed request, redirect keys this group does not own, and
+    /// pass owned traffic to the replica.
     fn handle_request(&mut self, from: NodeId, req: ClientRequest, ctx: &mut Context<Envelope<P>>) {
         let key = match req.command.op.key() {
             Some(k) => k,
@@ -661,7 +632,7 @@ impl<P: ProtoMessage> ShardGate<P> {
             .as_ref()
             .is_some_and(|mv| mv.range.contains(key));
         if frozen {
-            if let Some(reply) = self.cached_reply(&req.command.id) {
+            if let Some(reply) = self.replay(req.command.id) {
                 ctx.send(from, Envelope::Reply(reply));
                 return;
             }
@@ -678,7 +649,7 @@ impl<P: ProtoMessage> ShardGate<P> {
         let owner = self.map.group_for(key);
         if owner == self.group {
             self.forward_owned(from, req, ctx);
-        } else if let Some(reply) = self.cached_reply(&req.command.id) {
+        } else if let Some(reply) = self.replay(req.command.id) {
             // A retry of a request this group already executed before
             // the range moved away: re-answer, never redirect — the new
             // owner would execute it a second time.
@@ -695,16 +666,16 @@ impl<P: ProtoMessage> ShardGate<P> {
     /// Hand an owned request to the replica, tracking writes as pending
     /// until their reply settles them.
     fn forward_owned(&mut self, from: NodeId, req: ClientRequest, ctx: &mut Context<Envelope<P>>) {
-        if let Operation::Put(..) = req.command.op {
-            self.pending.insert(req.command.id, req.command.op.clone());
+        if let Operation::Put(key, _) = req.command.op {
+            self.pending.insert(req.command.id, key);
         }
         self.invoke(ctx, move |inner, c| {
             inner.on_message(from, Envelope::Request(req), c)
         });
     }
 
-    /// Begin moving the range starting at `start` to group `to`.
-    /// Silently refuses when this gate is not the current owner's
+    /// Begin a scheduled move of the range starting at `start` to group
+    /// `to`. Silently refuses when this gate is not the current owner's
     /// leader, the range boundary does not exist, a move or install is
     /// already in flight, or the destination is bogus — a scheduled
     /// move list handed to every leader thus fires exactly once, at
@@ -739,24 +710,25 @@ impl<P: ProtoMessage> ShardGate<P> {
     /// Ship the frozen range once no in-flight write overlaps it;
     /// otherwise re-check after a drain tick. Strict draining is what
     /// makes the snapshot complete: a write committed after capture
-    /// would be silently lost.
+    /// would be silently lost. Once drained, every write to the range
+    /// has been answered, and the replica answers only after executing,
+    /// so its store holds the whole range. The snapshot carries neither
+    /// a freshness index nor sessions: retries of commands executed
+    /// here are answered here, never by the new owner.
     fn try_ship(&mut self, ctx: &mut Context<Envelope<P>>) {
         let (range, to) = match &self.moving {
             Some(mv) if !mv.shipped => (mv.range, mv.to),
             _ => return,
         };
-        let draining = self
-            .pending
-            .values()
-            .any(|op| op.key().is_some_and(|k| range.contains(k)));
-        if draining {
+        if self.pending.values().any(|&k| range.contains(k)) {
             ctx.set_timer(DRAIN_TICK, DRAIN_KIND);
             return;
         }
+        let store = self.applied().0;
         let snapshot = Snapshot::for_range(
             0,
-            &self.mirror,
-            &HashMap::new(),
+            store,
+            &Default::default(),
             &SessionTable::new(),
             range.start,
             range.end,
@@ -801,7 +773,7 @@ impl<P: ProtoMessage> ShardGate<P> {
             version,
             range,
             from,
-            outstanding: HashSet::new(),
+            outstanding: BTreeSet::new(),
             buffered: Vec::new(),
         };
         let mut commands = Vec::new();
@@ -812,7 +784,7 @@ impl<P: ProtoMessage> ShardGate<P> {
                 seq: self.gate_seq,
             };
             inst.outstanding.insert(self.gate_seq);
-            self.pending.insert(id, Operation::Put(k, v.clone()));
+            self.pending.insert(id, k);
             commands.push(Command {
                 id,
                 op: Operation::Put(k, v),
@@ -883,7 +855,6 @@ impl<P: ProtoMessage> ShardGate<P> {
 
     fn handle_ctl(&mut self, from: NodeId, ctl: ShardCtl, ctx: &mut Context<Envelope<P>>) {
         match ctl {
-            ShardCtl::Move { start, to } => self.start_move(start, to, ctx),
             ShardCtl::Install {
                 version,
                 range,
@@ -899,7 +870,7 @@ impl<P: ProtoMessage> ShardGate<P> {
     }
 }
 
-impl<P: ProtoMessage> Actor<Envelope<P>> for ShardGate<P> {
+impl<P: ProtoMessage, R: Replica<P>> Actor<Envelope<P>> for ShardGate<P, R> {
     fn on_start(&mut self, ctx: &mut Context<Envelope<P>>) {
         self.node = ctx.node();
         for (i, mv) in self.moves.iter().enumerate() {
@@ -977,8 +948,8 @@ impl ShardLayout {
 mod tests {
     use super::*;
     use crate::command::Value;
-    use crate::experiment::tests::InstantSpec;
-    use crate::{Experiment, DEFAULT_SEED};
+    use crate::experiment::tests::{InstantSpec, NoProto};
+    use crate::{Ctx, Experiment, DEFAULT_SEED};
 
     #[test]
     fn uniform_map_routes_and_validates() {
@@ -1051,9 +1022,9 @@ mod tests {
     fn shard_ctl_wire_roundtrips_exact() {
         let mut kv = KvStore::new();
         kv.apply(&Operation::Put(7, Value::zeros(3)));
-        let snapshot = Snapshot::for_range(0, &kv, &HashMap::new(), &SessionTable::new(), 0, None);
+        let snapshot =
+            Snapshot::for_range(0, &kv, &Default::default(), &SessionTable::new(), 0, None);
         let ctls = vec![
-            ShardCtl::Move { start: 42, to: 3 },
             ShardCtl::Install {
                 version: 9,
                 range: KeyRange {
@@ -1090,12 +1061,26 @@ mod tests {
             ShardCtl::decode_frame(&bytes.into()),
             Err(WireError::BadTag { .. })
         ));
-        let mut bytes = ShardCtl::InstallAck { version: 1 }.encode();
-        bytes[2] = 200; // kind byte
-        assert!(matches!(
-            ShardCtl::decode_frame(&bytes.into()),
-            Err(WireError::BadTag { .. })
-        ));
+        // Kind 0 is unassigned: no message starts a move.
+        for kind in [0, 200] {
+            let mut bytes = ShardCtl::InstallAck { version: 1 }.encode();
+            bytes[2] = kind; // kind byte
+            assert!(matches!(
+                ShardCtl::decode_frame(&bytes.into()),
+                Err(WireError::BadTag { .. })
+            ));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must expose its applied state")]
+    fn gate_refuses_a_replica_without_applied_state() {
+        struct Opaque;
+        impl Replica<NoProto> for Opaque {
+            fn on_request(&mut self, _c: NodeId, _r: ClientRequest, _x: &mut Ctx<NoProto>) {}
+            fn on_proto(&mut self, _f: NodeId, _m: NoProto, _x: &mut Ctx<NoProto>) {}
+        }
+        let _ = ShardGate::new(Opaque, 0, ShardMap::uniform(1, 10), vec![], vec![]);
     }
 
     // ---- gate/router integration over the instant-ack protocol ---------

@@ -364,27 +364,6 @@ impl Acceptor {
         self.log.truncate_below(up_to);
     }
 
-    /// Capture — without truncating — a snapshot of only the keys in
-    /// `[start, end)` (`end = None` unbounded) at the current executed
-    /// frontier. This is the shard-move drain path: the departing range
-    /// ships to the destination group without cloning the keys that
-    /// stay behind.
-    pub fn snapshot_range(
-        &self,
-        sessions: &SessionTable,
-        start: Key,
-        end: Option<Key>,
-    ) -> Snapshot {
-        Snapshot::for_range(
-            self.log.execute_cursor(),
-            &self.kv,
-            &self.last_write_slot,
-            sessions,
-            start,
-            end,
-        )
-    }
-
     /// Install a snapshot received from a peer (via a phase-1b promise
     /// or a `SnapshotTransfer`). Replaces the state machine, jumps the
     /// executed frontier to `snapshot.up_to`, and keeps any accepted or
@@ -621,28 +600,6 @@ mod tests {
         assert_eq!(a.commit_watermark(), 20);
         // Truncated slots answer quorum reads from the snapshot index.
         assert!(a.read_state(1).value.is_some());
-    }
-
-    #[test]
-    fn snapshot_range_captures_only_the_moving_slice() {
-        let mut a = acc();
-        let sessions = SessionTable::new();
-        for s in 0..10 {
-            a.commit(s, b(1), cmd(s + 1));
-        }
-        a.execute_ready();
-        // cmd(n) writes key n, so keys 1..=10 exist; [3, 6) holds three.
-        let snap = a.snapshot_range(&sessions, 3, Some(6));
-        assert_eq!(snap.kv.len(), 3);
-        assert!(snap
-            .last_write_slots
-            .iter()
-            .all(|&(k, _)| (3..6).contains(&k)));
-        assert_eq!(snap.up_to, 10);
-        assert_eq!(a.snapshot_floor(), 0, "range capture never truncates");
-        // Unbounded capture matches what force_snapshot would record.
-        let full = a.snapshot_range(&sessions, 0, None);
-        assert_eq!(full.kv.fingerprint(), a.kv().fingerprint());
     }
 
     #[test]

@@ -510,7 +510,7 @@ mod tests {
                 snapshot: None,
             })
             .collect();
-        l.on_p1b_votes(votes, 0);
+        l.on_p1b_votes(votes, 0, paxi::Log::new().reach());
         l
     }
 

@@ -154,8 +154,17 @@ impl Leader {
         self.ballot
     }
 
-    /// Feed phase-1b votes (own vote included by the caller).
-    pub fn on_p1b_votes(&mut self, votes: Vec<P1bVote>, watermark: u64) -> Phase1Outcome {
+    /// Feed phase-1b votes (own vote included by the caller). `reach` is
+    /// the candidate's own [`paxi::Log::reach`]: a promise naming an
+    /// accepted slot at or past it is ignored — neither counted nor
+    /// merged — since winning on it would re-propose every slot up to
+    /// that one, and the candidate's own acceptor would refuse it anyway.
+    pub fn on_p1b_votes(
+        &mut self,
+        votes: Vec<P1bVote>,
+        watermark: u64,
+        reach: u64,
+    ) -> Phase1Outcome {
         if !self.campaigning {
             return Phase1Outcome::Pending;
         }
@@ -166,6 +175,9 @@ impl Leader {
                     return Phase1Outcome::Preempted { higher: v.ballot };
                 }
                 self.p1_tracker.nack(v.node);
+                continue;
+            }
+            if v.accepted.iter().any(|&(slot, _, _)| slot >= reach) {
                 continue;
             }
             for (slot, b, cmd) in v.accepted {
@@ -407,6 +419,9 @@ mod tests {
     use super::*;
     use paxi::{Operation, Value};
 
+    /// The reach of a candidate whose log is empty.
+    const REACH: u64 = paxi::log::MAX_HOLE;
+
     fn cmd(seq: u64) -> Command {
         Command {
             id: RequestId {
@@ -442,14 +457,14 @@ mod tests {
         let b = l.start_campaign(Ballot::ZERO);
         assert!(l.is_campaigning());
         assert_eq!(
-            l.on_p1b_votes(vec![p1b_ok(0, b)], 0),
+            l.on_p1b_votes(vec![p1b_ok(0, b)], 0, REACH),
             Phase1Outcome::Pending
         );
         assert_eq!(
-            l.on_p1b_votes(vec![p1b_ok(1, b)], 0),
+            l.on_p1b_votes(vec![p1b_ok(1, b)], 0, REACH),
             Phase1Outcome::Pending
         );
-        match l.on_p1b_votes(vec![p1b_ok(2, b)], 0) {
+        match l.on_p1b_votes(vec![p1b_ok(2, b)], 0, REACH) {
             Phase1Outcome::Won { reproposals } => assert!(reproposals.is_empty()),
             other => panic!("expected win, got {other:?}"),
         }
@@ -476,7 +491,7 @@ mod tests {
             accepted: vec![(1, old_b2, cmd(21))],
             snapshot: None,
         };
-        match l.on_p1b_votes(vec![v1, v2], 0) {
+        match l.on_p1b_votes(vec![v1, v2], 0, REACH) {
             Phase1Outcome::Won { reproposals } => {
                 // Slots 0..4: 0 noop, 1 adopted (higher ballot wins), 2 noop, 3 adopted.
                 assert_eq!(reproposals.len(), 4);
@@ -486,6 +501,30 @@ mod tests {
                 assert_eq!(reproposals[3].1, cmd(13));
             }
             other => panic!("expected win, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn forged_promise_past_reach_is_ignored() {
+        let mut l = Leader::new(NodeId(0), 3);
+        let b = l.start_campaign(Ballot::ZERO);
+        let forged = P1bVote {
+            node: NodeId(1),
+            ballot: b,
+            ok: true,
+            accepted: vec![((1 << 48) - 1, Ballot::new(1, NodeId(1)), cmd(1))],
+            snapshot: None,
+        };
+        // Own vote plus the forged one would be a majority of 3: it must
+        // neither count nor leave a slot behind to re-propose.
+        assert_eq!(
+            l.on_p1b_votes(vec![p1b_ok(0, b), forged], 0, REACH),
+            Phase1Outcome::Pending
+        );
+        assert!(l.p1_merged.is_empty(), "nothing merged from the forgery");
+        match l.on_p1b_votes(vec![p1b_ok(2, b)], 0, REACH) {
+            Phase1Outcome::Won { reproposals } => assert!(reproposals.is_empty()),
+            other => panic!("honest quorum must win, got {other:?}"),
         }
     }
 
@@ -502,7 +541,7 @@ mod tests {
             snapshot: None,
         };
         assert_eq!(
-            l.on_p1b_votes(vec![nack], 0),
+            l.on_p1b_votes(vec![nack], 0, REACH),
             Phase1Outcome::Preempted { higher }
         );
         assert!(!l.is_active());
@@ -516,7 +555,7 @@ mod tests {
         let mut l = Leader::new(NodeId(0), n);
         let b = l.start_campaign(Ballot::ZERO);
         let votes: Vec<P1bVote> = (0..majority(n) as u32).map(|i| p1b_ok(i, b)).collect();
-        match l.on_p1b_votes(votes, 0) {
+        match l.on_p1b_votes(votes, 0, REACH) {
             Phase1Outcome::Won { .. } => {}
             other => panic!("setup failed: {other:?}"),
         }

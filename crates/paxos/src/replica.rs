@@ -29,11 +29,11 @@ use crate::config::PaxosConfig;
 use crate::leader::{Leader, Phase1Outcome};
 use crate::messages::{P2bVote, PaxosMsg, QrProbeVote, QrVoteEntry, META_LEN_MAX};
 use paxi::{
-    Ballot, ClientReply, ClientRequest, ClusterConfig, Command, Ctx, Envelope, Key, ProtoMessage,
-    ReplicaActor, ReplicaCtx, ReplyBatcher, RequestId, SessionTable, Value,
+    Ballot, ClientReply, ClientRequest, ClusterConfig, Command, Ctx, Key, KvStore, ProtoMessage,
+    ReplicaCtx, ReplyBatcher, RequestId, SessionTable, Value,
 };
 use rand::Rng;
-use simnet::{Actor, NodeId, SimDuration, SimTime, TimerId};
+use simnet::{NodeId, SimDuration, SimTime, TimerId};
 use std::collections::VecDeque;
 
 /// Largest number of slots requested in one batched `LearnReq`.
@@ -256,7 +256,8 @@ impl<D: Dissemination> Replica<D> {
         let watermark = self.acceptor.commit_watermark();
         // Self-vote first; in a 1-node cluster this already wins.
         let own = self.acceptor.on_p1a(ballot, watermark);
-        let outcome = self.leader.on_p1b_votes(vec![own], watermark);
+        let reach = self.acceptor.log().reach();
+        let outcome = self.leader.on_p1b_votes(vec![own], watermark, reach);
         self.handle_phase1_outcome(outcome, ctx);
         let from = watermark;
         D::fan_out(self, PaxosMsg::P1a { ballot, from }, Reach::All, ctx);
@@ -507,7 +508,8 @@ impl<D: Dissemination> Replica<D> {
                     // `crate::catchup`).
                     self.install_p1b_snapshots(&mut votes);
                     let watermark = self.acceptor.commit_watermark();
-                    let outcome = self.leader.on_p1b_votes(votes, watermark);
+                    let reach = self.acceptor.log().reach();
+                    let outcome = self.leader.on_p1b_votes(votes, watermark, reach);
                     self.handle_phase1_outcome(outcome, ctx);
                 }
                 None
@@ -779,8 +781,10 @@ impl<D: Dissemination> paxi::Replica<D::Msg> for Replica<D> {
         }
     }
 
-    fn state_digest(&self) -> Option<u64> {
-        Some(self.acceptor.kv().fingerprint())
+    /// `reply_executed` records every executed command's reply in
+    /// `sessions` before the reply can leave.
+    fn applied(&self) -> Option<(&KvStore, &SessionTable)> {
+        Some((self.acceptor.kv(), &self.sessions))
     }
 }
 
@@ -790,18 +794,14 @@ impl<D: Dissemination> paxi::Replica<D::Msg> for Replica<D> {
 /// (replica 0).
 impl paxi::ProtocolSpec for PaxosConfig {
     type Msg = PaxosMsg;
+    type Replica = PaxosReplica;
 
     fn protocol_name(&self) -> &'static str {
         "paxos"
     }
 
-    fn build_replica(
-        &self,
-        node: NodeId,
-        cluster: &ClusterConfig,
-    ) -> Box<dyn Actor<Envelope<PaxosMsg>> + Send> {
-        let replica = PaxosReplica::new(node, cluster.clone(), self.clone());
-        Box::new(ReplicaActor(replica))
+    fn replica(&self, node: NodeId, cluster: &ClusterConfig) -> PaxosReplica {
+        PaxosReplica::new(node, cluster.clone(), self.clone())
     }
 }
 

@@ -3,11 +3,13 @@
 //! read-your-writes through stale-map redirects, and exactly-once
 //! decision of every client command across all shard logs.
 
+use epaxos::EpaxosConfig;
 use paxi::{
     ClientRequest, ClusterConfig, Command, Envelope, Experiment, Key, Operation, ProtoMessage,
-    RequestId, ShardMap, Value, DEFAULT_SEED,
+    ProtocolSpec, RequestId, ShardMap, Value, DEFAULT_SEED,
 };
 use paxos::PaxosConfig;
+use pigpaxos::PigConfig;
 use simnet::{Actor, Context, NodeId, SimDuration, TimerId};
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -165,14 +167,14 @@ fn assert_exactly_once(groups: &[ClusterConfig], n_replicas: u32) {
     assert!(dups.is_empty(), "commands decided more than once: {dups:?}");
 }
 
-fn checker_experiment(report: Arc<Mutex<Report>>) -> Experiment<PaxosConfig> {
+fn checker_experiment<P: ProtocolSpec>(proto: P, report: Arc<Mutex<Report>>) -> Experiment<P> {
     // 4 shards x 3 replicas over a 2000-key map (stride 500). The
     // routers' background workload only touches keys 0..1000 (shards 0
     // and 1); the range [1000, 1500) moves from shard 2 to shard 3 at
     // 600ms, mid-run, and the checker hammers keys inside that moving
     // range only — no other writer touches them, so every get must see
     // the checker's own latest acked put.
-    Experiment::lan(PaxosConfig::lan(), 3)
+    Experiment::lan(proto, 3)
         .shards(4)
         .clients(4)
         .key_space(2000)
@@ -180,7 +182,7 @@ fn checker_experiment(report: Arc<Mutex<Report>>) -> Experiment<PaxosConfig> {
         .measure(SimDuration::from_millis(1800))
         .move_range(SimDuration::from_millis(600), 1000, 3)
         .with_client(move |layout| {
-            Box::new(MoveChecker::new(
+            Box::new(MoveChecker::<P::Msg>::new(
                 layout.map.clone(),
                 layout.leaders.clone(),
                 (1000..1008).collect(),
@@ -210,10 +212,11 @@ fn sharded_paxos_all_shards_commit_and_converge() {
     assert_eq!(r.converged(), Some(true), "{:?}", r.replica_digests);
 }
 
-#[test]
-fn per_key_linearizability_across_live_move_sim() {
+/// The move ships a range cut from the source leader's own store, so
+/// every protocol's store is exercised, not only Paxos's.
+fn linearizable_across_live_move_sim<P: ProtocolSpec>(proto: P) {
     let report = Arc::new(Mutex::new(Report::default()));
-    let r = checker_experiment(report.clone()).run_sim(DEFAULT_SEED);
+    let r = checker_experiment(proto, report.clone()).run_sim(DEFAULT_SEED);
     assert!(r.violations.is_empty(), "{:?}", r.violations);
     let rep = report.lock().expect("report lock");
     assert!(rep.violations.is_empty(), "{:?}", rep.violations);
@@ -231,10 +234,25 @@ fn per_key_linearizability_across_live_move_sim() {
 }
 
 #[test]
+fn per_key_linearizability_across_live_move_sim() {
+    linearizable_across_live_move_sim(PaxosConfig::lan());
+}
+
+#[test]
+fn per_key_linearizability_across_live_move_sim_pigpaxos() {
+    linearizable_across_live_move_sim(PigConfig::lan(2));
+}
+
+#[test]
+fn per_key_linearizability_across_live_move_sim_epaxos() {
+    linearizable_across_live_move_sim(EpaxosConfig::default());
+}
+
+#[test]
 fn per_key_linearizability_across_live_move_threads() {
     let report = Arc::new(Mutex::new(Report::default()));
-    let r =
-        checker_experiment(report.clone()).run_threads(DEFAULT_SEED, Duration::from_millis(1500));
+    let r = checker_experiment(PaxosConfig::lan(), report.clone())
+        .run_threads(DEFAULT_SEED, Duration::from_millis(1500));
     assert!(r.violations.is_empty(), "{:?}", r.violations);
     let rep = report.lock().expect("report lock");
     assert!(rep.violations.is_empty(), "{:?}", rep.violations);

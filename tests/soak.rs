@@ -375,7 +375,7 @@ fn snapshot_capture_skips_static_frontier() {
     let mut follower = Acceptor::new(NodeId(1), safety.clone());
     let ballot = leader.start_campaign(Ballot::ZERO);
     let votes = vec![acc.on_p1a(ballot, 0), follower.on_p1a(ballot, 0)];
-    match leader.on_p1b_votes(votes, 0) {
+    match leader.on_p1b_votes(votes, 0, acc.log().reach()) {
         Phase1Outcome::Won { reproposals } => assert!(reproposals.is_empty()),
         other => panic!("fresh cluster campaign must win, got {other:?}"),
     }
