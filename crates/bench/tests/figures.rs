@@ -67,7 +67,21 @@ fn cheap_entries_print_their_declared_csv() {
             4,
         ),
     ];
-    let mut lines = figures(&[&["--quick", "--csv"], &names[..]].concat()).into_iter();
+    let printed = figures(&[&["--quick", "--csv"], &names[..]].concat());
+
+    // Relay timeouts fire in `ablation_partial`; what they flush must
+    // not depend on the process it runs in.
+    let partial = printed
+        .iter()
+        .position(|l| l == tables[1].0)
+        .expect("its header");
+    assert_eq!(
+        printed[partial..=partial + tables[1].1],
+        figures(&["--quick", "--csv", "ablation_partial"]),
+        "ablation_partial differs between runs"
+    );
+
+    let mut lines = printed.into_iter();
     for (header, rows) in tables {
         assert_eq!(lines.next().as_deref(), Some(header));
         let width = header.split(',').count();

@@ -18,8 +18,9 @@ use paxos::{P1bVote, P2bVote, PaxosMsg, QrProbeVote, QrVoteEntry};
 use simnet::{NodeId, SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap};
 
-/// Identifies one aggregation round at a relay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Identifies one aggregation round at a relay. Ordered, so rounds
+/// expiring in one scan flush in a fixed order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AggKey {
     /// Phase-1 for a ballot.
     P1(Ballot),
@@ -355,16 +356,18 @@ impl RelayTable {
     }
 
     /// Flush and drop every aggregation whose deadline has passed
-    /// (the relay timeout of §3.4).
+    /// (the relay timeout of §3.4), in `(deadline, key)` order: the
+    /// map's iteration order differs from process to process.
     pub fn expire(&mut self, now: SimTime) -> Vec<Flush> {
-        let expired: Vec<AggKey> = self
+        let mut expired: Vec<(SimTime, AggKey)> = self
             .pending
             .iter()
             .filter(|(_, a)| a.deadline <= now)
-            .map(|(&k, _)| k)
+            .map(|(&k, a)| (a.deadline, k))
             .collect();
+        expired.sort_unstable();
         let mut out = Vec::new();
-        for key in expired {
+        for (_, key) in expired {
             let agg = self.pending.remove(&key).expect("present");
             if !agg.votes.is_empty() {
                 out.push(Flush {
@@ -713,6 +716,29 @@ mod tests {
         let flushed = t.expire(SimTime::from_millis(60));
         assert!(flushed.is_empty());
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn one_scan_expires_by_deadline_then_key() {
+        let mut t = RelayTable::new();
+        let rounds = [(9, 40), (3, 50), (5, 40), (1, 50)];
+        for (slot, deadline_ms) in rounds {
+            t.open(
+                AggKey::P2(b(), slot),
+                NodeId(0),
+                expect(&[2]),
+                own_p2(1, true),
+                0,
+                SimTime::from_millis(deadline_ms),
+            );
+        }
+        let order: Vec<AggKey> = t
+            .expire(SimTime::from_millis(60))
+            .into_iter()
+            .map(|f| f.key)
+            .collect();
+        let slots = [5, 9, 1, 3].map(|slot| AggKey::P2(b(), slot));
+        assert_eq!(order, slots);
     }
 
     fn span_flush(reply_to: u32, first: u64, last: u64, ok: bool) -> Flush {

@@ -87,9 +87,7 @@ fn different_seeds_differ() {
 // behaviour change, run with `--nocapture` and paste the printed line.
 
 struct Golden {
-    /// `None` where the schedule is only reproducible up to the order
-    /// of one relay-timeout scan's flushes (see the run that uses it).
-    fingerprint: Option<u64>,
+    fingerprint: u64,
     decided: u64,
     node_msgs: &'static [u64],
 }
@@ -103,9 +101,7 @@ fn check_golden(name: &str, r: &paxi::RunResult, want: Golden) {
     assert!(r.violations.is_empty(), "{name}: {:?}", r.violations);
     assert_eq!(r.decided, want.decided, "{name}: decided slots");
     assert_eq!(r.node_msgs, want.node_msgs, "{name}: per-node messages");
-    if let Some(want) = want.fingerprint {
-        assert_eq!(fingerprint, want, "{name}: trace fingerprint");
-    }
+    assert_eq!(fingerprint, want.fingerprint, "{name}: trace fingerprint");
 }
 
 fn golden_exp<P: paxi::ProtocolSpec>(proto: P, n: usize) -> Experiment<P> {
@@ -127,7 +123,7 @@ fn golden_paxos_n5_batched() {
         "paxos n=5 B=16",
         &r,
         Golden {
-            fingerprint: Some(0x9d43_b3a3_cb31_c742),
+            fingerprint: 0x9d43_b3a3_cb31_c742,
             decided: 2848,
             node_msgs: &[
                 5773, 494, 494, 494, 494, 476, 476, 476, 476, 476, 476, 476, 476,
@@ -146,7 +142,7 @@ fn golden_pig_n9_batched_reply_coalescing() {
         "pig n=9 r=3 B=16 coalesced replies",
         &r,
         Golden {
-            fingerprint: Some(0x7583_6469_47ec_2644),
+            fingerprint: 0x7583_6469_47ec_2644,
             decided: 4416,
             node_msgs: &[
                 4785, 670, 604, 645, 619, 667, 633, 565, 560, 460, 464, 461, 461, 465, 462, 463,
@@ -168,7 +164,7 @@ fn golden_pig_n25_follower_crash() {
         "pig n=25 r=3 follower crash",
         &r,
         Golden {
-            fingerprint: Some(0x3006_93ce_4195_2b8e),
+            fingerprint: 0x3006_93ce_4195_2b8e,
             decided: 2488,
             node_msgs: &[
                 13191, 5695, 5672, 5538, 5902, 0, 5437, 5718, 5373, 6372, 6470, 6127, 6022, 6357,
@@ -187,7 +183,7 @@ fn golden_pig_n5_pqr_probe_batching() {
         "pig n=5 r=2 pqr + probe batching",
         &r,
         Golden {
-            fingerprint: Some(0xc3b1_ef44_837f_843b),
+            fingerprint: 0xc3b1_ef44_837f_843b,
             decided: 1634,
             node_msgs: &[
                 8475, 6298, 6118, 6126, 6282, 616, 622, 644, 620, 618, 672, 616, 624,
@@ -221,7 +217,7 @@ fn golden_paxos_n5_thrifty_snapshots_leader_crash() {
         "paxos n=5 thrifty + snapshots, leader crash/recover",
         &leader_crash_and_recover(cfg, 5),
         Golden {
-            fingerprint: Some(0x33c5_e3ef_d56e_27c2),
+            fingerprint: 0x33c5_e3ef_d56e_27c2,
             decided: 2373,
             node_msgs: &[
                 7066, 4267, 3176, 587, 603, 586, 595, 565, 574, 593, 562, 576, 585,
@@ -242,12 +238,7 @@ fn golden_pig_n13_two_level_threshold_leader_crash() {
         "pig n=13 r=2 two-level, threshold, reshuffle, leader crash/recover",
         &leader_crash_and_recover(cfg, 13),
         Golden {
-            // No fingerprint: with the leader down, several aggregations
-            // at one relay expire in the same `relay_scan_interval` scan,
-            // and `RelayTable::expire` walks a `HashMap` — the order of
-            // that scan's flushes (different sizes here, so visible in
-            // the trace) varies from process to process. Counts do not.
-            fingerprint: None,
+            fingerprint: 0xbf04_99a6_4f3d_f92d,
             decided: 1541,
             node_msgs: &[
                 3324, 2084, 2118, 2126, 2137, 2100, 2265, 2232, 2100, 2104, 2051, 2167, 3543, 504,
