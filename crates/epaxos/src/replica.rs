@@ -548,6 +548,13 @@ mod tests {
     }
 
     #[test]
+    fn conforms_at_five_nodes() {
+        // Commits, follower crash, crash of the node clients reach
+        // first: the promises every protocol shares.
+        paxi::conformance::check_replica(EpaxosConfig::default(), 5, 8);
+    }
+
+    #[test]
     fn twentyfive_node_cluster_commits() {
         let r = exp(25, 8).run_sim(paxi::DEFAULT_SEED);
         assert!(r.violations.is_empty(), "{:?}", r.violations);

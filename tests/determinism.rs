@@ -1,5 +1,6 @@
 //! Reproducibility: the whole stack is deterministic given a seed.
 
+use epaxos::EpaxosConfig;
 use paxi::Experiment;
 use paxos::PaxosConfig;
 use pigpaxos::PigConfig;
@@ -187,6 +188,22 @@ fn golden_pig_n5_pqr_probe_batching() {
             decided: 1634,
             node_msgs: &[
                 8475, 6298, 6118, 6126, 6282, 616, 622, 644, 620, 618, 672, 616, 624,
+            ],
+        },
+    );
+}
+
+#[test]
+fn golden_epaxos_n5() {
+    let r = golden_exp(EpaxosConfig::default(), 5).run_sim(42);
+    check_golden(
+        "epaxos n=5",
+        &r,
+        Golden {
+            fingerprint: 0xff98_5cf3_b24b_a8a6,
+            decided: 927,
+            node_msgs: &[
+                3285, 3415, 2898, 3165, 3243, 150, 146, 160, 150, 150, 160, 156, 156,
             ],
         },
     );
