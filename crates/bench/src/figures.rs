@@ -44,6 +44,7 @@ pub const ENTRIES: &[Entry] = &[
     ("pqr_reads", "§4.3: quorum reads take read load off the leader; probe batching >= 3x", pqr_reads),
     ("batch_sweep", "batching gates: >= 4x fewer leader protocol msgs/cmd at B = 16, and four more", batch_sweep),
     ("shard_sweep", "sharding gate: 8 shards deliver >= 4x the throughput of 1", shard_sweep),
+    ("explore", "one shape for every protocol (n = 25, r = 3, 40 clients, 50% reads): edit and rerun", explore),
 ];
 
 /// Master seed every entry runs under.

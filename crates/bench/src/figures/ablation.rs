@@ -1,11 +1,11 @@
 //! Ablations of the paper's design choices, and sweeps along axes the
 //! paper names but does not plot.
 
-use super::{max_tput, pqr_cfg, pqr_probed, MAX_TPUT_CLIENTS, SEED};
+use super::{checked, max_tput, pqr_cfg, pqr_probed, MAX_TPUT_CLIENTS, SEED};
 use crate::Cell::Float;
 use crate::{Opts, Report, Table};
 use epaxos::EpaxosConfig;
-use paxi::{BatchConfig, KeyDistribution, RunResult, Workload};
+use paxi::{BatchConfig, KeyDistribution, ProtocolSpec, RunResult, Workload};
 use paxos::PaxosConfig;
 use pigpaxos::PigConfig;
 use simnet::{Control, NodeId, SimDuration, SimTime};
@@ -283,4 +283,33 @@ pub fn pqr_reads(o: &Opts) -> Report {
         "probe batching must cut probe msgs/op by >=3x (got {reduction:.2}x)"
     );
     Report::new(vec![tputs, batching, probes, guard])
+}
+
+/// One shape, every protocol: 25 nodes, PigPaxos on 3 relay groups, 40
+/// closed-loop clients on the paper's default workload (half reads,
+/// 8 B values, 1000 keys). The place to start a question the fixed
+/// figures do not answer: change the shape here and rerun.
+pub fn explore(o: &Opts) -> Report {
+    fn row<P: ProtocolSpec>(o: &Opts, t: &mut Table, proto: P) {
+        let name = proto.protocol_name();
+        let r = checked(name, o.lan(proto, 25).clients(40));
+        t.row([
+            name.into(),
+            Float(r.throughput, 0),
+            Float(r.mean_latency_ms, 2),
+            Float(r.p50_latency_ms, 2),
+            Float(r.p99_latency_ms, 2),
+            Float(r.leader_msgs_per_op, 1),
+            Float(r.follower_msgs_per_op, 2),
+            r.decided.into(),
+        ]);
+    }
+    let columns = "protocol,throughput,mean_ms,p50_ms,p99_ms,leader_msgs_per_op,\
+                   follower_msgs_per_op,decided";
+    let title = "Explore: 25 nodes, 3 relay groups, 40 clients, 50% reads";
+    let mut t = Table::new(title, columns);
+    row(o, &mut t, PaxosConfig::lan());
+    row(o, &mut t, PigConfig::lan(3));
+    row(o, &mut t, EpaxosConfig::default());
+    Report::new(vec![t])
 }
