@@ -136,8 +136,8 @@ fn dispatch(sc: &Scenario) -> (RunResult, NemesisLog) {
 /// list of failures (empty = pass).
 fn judge(sc: &Scenario, r: &RunResult, log: &NemesisLog) -> Vec<String> {
     let mut fails = Vec::new();
-    if !r.violations.is_empty() {
-        fails.push(format!("SAFETY VIOLATIONS: {:?}", r.violations));
+    if !r.protocol.violations().is_empty() {
+        fails.push(format!("SAFETY VIOLATIONS: {:?}", r.protocol.violations()));
     }
     if log.len() != sc.faults.len() {
         fails.push(format!(
@@ -147,37 +147,37 @@ fn judge(sc: &Scenario, r: &RunResult, log: &NemesisLog) -> Vec<String> {
         ));
     }
     if let Some(want) = sc.expect.converged {
-        match r.converged() {
+        match r.protocol.converged() {
             Some(got) if got == want => {}
             Some(got) => fails.push(format!("converged = {got}, expected {want}")),
             None => fails.push("no digests collected (drain too short?)".to_string()),
         }
     }
     if let Some(min) = sc.expect.min_throughput {
-        if r.throughput < min {
+        if r.client.throughput < min {
             fails.push(format!(
                 "throughput {:.1} < required {min:.1}",
-                r.throughput
+                r.client.throughput
             ));
         }
     }
     if let Some(max) = sc.expect.max_client_retries {
-        if r.client_retries > max {
+        if r.client.retries > max {
             fails.push(format!(
                 "client retries {} > allowed {max}",
-                r.client_retries
+                r.client.retries
             ));
         }
     }
     if let Some(min) = sc.expect.min_samples {
-        if (r.samples as u64) < min {
-            fails.push(format!("samples {} < required {min}", r.samples));
+        if (r.client.samples as u64) < min {
+            fails.push(format!("samples {} < required {min}", r.client.samples));
         }
     }
     // Validation admits `min_shard_decided` only on sharded scenarios.
     if let Some(min) = sc.expect.min_shard_decided {
-        let affected = affected_shards(sc, r.groups.len());
-        for (s, (group, &hit)) in r.groups.iter().zip(&affected).enumerate() {
+        let affected = affected_shards(sc, r.protocol.groups.len());
+        for (s, (group, &hit)) in r.protocol.groups.iter().zip(&affected).enumerate() {
             let decided = group.safety.decided_count();
             if !hit && decided < min {
                 fails.push(format!(
@@ -239,7 +239,7 @@ fn main() -> ExitCode {
         }
         let (result, log) = dispatch(sc);
         let fails = judge(sc, &result, &log);
-        let converged = match result.converged() {
+        let converged = match result.protocol.converged() {
             Some(true) => "yes",
             Some(false) => "NO",
             None => "-",
@@ -248,9 +248,9 @@ fn main() -> ExitCode {
         table.row([
             sc.name.as_str().into(),
             sc.protocol.to_string().into(),
-            Float(result.throughput, 1),
-            Float(result.p99_latency_ms, 3),
-            result.client_retries.into(),
+            Float(result.client.throughput, 1),
+            Float(result.client.p99_latency_ms, 3),
+            result.client.retries.into(),
             log.len().into(),
             converged.into(),
             status.into(),

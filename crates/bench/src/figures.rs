@@ -90,7 +90,11 @@ fn pqr_probed(o: &Opts, name: &str, cfg: PigConfig) -> RunResult {
 /// Run `exp` and require a clean safety record.
 fn checked<P: ProtocolSpec>(what: &str, exp: Experiment<P>) -> RunResult {
     let r = exp.run_sim(SEED);
-    assert!(r.violations.is_empty(), "{what}: {:?}", r.violations);
+    assert!(
+        r.protocol.violations().is_empty(),
+        "{what}: {:?}",
+        r.protocol.violations()
+    );
     r
 }
 
@@ -114,10 +118,10 @@ fn curve<P: ProtocolSpec>(t: &mut Table, series: &str, exp: Experiment<P>) {
         t.row([
             series.into(),
             p.clients.into(),
-            Float(r.throughput, 1),
-            Float(r.mean_latency_ms, 3),
-            Float(r.p50_latency_ms, 3),
-            Float(r.p99_latency_ms, 3),
+            Float(r.client.throughput, 1),
+            Float(r.client.mean_latency_ms, 3),
+            Float(r.client.p50_latency_ms, 3),
+            Float(r.client.p99_latency_ms, 3),
         ]);
     }
 }

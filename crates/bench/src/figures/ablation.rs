@@ -66,14 +66,14 @@ pub fn ablation_partial(o: &Opts) -> Report {
     for (config, r) in [("wait_all", &waitall), ("threshold5", &partial)] {
         t.row([
             config.into(),
-            Float(r.throughput, 0),
-            Float(r.mean_latency_ms, 3),
-            Float(r.p99_latency_ms, 3),
+            Float(r.client.throughput, 0),
+            Float(r.client.mean_latency_ms, 3),
+            Float(r.client.p99_latency_ms, 3),
         ]);
     }
     t.notes.push(format!(
         "thresholds cut mean latency {:.1}x when no relay group can complete",
-        waitall.mean_latency_ms / partial.mean_latency_ms
+        waitall.client.mean_latency_ms / partial.client.mean_latency_ms
     ));
     Report::new(vec![t])
 }
@@ -94,12 +94,17 @@ pub fn ablation_rotation(o: &Opts) -> Report {
         let pts = o.lan(cfg, n).load_sweep(SEED, MAX_TPUT_CLIENTS);
         let best = pts
             .iter()
-            .max_by(|a, b| a.result.throughput.total_cmp(&b.result.throughput))
+            .max_by(|a, b| {
+                a.result
+                    .client
+                    .throughput
+                    .total_cmp(&b.result.client.throughput)
+            })
             .expect("non-empty sweep");
-        let followers = &best.result.node_msgs[1..n];
+        let followers = &best.result.transport.node_msgs[1..n];
         let busiest = followers.iter().max().copied().unwrap_or(0);
-        let per_op = busiest as f64 / best.result.samples.max(1) as f64;
-        (best.result.throughput, per_op)
+        let per_op = busiest as f64 / best.result.client.samples.max(1) as f64;
+        (best.result.client.throughput, per_op)
     };
     let (tput_rot, hot_rot) = run_one(true);
     let (tput_fix, hot_fix) = run_one(false);
@@ -226,8 +231,14 @@ pub fn pqr_reads(o: &Opts) -> Report {
             name.into(),
             Float(r.label_per_op("qr_read").expect("trace captured"), 3),
             Float(r.label_per_op("qr_vote").expect("trace captured"), 3),
-            Float(r.leader_proto_sent_per_op.expect("trace captured"), 3),
-            Float(r.throughput, 0),
+            Float(
+                r.transport
+                    .trace
+                    .expect("trace captured")
+                    .leader_proto_sent_per_op,
+                3,
+            ),
+            Float(r.client.throughput, 0),
         ]);
     }
     let note = "reads bypass the batcher: probe msgs/op hold; batching amortizes the write rounds";
@@ -250,7 +261,7 @@ pub fn pqr_reads(o: &Opts) -> Report {
             name.into(),
             Float(probe_msgs.expect("trace captured"), 3),
             Float(wave_msgs.expect("trace captured"), 3),
-            Float(r.throughput, 0),
+            Float(r.client.throughput, 0),
         ]);
         per_op.extend(probe_msgs);
     }
@@ -263,7 +274,7 @@ pub fn pqr_reads(o: &Opts) -> Report {
     // probe immediately).
     let low = |cfg: PigConfig| {
         let exp = o.lan(cfg, 9).clients(1).workload(read_heavy(100));
-        exp.run_sim(SEED).p50_latency_ms
+        exp.run_sim(SEED).client.p50_latency_ms
     };
     let (low_off, low_on) = (low(pqr_cfg(false)), low(pqr_cfg(true)));
     let mut guard = Table::new("low-load read p50, off vs on (must not regress)", "");
@@ -295,13 +306,13 @@ pub fn explore(o: &Opts) -> Report {
         let r = checked(name, o.lan(proto, 25).clients(40));
         t.row([
             name.into(),
-            Float(r.throughput, 0),
-            Float(r.mean_latency_ms, 2),
-            Float(r.p50_latency_ms, 2),
-            Float(r.p99_latency_ms, 2),
-            Float(r.leader_msgs_per_op, 1),
-            Float(r.follower_msgs_per_op, 2),
-            r.decided.into(),
+            Float(r.client.throughput, 0),
+            Float(r.client.mean_latency_ms, 2),
+            Float(r.client.p50_latency_ms, 2),
+            Float(r.client.p99_latency_ms, 2),
+            Float(r.transport.leader_msgs_per_op, 1),
+            Float(r.transport.follower_msgs_per_op, 2),
+            r.protocol.decided().into(),
         ]);
     }
     let columns = "protocol,throughput,mean_ms,p50_ms,p99_ms,leader_msgs_per_op,\

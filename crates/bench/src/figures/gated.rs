@@ -93,20 +93,21 @@ pub fn batch_sweep(o: &Opts) -> Report {
     let mut metrics: Vec<(String, f64)> = Vec::new();
     let mut metric = |key: &str, value: f64| metrics.push((key.to_string(), value));
     let traced = |r: Option<f64>| r.expect("trace captured");
+    let trace = |r: &RunResult| r.transport.trace.expect("trace captured");
 
     // ── 1. Fixed-size sweeps (the PR-1 gate) ──────────────────────────
     let mut sweep = |name: &str, run_one: &dyn Fn(usize) -> RunResult| {
         let mut unbatched = 0.0;
         for &b in BATCH_SIZES {
             let r = run_one(b);
-            let sent = traced(r.leader_proto_sent_per_op);
+            let sent = trace(&r).leader_proto_sent_per_op;
             sweeps.row([
                 name.into(),
                 b.into(),
-                Float(r.throughput, 1),
-                Float(r.mean_latency_ms, 3),
-                Float(r.p99_latency_ms, 3),
-                Float(r.leader_msgs_per_op, 3),
+                Float(r.client.throughput, 1),
+                Float(r.client.mean_latency_ms, 3),
+                Float(r.client.p99_latency_ms, 3),
+                Float(r.transport.leader_msgs_per_op, 3),
                 Float(sent, 3),
             ]);
             if b == 1 {
@@ -115,7 +116,7 @@ pub fn batch_sweep(o: &Opts) -> Report {
             if b == 16 {
                 let reduction = unbatched / sent;
                 metric(&format!("{name}_b16_proto_sent_per_op"), sent);
-                metric(&format!("{name}_b16_tput"), r.throughput);
+                metric(&format!("{name}_b16_tput"), r.client.throughput);
                 metric(&format!("{name}_b16_proto_reduction"), reduction);
                 assert!(
                     reduction >= 4.0,
@@ -136,14 +137,14 @@ pub fn batch_sweep(o: &Opts) -> Report {
     // ── 2. Batching v2 end-to-end (reply + relay-round coalescing) ────
     let v1 = checked("v1", pipelined(o, pig_v1(16)));
     let v2 = checked("v2", pipelined(o, pig_v2(batch_cfg(16))));
-    let v1_total = traced(v1.leader_sent_per_op);
-    let v2_total = traced(v2.leader_sent_per_op);
+    let v1_total = trace(&v1).leader_sent_per_op();
+    let v2_total = trace(&v2).leader_sent_per_op();
     let total_reduction = v1_total / v2_total;
     metric("v1_total_sent_per_op", v1_total);
     metric("v2_total_sent_per_op", v2_total);
     metric("v2_total_reduction", total_reduction);
-    metric("v2_tput", v2.throughput);
-    metric("v2_uplink_recv_per_op", traced(v2.leader_proto_recv_per_op));
+    metric("v2_tput", v2.client.throughput);
+    metric("v2_uplink_recv_per_op", trace(&v2).leader_proto_recv_per_op);
     assert!(
         total_reduction >= 2.0,
         "batching v2 must cut total leader-sent messages per command >=2x vs PR-1 \
@@ -156,21 +157,21 @@ pub fn batch_sweep(o: &Opts) -> Report {
     let unbatched_low = checked("unbatched baseline", saturated(o, pig_v1(1)).clients(2));
     let adaptive_low = saturated(o, pig_v2(adaptive.clone())).clients(2);
     let adaptive_low = checked("adaptive low", adaptive_low);
-    metric("adaptive_low_p50_ms", adaptive_low.p50_latency_ms);
-    metric("unbatched_low_p50_ms", unbatched_low.p50_latency_ms);
+    metric("adaptive_low_p50_ms", adaptive_low.client.p50_latency_ms);
+    metric("unbatched_low_p50_ms", unbatched_low.client.p50_latency_ms);
     assert!(
-        adaptive_low.p50_latency_ms <= unbatched_low.p50_latency_ms * 1.2,
+        adaptive_low.client.p50_latency_ms <= unbatched_low.client.p50_latency_ms * 1.2,
         "adaptive batching must keep low-load p50 within 1.2x of unbatched: \
          {:.3}ms vs {:.3}ms",
-        adaptive_low.p50_latency_ms,
-        unbatched_low.p50_latency_ms
+        adaptive_low.client.p50_latency_ms,
+        unbatched_low.client.p50_latency_ms
     );
     // Saturation: the sizer must amortize like a large fixed batch.
     let adaptive_sat = checked("adaptive saturated", pipelined(o, pig_v2(adaptive)));
-    let unbatched_proto = traced(unbatched_low.leader_proto_sent_per_op);
-    let adaptive_proto = traced(adaptive_sat.leader_proto_sent_per_op);
+    let unbatched_proto = trace(&unbatched_low).leader_proto_sent_per_op;
+    let adaptive_proto = trace(&adaptive_sat).leader_proto_sent_per_op;
     metric("adaptive_sat_proto_sent_per_op", adaptive_proto);
-    metric("adaptive_sat_tput", adaptive_sat.throughput);
+    metric("adaptive_sat_tput", adaptive_sat.client.throughput);
     assert!(
         unbatched_proto >= adaptive_proto * 2.0,
         "adaptive batching must amortize under saturation: {unbatched_proto:.3} vs \
@@ -185,18 +186,18 @@ pub fn batch_sweep(o: &Opts) -> Report {
     let soak_cfg = pig_v2(batch_cfg(16)).with_snapshots(SnapshotConfig::every_ops(soak_interval));
     let soak = checked("soak", pipelined(o, soak_cfg));
     assert!(
-        soak.snapshots_taken > 0,
+        soak.protocol.snapshots_taken() > 0,
         "soak: compaction must fire ({} ops decided)",
-        soak.decided
+        soak.protocol.decided()
     );
     assert!(
-        soak.max_log_len <= 2 * soak_interval,
+        soak.protocol.max_log_len() <= 2 * soak_interval,
         "soak: peak retained log {} exceeds 2x snapshot interval {soak_interval}",
-        soak.max_log_len
+        soak.protocol.max_log_len()
     );
-    metric("soak_max_log_len", soak.max_log_len as f64);
-    metric("soak_snapshots", soak.snapshots_taken as f64);
-    metric("soak_decided", soak.decided as f64);
+    metric("soak_max_log_len", soak.protocol.max_log_len() as f64);
+    metric("soak_snapshots", soak.protocol.snapshots_taken() as f64);
+    metric("soak_decided", soak.protocol.decided() as f64);
 
     // ── 5. PQR probe batching over the relay tree ─────────────────────
     // Quorum reads bypass the leader's command batcher, so their probe
@@ -212,7 +213,7 @@ pub fn batch_sweep(o: &Opts) -> Report {
     metric("pqr_probe_unbatched_per_op", off_per_op);
     metric("pqr_probe_batched_per_op", on_per_op);
     metric("pqr_probe_batch_reduction", probe_reduction);
-    metric("pqr_probe_batched_tput", probe_on.throughput);
+    metric("pqr_probe_batched_tput", probe_on.client.throughput);
     assert!(
         probe_reduction >= 3.0,
         "probe batching must cut probe msgs/op >=3x (got {probe_reduction:.2}x)"
@@ -230,14 +231,15 @@ pub fn batch_sweep(o: &Opts) -> Report {
         ("pig_adaptive_low", &adaptive_low),
         ("pig_adaptive_sat", &adaptive_sat),
     ] {
+        let t = trace(r);
         hops.row([
             run.into(),
-            Float(r.leader_proto_sent_per_op.unwrap_or(0.0), 3),
-            Float(r.leader_proto_recv_per_op.unwrap_or(0.0), 3),
-            Float(r.leader_replies_per_op.unwrap_or(0.0), 3),
-            Float(r.leader_sent_per_op.unwrap_or(0.0), 3),
-            Float(r.throughput, 0),
-            Float(r.p50_latency_ms, 2),
+            Float(t.leader_proto_sent_per_op, 3),
+            Float(t.leader_proto_recv_per_op, 3),
+            Float(t.leader_replies_per_op, 3),
+            Float(t.leader_sent_per_op(), 3),
+            Float(r.client.throughput, 0),
+            Float(r.client.p50_latency_ms, 2),
         ]);
     }
     Report {
@@ -284,7 +286,9 @@ pub fn shard_sweep(o: &Opts) -> Report {
             .clients(2 * shards)
             .warmup(SimDuration::from_millis(warmup_ms))
             .measure(SimDuration::from_millis(measure_ms));
-        let tput = checked(&format!("{shards}-shard run"), exp).throughput;
+        let tput = checked(&format!("{shards}-shard run"), exp)
+            .client
+            .throughput;
         if shards == 1 {
             base = tput;
         }

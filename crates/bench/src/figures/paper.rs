@@ -166,9 +166,9 @@ pub fn fig13(o: &Opts) -> Report {
             sim.schedule_control(SimTime::from_secs(fault_end), Control::Recover(faulty));
         });
     assert!(
-        result.violations.is_empty(),
+        result.protocol.violations().is_empty(),
         "safety violated: {:?}",
-        result.violations
+        result.protocol.violations()
     );
 
     let title = format!(
@@ -176,13 +176,13 @@ pub fn fig13(o: &Opts) -> Report {
          [{fault_start}s, {fault_end}s), relay timeout 50ms"
     );
     let mut t = Table::new(title, "time_s,throughput");
-    for &(at, tput) in &result.timeline {
+    let timeline = result.client.timeline.expect("timeline_bucket set");
+    for &(at, tput) in &timeline {
         t.row([Float(at, 0), Float(tput, 0)]);
     }
 
     // Quantify the dip like the paper does.
     let (start, end) = (fault_start as f64, fault_end as f64);
-    let timeline = &result.timeline;
     let avg_where = |keep: &dyn Fn(f64) -> bool| {
         let kept: Vec<f64> = timeline.iter().filter(|p| keep(p.0)).map(|p| p.1).collect();
         kept.iter().sum::<f64>() / kept.len().max(1) as f64
@@ -213,9 +213,9 @@ pub fn model_check(o: &Opts) -> Report {
     let mut check = |config: String, res: RunResult, (ml, mf): (f64, f64)| {
         t.row([
             config.into(),
-            Float(res.leader_msgs_per_op, 2),
+            Float(res.transport.leader_msgs_per_op, 2),
             Float(ml, 2),
-            Float(res.follower_msgs_per_op, 2),
+            Float(res.transport.follower_msgs_per_op, 2),
             Float(mf, 2),
         ]);
     };
@@ -298,7 +298,7 @@ pub fn flexible_quorums(o: &Opts) -> Report {
     let title = "Flexible quorums & thrifty (paper §2.2): N=10 LAN (6,6) vs (Q1=8, Q2=3); \
                  N=15 WAN (8,8) vs (Q1=11, Q2=5 in the leader's region); N=9 LAN thrifty";
     let mut t = Table::new(title, "metric,majority,flexible");
-    let ms = |r: &RunResult| Float(r.mean_latency_ms, 3);
+    let ms = |r: &RunResult| Float(r.client.mean_latency_ms, 3);
     let (m_max, f_max) = (Float(m_max, 0), Float(f_max, 0));
     t.row(["lan10_low_load_latency_ms".into(), ms(&m), ms(&f)]);
     t.row(["lan10_max_throughput".into(), m_max, f_max]);
@@ -309,11 +309,11 @@ pub fn flexible_quorums(o: &Opts) -> Report {
         "equal max throughput: Q2 does NOT fix the leader".to_string(),
         format!(
             "WAN leader msgs/op {:.1} vs {:.1}: the bottleneck is unchanged",
-            wm.leader_msgs_per_op, wf.leader_msgs_per_op
+            wm.transport.leader_msgs_per_op, wf.transport.leader_msgs_per_op
         ),
         format!(
             "thrifty leader msgs/op {:.1}, but a single faulty node in Q2 stalls it",
-            t_ok.leader_msgs_per_op
+            t_ok.transport.leader_msgs_per_op
         ),
     ];
     Report::new(vec![t])
@@ -336,11 +336,10 @@ pub fn wan_traffic(o: &Opts) -> Report {
     let n = 9; // 3 regions × 3 nodes
     let paxos_exp = o.wan(PaxosConfig::wan(), n).clients(10);
     let groups = GroupSpec::per_region(paxos_exp.topology(), NodeId(0));
-    let paxos = paxos_exp.workload(Workload::write_only(8)).run_sim(SEED);
-    let paxos = paxos.cross_region_msgs_per_op;
+    let cross_region = |r: RunResult| r.transport.cross_region_msgs_per_op.expect("simulated");
+    let paxos = cross_region(paxos_exp.workload(Workload::write_only(8)).run_sim(SEED));
     let pig_exp = o.wan(PigConfig::wan(groups.clone()), n).clients(10);
-    let pig = pig_exp.workload(Workload::write_only(8)).run_sim(SEED);
-    let pig = pig.cross_region_msgs_per_op;
+    let pig = cross_region(pig_exp.workload(Workload::write_only(8)).run_sim(SEED));
 
     let columns = "protocol,measured_cross_region_per_op,model_one_way_per_op";
     let title = "WAN traffic per operation (3 regions x 3 nodes, write-only)";
@@ -371,10 +370,16 @@ pub fn wan_traffic(o: &Opts) -> Report {
         windows.row([
             "reply_window".into(),
             window_us.into(),
-            Float(r.leader_replies_per_op.expect("trace captured"), 3),
-            Float(r.p50_latency_ms, 3),
-            Float(r.p99_latency_ms, 3),
-            Float(r.throughput, 0),
+            Float(
+                r.transport
+                    .trace
+                    .expect("trace captured")
+                    .leader_replies_per_op,
+                3,
+            ),
+            Float(r.client.p50_latency_ms, 3),
+            Float(r.client.p99_latency_ms, 3),
+            Float(r.client.throughput, 0),
         ]);
     }
     Report::new(vec![traffic, windows])

@@ -44,8 +44,8 @@
 //!     .warmup(SimDuration::from_millis(200))
 //!     .measure(SimDuration::from_millis(300))
 //!     .run_sim(paxi::DEFAULT_SEED);
-//! assert!(result.violations.is_empty());
-//! assert!(result.throughput > 0.0);
+//! assert!(result.protocol.violations().is_empty());
+//! assert!(result.client.throughput > 0.0);
 //! ```
 
 #![warn(missing_docs)]

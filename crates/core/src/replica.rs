@@ -588,13 +588,17 @@ mod tests {
     #[test]
     fn twentyfive_nodes_three_groups_commit() {
         let r = exp(25, 8, 3).run_sim(paxi::DEFAULT_SEED);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-        assert!(r.throughput > 100.0);
+        assert!(
+            r.protocol.violations().is_empty(),
+            "{:?}",
+            r.protocol.violations()
+        );
+        assert!(r.client.throughput > 100.0);
         // Paper Table 1: leader handles Ml = 2r + 2 = 8 messages per op.
         assert!(
-            (r.leader_msgs_per_op - 8.0).abs() < 2.0,
+            (r.transport.leader_msgs_per_op - 8.0).abs() < 2.0,
             "expected ≈8 leader msgs/op with r=3, got {}",
-            r.leader_msgs_per_op
+            r.transport.leader_msgs_per_op
         );
     }
 
@@ -603,10 +607,10 @@ mod tests {
         let r2 = exp(25, 8, 2).run_sim(paxi::DEFAULT_SEED);
         let r6 = exp(25, 8, 6).run_sim(paxi::DEFAULT_SEED);
         assert!(
-            r6.leader_msgs_per_op > r2.leader_msgs_per_op + 5.0,
+            r6.transport.leader_msgs_per_op > r2.transport.leader_msgs_per_op + 5.0,
             "r=6 leader ({}) must be busier than r=2 leader ({})",
-            r6.leader_msgs_per_op,
-            r2.leader_msgs_per_op
+            r6.transport.leader_msgs_per_op,
+            r2.transport.leader_msgs_per_op
         );
     }
 
@@ -633,8 +637,15 @@ mod tests {
         let mut cfg = PigConfig::lan(2);
         cfg.levels = 2;
         let r = with_cfg(cfg, 25, 4).run_sim(paxi::DEFAULT_SEED);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-        assert!(r.throughput > 100.0, "2-level trees must still commit");
+        assert!(
+            r.protocol.violations().is_empty(),
+            "{:?}",
+            r.protocol.violations()
+        );
+        assert!(
+            r.client.throughput > 100.0,
+            "2-level trees must still commit"
+        );
     }
 
     #[test]
@@ -644,8 +655,8 @@ mod tests {
         // (3×5 = 15 > majority 13, satisfying §4.2's constraint).
         cfg.partial_threshold = Some(5);
         let r = with_cfg(cfg, 25, 4).run_sim(paxi::DEFAULT_SEED);
-        assert!(r.violations.is_empty());
-        assert!(r.throughput > 100.0);
+        assert!(r.protocol.violations().is_empty());
+        assert!(r.client.throughput > 100.0);
     }
 
     #[test]
@@ -653,8 +664,8 @@ mod tests {
         let mut cfg = PigConfig::lan(3);
         cfg.reshuffle_interval = Some(SimDuration::from_millis(100));
         let r = with_cfg(cfg, 9, 4).run_sim(paxi::DEFAULT_SEED);
-        assert!(r.violations.is_empty());
-        assert!(r.throughput > 100.0);
+        assert!(r.protocol.violations().is_empty());
+        assert!(r.client.throughput > 100.0);
     }
 
     #[test]
@@ -672,14 +683,22 @@ mod tests {
         let mut flexible = PigConfig::lan(2);
         flexible.paxos.flexible_quorums = Some((8, 3));
         let (flexible, majority) = (run(flexible), run(PigConfig::lan(2)));
-        assert!(flexible.violations.is_empty(), "{:?}", flexible.violations);
-        assert!(majority.violations.is_empty(), "{:?}", majority.violations);
         assert!(
-            flexible.throughput > 100.0,
-            "q2 = 3 of the 5 survivors must keep committing: {} ops/s",
-            flexible.throughput
+            flexible.protocol.violations().is_empty(),
+            "{:?}",
+            flexible.protocol.violations()
         );
-        assert_eq!(majority.samples, 0, "5 of 10 cannot form a majority");
+        assert!(
+            majority.protocol.violations().is_empty(),
+            "{:?}",
+            majority.protocol.violations()
+        );
+        assert!(
+            flexible.client.throughput > 100.0,
+            "q2 = 3 of the 5 survivors must keep committing: {} ops/s",
+            flexible.client.throughput
+        );
+        assert_eq!(majority.client.samples, 0, "5 of 10 cannot form a majority");
     }
 
     #[test]
@@ -689,12 +708,12 @@ mod tests {
         let r = exp(9, 4, 2).run_sim_with(paxi::DEFAULT_SEED, |sim, _| {
             sim.schedule_control(SimTime::from_millis(50), Control::Crash(NodeId(8)));
         });
-        assert!(r.violations.is_empty());
-        assert!(r.throughput > 100.0);
+        assert!(r.protocol.violations().is_empty());
+        assert!(r.client.throughput > 100.0);
         assert!(
-            r.mean_latency_ms < 20.0,
+            r.client.mean_latency_ms < 20.0,
             "commits must not wait for the crashed node: {}ms",
-            r.mean_latency_ms
+            r.client.mean_latency_ms
         );
     }
 

@@ -542,9 +542,17 @@ mod tests {
     #[test]
     fn five_node_cluster_commits() {
         let r = exp(5, 4).run_sim(paxi::DEFAULT_SEED);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-        assert!(r.throughput > 100.0, "throughput {}", r.throughput);
-        assert!(r.decided > 50);
+        assert!(
+            r.protocol.violations().is_empty(),
+            "{:?}",
+            r.protocol.violations()
+        );
+        assert!(
+            r.client.throughput > 100.0,
+            "throughput {}",
+            r.client.throughput
+        );
+        assert!(r.protocol.decided() > 50);
     }
 
     #[test]
@@ -557,8 +565,12 @@ mod tests {
     #[test]
     fn twentyfive_node_cluster_commits() {
         let r = exp(25, 8).run_sim(paxi::DEFAULT_SEED);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-        assert!(r.throughput > 50.0);
+        assert!(
+            r.protocol.violations().is_empty(),
+            "{:?}",
+            r.protocol.violations()
+        );
+        assert!(r.client.throughput > 50.0);
     }
 
     #[test]
@@ -566,13 +578,13 @@ mod tests {
         let r = exp(5, 8).run_sim(paxi::DEFAULT_SEED);
         // No dedicated leader: every replica should carry comparable
         // message load (unlike Paxos where the leader dominates).
-        let max = r.node_msgs[..5].iter().max().copied().unwrap() as f64;
-        let min = r.node_msgs[..5].iter().min().copied().unwrap() as f64;
+        let max = r.transport.node_msgs[..5].iter().max().copied().unwrap() as f64;
+        let min = r.transport.node_msgs[..5].iter().min().copied().unwrap() as f64;
         assert!(min > 0.0);
         assert!(
             max / min < 2.0,
             "balanced load expected, got {:?}",
-            &r.node_msgs[..5]
+            &r.transport.node_msgs[..5]
         );
     }
 
@@ -586,15 +598,19 @@ mod tests {
                 ..Workload::paper_default()
             })
             .run_sim(paxi::DEFAULT_SEED);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-        assert!(r.throughput > 10.0);
+        assert!(
+            r.protocol.violations().is_empty(),
+            "{:?}",
+            r.protocol.violations()
+        );
+        assert!(r.client.throughput > 10.0);
     }
 
     #[test]
     fn single_node_degenerate_cluster() {
         let r = exp(1, 2).run_sim(paxi::DEFAULT_SEED);
-        assert!(r.violations.is_empty());
-        assert!(r.throughput > 100.0);
+        assert!(r.protocol.violations().is_empty());
+        assert!(r.client.throughput > 100.0);
     }
 
     #[test]
@@ -698,18 +714,22 @@ mod tests {
             .warmup(SimDuration::from_millis(300))
             .measure(SimDuration::from_secs(2))
             .run_sim(paxi::DEFAULT_SEED);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
         assert!(
-            r.decided > 3 * interval,
-            "enough ops to sweep: {}",
-            r.decided
+            r.protocol.violations().is_empty(),
+            "{:?}",
+            r.protocol.violations()
         );
-        assert!(r.snapshots_taken > 0, "sweeps must have run");
         assert!(
-            r.max_log_len <= 2 * interval,
+            r.protocol.decided() > 3 * interval,
+            "enough ops to sweep: {}",
+            r.protocol.decided()
+        );
+        assert!(r.protocol.snapshots_taken() > 0, "sweeps must have run");
+        assert!(
+            r.protocol.max_log_len() <= 2 * interval,
             "instance table must stay bounded by the sweep interval: \
              {} instances > 2x{interval}",
-            r.max_log_len
+            r.protocol.max_log_len()
         );
         // Same run without compaction grows past the bound.
         let unbounded = Experiment::lan(EpaxosConfig::default(), 5)
@@ -717,12 +737,12 @@ mod tests {
             .warmup(SimDuration::from_millis(300))
             .measure(SimDuration::from_secs(2))
             .run_sim(paxi::DEFAULT_SEED);
-        assert_eq!(unbounded.snapshots_taken, 0);
+        assert_eq!(unbounded.protocol.snapshots_taken(), 0);
         assert!(
-            unbounded.max_log_len > r.max_log_len * 2,
+            unbounded.protocol.max_log_len() > r.protocol.max_log_len() * 2,
             "without sweeps the table grows without bound: {} vs {}",
-            unbounded.max_log_len,
-            r.max_log_len
+            unbounded.protocol.max_log_len(),
+            r.protocol.max_log_len()
         );
     }
 
@@ -738,7 +758,7 @@ mod tests {
                 ..Workload::paper_default()
             })
             .run_sim(paxi::DEFAULT_SEED);
-        assert!(r.violations.is_empty());
-        assert!(r.samples > 100);
+        assert!(r.protocol.violations().is_empty());
+        assert!(r.client.samples > 100);
     }
 }

@@ -14,8 +14,8 @@ pub struct ClusterConfig {
     /// Shared safety checker for this run.
     pub safety: SafetyMonitor,
     /// Shared compaction/memory counters for this run (replicas report
-    /// retained log lengths and snapshot events; the harness reads the
-    /// aggregate into `RunResult`).
+    /// retained log lengths and snapshot events; `ProtocolResult` sums
+    /// them over groups).
     pub stats: CompactionStats,
     /// True when a client's sequence numbers may legitimately skip this
     /// cluster (sharded deployments: each key routes to one group, so

@@ -26,14 +26,22 @@ pub fn check_replica<P: ProtocolSpec>(proto: P, n: usize, clients: usize) {
     let at = |ms| SimTime::from_millis(ms);
 
     let r = exp.run_sim(DEFAULT_SEED);
-    assert!(r.violations.is_empty(), "{name} n={n}: {:?}", r.violations);
-    assert!(r.throughput > 100.0, "{name} n={n}: {} ops/s", r.throughput);
     assert!(
-        r.decided > 100 && r.samples > 0,
+        r.protocol.violations().is_empty(),
+        "{name} n={n}: {:?}",
+        r.protocol.violations()
+    );
+    assert!(
+        r.client.throughput > 100.0,
+        "{name} n={n}: {} ops/s",
+        r.client.throughput
+    );
+    assert!(
+        r.protocol.decided() > 100 && r.client.samples > 0,
         "{name} n={n}: reads and writes complete"
     );
     assert!(
-        r.mean_latency_ms > 0.1,
+        r.client.mean_latency_ms > 0.1,
         "{name} n={n}: latency includes the RTT"
     );
 
@@ -41,11 +49,15 @@ pub fn check_replica<P: ProtocolSpec>(proto: P, n: usize, clients: usize) {
     let r = exp.run_sim_with(DEFAULT_SEED, |sim, _| {
         sim.schedule_control(at(100), Control::Crash(follower));
     });
-    assert!(r.violations.is_empty(), "{name} n={n}: {:?}", r.violations);
     assert!(
-        r.throughput > 100.0,
+        r.protocol.violations().is_empty(),
+        "{name} n={n}: {:?}",
+        r.protocol.violations()
+    );
+    assert!(
+        r.client.throughput > 100.0,
         "{name} n={n}: one crashed follower must not halt progress ({} ops/s)",
-        r.throughput
+        r.client.throughput
     );
 
     // Clients retry toward random nodes and follow redirects.
@@ -56,10 +68,14 @@ pub fn check_replica<P: ProtocolSpec>(proto: P, n: usize, clients: usize) {
         .run_sim_with(DEFAULT_SEED, |sim, _| {
             sim.schedule_control(at(700), Control::Crash(NodeId(0)));
         });
-    assert!(r.violations.is_empty(), "{name} n={n}: {:?}", r.violations);
     assert!(
-        r.throughput > 50.0,
+        r.protocol.violations().is_empty(),
+        "{name} n={n}: {:?}",
+        r.protocol.violations()
+    );
+    assert!(
+        r.client.throughput > 50.0,
         "{name} n={n}: a new leader must emerge after the old one crashes ({} ops/s)",
-        r.throughput
+        r.client.throughput
     );
 }

@@ -59,8 +59,8 @@
 //!     .warmup(SimDuration::from_millis(100))
 //!     .measure(SimDuration::from_millis(400))
 //!     .run_sim(7);
-//! assert!(result.violations.is_empty());
-//! assert!(result.throughput > 100.0);
+//! assert!(result.protocol.violations().is_empty());
+//! assert!(result.client.throughput > 100.0);
 //! ```
 //!
 //! With a real protocol crate in scope the same shape reads:
@@ -301,17 +301,17 @@ impl<P: ProtocolSpec> Experiment<P> {
 
     /// Quiesce for `d` after the measurement window (clients crashed,
     /// replicas left running) and collect per-replica state digests
-    /// into [`RunResult::replica_digests`] for convergence checks.
-    /// Default [`SimDuration::ZERO`] skips the phase — the event
+    /// into [`crate::ProtocolResult::replica_digests`] for convergence
+    /// checks. Default [`SimDuration::ZERO`] skips the phase — the event
     /// schedule then stays bit-identical to a drain-less run.
     pub fn drain(mut self, d: SimDuration) -> Self {
         self.drain = d;
         self
     }
 
-    /// Capture a full message trace (fingerprint, per-hop leader
-    /// message accounting, [`RunResult::label_counts`]). Off by default
-    /// — high-throughput runs generate millions of entries.
+    /// Capture a full message trace ([`crate::TransportResult::trace`]
+    /// and [`crate::TransportResult::label_counts`]). Off by default —
+    /// high-throughput runs generate millions of entries.
     pub fn capture_trace(mut self) -> Self {
         self.capture_trace = true;
         self
@@ -425,9 +425,7 @@ impl<P: ProtocolSpec> Experiment<P> {
     where
         H: FnOnce(&mut Simulation<Envelope<P::Msg>>, &ShardLayout),
     {
-        let d = harness::deploy(self);
-        let seen = harness::drive_sim(self, seed, &d.layout, d.actors, hook);
-        harness::assemble(self.timeline_bucket, d.layout, &d.recorder, seen)
+        harness::drive_sim(self, seed, hook)
     }
 
     /// Run the *same* experiment on real OS threads via
@@ -438,16 +436,13 @@ impl<P: ProtocolSpec> Experiment<P> {
     ///
     /// Wall-clock execution is not deterministic, so the whole `wall`
     /// span is measured (the `warmup`/`measure`/`drain` phases do not
-    /// apply). The transport observes real traffic: [`RunResult::net`]
-    /// carries its counters (the socket ones are 0), and
-    /// [`RunResult::node_msgs`] and [`RunResult::label_counts`] derive
-    /// from them — over the whole run, election included, so compare
-    /// rates rather than raw counts against simulator runs. See the table
-    /// in [`crate::harness`].
+    /// apply). The transport observes real traffic:
+    /// [`crate::TransportResult::net`] carries its counters (the socket
+    /// ones are 0), and `node_msgs` and `label_counts` derive from them
+    /// — over the whole run, election included, so compare rates rather
+    /// than raw counts against simulator runs.
     pub fn run_threads(&self, seed: u64, wall: Duration) -> RunResult {
-        let d = harness::deploy(self);
-        let seen = harness::drive_wall(Runtime::new(seed), Runtime::run_for, wall, d.actors);
-        harness::assemble(self.timeline_bucket, d.layout, &d.recorder, seen)
+        harness::drive_wall(self, Runtime::new(seed), Runtime::run_for, wall)
     }
 
     /// Run the *same* experiment over real TCP sockets via
@@ -457,7 +452,7 @@ impl<P: ProtocolSpec> Experiment<P> {
     /// and shard-control) encoded to its [`simnet::Wire`] bytes and
     /// decoded on arrival — the full production I/O path minus
     /// geographic distance. It reports what `run_threads` reports, plus
-    /// the socket counters in [`RunResult::net`].
+    /// the socket counters in [`crate::TransportResult::net`].
     ///
     /// Requires `P::Msg: Wire` (all three protocol crates implement
     /// it); the [`Envelope`] blanket impl then covers the client
@@ -468,9 +463,7 @@ impl<P: ProtocolSpec> Experiment<P> {
     where
         P::Msg: simnet::Wire,
     {
-        let d = harness::deploy(self);
-        let seen = harness::drive_wall(NetRuntime::new(seed), NetRuntime::run_for, wall, d.actors);
-        harness::assemble(self.timeline_bucket, d.layout, &d.recorder, seen)
+        harness::drive_wall(self, NetRuntime::new(seed), NetRuntime::run_for, wall)
     }
 
     /// Sweep offered load (client counts) on the simulator and return
@@ -495,7 +488,7 @@ impl<P: ProtocolSpec> Experiment<P> {
     pub fn max_throughput(&self, seed: u64, client_counts: &[usize]) -> f64 {
         self.load_sweep(seed, client_counts)
             .iter()
-            .map(|p| p.result.throughput)
+            .map(|p| p.result.client.throughput)
             .fold(0.0, f64::max)
     }
 }
@@ -611,20 +604,27 @@ pub(crate) mod tests {
     #[test]
     fn run_sim_measures_and_checks_safety() {
         let r = small().clients(4).run_sim(3);
-        assert!(r.throughput > 100.0, "throughput {}", r.throughput);
-        assert!(r.violations.is_empty());
-        assert!(r.decided > 0);
-        assert!(r.p99_latency_ms >= r.p50_latency_ms);
+        assert!(
+            r.client.throughput > 100.0,
+            "throughput {}",
+            r.client.throughput
+        );
+        assert!(r.protocol.violations().is_empty());
+        assert!(r.protocol.decided() > 0);
+        assert!(r.client.p99_latency_ms >= r.client.p50_latency_ms);
     }
 
     #[test]
     fn run_sim_is_deterministic_per_seed() {
         let a = small().clients(2).run_sim(7);
         let b = small().clients(2).run_sim(7);
-        assert_eq!(a.samples, b.samples);
-        assert_eq!(a.node_msgs, b.node_msgs);
+        assert_eq!(a.client.samples, b.client.samples);
+        assert_eq!(a.transport.node_msgs, b.transport.node_msgs);
         let c = small().clients(2).run_sim(8);
-        assert_ne!(a.node_msgs, c.node_msgs, "seed must matter");
+        assert_ne!(
+            a.transport.node_msgs, c.transport.node_msgs,
+            "seed must matter"
+        );
     }
 
     #[test]
@@ -632,50 +632,74 @@ pub(crate) mod tests {
         let exp = small();
         let pts = exp.load_sweep(0, &[1, 2, 4]);
         assert_eq!(pts.len(), 3);
-        assert!(pts[2].result.throughput > pts[0].result.throughput);
+        assert!(pts[2].result.client.throughput > pts[0].result.client.throughput);
         let m = exp.max_throughput(0, &[1, 4]);
-        assert!(m >= pts[0].result.throughput);
+        assert!(m >= pts[0].result.client.throughput);
     }
 
     #[test]
     fn run_threads_same_experiment_same_result_shape() {
         let exp = small().clients(2);
         let r = exp.run_threads(7, Duration::from_millis(150));
-        assert!(r.violations.is_empty());
-        assert!(r.samples > 20, "threads made progress: {}", r.samples);
-        assert!(r.throughput > 100.0);
-        assert!(r.decided > 0);
+        assert!(r.protocol.violations().is_empty());
+        assert!(
+            r.client.samples > 20,
+            "threads made progress: {}",
+            r.client.samples
+        );
+        assert!(r.client.throughput > 100.0);
+        assert!(r.protocol.decided() > 0);
         // The in-memory transport counts what it carries, as TCP does.
-        assert_eq!(r.node_msgs.len(), 3, "1 replica + 2 clients");
-        assert!(r.node_msgs.iter().all(|&m| m > 0));
-        assert!(r.leader_msgs_per_op > 0.0 && r.follower_msgs_per_op == 0.0);
-        let labels = r.label_counts.as_ref().expect("threads count labels");
+        assert_eq!(r.transport.node_msgs.len(), 3, "1 replica + 2 clients");
+        assert!(r.transport.node_msgs.iter().all(|&m| m > 0));
+        assert!(r.transport.leader_msgs_per_op > 0.0 && r.transport.follower_msgs_per_op == 0.0);
+        let labels = r
+            .transport
+            .label_counts
+            .as_ref()
+            .expect("threads count labels");
         assert!(labels.get("request").copied().unwrap_or(0) > 20);
-        let net = r.net.as_ref().expect("transport counters reach the result");
+        let net = r
+            .transport
+            .net
+            .as_ref()
+            .expect("transport counters reach the result");
         assert!(net.per_node_busy_ns.iter().all(|&ns| ns > 0));
         assert_eq!(
             (net.bytes_sent, net.decode_errors, net.frames_dropped),
             (0, 0, 0)
         );
         // Simulator-only accounting is absent, not garbage.
-        assert!(r.trace_fingerprint.is_none());
+        assert!(r.transport.trace.is_none());
     }
 
     #[test]
     fn run_net_same_experiment_over_tcp() {
         let exp = small().clients(2);
         let r = exp.run_net(7, Duration::from_millis(250));
-        assert!(r.violations.is_empty());
-        assert!(r.samples > 20, "tcp made progress: {}", r.samples);
-        assert!(r.decided > 0);
+        assert!(r.protocol.violations().is_empty());
+        assert!(
+            r.client.samples > 20,
+            "tcp made progress: {}",
+            r.client.samples
+        );
+        assert!(r.protocol.decided() > 0);
         // The transport observes real traffic: per-node counts and
         // label counts are populated.
-        assert_eq!(r.node_msgs.len(), 3, "1 replica + 2 clients");
-        assert!(r.node_msgs.iter().all(|&m| m > 0));
-        let labels = r.label_counts.as_ref().expect("net counts labels");
+        assert_eq!(r.transport.node_msgs.len(), 3, "1 replica + 2 clients");
+        assert!(r.transport.node_msgs.iter().all(|&m| m > 0));
+        let labels = r
+            .transport
+            .label_counts
+            .as_ref()
+            .expect("net counts labels");
         assert!(labels.get("request").copied().unwrap_or(0) > 20);
         assert!(labels.get("reply").copied().unwrap_or(0) > 20);
-        let net = r.net.as_ref().expect("transport counters reach the result");
+        let net = r
+            .transport
+            .net
+            .as_ref()
+            .expect("transport counters reach the result");
         assert_eq!((net.decode_errors, net.frames_dropped), (0, 0));
     }
 
@@ -692,10 +716,13 @@ pub(crate) mod tests {
         // told: a shard group must tolerate gaps in client sequences.
         let plain = small().clients(2).run_sim(7);
         let gated = small().clients(2).shards(1).run_sim(7);
-        assert!(gated.violations.is_empty());
-        assert!(gated.samples > 100, "got {}", gated.samples);
-        assert!(!plain.groups[0].client_gaps);
-        assert!(gated.groups[0].client_gaps, "a shard group sees gappy seqs");
+        assert!(gated.protocol.violations().is_empty());
+        assert!(gated.client.samples > 100, "got {}", gated.client.samples);
+        assert!(!plain.protocol.groups[0].client_gaps);
+        assert!(
+            gated.protocol.groups[0].client_gaps,
+            "a shard group sees gappy seqs"
+        );
     }
 
     #[test]
@@ -707,13 +734,11 @@ pub(crate) mod tests {
             .measure(SimDuration::from_millis(300))
             .drain(SimDuration::from_millis(50))
             .run_sim(7);
-        assert_eq!(r.groups.len(), 2);
-        assert_eq!(r.replica_digests.len(), 4);
-        assert_ne!(
-            r.replica_digests[0], r.replica_digests[2],
-            "groups hold different state"
-        );
-        assert_eq!(r.converged(), Some(true));
+        assert_eq!(r.protocol.groups.len(), 2);
+        let digests = r.protocol.replica_digests.as_ref().expect("drained");
+        assert_eq!(digests.len(), 4);
+        assert_ne!(digests[0], digests[2], "groups hold different state");
+        assert_eq!(r.protocol.converged(), Some(true));
     }
 
     #[test]
@@ -776,7 +801,7 @@ pub(crate) mod tests {
                     got: got2,
                 }));
             });
-        assert!(r.violations.is_empty());
+        assert!(r.protocol.violations().is_empty());
         assert_eq!(*got.borrow(), 1, "custom client actor got its reply");
     }
 }

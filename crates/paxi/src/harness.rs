@@ -11,28 +11,17 @@
 //!    fires the setup hook, then runs warm-up, the measurement window
 //!    and the optional drain; the wall-clock driver runs the readiness
 //!    loops, in memory or over TCP, for a wall-clock span and measures
-//!    all of it — the window `(0, wall]`. Each returns what it observed.
-//! 3. **assemble**: the one place a [`RunResult`] is
-//!    built — windowing, percentiles, per-node loads, and the safety,
-//!    compaction and PQR counters merged over groups.
+//!    all of it — the window `(0, wall]`. Each measures what the
+//!    clients saw in its window and what its transport carried.
+//! 3. **assemble**: the one place a [`RunResult`] is built, from those
+//!    two parts and the groups that ran.
 //!
-//! What each substrate can observe (anything else is zero, empty or
-//! `None`, never garbage):
-//!
-//! | `RunResult` field | simulator | threads | TCP |
-//! |---|---|---|---|
-//! | throughput, latencies, `samples`, `timeline`, `client_retries` | measurement window | whole run | whole run |
-//! | `decided`, `violations`, `groups`, log/snapshot/PQR counters | yes | yes | yes |
-//! | `node_msgs`, `leader_msgs_per_op`, `follower_msgs_per_op` | window, from simulator stats | whole run, from the transport | whole run, from the transport |
-//! | `cross_region_msgs_per_op` | yes | — | — |
-//! | `label_counts` | with `capture_trace` | whole run, from the transport | whole run, from the transport |
-//! | `trace_fingerprint`, `leader_*_per_op` | with `capture_trace` | — | — |
-//! | `replica_digests`, `converged()` | with `drain` | — | — |
-//! | `net` | — | yes; socket counters 0 | yes |
+//! A result has the same shape on every substrate. What a substrate or
+//! an opt-in cannot observe is `None` in it, never zero or empty.
 
 use crate::client::{ClientRecorder, ClosedLoopClient, Sample, TargetPolicy};
 use crate::cluster::ClusterConfig;
-use crate::envelope::{Envelope, ProtoMessage};
+use crate::envelope::Envelope;
 use crate::experiment::{Experiment, ProtocolSpec};
 use crate::metrics::{mean, percentile};
 use crate::shard::{GroupId, ShardGate, ShardLayout, ShardMap};
@@ -45,104 +34,16 @@ use std::time::Duration;
 /// no better choice.
 pub const DEFAULT_SEED: u64 = 0x9199_7a05;
 
-/// Metrics from one run, identical in shape on every substrate; the
-/// [module docs](self) tabulate which fields each substrate fills.
+/// Metrics from one run, in three parts: what the clients saw, what the
+/// consensus groups decided and what the transport carried.
 #[derive(Debug, Clone)]
 pub struct RunResult {
-    /// Completed operations per second in the measurement window.
-    pub throughput: f64,
-    /// Mean end-to-end latency in milliseconds.
-    pub mean_latency_ms: f64,
-    /// Median latency (ms).
-    pub p50_latency_ms: f64,
-    /// 99th-percentile latency (ms).
-    pub p99_latency_ms: f64,
-    /// Number of samples in the window.
-    pub samples: usize,
-    /// Distinct slots decided across the run, summed over groups.
-    pub decided: u64,
-    /// Safety violations detected in any group (must be empty).
-    pub violations: Vec<String>,
-    /// The consensus groups that ran — one, unless the experiment was
-    /// sharded — each with the [`crate::SafetyMonitor`] and compaction
-    /// counters its replicas reported into, for per-group inspection
-    /// (decided counts, decision logs) after the run.
-    pub groups: Vec<ClusterConfig>,
-    /// Per-node messages handled (sent + received) in the window,
-    /// indexed by node id; replicas first, then clients.
-    pub node_msgs: Vec<u64>,
-    /// Messages handled by a group's leader per completed operation —
-    /// the empirical `Ml` of the paper's §6 (mean over groups).
-    pub leader_msgs_per_op: f64,
-    /// Mean messages handled per non-leader replica per operation — the
-    /// empirical `Mf`.
-    pub follower_msgs_per_op: f64,
-    /// Cross-region messages per operation (paper §6.4).
-    pub cross_region_msgs_per_op: f64,
-    /// Per-bucket throughput timeline `(bucket_end_secs, ops_per_sec)`,
-    /// present when [`crate::Experiment::timeline_bucket`] was set.
-    pub timeline: Vec<(f64, f64)>,
-    /// Client retries observed (an indicator of failures during the run).
-    pub client_retries: u64,
-    /// Largest retained log length (slots, or EPaxos instances) any
-    /// replica reported across the whole run — the memory-boundedness
-    /// quantity log compaction gates on. 0 when no replica reported
-    /// (e.g. a protocol without compaction instrumentation).
-    pub max_log_len: u64,
-    /// Snapshots taken (log compactions) across all replicas. 0 when
-    /// `SnapshotConfig` is disabled (the default).
-    pub snapshots_taken: u64,
-    /// Snapshots installed *from a peer* (the catch-up path a lagging
-    /// follower or newly elected leader takes when its missing prefix
-    /// was truncated everywhere).
-    pub snapshots_installed: u64,
-    /// FNV fingerprint of the full message trace, present when
-    /// [`crate::Experiment::capture_trace`] was set. Identical seeds +
-    /// configs must produce identical fingerprints.
-    pub trace_fingerprint: Option<u64>,
-    /// Leader-sent *protocol* messages (everything except client
-    /// replies) per completed operation in the window — the precise
-    /// measure of what relay trees and batching amortize. This and the
-    /// three fields below need `capture_trace` and are means over
-    /// group leaders.
-    pub leader_proto_sent_per_op: Option<f64>,
-    /// Leader-sent client-reply envelopes (`reply` + `reply_batch`) per
-    /// completed operation — what reply coalescing amortizes.
-    pub leader_replies_per_op: Option<f64>,
-    /// All leader-sent messages (protocol + replies) per completed
-    /// operation — the end-to-end outbound leader load the batching
-    /// pipeline attacks.
-    pub leader_sent_per_op: Option<f64>,
-    /// Protocol messages *received* by the leader per completed
-    /// operation (the relay→leader uplink hop that multi-round
-    /// aggregate coalescing amortizes).
-    pub leader_proto_recv_per_op: Option<f64>,
-    /// Delivered (non-dropped) messages by wire label (`"p2a"`,
-    /// `"qr_read"`, `"reply_batch"`, …): in the measurement window when
-    /// the simulator captured a trace, over the whole run on the
-    /// wall-clock substrates. The
-    /// typed handle on message-shape questions — e.g. "how many
-    /// quorum-read probes did PQR send per operation?" — without
-    /// hand-rolling a simulation.
-    pub label_counts: Option<BTreeMap<&'static str, u64>>,
-    /// Quorum reads opened at proxies across the whole run (0 for
-    /// non-PQR configurations).
-    pub pqr_reads_started: u64,
-    /// Quorum reads still pending at some proxy when the run ended.
-    /// A quiesced run must end at 0; a workload-driven run may end with
-    /// at most the number of in-flight client operations — anything
-    /// larger is a `PendingReads` leak.
-    pub pqr_reads_inflight: u64,
-    /// Per-replica state digests collected after the drain phase,
-    /// indexed by replica node id. `None` entries are replicas that do
-    /// not report a digest (or were crashed when sampled). Empty unless
-    /// [`crate::Experiment::drain`] was non-zero on the simulator.
-    pub replica_digests: Vec<Option<u64>>,
-    /// The wall-clock transport's own counters (time spent on each node;
-    /// over TCP also reconnects, frames that failed to decode, frames
-    /// dropped): a healthy run has zero decode errors and zero dropped
-    /// frames even when client retries would have papered over them.
-    pub net: Option<NetRunStats>,
+    /// Throughput and latency as the clients measured them.
+    pub client: ClientResult,
+    /// The groups that ran, and what their replicas agreed on.
+    pub protocol: ProtocolResult,
+    /// Messages per node, per label and per operation.
+    pub transport: TransportResult,
 }
 
 impl RunResult {
@@ -157,28 +58,146 @@ impl RunResult {
     /// (e.g. PQR probe cost = `qr_read` + `qr_vote` + `qr_read_batch` +
     /// `qr_vote_batch`). Returns `None` unless labels were counted.
     pub fn labels_per_op(&self, labels: &[&str]) -> Option<f64> {
-        let ops = self.samples.max(1) as f64;
-        self.label_counts.as_ref().map(|c| {
+        self.transport.label_counts.as_ref().map(|c| {
             labels
                 .iter()
                 .map(|l| c.get(l).copied().unwrap_or(0))
                 .sum::<u64>() as f64
-                / ops
+                / self.client.ops()
         })
+    }
+}
+
+/// What the clients saw complete: in the measurement window on the
+/// simulator, over the whole run on the wall-clock substrates.
+#[derive(Debug, Clone)]
+pub struct ClientResult {
+    /// Completed operations per second.
+    pub throughput: f64,
+    /// Mean end-to-end latency in milliseconds.
+    pub mean_latency_ms: f64,
+    /// Median latency (ms).
+    pub p50_latency_ms: f64,
+    /// 99th-percentile latency (ms).
+    pub p99_latency_ms: f64,
+    /// Number of operations completed.
+    pub samples: usize,
+    /// Client retries over the whole run (an indicator of failures).
+    pub retries: u64,
+    /// Per-bucket throughput `(bucket_end_secs, ops_per_sec)` from the
+    /// start of the run; `Some` when
+    /// [`crate::Experiment::timeline_bucket`] was set.
+    pub timeline: Option<Vec<(f64, f64)>>,
+}
+
+impl ClientResult {
+    /// What `recorder` saw complete in `(start, end]`, plus the timeline
+    /// up to `end` when a `bucket` is set.
+    fn measure(
+        recorder: &ClientRecorder,
+        (start, end): (SimTime, SimTime),
+        bucket: Option<SimDuration>,
+    ) -> ClientResult {
+        let all = recorder.samples();
+        let lat_ms: Vec<f64> = all
+            .iter()
+            .filter(|s| s.completed > start && s.completed <= end)
+            .map(|s| s.latency().as_millis_f64())
+            .collect();
+        let secs = (end - start).as_secs_f64().max(f64::MIN_POSITIVE);
+        ClientResult {
+            throughput: lat_ms.len() as f64 / secs,
+            mean_latency_ms: mean(&lat_ms),
+            p50_latency_ms: percentile(&lat_ms, 50.0),
+            p99_latency_ms: percentile(&lat_ms, 99.0),
+            samples: lat_ms.len(),
+            retries: recorder.retries(),
+            timeline: bucket.map(|bucket| bucket_timeline(&all, bucket, end)),
+        }
+    }
+
+    /// Completed operations, at least one: every per-op denominator.
+    fn ops(&self) -> f64 {
+        self.samples.max(1) as f64
+    }
+}
+
+/// The consensus groups that ran — one, unless the experiment was
+/// sharded. Every count here is read from them, summed over groups.
+#[derive(Debug, Clone)]
+pub struct ProtocolResult {
+    /// Each group with the [`crate::SafetyMonitor`] and compaction
+    /// counters its replicas reported into, for per-group inspection
+    /// (decided counts, decision logs) after the run.
+    pub groups: Vec<ClusterConfig>,
+    /// Per-replica state digests after the drain, indexed by replica
+    /// node id (`None` for a replica that reports none); `Some` when
+    /// [`crate::Experiment::drain`] was non-zero on the simulator.
+    pub replica_digests: Option<Vec<Option<u64>>>,
+}
+
+impl ProtocolResult {
+    fn sum(&self, count: fn(&ClusterConfig) -> u64) -> u64 {
+        self.groups.iter().map(count).sum()
+    }
+
+    /// Distinct slots decided across the run.
+    pub fn decided(&self) -> u64 {
+        self.sum(|c| c.safety.decided_count())
+    }
+
+    /// Safety violations detected in any group (must be empty).
+    pub fn violations(&self) -> Vec<String> {
+        let all = self.groups.iter().flat_map(|c| c.safety.violations());
+        all.collect()
+    }
+
+    /// Largest retained log length (slots, or EPaxos instances) any
+    /// replica reported — the quantity log compaction bounds. 0 when no
+    /// replica reported.
+    pub fn max_log_len(&self) -> u64 {
+        let lens = self.groups.iter().map(|c| c.stats.max_log_len());
+        lens.max().unwrap_or(0)
+    }
+
+    /// Snapshots taken (log compactions) across all replicas.
+    pub fn snapshots_taken(&self) -> u64 {
+        self.sum(|c| c.stats.snapshots_taken())
+    }
+
+    /// Snapshots installed *from a peer* (the catch-up path a lagging
+    /// follower or newly elected leader takes when its missing prefix
+    /// was truncated everywhere).
+    pub fn snapshots_installed(&self) -> u64 {
+        self.sum(|c| c.stats.snapshots_installed())
+    }
+
+    /// Quorum reads opened at proxies (0 for non-PQR configurations).
+    pub fn pqr_reads_started(&self) -> u64 {
+        self.sum(|c| c.stats.pqr_started())
+    }
+
+    /// Quorum reads still pending at some proxy when the run ended.
+    /// A quiesced run must end at 0; a workload-driven run may end with
+    /// at most the number of in-flight client operations — anything
+    /// larger is a `PendingReads` leak.
+    pub fn pqr_reads_inflight(&self) -> u64 {
+        self.sum(|c| c.stats.pqr_inflight())
     }
 
     /// Whether, within every group, all digest-reporting replicas
     /// converged to the same state after the drain phase (groups hold
     /// different keys, so digests are never compared across groups).
-    /// `None` when no group has two reporting replicas (drain disabled,
-    /// wall-clock substrate, or no replica reports a digest).
+    /// `None` without digests, or when no group has two reporting
+    /// replicas.
     pub fn converged(&self) -> Option<bool> {
+        let all = self.replica_digests.as_ref()?;
         let mut verdict = None;
         for group in &self.groups {
             let digests: Vec<u64> = group
                 .replicas
                 .iter()
-                .filter_map(|r| self.replica_digests.get(r.index()).copied().flatten())
+                .filter_map(|r| all.get(r.index()).copied().flatten())
                 .collect();
             if digests.len() >= 2 {
                 let agree = digests.windows(2).all(|w| w[0] == w[1]);
@@ -186,6 +205,86 @@ impl RunResult {
             }
         }
         verdict
+    }
+}
+
+/// What the transport carried: on the simulator in the measurement
+/// window, from its stats and trace; on the wall-clock substrates over
+/// the whole run, election included, from the transport's own counters.
+#[derive(Debug, Clone)]
+pub struct TransportResult {
+    /// Per-node messages handled (sent + received), indexed by node id;
+    /// replicas first, then clients.
+    pub node_msgs: Vec<u64>,
+    /// Messages handled by a group's leader per completed operation —
+    /// the empirical `Ml` of the paper's §6 (mean over groups).
+    pub leader_msgs_per_op: f64,
+    /// Mean messages handled per non-leader replica per operation — the
+    /// empirical `Mf`.
+    pub follower_msgs_per_op: f64,
+    /// Delivered (non-dropped) messages by wire label (`"p2a"`,
+    /// `"qr_read"`, `"reply_batch"`, …); `Some` on the wall-clock
+    /// substrates, and on the simulator with
+    /// [`crate::Experiment::capture_trace`].
+    pub label_counts: Option<BTreeMap<&'static str, u64>>,
+    /// Cross-region messages per operation (paper §6.4); `Some` on the
+    /// simulator only.
+    pub cross_region_msgs_per_op: Option<f64>,
+    /// What a captured message trace adds; `Some` on the simulator with
+    /// [`crate::Experiment::capture_trace`].
+    pub trace: Option<TraceSummary>,
+    /// The wall-clock transport's own counters (time spent on each node;
+    /// over TCP also reconnects, undecodable and dropped frames, which a
+    /// healthy run has none of); `Some` on the wall-clock substrates.
+    pub net: Option<NetRunStats>,
+}
+
+impl TransportResult {
+    /// `node_msgs` and the group leaders' and followers' loads over
+    /// `ops`; everything else not observed (yet).
+    fn new(node_msgs: Vec<u64>, groups: &[ClusterConfig], ops: f64) -> TransportResult {
+        let load = |n: &NodeId| node_msgs.get(n.index()).copied().unwrap_or(0) as f64 / ops;
+        let leaders: Vec<f64> = groups.iter().map(|c| load(&c.leader)).collect();
+        let followers: Vec<f64> = groups
+            .iter()
+            .flat_map(|c| c.replicas.iter().filter(move |&&n| n != c.leader))
+            .map(load)
+            .collect();
+        TransportResult {
+            leader_msgs_per_op: mean(&leaders),
+            follower_msgs_per_op: mean(&followers),
+            node_msgs,
+            label_counts: None,
+            cross_region_msgs_per_op: None,
+            trace: None,
+            net: None,
+        }
+    }
+}
+
+/// A traced window's fingerprint and the group leaders' traffic in it,
+/// per completed operation and averaged over leaders.
+#[derive(Debug, Clone, Copy)]
+pub struct TraceSummary {
+    /// FNV fingerprint of the full message trace. Identical seeds and
+    /// configs must produce identical fingerprints.
+    pub fingerprint: u64,
+    /// Leader-sent *protocol* messages (all but client replies): what
+    /// relay trees and batching amortize.
+    pub leader_proto_sent_per_op: f64,
+    /// Leader-sent client-reply envelopes (`reply` + `reply_batch`) —
+    /// what reply coalescing amortizes.
+    pub leader_replies_per_op: f64,
+    /// Protocol messages *received* by the leader (the relay→leader
+    /// uplink hop that multi-round aggregate coalescing amortizes).
+    pub leader_proto_recv_per_op: f64,
+}
+
+impl TraceSummary {
+    /// All leader-sent messages (protocol + replies) — the end-to-end
+    /// outbound leader load the batching pipeline attacks.
+    pub fn leader_sent_per_op(&self) -> f64 {
+        self.leader_proto_sent_per_op + self.leader_replies_per_op
     }
 }
 
@@ -201,18 +300,18 @@ pub struct LoadPoint {
 pub(crate) type BoxedActor<M> = Box<dyn Actor<Envelope<M>> + Send>;
 
 /// Everything one run deploys.
-pub(crate) struct Deployment<M> {
-    pub(crate) layout: ShardLayout,
+struct Deployment<M> {
+    layout: ShardLayout,
     /// All actors, in node-id order.
-    pub(crate) actors: Vec<BoxedActor<M>>,
-    pub(crate) recorder: ClientRecorder,
+    actors: Vec<BoxedActor<M>>,
+    recorder: ClientRecorder,
 }
 
 /// Materialize the node assignment and the actors for one run (fresh
 /// per-group safety monitors and compaction counters). Node-id space,
 /// in order: group 0's replicas, group 1's, …, clients, custom client
 /// actors, empty hook slots.
-pub(crate) fn deploy<P: ProtocolSpec>(exp: &Experiment<P>) -> Deployment<P::Msg> {
+fn deploy<P: ProtocolSpec>(exp: &Experiment<P>) -> Deployment<P::Msg> {
     let r = exp.topology.num_nodes();
     let clusters: Vec<ClusterConfig> = match exp.shards {
         None => vec![ClusterConfig::new(r)],
@@ -296,51 +395,22 @@ pub(crate) fn deploy<P: ProtocolSpec>(exp: &Experiment<P>) -> Deployment<P::Msg>
     }
 }
 
-/// What one driver saw: the measured window, plus whatever only its
-/// substrate can observe (the rest stays at its empty default).
-#[derive(Default)]
-pub(crate) struct Observed {
-    /// Samples completing in `(window.0, window.1]` are measured.
-    window: (SimTime, SimTime),
-    /// Per-node sent + received in the window (simulator).
-    node_msgs: Vec<u64>,
-    cross_region_msgs: u64,
-    trace: Option<TraceCounts>,
-    replica_digests: Vec<Option<u64>>,
-    net: Option<NetRunStats>,
-}
-
-/// Message counts over the traced measurement window.
-struct TraceCounts {
-    fingerprint: u64,
-    /// Delivered messages by wire label.
-    labels: BTreeMap<&'static str, u64>,
-    /// Sent by / received at group leaders, summed over leaders.
-    leader_proto_sent: usize,
-    leader_replies_sent: usize,
-    leader_proto_recv: usize,
-}
-
 /// The simulator driver: `hook`, then warm-up, the measurement window
 /// and the optional drain, in simulated time.
-pub(crate) fn drive_sim<P, H>(
-    exp: &Experiment<P>,
-    seed: u64,
-    layout: &ShardLayout,
-    actors: Vec<BoxedActor<P::Msg>>,
-    hook: H,
-) -> Observed
+pub(crate) fn drive_sim<P, H>(exp: &Experiment<P>, seed: u64, hook: H) -> RunResult
 where
     P: ProtocolSpec,
     H: FnOnce(&mut Simulation<Envelope<P::Msg>>, &ShardLayout),
 {
+    let d = deploy(exp);
+    let layout = &d.layout;
     let mut topology = exp.topology.clone();
     topology.add_nodes(layout.total_nodes - topology.num_nodes(), exp.client_region);
     let mut sim: Simulation<Envelope<P::Msg>> = Simulation::new(topology, exp.cost.clone(), seed);
     if exp.capture_trace {
         sim.enable_trace();
     }
-    for actor in actors {
+    for actor in d.actors {
         sim.add_actor(actor);
     }
     hook(&mut sim, layout);
@@ -352,178 +422,105 @@ where
     let end = sim.now();
     let after = sim.stats().clone();
 
-    // Optional drain: silence all client traffic and let the replica
-    // groups quiesce, then sample per-replica state digests for
-    // convergence checks. Skipped entirely (no extra events, schedule
-    // unchanged) when `drain` is zero.
+    // Optional drain: silence the clients, let the groups quiesce and
+    // sample per-replica state digests. Skipped entirely (no extra
+    // events, schedule unchanged) when `drain` is zero.
     let n_replicas = layout.shards * layout.replicas_per_shard;
-    let mut replica_digests = Vec::new();
-    if exp.drain > SimDuration::ZERO {
+    let replica_digests = (exp.drain > SimDuration::ZERO).then(|| {
         for i in n_replicas..layout.total_nodes {
             sim.crash(NodeId::from(i));
         }
         sim.run_for(exp.drain);
-        replica_digests = (0..n_replicas)
+        (0..n_replicas)
             .map(|i| sim.actor(NodeId::from(i)).state_digest())
-            .collect();
-    }
-
-    let trace = sim.trace().map(|trace| {
-        let is_reply = |label: &str| label == "reply" || label == "reply_batch";
-        let is_leader = |n: NodeId| layout.leaders.contains(&n);
-        let mut counts = TraceCounts {
-            fingerprint: trace.fingerprint(),
-            labels: BTreeMap::new(),
-            leader_proto_sent: 0,
-            leader_replies_sent: 0,
-            leader_proto_recv: 0,
-        };
-        for e in trace.entries() {
-            if e.at <= start || e.at > end {
-                continue;
-            }
-            if !e.dropped {
-                *counts.labels.entry(e.label).or_insert(0) += 1;
-            }
-            if is_leader(e.from) {
-                if is_reply(e.label) {
-                    counts.leader_replies_sent += 1;
-                } else {
-                    counts.leader_proto_sent += 1;
-                }
-            } else if is_leader(e.to) && e.label != "request" && !is_reply(e.label) {
-                counts.leader_proto_recv += 1;
-            }
-        }
-        counts
+            .collect()
     });
 
-    Observed {
-        window: (start, end),
-        node_msgs: after
-            .nodes
-            .iter()
-            .zip(before.nodes.iter())
-            .map(|(a, b)| a.msgs_total() - b.msgs_total())
-            .collect(),
-        cross_region_msgs: after.cross_region_msgs - before.cross_region_msgs,
-        trace,
-        replica_digests,
-        net: None,
+    let client = ClientResult::measure(&d.recorder, (start, end), exp.timeline_bucket);
+    let ops = client.ops();
+    let node_msgs = after.nodes.iter().zip(before.nodes.iter());
+    let node_msgs = node_msgs.map(|(a, b)| a.msgs_total() - b.msgs_total());
+    let cross_region = (after.cross_region_msgs - before.cross_region_msgs) as f64 / ops;
+    let mut transport = TransportResult {
+        cross_region_msgs_per_op: Some(cross_region),
+        ..TransportResult::new(node_msgs.collect(), &layout.clusters, ops)
+    };
+    if let Some(trace) = sim.trace() {
+        let is_leader = |n: NodeId| layout.leaders.contains(&n);
+        let mut labels = BTreeMap::new();
+        let mut leader = [0usize; 3]; // protocol sent, replies sent, protocol received
+        let in_window = |at: SimTime| at > start && at <= end;
+        for e in trace.entries().iter().filter(|e| in_window(e.at)) {
+            if !e.dropped {
+                *labels.entry(e.label).or_insert(0) += 1;
+            }
+            let reply = e.label == "reply" || e.label == "reply_batch";
+            if is_leader(e.from) {
+                leader[reply as usize] += 1;
+            } else if is_leader(e.to) && e.label != "request" && !reply {
+                leader[2] += 1;
+            }
+        }
+        let per_leader_op = |i: usize| leader[i] as f64 / (ops * layout.leaders.len() as f64);
+        transport.label_counts = Some(labels);
+        transport.trace = Some(TraceSummary {
+            fingerprint: trace.fingerprint(),
+            leader_proto_sent_per_op: per_leader_op(0),
+            leader_replies_per_op: per_leader_op(1),
+            leader_proto_recv_per_op: per_leader_op(2),
+        });
     }
-}
-
-/// A wall-clock run measures all of itself.
-fn whole_run(wall: Duration) -> (SimTime, SimTime) {
-    (SimTime::ZERO, SimTime::from_nanos(wall.as_nanos() as u64))
+    assemble(d.layout.clusters, client, transport, replica_digests)
 }
 
 /// A wall-clock runtime's `run_for`.
 pub(crate) type RunFor<M, T> = fn(&mut LoopRuntime<Envelope<M>, T>, Duration) -> NetRunStats;
 
 /// The wall-clock driver: the actors on `rt`, one readiness loop per
-/// core, in memory or over TCP, for `wall` of real time.
-pub(crate) fn drive_wall<M, T>(
-    mut rt: LoopRuntime<Envelope<M>, T>,
-    run_for: RunFor<M, T>,
+/// core, in memory or over TCP, for `wall` of real time, all of it
+/// measured.
+pub(crate) fn drive_wall<P, T>(
+    exp: &Experiment<P>,
+    mut rt: LoopRuntime<Envelope<P::Msg>, T>,
+    run_for: RunFor<P::Msg, T>,
     wall: Duration,
-    actors: Vec<BoxedActor<M>>,
-) -> Observed
+) -> RunResult
 where
-    M: ProtoMessage + Send,
+    P: ProtocolSpec,
 {
-    for actor in actors {
+    let d = deploy(exp);
+    for actor in d.actors {
         rt.add_actor(actor);
     }
-    Observed {
-        window: whole_run(wall),
-        net: Some(run_for(&mut rt, wall)),
-        ..Observed::default()
-    }
+    let net = run_for(&mut rt, wall);
+    let whole_run = (SimTime::ZERO, SimTime::from_nanos(wall.as_nanos() as u64));
+    let client = ClientResult::measure(&d.recorder, whole_run, exp.timeline_bucket);
+    let node_msgs = net.per_node_sent.iter().zip(&net.per_node_received);
+    let node_msgs = node_msgs.map(|(s, r)| s + r).collect();
+    let transport = TransportResult {
+        label_counts: Some(net.delivered_by_label.clone()),
+        net: Some(net),
+        ..TransportResult::new(node_msgs, &d.layout.clusters, client.ops())
+    };
+    assemble(d.layout.clusters, client, transport, None)
 }
 
-/// Turn what the clients recorded, what the groups counted and what
-/// the driver saw into the run's result.
-pub(crate) fn assemble(
-    timeline_bucket: Option<SimDuration>,
-    layout: ShardLayout,
-    recorder: &ClientRecorder,
-    seen: Observed,
+/// The one place a [`RunResult`] is built: a driver's two parts, and
+/// the groups that ran with whatever digests the driver sampled.
+fn assemble(
+    groups: Vec<ClusterConfig>,
+    client: ClientResult,
+    transport: TransportResult,
+    replica_digests: Option<Vec<Option<u64>>>,
 ) -> RunResult {
-    let (start, end) = seen.window;
-    let all_samples = recorder.samples();
-    let window: Vec<&Sample> = all_samples
-        .iter()
-        .filter(|s| s.completed > start && s.completed <= end)
-        .collect();
-    let secs = (end - start).as_secs_f64().max(f64::MIN_POSITIVE);
-    let lat_ms: Vec<f64> = window.iter().map(|s| s.latency().as_millis_f64()).collect();
-    let ops = window.len().max(1) as f64;
-
-    // A wall-clock transport counts its own traffic; the simulator's
-    // counts come from its stats and trace.
-    let (node_msgs, label_counts) = match &seen.net {
-        Some(net) => (
-            net.per_node_sent
-                .iter()
-                .zip(net.per_node_received.iter())
-                .map(|(s, r)| s + r)
-                .collect(),
-            Some(net.delivered_by_label.clone()),
-        ),
-        None => (
-            seen.node_msgs,
-            seen.trace.as_ref().map(|t| t.labels.clone()),
-        ),
-    };
-    let load = |n: &NodeId| node_msgs.get(n.index()).copied().unwrap_or(0) as f64 / ops;
-    let groups = layout.clusters;
-    let leader_loads: Vec<f64> = groups.iter().map(|c| load(&c.leader)).collect();
-    let follower_loads: Vec<f64> = groups
-        .iter()
-        .flat_map(|c| c.replicas.iter().filter(move |&&n| n != c.leader))
-        .map(load)
-        .collect();
-    let trace = seen.trace.as_ref();
-    let per_leader_op = |count: fn(&TraceCounts) -> usize| {
-        trace.map(|t| count(t) as f64 / (ops * groups.len() as f64))
-    };
-    let sum = |f: fn(&ClusterConfig) -> u64| groups.iter().map(f).sum::<u64>();
-
-    RunResult {
-        throughput: window.len() as f64 / secs,
-        mean_latency_ms: mean(&lat_ms),
-        p50_latency_ms: percentile(&lat_ms, 50.0),
-        p99_latency_ms: percentile(&lat_ms, 99.0),
-        samples: window.len(),
-        decided: sum(|c| c.safety.decided_count()),
-        violations: groups.iter().flat_map(|c| c.safety.violations()).collect(),
-        leader_msgs_per_op: mean(&leader_loads),
-        follower_msgs_per_op: mean(&follower_loads),
-        cross_region_msgs_per_op: seen.cross_region_msgs as f64 / ops,
-        node_msgs,
-        timeline: timeline_bucket
-            .map(|bucket| bucket_timeline(&all_samples, bucket, end))
-            .unwrap_or_default(),
-        client_retries: recorder.retries(),
-        max_log_len: groups
-            .iter()
-            .map(|c| c.stats.max_log_len())
-            .max()
-            .unwrap_or(0),
-        snapshots_taken: sum(|c| c.stats.snapshots_taken()),
-        snapshots_installed: sum(|c| c.stats.snapshots_installed()),
-        trace_fingerprint: trace.map(|t| t.fingerprint),
-        leader_proto_sent_per_op: per_leader_op(|t| t.leader_proto_sent),
-        leader_replies_per_op: per_leader_op(|t| t.leader_replies_sent),
-        leader_sent_per_op: per_leader_op(|t| t.leader_proto_sent + t.leader_replies_sent),
-        leader_proto_recv_per_op: per_leader_op(|t| t.leader_proto_recv),
-        label_counts,
-        pqr_reads_started: sum(|c| c.stats.pqr_started()),
-        pqr_reads_inflight: sum(|c| c.stats.pqr_inflight()),
-        replica_digests: seen.replica_digests,
-        net: seen.net,
+    let protocol = ProtocolResult {
         groups,
+        replica_digests,
+    };
+    RunResult {
+        client,
+        protocol,
+        transport,
     }
 }
 
@@ -550,18 +547,76 @@ fn bucket_timeline(samples: &[Sample], bucket: SimDuration, end: SimTime) -> Vec
 
 #[cfg(test)]
 mod tests {
+    use super::RunResult;
     use crate::experiment::tests::small;
     use simnet::SimDuration;
+    use std::time::Duration;
+
+    /// Which optional observations a run made: timeline, digests,
+    /// labels, cross-region, trace, net.
+    fn observed(r: &RunResult) -> [bool; 6] {
+        [
+            r.client.timeline.is_some(),
+            r.protocol.replica_digests.is_some(),
+            r.transport.label_counts.is_some(),
+            r.transport.cross_region_msgs_per_op.is_some(),
+            r.transport.trace.is_some(),
+            r.transport.net.is_some(),
+        ]
+    }
+
+    #[test]
+    fn an_observation_is_some_exactly_where_it_was_made() {
+        let exp = small().clients(2);
+        let wall = Duration::from_millis(100);
+        let drained = exp.clone().drain(SimDuration::from_millis(50));
+        let bucketed = exp.clone().timeline_bucket(SimDuration::from_millis(250));
+        let runs = [
+            (
+                "sim",
+                exp.run_sim(7),
+                [false, false, false, true, false, false],
+            ),
+            (
+                "traced",
+                exp.clone().capture_trace().run_sim(7),
+                [false, false, true, true, true, false],
+            ),
+            (
+                "drained",
+                drained.run_sim(7),
+                [false, true, false, true, false, false],
+            ),
+            (
+                "bucketed",
+                bucketed.run_sim(7),
+                [true, false, false, true, false, false],
+            ),
+            (
+                "threads",
+                exp.run_threads(7, wall),
+                [false, false, true, false, false, true],
+            ),
+            (
+                "tcp",
+                exp.run_net(7, wall),
+                [false, false, true, false, false, true],
+            ),
+        ];
+        for (name, r, want) in runs {
+            assert_eq!(observed(&r), want, "{name}");
+        }
+    }
 
     #[test]
     fn more_clients_more_throughput_until_saturation() {
         let lo = small().clients(1).run_sim(crate::DEFAULT_SEED);
         let hi = small().clients(8).run_sim(crate::DEFAULT_SEED);
         assert!(
-            hi.throughput > lo.throughput * 2.0,
+            hi.client.throughput > lo.client.throughput * 2.0,
             "8 clients ({}) should beat 1 client ({}) substantially",
-            hi.throughput,
-            lo.throughput
+            hi.client.throughput,
+            lo.client.throughput
         );
     }
 
@@ -571,11 +626,11 @@ mod tests {
             .clients(4)
             .timeline_bucket(SimDuration::from_millis(250))
             .run_sim(crate::DEFAULT_SEED);
+        let timeline = r.client.timeline.expect("bucket set");
         // Total run is 1s -> 4 buckets.
-        assert_eq!(r.timeline.len(), 4);
+        assert_eq!(timeline.len(), 4);
         // Steady load: later buckets should show similar throughput.
-        let t: Vec<f64> = r.timeline.iter().map(|&(_, v)| v).collect();
-        assert!(t[3] > 0.0);
+        assert!(timeline[3].1 > 0.0);
     }
 
     #[test]
@@ -583,23 +638,27 @@ mod tests {
         let r = small().clients(2).run_sim(crate::DEFAULT_SEED);
         // The instant server handles exactly 1 recv + 1 send per op.
         assert!(
-            (r.leader_msgs_per_op - 2.0).abs() < 0.2,
+            (r.transport.leader_msgs_per_op - 2.0).abs() < 0.2,
             "got {}",
-            r.leader_msgs_per_op
+            r.transport.leader_msgs_per_op
         );
     }
 
     #[test]
     fn label_counts_present_only_with_trace() {
         let no_trace = small().clients(2).run_sim(crate::DEFAULT_SEED);
-        assert!(no_trace.label_counts.is_none());
+        assert!(no_trace.transport.label_counts.is_none());
         assert!(no_trace.label_per_op("request").is_none());
 
         let traced = small()
             .clients(2)
             .capture_trace()
             .run_sim(crate::DEFAULT_SEED);
-        let counts = traced.label_counts.as_ref().expect("trace captured");
+        let counts = traced
+            .transport
+            .label_counts
+            .as_ref()
+            .expect("trace captured");
         assert!(counts.get("request").copied().unwrap_or(0) > 100);
         assert!(counts.get("reply").copied().unwrap_or(0) > 100);
         // One request and one reply per completed op (instant server).

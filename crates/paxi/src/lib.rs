@@ -23,7 +23,7 @@
 //! let result = Experiment::lan(PigConfig::lan(3), 25)
 //!     .clients(40)
 //!     .run_sim(paxi::DEFAULT_SEED);
-//! assert!(result.violations.is_empty());
+//! assert!(result.protocol.violations().is_empty());
 //! ```
 //!
 //! Sweeps compose as plain loops over the orthogonal axes — one relay
@@ -89,7 +89,9 @@ pub use command::{
 };
 pub use envelope::{Envelope, ProtoMessage};
 pub use experiment::{Experiment, ProtocolSpec};
-pub use harness::{LoadPoint, RunResult, DEFAULT_SEED};
+pub use harness::{
+    ClientResult, LoadPoint, ProtocolResult, RunResult, TraceSummary, TransportResult, DEFAULT_SEED,
+};
 pub use kv::KvStore;
 pub use log::{Log, LogEntry};
 pub use nemesis::{Nemesis, NemesisLog};

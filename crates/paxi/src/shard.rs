@@ -31,9 +31,9 @@
 //!   N gated protocol instances with disjoint node-id namespaces
 //!   (shard *s* owns nodes `[s*R, (s+1)*R)`) and routers in front of
 //!   them; the run engine ([`crate::harness`]) then drives the whole
-//!   assembly on any substrate like any other experiment, merging
-//!   per-shard safety and compaction counters into one
-//!   [`crate::RunResult`] whose `groups` keep the per-shard handles.
+//!   assembly on any substrate like any other experiment, and the
+//!   [`crate::RunResult`]'s `protocol.groups` keep each shard's safety
+//!   and compaction handles.
 //!
 //! ## Rebalancing = snapshot + redirect
 //!
@@ -912,7 +912,7 @@ impl<P: ProtoMessage, R: Replica<P>> Actor<Envelope<P>> for ShardGate<P, R> {
 /// then routers, then extra client nodes (custom actors first, empty
 /// hook slots last). Each shard's [`ClusterConfig`] carries its own
 /// shared [`crate::SafetyMonitor`] and [`crate::snapshot::CompactionStats`]
-/// handles; the same configs come back as [`crate::RunResult::groups`].
+/// handles; the same configs come back as [`crate::ProtocolResult::groups`].
 pub struct ShardLayout {
     /// Number of shards (consensus groups).
     pub shards: usize,
@@ -1096,11 +1096,11 @@ mod tests {
     #[test]
     fn sharded_run_spreads_load_and_stays_safe() {
         let result = sharded(4, 8, 500).run_sim(DEFAULT_SEED);
-        assert!(result.violations.is_empty());
-        assert!(result.samples > 100, "got {}", result.samples);
-        assert_eq!(result.client_retries, 0, "uniform load, fresh maps");
+        assert!(result.protocol.violations().is_empty());
+        assert!(result.client.samples > 100, "got {}", result.client.samples);
+        assert_eq!(result.client.retries, 0, "uniform load, fresh maps");
         // Every shard decided something: the routers really spread keys.
-        for (s, group) in result.groups.iter().enumerate() {
+        for (s, group) in result.protocol.groups.iter().enumerate() {
             assert!(
                 group.safety.decided_count() > 0,
                 "shard {s} decided nothing"
@@ -1113,9 +1113,9 @@ mod tests {
         let exp = sharded(2, 4, 300);
         let a = exp.run_sim(7);
         let b = exp.run_sim(7);
-        assert_eq!(a.samples, b.samples);
-        assert_eq!(a.decided, b.decided);
-        assert_eq!(a.node_msgs, b.node_msgs);
+        assert_eq!(a.client.samples, b.client.samples);
+        assert_eq!(a.protocol.decided(), b.protocol.decided());
+        assert_eq!(a.transport.node_msgs, b.transport.node_msgs);
     }
 
     #[test]
@@ -1124,11 +1124,11 @@ mod tests {
         let result = sharded(2, 6, 900)
             .move_range(SimDuration::from_millis(300), 0, 1)
             .run_sim(DEFAULT_SEED);
-        assert!(result.violations.is_empty());
-        assert!(result.samples > 100, "got {}", result.samples);
+        assert!(result.protocol.violations().is_empty());
+        assert!(result.client.samples > 100, "got {}", result.client.samples);
         // After the move every key belongs to shard 1: shard 1 keeps
         // deciding well past shard 0's handoff.
-        let decided = |g: usize| result.groups[g].safety.decided_count();
+        let decided = |g: usize| result.protocol.groups[g].safety.decided_count();
         assert!(decided(1) > decided(0));
     }
 
@@ -1139,7 +1139,7 @@ mod tests {
         let result = sharded(4, 8, 1000)
             .move_range(SimDuration::from_millis(400), 250, 3)
             .run_sim(DEFAULT_SEED);
-        assert!(result.violations.is_empty());
-        assert!(result.samples > 200, "got {}", result.samples);
+        assert!(result.protocol.violations().is_empty());
+        assert!(result.client.samples > 200, "got {}", result.client.samples);
     }
 }

@@ -17,9 +17,9 @@
 //! by the snapshot.
 //!
 //! [`CompactionStats`] is the shared (cloneable, thread-safe) counter
-//! hub replicas report into, so `RunResult::max_log_len` /
+//! hub replicas report into, so `ProtocolResult::max_log_len` /
 //! `snapshots_taken` make memory-boundedness a measurable, gateable
-//! quantity on both execution substrates.
+//! quantity on every execution substrate.
 
 use crate::command::Key;
 use crate::kv::KvStore;

@@ -832,16 +832,16 @@ mod tests {
         let r5 = exp(5, 8).run_sim(paxi::DEFAULT_SEED);
         let r9 = exp(9, 8).run_sim(paxi::DEFAULT_SEED);
         assert!(
-            (r5.leader_msgs_per_op - 10.0).abs() < 2.0,
+            (r5.transport.leader_msgs_per_op - 10.0).abs() < 2.0,
             "5 nodes: expected ≈10 msgs/op at leader, got {}",
-            r5.leader_msgs_per_op
+            r5.transport.leader_msgs_per_op
         );
         assert!(
-            (r9.leader_msgs_per_op - 18.0).abs() < 3.0,
+            (r9.transport.leader_msgs_per_op - 18.0).abs() < 3.0,
             "9 nodes: expected ≈18 msgs/op at leader, got {}",
-            r9.leader_msgs_per_op
+            r9.transport.leader_msgs_per_op
         );
-        assert!(r9.leader_msgs_per_op > r5.leader_msgs_per_op);
+        assert!(r9.transport.leader_msgs_per_op > r5.transport.leader_msgs_per_op);
     }
 
     #[test]
@@ -854,8 +854,12 @@ mod tests {
             .warmup(SimDuration::from_millis(300))
             .measure(SimDuration::from_millis(700))
             .run_sim(paxi::DEFAULT_SEED);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-        assert!(r.throughput > 100.0);
+        assert!(
+            r.protocol.violations().is_empty(),
+            "{:?}",
+            r.protocol.violations()
+        );
+        assert!(r.client.throughput > 100.0);
     }
 
     #[test]
@@ -874,20 +878,21 @@ mod tests {
         let mut cfg = PaxosConfig::wan();
         cfg.flexible_quorums = Some((11, 5));
         let flexible = wan(cfg);
-        assert!(flexible.violations.is_empty());
+        assert!(flexible.protocol.violations().is_empty());
         assert!(
-            flexible.mean_latency_ms < majority.mean_latency_ms / 5.0,
+            flexible.client.mean_latency_ms < majority.client.mean_latency_ms / 5.0,
             "intra-region Q2 must avoid WAN RTT: {:.1}ms vs {:.1}ms",
-            flexible.mean_latency_ms,
-            majority.mean_latency_ms
+            flexible.client.mean_latency_ms,
+            majority.client.mean_latency_ms
         );
         // The paper's caveat: the leader still fans out to everyone, so
         // its per-op message load is unchanged.
         assert!(
-            (flexible.leader_msgs_per_op - majority.leader_msgs_per_op).abs() < 2.0,
+            (flexible.transport.leader_msgs_per_op - majority.transport.leader_msgs_per_op).abs()
+                < 2.0,
             "leader load unchanged: {:.1} vs {:.1}",
-            flexible.leader_msgs_per_op,
-            majority.leader_msgs_per_op
+            flexible.transport.leader_msgs_per_op,
+            majority.transport.leader_msgs_per_op
         );
     }
 
@@ -900,13 +905,13 @@ mod tests {
             .warmup(SimDuration::from_millis(300))
             .measure(SimDuration::from_millis(700));
         let healthy = base.run_sim(paxi::DEFAULT_SEED);
-        assert!(healthy.violations.is_empty());
+        assert!(healthy.protocol.violations().is_empty());
         // Thrifty: 1 req + (q2-1)=4 sends + 4 acks + 1 reply = 10 per op
         // instead of 18.
         assert!(
-            healthy.leader_msgs_per_op < 12.0,
+            healthy.transport.leader_msgs_per_op < 12.0,
             "thrifty must cut leader load: {:.1}",
-            healthy.leader_msgs_per_op
+            healthy.transport.leader_msgs_per_op
         );
 
         // Crash one of the thrifty quorum members: every commit now
@@ -915,12 +920,12 @@ mod tests {
         let crashed = base.run_sim_with(paxi::DEFAULT_SEED, |sim, _| {
             sim.schedule_control(SimTime::from_millis(100), Control::Crash(NodeId(1)));
         });
-        assert!(crashed.violations.is_empty());
+        assert!(crashed.protocol.violations().is_empty());
         assert!(
-            crashed.mean_latency_ms > healthy.mean_latency_ms * 5.0,
+            crashed.client.mean_latency_ms > healthy.client.mean_latency_ms * 5.0,
             "thrifty + crash must stall: {:.1}ms vs {:.1}ms",
-            crashed.mean_latency_ms,
-            healthy.mean_latency_ms
+            crashed.client.mean_latency_ms,
+            healthy.client.mean_latency_ms
         );
     }
 }

@@ -48,13 +48,18 @@ fn main() {
         });
 
     assert!(
-        result.violations.is_empty(),
+        result.protocol.violations().is_empty(),
         "safety must hold through every fault"
     );
 
     println!("PigPaxos 25 nodes / 3 relay groups, 80 clients\n");
     println!("{:>7} {:>12}   event", "time(s)", "tput(req/s)");
-    for (t, tput) in &result.timeline {
+    let timeline = result
+        .client
+        .timeline
+        .as_ref()
+        .expect("timeline_bucket set");
+    for (t, tput) in timeline {
         let ts = *t as u64;
         let event = if ts == crash_t + 1 {
             "<- follower n5 crashed (dip = clients that picked n5 stall one retry)"
@@ -71,7 +76,7 @@ fn main() {
     }
     println!(
         "\ndecided slots: {}   safety violations: {}",
-        result.decided,
-        result.violations.len()
+        result.protocol.decided(),
+        result.protocol.violations().len()
     );
 }

@@ -24,23 +24,26 @@ fn main() {
 
     // Safety is machine-checked on every run.
     assert!(
-        result.violations.is_empty(),
+        result.protocol.violations().is_empty(),
         "no two nodes may disagree on a slot"
     );
 
     println!("PigPaxos, 9 nodes, 3 relay groups, 16 clients");
-    println!("  throughput      {:>8.0} req/s", result.throughput);
-    println!("  mean latency    {:>8.2} ms", result.mean_latency_ms);
-    println!("  p99 latency     {:>8.2} ms", result.p99_latency_ms);
-    println!("  slots decided   {:>8}", result.decided);
+    println!("  throughput      {:>8.0} req/s", result.client.throughput);
+    println!(
+        "  mean latency    {:>8.2} ms",
+        result.client.mean_latency_ms
+    );
+    println!("  p99 latency     {:>8.2} ms", result.client.p99_latency_ms);
+    println!("  slots decided   {:>8}", result.protocol.decided());
     println!(
         "  leader load     {:>8.1} msgs/op   (model: {:.1})",
-        result.leader_msgs_per_op,
+        result.transport.leader_msgs_per_op,
         analytical::leader_load(3)
     );
     println!(
         "  follower load   {:>8.1} msgs/op   (model: {:.1})",
-        result.follower_msgs_per_op,
+        result.transport.follower_msgs_per_op,
         analytical::follower_load(9, 3)
     );
 }

@@ -26,15 +26,21 @@ fn main() {
     println!("one experiment, three substrates (9 PigPaxos replicas, 8 clients)\n");
 
     let sim = experiment.run_sim(42);
-    assert!(sim.violations.is_empty(), "simulator run must be safe");
+    assert!(
+        sim.protocol.violations().is_empty(),
+        "simulator run must be safe"
+    );
 
     println!("running the same replicas on real threads for {wall:?}…");
     let threads = experiment.run_threads(42, wall);
-    assert!(threads.violations.is_empty(), "thread run must be safe");
+    assert!(
+        threads.protocol.violations().is_empty(),
+        "thread run must be safe"
+    );
 
     println!("running the same replicas over loopback TCP for {wall:?}…");
     let net = experiment.run_net(42, wall);
-    assert!(net.violations.is_empty(), "net run must be safe");
+    assert!(net.protocol.violations().is_empty(), "net run must be safe");
 
     println!(
         "\n  {:<18} {:>14} {:>14} {:>14}",
@@ -42,22 +48,31 @@ fn main() {
     );
     println!(
         "  {:<18} {:>14.0} {:>14.0} {:>14.0}",
-        "throughput (req/s)", sim.throughput, threads.throughput, net.throughput
+        "throughput (req/s)",
+        sim.client.throughput,
+        threads.client.throughput,
+        net.client.throughput
     );
     println!(
         "  {:<18} {:>14.2} {:>14.3} {:>14.3}",
-        "mean latency (ms)", sim.mean_latency_ms, threads.mean_latency_ms, net.mean_latency_ms
+        "mean latency (ms)",
+        sim.client.mean_latency_ms,
+        threads.client.mean_latency_ms,
+        net.client.mean_latency_ms
     );
     println!(
         "  {:<18} {:>14} {:>14} {:>14}",
-        "slots decided", sim.decided, threads.decided, net.decided
+        "slots decided",
+        sim.protocol.decided(),
+        threads.protocol.decided(),
+        net.protocol.decided()
     );
     println!("  {:<18} {:>14} {:>14} {:>14}", "safety", "OK", "OK", "OK");
-    let moved: u64 = net.node_msgs.iter().sum();
+    let moved: u64 = net.transport.node_msgs.iter().sum();
     println!(
         "\n(thread/net latencies are in-process hops — microseconds, not the \
          simulator's modeled LAN RTT; the TCP run moved {moved} wire-encoded \
          messages across {} sockets)",
-        net.node_msgs.len()
+        net.transport.node_msgs.len()
     );
 }

@@ -33,8 +33,11 @@ fn main() {
             .warmup(SimDuration::from_millis(500))
             .measure(SimDuration::from_millis(if quick { 700 } else { 2000 }))
             .load_sweep(paxi::DEFAULT_SEED, &[1, 40, 160]);
-        let low_load_latency = pts[0].result.mean_latency_ms;
-        let max_tput = pts.iter().map(|p| p.result.throughput).fold(0.0, f64::max);
+        let low_load_latency = pts[0].result.client.mean_latency_ms;
+        let max_tput = pts
+            .iter()
+            .map(|p| p.result.client.throughput)
+            .fold(0.0, f64::max);
         println!(
             "{r:>8} {max_tput:>16.0} {low_load_latency:>18.2} {:>12.1} {:>12.2}",
             analytical::leader_load(r),

@@ -43,15 +43,19 @@ fn main() {
         .measure(measure)
         .run_sim(paxi::DEFAULT_SEED);
 
+    let cross_region =
+        |r: &paxi::RunResult| r.transport.cross_region_msgs_per_op.expect("simulated");
     for (name, r) in [("Paxos", &paxos), ("PigPaxos", &pig)] {
-        assert!(r.violations.is_empty());
+        assert!(r.protocol.violations().is_empty());
         println!(
             "{name:>9}: {:>6.0} req/s   mean {:>6.1} ms   cross-region msgs/op {:>5.2}",
-            r.throughput, r.mean_latency_ms, r.cross_region_msgs_per_op
+            r.client.throughput,
+            r.client.mean_latency_ms,
+            cross_region(r)
         );
     }
     println!(
         "\nWAN traffic saving: {:.1}x fewer cross-region messages per op",
-        paxos.cross_region_msgs_per_op / pig.cross_region_msgs_per_op
+        cross_region(&paxos) / cross_region(&pig)
     );
 }

@@ -102,16 +102,21 @@ fn batched_pipeline_stays_within_alloc_budget() {
         .warmup(SimDuration::from_millis(200))
         .measure(SimDuration::from_millis(800));
     let (r, d) = alloc::measure(|| exp.run_sim(7));
-    assert!(r.violations.is_empty(), "sim: {:?}", r.violations);
     assert!(
-        r.decided >= 1000,
-        "sim must decide >= 1k commands: {}",
-        r.decided
+        r.protocol.violations().is_empty(),
+        "sim: {:?}",
+        r.protocol.violations()
     );
-    let sim_per_op = d.allocs as f64 / r.decided as f64;
+    assert!(
+        r.protocol.decided() >= 1000,
+        "sim must decide >= 1k commands: {}",
+        r.protocol.decided()
+    );
+    let sim_per_op = d.allocs as f64 / r.protocol.decided() as f64;
     println!(
         "sim substrate: {sim_per_op:.1} allocs/op ({} decided, {} allocs)",
-        r.decided, d.allocs
+        r.protocol.decided(),
+        d.allocs
     );
 
     // --- Thread substrate: real threads + in-memory transport. ---
@@ -119,12 +124,17 @@ fn batched_pipeline_stays_within_alloc_budget() {
         .warmup(SimDuration::from_millis(100))
         .measure(SimDuration::from_millis(400));
     let (r, d) = alloc::measure(|| exp.run_threads(7, Duration::from_millis(700)));
-    assert!(r.violations.is_empty(), "threads: {:?}", r.violations);
-    assert!(r.decided > 0, "threads must make progress");
-    let thr_per_op = d.allocs as f64 / r.decided as f64;
+    assert!(
+        r.protocol.violations().is_empty(),
+        "threads: {:?}",
+        r.protocol.violations()
+    );
+    assert!(r.protocol.decided() > 0, "threads must make progress");
+    let thr_per_op = d.allocs as f64 / r.protocol.decided() as f64;
     println!(
         "threads substrate: {thr_per_op:.1} allocs/op ({} decided, {} allocs)",
-        r.decided, d.allocs
+        r.protocol.decided(),
+        d.allocs
     );
 
     // --- Net substrate: TCP sockets + zero-copy decode, probed
@@ -136,22 +146,29 @@ fn batched_pipeline_stays_within_alloc_budget() {
             .measure(SimDuration::from_millis(400));
         let (r, d) = alloc::measure(|| exp.run_net(7, Duration::from_millis(700)));
         assert!(
-            r.violations.is_empty(),
+            r.protocol.violations().is_empty(),
             "net p={payload}: {:?}",
-            r.violations
+            r.protocol.violations()
         );
         assert!(
-            r.decided > 200,
+            r.protocol.decided() > 200,
             "net p={payload} must make progress: {}",
-            r.decided
+            r.protocol.decided()
         );
-        let net = r.net.as_ref().expect("run_net reports its transport");
+        let net = r
+            .transport
+            .net
+            .as_ref()
+            .expect("run_net reports its transport");
         assert_eq!(
             (net.decode_errors, net.frames_dropped),
             (0, 0),
             "net p={payload}: decode errors / dropped frames"
         );
-        (d.allocs as f64 / r.decided as f64, r.decided)
+        (
+            d.allocs as f64 / r.protocol.decided() as f64,
+            r.protocol.decided(),
+        )
     };
     let (net_small, small_decided) = run_net(8);
     let (net_large, large_decided) = run_net(1024);

@@ -45,11 +45,11 @@ fn run_cluster<P: ProtocolSpec>(
         .measure(measure)
         .run_sim(seed);
     assert!(
-        r.samples > 100,
+        r.client.samples > 100,
         "cluster must make progress, got {}",
-        r.samples
+        r.client.samples
     );
-    r.groups.remove(0)
+    r.protocol.groups.remove(0)
 }
 
 /// In slot order, every client's sequence numbers must be strictly
@@ -275,7 +275,11 @@ fn check_read_your_writes<P: ProtocolSpec>(proto: P, n: usize) {
                 _proto: std::marker::PhantomData,
             }));
         });
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
+    assert!(
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
+    );
     assert!(failures.borrow().is_empty(), "{:?}", failures.borrow());
     assert_eq!(
         *completed.borrow(),
@@ -392,7 +396,11 @@ fn an_oversized_read_result_leaves_the_reply_batch() {
                 reads: reads2,
             }));
         });
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
+    assert!(
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
+    );
     let reads = reads.borrow();
     assert_eq!(reads.len(), 4, "every get answered: {:?}", reads.keys());
     assert_eq!(reads[&4], Some(Value::from(&[0xAB; BIG][..])));
@@ -427,11 +435,27 @@ fn reply_coalescing_cuts_leader_reply_envelopes() {
         PigConfig::lan(2).with_batch(batched(16).with_reply_coalescing(SimDuration::ZERO)),
     )
     .run_sim(paxi::DEFAULT_SEED);
-    assert!(base.violations.is_empty(), "{:?}", base.violations);
-    assert!(v2.violations.is_empty(), "{:?}", v2.violations);
+    assert!(
+        base.protocol.violations().is_empty(),
+        "{:?}",
+        base.protocol.violations()
+    );
+    assert!(
+        v2.protocol.violations().is_empty(),
+        "{:?}",
+        v2.protocol.violations()
+    );
 
-    let base_replies = base.leader_replies_per_op.expect("trace captured");
-    let v2_replies = v2.leader_replies_per_op.expect("trace captured");
+    let base_replies = base
+        .transport
+        .trace
+        .expect("trace captured")
+        .leader_replies_per_op;
+    let v2_replies = v2
+        .transport
+        .trace
+        .expect("trace captured")
+        .leader_replies_per_op;
     assert!(
         (base_replies - 1.0).abs() < 0.05,
         "uncoalesced baseline sends one reply envelope per command, got {base_replies:.3}"
@@ -441,18 +465,26 @@ fn reply_coalescing_cuts_leader_reply_envelopes() {
         "pipelined waves must coalesce replies >=2x, got {v2_replies:.3} envelopes/cmd"
     );
 
-    let base_total = base.leader_sent_per_op.expect("trace captured");
-    let v2_total = v2.leader_sent_per_op.expect("trace captured");
+    let base_total = base
+        .transport
+        .trace
+        .expect("trace captured")
+        .leader_sent_per_op();
+    let v2_total = v2
+        .transport
+        .trace
+        .expect("trace captured")
+        .leader_sent_per_op();
     assert!(
         base_total >= v2_total * 2.0,
         "total leader-sent messages must drop >=2x end to end: {base_total:.3} vs {v2_total:.3}"
     );
     // Coalescing must not wreck service.
     assert!(
-        v2.throughput > base.throughput * 0.7,
+        v2.client.throughput > base.client.throughput * 0.7,
         "throughput must hold: {:.0} vs {:.0}",
-        v2.throughput,
-        base.throughput
+        v2.client.throughput,
+        base.client.throughput
     );
 }
 
@@ -469,12 +501,12 @@ fn adaptive_batching_keeps_low_load_latency() {
     };
     let unbatched = low(PigConfig::lan(2));
     let adaptive = low(PigConfig::lan(2).with_batch(adaptive_coalesced(32)));
-    assert!(adaptive.violations.is_empty());
+    assert!(adaptive.protocol.violations().is_empty());
     assert!(
-        adaptive.p50_latency_ms <= unbatched.p50_latency_ms * 1.2,
+        adaptive.client.p50_latency_ms <= unbatched.client.p50_latency_ms * 1.2,
         "adaptive mode must flush immediately at low load: p50 {:.3}ms vs {:.3}ms",
-        adaptive.p50_latency_ms,
-        unbatched.p50_latency_ms
+        adaptive.client.p50_latency_ms,
+        unbatched.client.p50_latency_ms
     );
 }
 
@@ -506,34 +538,42 @@ fn batching_cuts_leader_protocol_messages_4x() {
         ),
     ] {
         assert!(
-            base.violations.is_empty(),
+            base.protocol.violations().is_empty(),
             "{name} unbatched: {:?}",
-            base.violations
+            base.protocol.violations()
         );
         assert!(
-            b16.violations.is_empty(),
+            b16.protocol.violations().is_empty(),
             "{name} batched: {:?}",
-            b16.violations
+            b16.protocol.violations()
         );
-        let unbatched = base.leader_proto_sent_per_op.expect("trace captured");
-        let batched16 = b16.leader_proto_sent_per_op.expect("trace captured");
+        let unbatched = base
+            .transport
+            .trace
+            .expect("trace captured")
+            .leader_proto_sent_per_op;
+        let batched16 = b16
+            .transport
+            .trace
+            .expect("trace captured")
+            .leader_proto_sent_per_op;
         assert!(
             unbatched >= batched16 * 4.0,
             "{name}: leader-sent protocol msgs/cmd must drop >=4x: {unbatched:.3} vs {batched16:.3}"
         );
         // Total leader load (requests + replies included) must drop too.
         assert!(
-            b16.leader_msgs_per_op < base.leader_msgs_per_op,
+            b16.transport.leader_msgs_per_op < base.transport.leader_msgs_per_op,
             "{name}: total leader msgs/op must drop: {:.2} vs {:.2}",
-            base.leader_msgs_per_op,
-            b16.leader_msgs_per_op
+            base.transport.leader_msgs_per_op,
+            b16.transport.leader_msgs_per_op
         );
         // Batching must not wreck service: same order of throughput.
         assert!(
-            b16.throughput > base.throughput * 0.5,
+            b16.client.throughput > base.client.throughput * 0.5,
             "{name}: batched throughput collapsed: {:.0} vs {:.0}",
-            b16.throughput,
-            base.throughput
+            b16.client.throughput,
+            base.client.throughput
         );
     }
 }

@@ -28,17 +28,24 @@ fn backoff_caps_retry_storm_during_quorum_outage() {
             }
         });
 
-    assert!(result.violations.is_empty(), "{:?}", result.violations);
-    assert!(result.samples > 0, "no committed samples after recovery");
+    assert!(
+        result.protocol.violations().is_empty(),
+        "{:?}",
+        result.protocol.violations()
+    );
+    assert!(
+        result.client.samples > 0,
+        "no committed samples after recovery"
+    );
     let fixed_interval_count = clients as u64 * 2000 / 100;
     assert!(
-        result.client_retries > 0,
+        result.client.retries > 0,
         "clients must keep probing during the outage"
     );
     assert!(
-        result.client_retries <= fixed_interval_count / 2,
+        result.client.retries <= fixed_interval_count / 2,
         "retry storm not suppressed: {} retries > {} (half the fixed-interval count)",
-        result.client_retries,
+        result.client.retries,
         fixed_interval_count / 2
     );
 }
@@ -95,7 +102,11 @@ fn scenario_text_drives_nemesis_end_to_end() {
             )));
         });
 
-    assert!(result.violations.is_empty(), "{:?}", result.violations);
+    assert!(
+        result.protocol.violations().is_empty(),
+        "{:?}",
+        result.protocol.violations()
+    );
     assert_eq!(
         log.len(),
         sc.faults.len(),
@@ -103,12 +114,12 @@ fn scenario_text_drives_nemesis_end_to_end() {
         log.entries()
     );
     assert_eq!(
-        result.converged(),
+        result.protocol.converged(),
         Some(true),
         "replicas must agree on the kv fingerprint after heal + drain: {:?}",
-        result.replica_digests
+        result.protocol.replica_digests
     );
-    assert!(result.samples as u64 >= sc.expect.min_samples.unwrap());
+    assert!(result.client.samples as u64 >= sc.expect.min_samples.unwrap());
 }
 
 /// The same scenario under the same seed must reproduce bit-for-bit —
@@ -135,11 +146,11 @@ fn chaos_runs_are_deterministic() {
             })
     };
     let (a, b) = (run(), run());
-    assert_eq!(a.samples, b.samples);
-    assert_eq!(a.decided, b.decided);
-    assert_eq!(a.client_retries, b.client_retries);
-    assert_eq!(a.node_msgs, b.node_msgs);
-    assert_eq!(a.replica_digests, b.replica_digests);
+    assert_eq!(a.client.samples, b.client.samples);
+    assert_eq!(a.protocol.decided(), b.protocol.decided());
+    assert_eq!(a.client.retries, b.client.retries);
+    assert_eq!(a.transport.node_msgs, b.transport.node_msgs);
+    assert_eq!(a.protocol.replica_digests, b.protocol.replica_digests);
 }
 
 /// Flaky links plus a follower crash/restart on plain Paxos: the
@@ -198,12 +209,16 @@ converged = true
             )));
         });
 
-    assert!(result.violations.is_empty(), "{:?}", result.violations);
+    assert!(
+        result.protocol.violations().is_empty(),
+        "{:?}",
+        result.protocol.violations()
+    );
     assert_eq!(log.len(), sc.faults.len());
     assert_eq!(
-        result.converged(),
+        result.protocol.converged(),
         Some(true),
         "digests: {:?}",
-        result.replica_digests
+        result.protocol.replica_digests
     );
 }

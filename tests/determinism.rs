@@ -17,19 +17,19 @@ fn exp<P: paxi::ProtocolSpec>(proto: P) -> Experiment<P> {
 fn same_seed_same_results_pigpaxos() {
     let a = exp(PigConfig::lan(3)).run_sim(42);
     let b = exp(PigConfig::lan(3)).run_sim(42);
-    assert_eq!(a.samples, b.samples);
-    assert_eq!(a.decided, b.decided);
-    assert_eq!(a.node_msgs, b.node_msgs);
-    assert_eq!(a.throughput, b.throughput);
-    assert_eq!(a.mean_latency_ms, b.mean_latency_ms);
+    assert_eq!(a.client.samples, b.client.samples);
+    assert_eq!(a.protocol.decided(), b.protocol.decided());
+    assert_eq!(a.transport.node_msgs, b.transport.node_msgs);
+    assert_eq!(a.client.throughput, b.client.throughput);
+    assert_eq!(a.client.mean_latency_ms, b.client.mean_latency_ms);
 }
 
 #[test]
 fn same_seed_same_results_paxos() {
     let a = exp(PaxosConfig::lan()).run_sim(7);
     let b = exp(PaxosConfig::lan()).run_sim(7);
-    assert_eq!(a.samples, b.samples);
-    assert_eq!(a.node_msgs, b.node_msgs);
+    assert_eq!(a.client.samples, b.client.samples);
+    assert_eq!(a.transport.node_msgs, b.transport.node_msgs);
 }
 
 #[test]
@@ -50,8 +50,8 @@ fn same_seed_same_trace_fingerprint_with_batching() {
     for protocol in [0, 1] {
         let a = run_once(protocol);
         let b = run_once(protocol);
-        let fa = a.trace_fingerprint.expect("trace captured");
-        let fb = b.trace_fingerprint.expect("trace captured");
+        let fa = a.transport.trace.expect("trace captured").fingerprint;
+        let fb = b.transport.trace.expect("trace captured").fingerprint;
         assert_eq!(
             fa, fb,
             "batched runs must be trace-identical under one seed"
@@ -60,9 +60,13 @@ fn same_seed_same_trace_fingerprint_with_batching() {
             fa, 0xcbf2_9ce4_8422_2325,
             "fingerprint of a non-empty trace"
         );
-        assert_eq!(a.samples, b.samples);
-        assert_eq!(a.node_msgs, b.node_msgs);
-        assert!(a.violations.is_empty(), "{:?}", a.violations);
+        assert_eq!(a.client.samples, b.client.samples);
+        assert_eq!(a.transport.node_msgs, b.transport.node_msgs);
+        assert!(
+            a.protocol.violations().is_empty(),
+            "{:?}",
+            a.protocol.violations()
+        );
     }
 }
 
@@ -73,7 +77,7 @@ fn different_seeds_differ() {
     // Equal aggregate metrics across different seeds would suggest the
     // seed is ignored somewhere.
     assert_ne!(
-        a.node_msgs, b.node_msgs,
+        a.transport.node_msgs, b.transport.node_msgs,
         "different seeds should produce different message interleavings"
     );
 }
@@ -94,14 +98,22 @@ struct Golden {
 }
 
 fn check_golden(name: &str, r: &paxi::RunResult, want: Golden) {
-    let fingerprint = r.trace_fingerprint.expect("trace captured");
+    let fingerprint = r.transport.trace.expect("trace captured").fingerprint;
     println!(
         "{name}: Golden {{ fingerprint: {fingerprint:#018x}, decided: {}, node_msgs: &{:?} }}",
-        r.decided, r.node_msgs
+        r.protocol.decided(),
+        r.transport.node_msgs
     );
-    assert!(r.violations.is_empty(), "{name}: {:?}", r.violations);
-    assert_eq!(r.decided, want.decided, "{name}: decided slots");
-    assert_eq!(r.node_msgs, want.node_msgs, "{name}: per-node messages");
+    assert!(
+        r.protocol.violations().is_empty(),
+        "{name}: {:?}",
+        r.protocol.violations()
+    );
+    assert_eq!(r.protocol.decided(), want.decided, "{name}: decided slots");
+    assert_eq!(
+        r.transport.node_msgs, want.node_msgs,
+        "{name}: per-node messages"
+    );
     assert_eq!(fingerprint, want.fingerprint, "{name}: trace fingerprint");
 }
 
@@ -277,7 +289,12 @@ fn sharded_paxos_live_move() -> (paxi::RunResult, Vec<u64>) {
         .measure(SimDuration::from_millis(600))
         .move_range(SimDuration::from_millis(450), 333, 2)
         .run_sim(42);
-    let decided = r.groups.iter().map(|g| g.safety.decided_count()).collect();
+    let decided = r
+        .protocol
+        .groups
+        .iter()
+        .map(|g| g.safety.decided_count())
+        .collect();
     (r, decided)
 }
 
@@ -286,15 +303,23 @@ fn golden_sharded_paxos_3x3_live_move() {
     let (r, shard_decided) = sharded_paxos_live_move();
     println!(
         "sharded paxos 3x3: samples {} decided {} retries {} shard_decided {:?} node_msgs {:?}",
-        r.samples, r.decided, r.client_retries, shard_decided, r.node_msgs
+        r.client.samples,
+        r.protocol.decided(),
+        r.client.retries,
+        shard_decided,
+        r.transport.node_msgs
     );
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
-    assert_eq!(r.samples, 3455);
-    assert_eq!(r.decided, 4791);
-    assert_eq!(r.client_retries, 4, "the move forced redirects");
+    assert!(
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
+    );
+    assert_eq!(r.client.samples, 3455);
+    assert_eq!(r.protocol.decided(), 4791);
+    assert_eq!(r.client.retries, 4, "the move forced redirects");
     assert_eq!(shard_decided, [1625, 879, 2287]);
     assert_eq!(
-        r.node_msgs,
+        r.transport.node_msgs,
         [
             7480, 2504, 2504, 3048, 1020, 1020, 10910, 3728, 3728, 1157, 1151, 1155, 1157, 1151,
             1153

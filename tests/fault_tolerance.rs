@@ -31,11 +31,15 @@ fn pigpaxos_survives_minority_of_crashes() {
             );
         }
     });
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
     assert!(
-        r.throughput > 50.0,
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
+    );
+    assert!(
+        r.client.throughput > 50.0,
         "majority alive ⇒ progress: {}",
-        r.throughput
+        r.client.throughput
     );
 }
 
@@ -50,7 +54,11 @@ fn pigpaxos_stalls_without_majority_but_stays_safe() {
         // Nothing decided after the mass crash may conflict — checked
         // by the shared safety monitor automatically.
     });
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
+    assert!(
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
+    );
 }
 
 #[test]
@@ -65,11 +73,15 @@ fn pigpaxos_recovers_after_majority_restored() {
                 sim.schedule_control(SimTime::from_millis(1500), Control::Recover(NodeId(node)));
             }
         });
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
     assert!(
-        r.throughput > 100.0,
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
+    );
+    assert!(
+        r.client.throughput > 100.0,
         "throughput must resume after recovery: {}",
-        r.throughput
+        r.client.throughput
     );
 }
 
@@ -86,11 +98,15 @@ fn safety_holds_under_random_message_loss() {
         ("paxos", lossy(PaxosConfig::lan())),
         ("pigpaxos", lossy(PigConfig::lan(2))),
     ] {
-        assert!(r.violations.is_empty(), "{name}: {:?}", r.violations);
         assert!(
-            r.throughput > 50.0,
+            r.protocol.violations().is_empty(),
+            "{name}: {:?}",
+            r.protocol.violations()
+        );
+        assert!(
+            r.client.throughput > 50.0,
             "{name} must retry through 5% loss: {}",
-            r.throughput
+            r.client.throughput
         );
     }
 }
@@ -115,11 +131,15 @@ fn partition_heals_and_cluster_catches_up() {
             }
             sim.schedule_control(SimTime::from_millis(1500), Control::HealAllLinks);
         });
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
     assert!(
-        r.throughput > 100.0,
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
+    );
+    assert!(
+        r.client.throughput > 100.0,
         "leader-side majority keeps running: {}",
-        r.throughput
+        r.client.throughput
     );
 }
 
@@ -131,12 +151,12 @@ fn relay_crash_is_transient_thanks_to_rotation() {
     let r = exp(PigConfig::lan(3), 25, 8).run_sim_with(paxi::DEFAULT_SEED, |sim, _| {
         sim.schedule_control(SimTime::from_millis(400), Control::Crash(NodeId(3)));
     });
-    assert!(r.violations.is_empty());
-    assert!(r.throughput > 500.0);
+    assert!(r.protocol.violations().is_empty());
+    assert!(r.client.throughput > 500.0);
     assert!(
-        r.p99_latency_ms < 150.0,
+        r.client.p99_latency_ms < 150.0,
         "stalled rounds must be recovered by relay reselection: p99 {}ms",
-        r.p99_latency_ms
+        r.client.p99_latency_ms
     );
 }
 
@@ -168,17 +188,26 @@ fn lagging_follower_rejoins_via_snapshot_after_prefix_truncated() {
             rejoin(PigConfig::lan(2).with_snapshots(paxi::SnapshotConfig::every_ops(100))),
         ),
     ] {
-        assert!(r.violations.is_empty(), "{name}: {:?}", r.violations);
-        assert!(r.throughput > 100.0, "{name}: {}", r.throughput);
         assert!(
-            r.snapshots_taken > 0,
+            r.protocol.violations().is_empty(),
+            "{name}: {:?}",
+            r.protocol.violations()
+        );
+        assert!(
+            r.client.throughput > 100.0,
+            "{name}: {}",
+            r.client.throughput
+        );
+        assert!(
+            r.protocol.snapshots_taken() > 0,
             "{name}: peers must have compacted while the follower slept"
         );
         assert!(
-            r.snapshots_installed >= 1,
+            r.protocol.snapshots_installed() >= 1,
             "{name}: the rejoining follower must catch up from a snapshot"
         );
         let transfers = r
+            .transport
             .label_counts
             .as_ref()
             .and_then(|c| c.get("snapshot").copied())
@@ -207,15 +236,22 @@ fn leader_change_after_prefix_truncated_recovers_from_peer_snapshots() {
             sim.schedule_control(SimTime::from_millis(1800), Control::Recover(NodeId(4)));
             sim.schedule_control(SimTime::from_millis(1850), Control::Crash(NodeId(0)));
         });
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
     assert!(
-        r.throughput > 30.0,
-        "a new leader must emerge and serve: {}",
-        r.throughput
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
     );
-    assert!(r.snapshots_taken > 0, "compaction ran before the crash");
     assert!(
-        r.snapshots_installed >= 1,
+        r.client.throughput > 30.0,
+        "a new leader must emerge and serve: {}",
+        r.client.throughput
+    );
+    assert!(
+        r.protocol.snapshots_taken() > 0,
+        "compaction ran before the crash"
+    );
+    assert!(
+        r.protocol.snapshots_installed() >= 1,
         "the lagging replica must have installed a peer snapshot"
     );
 }
@@ -234,11 +270,15 @@ fn paxos_and_pigpaxos_handle_leader_crash_with_reelection() {
         ("paxos", crash_leader(PaxosConfig::lan())),
         ("pigpaxos", crash_leader(PigConfig::lan(2))),
     ] {
-        assert!(r.violations.is_empty(), "{name}: {:?}", r.violations);
         assert!(
-            r.throughput > 30.0,
+            r.protocol.violations().is_empty(),
+            "{name}: {:?}",
+            r.protocol.violations()
+        );
+        assert!(
+            r.client.throughput > 30.0,
             "{name}: new leader must serve: {}",
-            r.throughput
+            r.client.throughput
         );
     }
 }
@@ -364,7 +404,11 @@ fn check_big_writes<P: ProtocolSpec>(proto: P) {
             }));
             sim.schedule_control(SimTime::from_millis(500), Control::Crash(NodeId(0)));
         });
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
+    assert!(
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
+    );
     let outcome = outcome.borrow();
     assert!(
         outcome.refused_without_redirect,

@@ -1,7 +1,7 @@
 //! Structural validation of the communication flows via message traces:
 //! not just "does it commit", but "does the traffic have exactly the
 //! shape the paper describes". Label counts come straight from
-//! [`paxi::RunResult::label_counts`]; only the per-destination
+//! [`paxi::TransportResult::label_counts`]; only the per-destination
 //! aggregation check still drives the simulator by hand (through the
 //! same `ProtocolSpec` factory the experiment uses).
 
@@ -25,11 +25,15 @@ fn pigpaxos_leader_sends_exactly_r_relay_messages_per_round() {
     let n = 25;
     let r = 3;
     let res = traced(PigConfig::lan(r), n, 4);
-    assert!(res.violations.is_empty(), "{:?}", res.violations);
     assert!(
-        res.samples > 200,
+        res.protocol.violations().is_empty(),
+        "{:?}",
+        res.protocol.violations()
+    );
+    assert!(
+        res.client.samples > 200,
         "need enough ops to average over, got {}",
-        res.samples
+        res.client.samples
     );
     let to_relay_per_op = res.label_per_op("to_relay").expect("trace captured");
     // One ToRelay per group per proposal (heartbeats add a small floor).
@@ -59,7 +63,7 @@ fn pigpaxos_leader_sends_exactly_r_relay_messages_per_round() {
 fn paxos_leader_broadcasts_to_every_follower() {
     let n = 9;
     let res = traced(PaxosConfig::lan(), n, 4);
-    assert!(res.samples > 200);
+    assert!(res.client.samples > 200);
     let p2a_per_op = res.label_per_op("p2a").expect("trace captured");
     let p2b_per_op = res.label_per_op("p2b").expect("trace captured");
     assert!(

@@ -37,14 +37,22 @@ fn pqr_cluster_serves_reads_from_followers() {
         .measure(SimDuration::from_millis(900))
         .workload(read_heavy())
         .run_sim(paxi::DEFAULT_SEED);
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
-    assert!(r.throughput > 500.0, "PQR throughput: {}", r.throughput);
+    assert!(
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
+    );
+    assert!(
+        r.client.throughput > 500.0,
+        "PQR throughput: {}",
+        r.client.throughput
+    );
     // The run stops mid-traffic, so up to one read per client may be in
     // flight — anything beyond that is a PendingReads leak.
     assert!(
-        r.pqr_reads_inflight <= 8,
+        r.protocol.pqr_reads_inflight() <= 8,
         "pending-read table leaked: {} reads in flight at cutoff",
-        r.pqr_reads_inflight
+        r.protocol.pqr_reads_inflight()
     );
 }
 
@@ -60,18 +68,18 @@ fn pqr_offloads_the_leader_on_read_heavy_workloads() {
     };
     let leader_reads = run(PigConfig::lan(3));
     let pqr = run(PigConfig::lan(3).with_pqr());
-    assert!(pqr.violations.is_empty());
+    assert!(pqr.protocol.violations().is_empty());
     assert!(
-        pqr.throughput > leader_reads.throughput * 1.5,
+        pqr.client.throughput > leader_reads.client.throughput * 1.5,
         "PQR must scale reads past the leader: {} vs {}",
-        pqr.throughput,
-        leader_reads.throughput
+        pqr.client.throughput,
+        leader_reads.client.throughput
     );
     assert!(
-        pqr.leader_msgs_per_op < leader_reads.leader_msgs_per_op * 0.6,
+        pqr.transport.leader_msgs_per_op < leader_reads.transport.leader_msgs_per_op * 0.6,
         "leader per-op load must drop: {} vs {}",
-        pqr.leader_msgs_per_op,
-        leader_reads.leader_msgs_per_op
+        pqr.transport.leader_msgs_per_op,
+        leader_reads.transport.leader_msgs_per_op
     );
 }
 
@@ -179,16 +187,24 @@ fn check_linearizable(cfg: PigConfig) {
                 completed: completed2,
             }));
         });
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
+    assert!(
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
+    );
     assert!(failures.borrow().is_empty(), "{:?}", failures.borrow());
     assert_eq!(*completed.borrow(), 40, "all rounds must complete");
     // The checker quiesced long before the deadline: every quorum read
     // must have left the pending table (PendingReads::is_empty()).
     assert_eq!(
-        r.pqr_reads_inflight, 0,
+        r.protocol.pqr_reads_inflight(),
+        0,
         "quiesced run must leave no pending quorum reads"
     );
-    assert!(r.pqr_reads_started > 0, "reads must have used the PQR path");
+    assert!(
+        r.protocol.pqr_reads_started() > 0,
+        "reads must have used the PQR path"
+    );
 }
 
 #[test]
@@ -221,8 +237,16 @@ fn probe_batching_cuts_probe_traffic_on_the_read_heavy_scenario() {
     use paxos::QR_PROBE_LABELS as PROBE_LABELS;
     let off = run(PigConfig::lan(2).with_pqr());
     let on = run(PigConfig::lan(2).with_pqr().with_probe_batch(probe_batch()));
-    assert!(off.violations.is_empty(), "{:?}", off.violations);
-    assert!(on.violations.is_empty(), "{:?}", on.violations);
+    assert!(
+        off.protocol.violations().is_empty(),
+        "{:?}",
+        off.protocol.violations()
+    );
+    assert!(
+        on.protocol.violations().is_empty(),
+        "{:?}",
+        on.protocol.violations()
+    );
     let off_per_op = off.labels_per_op(PROBE_LABELS).expect("trace captured");
     let on_per_op = on.labels_per_op(PROBE_LABELS).expect("trace captured");
     assert!(
@@ -234,15 +258,15 @@ fn probe_batching_cuts_probe_traffic_on_the_read_heavy_scenario() {
         "batched probes must actually ride QrReadBatch waves"
     );
     assert!(
-        on.throughput > off.throughput * 0.7,
+        on.client.throughput > off.client.throughput * 0.7,
         "probe batching must not collapse throughput: {} vs {}",
-        on.throughput,
-        off.throughput
+        on.client.throughput,
+        off.client.throughput
     );
     assert!(
-        on.pqr_reads_inflight <= 40,
+        on.protocol.pqr_reads_inflight() <= 40,
         "pending-read table leaked under probe batching: {}",
-        on.pqr_reads_inflight
+        on.protocol.pqr_reads_inflight()
     );
 }
 
@@ -551,12 +575,16 @@ fn pqr_reads_stay_linearizable_across_snapshot_catch_up() {
             sim.schedule_control(SimTime::from_millis(400), Control::Crash(NodeId(7)));
             sim.schedule_control(SimTime::from_millis(2400), Control::Recover(NodeId(7)));
         });
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
+    assert!(
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
+    );
     assert!(failures.borrow().is_empty(), "{:?}", failures.borrow());
     assert_eq!(*completed.borrow(), 40, "all rounds must complete");
-    assert!(r.snapshots_taken > 0, "compaction must have run");
+    assert!(r.protocol.snapshots_taken() > 0, "compaction must have run");
     assert!(
-        r.snapshots_installed >= 1,
+        r.protocol.snapshots_installed() >= 1,
         "the rejoining follower must have installed a peer snapshot"
     );
 }

@@ -627,13 +627,13 @@ proptest! {
             1 => (chaos_run(pigpaxos::PigConfig::lan(2), seed, schedule), true),
             _ => (chaos_run(epaxos::EpaxosConfig::default(), seed, schedule), false),
         };
-        prop_assert!(result.violations.is_empty(), "violations: {:?}", result.violations);
+        prop_assert!(result.protocol.violations().is_empty(), "violations: {:?}", result.protocol.violations());
         if check_convergence {
             prop_assert_eq!(
-                result.converged(),
+                result.protocol.converged(),
                 Some(true),
                 "replicas diverged after heal+drain: {:?}",
-                result.replica_digests
+                result.protocol.replica_digests
             );
         }
     }

@@ -28,18 +28,36 @@ fn invariant_suite<P: ProtocolSpec>(proto: P, n: usize) {
     let e = exp(proto, n).clients(6);
     let r = e.run_sim(paxi::DEFAULT_SEED);
     let name = e.protocol().protocol_name();
-    assert!(r.violations.is_empty(), "{name}: {:?}", r.violations);
-    assert!(r.throughput > 100.0, "{name}: {}", r.throughput);
-    assert!(r.samples > 50, "{name}: {}", r.samples);
-    assert!(r.decided > 50, "{name}: {}", r.decided);
     assert!(
-        r.p99_latency_ms >= r.p50_latency_ms && r.p50_latency_ms > 0.0,
+        r.protocol.violations().is_empty(),
+        "{name}: {:?}",
+        r.protocol.violations()
+    );
+    assert!(
+        r.client.throughput > 100.0,
+        "{name}: {}",
+        r.client.throughput
+    );
+    assert!(r.client.samples > 50, "{name}: {}", r.client.samples);
+    assert!(
+        r.protocol.decided() > 50,
+        "{name}: {}",
+        r.protocol.decided()
+    );
+    assert!(
+        r.client.p99_latency_ms >= r.client.p50_latency_ms && r.client.p50_latency_ms > 0.0,
         "{name}: percentiles out of order"
     );
     // Determinism is part of the contract, per protocol.
     let again = e.run_sim(paxi::DEFAULT_SEED);
-    assert_eq!(r.samples, again.samples, "{name}: nondeterministic");
-    assert_eq!(r.node_msgs, again.node_msgs, "{name}: nondeterministic");
+    assert_eq!(
+        r.client.samples, again.client.samples,
+        "{name}: nondeterministic"
+    );
+    assert_eq!(
+        r.transport.node_msgs, again.transport.node_msgs,
+        "{name}: nondeterministic"
+    );
 }
 
 #[test]
@@ -87,16 +105,16 @@ fn paxos_has_lower_latency_at_low_load() {
         .clients(1)
         .run_sim(paxi::DEFAULT_SEED);
     assert!(
-        pig.mean_latency_ms > paxos.mean_latency_ms * 1.1,
+        pig.client.mean_latency_ms > paxos.client.mean_latency_ms * 1.1,
         "relay hop must cost latency: pig {:.2}ms vs paxos {:.2}ms",
-        pig.mean_latency_ms,
-        paxos.mean_latency_ms
+        pig.client.mean_latency_ms,
+        paxos.client.mean_latency_ms
     );
     assert!(
-        pig.mean_latency_ms < paxos.mean_latency_ms * 2.0,
+        pig.client.mean_latency_ms < paxos.client.mean_latency_ms * 2.0,
         "but not more than ~2x at low load: pig {:.2}ms vs paxos {:.2}ms",
-        pig.mean_latency_ms,
-        paxos.mean_latency_ms
+        pig.client.mean_latency_ms,
+        paxos.client.mean_latency_ms
     );
 }
 
@@ -149,14 +167,14 @@ fn measured_message_loads_match_analytical_model() {
         let ml = analytical::leader_load(r);
         let mf = analytical::follower_load(25, r);
         assert!(
-            (res.leader_msgs_per_op - ml).abs() < 0.8,
+            (res.transport.leader_msgs_per_op - ml).abs() < 0.8,
             "r={r}: measured Ml {:.2} vs model {ml:.2}",
-            res.leader_msgs_per_op
+            res.transport.leader_msgs_per_op
         );
         assert!(
-            (res.follower_msgs_per_op - mf).abs() < 0.5,
+            (res.transport.follower_msgs_per_op - mf).abs() < 0.5,
             "r={r}: measured Mf {:.2} vs model {mf:.2}",
-            res.follower_msgs_per_op
+            res.transport.follower_msgs_per_op
         );
     }
 }

@@ -110,7 +110,11 @@ fn check_protocol<P: ProtocolSpec>(proto: P, n: usize) {
                 _proto: std::marker::PhantomData,
             }));
         });
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
+    assert!(
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
+    );
     assert!(failures.borrow().is_empty(), "{:?}", failures.borrow());
     assert_eq!(*completed.borrow(), 50, "all rounds must complete");
 }

@@ -200,16 +200,29 @@ fn sharded_paxos_all_shards_commit_and_converge() {
         .measure(SimDuration::from_millis(2000))
         .drain(SimDuration::from_millis(500))
         .run_sim(DEFAULT_SEED);
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
-    assert!(r.throughput > 100.0, "throughput {}", r.throughput);
-    for (s, group) in r.groups.iter().enumerate() {
+    assert!(
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
+    );
+    assert!(
+        r.client.throughput > 100.0,
+        "throughput {}",
+        r.client.throughput
+    );
+    for (s, group) in r.protocol.groups.iter().enumerate() {
         let decided = group.safety.decided_count();
         assert!(decided > 50, "shard {s} barely committed: {decided}");
     }
-    assert_exactly_once(&r.groups, 9);
+    assert_exactly_once(&r.protocol.groups, 9);
     // Sharded runs drain like any other: within each group the
     // replicas end in the same state.
-    assert_eq!(r.converged(), Some(true), "{:?}", r.replica_digests);
+    assert_eq!(
+        r.protocol.converged(),
+        Some(true),
+        "{:?}",
+        r.protocol.replica_digests
+    );
 }
 
 /// The move ships a range cut from the source leader's own store, so
@@ -217,7 +230,11 @@ fn sharded_paxos_all_shards_commit_and_converge() {
 fn linearizable_across_live_move_sim<P: ProtocolSpec>(proto: P) {
     let report = Arc::new(Mutex::new(Report::default()));
     let r = checker_experiment(proto, report.clone()).run_sim(DEFAULT_SEED);
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
+    assert!(
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
+    );
     let rep = report.lock().expect("report lock");
     assert!(rep.violations.is_empty(), "{:?}", rep.violations);
     // The checker must have kept completing rounds straight through the
@@ -230,7 +247,7 @@ fn linearizable_across_live_move_sim<P: ProtocolSpec>(proto: P) {
     // Post-move, the checker's stale map sends every request to the old
     // owner first, so redirects must actually have been exercised.
     assert!(rep.redirects > 0, "move never forced a redirect");
-    assert_exactly_once(&r.groups, 12);
+    assert_exactly_once(&r.protocol.groups, 12);
 }
 
 #[test]
@@ -253,7 +270,11 @@ fn per_key_linearizability_across_live_move_threads() {
     let report = Arc::new(Mutex::new(Report::default()));
     let r = checker_experiment(PaxosConfig::lan(), report.clone())
         .run_threads(DEFAULT_SEED, Duration::from_millis(1500));
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
+    assert!(
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
+    );
     let rep = report.lock().expect("report lock");
     assert!(rep.violations.is_empty(), "{:?}", rep.violations);
     // Wall-clock run: looser floor, but the loop must survive the move.
@@ -262,5 +283,5 @@ fn per_key_linearizability_across_live_move_threads() {
         "only {} rounds completed",
         rep.completed
     );
-    assert_exactly_once(&r.groups, 12);
+    assert_exactly_once(&r.protocol.groups, 12);
 }

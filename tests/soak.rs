@@ -221,25 +221,29 @@ fn assert_soak(name: &str, s: &Soak) {
     let r = &s.result;
     let target = target_ops();
     let iv = interval();
-    assert!(r.violations.is_empty(), "{name}: {:?}", r.violations);
     assert!(
-        r.decided >= target,
+        r.protocol.violations().is_empty(),
+        "{name}: {:?}",
+        r.protocol.violations()
+    );
+    assert!(
+        r.protocol.decided() >= target,
         "{name}: soak must decide >= {target} ops, got {}",
-        r.decided
+        r.protocol.decided()
     );
     assert!(
-        r.snapshots_taken >= r.decided / iv / 2,
+        r.protocol.snapshots_taken() >= r.protocol.decided() / iv / 2,
         "{name}: compaction must keep firing ({} snapshots over {} ops at interval {iv})",
-        r.snapshots_taken,
-        r.decided
+        r.protocol.snapshots_taken(),
+        r.protocol.decided()
     );
     assert!(
-        r.max_log_len <= 2 * iv,
+        r.protocol.max_log_len() <= 2 * iv,
         "{name}: memory must stay bounded: peak log {} > 2x interval {iv} \
          (decided {}, snapshots {})",
-        r.max_log_len,
-        r.decided,
-        r.snapshots_taken
+        r.protocol.max_log_len(),
+        r.protocol.decided(),
+        r.protocol.snapshots_taken()
     );
     assert!(
         s.ryw_failures.is_empty(),
@@ -252,7 +256,10 @@ fn assert_soak(name: &str, s: &Soak) {
     );
     eprintln!(
         "{name}: {} ops decided, peak log {} (interval {iv}), {} snapshots, {} installs",
-        r.decided, r.max_log_len, r.snapshots_taken, r.snapshots_installed
+        r.protocol.decided(),
+        r.protocol.max_log_len(),
+        r.protocol.snapshots_taken(),
+        r.protocol.snapshots_installed()
     );
 }
 
@@ -307,17 +314,21 @@ fn byte_interval_soak_bounded_memory() {
         .warmup(SimDuration::from_millis(500))
         .measure(SimDuration::from_secs(if quick() { 2 } else { 8 }))
         .run_sim(paxi::DEFAULT_SEED);
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
-    assert!(r.snapshots_taken > 0, "byte trigger must fire");
+    assert!(
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
+    );
+    assert!(r.protocol.snapshots_taken() > 0, "byte trigger must fire");
     // One threshold's worth of commands (lowballing the per-command
     // size at 20 B), doubled for the in-flight window — same shape as
     // the op-count gate.
     let per_cmd = 20;
     let bound = 2 * (threshold_bytes as u64) / per_cmd;
     assert!(
-        r.max_log_len <= bound,
+        r.protocol.max_log_len() <= bound,
         "byte-triggered compaction must bound the log: {} > {bound}",
-        r.max_log_len
+        r.protocol.max_log_len()
     );
 }
 

@@ -17,7 +17,11 @@ use std::time::Duration;
 /// A TCP run is only healthy if every frame decoded and none was
 /// dropped — client retries would otherwise paper over either.
 fn assert_clean_transport(name: &str, net: &RunResult) {
-    let stats = net.net.as_ref().expect("run_net reports its transport");
+    let stats = net
+        .transport
+        .net
+        .as_ref()
+        .expect("run_net reports its transport");
     assert_eq!(
         (stats.decode_errors, stats.frames_dropped),
         (0, 0),
@@ -28,13 +32,20 @@ fn assert_clean_transport(name: &str, net: &RunResult) {
 /// Both wall-clock transports count real traffic: every one of `nodes`
 /// nodes moved messages, and deliveries are counted by label.
 fn assert_counted(name: &str, run: &RunResult, nodes: usize) {
-    assert_eq!(run.node_msgs.len(), nodes, "{name}: replicas + clients");
-    assert!(
-        run.node_msgs.iter().all(|&m| m > 0),
-        "{name}: every node moved messages: {:?}",
-        run.node_msgs
+    assert_eq!(
+        run.transport.node_msgs.len(),
+        nodes,
+        "{name}: replicas + clients"
     );
-    assert!(run.label_counts.is_some(), "{name}: label counts populated");
+    assert!(
+        run.transport.node_msgs.iter().all(|&m| m > 0),
+        "{name}: every node moved messages: {:?}",
+        run.transport.node_msgs
+    );
+    assert!(
+        run.transport.label_counts.is_some(),
+        "{name}: label counts populated"
+    );
 }
 
 fn assert_parity<P: ProtocolSpec>(proto: P, n: usize, min_thread_ops: usize)
@@ -49,36 +60,36 @@ where
 
     let sim = experiment.run_sim(7);
     assert!(
-        sim.violations.is_empty(),
+        sim.protocol.violations().is_empty(),
         "{name} sim: {:?}",
-        sim.violations
+        sim.protocol.violations()
     );
     assert!(
-        sim.samples > 100,
+        sim.client.samples > 100,
         "{name} sim made progress: {}",
-        sim.samples
+        sim.client.samples
     );
     assert!(
-        sim.decided > 50,
+        sim.protocol.decided() > 50,
         "{name} sim decided slots: {}",
-        sim.decided
+        sim.protocol.decided()
     );
 
     let threads = experiment.run_threads(7, Duration::from_millis(500));
     assert!(
-        threads.violations.is_empty(),
+        threads.protocol.violations().is_empty(),
         "{name} threads: {:?}",
-        threads.violations
+        threads.protocol.violations()
     );
     assert!(
-        threads.samples > min_thread_ops,
+        threads.client.samples > min_thread_ops,
         "{name} threads made progress: {}",
-        threads.samples
+        threads.client.samples
     );
     assert!(
-        threads.decided > 0,
+        threads.protocol.decided() > 0,
         "{name} threads decided slots: {}",
-        threads.decided
+        threads.protocol.decided()
     );
     assert_counted(&format!("{name} threads"), &threads, n + 4);
 
@@ -88,16 +99,20 @@ where
     // real network round trip under load.
     let net = experiment.run_net(7, Duration::from_millis(500));
     assert!(
-        net.violations.is_empty(),
+        net.protocol.violations().is_empty(),
         "{name} net: {:?}",
-        net.violations
+        net.protocol.violations()
     );
     assert!(
-        net.samples > min_thread_ops,
+        net.client.samples > min_thread_ops,
         "{name} net made progress: {}",
-        net.samples
+        net.client.samples
     );
-    assert!(net.decided > 0, "{name} net decided slots: {}", net.decided);
+    assert!(
+        net.protocol.decided() > 0,
+        "{name} net decided slots: {}",
+        net.protocol.decided()
+    );
     assert_counted(&format!("{name} net"), &net, n + 4);
     assert_clean_transport(name, &net);
 }
@@ -130,12 +145,20 @@ where
     let name = experiment.protocol().protocol_name();
     let net = experiment.run_net(7, Duration::from_secs(1));
     assert!(
-        net.violations.is_empty(),
+        net.protocol.violations().is_empty(),
         "{name} n=25: {:?}",
-        net.violations
+        net.protocol.violations()
     );
-    assert!(net.samples > 100, "{name} n=25 progressed: {}", net.samples);
-    assert!(net.decided > 100, "{name} n=25 decided: {}", net.decided);
+    assert!(
+        net.client.samples > 100,
+        "{name} n=25 progressed: {}",
+        net.client.samples
+    );
+    assert!(
+        net.protocol.decided() > 100,
+        "{name} n=25 decided: {}",
+        net.protocol.decided()
+    );
     assert_clean_transport(name, &net);
     net
 }
@@ -151,7 +174,7 @@ fn pigpaxos_runs_at_the_papers_scale_over_tcp() {
     // Time is accounted per node. Every write passes the leader, so a
     // loop spent at least as long on it as on the median follower; and
     // no loop can have been busy for longer than the run lasted.
-    let stats = net.net.as_ref().expect("transport counters");
+    let stats = net.transport.net.as_ref().expect("transport counters");
     let busy = &stats.per_node_busy_ns;
     assert_eq!(busy.len(), 25 + 8);
     let mut followers = busy[1..25].to_vec();
@@ -187,36 +210,36 @@ fn assert_compaction_parity<P: ProtocolSpec>(proto: P, n: usize, interval: u64) 
 
     let sim = experiment.run_sim(7);
     assert!(
-        sim.violations.is_empty(),
+        sim.protocol.violations().is_empty(),
         "{name} sim: {:?}",
-        sim.violations
+        sim.protocol.violations()
     );
     assert!(
-        sim.snapshots_taken > 0,
+        sim.protocol.snapshots_taken() > 0,
         "{name} sim: compaction must fire ({} decided)",
-        sim.decided
+        sim.protocol.decided()
     );
     assert!(
-        sim.max_log_len <= 2 * interval,
+        sim.protocol.max_log_len() <= 2 * interval,
         "{name} sim: peak log {} > 2x interval {interval}",
-        sim.max_log_len
+        sim.protocol.max_log_len()
     );
 
     let threads = experiment.run_threads(7, Duration::from_millis(600));
     assert!(
-        threads.violations.is_empty(),
+        threads.protocol.violations().is_empty(),
         "{name} threads: {:?}",
-        threads.violations
+        threads.protocol.violations()
     );
     assert!(
-        threads.decided > interval,
+        threads.protocol.decided() > interval,
         "{name} threads made progress: {}",
-        threads.decided
+        threads.protocol.decided()
     );
     assert!(
-        threads.snapshots_taken > 0,
+        threads.protocol.snapshots_taken() > 0,
         "{name} threads: compaction must fire ({} decided)",
-        threads.decided
+        threads.protocol.decided()
     );
     // Wall-clock substrate: a scheduler stall of a few tens of ms on a
     // loaded box lets the pipelined clients run the log a few hundred
@@ -225,10 +248,10 @@ fn assert_compaction_parity<P: ProtocolSpec>(proto: P, n: usize, interval: u64) 
     // Broken compaction still fails loudly — the peak then tracks the
     // full decided count (thousands), not a handful of intervals.
     assert!(
-        threads.max_log_len <= 8 * interval,
+        threads.protocol.max_log_len() <= 8 * interval,
         "{name} threads: peak log {} > 8x interval {interval} ({} decided)",
-        threads.max_log_len,
-        threads.decided
+        threads.protocol.max_log_len(),
+        threads.protocol.decided()
     );
 }
 
@@ -273,25 +296,45 @@ fn sharded_experiment_runs_on_all_three_substrates() {
         .measure(SimDuration::from_millis(600));
 
     let sim = experiment.run_sim(7);
-    assert!(sim.violations.is_empty(), "sim: {:?}", sim.violations);
-    assert!(sim.samples > 100, "sim made progress: {}", sim.samples);
-    assert!(sim.decided > 50, "sim decided slots: {}", sim.decided);
+    assert!(
+        sim.protocol.violations().is_empty(),
+        "sim: {:?}",
+        sim.protocol.violations()
+    );
+    assert!(
+        sim.client.samples > 100,
+        "sim made progress: {}",
+        sim.client.samples
+    );
+    assert!(
+        sim.protocol.decided() > 50,
+        "sim decided slots: {}",
+        sim.protocol.decided()
+    );
 
     let threads = experiment.run_threads(7, Duration::from_millis(500));
     assert!(
-        threads.violations.is_empty(),
+        threads.protocol.violations().is_empty(),
         "threads: {:?}",
-        threads.violations
+        threads.protocol.violations()
     );
     assert!(
-        threads.samples > 50,
+        threads.client.samples > 50,
         "threads made progress: {}",
-        threads.samples
+        threads.client.samples
     );
 
     let net = experiment.run_net(7, Duration::from_millis(500));
-    assert!(net.violations.is_empty(), "net: {:?}", net.violations);
-    assert!(net.samples > 50, "net made progress: {}", net.samples);
+    assert!(
+        net.protocol.violations().is_empty(),
+        "net: {:?}",
+        net.protocol.violations()
+    );
+    assert!(
+        net.client.samples > 50,
+        "net made progress: {}",
+        net.client.samples
+    );
     // 4 shard replicas + 4 routers all moved real TCP traffic.
     assert_counted("sharded net", &net, 8);
     assert_clean_transport("sharded paxos", &net);
@@ -310,6 +353,14 @@ fn batched_pigpaxos_safe_on_threads() {
         .clients(4)
         .client_pipeline(4)
         .run_threads(11, Duration::from_millis(400));
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
-    assert!(r.samples > 50, "batched threads progressed: {}", r.samples);
+    assert!(
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
+    );
+    assert!(
+        r.client.samples > 50,
+        "batched threads progressed: {}",
+        r.client.samples
+    );
 }
