@@ -505,8 +505,9 @@ where
     assemble(d.layout.clusters, client, transport, None)
 }
 
-/// The one place a [`RunResult`] is built: a driver's two parts, and
-/// the groups that ran with whatever digests the driver sampled.
+/// The one place a [`RunResult`] is built: the client and transport
+/// parts a run measured, and the groups that ran with any digests
+/// sampled from them.
 fn assemble(
     groups: Vec<ClusterConfig>,
     client: ClientResult,
