@@ -30,7 +30,7 @@
 use paxi::{Key, RequestId, Value};
 use paxos::QrVoteEntry;
 use simnet::{NodeId, SimTime};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Outcome of feeding votes to a pending read.
 #[derive(Debug, PartialEq)]
@@ -53,7 +53,7 @@ struct PendingRead {
     request: RequestId,
     key: Key,
     need: usize,
-    voters: HashSet<NodeId>,
+    voters: BTreeSet<NodeId>,
     best: Option<QrVoteEntry>,
     pending_write_seen: bool,
     attempt: u32,
@@ -71,7 +71,8 @@ struct PendingRead {
 #[derive(Debug, Default)]
 pub struct PendingReads {
     next_id: u64,
-    reads: HashMap<u64, PendingRead>,
+    /// By read id, which is the order reads were opened in.
+    reads: BTreeMap<u64, PendingRead>,
 }
 
 impl PendingReads {
@@ -117,7 +118,7 @@ impl PendingReads {
                 request,
                 key,
                 need,
-                voters: HashSet::new(),
+                voters: BTreeSet::new(),
                 best: None,
                 pending_write_seen: false,
                 attempt: 1,

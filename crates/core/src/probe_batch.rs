@@ -31,7 +31,7 @@
 use paxi::{BatchConfig, RateEstimator};
 use paxos::QrProbe;
 use simnet::{NodeId, SimTime};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// What the replica must do after offering a probe to the batcher.
 #[derive(Debug, PartialEq, Eq)]
@@ -68,7 +68,7 @@ struct Outstanding {
     /// per round (partial + completion), and a count would let one
     /// relay's pair reopen the gate while the other group is still in
     /// flight.
-    awaiting: HashSet<NodeId>,
+    awaiting: BTreeSet<NodeId>,
 }
 
 /// Coalesces pending quorum-read probes into relay waves.
@@ -129,7 +129,7 @@ impl ProbeBatcher {
     /// the gate until each of them has answered at least once (or the
     /// caller's wave timeout fires). An empty set leaves the gate open
     /// (nothing will ever answer).
-    pub fn wave_opened(&mut self, wave: u64, relays: HashSet<NodeId>) {
+    pub fn wave_opened(&mut self, wave: u64, relays: BTreeSet<NodeId>) {
         if !relays.is_empty() {
             self.outstanding = Some(Outstanding {
                 wave,
@@ -241,7 +241,7 @@ mod tests {
     use super::*;
     use simnet::SimDuration;
 
-    fn relays(ids: &[u32]) -> HashSet<NodeId> {
+    fn relays(ids: &[u32]) -> BTreeSet<NodeId> {
         ids.iter().map(|&n| NodeId(n)).collect()
     }
 

@@ -27,7 +27,7 @@ use paxos::{Dissemination, PaxosConfig, PaxosMsg, QrProbe, QrProbeVote, QrVoteEn
 use rand::rngs::StdRng;
 use rand::Rng;
 use simnet::NodeId;
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeSet;
 
 // Timer kinds live in the low byte, above the core's [`paxos::Timer`]
 // range; the payload (e.g. a read id) in the rest.
@@ -254,7 +254,7 @@ impl RelayTree {
             return; // nothing live; the gate stays open
         }
         let wave = self.probes.next_wave();
-        let mut relays = HashSet::new();
+        let mut relays = BTreeSet::new();
         let msg = PaxosMsg::QrReadBatch {
             reader: self.me,
             wave,
@@ -293,20 +293,19 @@ impl RelayTree {
         // in the *following* wave, not a stale buffer.
         let release = self.probes.on_uplink(wave, from);
         self.release_probes(release, ctx);
-        // Group per-probe answers and feed each read once.
-        let mut grouped: HashMap<(u64, u32), Vec<QrVoteEntry>> = HashMap::new();
-        let mut order: Vec<(u64, u32)> = Vec::new();
+        // Group per-probe answers in first-arrival order and feed each
+        // read once. A wave holds a handful of probes, so a scan beats a
+        // map.
+        let mut grouped: Vec<((u64, u32), Vec<QrVoteEntry>)> = Vec::new();
         for v in votes {
             let key = (v.id, v.attempt);
-            let slot = grouped.entry(key).or_default();
-            if slot.is_empty() {
-                order.push(key);
+            match grouped.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, entries)) => entries.push(v.entry),
+                None => grouped.push((key, vec![v.entry])),
             }
-            slot.push(v.entry);
         }
-        for key in order {
-            let entries = grouped.remove(&key).expect("grouped above");
-            self.feed_read_votes(key.0, key.1, entries, ctx);
+        for ((id, attempt), entries) in grouped {
+            self.feed_read_votes(id, attempt, entries, ctx);
         }
     }
 

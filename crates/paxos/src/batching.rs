@@ -22,9 +22,11 @@ use crate::acceptor::{Acceptor, CommitAdvance};
 use crate::leader::{BatchVotesOutcome, Leader};
 use crate::messages::P2bVote;
 use crate::replica::{Executed, Timer};
-use paxi::{Ballot, BatchConfig, BatchPush, Batcher, Command, Ctx, ProtoMessage, SessionTable};
+use paxi::{
+    Ballot, BatchConfig, BatchPush, Batcher, Command, Ctx, ProtoMessage, RequestId, SessionTable,
+};
 use simnet::{NodeId, SimTime, TimerId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A flushed batch ready to propose: `(client, command)` pairs in
@@ -45,11 +47,11 @@ pub struct BatchLane {
     /// sequencing floor, and a cheap filter so only requests at or
     /// below it (i.e. possible duplicates) pay the unexecuted-window
     /// log scan.
-    proposed_hw: HashMap<NodeId, u64>,
+    proposed_hw: BTreeMap<NodeId, u64>,
     /// Out-of-order arrivals held until their predecessors are proposed
-    /// (only populated by pipelined clients under network jitter).
-    held: HashMap<NodeId, BTreeMap<u64, Command>>,
-    held_count: usize,
+    /// (only populated by pipelined clients under network jitter), in
+    /// `(client, seq)` order.
+    held: BTreeMap<RequestId, Command>,
     /// Enforce per-client issue order in the decided log. Must be off
     /// when some of a client's commands legitimately bypass this
     /// leader's log (e.g. PQR reads served at follower proxies) — a
@@ -65,9 +67,8 @@ impl BatchLane {
         BatchLane {
             batcher: Batcher::new(cfg),
             timer: None,
-            proposed_hw: HashMap::new(),
-            held: HashMap::new(),
-            held_count: 0,
+            proposed_hw: BTreeMap::new(),
+            held: BTreeMap::new(),
             sequencing,
         }
     }
@@ -89,7 +90,7 @@ impl BatchLane {
 
     /// Commands held for per-client reordering (diagnostics).
     pub fn held_count(&self) -> usize {
-        self.held_count
+        self.held.len()
     }
 
     fn next_expected(&self, sessions: &SessionTable, client: NodeId) -> u64 {
@@ -172,26 +173,19 @@ impl BatchLane {
         out: &mut Vec<Batch>,
     ) {
         loop {
-            let expect = self.next_expected(sessions, client);
-            let Some(chain) = self.held.get_mut(&client) else {
-                return;
+            let expect = RequestId {
+                client,
+                seq: self.next_expected(sessions, client),
             };
-            // Drop anything at or below the floor (stale duplicates of
+            // Drop anything below the floor (stale duplicates of
             // commands that got proposed through another path).
-            while chain
-                .first_key_value()
-                .is_some_and(|(&seq, _)| seq < expect)
-            {
-                chain.pop_first();
-                self.held_count -= 1;
+            let stale = RequestId { client, seq: 0 }..expect;
+            while let Some(&id) = self.held.range(stale.clone()).next().map(|(id, _)| id) {
+                self.held.remove(&id);
             }
-            let Some(cmd) = chain.remove(&expect) else {
-                if chain.is_empty() {
-                    self.held.remove(&client);
-                }
+            let Some(cmd) = self.held.remove(&expect) else {
                 return;
             };
-            self.held_count -= 1;
             if self.is_duplicate(leader, acceptor, &cmd) {
                 self.note_proposed(cmd.id.client, cmd.id.seq);
                 continue;
@@ -215,11 +209,7 @@ impl BatchLane {
     ) -> Vec<Batch> {
         let mut out = Vec::new();
         let id = cmd.id;
-        if self
-            .held
-            .get(&id.client)
-            .is_some_and(|chain| chain.contains_key(&id.seq))
-        {
+        if self.held.contains_key(&id) {
             return out; // retry of a held command
         }
         if self.is_duplicate(leader, acceptor, &cmd) {
@@ -260,8 +250,7 @@ impl BatchLane {
                 // client + jitter) or is itself an unproposed retry yet
                 // to arrive: hold until it is proposed. Liveness is the
                 // client's job — every outstanding request is retried.
-                self.held.entry(id.client).or_default().insert(id.seq, cmd);
-                self.held_count += 1;
+                self.held.insert(id, cmd);
                 return out;
             }
         }
@@ -282,10 +271,11 @@ impl BatchLane {
         ctx: &mut Ctx<P>,
     ) -> Vec<Batch> {
         let mut out = Vec::new();
-        if self.held_count == 0 {
+        if self.held.is_empty() {
             return out;
         }
-        let clients: Vec<NodeId> = self.held.keys().copied().collect();
+        let mut clients: Vec<NodeId> = self.held.keys().map(|id| id.client).collect();
+        clients.dedup();
         for client in clients {
             self.release_client(leader, acceptor, sessions, client, ctx, &mut out);
         }
@@ -303,12 +293,8 @@ impl BatchLane {
     /// cancel, so it cannot fire into the next leadership term.
     pub fn abandon(&mut self) -> (Vec<(NodeId, Command)>, Option<TimerId>) {
         let mut out = self.batcher.flush();
-        for (_, chain) in self.held.drain() {
-            for (_, cmd) in chain {
-                out.push((cmd.id.client, cmd));
-            }
-        }
-        self.held_count = 0;
+        let held = std::mem::take(&mut self.held);
+        out.extend(held.into_values().map(|cmd| (cmd.id.client, cmd)));
         (out, self.timer.take())
     }
 }

@@ -238,6 +238,37 @@ fn leader_crash_and_recover<P: paxi::ProtocolSpec>(proto: P, n: u32) -> paxi::Ru
         })
 }
 
+/// The shape the `sim-failover` benchmark had to avoid: a PigPaxos
+/// leader crash and restart under pipelined clients, whose out-of-order
+/// arrivals the leader holds and, when deposed, hands back. Every
+/// `HashMap` draws fresh hash keys, so state iterated in hash order
+/// shows up as two runs of one process that disagree.
+#[test]
+fn pig_leader_crash_with_pipelined_clients_repeats_in_one_process() {
+    let run = || {
+        let cfg = PigConfig::lan(2).with_snapshots(paxi::SnapshotConfig::every_ops(1000));
+        golden_exp(cfg, 5)
+            .clients(4)
+            .client_pipeline(8)
+            .measure(SimDuration::from_millis(1300))
+            .run_sim_with(42, |sim, _| {
+                use simnet::{Control, NodeId, SimTime};
+                sim.schedule_control(SimTime::from_millis(400), Control::Crash(NodeId(0)));
+                sim.schedule_control(SimTime::from_millis(900), Control::Recover(NodeId(0)));
+            })
+    };
+    let first = run();
+    assert!(first.protocol.violations().is_empty());
+    for _ in 0..3 {
+        let again = run();
+        assert_eq!(
+            again.transport.trace.expect("captured").fingerprint,
+            first.transport.trace.expect("captured").fingerprint
+        );
+        assert_eq!(again.protocol.decided(), first.protocol.decided());
+    }
+}
+
 #[test]
 fn golden_paxos_n5_thrifty_snapshots_leader_crash() {
     let mut cfg = PaxosConfig::lan().with_snapshots(paxi::SnapshotConfig::every_ops(50));
