@@ -17,12 +17,13 @@ use crate::attrs::InterferenceIndex;
 use crate::config::EpaxosConfig;
 use crate::graph::{plan_execution, InstStatus, InstanceView};
 use crate::messages::{Attrs, EpaxosMsg, InstanceId};
+use paxi::log::MAX_HOLE;
 use paxi::{
     fast_quorum, majority, Ballot, ClientReply, ClientRequest, ClusterConfig, Command, Ctx,
     KvStore, Replica, ReplicaCtx, RequestId, SessionTable,
 };
 use simnet::{NodeId, TimerId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -101,11 +102,15 @@ pub struct EpaxosReplica {
     /// Instances executed since the last compaction sweep (the
     /// `interval_ops` trigger input).
     executed_since_sweep: u64,
+    /// Per member: one past the highest instance slot known from it.
+    /// Only members have an entry; see [`EpaxosReplica::admit`].
+    next_seen: BTreeMap<NodeId, u64>,
 }
 
 impl EpaxosReplica {
     /// Create the replica for `me`.
     pub fn new(me: NodeId, cluster: ClusterConfig, cfg: EpaxosConfig) -> Self {
+        let next_seen = cluster.replicas.iter().map(|&r| (r, 0)).collect();
         EpaxosReplica {
             me,
             cluster,
@@ -119,6 +124,24 @@ impl EpaxosReplica {
             in_flight: HashMap::new(),
             executed_floor: HashMap::new(),
             executed_since_sweep: 0,
+            next_seen,
+        }
+    }
+
+    /// Whether an instance named off the wire may be stored: its origin
+    /// is a member and its slot is below that origin's reach,
+    /// [`MAX_HOLE`] past the highest slot known from it (as
+    /// [`paxi::Log::reach`] bounds a Paxos log). Instance numbers size
+    /// [`paxi::SafetyMonitor`]'s per-origin vectors, so a forged
+    /// `slot: 1 << 40` would otherwise size a terabyte allocation. An
+    /// admitted slot extends the reach.
+    fn admit(&mut self, inst: InstanceId) -> bool {
+        match self.next_seen.get_mut(&inst.replica) {
+            Some(next) if inst.slot < next.saturating_add(MAX_HOLE) => {
+                *next = (*next).max(inst.slot + 1);
+                true
+            }
+            _ => false,
         }
     }
 
@@ -332,6 +355,7 @@ impl Replica<EpaxosMsg> for EpaxosReplica {
             slot: self.next_slot,
         };
         self.next_slot += 1;
+        self.next_seen.insert(self.me, self.next_slot);
         self.in_flight.insert(command.id, inst);
         ctx.charge(self.cfg.attr_cost);
         let attrs = self.interference.attrs_for(&command.op);
@@ -371,8 +395,8 @@ impl Replica<EpaxosMsg> for EpaxosReplica {
                 command,
                 attrs,
             } => {
-                if self.below_floor(inst) {
-                    return; // stale duplicate of a swept instance
+                if self.below_floor(inst) || !self.admit(inst) {
+                    return; // stale duplicate of a swept instance, or forged
                 }
                 ctx.charge(self.cfg.attr_cost);
                 let mut merged = attrs;
@@ -443,8 +467,8 @@ impl Replica<EpaxosMsg> for EpaxosReplica {
                 command,
                 attrs,
             } => {
-                if self.below_floor(inst) {
-                    return; // stale duplicate of a swept instance
+                if self.below_floor(inst) || !self.admit(inst) {
+                    return; // stale duplicate of a swept instance, or forged
                 }
                 ctx.charge(self.cfg.attr_cost);
                 self.interference.record(inst, attrs.seq, &command.op);
@@ -488,7 +512,9 @@ impl Replica<EpaxosMsg> for EpaxosReplica {
                 command,
                 attrs,
             } => {
-                self.learn_commit(inst, command, attrs, ctx);
+                if self.admit(inst) {
+                    self.learn_commit(inst, command, attrs, ctx);
+                }
             }
         }
     }
