@@ -8,7 +8,7 @@
 //! carry vote vectors, "aggregation" is just concatenation and the
 //! leader code is byte-for-byte the Multi-Paxos leader.
 
-use paxi::{ProtoMessage, HEADER_BYTES};
+use paxi::ProtoMessage;
 use paxos::PaxosMsg;
 use simnet::wire::{DOMAIN_PAXOS, DOMAIN_PIG};
 use simnet::{NodeId, Wire, WireError, WireHeader, WirePut, WireReader};
@@ -46,16 +46,6 @@ impl RelayPlan {
                 .map(|(_, p)| 1 + p.total_nodes())
                 .sum::<usize>()
     }
-
-    /// Serialized size contribution.
-    pub fn wire_bytes(&self) -> usize {
-        4 + self.peers.len() * 4
-            + self
-                .sub
-                .iter()
-                .map(|(_, p)| 4 + p.wire_bytes())
-                .sum::<usize>()
-    }
 }
 
 /// PigPaxos protocol messages.
@@ -80,12 +70,7 @@ pub enum PigMsg {
 
 impl ProtoMessage for PigMsg {
     fn wire_size(&self) -> usize {
-        match self {
-            PigMsg::ToRelay { plan, inner, .. } => {
-                HEADER_BYTES + 8 + plan.wire_bytes() + inner.wire_size()
-            }
-            PigMsg::Direct(inner) => inner.wire_size(),
-        }
+        self.wire_len()
     }
 
     fn label(&self) -> &'static str {
@@ -100,9 +85,8 @@ impl Wire for RelayPlan {
     const KIND: &'static str = "RelayPlan";
 
     /// `peer count: u16`, `sub count: u16`, the peer node ids (u32
-    /// each), then each sub-relay as `node: u32` + its nested plan —
-    /// exactly [`RelayPlan::wire_bytes`] bytes at every level.
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    /// each), then each sub-relay as `node: u32` + its nested plan.
+    fn put<W: WirePut>(&self, out: &mut W) {
         assert!(self.peers.len() <= u16::MAX as usize, "relay plan too wide");
         assert!(self.sub.len() <= u16::MAX as usize, "relay plan too wide");
         out.put_u16(self.peers.len() as u16);
@@ -112,7 +96,7 @@ impl Wire for RelayPlan {
         }
         for (node, plan) in &self.sub {
             out.put_u32(node.0);
-            plan.encode_into(out);
+            out.put_wire(plan);
         }
     }
 
@@ -136,20 +120,12 @@ impl Wire for RelayPlan {
 impl Wire for PigMsg {
     const KIND: &'static str = "PigMsg";
 
-    /// One-pass encode sized by the exact `wire_size` (see the
-    /// `PaxosMsg` impl): one allocation, no growth reallocs.
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(paxi::ProtoMessage::wire_size(self));
-        self.encode_into(&mut out);
-        out
-    }
-
     /// `Direct(inner)` encodes as the inner Paxos message verbatim (the
     /// header's domain byte disambiguates on decode — the relay wrapper
-    /// really is zero-overhead on the wire, matching `wire_size()`).
-    /// `ToRelay` carries its own header, `reply_to: u32`,
-    /// `threshold: u32`, the [`RelayPlan`], then the inner message.
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    /// really is zero-overhead on the wire). `ToRelay` carries its own
+    /// header, `reply_to: u32`, `threshold: u32`, the [`RelayPlan`],
+    /// then the inner message.
+    fn put<W: WirePut>(&self, out: &mut W) {
         match self {
             PigMsg::ToRelay {
                 reply_to,
@@ -158,13 +134,13 @@ impl Wire for PigMsg {
                 threshold,
             } => {
                 assert!(*threshold <= u32::MAX as usize, "threshold overflows u32");
-                WireHeader::new(DOMAIN_PIG, 0).encode_into(out);
+                out.put_wire(&WireHeader::new(DOMAIN_PIG, 0));
                 out.put_u32(reply_to.0);
                 out.put_u32(*threshold as u32);
-                plan.encode_into(out);
-                inner.encode_into(out);
+                out.put_wire(plan);
+                out.put_wire(inner);
             }
-            PigMsg::Direct(inner) => inner.encode_into(out),
+            PigMsg::Direct(inner) => out.put_wire(inner),
         }
     }
 

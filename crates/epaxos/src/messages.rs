@@ -6,8 +6,8 @@
 //! larger than Multi-Paxos messages because attributes travel with every
 //! phase — one of the overheads the paper's comparison surfaces.
 
-use paxi::wire::{decode_command_body, encode_command_body, op_tag};
-use paxi::{Ballot, Command, ProtoMessage, HEADER_BYTES};
+use paxi::wire::{decode_command_body, op_tag, put_command_body};
+use paxi::{Ballot, Command, ProtoMessage};
 use simnet::wire::DOMAIN_EPAXOS;
 use simnet::{NodeId, Wire, WireError, WireHeader, WirePut, WireReader};
 use std::fmt;
@@ -56,11 +56,6 @@ impl Attrs {
             self.deps.sort();
         }
         changed
-    }
-
-    /// Serialized size contribution.
-    pub fn wire_bytes(&self) -> usize {
-        8 + self.deps.len() * 12
     }
 }
 
@@ -120,20 +115,7 @@ pub enum EpaxosMsg {
 
 impl ProtoMessage for EpaxosMsg {
     fn wire_size(&self) -> usize {
-        HEADER_BYTES
-            + match self {
-                EpaxosMsg::PreAccept { command, attrs, .. } => {
-                    12 + 8 + command.payload_bytes() + attrs.wire_bytes()
-                }
-                EpaxosMsg::PreAcceptOk { attrs, .. } => 12 + 4 + 1 + attrs.wire_bytes(),
-                EpaxosMsg::Accept { command, attrs, .. } => {
-                    12 + 8 + command.payload_bytes() + attrs.wire_bytes()
-                }
-                EpaxosMsg::AcceptOk { .. } => 12 + 4,
-                EpaxosMsg::Commit { command, attrs, .. } => {
-                    12 + command.payload_bytes() + attrs.wire_bytes()
-                }
-            }
+        self.wire_len()
     }
 
     fn label(&self) -> &'static str {
@@ -156,7 +138,7 @@ const KIND_COMMIT: u8 = 4;
 impl Wire for InstanceId {
     const KIND: &'static str = "InstanceId";
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn put<W: WirePut>(&self, out: &mut W) {
         out.put_u32(self.replica.0);
         out.put_u64(self.slot);
     }
@@ -170,12 +152,11 @@ impl Wire for InstanceId {
 }
 
 /// Attrs encode as `seq: u64` + the deps (12 bytes each); the dep
-/// *count* rides in the enclosing message's header `aux0`, so the body
-/// is exactly [`Attrs::wire_bytes`] bytes.
-fn encode_attrs(attrs: &Attrs, out: &mut Vec<u8>) {
+/// *count* rides in the enclosing message's header `aux0`.
+fn put_attrs<W: WirePut>(attrs: &Attrs, out: &mut W) {
     out.put_u64(attrs.seq);
     for d in &attrs.deps {
-        d.encode_into(out);
+        out.put_wire(d);
     }
 }
 
@@ -196,7 +177,7 @@ fn header(kind: u8, attrs: &Attrs) -> WireHeader {
 impl Wire for EpaxosMsg {
     const KIND: &'static str = "EpaxosMsg";
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn put<W: WirePut>(&self, out: &mut W) {
         match self {
             EpaxosMsg::PreAccept {
                 inst,
@@ -215,13 +196,11 @@ impl Wire for EpaxosMsg {
                 } else {
                     KIND_ACCEPT
                 };
-                header(kind, attrs)
-                    .flags(op_tag(&command.op))
-                    .encode_into(out);
-                inst.encode_into(out);
-                ballot.encode_into(out);
-                encode_attrs(attrs, out);
-                encode_command_body(command, out);
+                out.put_wire(&header(kind, attrs).flags(op_tag(&command.op)));
+                out.put_wire(inst);
+                out.put_wire(ballot);
+                put_attrs(attrs, out);
+                put_command_body(command, out);
             }
             EpaxosMsg::PreAcceptOk {
                 inst,
@@ -229,15 +208,15 @@ impl Wire for EpaxosMsg {
                 attrs,
                 changed,
             } => {
-                header(KIND_PREACCEPT_OK, attrs).encode_into(out);
-                inst.encode_into(out);
+                out.put_wire(&header(KIND_PREACCEPT_OK, attrs));
+                out.put_wire(inst);
                 out.put_u32(node.0);
                 out.put_u8(*changed as u8);
-                encode_attrs(attrs, out);
+                put_attrs(attrs, out);
             }
             EpaxosMsg::AcceptOk { inst, node } => {
-                WireHeader::new(DOMAIN_EPAXOS, KIND_ACCEPT_OK).encode_into(out);
-                inst.encode_into(out);
+                out.put_wire(&WireHeader::new(DOMAIN_EPAXOS, KIND_ACCEPT_OK));
+                out.put_wire(inst);
                 out.put_u32(node.0);
             }
             EpaxosMsg::Commit {
@@ -245,12 +224,10 @@ impl Wire for EpaxosMsg {
                 command,
                 attrs,
             } => {
-                header(KIND_COMMIT, attrs)
-                    .flags(op_tag(&command.op))
-                    .encode_into(out);
-                inst.encode_into(out);
-                encode_attrs(attrs, out);
-                encode_command_body(command, out);
+                out.put_wire(&header(KIND_COMMIT, attrs).flags(op_tag(&command.op)));
+                out.put_wire(inst);
+                put_attrs(attrs, out);
+                put_command_body(command, out);
             }
         }
     }

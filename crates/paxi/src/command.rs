@@ -138,23 +138,11 @@ impl Command {
     }
 }
 
-/// Fixed per-message framing overhead we charge for every wire message
-/// (type tag, ballot, slot, sender — roughly what a compact binary codec
-/// would need).
-pub const HEADER_BYTES: usize = 24;
-
 /// A client-to-replica request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClientRequest {
     /// The command to execute.
     pub command: Command,
-}
-
-impl ClientRequest {
-    /// Wire size of the request.
-    pub fn wire_size(&self) -> usize {
-        HEADER_BYTES + self.command.payload_bytes()
-    }
 }
 
 /// A replica-to-client reply.
@@ -191,16 +179,13 @@ impl ClientReply {
             redirect: leader,
         }
     }
-
-    /// Wire size of the reply.
-    pub fn wire_size(&self) -> usize {
-        HEADER_BYTES + 12 + self.value.as_ref().map_or(0, |v| v.len())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::wire::WIRE_HEADER_BYTES;
+    use simnet::Wire;
 
     #[test]
     fn value_helpers() {
@@ -266,11 +251,11 @@ mod tests {
                 op: Operation::Put(1, Value::zeros(1280)),
             },
         };
-        assert_eq!(req.wire_size(), HEADER_BYTES + 12 + 8 + 1280);
+        assert_eq!(req.wire_len(), WIRE_HEADER_BYTES + 12 + 8 + 1280);
         let rep = ClientReply::ok(id, Some(Value::zeros(64)));
-        assert_eq!(rep.wire_size(), HEADER_BYTES + 12 + 64);
+        assert_eq!(rep.wire_len(), WIRE_HEADER_BYTES + 12 + 64);
         let rep2 = ClientReply::ok(id, None);
-        assert_eq!(rep2.wire_size(), HEADER_BYTES + 12);
+        assert_eq!(rep2.wire_len(), WIRE_HEADER_BYTES + 12);
     }
 
     #[test]

@@ -7,11 +7,12 @@
 
 use crate::command::{ClientReply, ClientRequest};
 use crate::shard::ShardCtl;
-use simnet::Message;
+use simnet::{Message, Wire};
 
 /// A protocol-internal message (phase-1a/1b/2a/2b, relays, etc.).
 pub trait ProtoMessage: Clone + std::fmt::Debug + 'static {
-    /// Serialized size in bytes.
+    /// Serialized size in bytes: [`Wire::wire_len`] for a type with a
+    /// wire encoding.
     fn wire_size(&self) -> usize;
     /// Short label for traces.
     fn label(&self) -> &'static str {
@@ -40,19 +41,16 @@ pub enum Envelope<P> {
     Proto(P),
 }
 
+/// Client and shard traffic is sized by its encoder; a protocol message
+/// by its own `wire_size`, so a protocol needs no [`Wire`] encoding to
+/// run on the simulator.
 impl<P: ProtoMessage> Message for Envelope<P> {
     fn wire_size(&self) -> usize {
         match self {
-            Envelope::Request(r) => r.wire_size(),
-            Envelope::Reply(r) => r.wire_size(),
-            // One shared header; per-reply payload without re-framing.
-            Envelope::ReplyBatch(rs) => {
-                crate::command::HEADER_BYTES
-                    + rs.iter()
-                        .map(|r| r.wire_size() - crate::command::HEADER_BYTES + 2)
-                        .sum::<usize>()
-            }
-            Envelope::Shard(c) => c.wire_size(),
+            Envelope::Request(r) => r.wire_len(),
+            Envelope::Reply(r) => r.wire_len(),
+            Envelope::ReplyBatch(rs) => crate::wire::reply_batch_len(rs),
+            Envelope::Shard(c) => c.wire_len(),
             Envelope::Proto(p) => p.wire_size(),
         }
     }
@@ -71,7 +69,8 @@ impl<P: ProtoMessage> Message for Envelope<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::{Command, Operation, RequestId, Value, HEADER_BYTES};
+    use crate::command::{Command, Operation, RequestId, Value};
+    use simnet::wire::WIRE_HEADER_BYTES;
     use simnet::NodeId;
 
     #[derive(Debug, Clone)]
@@ -97,7 +96,7 @@ mod tests {
                 op: Operation::Put(1, Value::zeros(8)),
             },
         });
-        assert_eq!(req.wire_size(), HEADER_BYTES + 12 + 16);
+        assert_eq!(req.wire_size(), WIRE_HEADER_BYTES + 12 + 16);
         assert_eq!(req.label(), "request");
 
         let rep: Envelope<P2a> = Envelope::Reply(ClientReply::ok(id, None));

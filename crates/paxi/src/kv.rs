@@ -87,19 +87,6 @@ impl KvStore {
         entries
     }
 
-    /// Total payload bytes held (keys + values) — the serialized size a
-    /// snapshot of this store would ship.
-    pub fn data_bytes(&self) -> usize {
-        self.data.values().map(|v| 8 + v.len()).sum()
-    }
-
-    /// Exact encoded size of this store under [`Wire`]: applied count
-    /// (8) + entry count (4) + per entry key (8) + value length (4) +
-    /// value bytes.
-    pub fn encoded_bytes(&self) -> usize {
-        12 + self.data.len() * 4 + self.data_bytes()
-    }
-
     /// Order-independent FNV-1a fingerprint of the full state (sorted
     /// key/value pairs plus the applied-operation count). Two stores
     /// that executed the same command sequence — directly, or via a
@@ -136,7 +123,7 @@ impl Wire for KvStore {
     /// `applied: u64`, `count: u32`, then `count` entries of
     /// `key: u64`, `len: u32`, `len` value bytes — sorted by key so the
     /// encoding is deterministic.
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn put<W: WirePut>(&self, out: &mut W) {
         out.put_u64(self.applied);
         out.put_u32(self.data.len() as u32);
         let mut keys: Vec<Key> = self.data.keys().copied().collect();
@@ -145,8 +132,16 @@ impl Wire for KvStore {
             let v = &self.data[&k];
             out.put_u64(k);
             out.put_u32(v.len() as u32);
-            out.extend_from_slice(&v.0);
+            out.put_slice(&v.0);
         }
+    }
+
+    /// The one length in the workspace not counted from its encoder:
+    /// the encoder sorts the keys, and sizing must neither sort nor
+    /// allocate. 12 bytes of `applied` and count, 12 per entry, and the
+    /// values.
+    fn wire_len(&self) -> usize {
+        12 + self.data.values().map(|v| 12 + v.len()).sum::<usize>()
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -209,7 +204,9 @@ mod tests {
         kv.apply(&Operation::Put(1, Value::zeros(0)));
         kv.apply(&Operation::Get(3));
         let bytes = kv.encode();
-        assert_eq!(bytes.len(), kv.encoded_bytes());
+        assert_eq!(bytes.len(), kv.wire_len());
+        let walked = simnet::wire::WireLen::of(|len| kv.put(len));
+        assert_eq!(walked, kv.wire_len(), "the direct length is the encoder's");
         let back = KvStore::decode_frame(&bytes.into()).expect("decodes");
         assert_eq!(back.fingerprint(), kv.fingerprint());
         assert_eq!(back.applied(), kv.applied());

@@ -84,9 +84,7 @@ pub use ballot::Ballot;
 pub use batch::{BatchConfig, BatchPush, Batcher, RateEstimator, ReplyBatcher, ReplyCoalesce};
 pub use client::{ClientRecorder, ClosedLoopClient, Sample, TargetPolicy};
 pub use cluster::ClusterConfig;
-pub use command::{
-    ClientReply, ClientRequest, Command, Key, Operation, RequestId, Value, HEADER_BYTES,
-};
+pub use command::{ClientReply, ClientRequest, Command, Key, Operation, RequestId, Value};
 pub use envelope::{Envelope, ProtoMessage};
 pub use experiment::{Experiment, ProtocolSpec};
 pub use harness::{

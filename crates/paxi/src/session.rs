@@ -143,27 +143,6 @@ impl SessionTable {
         }
     }
 
-    /// Exact serialized size of the table under [`Wire`] (wire
-    /// accounting for snapshots that carry it): table header (8) + per
-    /// session client + latest + reply count (16) + per reply seq +
-    /// meta (10) + value bytes + redirect (4 when present).
-    pub fn approx_bytes(&self) -> usize {
-        8 + self
-            .sessions
-            .values()
-            .map(|s| {
-                16 + s
-                    .replies
-                    .iter()
-                    .map(|r| {
-                        10 + r.value.as_ref().map_or(0, |v| v.len())
-                            + if r.redirect.is_some() { 4 } else { 0 }
-                    })
-                    .sum::<usize>()
-            })
-            .sum::<usize>()
-    }
-
     /// True if `id` fell off the *full* retained reply window — a stale
     /// duplicate that must not be re-proposed (the client has already
     /// received a newer reply and moved on). A sparse window (fewer
@@ -199,7 +178,7 @@ impl Wire for SessionTable {
     /// present, bit 14 ok, bit 13 redirect present, low 13 bits the
     /// value length — capped at 8191 bytes), value bytes, and a
     /// `redirect: u32` when present.
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn put<W: WirePut>(&self, out: &mut W) {
         out.put_u32(self.window as u32);
         out.put_u32(self.sessions.len() as u32);
         for (client, s) in &self.sessions {
@@ -225,7 +204,7 @@ impl Wire for SessionTable {
                 out.put_u64(reply.id.seq);
                 out.put_u16(meta);
                 if let Some(v) = &reply.value {
-                    out.extend_from_slice(&v.0);
+                    out.put_slice(&v.0);
                 }
                 if let Some(n) = reply.redirect {
                     out.put_u32(n.0);
@@ -380,7 +359,6 @@ mod tests {
         assert!(t.replay(id(1, 4)).is_some(), "own reply kept");
         assert!(t.replay(id(2, 7)).is_some());
         assert_eq!(t.latest_seq(NodeId(1)), Some(4), "highest latest wins");
-        assert!(t.approx_bytes() > 0);
     }
 
     #[test]
@@ -390,7 +368,7 @@ mod tests {
         t.record(&ClientReply::ok(id(1, 4), None));
         t.record(&ClientReply::redirect(id(2, 1), Some(NodeId(0))));
         let bytes = t.encode();
-        assert_eq!(bytes.len(), t.approx_bytes(), "approx_bytes is exact");
+        assert_eq!(bytes.len(), t.wire_len(), "wire_len is exact");
         let back = SessionTable::decode_frame(&bytes.clone().into()).expect("decodes");
         assert_eq!(back.replay(id(1, 3)), t.replay(id(1, 3)));
         assert_eq!(back.replay(id(2, 1)), t.replay(id(2, 1)));

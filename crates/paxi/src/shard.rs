@@ -61,7 +61,7 @@ use crate::kv::KvStore;
 use crate::replica::{Replica, ReplicaActor};
 use crate::session::SessionTable;
 use crate::snapshot::Snapshot;
-use simnet::wire::{WireHeader, DOMAIN_SHARD, WIRE_HEADER_BYTES};
+use simnet::wire::{WireHeader, DOMAIN_SHARD};
 use simnet::{
     Actor, Context, Effect, NodeId, SimDuration, TimerId, Wire, WireError, WirePut, WireReader,
 };
@@ -220,12 +220,6 @@ impl ShardMap {
             && self.starts[0].0 == 0
             && self.starts.windows(2).all(|w| w[0].0 < w[1].0)
     }
-
-    /// Exact [`Wire`] encoding size: version (8) + count (4) + 12 bytes
-    /// per `(start, group)` entry.
-    pub fn wire_bytes(&self) -> usize {
-        12 + 12 * self.starts.len()
-    }
 }
 
 impl Wire for ShardMap {
@@ -233,7 +227,7 @@ impl Wire for ShardMap {
 
     /// `version: u64`, `count: u32`, then `count` entries of
     /// `start: u64`, `group: u32` — already sorted, so deterministic.
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn put<W: WirePut>(&self, out: &mut W) {
         out.put_u64(self.version);
         out.put_u32(self.starts.len() as u32);
         for &(start, group) in &self.starts {
@@ -303,17 +297,6 @@ const SHARD_KIND_INSTALL_ACK: u8 = 2;
 const SHARD_KIND_MAP_UPDATE: u8 = 3;
 
 impl ShardCtl {
-    /// Serialized size in bytes (header + variant body); equals the
-    /// [`Wire`] encoding length exactly.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            // version + start + end-presence byte + end + snapshot.
-            ShardCtl::Install { snapshot, .. } => WIRE_HEADER_BYTES + 25 + snapshot.wire_bytes(),
-            ShardCtl::InstallAck { .. } => WIRE_HEADER_BYTES + 8,
-            ShardCtl::MapUpdate { map } => WIRE_HEADER_BYTES + map.wire_bytes(),
-        }
-    }
-
     /// Short label for traces and per-label delivery counts.
     pub fn label(&self) -> &'static str {
         match self {
@@ -327,29 +310,30 @@ impl ShardCtl {
 impl Wire for ShardCtl {
     const KIND: &'static str = "ShardCtl";
 
-    /// Standard 24-byte header under [`DOMAIN_SHARD`]; bodies are plain
-    /// little-endian fields (see [`ShardCtl::wire_size`] for layouts).
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    /// Standard header under [`DOMAIN_SHARD`]; bodies are plain
+    /// little-endian fields. `Install` writes the version, the range
+    /// start, an end-presence byte and the end, then the snapshot.
+    fn put<W: WirePut>(&self, out: &mut W) {
         match self {
             ShardCtl::Install {
                 version,
                 range,
                 snapshot,
             } => {
-                WireHeader::new(DOMAIN_SHARD, SHARD_KIND_INSTALL).encode_into(out);
+                out.put_wire(&WireHeader::new(DOMAIN_SHARD, SHARD_KIND_INSTALL));
                 out.put_u64(*version);
                 out.put_u64(range.start);
                 out.put_u8(range.end.is_some() as u8);
                 out.put_u64(range.end.unwrap_or(0));
-                snapshot.encode_into(out);
+                out.put_wire(&**snapshot);
             }
             ShardCtl::InstallAck { version } => {
-                WireHeader::new(DOMAIN_SHARD, SHARD_KIND_INSTALL_ACK).encode_into(out);
+                out.put_wire(&WireHeader::new(DOMAIN_SHARD, SHARD_KIND_INSTALL_ACK));
                 out.put_u64(*version);
             }
             ShardCtl::MapUpdate { map } => {
-                WireHeader::new(DOMAIN_SHARD, SHARD_KIND_MAP_UPDATE).encode_into(out);
-                map.encode_into(out);
+                out.put_wire(&WireHeader::new(DOMAIN_SHARD, SHARD_KIND_MAP_UPDATE));
+                out.put_wire(map);
             }
         }
     }
@@ -1014,7 +998,7 @@ mod tests {
         map.split(123);
         map.move_range(123, 2);
         let bytes = map.encode();
-        assert_eq!(bytes.len(), map.wire_bytes());
+        assert_eq!(bytes.len(), map.wire_len());
         assert_eq!(ShardMap::decode_frame(&bytes.into()).expect("decodes"), map);
     }
 
@@ -1048,7 +1032,7 @@ mod tests {
         ];
         for ctl in ctls {
             let bytes = ctl.encode();
-            assert_eq!(bytes.len(), ctl.wire_size(), "size contract for {ctl:?}");
+            assert_eq!(bytes.len(), ctl.wire_len(), "size contract for {ctl:?}");
             assert_eq!(ShardCtl::decode_frame(&bytes.into()).expect("decodes"), ctl);
         }
     }

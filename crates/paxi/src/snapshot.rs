@@ -149,16 +149,6 @@ impl Snapshot {
             sessions: sessions.clone(),
         }
     }
-
-    /// Exact serialized size under [`Wire`]: `up_to` (8) + the encoded
-    /// key-value state + freshness-index count (4) + 16 bytes per
-    /// `(key, slot)` pair + the encoded session table.
-    pub fn wire_bytes(&self) -> usize {
-        8 + self.kv.encoded_bytes()
-            + 4
-            + self.last_write_slots.len() * 16
-            + self.sessions.approx_bytes()
-    }
 }
 
 impl Wire for Snapshot {
@@ -166,16 +156,16 @@ impl Wire for Snapshot {
 
     /// `up_to: u64`, the [`KvStore`] encoding, `index count: u32` +
     /// `(key: u64, slot: u64)` pairs, then the [`SessionTable`]
-    /// encoding. Always exactly [`Snapshot::wire_bytes`] bytes.
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    /// encoding.
+    fn put<W: WirePut>(&self, out: &mut W) {
         out.put_u64(self.up_to);
-        self.kv.encode_into(out);
+        out.put_wire(&self.kv);
         out.put_u32(self.last_write_slots.len() as u32);
         for (key, slot) in &self.last_write_slots {
             out.put_u64(*key);
             out.put_u64(*slot);
         }
-        self.sessions.encode_into(out);
+        out.put_wire(&self.sessions);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -349,7 +339,7 @@ mod tests {
 
     #[test]
     fn snapshot_wire_bytes_scale_with_state() {
-        assert!(snap(5, 10).wire_bytes() > snap(5, 2).wire_bytes());
+        assert!(snap(5, 10).wire_len() > snap(5, 2).wire_len());
     }
 
     #[test]
@@ -363,10 +353,10 @@ mod tests {
             Some(Value::zeros(12)),
         ));
         let bytes = s.encode();
-        assert_eq!(bytes.len(), s.wire_bytes(), "wire_bytes is exact");
+        assert_eq!(bytes.len(), s.wire_len(), "wire_len is exact");
         let back = Snapshot::decode_frame(&bytes.into()).expect("decodes");
         assert_eq!(back, s);
-        assert_eq!(back.sessions.approx_bytes(), s.sessions.approx_bytes());
+        assert_eq!(back.sessions.encode(), s.sessions.encode());
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //! embed [`Command`]s in their own messages, so the byte layout of a
 //! command is identical wherever it appears.
 //!
-//! Every encoding length equals the corresponding `wire_size()` — the
-//! simulator's byte accounting is the socket substrate's byte
-//! accounting. See `tests/wire_roundtrip.rs` for the property tests
-//! asserting both directions.
+//! Every `wire_size()` here is its encoder counted ([`Wire::wire_len`]),
+//! so the simulator's byte accounting is the socket substrate's byte
+//! accounting. See `tests/wire_roundtrip.rs` for the roundtrip property
+//! tests and `tests/wire_sizes.rs` for the recorded sizes.
 
 use crate::ballot::Ballot;
 use crate::command::{ClientReply, ClientRequest, Command, Operation, RequestId, Value};
 use crate::envelope::{Envelope, ProtoMessage};
-use simnet::wire::DOMAIN_CLIENT;
+use simnet::wire::{WireLen, DOMAIN_CLIENT};
 use simnet::{NodeId, Wire, WireError, WireHeader, WirePut, WireReader};
 
 /// Envelope kind tag: [`Envelope::Request`].
@@ -52,24 +52,24 @@ pub fn command_value_len(cmd: &Command) -> usize {
     }
 }
 
-/// Encode a command body: request id (12 bytes), key (8 bytes, absent
+/// Write a command body: request id (12 bytes), key (8 bytes, absent
 /// for `Noop`), then the raw value bytes (`Put` only, no length — the
 /// caller's metadata or the frame end delimits it). Together with the
 /// caller-encoded operation tag this is exactly
 /// [`Command::payload_bytes`] bytes.
-pub fn encode_command_body(cmd: &Command, out: &mut Vec<u8>) {
-    cmd.id.encode_into(out);
+pub fn put_command_body<W: WirePut>(cmd: &Command, out: &mut W) {
+    out.put_wire(&cmd.id);
     match &cmd.op {
         Operation::Get(k) => out.put_u64(*k),
         Operation::Put(k, v) => {
             out.put_u64(*k);
-            out.extend_from_slice(&v.0);
+            out.put_slice(&v.0);
         }
         Operation::Noop => {}
     }
 }
 
-/// Decode a command body written by [`encode_command_body`]. `tag` is
+/// Decode a command body written by [`put_command_body`]. `tag` is
 /// the operation tag the caller carried; `value_len` is the value's
 /// byte count for sized embeddings, or `None` for a trailing value
 /// (consumes the rest of the frame). The value comes from
@@ -106,7 +106,7 @@ pub fn decode_command_body(
 impl Wire for Ballot {
     const KIND: &'static str = "Ballot";
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn put<W: WirePut>(&self, out: &mut W) {
         out.put_u64(((self.round() as u64) << 32) | self.node().0 as u64);
     }
 
@@ -119,7 +119,7 @@ impl Wire for Ballot {
 impl Wire for RequestId {
     const KIND: &'static str = "RequestId";
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn put<W: WirePut>(&self, out: &mut W) {
         out.put_u32(self.client.0);
         out.put_u64(self.seq);
     }
@@ -135,11 +135,9 @@ impl Wire for RequestId {
 impl Wire for ClientRequest {
     const KIND: &'static str = "ClientRequest";
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        WireHeader::new(DOMAIN_CLIENT, KIND_REQUEST)
-            .flags(op_tag(&self.command.op))
-            .encode_into(out);
-        encode_command_body(&self.command, out);
+    fn put<W: WirePut>(&self, out: &mut W) {
+        out.put_wire(&WireHeader::new(DOMAIN_CLIENT, KIND_REQUEST).flags(op_tag(&self.command.op)));
+        put_command_body(&self.command, out);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -158,7 +156,7 @@ const REPLY_REDIRECT: u8 = 1 << 2;
 impl Wire for ClientReply {
     const KIND: &'static str = "ClientReply";
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn put<W: WirePut>(&self, out: &mut W) {
         let mut flags = 0u8;
         if self.ok {
             flags |= REPLY_OK;
@@ -169,13 +167,13 @@ impl Wire for ClientReply {
         if self.redirect.is_some() {
             flags |= REPLY_REDIRECT;
         }
-        WireHeader::new(DOMAIN_CLIENT, KIND_REPLY)
+        let header = WireHeader::new(DOMAIN_CLIENT, KIND_REPLY)
             .flags(flags)
-            .aux0(self.redirect.map_or(0, |n| n.0))
-            .encode_into(out);
-        self.id.encode_into(out);
+            .aux0(self.redirect.map_or(0, |n| n.0));
+        out.put_wire(&header);
+        out.put_wire(&self.id);
         if let Some(v) = &self.value {
-            out.extend_from_slice(&v.0);
+            out.put_slice(&v.0);
         }
     }
 
@@ -220,7 +218,7 @@ pub(crate) fn fits_reply_batch(reply: &ClientReply) -> bool {
     len <= BMETA_PAYLOAD as usize && redirect <= BMETA_PAYLOAD as u32
 }
 
-fn encode_batched_reply(reply: &ClientReply, out: &mut Vec<u8>) {
+fn put_batched_reply<W: WirePut>(reply: &ClientReply, out: &mut W) {
     let mut meta = 0u16;
     if reply.ok {
         meta |= BMETA_OK;
@@ -248,10 +246,24 @@ fn encode_batched_reply(reply: &ClientReply, out: &mut Vec<u8>) {
         }
     }
     out.put_u16(meta);
-    reply.id.encode_into(out);
+    out.put_wire(&reply.id);
     if let Some(v) = &reply.value {
-        out.extend_from_slice(&v.0);
+        out.put_slice(&v.0);
     }
+}
+
+/// A [`Envelope::ReplyBatch`]: one shared header, then each reply with a
+/// 2-byte metadata word in place of its own header.
+fn put_reply_batch<W: WirePut>(replies: &[ClientReply], out: &mut W) {
+    out.put_wire(&WireHeader::new(DOMAIN_CLIENT, KIND_REPLY_BATCH).aux0(replies.len() as u32));
+    for reply in replies {
+        put_batched_reply(reply, out);
+    }
+}
+
+/// The encoded length of a [`Envelope::ReplyBatch`] of `replies`.
+pub(crate) fn reply_batch_len(replies: &[ClientReply]) -> usize {
+    WireLen::of(|len| put_reply_batch(replies, len))
 }
 
 fn decode_batched_reply(r: &mut WireReader<'_>) -> Result<ClientReply, WireError> {
@@ -278,20 +290,13 @@ fn decode_batched_reply(r: &mut WireReader<'_>) -> Result<ClientReply, WireError
 impl<P: ProtoMessage + Wire> Wire for Envelope<P> {
     const KIND: &'static str = "Envelope";
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn put<W: WirePut>(&self, out: &mut W) {
         match self {
-            Envelope::Request(req) => req.encode_into(out),
-            Envelope::Reply(rep) => rep.encode_into(out),
-            Envelope::ReplyBatch(reps) => {
-                WireHeader::new(DOMAIN_CLIENT, KIND_REPLY_BATCH)
-                    .aux0(reps.len() as u32)
-                    .encode_into(out);
-                for rep in reps {
-                    encode_batched_reply(rep, out);
-                }
-            }
-            Envelope::Shard(c) => c.encode_into(out),
-            Envelope::Proto(p) => p.encode_into(out),
+            Envelope::Request(req) => out.put_wire(req),
+            Envelope::Reply(rep) => out.put_wire(rep),
+            Envelope::ReplyBatch(reps) => put_reply_batch(reps, out),
+            Envelope::Shard(c) => out.put_wire(c),
+            Envelope::Proto(p) => out.put_wire(p),
         }
     }
 
@@ -329,7 +334,6 @@ impl<P: ProtoMessage + Wire> Wire for Envelope<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::wire::WIRE_HEADER_BYTES;
     use simnet::{Bytes, Message};
 
     fn rid(client: u32, seq: u64) -> RequestId {
@@ -343,12 +347,12 @@ mod tests {
     struct Nul;
     impl ProtoMessage for Nul {
         fn wire_size(&self) -> usize {
-            WIRE_HEADER_BYTES
+            self.wire_len()
         }
     }
     impl Wire for Nul {
-        fn encode_into(&self, out: &mut Vec<u8>) {
-            WireHeader::new(9, 0).encode_into(out);
+        fn put<W: WirePut>(&self, out: &mut W) {
+            out.put_wire(&WireHeader::new(9, 0));
         }
         fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
             WireHeader::decode(r)?;

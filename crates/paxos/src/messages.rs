@@ -7,8 +7,8 @@
 //! paper's observation that the relay/aggregate overlay changes only the
 //! communication implementation, not the protocol.
 
-use paxi::wire::{decode_command_body, op_tag};
-use paxi::{Ballot, Command, Key, ProtoMessage, Snapshot, Value, HEADER_BYTES};
+use paxi::wire::{decode_command_body, op_tag, put_command_body};
+use paxi::{Ballot, Command, Key, ProtoMessage, Snapshot, Value};
 use simnet::wire::DOMAIN_PAXOS;
 use simnet::{NodeId, Wire, WireError, WireHeader, WirePut, WireReader};
 use std::sync::Arc;
@@ -64,12 +64,6 @@ pub struct QrVoteEntry {
     pub pending_write: bool,
 }
 
-impl QrVoteEntry {
-    fn wire_bytes(&self) -> usize {
-        13 + self.value.as_ref().map_or(0, |v| v.len())
-    }
-}
-
 /// Every wire label a quorum-read probe or answer can travel under —
 /// single probes and batched waves. Benchmarks and tests sum delivered
 /// messages over this list to get "probe msgs/op"; keeping it next to
@@ -91,12 +85,6 @@ pub struct QrProbe {
     pub key: Key,
 }
 
-impl QrProbe {
-    fn wire_bytes(&self) -> usize {
-        8 + 4 + 8
-    }
-}
-
 /// One replica's answer to one probe of a batched quorum read: the
 /// probe's `(id, attempt)` echo plus the replica's [`QrVoteEntry`].
 /// Relay aggregation of [`PaxosMsg::QrVoteBatch`] is plain
@@ -109,12 +97,6 @@ pub struct QrProbeVote {
     pub attempt: u32,
     /// The replica's answer.
     pub entry: QrVoteEntry,
-}
-
-impl QrProbeVote {
-    fn wire_bytes(&self) -> usize {
-        8 + 4 + self.entry.wire_bytes()
-    }
 }
 
 /// Multi-Paxos protocol messages.
@@ -279,69 +261,9 @@ pub enum PaxosMsg {
     },
 }
 
-impl PaxosMsg {
-    fn votes_bytes_p1(votes: &[P1bVote]) -> usize {
-        votes
-            .iter()
-            .map(|v| {
-                // 14 = node (4) + ballot (8) + flags (1) + accepted
-                // count (1); a count >= 255 escapes to an extra u32.
-                14 + if v.accepted.len() >= 255 { 4 } else { 0 }
-                    + v.accepted
-                        .iter()
-                        .map(|(_, _, c)| 16 + c.payload_bytes())
-                        .sum::<usize>()
-                    + v.snapshot.as_ref().map_or(0, |s| s.wire_bytes())
-            })
-            .sum()
-    }
-}
-
 impl ProtoMessage for PaxosMsg {
     fn wire_size(&self) -> usize {
-        HEADER_BYTES
-            + match self {
-                PaxosMsg::P1a { .. } => 16,
-                PaxosMsg::P1b { votes, .. } => 8 + PaxosMsg::votes_bytes_p1(votes),
-                PaxosMsg::P2a { command, .. } => 8 + 8 + 8 + command.payload_bytes(),
-                PaxosMsg::P2b { votes, .. } => 16 + votes.len() * 14,
-                PaxosMsg::P2aBatch { commands, .. } => {
-                    8 + 8
-                        + 8
-                        + commands
-                            .iter()
-                            .map(|c| 4 + c.payload_bytes())
-                            .sum::<usize>()
-                }
-                PaxosMsg::P2bBatch { votes, .. } => 24 + votes.len() * 14,
-                PaxosMsg::Heartbeat { .. } => 16,
-                PaxosMsg::LearnReq { slots } => 8 + slots.len() * 8,
-                PaxosMsg::LearnRep { entries, .. } => {
-                    8 + entries
-                        .iter()
-                        .map(|(_, c)| 8 + c.payload_bytes())
-                        .sum::<usize>()
-                }
-                PaxosMsg::SnapshotTransfer {
-                    snapshot, entries, ..
-                } => {
-                    8 + snapshot.wire_bytes()
-                        + entries
-                            .iter()
-                            .map(|(_, c)| 8 + c.payload_bytes())
-                            .sum::<usize>()
-                }
-                PaxosMsg::QrRead { .. } => 24,
-                PaxosMsg::QrVote { votes, .. } => {
-                    16 + votes.iter().map(|v| v.wire_bytes()).sum::<usize>()
-                }
-                PaxosMsg::QrReadBatch { probes, .. } => {
-                    12 + probes.iter().map(|p| p.wire_bytes()).sum::<usize>()
-                }
-                PaxosMsg::QrVoteBatch { votes, .. } => {
-                    12 + votes.iter().map(|v| v.wire_bytes()).sum::<usize>()
-                }
-            }
+        self.wire_len()
     }
 
     fn label(&self) -> &'static str {
@@ -365,8 +287,8 @@ impl ProtoMessage for PaxosMsg {
 }
 
 // ---------------------------------------------------------------------
-// Wire codec. Every variant's encoding is exactly `wire_size()` bytes;
-// see `simnet::wire` for the framing format and packing conventions.
+// Wire codec, which `wire_size()` counts; see `simnet::wire` for the
+// framing format and packing conventions.
 // ---------------------------------------------------------------------
 
 const KIND_P1A: u8 = 0;
@@ -390,7 +312,7 @@ const KIND_QR_VOTE_BATCH: u8 = 13;
 /// larger write at admission, so no such entry ever reaches a log.
 pub(crate) const META_LEN_MAX: usize = (1 << 14) - 1;
 
-fn encode_entry_meta(cmd: &Command, out: &mut Vec<u8>) {
+fn put_entry_meta<W: WirePut>(cmd: &Command, out: &mut W) {
     let len = paxi::wire::command_value_len(cmd);
     assert!(
         len <= META_LEN_MAX,
@@ -405,12 +327,11 @@ fn decode_entry_command(r: &mut WireReader<'_>) -> Result<Command, WireError> {
 }
 
 /// `(slot, command)` pair inside LearnRep / SnapshotTransfer: slot as
-/// u48 + entry meta (8 bytes total of prefix, matching the arithmetic's
-/// `8 + payload` per entry), then the sized command body.
-fn encode_learn_entry(slot: u64, cmd: &Command, out: &mut Vec<u8>) {
+/// u48 + entry meta (8 bytes of prefix), then the sized command body.
+fn put_learn_entry<W: WirePut>(slot: u64, cmd: &Command, out: &mut W) {
     out.put_u48(slot);
-    encode_entry_meta(cmd, out);
-    paxi::wire::encode_command_body(cmd, out);
+    put_entry_meta(cmd, out);
+    put_command_body(cmd, out);
 }
 
 fn decode_learn_entry(r: &mut WireReader<'_>) -> Result<(u64, Command), WireError> {
@@ -421,9 +342,9 @@ fn decode_learn_entry(r: &mut WireReader<'_>) -> Result<(u64, Command), WireErro
 const P1B_OK: u8 = 1 << 0;
 const P1B_SNAPSHOT: u8 = 1 << 1;
 
-fn encode_p1b_vote(v: &P1bVote, out: &mut Vec<u8>) {
+fn put_p1b_vote<W: WirePut>(v: &P1bVote, out: &mut W) {
     out.put_u32(v.node.0);
-    v.ballot.encode_into(out);
+    out.put_wire(&v.ballot);
     let mut flags = 0u8;
     if v.ok {
         flags |= P1B_OK;
@@ -440,12 +361,12 @@ fn encode_p1b_vote(v: &P1bVote, out: &mut Vec<u8>) {
     }
     for (slot, ballot, cmd) in &v.accepted {
         out.put_u48(*slot);
-        ballot.encode_into(out);
-        encode_entry_meta(cmd, out);
-        paxi::wire::encode_command_body(cmd, out);
+        out.put_wire(ballot);
+        put_entry_meta(cmd, out);
+        put_command_body(cmd, out);
     }
     if let Some(s) = &v.snapshot {
-        s.encode_into(out);
+        out.put_wire(&**s);
     }
 }
 
@@ -480,11 +401,10 @@ fn decode_p1b_vote(r: &mut WireReader<'_>) -> Result<P1bVote, WireError> {
 
 /// P2b votes pack `(ok, slot)` into a u16: bit 15 = ok, low 15 bits =
 /// the vote's slot as a delta from the enclosing message's base slot
-/// (`slot` for P2b, `first_slot` for P2bBatch) — 14 bytes per vote, as
-/// charged.
-fn encode_p2b_vote(v: &P2bVote, base: u64, out: &mut Vec<u8>) {
+/// (`slot` for P2b, `first_slot` for P2bBatch) — 14 bytes per vote.
+fn put_p2b_vote<W: WirePut>(v: &P2bVote, base: u64, out: &mut W) {
     out.put_u32(v.node.0);
-    v.ballot.encode_into(out);
+    out.put_wire(&v.ballot);
     let delta = v
         .slot
         .checked_sub(base)
@@ -511,7 +431,7 @@ fn decode_p2b_vote(base: u64, r: &mut WireReader<'_>) -> Result<P2bVote, WireErr
 const QR_PENDING: u8 = 1 << 0;
 const QR_VALUE: u8 = 1 << 1;
 
-fn encode_qr_entry(e: &QrVoteEntry, out: &mut Vec<u8>) {
+fn put_qr_entry<W: WirePut>(e: &QrVoteEntry, out: &mut W) {
     out.put_u32(e.node.0);
     out.put_u48(e.value_slot);
     let mut flags = 0u8;
@@ -526,7 +446,7 @@ fn encode_qr_entry(e: &QrVoteEntry, out: &mut Vec<u8>) {
     assert!(len <= u16::MAX as usize, "qr value of {len}B overflows u16");
     out.put_u16(len as u16);
     if let Some(v) = &e.value {
-        out.extend_from_slice(&v.0);
+        out.put_slice(&v.0);
     }
 }
 
@@ -555,28 +475,18 @@ fn header(kind: u8) -> WireHeader {
 impl Wire for PaxosMsg {
     const KIND: &'static str = "PaxosMsg";
 
-    /// One-pass encode: `wire_size` is exact (`encode().len() ==
-    /// wire_size()` is the schema invariant), so sizing the buffer up
-    /// front makes serialization a single allocation with no growth
-    /// reallocs — the same buffer discipline the net framing uses.
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(paxi::ProtoMessage::wire_size(self));
-        self.encode_into(&mut out);
-        out
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn put<W: WirePut>(&self, out: &mut W) {
         match self {
             PaxosMsg::P1a { ballot, from } => {
-                header(KIND_P1A).encode_into(out);
-                ballot.encode_into(out);
+                out.put_wire(&header(KIND_P1A));
+                out.put_wire(ballot);
                 out.put_u64(*from);
             }
             PaxosMsg::P1b { ballot, votes } => {
-                header(KIND_P1B).aux0(votes.len() as u32).encode_into(out);
-                ballot.encode_into(out);
+                out.put_wire(&header(KIND_P1B).aux0(votes.len() as u32));
+                out.put_wire(ballot);
                 for v in votes {
-                    encode_p1b_vote(v, out);
+                    put_p1b_vote(v, out);
                 }
             }
             PaxosMsg::P2a {
@@ -585,22 +495,22 @@ impl Wire for PaxosMsg {
                 command,
                 commit_up_to,
             } => {
-                header(KIND_P2A).flags(op_tag(&command.op)).encode_into(out);
-                ballot.encode_into(out);
+                out.put_wire(&header(KIND_P2A).flags(op_tag(&command.op)));
+                out.put_wire(ballot);
                 out.put_u64(*slot);
                 out.put_u64(*commit_up_to);
-                paxi::wire::encode_command_body(command, out);
+                put_command_body(command, out);
             }
             PaxosMsg::P2b {
                 ballot,
                 slot,
                 votes,
             } => {
-                header(KIND_P2B).aux0(votes.len() as u32).encode_into(out);
-                ballot.encode_into(out);
+                out.put_wire(&header(KIND_P2B).aux0(votes.len() as u32));
+                out.put_wire(ballot);
                 out.put_u64(*slot);
                 for v in votes {
-                    encode_p2b_vote(v, *slot, out);
+                    put_p2b_vote(v, *slot, out);
                 }
             }
             PaxosMsg::P2aBatch {
@@ -609,20 +519,17 @@ impl Wire for PaxosMsg {
                 commands,
                 commit_up_to,
             } => {
-                header(KIND_P2A_BATCH)
-                    .aux0(commands.len() as u32)
-                    .encode_into(out);
-                ballot.encode_into(out);
+                out.put_wire(&header(KIND_P2A_BATCH).aux0(commands.len() as u32));
+                out.put_wire(ballot);
                 out.put_u64(*first_slot);
                 out.put_u64(*commit_up_to);
                 for cmd in commands.iter() {
-                    // 4-byte prefix per command: op tag u8 + value len
-                    // u24 (the batch arithmetic's `4 + payload`).
+                    // 4-byte prefix per command: op tag u8 + value len u24.
                     let len = paxi::wire::command_value_len(cmd);
                     assert!(len < (1 << 24), "batched value of {len}B overflows u24");
                     out.put_u8(op_tag(&cmd.op));
-                    out.extend_from_slice(&(len as u32).to_le_bytes()[..3]);
-                    paxi::wire::encode_command_body(cmd, out);
+                    out.put_slice(&(len as u32).to_le_bytes()[..3]);
+                    put_command_body(cmd, out);
                 }
             }
             PaxosMsg::P2bBatch {
@@ -631,38 +538,34 @@ impl Wire for PaxosMsg {
                 last_slot,
                 votes,
             } => {
-                header(KIND_P2B_BATCH)
-                    .aux0(votes.len() as u32)
-                    .encode_into(out);
-                ballot.encode_into(out);
+                out.put_wire(&header(KIND_P2B_BATCH).aux0(votes.len() as u32));
+                out.put_wire(ballot);
                 out.put_u64(*first_slot);
                 out.put_u64(*last_slot);
                 for v in votes {
-                    encode_p2b_vote(v, *first_slot, out);
+                    put_p2b_vote(v, *first_slot, out);
                 }
             }
             PaxosMsg::Heartbeat {
                 ballot,
                 commit_up_to,
             } => {
-                header(KIND_HEARTBEAT).encode_into(out);
-                ballot.encode_into(out);
+                out.put_wire(&header(KIND_HEARTBEAT));
+                out.put_wire(ballot);
                 out.put_u64(*commit_up_to);
             }
             PaxosMsg::LearnReq { slots } => {
-                header(KIND_LEARN_REQ).encode_into(out);
+                out.put_wire(&header(KIND_LEARN_REQ));
                 out.put_u64(slots.len() as u64);
                 for s in slots {
                     out.put_u64(*s);
                 }
             }
             PaxosMsg::LearnRep { ballot, entries } => {
-                header(KIND_LEARN_REP)
-                    .aux0(entries.len() as u32)
-                    .encode_into(out);
-                ballot.encode_into(out);
+                out.put_wire(&header(KIND_LEARN_REP).aux0(entries.len() as u32));
+                out.put_wire(ballot);
                 for (slot, cmd) in entries {
-                    encode_learn_entry(*slot, cmd, out);
+                    put_learn_entry(*slot, cmd, out);
                 }
             }
             PaxosMsg::SnapshotTransfer {
@@ -670,13 +573,11 @@ impl Wire for PaxosMsg {
                 snapshot,
                 entries,
             } => {
-                header(KIND_SNAPSHOT)
-                    .aux0(entries.len() as u32)
-                    .encode_into(out);
-                ballot.encode_into(out);
-                snapshot.encode_into(out);
+                out.put_wire(&header(KIND_SNAPSHOT).aux0(entries.len() as u32));
+                out.put_wire(ballot);
+                out.put_wire(&**snapshot);
                 for (slot, cmd) in entries {
-                    encode_learn_entry(*slot, cmd, out);
+                    put_learn_entry(*slot, cmd, out);
                 }
             }
             PaxosMsg::QrRead {
@@ -685,7 +586,7 @@ impl Wire for PaxosMsg {
                 attempt,
                 key,
             } => {
-                header(KIND_QR_READ).encode_into(out);
+                out.put_wire(&header(KIND_QR_READ));
                 out.put_u32(reader.0);
                 out.put_u64(*id);
                 out.put_u32(*attempt);
@@ -697,14 +598,12 @@ impl Wire for PaxosMsg {
                 attempt,
                 votes,
             } => {
-                header(KIND_QR_VOTE)
-                    .aux0(votes.len() as u32)
-                    .encode_into(out);
+                out.put_wire(&header(KIND_QR_VOTE).aux0(votes.len() as u32));
                 out.put_u32(reader.0);
                 out.put_u64(*id);
                 out.put_u32(*attempt);
                 for v in votes {
-                    encode_qr_entry(v, out);
+                    put_qr_entry(v, out);
                 }
             }
             PaxosMsg::QrReadBatch {
@@ -712,9 +611,7 @@ impl Wire for PaxosMsg {
                 wave,
                 probes,
             } => {
-                header(KIND_QR_READ_BATCH)
-                    .aux0(probes.len() as u32)
-                    .encode_into(out);
+                out.put_wire(&header(KIND_QR_READ_BATCH).aux0(probes.len() as u32));
                 out.put_u32(reader.0);
                 out.put_u64(*wave);
                 for p in probes {
@@ -728,15 +625,13 @@ impl Wire for PaxosMsg {
                 wave,
                 votes,
             } => {
-                header(KIND_QR_VOTE_BATCH)
-                    .aux0(votes.len() as u32)
-                    .encode_into(out);
+                out.put_wire(&header(KIND_QR_VOTE_BATCH).aux0(votes.len() as u32));
                 out.put_u32(reader.0);
                 out.put_u64(*wave);
                 for v in votes {
                     out.put_u64(v.id);
                     out.put_u32(v.attempt);
-                    encode_qr_entry(&v.entry, out);
+                    put_qr_entry(&v.entry, out);
                 }
             }
         }

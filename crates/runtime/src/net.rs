@@ -507,25 +507,27 @@ mod tests {
     use crate::event_loop::{mailbox, Loop};
     use crate::mem::Mem;
     use crate::Node;
-    use simnet::{Actor, Context, SimDuration, TimerId, WireError, WireHeader, WireReader};
+    use simnet::{
+        Actor, Context, SimDuration, TimerId, WireError, WireHeader, WirePut, WireReader,
+    };
     use std::sync::{mpsc, Arc, Mutex};
 
     #[derive(Debug, Clone, PartialEq)]
     struct Num(u64);
     impl Message for Num {
         fn wire_size(&self) -> usize {
-            32
+            self.wire_len()
         }
         fn label(&self) -> &'static str {
             "num"
         }
     }
     impl Wire for Num {
-        fn encode_into(&self, out: &mut Vec<u8>) {
+        fn put<W: WirePut>(&self, out: &mut W) {
             let mut h = WireHeader::new(9, 0);
             h.aux1 = self.0;
-            h.encode_into(out);
-            out.extend_from_slice(&[0u8; 8]);
+            out.put_wire(&h);
+            out.put_u64(0);
         }
         fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
             let h = WireHeader::decode(r)?;

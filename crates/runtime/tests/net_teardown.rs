@@ -6,20 +6,21 @@
 //! test runs beside it.
 
 use pig_runtime::{LoopRuntime, NetRunStats, NetRuntime, Runtime};
-use simnet::wire::WIRE_HEADER_BYTES;
-use simnet::{Actor, Context, Message, NodeId, TimerId, Wire, WireError, WireHeader, WireReader};
+use simnet::{
+    Actor, Context, Message, NodeId, TimerId, Wire, WireError, WireHeader, WirePut, WireReader,
+};
 use std::time::{Duration, Instant};
 
 #[derive(Debug, Clone)]
 struct Ping;
 impl Message for Ping {
     fn wire_size(&self) -> usize {
-        WIRE_HEADER_BYTES
+        self.wire_len()
     }
 }
 impl Wire for Ping {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        WireHeader::new(9, 0).encode_into(out);
+    fn put<W: WirePut>(&self, out: &mut W) {
+        out.put_wire(&WireHeader::new(9, 0));
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         WireHeader::decode(r).map(|_| Ping)

@@ -18,7 +18,9 @@ use rand::rngs::StdRng;
 /// payload-size experiments (paper Fig. 12) and aggregation savings
 /// (§6.4) measurable.
 pub trait Message: Clone + std::fmt::Debug + 'static {
-    /// Serialized size of this message in bytes.
+    /// Serialized size of this message in bytes. A type with a
+    /// [`Wire`](crate::Wire) encoding returns
+    /// [`Wire::wire_len`](crate::Wire::wire_len): its encoder, counted.
     fn wire_size(&self) -> usize;
 
     /// Short label for traces and debugging.

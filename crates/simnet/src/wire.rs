@@ -1,12 +1,14 @@
 //! The stable binary wire schema shared by every execution substrate.
 //!
-//! [`Message::wire_size`](crate::Message::wire_size) has always been the
-//! *contract* for how many bytes a message costs on the network — the
-//! simulator charges CPU and classifies WAN traffic by it. [`Wire`] makes
-//! that contract real: a type implementing it can be encoded to exactly
-//! `wire_size()` bytes and decoded back, so the socket substrate ships
-//! the same bytes the simulator charges for, and byte-level experiments
-//! transfer between substrates unchanged.
+//! The simulator charges CPU and classifies WAN traffic by
+//! [`Message::wire_size`](crate::Message::wire_size); the socket
+//! substrate ships [`Wire::encode`]. Both come from one definition per
+//! type: [`Wire::put`], the encoder, written once and generic over the
+//! [`WirePut`] sink it writes to. Encoding runs it into a `Vec<u8>`;
+//! [`Wire::wire_len`] runs it into a [`WireLen`], which writes nothing
+//! and counts. A message's size is its encoder, counted, so the bytes the
+//! simulator charges for are the bytes a socket carries, and byte-level
+//! experiments transfer between substrates unchanged.
 //!
 //! ## Framing format
 //!
@@ -23,9 +25,8 @@
 //! are transport overhead and are **not** part of `wire_size()` —
 //! exactly like TCP/IP headers are not part of an application payload.
 //!
-//! The payload itself always begins with a fixed 24-byte message header
-//! (the `HEADER_BYTES` every `wire_size()` implementation already
-//! charges), followed by a message-specific body:
+//! The payload itself always begins with a fixed message header of
+//! [`WIRE_HEADER_BYTES`] bytes, followed by a message-specific body:
 //!
 //! ```text
 //! byte 0        version        (currently 1)
@@ -42,11 +43,11 @@
 //! message (a command's value) — consume the rest of the frame, which
 //! the length prefix makes unambiguous.
 //!
-//! ## Size-packing conventions
+//! ## Packing conventions
 //!
-//! `wire_size()` predates the codec and its per-entry byte budgets are
-//! load-bearing (the perf baseline depends on them), so nested entries
-//! pack their metadata into exactly the budgeted bytes:
+//! Every simulated baseline was recorded with today's sizes
+//! (`tests/wire_sizes.rs` pins one of each message variant), so nested
+//! entries pack their metadata tightly:
 //!
 //! * **48-bit slots** — log slot numbers inside repeated entries
 //!   (quorum-read freshness slots, learn/snapshot tail entries, recovery
@@ -65,16 +66,14 @@
 //!
 //! Encoding is a pure function of the value: the same message always
 //! produces the same bytes (map-backed structures are serialized in
-//! sorted order). `encode(x).len() == x.wire_size()` is asserted by the
-//! roundtrip property tests for every message type in the workspace.
+//! sorted order).
 
 use std::fmt;
 
 pub use bytes::Bytes;
 
 /// Byte length of the fixed message header every encoded payload starts
-/// with. Equals the `HEADER_BYTES` constant protocol crates charge in
-/// `wire_size()`.
+/// with.
 pub const WIRE_HEADER_BYTES: usize = 24;
 
 /// Current schema version, byte 0 of every header.
@@ -142,18 +141,21 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// A type with a stable binary encoding whose length equals its
-/// [`Message::wire_size`](crate::Message::wire_size) (when it has one).
+/// A type with a stable binary encoding.
 ///
 /// Protocol message enums, the client envelope, and every nested value
 /// they carry implement this. The contract:
 ///
 /// 1. `decode(&mut WireReader::new(&x.encode().into())) == Ok(x)` —
 ///    lossless roundtrip;
-/// 2. for [`Message`](crate::Message) types,
-///    `x.encode().len() == x.wire_size()` — the simulator's byte
-///    accounting *is* the socket substrate's byte accounting;
+/// 2. for [`Message`](crate::Message) types, `x.wire_size()` is
+///    `x.wire_len()`: the size is the encoder, counted, so the
+///    simulator's byte accounting *is* the socket substrate's;
 /// 3. encoding is deterministic (no map-iteration-order dependence).
+///
+/// Implement [`Wire::put`]; encoding and sizing both run it. A type that
+/// can only write into a `Vec` may implement [`Wire::encode_into`]
+/// instead, and is then sized by encoding into a scratch buffer.
 pub trait Wire: Sized {
     /// Human-readable name of this message kind, carried into
     /// diagnostics ([`WireError::TrailingBytes`] names the kind that
@@ -161,17 +163,34 @@ pub trait Wire: Sized {
     /// small nested values that never head a frame.
     const KIND: &'static str = "value";
 
+    /// Write this value's encoding to `out`: the one definition of its
+    /// bytes. Nested values go through [`WirePut::put_wire`].
+    fn put<W: WirePut>(&self, out: &mut W) {
+        let mut bytes = Vec::new();
+        self.encode_into(&mut bytes);
+        out.put_slice(&bytes);
+    }
+
     /// Append this value's encoding to `out`.
-    fn encode_into(&self, out: &mut Vec<u8>);
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.put(out);
+    }
+
+    /// The length of this value's encoding, counted by running
+    /// [`Wire::put`] into a [`WireLen`]. A type that knows its length
+    /// without walking its contents may answer directly.
+    fn wire_len(&self) -> usize {
+        WireLen::of(|len| self.put(len))
+    }
 
     /// Decode one value, consuming exactly its bytes from the reader.
     /// Trailing-payload fields consume the reader's remaining bytes, so
     /// a value must be the last thing in its enclosing frame slice.
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError>;
 
-    /// Encode into a fresh buffer.
+    /// Encode into a fresh buffer of exactly [`Wire::wire_len`] bytes.
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
+        let mut out = Vec::with_capacity(self.wire_len());
         self.encode_into(&mut out);
         out
     }
@@ -329,7 +348,8 @@ impl<'a> WireReader<'a> {
     }
 }
 
-/// Little-endian append helpers for encoders.
+/// Where an encoder writes: a `Vec<u8>` collects the bytes, a
+/// [`WireLen`] counts them. Integers are little-endian.
 pub trait WirePut {
     /// Append one byte.
     fn put_u8(&mut self, v: u8);
@@ -341,6 +361,17 @@ pub trait WirePut {
     fn put_u48(&mut self, v: u64);
     /// Append a `u64`.
     fn put_u64(&mut self, v: u64);
+    /// Append raw bytes.
+    fn put_slice(&mut self, bytes: &[u8]);
+    /// Append a nested value's encoding. A [`WireLen`] adds the value's
+    /// [`Wire::wire_len`] instead, so a type that answers it directly
+    /// is not walked.
+    fn put_wire<T: Wire>(&mut self, value: &T)
+    where
+        Self: Sized,
+    {
+        value.put(self);
+    }
 }
 
 impl WirePut for Vec<u8> {
@@ -360,9 +391,52 @@ impl WirePut for Vec<u8> {
     fn put_u64(&mut self, v: u64) {
         self.extend_from_slice(&v.to_le_bytes());
     }
+    fn put_slice(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
 }
 
-/// The fixed 24-byte header starting every encoded message payload.
+/// A [`WirePut`] sink that writes nothing and counts the bytes: how
+/// [`Wire::wire_len`] measures an encoding without making it. Counting
+/// never allocates.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WireLen(pub usize);
+
+impl WireLen {
+    /// The number of bytes `body` puts.
+    pub fn of(body: impl FnOnce(&mut WireLen)) -> usize {
+        let mut len = WireLen(0);
+        body(&mut len);
+        len.0
+    }
+}
+
+impl WirePut for WireLen {
+    fn put_u8(&mut self, _: u8) {
+        self.0 += 1;
+    }
+    fn put_u16(&mut self, _: u16) {
+        self.0 += 2;
+    }
+    fn put_u32(&mut self, _: u32) {
+        self.0 += 4;
+    }
+    fn put_u48(&mut self, _: u64) {
+        self.0 += 6;
+    }
+    fn put_u64(&mut self, _: u64) {
+        self.0 += 8;
+    }
+    fn put_slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+    fn put_wire<T: Wire>(&mut self, value: &T) {
+        self.0 += value.wire_len();
+    }
+}
+
+/// The fixed header starting every encoded message payload
+/// ([`WIRE_HEADER_BYTES`] long).
 ///
 /// `aux0`/`aux1`/`aux2` are per-variant scratch (collection counts,
 /// small fixed fields); unused fields encode as zero so identical
@@ -404,9 +478,12 @@ impl WireHeader {
         self.aux0 = v;
         self
     }
+}
 
-    /// Append the 24 header bytes.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+impl Wire for WireHeader {
+    const KIND: &'static str = "WireHeader";
+
+    fn put<W: WirePut>(&self, out: &mut W) {
         out.put_u8(WIRE_VERSION);
         out.put_u8(self.domain);
         out.put_u8(self.kind);
@@ -416,8 +493,8 @@ impl WireHeader {
         out.put_u64(self.aux2);
     }
 
-    /// Consume and validate 24 header bytes.
-    pub fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    /// Consume and validate the header bytes.
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let version = r.u8("header.version")?;
         if version != WIRE_VERSION {
             return Err(WireError::BadVersion(version));
@@ -439,13 +516,18 @@ mod tests {
 
     #[test]
     fn primitive_roundtrip() {
+        fn put_all<W: WirePut>(out: &mut W) {
+            out.put_u8(7);
+            out.put_u16(0xABCD);
+            out.put_u32(0xDEAD_BEEF);
+            out.put_u48(0x0000_1234_5678_9ABC);
+            out.put_u64(u64::MAX);
+            out.put_slice(&[1, 2, 3]);
+        }
         let mut out = Vec::new();
-        out.put_u8(7);
-        out.put_u16(0xABCD);
-        out.put_u32(0xDEAD_BEEF);
-        out.put_u48(0x0000_1234_5678_9ABC);
-        out.put_u64(u64::MAX);
-        assert_eq!(out.len(), 1 + 2 + 4 + 6 + 8);
+        put_all(&mut out);
+        assert_eq!(out.len(), 1 + 2 + 4 + 6 + 8 + 3);
+        assert_eq!(WireLen::of(put_all), out.len(), "counting agrees");
         let frame = Bytes::from(out);
         let mut r = WireReader::new(&frame);
         assert_eq!(r.u8("a").unwrap(), 7);
@@ -453,7 +535,7 @@ mod tests {
         assert_eq!(r.u32("c").unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u48("d").unwrap(), 0x0000_1234_5678_9ABC);
         assert_eq!(r.u64("e").unwrap(), u64::MAX);
-        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.rest(), &[1, 2, 3]);
     }
 
     #[test]
@@ -475,6 +557,7 @@ mod tests {
         let mut out = Vec::new();
         h.encode_into(&mut out);
         assert_eq!(out.len(), WIRE_HEADER_BYTES);
+        assert_eq!(h.wire_len(), WIRE_HEADER_BYTES);
         let frame = Bytes::from(out);
         let mut r = WireReader::new(&frame);
         assert_eq!(WireHeader::decode(&mut r).unwrap(), h);
@@ -585,6 +668,9 @@ mod tests {
                 Ok(OneByte)
             }
         }
+        // Written only into a `Vec`, it is still sized and nestable.
+        assert_eq!(OneByte.wire_len(), 1);
+        assert_eq!(OneByte.encode(), [1]);
         let frame = Bytes::from(vec![1, 2, 3]);
         let err = OneByte::decode_frame(&frame).unwrap_err();
         assert_eq!(

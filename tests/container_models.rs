@@ -340,7 +340,7 @@ proptest! {
             }
             let bytes = table.encode();
             prop_assert_eq!(&bytes, &model.encode());
-            prop_assert_eq!(table.approx_bytes(), bytes.len());
+            prop_assert_eq!(table.wire_len(), bytes.len());
             let back = SessionTable::decode_frame(&bytes.clone().into()).expect("decodes");
             prop_assert_eq!(back.encode(), bytes);
         }

@@ -5,7 +5,7 @@ use pigpaxos::{GroupSpec, RelayGroups};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simnet::{NodeId, SimDuration};
+use simnet::{NodeId, SimDuration, Wire};
 
 fn cmd(seq: u64) -> Command {
     Command {
@@ -255,8 +255,8 @@ proptest! {
                 op: Operation::Put(1, Value::zeros(len)),
             },
         };
-        prop_assert!(req(a).wire_size() <= req(b).wire_size());
-        prop_assert_eq!(req(b).wire_size() - req(a).wire_size(), b - a);
+        prop_assert!(req(a).wire_len() <= req(b).wire_len());
+        prop_assert_eq!(req(b).wire_len() - req(a).wire_len(), b - a);
     }
 
     /// SimDuration arithmetic is consistent (no panics, ordering holds).

@@ -1,9 +1,8 @@
 //! Property tests for the wire schema: for every message type of every
-//! protocol, `encode` → `decode` reproduces the original value AND the
-//! encoded length equals `wire_size()` — the arithmetic the simulator's
-//! CPU cost model charges. The second half is the load-bearing one: it
-//! pins the declared sizes (which drive every simulated benchmark
-//! number) to the real bytes the TCP substrate puts on a socket.
+//! protocol, `encode` → `decode` reproduces the original value, and the
+//! encoded length equals `wire_size()` — the size the simulator's CPU
+//! cost model charges, which is the same encoder counted
+//! (`tests/wire_sizes.rs` pins what those sizes are).
 //!
 //! A second family of properties drives the decoders with *hostile*
 //! frames — truncated at arbitrary byte offsets, or with arbitrary
@@ -458,7 +457,7 @@ proptest! {
 
     #[test]
     fn snapshots_roundtrip_at_declared_size(snap in snapshot()) {
-        check(&snap, snap.wire_bytes());
+        check(&snap, snap.wire_len());
     }
 
     #[test]
