@@ -132,7 +132,8 @@ impl Command {
         matches!(self.op, Operation::Noop)
     }
 
-    /// Serialized size contribution of this command.
+    /// Bytes of request id and operation payload: the log's measure of
+    /// what it retains (compaction's byte trigger), not a wire size.
     pub fn payload_bytes(&self) -> usize {
         12 + self.op.payload_bytes() // id (client 4 + seq 8) + op payload
     }

@@ -155,7 +155,8 @@ impl std::error::Error for WireError {}
 ///
 /// Implement [`Wire::put`]; encoding and sizing both run it. A type that
 /// can only write into a `Vec` may implement [`Wire::encode_into`]
-/// instead, and is then sized by encoding into a scratch buffer.
+/// instead, and is then sized by encoding into a scratch buffer. Each
+/// default calls the other, so a type must implement one of the two.
 pub trait Wire: Sized {
     /// Human-readable name of this message kind, carried into
     /// diagnostics ([`WireError::TrailingBytes`] names the kind that
@@ -400,7 +401,7 @@ impl WirePut for Vec<u8> {
 /// [`Wire::wire_len`] measures an encoding without making it. Counting
 /// never allocates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireLen(pub usize);
+pub struct WireLen(usize);
 
 impl WireLen {
     /// The number of bytes `body` puts.
