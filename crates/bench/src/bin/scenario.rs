@@ -1,6 +1,7 @@
 //! Scenario-matrix chaos driver: run the checked-in corpus of chaos
 //! scenarios (`scenarios/*.toml`) with a nemesis executing each fault
-//! schedule and the safety checkers riding every run.
+//! schedule, and the safety monitor and the linearizability check of
+//! the client history riding every run.
 //!
 //! ```text
 //! scenario [--check] [--quick] [--csv] [paths...]
@@ -10,11 +11,10 @@
 //! - `--check` lints the corpus: parse + validate only, no runs.
 //! - `--quick` / `PIG_QUICK=1` skips scenarios marked `quick = false`.
 //! - Exit code is non-zero if any scenario fails to parse, violates
-//!   safety, or misses its `[expect]` block.
+//!   safety, answers its clients non-linearizably, or misses its
+//!   `[expect]` block.
 
-use paxi::{
-    Experiment, Fault, Nemesis, NemesisLog, ProtocolSpec, RunResult, Scenario, TopologyKind,
-};
+use paxi::{Fault, NemesisLog, RunResult, Scenario, TopologyKind};
 use pigpaxos_bench::Cell::Float;
 use pigpaxos_bench::{Opts, Table};
 use std::path::{Path, PathBuf};
@@ -42,35 +42,6 @@ fn load(path: &Path) -> Result<Scenario, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("{}: read failed: {e}", path.display()))?;
     paxi::scenario::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Run one scenario under any protocol: attach the nemesis into the
-/// extra client slot and execute on the simulator. With `shards` set,
-/// `replicas` is per shard and the clients are routers.
-fn run_with<P: ProtocolSpec>(proto: P, sc: &Scenario) -> (RunResult, NemesisLog) {
-    let mut exp = match sc.topology {
-        TopologyKind::Lan => Experiment::lan(proto, sc.replicas),
-        TopologyKind::Wan => Experiment::wan(proto, sc.replicas),
-    }
-    .clients(sc.clients)
-    .client_pipeline(sc.pipeline)
-    .workload(sc.workload.clone())
-    .warmup(sc.warmup)
-    .measure(sc.measure)
-    .drain(sc.drain)
-    .extra_client_nodes(1);
-    if let Some(shards) = sc.shards {
-        exp = exp.shards(shards);
-    }
-    if let Some(t) = sc.retry_timeout {
-        exp = exp.retry_timeout(t);
-    }
-    let log = NemesisLog::new();
-    let (faults, nemesis_log) = (sc.faults.clone(), log.clone());
-    let result = exp.run_sim_with(sc.seed, move |sim, _| {
-        sim.add_actor(Box::new(Nemesis::<P::Msg>::new(faults, nemesis_log)));
-    });
-    (result, log)
 }
 
 /// Replica nodes a fault acts on (for the affected-shard computation;
@@ -114,8 +85,8 @@ fn affected_shards(sc: &Scenario, shards: usize) -> Vec<bool> {
 fn dispatch(sc: &Scenario) -> (RunResult, NemesisLog) {
     let wan = matches!(sc.topology, TopologyKind::Wan);
     match sc.protocol.as_str() {
-        "paxos" if wan => run_with(paxos::PaxosConfig::wan(), sc),
-        "paxos" => run_with(paxos::PaxosConfig::lan(), sc),
+        "paxos" if wan => sc.run_sim(paxos::PaxosConfig::wan()),
+        "paxos" => sc.run_sim(paxos::PaxosConfig::lan()),
         "pigpaxos" => {
             let groups = sc
                 .groups
@@ -125,9 +96,9 @@ fn dispatch(sc: &Scenario) -> (RunResult, NemesisLog) {
             } else {
                 pigpaxos::PigConfig::lan(groups)
             };
-            run_with(cfg, sc)
+            sc.run_sim(cfg)
         }
-        "epaxos" => run_with(epaxos::EpaxosConfig::default(), sc),
+        "epaxos" => sc.run_sim(epaxos::EpaxosConfig::default()),
         other => unreachable!("parser admits only known protocols, got {other}"),
     }
 }
@@ -138,6 +109,9 @@ fn judge(sc: &Scenario, r: &RunResult, log: &NemesisLog) -> Vec<String> {
     let mut fails = Vec::new();
     if !r.protocol.violations().is_empty() {
         fails.push(format!("SAFETY VIOLATIONS: {:?}", r.protocol.violations()));
+    }
+    if let Some(h) = r.client.history.as_ref().filter(|h| !h.linearizable()) {
+        fails.push(format!("NOT LINEARIZABLE: {:?}", h.violations));
     }
     if log.len() != sc.faults.len() {
         fails.push(format!(

@@ -5,9 +5,14 @@
 //! Offered load is therefore controlled by the number of clients, and the
 //! latency/throughput curves of the paper are produced by sweeping the
 //! client count.
+//!
+//! A recorder made for a checked run ([`crate::Experiment::check_linearizability`])
+//! also logs every operation its clients invoke and every reply, for the
+//! linearizability check in [`crate::history`].
 
 use crate::command::{ClientRequest, Command, Operation, RequestId};
 use crate::envelope::{Envelope, ProtoMessage};
+use crate::history::{tag, History};
 use crate::shard::{ShardCtl, ShardMap};
 use crate::workload::Workload;
 use parking_lot::Mutex;
@@ -75,12 +80,27 @@ impl Sample {
 pub struct ClientRecorder {
     samples: Arc<Mutex<Vec<Sample>>>,
     retries: Arc<std::sync::atomic::AtomicU64>,
+    history: Option<History>,
 }
 
 impl ClientRecorder {
     /// Fresh recorder.
     pub fn new() -> Self {
         ClientRecorder::default()
+    }
+
+    /// Fresh recorder that also keeps the clients' [`History`]; its
+    /// clients then [`tag`] every value they put.
+    pub(crate) fn with_history() -> Self {
+        ClientRecorder {
+            history: Some(History::default()),
+            ..ClientRecorder::default()
+        }
+    }
+
+    /// The operation history, when this recorder keeps one.
+    pub(crate) fn history(&self) -> Option<&History> {
+        self.history.as_ref()
     }
 
     /// Append a sample.
@@ -121,6 +141,8 @@ struct Outstanding {
     is_read: bool,
     /// Timeout-driven retry count, driving the exponential backoff.
     attempts: u32,
+    /// Its index in the recorder's history, when it keeps one.
+    logged: Option<usize>,
 }
 
 /// Retry delays double per attempt up to `base << MAX_BACKOFF_SHIFT`
@@ -217,13 +239,18 @@ impl<P: ProtoMessage> ClosedLoopClient<P> {
 
     fn issue_next(&mut self, ctx: &mut Context<Envelope<P>>) {
         self.seq += 1;
-        let op = self.workload.next_op(ctx.rng());
+        let mut op = self.workload.next_op(ctx.rng());
         let is_read = op.is_read();
         let id = RequestId {
             client: ctx.node(),
             seq: self.seq,
         };
+        let history = self.recorder.history();
+        if let (Some(_), Operation::Put(_, value)) = (history, &mut op) {
+            *value = tag(value, id);
+        }
         let command = Command { id, op };
+        let logged = history.and_then(|h| h.invoke(&command, ctx.now()));
         self.outstanding.insert(
             self.seq,
             Outstanding {
@@ -231,6 +258,7 @@ impl<P: ProtoMessage> ClosedLoopClient<P> {
                 command: command.clone(),
                 is_read,
                 attempts: 0,
+                logged,
             },
         );
         let to = self.target.pick(&command.op, ctx.rng());
@@ -263,6 +291,9 @@ impl<P: ProtoMessage> ClosedLoopClient<P> {
             return;
         }
         let out = self.outstanding.remove(&reply.id.seq).expect("checked");
+        if let (Some(h), Some(i)) = (self.recorder.history(), out.logged) {
+            h.complete(i, ctx.now(), reply.value);
+        }
         self.recorder.record(Sample {
             issued: out.issued,
             completed: ctx.now(),

@@ -91,13 +91,12 @@ use crate::client::TargetPolicy;
 use crate::cluster::ClusterConfig;
 use crate::command::Key;
 use crate::envelope::{Envelope, ProtoMessage};
-use crate::harness::{self, BoxedActor, LoadPoint, RunResult};
+use crate::harness::{self, LoadPoint, RunResult};
 use crate::replica::{Replica, ReplicaActor};
 use crate::shard::{GroupId, ShardLayout, ShardMove};
 use crate::workload::Workload;
 use pig_runtime::{NetRuntime, Runtime};
 use simnet::{Actor, CpuCostModel, NodeId, RegionId, SimDuration, Simulation, Topology};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A consensus protocol as seen by the experiment harness: a cheaply
@@ -145,8 +144,6 @@ pub trait ProtocolSpec: Clone + 'static {
     }
 }
 
-type ClientFactory<M> = Arc<dyn Fn(&ShardLayout) -> BoxedActor<M> + Send + Sync>;
-
 /// One fully described experiment: protocol × topology × workload ×
 /// client population × sharding, runnable on any execution substrate.
 ///
@@ -179,11 +176,11 @@ pub struct Experiment<P: ProtocolSpec> {
     pub(crate) timeline_bucket: Option<SimDuration>,
     pub(crate) drain: SimDuration,
     pub(crate) capture_trace: bool,
+    pub(crate) check_history: bool,
     target: Option<TargetPolicy>,
     pub(crate) shards: Option<usize>,
     pub(crate) key_space: u64,
     pub(crate) moves: Vec<ShardMove>,
-    pub(crate) extra_actors: Vec<ClientFactory<P::Msg>>,
 }
 
 impl<P: ProtocolSpec> Experiment<P> {
@@ -206,11 +203,11 @@ impl<P: ProtocolSpec> Experiment<P> {
             timeline_bucket: None,
             drain: SimDuration::ZERO,
             capture_trace: false,
+            check_history: false,
             target: None,
             shards: None,
             key_space: 0,
             moves: Vec::new(),
-            extra_actors: Vec::new(),
         }
     }
 
@@ -245,8 +242,8 @@ impl<P: ProtocolSpec> Experiment<P> {
 
     /// Extra client-side topology nodes with **no** harness-spawned
     /// clients; a [`run_sim_with`](Experiment::run_sim_with) hook can
-    /// populate them with custom client actors (sequential checkers,
-    /// linearizability probes, a nemesis).
+    /// populate them with custom client actors (a nemesis, a scripted
+    /// client).
     pub fn extra_client_nodes(mut self, n: usize) -> Self {
         self.extra_client_nodes = n;
         self
@@ -360,18 +357,13 @@ impl<P: ProtocolSpec> Experiment<P> {
         self
     }
 
-    /// Add a custom client actor built from the concrete layout
-    /// (checkers, probes). Each factory gets its own node, placed
-    /// after the clients; the factory sees the full [`ShardLayout`]
-    /// including per-group safety handles.
-    pub fn with_client(
-        mut self,
-        factory: impl Fn(&ShardLayout) -> Box<dyn Actor<Envelope<P::Msg>> + Send>
-            + Send
-            + Sync
-            + 'static,
-    ) -> Self {
-        self.extra_actors.push(Arc::new(factory));
+    /// Log every client operation and check the log for
+    /// linearizability into [`crate::ClientResult::history`] (see
+    /// [`crate::history`]). Clients then put values stamped with their
+    /// request id: sizes, and so the schedule, are those of the
+    /// unchecked run.
+    pub fn check_linearizability(mut self) -> Self {
+        self.check_history = true;
         self
     }
 
@@ -701,6 +693,77 @@ pub(crate) mod tests {
             .as_ref()
             .expect("transport counters reach the result");
         assert_eq!((net.decode_errors, net.frames_dropped), (0, 0));
+    }
+
+    /// Four clients, two requests each in flight, over three keys.
+    fn contended() -> Experiment<InstantSpec> {
+        let workload = Workload {
+            num_keys: 3,
+            ..Workload::paper_default()
+        };
+        small().clients(4).client_pipeline(2).workload(workload)
+    }
+
+    #[test]
+    fn a_checked_run_is_linearizable_and_keeps_its_schedule() {
+        let plain = contended().run_sim(7);
+        let checked = contended().check_linearizability().run_sim(7);
+        let h = checked.client.history.as_ref().expect("checked");
+        assert!(h.linearizable(), "{:?}", h.violations);
+        assert_eq!(h.keys, 3);
+        assert!(
+            h.ops > checked.client.samples && h.reads > h.ops / 3,
+            "{h:?}"
+        );
+        assert!(plain.client.history.is_none());
+        assert_eq!(plain.client.samples, checked.client.samples);
+        assert_eq!(plain.transport.node_msgs, checked.transport.node_msgs);
+    }
+
+    /// Applies a put only to an absent key: every later read is stale.
+    struct FirstWriteWins(KvStore);
+    impl Replica<NoProto> for FirstWriteWins {
+        fn on_request(&mut self, client: NodeId, req: ClientRequest, ctx: &mut Ctx<NoProto>) {
+            let op = &req.command.op;
+            let key = op.key().expect("workload ops are keyed");
+            let known = self.0.apply(&crate::command::Operation::Get(key));
+            let value = match known {
+                Some(v) if !op.is_read() => Some(v),
+                _ => self.0.apply(op),
+            };
+            ctx.reply(client, ClientReply::ok(req.command.id, value));
+        }
+        fn on_proto(&mut self, _f: NodeId, _m: NoProto, _c: &mut Ctx<NoProto>) {}
+    }
+
+    #[derive(Clone)]
+    struct FirstWriteWinsSpec;
+    impl ProtocolSpec for FirstWriteWinsSpec {
+        type Msg = NoProto;
+        type Replica = FirstWriteWins;
+        fn protocol_name(&self) -> &'static str {
+            "first-write-wins"
+        }
+        fn replica(&self, _node: NodeId, _cluster: &ClusterConfig) -> FirstWriteWins {
+            FirstWriteWins(KvStore::new())
+        }
+    }
+
+    #[test]
+    fn a_store_that_drops_overwrites_fails_the_check() {
+        let r = Experiment::lan(FirstWriteWinsSpec, 1)
+            .clients(2)
+            .warmup(SimDuration::from_millis(50))
+            .measure(SimDuration::from_millis(100))
+            .workload(Workload {
+                num_keys: 2,
+                ..Workload::paper_default()
+            })
+            .check_linearizability()
+            .run_sim(7);
+        let h = r.client.history.expect("checked");
+        assert_eq!(h.violations.len(), 2, "{:?}", h.violations);
+        assert!(h.violations[0].starts_with("key 0:"), "{:?}", h.violations);
     }
 
     #[test]

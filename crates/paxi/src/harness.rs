@@ -3,10 +3,10 @@
 //!
 //! 1. **deploy**: stamp out all actors in node-id order —
 //!    each group's replicas (behind [`ShardGate`]s when the experiment
-//!    is sharded), the clients ([`ClosedLoopClient`]s, routing by key
-//!    when sharded), then custom client actors — plus
-//!    the [`ShardLayout`] that says who is where and the
-//!    [`ClientRecorder`] every client reports into.
+//!    is sharded) and the clients ([`ClosedLoopClient`]s, routing by
+//!    key when sharded) — plus the [`ShardLayout`] that says who is
+//!    where and the [`ClientRecorder`] every client reports into, with
+//!    the run's operation history when it is checked.
 //! 2. **drive**: run the actors on one substrate. The simulator driver
 //!    fires the setup hook, then runs warm-up, the measurement window
 //!    and the optional drain; the wall-clock driver runs the readiness
@@ -23,6 +23,7 @@ use crate::client::{ClientRecorder, ClosedLoopClient, Sample, TargetPolicy};
 use crate::cluster::ClusterConfig;
 use crate::envelope::Envelope;
 use crate::experiment::{Experiment, ProtocolSpec};
+use crate::history::{History, HistoryCheck};
 use crate::metrics::{mean, percentile};
 use crate::shard::{GroupId, ShardGate, ShardLayout, ShardMap};
 use pig_runtime::{LoopRuntime, NetRunStats};
@@ -88,6 +89,10 @@ pub struct ClientResult {
     /// start of the run; `Some` when
     /// [`crate::Experiment::timeline_bucket`] was set.
     pub timeline: Option<Vec<(f64, f64)>>,
+    /// The linearizability check of every operation of the run, warm-up
+    /// and drain included; `Some` with
+    /// [`crate::Experiment::check_linearizability`].
+    pub history: Option<HistoryCheck>,
 }
 
 impl ClientResult {
@@ -113,6 +118,7 @@ impl ClientResult {
             samples: lat_ms.len(),
             retries: recorder.retries(),
             timeline: bucket.map(|bucket| bucket_timeline(&all, bucket, end)),
+            history: recorder.history().map(History::check),
         }
     }
 
@@ -309,8 +315,8 @@ struct Deployment<M> {
 
 /// Materialize the node assignment and the actors for one run (fresh
 /// per-group safety monitors and compaction counters). Node-id space,
-/// in order: group 0's replicas, group 1's, …, clients, custom client
-/// actors, empty hook slots.
+/// in order: group 0's replicas, group 1's, …, clients, empty hook
+/// slots.
 fn deploy<P: ProtocolSpec>(exp: &Experiment<P>) -> Deployment<P::Msg> {
     let r = exp.topology.num_nodes();
     let clusters: Vec<ClusterConfig> = match exp.shards {
@@ -320,9 +326,9 @@ fn deploy<P: ProtocolSpec>(exp: &Experiment<P>) -> Deployment<P::Msg> {
             .collect(),
     };
     let n_replicas = clusters.len() * r;
-    let ids = |from: usize, count: usize| (from..from + count).map(NodeId::from).collect();
-    let routers: Vec<NodeId> = ids(n_replicas, exp.n_clients);
-    let n_extras = exp.extra_actors.len() + exp.extra_client_nodes;
+    let routers: Vec<NodeId> = (n_replicas..n_replicas + exp.n_clients)
+        .map(NodeId::from)
+        .collect();
     let key_space = match exp.key_space {
         0 => exp.workload.num_keys,
         keys => keys,
@@ -333,12 +339,14 @@ fn deploy<P: ProtocolSpec>(exp: &Experiment<P>) -> Deployment<P::Msg> {
         map: ShardMap::uniform(clusters.len() as u32, key_space),
         leaders: clusters.iter().map(|c| c.leader).collect(),
         clusters,
-        extras: ids(n_replicas + routers.len(), n_extras),
-        total_nodes: n_replicas + routers.len() + n_extras,
+        total_nodes: n_replicas + routers.len() + exp.extra_client_nodes,
         routers,
     };
 
-    let recorder = ClientRecorder::new();
+    let recorder = match exp.check_history {
+        true => ClientRecorder::with_history(),
+        false => ClientRecorder::new(),
+    };
     let gated = exp.shards.is_some();
     let notify: Vec<NodeId> = layout
         .leaders
@@ -384,9 +392,6 @@ fn deploy<P: ProtocolSpec>(exp: &Experiment<P>) -> Deployment<P::Msg> {
             )
             .with_pipeline(exp.client_pipeline),
         ));
-    }
-    for factory in &exp.extra_actors {
-        actors.push(factory(&layout));
     }
     Deployment {
         layout,
@@ -553,11 +558,12 @@ mod tests {
     use simnet::SimDuration;
     use std::time::Duration;
 
-    /// Which optional observations a run made: timeline, digests,
-    /// labels, cross-region, trace, net.
-    fn observed(r: &RunResult) -> [bool; 6] {
+    /// Which optional observations a run made: timeline, history,
+    /// digests, labels, cross-region, trace, net.
+    fn observed(r: &RunResult) -> [bool; 7] {
         [
             r.client.timeline.is_some(),
+            r.client.history.is_some(),
             r.protocol.replica_digests.is_some(),
             r.transport.label_counts.is_some(),
             r.transport.cross_region_msgs_per_op.is_some(),
@@ -572,36 +578,47 @@ mod tests {
         let wall = Duration::from_millis(100);
         let drained = exp.clone().drain(SimDuration::from_millis(50));
         let bucketed = exp.clone().timeline_bucket(SimDuration::from_millis(250));
+        let checked = exp.clone().check_linearizability();
         let runs = [
             (
                 "sim",
                 exp.run_sim(7),
-                [false, false, false, true, false, false],
+                [false, false, false, false, true, false, false],
             ),
             (
                 "traced",
                 exp.clone().capture_trace().run_sim(7),
-                [false, false, true, true, true, false],
+                [false, false, false, true, true, true, false],
             ),
             (
                 "drained",
                 drained.run_sim(7),
-                [false, true, false, true, false, false],
+                [false, false, true, false, true, false, false],
             ),
             (
                 "bucketed",
                 bucketed.run_sim(7),
-                [true, false, false, true, false, false],
+                [true, false, false, false, true, false, false],
+            ),
+            (
+                "checked",
+                checked.run_sim(7),
+                [false, true, false, false, true, false, false],
             ),
             (
                 "threads",
                 exp.run_threads(7, wall),
-                [false, false, true, false, false, true],
+                [false, false, false, true, false, false, true],
             ),
             (
                 "tcp",
                 exp.run_net(7, wall),
-                [false, false, true, false, false, true],
+                [false, false, false, true, false, false, true],
+            ),
+            (
+                "checked tcp",
+                checked.run_net(7, wall),
+                [false, true, false, true, false, false, true],
             ),
         ];
         for (name, r, want) in runs {

@@ -45,7 +45,9 @@
 //!   substrate (the simulator, or `pig-runtime` threads).
 //! - [`Workload`] / [`ClosedLoopClient`]: the benchmark workload
 //!   generator and closed-loop clients.
-//! - [`SafetyMonitor`]: machine-checks agreement on every run.
+//! - [`SafetyMonitor`]: machine-checks agreement on every run;
+//!   [`history`]: checks what the clients saw for linearizability
+//!   ([`Experiment::check_linearizability`]).
 //! - [`experiment`]: the one builder; [`harness`]: the one run engine
 //!   behind it (deploy → drive → assemble); [`conformance`]: the replica checks
 //!   every single-leader protocol's tests share.
@@ -66,6 +68,7 @@ pub mod conformance;
 pub mod envelope;
 pub mod experiment;
 pub mod harness;
+pub mod history;
 pub mod kv;
 pub mod log;
 pub mod metrics;
@@ -90,6 +93,7 @@ pub use experiment::{Experiment, ProtocolSpec};
 pub use harness::{
     ClientResult, LoadPoint, ProtocolResult, RunResult, TraceSummary, TransportResult, DEFAULT_SEED,
 };
+pub use history::HistoryCheck;
 pub use kv::KvStore;
 pub use log::{Log, LogEntry};
 pub use nemesis::{Nemesis, NemesisLog};

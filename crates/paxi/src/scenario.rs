@@ -5,9 +5,10 @@
 //! subset parser — no external dependency) naming a protocol, a
 //! cluster shape, a client population, a fault schedule for the
 //! [`crate::nemesis::Nemesis`] actor, and expectations the run must
-//! meet. The checked-in corpus under `scenarios/` is executed by the
-//! `scenario` driver binary and by CI's chaos job; the same parser
-//! backs the driver's `--check` lint mode.
+//! meet. [`Scenario::run_sim`] runs one; every run also checks that
+//! what the clients saw is linearizable. The checked-in corpus under
+//! `scenarios/` is executed by the `scenario` driver binary and by CI's
+//! chaos job; the same parser backs the driver's `--check` lint mode.
 //!
 //! ## Format
 //!
@@ -74,6 +75,9 @@
 //! slots — the blast-radius check that a fault in one shard leaves the
 //! others committing.
 
+use crate::experiment::{Experiment, ProtocolSpec};
+use crate::harness::RunResult;
+use crate::nemesis::{Nemesis, NemesisLog};
 use crate::workload::{KeyDistribution, Workload};
 use simnet::SimDuration;
 use std::collections::BTreeMap;
@@ -763,6 +767,38 @@ impl Scenario {
             )));
         }
         Ok(())
+    }
+
+    /// Run this scenario with `proto` on the simulator: a
+    /// [`Nemesis`] in the one extra client slot executes the fault
+    /// schedule, and the clients' history is checked for
+    /// linearizability ([`crate::ClientResult::history`]). With `shards`
+    /// set, `replicas` is per shard and the clients are routers.
+    pub fn run_sim<P: ProtocolSpec>(&self, proto: P) -> (RunResult, NemesisLog) {
+        let mut exp = match self.topology {
+            TopologyKind::Lan => Experiment::lan(proto, self.replicas),
+            TopologyKind::Wan => Experiment::wan(proto, self.replicas),
+        }
+        .clients(self.clients)
+        .client_pipeline(self.pipeline)
+        .workload(self.workload.clone())
+        .warmup(self.warmup)
+        .measure(self.measure)
+        .drain(self.drain)
+        .extra_client_nodes(1)
+        .check_linearizability();
+        if let Some(shards) = self.shards {
+            exp = exp.shards(shards);
+        }
+        if let Some(t) = self.retry_timeout {
+            exp = exp.retry_timeout(t);
+        }
+        let log = NemesisLog::new();
+        let (faults, nemesis_log) = (self.faults.clone(), log.clone());
+        let result = exp.run_sim_with(self.seed, move |sim, _| {
+            sim.add_actor(Box::new(Nemesis::<P::Msg>::new(faults, nemesis_log)));
+        });
+        (result, log)
     }
 }
 

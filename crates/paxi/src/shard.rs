@@ -51,8 +51,9 @@
 //! [`SessionTable`], not re-executed, so a move never duplicates a
 //! client command.
 //!
-//! Per-key linearizability across a live move is asserted by the
-//! workspace test-suite (`tests/sharding.rs`), not just argued here.
+//! That the clients' history stays linearizable across a live move is
+//! checked by the workspace test-suite (`tests/sharding.rs`), not just
+//! argued here.
 
 use crate::cluster::ClusterConfig;
 use crate::command::{ClientReply, ClientRequest, Command, Key, Operation, RequestId};
@@ -893,8 +894,8 @@ impl<P: ProtoMessage, R: Replica<P>> Actor<Envelope<P>> for ShardGate<P, R> {
 /// router slots.
 ///
 /// Node-id space, in order: shard 0's replicas, shard 1's replicas, …,
-/// then routers, then extra client nodes (custom actors first, empty
-/// hook slots last). Each shard's [`ClusterConfig`] carries its own
+/// then routers, then the empty hook slots of
+/// [`crate::Experiment::extra_client_nodes`]. Each shard's [`ClusterConfig`] carries its own
 /// shared [`crate::SafetyMonitor`] and [`crate::snapshot::CompactionStats`]
 /// handles; the same configs come back as [`crate::ProtocolResult::groups`].
 pub struct ShardLayout {
@@ -910,8 +911,6 @@ pub struct ShardLayout {
     pub leaders: Vec<NodeId>,
     /// Router (client) node ids.
     pub routers: Vec<NodeId>,
-    /// Extra client-node ids (custom actors, then empty hook slots).
-    pub extras: Vec<NodeId>,
     /// Total node count in the topology.
     pub total_nodes: usize,
 }

@@ -7,7 +7,7 @@
 
 use paxi::{
     BatchConfig, ClientRequest, ClusterConfig, Command, Envelope, Experiment, Operation,
-    ProtoMessage, ProtocolSpec, RequestId, Value,
+    ProtocolSpec, RequestId, Value, Workload,
 };
 use paxos::PaxosConfig;
 use pigpaxos::PigConfig;
@@ -168,123 +168,31 @@ proptest! {
     }
 }
 
-/// Sequential put-then-get client: every get must observe the
-/// immediately preceding put even when both ride through the batcher.
-struct RywClient<P> {
-    leader: NodeId,
-    rounds: u64,
-    seq: u64,
-    current_round: u64,
-    expecting_get: bool,
-    failures: Rc<RefCell<Vec<String>>>,
-    completed: Rc<RefCell<u64>>,
-    _proto: std::marker::PhantomData<P>,
-}
-
-impl<P: ProtoMessage> RywClient<P> {
-    fn value_for_round(round: u64) -> Value {
-        Value::from(round.to_be_bytes().as_slice())
-    }
-
-    fn issue(&mut self, op: Operation, ctx: &mut Context<Envelope<P>>) {
-        self.seq += 1;
-        let id = RequestId {
-            client: ctx.node(),
-            seq: self.seq,
-        };
-        ctx.send(
-            self.leader,
-            Envelope::Request(ClientRequest {
-                command: Command { id, op },
-            }),
-        );
-    }
-
-    fn next_round(&mut self, ctx: &mut Context<Envelope<P>>) {
-        if self.current_round >= self.rounds {
-            return;
-        }
-        self.current_round += 1;
-        self.expecting_get = false;
-        self.issue(
-            Operation::Put(7, Self::value_for_round(self.current_round)),
-            ctx,
-        );
-    }
-}
-
-impl<P: ProtoMessage> Actor<Envelope<P>> for RywClient<P> {
-    fn on_start(&mut self, ctx: &mut Context<Envelope<P>>) {
-        self.next_round(ctx);
-    }
-
-    fn on_message(&mut self, _f: NodeId, msg: Envelope<P>, ctx: &mut Context<Envelope<P>>) {
-        // Unpack coalesced envelopes like a real client would; a lone
-        // sequential client normally gets singletons (degraded to plain
-        // `Reply`), but windowed coalescing can merge across waves.
-        let replies = match msg {
-            Envelope::Reply(r) => vec![r],
-            Envelope::ReplyBatch(rs) => rs,
-            _ => return,
-        };
-        for reply in replies {
-            if !reply.ok || reply.id.seq != self.seq {
-                continue;
-            }
-            if self.expecting_get {
-                let expected = Self::value_for_round(self.current_round);
-                if reply.value.as_ref() != Some(&expected) {
-                    self.failures.borrow_mut().push(format!(
-                        "round {}: get returned {:?}, expected {:?}",
-                        self.current_round, reply.value, expected
-                    ));
-                }
-                *self.completed.borrow_mut() += 1;
-                self.next_round(ctx);
-            } else {
-                self.expecting_get = true;
-                self.issue(Operation::Get(7), ctx);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, _i: TimerId, _k: u64, _c: &mut Context<Envelope<P>>) {}
-}
-
 /// A lone sequential client never fills a batch, so every one of its
 /// commands rides the `max_delay` timer flush — this doubles as the
-/// partial-batch-flush liveness test. The checking client occupies an
-/// `extra_client_nodes` slot and is injected by the setup hook.
+/// partial-batch-flush liveness test. Its put-then-get rounds on one key
+/// must form a linearizable history: every get sees the put before it.
 fn check_read_your_writes<P: ProtocolSpec>(proto: P, n: usize) {
-    let failures = Rc::new(RefCell::new(Vec::new()));
-    let completed = Rc::new(RefCell::new(0u64));
-    let (failures2, completed2) = (failures.clone(), completed.clone());
     let r = Experiment::lan(proto, n)
-        .extra_client_nodes(1)
+        .clients(1)
+        .workload(Workload {
+            num_keys: 1,
+            ..Workload::paper_default()
+        })
         .warmup(SimDuration::ZERO)
-        .measure(SimDuration::from_secs(5))
-        .run_sim_with(99, move |sim, _| {
-            sim.add_actor(Box::new(RywClient::<P::Msg> {
-                leader: NodeId(0),
-                rounds: 50,
-                seq: 0,
-                current_round: 0,
-                expecting_get: false,
-                failures: failures2,
-                completed: completed2,
-                _proto: std::marker::PhantomData,
-            }));
-        });
+        .measure(SimDuration::from_millis(500))
+        .check_linearizability()
+        .run_sim(99);
     assert!(
         r.protocol.violations().is_empty(),
         "{:?}",
         r.protocol.violations()
     );
-    assert!(failures.borrow().is_empty(), "{:?}", failures.borrow());
-    assert_eq!(
-        *completed.borrow(),
-        50,
-        "all rounds must complete through the batcher"
+    let h = r.client.history.expect("checked");
+    assert!(h.linearizable(), "{:?}", h.violations);
+    assert!(
+        h.reads >= 50 && h.ops - h.reads >= 50,
+        "rounds must complete through the batcher: {h:?}"
     );
 }
 

@@ -3,7 +3,7 @@
 //! the scenario-file → nemesis → convergence-check pipeline outside
 //! the `scenario` driver binary.
 
-use paxi::{Experiment, Nemesis, NemesisLog, TopologyKind};
+use paxi::{Experiment, TopologyKind};
 use simnet::{Control, NodeId, SimDuration, SimTime};
 
 /// Regression for the fixed-interval retry storm: with a quorum down
@@ -76,32 +76,16 @@ converged = true
 min_samples = 20
 "#;
 
-/// Full pipeline: parse a scenario from text, attach a nemesis in the
-/// extra client slot, run it, and check the scenario's own
-/// expectations — everything the `scenario` binary does, minus the
-/// file I/O, so a unit failure localizes to the library layer.
+/// Full pipeline: parse a scenario from text, run it with its nemesis,
+/// and check the scenario's own expectations and the client history —
+/// everything the `scenario` binary does, minus the file I/O, so a unit
+/// failure localizes to the library layer.
 #[test]
 fn scenario_text_drives_nemesis_end_to_end() {
     let sc = paxi::scenario::parse(PARTITION_SCENARIO).expect("scenario parses");
     assert_eq!(sc.topology, TopologyKind::Lan);
 
-    let log = NemesisLog::new();
-    let (faults, nemesis_log) = (sc.faults.clone(), log.clone());
-    let result = Experiment::lan(pigpaxos::PigConfig::lan(sc.groups.unwrap()), sc.replicas)
-        .clients(sc.clients)
-        .client_pipeline(sc.pipeline)
-        .workload(sc.workload.clone())
-        .warmup(sc.warmup)
-        .measure(sc.measure)
-        .drain(sc.drain)
-        .extra_client_nodes(1)
-        .run_sim_with(sc.seed, move |sim, _| {
-            sim.add_actor(Box::new(Nemesis::<pigpaxos::PigMsg>::new(
-                faults,
-                nemesis_log,
-            )));
-        });
-
+    let (result, log) = sc.run_sim(pigpaxos::PigConfig::lan(sc.groups.unwrap()));
     assert!(
         result.protocol.violations().is_empty(),
         "{:?}",
@@ -120,6 +104,8 @@ fn scenario_text_drives_nemesis_end_to_end() {
         result.protocol.replica_digests
     );
     assert!(result.client.samples as u64 >= sc.expect.min_samples.unwrap());
+    let h = result.client.history.expect("scenarios check the history");
+    assert!(h.linearizable(), "{:?}", h.violations);
 }
 
 /// The same scenario under the same seed must reproduce bit-for-bit —
@@ -129,21 +115,7 @@ fn scenario_text_drives_nemesis_end_to_end() {
 fn chaos_runs_are_deterministic() {
     let run = || {
         let sc = paxi::scenario::parse(PARTITION_SCENARIO).expect("scenario parses");
-        let log = NemesisLog::new();
-        let (faults, nemesis_log) = (sc.faults.clone(), log.clone());
-        Experiment::lan(pigpaxos::PigConfig::lan(2), sc.replicas)
-            .clients(sc.clients)
-            .workload(sc.workload.clone())
-            .warmup(sc.warmup)
-            .measure(sc.measure)
-            .drain(sc.drain)
-            .extra_client_nodes(1)
-            .run_sim_with(sc.seed, move |sim, _| {
-                sim.add_actor(Box::new(Nemesis::<pigpaxos::PigMsg>::new(
-                    faults,
-                    nemesis_log,
-                )));
-            })
+        sc.run_sim(pigpaxos::PigConfig::lan(2)).0
     };
     let (a, b) = (run(), run());
     assert_eq!(a.client.samples, b.client.samples);
@@ -193,22 +165,7 @@ kind = "clear_flaky"
 converged = true
 "#;
     let sc = paxi::scenario::parse(text).expect("scenario parses");
-    let log = NemesisLog::new();
-    let (faults, nemesis_log) = (sc.faults.clone(), log.clone());
-    let result = Experiment::lan(paxos::PaxosConfig::lan(), sc.replicas)
-        .clients(sc.clients)
-        .workload(sc.workload.clone())
-        .warmup(sc.warmup)
-        .measure(sc.measure)
-        .drain(sc.drain)
-        .extra_client_nodes(1)
-        .run_sim_with(sc.seed, move |sim, _| {
-            sim.add_actor(Box::new(Nemesis::<paxos::PaxosMsg>::new(
-                faults,
-                nemesis_log,
-            )));
-        });
-
+    let (result, log) = sc.run_sim(paxos::PaxosConfig::lan());
     assert!(
         result.protocol.violations().is_empty(),
         "{:?}",
@@ -221,4 +178,6 @@ converged = true
         "digests: {:?}",
         result.protocol.replica_digests
     );
+    let h = result.client.history.expect("scenarios check the history");
+    assert!(h.linearizable(), "{:?}", h.violations);
 }

@@ -83,119 +83,33 @@ fn pqr_offloads_the_leader_on_read_heavy_workloads() {
     );
 }
 
-/// Writes through the leader, then reads the same key through a
-/// follower proxy; every read must observe the latest completed write.
-struct PqrChecker {
-    leader: NodeId,
-    proxy: NodeId,
-    rounds: u64,
-    round: u64,
-    seq: u64,
-    awaiting_get: bool,
-    failures: Rc<RefCell<Vec<String>>>,
-    completed: Rc<RefCell<u64>>,
-}
-
-impl PqrChecker {
-    fn val(round: u64) -> Value {
-        Value::from(round.to_be_bytes().as_slice())
-    }
-    fn issue(&mut self, to: NodeId, op: Operation, ctx: &mut Context<Envelope<PigMsg>>) {
-        self.seq += 1;
-        let id = RequestId {
-            client: ctx.node(),
-            seq: self.seq,
-        };
-        ctx.send(
-            to,
-            Envelope::Request(ClientRequest {
-                command: Command { id, op },
-            }),
-        );
-    }
-}
-
-impl Actor<Envelope<PigMsg>> for PqrChecker {
-    fn on_start(&mut self, ctx: &mut Context<Envelope<PigMsg>>) {
-        self.round = 1;
-        self.awaiting_get = false;
-        self.issue(self.leader, Operation::Put(3, Self::val(1)), ctx);
-    }
-    fn on_message(
-        &mut self,
-        _f: NodeId,
-        msg: Envelope<PigMsg>,
-        ctx: &mut Context<Envelope<PigMsg>>,
-    ) {
-        let Envelope::Reply(reply) = msg else { return };
-        if reply.id.seq != self.seq {
-            return;
-        }
-        if !reply.ok {
-            // PQR gave up (e.g. rinse limit) and redirected: follow it.
-            let to = reply.redirect.unwrap_or(self.leader);
-            let op = if self.awaiting_get {
-                Operation::Get(3)
-            } else {
-                Operation::Put(3, Self::val(self.round))
-            };
-            self.issue(to, op, ctx);
-            return;
-        }
-        if self.awaiting_get {
-            let expect = Self::val(self.round);
-            if reply.value.as_ref() != Some(&expect) {
-                self.failures.borrow_mut().push(format!(
-                    "round {}: quorum read returned {:?}, expected {:?}",
-                    self.round, reply.value, expect
-                ));
-            }
-            *self.completed.borrow_mut() += 1;
-            if self.round < self.rounds {
-                self.round += 1;
-                self.awaiting_get = false;
-                self.issue(self.leader, Operation::Put(3, Self::val(self.round)), ctx);
-            }
-        } else {
-            self.awaiting_get = true;
-            self.issue(self.proxy, Operation::Get(3), ctx);
-        }
-    }
-    fn on_timer(&mut self, _i: TimerId, _k: u64, _c: &mut Context<Envelope<PigMsg>>) {}
-}
-
-/// Run the writer/reader round-trip checker against `cfg` and assert
-/// every read observed the latest completed write — and that the
-/// quiesced run left no read stuck in any proxy's pending table.
+/// Four clients spread over the replicas, two requests each in flight,
+/// on four keys: reads go to whichever follower proxy the client picked,
+/// writes redirect to the leader. The history must be linearizable, and
+/// once the clients stop (the drain) no quorum read may be left pending.
 fn check_linearizable(cfg: PigConfig) {
-    let failures = Rc::new(RefCell::new(Vec::new()));
-    let completed = Rc::new(RefCell::new(0u64));
-    let (failures2, completed2) = (failures.clone(), completed.clone());
     let r = Experiment::lan(cfg, 9)
-        .extra_client_nodes(1)
+        .clients(4)
+        .client_pipeline(2)
+        .workload(Workload {
+            num_keys: 4,
+            ..read_heavy()
+        })
         .warmup(SimDuration::ZERO)
-        .measure(SimDuration::from_secs(10))
-        .run_sim_with(5, move |sim, _| {
-            sim.add_actor(Box::new(PqrChecker {
-                leader: NodeId(0),
-                proxy: NodeId(4), // a follower acting as the read proxy
-                rounds: 40,
-                round: 0,
-                seq: 0,
-                awaiting_get: false,
-                failures: failures2,
-                completed: completed2,
-            }));
-        });
+        .measure(SimDuration::from_secs(1))
+        .drain(SimDuration::from_millis(300))
+        .check_linearizability()
+        .run_sim(5);
     assert!(
         r.protocol.violations().is_empty(),
         "{:?}",
         r.protocol.violations()
     );
-    assert!(failures.borrow().is_empty(), "{:?}", failures.borrow());
-    assert_eq!(*completed.borrow(), 40, "all rounds must complete");
-    // The checker quiesced long before the deadline: every quorum read
-    // must have left the pending table (PendingReads::is_empty()).
+    let h = r.client.history.as_ref().expect("checked");
+    assert!(h.linearizable(), "{:?}", h.violations);
+    assert!(h.reads >= 200 && h.ops - h.reads >= 20, "{h:?}");
+    // Every quorum read must have left the pending table
+    // (PendingReads::is_empty()).
     assert_eq!(
         r.protocol.pqr_reads_inflight(),
         0,
@@ -547,29 +461,20 @@ fn snapshot_install_restores_quorum_read_freshness_index() {
 /// probes answered by the freshly installed replica.
 #[test]
 fn pqr_reads_stay_linearizable_across_snapshot_catch_up() {
-    let failures = Rc::new(RefCell::new(Vec::new()));
-    let completed = Rc::new(RefCell::new(0u64));
-    let (failures2, completed2) = (failures.clone(), completed.clone());
     let cfg = PigConfig::lan(2)
         .with_pqr()
         .with_probe_batch(probe_batch())
         .with_snapshots(paxi::SnapshotConfig::every_ops(100));
     let r = Experiment::lan(cfg, 9)
         .clients(8)
-        .extra_client_nodes(1)
+        .workload(Workload {
+            num_keys: 16,
+            ..read_heavy()
+        })
         .warmup(SimDuration::ZERO)
-        .measure(SimDuration::from_secs(6))
-        .run_sim_with(paxi::DEFAULT_SEED, move |sim, _| {
-            sim.add_actor(Box::new(PqrChecker {
-                leader: NodeId(0),
-                proxy: NodeId(4),
-                rounds: 40,
-                round: 0,
-                seq: 0,
-                awaiting_get: false,
-                failures: failures2,
-                completed: completed2,
-            }));
+        .measure(SimDuration::from_secs(4))
+        .check_linearizability()
+        .run_sim_with(paxi::DEFAULT_SEED, |sim, _| {
             // Node 7 sleeps through ~2s of compacting traffic; its gap
             // repair must come back as state, not slots.
             sim.schedule_control(SimTime::from_millis(400), Control::Crash(NodeId(7)));
@@ -580,8 +485,9 @@ fn pqr_reads_stay_linearizable_across_snapshot_catch_up() {
         "{:?}",
         r.protocol.violations()
     );
-    assert!(failures.borrow().is_empty(), "{:?}", failures.borrow());
-    assert_eq!(*completed.borrow(), 40, "all rounds must complete");
+    let h = r.client.history.expect("checked");
+    assert!(h.linearizable(), "{:?}", h.violations);
+    assert!(h.reads >= 1000, "{h:?}");
     assert!(r.protocol.snapshots_taken() > 0, "compaction must have run");
     assert!(
         r.protocol.snapshots_installed() >= 1,

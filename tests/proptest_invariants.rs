@@ -586,10 +586,15 @@ fn chaos_run<P: paxi::ProtocolSpec>(
     let log = paxi::NemesisLog::new();
     paxi::Experiment::lan(proto, 5)
         .clients(4)
+        .workload(paxi::Workload {
+            num_keys: 10,
+            ..paxi::Workload::paper_default()
+        })
         .warmup(SimDuration::from_millis(300))
         .measure(SimDuration::from_millis(2200))
         .drain(SimDuration::from_millis(1800))
         .extra_client_nodes(1)
+        .check_linearizability()
         .run_sim_with(seed, move |sim, _| {
             sim.add_actor(Box::new(paxi::Nemesis::<P::Msg>::new(schedule, log)));
         })
@@ -604,8 +609,9 @@ proptest! {
     /// small fault schedules (minority partitions, crash/restart
     /// pairs, flaky links — each undone 400ms after it fires):
     ///
-    /// - the machine-checked safety invariants hold for every protocol
-    ///   under every schedule;
+    /// - the machine-checked safety invariants hold, and the clients'
+    ///   history is linearizable, for every protocol under every
+    ///   schedule;
     /// - leader-based protocols (Paxos, PigPaxos) additionally reach
     ///   identical kv fingerprints on all replicas after the schedule
     ///   clears and the drain window runs. EPaxos is exempt from the
@@ -628,6 +634,8 @@ proptest! {
             _ => (chaos_run(epaxos::EpaxosConfig::default(), seed, schedule), false),
         };
         prop_assert!(result.protocol.violations().is_empty(), "violations: {:?}", result.protocol.violations());
+        let history = result.client.history.as_ref().expect("checked");
+        prop_assert!(history.linearizable(), "history: {:?}", history.violations);
         if check_convergence {
             prop_assert_eq!(
                 result.protocol.converged(),

@@ -1,158 +1,19 @@
 //! End-to-end sharding tests over real protocols: aggregate commits
-//! across groups, per-key linearizability spanning a live `ShardMove`,
-//! read-your-writes through stale-map redirects, and exactly-once
-//! decision of every client command across all shard logs.
+//! across groups, a linearizable client history spanning a live
+//! `ShardMove` and the redirects it causes, and exactly-once decision of
+//! every client command across all shard logs.
 
 use epaxos::EpaxosConfig;
-use paxi::{
-    ClientRequest, ClusterConfig, Command, Envelope, Experiment, Key, Operation, ProtoMessage,
-    ProtocolSpec, RequestId, ShardMap, Value, DEFAULT_SEED,
-};
+use paxi::{ClusterConfig, Experiment, ProtocolSpec, RequestId, RunResult, Workload, DEFAULT_SEED};
 use paxos::PaxosConfig;
 use pigpaxos::PigConfig;
-use simnet::{Actor, Context, NodeId, SimDuration, TimerId};
+use simnet::SimDuration;
 use std::collections::HashMap;
-use std::marker::PhantomData;
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-#[derive(Default)]
-struct Report {
-    completed: u64,
-    redirects: u64,
-    violations: Vec<String>,
-}
-
-/// Closed-loop per-key checker: `put(k, c); get(k)` rounds over keys
-/// inside the moving range, asserting each get returns the immediately
-/// preceding acked put. Its [`ShardMap`] copy is deliberately never
-/// refreshed, so after the move every request first hits the old owner
-/// and must come back as a redirect — the stale-map path under test.
-struct MoveChecker<P> {
-    map: ShardMap,
-    leaders: Vec<NodeId>,
-    keys: Vec<Key>,
-    idx: usize,
-    counter: u64,
-    last_write: HashMap<Key, u64>,
-    seq: u64,
-    expecting_get: bool,
-    outstanding: Option<Command>,
-    retry: SimDuration,
-    report: Arc<Mutex<Report>>,
-    _proto: PhantomData<P>,
-}
-
-impl<P: ProtoMessage> MoveChecker<P> {
-    fn new(
-        map: ShardMap,
-        leaders: Vec<NodeId>,
-        keys: Vec<Key>,
-        report: Arc<Mutex<Report>>,
-    ) -> Self {
-        MoveChecker {
-            map,
-            leaders,
-            keys,
-            idx: 0,
-            counter: 0,
-            last_write: HashMap::new(),
-            seq: 0,
-            expecting_get: false,
-            outstanding: None,
-            retry: SimDuration::from_millis(100),
-            report,
-            _proto: PhantomData,
-        }
-    }
-
-    fn route(&self, op: &Operation) -> NodeId {
-        let g = op.key().map_or(0, |k| self.map.group_for(k)) as usize;
-        self.leaders[g]
-    }
-
-    fn issue(&mut self, op: Operation, ctx: &mut Context<Envelope<P>>) {
-        self.seq += 1;
-        let id = RequestId {
-            client: ctx.node(),
-            seq: self.seq,
-        };
-        let command = Command { id, op };
-        self.outstanding = Some(command.clone());
-        let to = self.route(&command.op);
-        ctx.send(to, Envelope::Request(ClientRequest { command }));
-        ctx.set_timer(self.retry, self.seq);
-    }
-
-    fn resend(&mut self, to: Option<NodeId>, ctx: &mut Context<Envelope<P>>) {
-        if let Some(command) = self.outstanding.clone() {
-            let to = to.unwrap_or_else(|| self.route(&command.op));
-            ctx.send(to, Envelope::Request(ClientRequest { command }));
-        }
-    }
-
-    fn start_round(&mut self, ctx: &mut Context<Envelope<P>>) {
-        self.idx = (self.idx + 1) % self.keys.len();
-        self.counter += 1;
-        self.expecting_get = false;
-        let key = self.keys[self.idx];
-        self.issue(
-            Operation::Put(key, Value::from(self.counter.to_be_bytes().as_slice())),
-            ctx,
-        );
-    }
-}
-
-impl<P: ProtoMessage> Actor<Envelope<P>> for MoveChecker<P> {
-    fn on_start(&mut self, ctx: &mut Context<Envelope<P>>) {
-        self.start_round(ctx);
-    }
-
-    fn on_message(&mut self, _f: NodeId, msg: Envelope<P>, ctx: &mut Context<Envelope<P>>) {
-        let Envelope::Reply(reply) = msg else { return };
-        if reply.id.seq != self.seq {
-            return; // stale reply from an earlier round
-        }
-        if !reply.ok {
-            if reply.redirect.is_some() {
-                self.report.lock().expect("report lock").redirects += 1;
-            }
-            self.resend(reply.redirect, ctx);
-            return;
-        }
-        self.outstanding = None;
-        let key = self.keys[self.idx];
-        if self.expecting_get {
-            let want = self.last_write.get(&key).copied().expect("put acked first");
-            let expected = Value::from(want.to_be_bytes().as_slice());
-            let mut rep = self.report.lock().expect("report lock");
-            if reply.value.as_ref() != Some(&expected) {
-                rep.violations.push(format!(
-                    "key {key}: get saw {:?}, expected counter {want}",
-                    reply.value
-                ));
-            }
-            rep.completed += 1;
-            drop(rep);
-            self.start_round(ctx);
-        } else {
-            self.last_write.insert(key, self.counter);
-            self.expecting_get = true;
-            self.issue(Operation::Get(key), ctx);
-        }
-    }
-
-    fn on_timer(&mut self, _i: TimerId, kind: u64, ctx: &mut Context<Envelope<P>>) {
-        if self.outstanding.as_ref().map(|c| c.id.seq) == Some(kind) {
-            self.resend(None, ctx);
-            ctx.set_timer(self.retry, kind);
-        }
-    }
-}
-
-/// Every client-issued command (routers and checkers — any id from a
-/// non-replica node) must appear exactly once across all shard decision
-/// logs: nothing lost, nothing executed twice through redirects.
+/// Every client-issued command (any id from a non-replica node) must
+/// appear exactly once across all shard decision logs: nothing lost,
+/// nothing executed twice through redirects.
 fn assert_exactly_once(groups: &[ClusterConfig], n_replicas: u32) {
     let mut seen: HashMap<RequestId, u64> = HashMap::new();
     for g in groups {
@@ -167,28 +28,40 @@ fn assert_exactly_once(groups: &[ClusterConfig], n_replicas: u32) {
     assert!(dups.is_empty(), "commands decided more than once: {dups:?}");
 }
 
-fn checker_experiment<P: ProtocolSpec>(proto: P, report: Arc<Mutex<Report>>) -> Experiment<P> {
-    // 4 shards x 3 replicas over a 2000-key map (stride 500). The
-    // routers' background workload only touches keys 0..1000 (shards 0
-    // and 1); the range [1000, 1500) moves from shard 2 to shard 3 at
-    // 600ms, mid-run, and the checker hammers keys inside that moving
-    // range only — no other writer touches them, so every get must see
-    // the checker's own latest acked put.
+fn checker_experiment<P: ProtocolSpec>(proto: P) -> Experiment<P> {
+    // 4 shards x 3 replicas over 64 keys (stride 16), every one of them
+    // in the routers' workload. The range [32, 48) moves from shard 2 to
+    // shard 3 at 600ms, mid-run: its keys are written and read straight
+    // through the move, and a router that sends one to the old owner
+    // gets a redirect.
     Experiment::lan(proto, 3)
         .shards(4)
         .clients(4)
-        .key_space(2000)
+        .client_pipeline(2)
+        .workload(Workload {
+            num_keys: 64,
+            ..Workload::paper_default()
+        })
         .warmup(SimDuration::from_millis(200))
         .measure(SimDuration::from_millis(1800))
-        .move_range(SimDuration::from_millis(600), 1000, 3)
-        .with_client(move |layout| {
-            Box::new(MoveChecker::<P::Msg>::new(
-                layout.map.clone(),
-                layout.leaders.clone(),
-                (1000..1008).collect(),
-                report.clone(),
-            ))
-        })
+        .move_range(SimDuration::from_millis(600), 32, 3)
+        .check_linearizability()
+}
+
+/// The run's history is linearizable, with more than `min_ops`
+/// operations per quarter of the keys (the moving range's share).
+fn assert_linearizable(r: &RunResult, min_ops: usize) {
+    assert!(
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
+    );
+    let h = r.client.history.as_ref().expect("checked");
+    assert!(h.linearizable(), "{:?}", h.violations);
+    assert_eq!(h.keys, 64);
+    // A quarter of the keys move; the routers must have kept them busy
+    // straight through the move without stalling.
+    assert!(h.ops / 4 > min_ops, "only {} operations completed", h.ops);
 }
 
 #[test]
@@ -228,25 +101,11 @@ fn sharded_paxos_all_shards_commit_and_converge() {
 /// The move ships a range cut from the source leader's own store, so
 /// every protocol's store is exercised, not only Paxos's.
 fn linearizable_across_live_move_sim<P: ProtocolSpec>(proto: P) {
-    let report = Arc::new(Mutex::new(Report::default()));
-    let r = checker_experiment(proto, report.clone()).run_sim(DEFAULT_SEED);
-    assert!(
-        r.protocol.violations().is_empty(),
-        "{:?}",
-        r.protocol.violations()
-    );
-    let rep = report.lock().expect("report lock");
-    assert!(rep.violations.is_empty(), "{:?}", rep.violations);
-    // The checker must have kept completing rounds straight through the
-    // move (600ms into a 2s run) without stalling.
-    assert!(
-        rep.completed > 300,
-        "only {} rounds completed",
-        rep.completed
-    );
-    // Post-move, the checker's stale map sends every request to the old
-    // owner first, so redirects must actually have been exercised.
-    assert!(rep.redirects > 0, "move never forced a redirect");
+    let r = checker_experiment(proto).run_sim(DEFAULT_SEED);
+    assert_linearizable(&r, 300);
+    // Routers that had not yet heard of the move sent its keys to the
+    // old owner, so redirects must actually have been exercised.
+    assert!(r.client.retries > 0, "move never forced a redirect");
     assert_exactly_once(&r.protocol.groups, 12);
 }
 
@@ -267,21 +126,10 @@ fn per_key_linearizability_across_live_move_sim_epaxos() {
 
 #[test]
 fn per_key_linearizability_across_live_move_threads() {
-    let report = Arc::new(Mutex::new(Report::default()));
-    let r = checker_experiment(PaxosConfig::lan(), report.clone())
+    let r = checker_experiment(PaxosConfig::lan())
         .run_threads(DEFAULT_SEED, Duration::from_millis(1500));
-    assert!(
-        r.protocol.violations().is_empty(),
-        "{:?}",
-        r.protocol.violations()
-    );
-    let rep = report.lock().expect("report lock");
-    assert!(rep.violations.is_empty(), "{:?}", rep.violations);
-    // Wall-clock run: looser floor, but the loop must survive the move.
-    assert!(
-        rep.completed > 20,
-        "only {} rounds completed",
-        rep.completed
-    );
+    // Wall-clock run: looser floor, but the routers must survive the
+    // move.
+    assert_linearizable(&r, 20);
     assert_exactly_once(&r.protocol.groups, 12);
 }

@@ -11,10 +11,9 @@
 //!    total decided count.
 //! 2. **Safety** — zero violations from the shared [`paxi::SafetyMonitor`]
 //!    across the entire run, truncation included.
-//! 3. **Client semantics** — a sequential read-your-writes checker
-//!    (exactly the `read_your_writes.rs` discipline) rides along on an
-//!    extra client node and must observe every one of its writes, with
-//!    the windowed session table still deduplicating retries.
+//! 3. **Client semantics** — every operation every client issued, across
+//!    all those compactions, forms a linearizable history, with the
+//!    windowed session table still deduplicating retries.
 //!
 //! Sizing: the full tier (release builds, or `PIG_SOAK=full`) drives
 //! ≥ 200k simulated ops per protocol. `PIG_QUICK=1` shrinks it to a CI
@@ -22,14 +21,11 @@
 //! tier-1 suite stays minutes, not tens of minutes.
 
 use paxi::{
-    ClientRequest, Command, Envelope, Experiment, Operation, ProtoMessage, ProtocolSpec, RequestId,
-    RunResult, SnapshotConfig, Value,
+    Command, Experiment, Operation, ProtocolSpec, RequestId, RunResult, SnapshotConfig, Value,
 };
 use paxos::PaxosConfig;
 use pigpaxos::PigConfig;
-use simnet::{Actor, Context, NodeId, SimDuration, TimerId};
-use std::cell::RefCell;
-use std::rc::Rc;
+use simnet::{NodeId, SimDuration};
 
 fn quick() -> bool {
     std::env::var_os("PIG_QUICK").is_some()
@@ -59,166 +55,26 @@ fn interval() -> u64 {
     }
 }
 
-// ---- the sequential read-your-writes checker ----------------------------
-
-/// Key reserved for the checker, outside the workload keyspace.
-const CHECK_KEY: u64 = 1_000_007;
-
-/// Issues `put(k, v_i); get(k)` pairs sequentially against a fixed
-/// replica and records any read that does not return the value of the
-/// immediately preceding write.
-struct CheckingClient<P> {
-    target: NodeId,
-    rounds: u64,
-    seq: u64,
-    current_round: u64,
-    expecting_get: bool,
-    finished: bool,
-    failures: Rc<RefCell<Vec<String>>>,
-    completed: Rc<RefCell<u64>>,
-    _proto: std::marker::PhantomData<P>,
-}
-
-impl<P: ProtoMessage> CheckingClient<P> {
-    fn value_for_round(round: u64) -> Value {
-        Value::from(round.to_be_bytes().as_slice())
-    }
-
-    fn issue(&mut self, op: Operation, ctx: &mut Context<Envelope<P>>) {
-        self.seq += 1;
-        let id = RequestId {
-            client: ctx.node(),
-            seq: self.seq,
-        };
-        ctx.send(
-            self.target,
-            Envelope::Request(ClientRequest {
-                command: Command { id, op },
-            }),
-        );
-        // Retry until answered: a lost reply must replay from the
-        // session table (exactly-once), not hang the checker.
-        ctx.set_timer(SimDuration::from_millis(100), self.seq);
-    }
-
-    fn next_round(&mut self, ctx: &mut Context<Envelope<P>>) {
-        if self.current_round >= self.rounds {
-            self.finished = true;
-            return;
-        }
-        self.current_round += 1;
-        self.expecting_get = false;
-        // A key outside the background workload's keyspace (0..1000):
-        // the checker owns it, so every read must see the checker's own
-        // last write even while thousands of background commands force
-        // compactions around it.
-        self.issue(
-            Operation::Put(CHECK_KEY, Self::value_for_round(self.current_round)),
-            ctx,
-        );
-    }
-
-    fn resend(&mut self, ctx: &mut Context<Envelope<P>>) {
-        let op = if self.expecting_get {
-            Operation::Get(CHECK_KEY)
-        } else {
-            Operation::Put(CHECK_KEY, Self::value_for_round(self.current_round))
-        };
-        let id = RequestId {
-            client: ctx.node(),
-            seq: self.seq,
-        };
-        ctx.send(
-            self.target,
-            Envelope::Request(ClientRequest {
-                command: Command { id, op },
-            }),
-        );
-        ctx.set_timer(SimDuration::from_millis(100), self.seq);
-    }
-}
-
-impl<P: ProtoMessage> Actor<Envelope<P>> for CheckingClient<P> {
-    fn on_start(&mut self, ctx: &mut Context<Envelope<P>>) {
-        self.next_round(ctx);
-    }
-
-    fn on_message(&mut self, _f: NodeId, msg: Envelope<P>, ctx: &mut Context<Envelope<P>>) {
-        let Envelope::Reply(reply) = msg else { return };
-        if self.finished || !reply.ok || reply.id.seq != self.seq {
-            return;
-        }
-        if self.expecting_get {
-            let expected = Self::value_for_round(self.current_round);
-            if reply.value.as_ref() != Some(&expected) {
-                self.failures.borrow_mut().push(format!(
-                    "round {}: get returned {:?}, expected {:?}",
-                    self.current_round, reply.value, expected
-                ));
-            }
-            *self.completed.borrow_mut() += 1;
-            self.next_round(ctx);
-        } else {
-            self.expecting_get = true;
-            self.issue(Operation::Get(CHECK_KEY), ctx);
-        }
-    }
-
-    fn on_timer(&mut self, _i: TimerId, seq: u64, ctx: &mut Context<Envelope<P>>) {
-        if !self.finished && seq == self.seq {
-            self.resend(ctx);
-        }
-    }
-}
-
-// ---- the soak harness ----------------------------------------------------
-
-struct Soak {
-    result: RunResult,
-    ryw_failures: Vec<String>,
-    ryw_completed: u64,
-    ryw_rounds: u64,
-}
-
 /// Run `proto` long enough for ~`target_ops()` decided operations at an
-/// assumed (lowballed) rate, with the RYW checker riding along.
-fn soak<P: ProtocolSpec>(proto: P, n: usize, clients: usize, pipeline: usize, rate: u64) -> Soak {
+/// assumed (lowballed) rate, with every client operation checked.
+fn soak<P: ProtocolSpec>(
+    proto: P,
+    n: usize,
+    clients: usize,
+    pipeline: usize,
+    rate: u64,
+) -> RunResult {
     let measure_secs = (target_ops() / rate).max(2);
-    let ryw_rounds = if quick() { 100 } else { 300 };
-    let failures = Rc::new(RefCell::new(Vec::new()));
-    let completed = Rc::new(RefCell::new(0u64));
-    let (failures2, completed2) = (failures.clone(), completed.clone());
-    let result = Experiment::lan(proto, n)
+    Experiment::lan(proto, n)
         .clients(clients)
         .client_pipeline(pipeline)
-        .extra_client_nodes(1)
         .warmup(SimDuration::from_millis(500))
         .measure(SimDuration::from_secs(measure_secs))
-        .run_sim_with(paxi::DEFAULT_SEED, move |sim, _| {
-            sim.add_actor(Box::new(CheckingClient::<P::Msg> {
-                target: NodeId(0),
-                rounds: ryw_rounds,
-                seq: 0,
-                current_round: 0,
-                expecting_get: false,
-                finished: false,
-                failures: failures2,
-                completed: completed2,
-                _proto: std::marker::PhantomData,
-            }));
-        });
-    let ryw_failures = failures.borrow().clone();
-    let ryw_completed = *completed.borrow();
-    Soak {
-        result,
-        ryw_failures,
-        ryw_completed,
-        ryw_rounds,
-    }
+        .check_linearizability()
+        .run_sim(paxi::DEFAULT_SEED)
 }
 
-fn assert_soak(name: &str, s: &Soak) {
-    let r = &s.result;
+fn assert_soak(name: &str, r: &RunResult) {
     let target = target_ops();
     let iv = interval();
     assert!(
@@ -245,21 +101,25 @@ fn assert_soak(name: &str, s: &Soak) {
         r.protocol.decided(),
         r.protocol.snapshots_taken()
     );
+    let h = r.client.history.as_ref().expect("checked");
     assert!(
-        s.ryw_failures.is_empty(),
-        "{name}: read-your-writes violated across compaction: {:?}",
-        s.ryw_failures
+        h.linearizable(),
+        "{name}: client history not linearizable across compaction: {:?}",
+        h.violations
     );
-    assert_eq!(
-        s.ryw_completed, s.ryw_rounds,
-        "{name}: every checker round must complete"
+    assert!(
+        h.ops as u64 >= target,
+        "{name}: only {} operations checked",
+        h.ops
     );
     eprintln!(
-        "{name}: {} ops decided, peak log {} (interval {iv}), {} snapshots, {} installs",
+        "{name}: {} ops decided, peak log {} (interval {iv}), {} snapshots, {} installs, \
+         {} client ops linearizable",
         r.protocol.decided(),
         r.protocol.max_log_len(),
         r.protocol.snapshots_taken(),
-        r.protocol.snapshots_installed()
+        r.protocol.snapshots_installed(),
+        h.ops
     );
 }
 

@@ -3,9 +3,10 @@
 //! client population — runs on the deterministic simulator, on real OS
 //! threads passing messages in memory (`run_threads`), and over real TCP
 //! loopback sockets with full wire encoding (`run_net`), and must make
-//! progress with zero safety violations on all three. The replica
-//! actors are byte-for-byte the same code; only the run method differs,
-//! and the two wall-clock ones run on the same loops and report alike.
+//! progress with zero safety violations and a linearizable client
+//! history on all three. The replica actors are byte-for-byte the same
+//! code; only the run method differs, and the two wall-clock ones run on
+//! the same loops and report alike.
 
 use epaxos::EpaxosConfig;
 use paxi::{Experiment, ProtocolSpec, RunResult};
@@ -48,6 +49,13 @@ fn assert_counted(name: &str, run: &RunResult, nodes: usize) {
     );
 }
 
+/// What the clients saw, every operation of the run, is linearizable.
+fn assert_linearizable(name: &str, run: &RunResult) {
+    let h = run.client.history.as_ref().expect("checked");
+    assert!(h.linearizable(), "{name}: {:?}", h.violations);
+    assert!(h.ops >= run.client.samples, "{name}: {h:?}");
+}
+
 fn assert_parity<P: ProtocolSpec>(proto: P, n: usize, min_thread_ops: usize)
 where
     P::Msg: simnet::Wire,
@@ -55,7 +63,8 @@ where
     let experiment = Experiment::lan(proto, n)
         .clients(4)
         .warmup(SimDuration::from_millis(200))
-        .measure(SimDuration::from_millis(600));
+        .measure(SimDuration::from_millis(600))
+        .check_linearizability();
     let name = experiment.protocol().protocol_name();
 
     let sim = experiment.run_sim(7);
@@ -64,6 +73,7 @@ where
         "{name} sim: {:?}",
         sim.protocol.violations()
     );
+    assert_linearizable(&format!("{name} sim"), &sim);
     assert!(
         sim.client.samples > 100,
         "{name} sim made progress: {}",
@@ -92,6 +102,7 @@ where
         threads.protocol.decided()
     );
     assert_counted(&format!("{name} threads"), &threads, n + 4);
+    assert_linearizable(&format!("{name} threads"), &threads);
 
     // Third axis: every cross-node message encoded to its wire bytes,
     // shipped over a loopback TCP socket, and decoded on arrival. A
@@ -115,6 +126,7 @@ where
     );
     assert_counted(&format!("{name} net"), &net, n + 4);
     assert_clean_transport(name, &net);
+    assert_linearizable(&format!("{name} net"), &net);
 }
 
 #[test]
