@@ -282,8 +282,8 @@ impl<P: ProtoMessage> ClosedLoopClient<P> {
     }
 
     fn handle_reply(&mut self, reply: crate::command::ClientReply, ctx: &mut Context<Envelope<P>>) {
-        if !self.outstanding.contains_key(&reply.id.seq) {
-            return; // stale reply (e.g. after a retry raced the original)
+        if reply.id.client != ctx.node() || !self.outstanding.contains_key(&reply.id.seq) {
+            return; // another client's, or stale (a retry raced the original)
         }
         if !reply.ok {
             // Redirected: re-send to the hinted node (or re-pick).
@@ -629,6 +629,28 @@ mod tests {
         assert!(done > 100, "only {done} completions");
         assert_eq!(misrouted, 1);
         assert!(received[1] > 10, "{received:?}");
+    }
+
+    /// Answers every request with the id another client would use.
+    struct MisaddressingServer;
+    impl Replica<NoProto> for MisaddressingServer {
+        fn on_request(&mut self, client: NodeId, req: ClientRequest, ctx: &mut Ctx<NoProto>) {
+            let mut id = req.command.id;
+            id.client = NodeId(id.client.0 + 1);
+            ctx.reply(client, ClientReply::ok(id, None));
+        }
+        fn on_proto(&mut self, _f: NodeId, _m: NoProto, _c: &mut Ctx<NoProto>) {}
+    }
+
+    #[test]
+    fn a_reply_naming_another_client_completes_nothing() {
+        let mut sim: Simulation<Envelope<NoProto>> =
+            Simulation::new(Topology::lan(2), CpuCostModel::free(), 3);
+        sim.add_actor(Box::new(ReplicaActor(MisaddressingServer)));
+        let rec = ClientRecorder::new();
+        sim.add_actor(client(TargetPolicy::Fixed(NodeId(0)), &rec));
+        sim.run_until(SimTime::from_millis(50));
+        assert!(rec.is_empty(), "{} completions", rec.len());
     }
 
     /// Never replies: every request times out.

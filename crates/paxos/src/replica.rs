@@ -390,7 +390,11 @@ impl<D: Dissemination> Replica<D> {
             // without another consensus round, even after a leader
             // change.
             self.sessions.record(&reply);
-            let Some(client) = self.take_waiting(slot) else {
+            // After a leader change the slot may have been decided with
+            // another client's command than the one this node proposed
+            // there; that reply is not this node's to send, and never to
+            // the client it proposed for.
+            let Some(client) = self.take_waiting(slot).filter(|&c| c == id.client) else {
                 continue;
             };
             if let Some(window) = self.replies.deliver(client, reply, ctx) {

@@ -181,3 +181,25 @@ converged = true
     let h = result.client.history.expect("scenarios check the history");
     assert!(h.linearizable(), "{:?}", h.violations);
 }
+
+/// A leader deposed by a partition crashes and returns while a follower
+/// leads. It must not answer a client with the reply to another
+/// client's command that the new leader decided in a slot the old one
+/// had proposed that client's command in; before that was fixed, this
+/// corpus scenario's history was not linearizable.
+#[test]
+fn a_returning_leader_answers_no_client_with_anothers_reply() {
+    let text = include_str!("../scenarios/pig_deposed_leader_returns.toml");
+    let sc = paxi::scenario::parse(text).expect("scenario parses");
+    let (result, log) = sc.run_sim(pigpaxos::PigConfig::lan(sc.groups.unwrap()));
+    assert!(
+        result.protocol.violations().is_empty(),
+        "{:?}",
+        result.protocol.violations()
+    );
+    assert_eq!(log.len(), sc.faults.len());
+    assert_eq!(result.protocol.converged(), Some(true));
+    let h = result.client.history.expect("scenarios check the history");
+    assert!(h.linearizable(), "{:?}", h.violations);
+    assert!(h.ops >= 1000, "{h:?}");
+}
