@@ -343,9 +343,10 @@ fn deploy<P: ProtocolSpec>(exp: &Experiment<P>) -> Deployment<P::Msg> {
         routers,
     };
 
-    let recorder = match exp.check_history {
-        true => ClientRecorder::with_history(),
-        false => ClientRecorder::new(),
+    let recorder = if exp.check_history {
+        ClientRecorder::with_history()
+    } else {
+        ClientRecorder::new()
     };
     let gated = exp.shards.is_some();
     let notify: Vec<NodeId> = layout
