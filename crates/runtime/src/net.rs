@@ -876,15 +876,14 @@ mod tests {
         assert_eq!(net.bytes_sent, queued * 32);
     }
 
-    /// `actors` as nodes 0, 1, … on one TCP loop for `wall`, node *i*
-    /// listening on `listeners[i]` and calling node *j* at `addrs[j]`,
-    /// whatever listens there. Returns the loop once it has stopped.
-    fn run_tcp_loop(
+    /// `actors` as nodes 0, 1, … on one TCP loop, node *i* listening on
+    /// `listeners[i]` and calling node *j* at `addrs[j]`, whatever listens
+    /// there; not started yet. Also the door that stops it.
+    fn tcp_loop(
         actors: Vec<Boxed>,
         listeners: Vec<TcpListener>,
         addrs: &[SocketAddr],
-        wall: Duration,
-    ) -> Loop<Num, Tcp> {
+    ) -> (Door<Num>, Loop<Num, Tcp>) {
         let (ep, (door, mailbox)) = (Epoll::new(), mailbox());
         let mut links = Tcp::new(ep.clone());
         listeners.into_iter().for_each(|l| links.add(l, addrs));
@@ -893,10 +892,27 @@ mod tests {
             let node = Node::new(NodeId::from(i), actor, Instant::now(), 1);
             tcp.slots.nodes.push(node);
         }
+        (door, tcp)
+    }
+
+    /// Run `tcp` for `wall`, then stop it through `door`; returns it once
+    /// it has stopped.
+    fn run_for(door: Door<Num>, tcp: Loop<Num, Tcp>, wall: Duration) -> Loop<Num, Tcp> {
         let thread = std::thread::spawn(move || tcp.run());
         std::thread::sleep(wall);
         door.post(None);
         thread.join().unwrap()
+    }
+
+    /// [`tcp_loop`] run for `wall`; returns the loop once it has stopped.
+    fn run_tcp_loop(
+        actors: Vec<Boxed>,
+        listeners: Vec<TcpListener>,
+        addrs: &[SocketAddr],
+        wall: Duration,
+    ) -> Loop<Num, Tcp> {
+        let (door, tcp) = tcp_loop(actors, listeners, addrs);
+        run_for(door, tcp, wall)
     }
 
     #[test]
@@ -1090,14 +1106,19 @@ mod tests {
         let (_deaf, deaf_addr) = listen();
         let (listener, addr) = listen();
         let reader = std::thread::spawn(move || read_to_end(listener.accept().unwrap().0));
-        // Each tick sends one frame to node 2 and 4 096 to node 1, far
-        // more in 300 ms than two socket buffers hold.
-        let mut peers = vec![1; 4096];
-        peers.push(2);
-        let (ticker, ticks) = Ticker::new(&peers);
+        // Each tick sends one frame to node 1 and one to node 2. Node 1's
+        // buffer starts with 8 MiB, twice what a socket's send buffer may
+        // grow to by default (`tcp_wmem`), so its socket fills on the
+        // first turn and the rest waits. Queued up front, not 4 096 frames
+        // a tick: in an unoptimised build that encoding took most of each
+        // 1 ms tick, and the tick count measured the encoder.
+        let (ticker, ticks) = Ticker::new(&[1, 2]);
         let addrs = [dead_addr(), deaf_addr, addr];
-        let (wall, node) = (Duration::from_millis(300), vec![listen().0]);
-        let done = run_tcp_loop(vec![Box::new(ticker)], node, &addrs, wall);
+        let (door, mut tcp) = tcp_loop(vec![Box::new(ticker)], vec![listen().0], &addrs);
+        let mut frame = Vec::new();
+        encode_frame(NodeId(0), &Num(0), &mut frame);
+        to_1(&mut tcp.links).out = frame.repeat((8 << 20) / NUM_FRAME);
+        let done = run_for(door, tcp, Duration::from_millis(300));
         let deaf = &done.links.peers[0][1];
         assert!(deaf.full && deaf.armed, "the socket filled up");
         assert!(deaf.out.len() > 1 << 20, "and the rest waits in memory");
