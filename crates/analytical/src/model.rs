@@ -29,13 +29,6 @@ pub fn leader_overhead(n: usize, r: usize) -> f64 {
     leader_load(r) / follower_load(n, r) - 1.0
 }
 
-/// The §6.3 asymptote: with `r = 1` and `n → ∞`, follower load tends to
-/// `4`, equal to the leader's minimum `Ml = 4` — the leader never stops
-/// being the bottleneck (it also does the vote tallying).
-pub fn follower_load_asymptote() -> f64 {
-    4.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,12 +74,14 @@ mod tests {
 
     #[test]
     fn follower_load_approaches_asymptote() {
-        // r = 1, growing N: Mf -> 4 from below.
+        // §6.3: r = 1, growing N: Mf -> 4 from below, the leader's
+        // minimum Ml — the leader never stops being the bottleneck (it
+        // also does the vote tallying).
         let mut prev = follower_load(10, 1);
         for n in [100, 1000, 10_000] {
             let f = follower_load(n, 1);
             assert!(f > prev);
-            assert!(f < follower_load_asymptote());
+            assert!(f < leader_load(1));
             prev = f;
         }
         assert!((follower_load(1_000_000, 1) - 4.0).abs() < 0.001);

@@ -4,6 +4,10 @@ use crate::groups::GroupSpec;
 use paxos::PaxosConfig;
 use simnet::SimDuration;
 
+/// Rinse attempts a quorum read makes before giving up and redirecting
+/// the client to the leader.
+pub const PQR_MAX_ATTEMPTS: u32 = 8;
+
 /// Full PigPaxos configuration: the underlying Paxos timers plus the
 /// relay overlay parameters.
 #[derive(Debug, Clone)]
@@ -46,9 +50,6 @@ pub struct PigConfig {
     /// Delay before retrying a quorum read that observed an in-flight
     /// write (the PQR "rinse").
     pub pqr_rinse_delay: SimDuration,
-    /// Rinse attempts before giving up and redirecting the client to
-    /// the leader.
-    pub pqr_max_attempts: u32,
     /// Proxy-side batching of quorum-read probes over the relay tree:
     /// pending read keys coalesce into one `QrReadBatch` per relay
     /// wave (size-or-time/adaptive sizing via the shared
@@ -80,7 +81,6 @@ impl PigConfig {
             rotate_relays: true,
             pqr_reads: false,
             pqr_rinse_delay: SimDuration::from_millis(3),
-            pqr_max_attempts: 8,
             probe_batch: paxi::BatchConfig::disabled(),
         }
     }
@@ -132,12 +132,6 @@ impl PigConfig {
         self
     }
 
-    /// Fluent helper: override the relay-group partition.
-    pub fn with_groups(mut self, groups: GroupSpec) -> Self {
-        self.groups = groups;
-        self
-    }
-
     /// WAN defaults with explicit (per-region) groups.
     pub fn wan(groups: GroupSpec) -> Self {
         let mut paxos = PaxosConfig::wan();
@@ -154,7 +148,6 @@ impl PigConfig {
             rotate_relays: true,
             pqr_reads: false,
             pqr_rinse_delay: SimDuration::from_millis(40),
-            pqr_max_attempts: 8,
             probe_batch: paxi::BatchConfig::disabled(),
         }
     }

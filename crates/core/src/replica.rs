@@ -16,7 +16,7 @@
 //! - Quorum reads (§4.3) are proxied here too: any replica probes the
 //!   tree and answers the client without touching the leader's log.
 
-use crate::config::PigConfig;
+use crate::config::{PigConfig, PQR_MAX_ATTEMPTS};
 use crate::groups::{GroupSpec, RelayGroups};
 use crate::messages::{PigMsg, RelayPlan};
 use crate::pqr::{PendingReads, ReadOutcome};
@@ -482,8 +482,8 @@ impl Dissemination for RelayTree {
                 // healthy probe round (votes lost to crashes) is handed
                 // to the leader instead of leaking in the table.
                 if !d.reads.is_empty() {
-                    let max_age = d.cfg.relay_timeout * 4
-                        + d.cfg.pqr_rinse_delay * d.cfg.pqr_max_attempts as u64;
+                    let max_age =
+                        d.cfg.relay_timeout * 4 + d.cfg.pqr_rinse_delay * PQR_MAX_ATTEMPTS as u64;
                     let expired = d.reads.expire(ctx.now(), max_age);
                     d.stats.note_pqr_finished(expired.len() as u64);
                     for (client, request) in expired {
@@ -505,7 +505,7 @@ impl Dissemination for RelayTree {
                 }
             }
             T_PQR_RINSE => match r.d.reads.restart(payload, ctx.now()) {
-                Some((_client, key, attempt)) if attempt <= r.d.cfg.pqr_max_attempts => {
+                Some((_client, key, attempt)) if attempt <= PQR_MAX_ATTEMPTS => {
                     let own = r.read_state(key);
                     r.d.probe_quorum_read(payload, key, own, ctx);
                 }

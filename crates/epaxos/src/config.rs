@@ -1,56 +1,44 @@
-//! EPaxos cost/tuning configuration.
+//! EPaxos processing costs and configuration.
 
 use paxi::SnapshotConfig;
 use simnet::SimDuration;
 
-/// EPaxos processing-cost knobs.
-///
-/// EPaxos does much more per-command bookkeeping than Multi-Paxos:
-/// interference lookups on every PreAccept/Accept, and dependency-graph
-/// analysis on every commit. These constants charge that work to the
-/// simulated CPU. `graph_visit_cost` in particular reproduces the
-/// behaviour the paper reports — under load the committed-but-unexecuted
-/// window grows, graph analysis gets more expensive, and throughput
-/// collapses ("conflict resolution … draining the resources of every
-/// node", §5.4).
-#[derive(Debug, Clone)]
+// EPaxos does much more per-command bookkeeping than Multi-Paxos:
+// interference lookups on every PreAccept/Accept, and dependency-graph
+// analysis on every commit. These constants charge that work to the
+// simulated CPU (execution itself costs `CpuCostModel::EXEC_COST`, as
+// in Paxos). `GRAPH_VISIT_COST` in particular reproduces the behaviour
+// the paper reports — under load the committed-but-unexecuted window
+// grows, graph analysis gets more expensive, and throughput collapses
+// ("conflict resolution … draining the resources of every node", §5.4).
+//
+// Calibrated against the paper's measurements (Fig. 8/10), where the
+// authors' Go implementation saturates near 1000–1500 req/s regardless
+// of cluster size because every replica performs interference tracking
+// and dependency-graph work for every command. A hand-optimized EPaxos
+// could do better; these constants reproduce the system the paper
+// measured. See DESIGN.md §2 and EXPERIMENTS.md.
+
+/// Cost per attribute/interference computation (PreAccept, Accept).
+pub const ATTR_COST: SimDuration = SimDuration::from_micros(150);
+
+/// Cost per instance visited during execution planning.
+pub const GRAPH_VISIT_COST: SimDuration = SimDuration::from_micros(400);
+
+/// EPaxos configuration.
+#[derive(Debug, Clone, Default)]
 pub struct EpaxosConfig {
-    /// Cost of applying one command to the state machine.
-    pub exec_cost: SimDuration,
-    /// Cost per attribute/interference computation (PreAccept, Accept).
-    pub attr_cost: SimDuration,
-    /// Cost per instance visited during execution planning.
-    pub graph_visit_cost: SimDuration,
     /// Instance-table compaction policy. EPaxos has no slot log; the
     /// analogous unbounded structure is the instance table, so
     /// `interval_ops` counts *executed instances* since the last sweep
     /// and a sweep drops every instance below the per-origin-replica
-    /// contiguous executed frontier (`interval_bytes` is ignored — the
-    /// table is instance-, not byte-, shaped). Disabled by default.
+    /// contiguous executed frontier. Disabled by default.
     pub snapshot: SnapshotConfig,
-}
-
-impl Default for EpaxosConfig {
-    fn default() -> Self {
-        // Calibrated against the paper's measurements (Fig. 8/10), where
-        // the authors' Go implementation saturates near 1000–1500 req/s
-        // regardless of cluster size because every replica performs
-        // interference tracking and dependency-graph work for every
-        // command. A hand-optimized EPaxos could do better; these
-        // constants reproduce the system the paper measured. See
-        // DESIGN.md §2 and EXPERIMENTS.md.
-        EpaxosConfig {
-            exec_cost: SimDuration::from_micros(40),
-            attr_cost: SimDuration::from_micros(150),
-            graph_visit_cost: SimDuration::from_micros(400),
-            snapshot: SnapshotConfig::disabled(),
-        }
-    }
 }
 
 impl EpaxosConfig {
     /// Fluent helper: enable instance-table compaction with the given
-    /// policy (only `interval_ops` applies; see the field docs).
+    /// policy (see the field docs).
     pub fn with_snapshots(mut self, snapshot: SnapshotConfig) -> Self {
         self.snapshot = snapshot;
         self
@@ -63,9 +51,8 @@ mod tests {
 
     #[test]
     fn defaults_are_positive() {
-        let c = EpaxosConfig::default();
-        assert!(c.exec_cost > SimDuration::ZERO);
-        assert!(c.attr_cost > SimDuration::ZERO);
-        assert!(c.graph_visit_cost > SimDuration::ZERO);
+        let costs = [ATTR_COST, GRAPH_VISIT_COST, simnet::CpuCostModel::EXEC_COST];
+        assert!(costs.iter().all(|&c| c > SimDuration::ZERO));
+        assert!(!EpaxosConfig::default().snapshot.is_enabled());
     }
 }

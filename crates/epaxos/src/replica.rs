@@ -14,7 +14,7 @@
 //! machine-checked by [`paxi::SafetyMonitor`].
 
 use crate::attrs::InterferenceIndex;
-use crate::config::EpaxosConfig;
+use crate::config::{EpaxosConfig, ATTR_COST, GRAPH_VISIT_COST};
 use crate::graph::{plan_execution, InstStatus, InstanceView};
 use crate::messages::{Attrs, EpaxosMsg, InstanceId};
 use paxi::log::MAX_HOLE;
@@ -22,7 +22,7 @@ use paxi::{
     fast_quorum, majority, Ballot, ClientReply, ClientRequest, ClusterConfig, Command, Ctx,
     KvStore, Replica, ReplicaCtx, RequestId, SessionTable,
 };
-use simnet::{NodeId, TimerId};
+use simnet::{CpuCostModel, NodeId, TimerId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,12 +197,6 @@ impl EpaxosReplica {
         &self.kv
     }
 
-    /// Number of committed-but-unexecuted instances (the window whose
-    /// growth degrades EPaxos under load).
-    pub fn unexecuted_len(&self) -> usize {
-        self.unexecuted.len()
-    }
-
     fn broadcast(&self, msg: EpaxosMsg, ctx: &mut Ctx<EpaxosMsg>) {
         for peer in self.cluster.peers(self.me) {
             ctx.send_proto(peer, msg.clone());
@@ -276,7 +270,7 @@ impl EpaxosReplica {
         let roots: Vec<InstanceId> = self.unexecuted.iter().copied().collect();
         let plan = plan_execution(&roots, &TableView(&self.instances, &self.executed_floor));
         if plan.visited > 0 {
-            ctx.charge(self.cfg.graph_visit_cost * plan.visited as u64);
+            ctx.charge(GRAPH_VISIT_COST * plan.visited as u64);
         }
         let executed_now = plan.order.len() as u64;
         for inst in plan.order {
@@ -298,7 +292,7 @@ impl EpaxosReplica {
                 }
                 None => {
                     let value = self.kv.apply(&i.command.op);
-                    ctx.charge(self.cfg.exec_cost);
+                    ctx.charge(CpuCostModel::EXEC_COST);
                     let r = ClientReply::ok(i.command.id, value);
                     self.sessions.record(&r);
                     r
@@ -357,7 +351,7 @@ impl Replica<EpaxosMsg> for EpaxosReplica {
         self.next_slot += 1;
         self.next_seen.insert(self.me, self.next_slot);
         self.in_flight.insert(command.id, inst);
-        ctx.charge(self.cfg.attr_cost);
+        ctx.charge(ATTR_COST);
         let attrs = self.interference.attrs_for(&command.op);
         self.interference.record(inst, attrs.seq, &command.op);
         self.instances.insert(
@@ -398,7 +392,7 @@ impl Replica<EpaxosMsg> for EpaxosReplica {
                 if self.below_floor(inst) || !self.admit(inst) {
                     return; // stale duplicate of a swept instance, or forged
                 }
-                ctx.charge(self.cfg.attr_cost);
+                ctx.charge(ATTR_COST);
                 let mut merged = attrs;
                 let local = self.interference.attrs_for(&command.op);
                 let changed = merged.merge(&local);
@@ -470,7 +464,7 @@ impl Replica<EpaxosMsg> for EpaxosReplica {
                 if self.below_floor(inst) || !self.admit(inst) {
                     return; // stale duplicate of a swept instance, or forged
                 }
-                ctx.charge(self.cfg.attr_cost);
+                ctx.charge(ATTR_COST);
                 self.interference.record(inst, attrs.seq, &command.op);
                 let entry = self.instances.entry(inst).or_insert_with(|| Instance {
                     command: command.clone(),

@@ -71,15 +71,6 @@ impl Operation {
         }
     }
 
-    /// Serialized payload bytes of this operation (key + value).
-    pub fn payload_bytes(&self) -> usize {
-        match self {
-            Operation::Get(_) => 8,
-            Operation::Put(_, v) => 8 + v.len(),
-            Operation::Noop => 0,
-        }
-    }
-
     /// Two operations conflict when they touch the same key and at least
     /// one writes (EPaxos interference relation).
     pub fn conflicts_with(&self, other: &Operation) -> bool {
@@ -130,12 +121,6 @@ impl Command {
     /// True if this is a no-op filler.
     pub fn is_noop(&self) -> bool {
         matches!(self.op, Operation::Noop)
-    }
-
-    /// Bytes of request id and operation payload: the log's measure of
-    /// what it retains (compaction's byte trigger), not a wire size.
-    pub fn payload_bytes(&self) -> usize {
-        12 + self.op.payload_bytes() // id (client 4 + seq 8) + op payload
     }
 }
 
@@ -207,9 +192,18 @@ mod tests {
 
     #[test]
     fn payload_sizes() {
-        assert_eq!(Operation::Get(1).payload_bytes(), 8);
-        assert_eq!(Operation::Put(1, Value::zeros(100)).payload_bytes(), 108);
-        assert_eq!(Operation::Noop.payload_bytes(), 0);
+        // A command body: request id (12 B), key (8 B, none for a
+        // no-op), then the value's bytes.
+        let body = |op| {
+            let cmd = Command {
+                id: Command::noop().id,
+                op,
+            };
+            simnet::wire::WireLen::of(|out| crate::wire::put_command_body(&cmd, out))
+        };
+        assert_eq!(body(Operation::Get(1)), 20);
+        assert_eq!(body(Operation::Put(1, Value::zeros(100))), 120);
+        assert_eq!(body(Operation::Noop), 12);
     }
 
     #[test]
@@ -237,7 +231,7 @@ mod tests {
     fn noop_command() {
         let c = Command::noop();
         assert!(c.is_noop());
-        assert_eq!(c.payload_bytes(), 12);
+        assert_eq!(c.op.key(), None);
     }
 
     #[test]

@@ -96,7 +96,7 @@ use crate::replica::{Replica, ReplicaActor};
 use crate::shard::{GroupId, ShardLayout, ShardMove};
 use crate::workload::Workload;
 use pig_runtime::{NetRuntime, Runtime};
-use simnet::{Actor, CpuCostModel, NodeId, RegionId, SimDuration, Simulation, Topology};
+use simnet::{Actor, NodeId, SimDuration, Simulation, Topology};
 use std::time::Duration;
 
 /// A consensus protocol as seen by the experiment harness: a cheaply
@@ -147,9 +147,8 @@ pub trait ProtocolSpec: Clone + 'static {
 /// One fully described experiment: protocol × topology × workload ×
 /// client population × sharding, runnable on any execution substrate.
 ///
-/// Construct with [`Experiment::lan`], [`Experiment::wan`], or
-/// [`Experiment::builder`] for a custom [`Topology`]; refine with the
-/// fluent setters; execute with [`run_sim`](Experiment::run_sim),
+/// Construct with [`Experiment::lan`] or [`Experiment::wan`]; refine
+/// with the fluent setters; execute with [`run_sim`](Experiment::run_sim),
 /// [`run_sim_with`](Experiment::run_sim_with) (fault injection),
 /// [`run_threads`](Experiment::run_threads),
 /// [`run_net`](Experiment::run_net) (TCP sockets),
@@ -167,8 +166,6 @@ pub struct Experiment<P: ProtocolSpec> {
     pub(crate) n_clients: usize,
     pub(crate) client_pipeline: usize,
     pub(crate) extra_client_nodes: usize,
-    pub(crate) client_region: RegionId,
-    pub(crate) cost: CpuCostModel,
     pub(crate) workload: Workload,
     pub(crate) warmup: SimDuration,
     pub(crate) measure: SimDuration,
@@ -179,23 +176,20 @@ pub struct Experiment<P: ProtocolSpec> {
     pub(crate) check_history: bool,
     target: Option<TargetPolicy>,
     pub(crate) shards: Option<usize>,
-    pub(crate) key_space: u64,
     pub(crate) moves: Vec<ShardMove>,
 }
 
 impl<P: ProtocolSpec> Experiment<P> {
-    /// Entry point: a protocol on an explicit replica topology, with
-    /// the paper-default workload, zero clients, and LAN-grade timing
-    /// defaults (1 s warmup, 4 s measurement, 100 ms client retry).
-    pub fn builder(proto: P, topology: Topology) -> Self {
+    /// A protocol on a replica topology, with the paper-default
+    /// workload, zero clients, and LAN-grade timing defaults (1 s
+    /// warmup, 4 s measurement, 100 ms client retry).
+    fn builder(proto: P, topology: Topology) -> Self {
         Experiment {
             proto,
             topology,
             n_clients: 0,
             client_pipeline: 1,
             extra_client_nodes: 0,
-            client_region: 0,
-            cost: CpuCostModel::calibrated(),
             workload: Workload::paper_default(),
             warmup: SimDuration::from_secs(1),
             measure: SimDuration::from_secs(4),
@@ -206,7 +200,6 @@ impl<P: ProtocolSpec> Experiment<P> {
             check_history: false,
             target: None,
             shards: None,
-            key_space: 0,
             moves: Vec::new(),
         }
     }
@@ -246,19 +239,6 @@ impl<P: ProtocolSpec> Experiment<P> {
     /// client).
     pub fn extra_client_nodes(mut self, n: usize) -> Self {
         self.extra_client_nodes = n;
-        self
-    }
-
-    /// Region the clients attach to (default 0 — the leader's region).
-    pub fn client_region(mut self, region: RegionId) -> Self {
-        self.client_region = region;
-        self
-    }
-
-    /// CPU cost model for every node (default
-    /// [`CpuCostModel::calibrated`]).
-    pub fn cost(mut self, cost: CpuCostModel) -> Self {
-        self.cost = cost;
         self
     }
 
@@ -327,7 +307,7 @@ impl<P: ProtocolSpec> Experiment<P> {
     /// `[g*R, (g+1)*R)`), every replica behind a
     /// [`crate::ShardGate`] and every client routing by key
     /// ([`TargetPolicy::ByKey`]).
-    /// The key space is split into `shards` equal ranges. `shards(1)`
+    /// The workload's key space is split into `shards` equal ranges. `shards(1)`
     /// is a real, gated one-group deployment — not the same run as
     /// leaving this unset. Requires a single-region topology.
     pub fn shards(mut self, shards: usize) -> Self {
@@ -338,13 +318,6 @@ impl<P: ProtocolSpec> Experiment<P> {
             "sharded experiments run on a single-region topology"
         );
         self.shards = Some(shards);
-        self
-    }
-
-    /// Key space the initial shard map partitions (default 0 = the
-    /// workload's `num_keys`).
-    pub fn key_space(mut self, keys: u64) -> Self {
-        self.key_space = keys;
         self
     }
 

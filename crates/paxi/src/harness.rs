@@ -27,7 +27,7 @@ use crate::history::{History, HistoryCheck};
 use crate::metrics::{mean, percentile};
 use crate::shard::{GroupId, ShardGate, ShardLayout, ShardMap};
 use pig_runtime::{LoopRuntime, NetRunStats};
-use simnet::{Actor, NodeId, SimDuration, SimTime, Simulation};
+use simnet::{Actor, CpuCostModel, NodeId, SimDuration, SimTime, Simulation};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -329,14 +329,10 @@ fn deploy<P: ProtocolSpec>(exp: &Experiment<P>) -> Deployment<P::Msg> {
     let routers: Vec<NodeId> = (n_replicas..n_replicas + exp.n_clients)
         .map(NodeId::from)
         .collect();
-    let key_space = match exp.key_space {
-        0 => exp.workload.num_keys,
-        keys => keys,
-    };
     let layout = ShardLayout {
         shards: clusters.len(),
         replicas_per_shard: r,
-        map: ShardMap::uniform(clusters.len() as u32, key_space),
+        map: ShardMap::uniform(clusters.len() as u32, exp.workload.num_keys),
         leaders: clusters.iter().map(|c| c.leader).collect(),
         clusters,
         total_nodes: n_replicas + routers.len() + exp.extra_client_nodes,
@@ -411,8 +407,10 @@ where
     let d = deploy(exp);
     let layout = &d.layout;
     let mut topology = exp.topology.clone();
-    topology.add_nodes(layout.total_nodes - topology.num_nodes(), exp.client_region);
-    let mut sim: Simulation<Envelope<P::Msg>> = Simulation::new(topology, exp.cost.clone(), seed);
+    // Clients attach to region 0, the leader's.
+    topology.add_nodes(layout.total_nodes - topology.num_nodes(), 0);
+    let mut sim: Simulation<Envelope<P::Msg>> =
+        Simulation::new(topology, CpuCostModel::calibrated(), seed);
     if exp.capture_trace {
         sim.enable_trace();
     }

@@ -61,14 +61,6 @@ pub struct Log {
     execute_cursor: u64,
     /// Slots below this have been truncated away (compaction floor).
     compacted: u64,
-    /// Approximate payload bytes of retained entries (diagnostics).
-    retained_bytes: usize,
-    /// Approximate payload bytes of retained *executed* entries — the
-    /// truncatable prefix, and therefore the byte-based compaction
-    /// trigger input (the unexecuted tail cannot be truncated, so
-    /// counting it would make a small threshold fire on every wave
-    /// while freeing nothing).
-    executed_bytes: usize,
 }
 
 impl Log {
@@ -124,14 +116,12 @@ impl Log {
             // below the cursor after compaction.
             return true;
         }
-        let bytes = command.payload_bytes();
         match self.cell_mut(slot) {
             Some(e) if e.committed => return true, // decided: accept is a no-op
             Some(e) if e.ballot > ballot => return false,
             Some(e) => {
-                let old = std::mem::replace(&mut e.command, command).payload_bytes();
+                e.command = command;
                 e.ballot = ballot;
-                self.retained_bytes -= old;
             }
             empty => {
                 *empty = Some(LogEntry {
@@ -143,7 +133,6 @@ impl Log {
                 self.len += 1;
             }
         }
-        self.retained_bytes += bytes;
         true
     }
 
@@ -161,14 +150,12 @@ impl Log {
             // it must not re-insert an entry below the cursor.
             return false;
         }
-        let bytes = command.payload_bytes();
-        let old = match self.cell_mut(slot) {
+        match self.cell_mut(slot) {
             Some(e) if e.committed => return false,
             Some(e) => {
-                let old = std::mem::replace(&mut e.command, command).payload_bytes();
+                e.command = command;
                 e.ballot = ballot;
                 e.committed = true;
-                old
             }
             empty => {
                 *empty = Some(LogEntry {
@@ -178,10 +165,8 @@ impl Log {
                     executed: false,
                 });
                 self.len += 1;
-                0
             }
-        };
-        self.retained_bytes = self.retained_bytes - old + bytes;
+        }
         true
     }
 
@@ -207,7 +192,6 @@ impl Log {
             .expect("executing a missing slot");
         assert!(e.committed, "executing an uncommitted slot");
         e.executed = true;
-        self.executed_bytes += e.command.payload_bytes();
         self.execute_cursor += 1;
     }
 
@@ -250,32 +234,10 @@ impl Log {
         self.compacted
     }
 
-    /// Approximate payload bytes of all retained entries.
-    pub fn retained_bytes(&self) -> usize {
-        self.retained_bytes
-    }
-
-    /// Approximate payload bytes of the retained *executed* prefix —
-    /// what a truncation at the executed frontier would free. The
-    /// byte-based compaction trigger compares against this, not
-    /// [`Log::retained_bytes`]: the unexecuted tail survives every
-    /// truncation, so counting it would fire compaction on every
-    /// execution wave without bounding anything.
-    pub fn executed_bytes(&self) -> usize {
-        self.executed_bytes
-    }
-
     /// Pop every cell below `up_to` off the front and make it the floor.
     fn drop_below(&mut self, up_to: u64) {
         let n = (up_to - self.compacted).min(self.cells.len() as u64) as usize;
-        for e in self.cells.drain(..n).flatten() {
-            let bytes = e.command.payload_bytes();
-            self.len -= 1;
-            self.retained_bytes -= bytes;
-            if e.executed {
-                self.executed_bytes -= bytes;
-            }
-        }
+        self.len -= self.cells.drain(..n).flatten().count();
         self.compacted = up_to;
     }
 
@@ -485,7 +447,6 @@ mod tests {
         }
         log.mark_executed(0);
         log.mark_executed(1);
-        assert!(log.retained_bytes() > 0);
         log.truncate_below(2);
         assert_eq!(log.compacted_up_to(), 2);
         assert_eq!(log.len(), 2, "unexecuted committed tail survives");
@@ -525,20 +486,6 @@ mod tests {
         log.mark_executed(5);
         log.mark_executed(6);
         assert_eq!(log.execute_cursor(), 7);
-    }
-
-    #[test]
-    fn retained_bytes_track_truncation() {
-        let mut log = Log::new();
-        for s in 0..8 {
-            log.commit(s, b(1), cmd(s));
-            log.mark_executed(s);
-        }
-        let full = log.retained_bytes();
-        log.truncate_below(8);
-        assert!(full > 0);
-        assert_eq!(log.retained_bytes(), 0);
-        assert!(log.is_empty());
     }
 
     #[test]

@@ -110,10 +110,6 @@ impl NodeSet {
         self.len = 0;
         self.spill.clear();
     }
-
-    fn iter(&self) -> impl Iterator<Item = &NodeId> {
-        self.inline[..self.len as usize].iter().chain(&self.spill)
-    }
 }
 
 /// Tallies votes for one ballot/round.
@@ -164,11 +160,6 @@ impl VoteTracker {
     /// Number of acks so far.
     pub fn ack_count(&self) -> usize {
         self.acks.len()
-    }
-
-    /// Nodes that have acked.
-    pub fn ackers(&self) -> impl Iterator<Item = &NodeId> {
-        self.acks.iter()
     }
 
     /// The ballot being tracked.

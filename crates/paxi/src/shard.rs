@@ -915,18 +915,6 @@ pub struct ShardLayout {
     pub total_nodes: usize,
 }
 
-impl ShardLayout {
-    /// The shard whose replica range contains `node`, if any.
-    pub fn shard_of(&self, node: NodeId) -> Option<usize> {
-        let idx = node.index();
-        if idx < self.shards * self.replicas_per_shard {
-            Some(idx / self.replicas_per_shard)
-        } else {
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,8 +5,7 @@
 //! the executed prefix to be *compacted*: once a slot is executed its
 //! command can be folded into a state-machine snapshot and dropped from
 //! the log. A [`SnapshotConfig`] on a protocol's config decides when
-//! that happens (by executed-operation count and/or retained log
-//! bytes); the [`Snapshot`] value is what a replica keeps after
+//! that happens (by executed-operation count); the [`Snapshot`] value is what a replica keeps after
 //! truncating — and what it ships to a lagging peer (or a newly elected
 //! leader) whose missing prefix is gone from every log.
 //!
@@ -39,11 +38,6 @@ pub struct SnapshotConfig {
     /// snapshot (the executed frontier advanced this far past the
     /// compaction floor).
     pub interval_ops: Option<u64>,
-    /// Snapshot once the retained log holds at least this many payload
-    /// bytes (approximate, counted from command payloads). Protocols
-    /// without a slot log (EPaxos) ignore this and compact by
-    /// `interval_ops` only.
-    pub interval_bytes: Option<usize>,
 }
 
 impl SnapshotConfig {
@@ -57,30 +51,12 @@ impl SnapshotConfig {
         assert!(ops >= 1, "snapshot interval must be at least 1 op");
         SnapshotConfig {
             interval_ops: Some(ops),
-            interval_bytes: None,
         }
     }
 
-    /// Snapshot whenever the retained log reaches `bytes` payload bytes.
-    pub fn every_bytes(bytes: usize) -> Self {
-        assert!(bytes >= 1, "snapshot byte threshold must be positive");
-        SnapshotConfig {
-            interval_ops: None,
-            interval_bytes: Some(bytes),
-        }
-    }
-
-    /// Also snapshot every `ops` executed operations (combines with an
-    /// existing byte threshold; whichever fires first wins).
-    pub fn with_ops(mut self, ops: u64) -> Self {
-        assert!(ops >= 1, "snapshot interval must be at least 1 op");
-        self.interval_ops = Some(ops);
-        self
-    }
-
-    /// True when any trigger is configured.
+    /// True when compaction is on.
     pub fn is_enabled(&self) -> bool {
-        self.interval_ops.is_some() || self.interval_bytes.is_some()
+        self.interval_ops.is_some()
     }
 }
 
@@ -278,10 +254,7 @@ mod tests {
     fn config_triggers() {
         assert!(!SnapshotConfig::disabled().is_enabled());
         assert!(SnapshotConfig::every_ops(10).is_enabled());
-        assert!(SnapshotConfig::every_bytes(1024).is_enabled());
-        let both = SnapshotConfig::every_bytes(1024).with_ops(5);
-        assert_eq!(both.interval_ops, Some(5));
-        assert_eq!(both.interval_bytes, Some(1024));
+        assert_eq!(SnapshotConfig::every_ops(5).interval_ops, Some(5));
     }
 
     #[test]

@@ -54,9 +54,7 @@ pub fn command_value_len(cmd: &Command) -> usize {
 
 /// Write a command body: request id (12 bytes), key (8 bytes, absent
 /// for `Noop`), then the raw value bytes (`Put` only, no length — the
-/// caller's metadata or the frame end delimits it). Together with the
-/// caller-encoded operation tag this is exactly
-/// [`Command::payload_bytes`] bytes.
+/// caller's metadata or the frame end delimits it).
 pub fn put_command_body<W: WirePut>(cmd: &Command, out: &mut W) {
     out.put_wire(&cmd.id);
     match &cmd.op {

@@ -298,31 +298,17 @@ impl Acceptor {
     }
 
     /// Snapshot + truncate if the configured trigger fired: the
-    /// executed frontier advanced `interval_ops` past the floor, or the
-    /// retained log reached `interval_bytes`. `sessions` is the
+    /// executed frontier advanced `interval_ops` past the floor.
+    /// `sessions` is the
     /// replica's reply cache at this instant — it travels inside the
     /// snapshot so a catch-up peer still answers retries exactly once.
     /// Returns `true` when a snapshot was taken.
     pub fn maybe_compact(&mut self, sessions: &SessionTable) -> bool {
-        if !self.snapshot_cfg.is_enabled() {
+        let Some(interval) = self.snapshot_cfg.interval_ops else {
             return false;
-        }
-        let cursor = self.log.execute_cursor();
-        let since = cursor - self.log.compacted_up_to();
-        if since == 0 {
-            return false;
-        }
-        let due_ops = self.snapshot_cfg.interval_ops.is_some_and(|n| since >= n);
-        // Byte trigger compares against the *truncatable* (executed)
-        // prefix, not all retained bytes: the unexecuted tail survives
-        // truncation, so a threshold below the steady-state in-flight
-        // window would otherwise snapshot on every wave while freeing
-        // nothing.
-        let due_bytes = self
-            .snapshot_cfg
-            .interval_bytes
-            .is_some_and(|b| self.log.executed_bytes() >= b);
-        if !(due_ops || due_bytes) {
+        };
+        let since = self.log.execute_cursor() - self.log.compacted_up_to();
+        if since == 0 || since < interval {
             return false;
         }
         self.force_snapshot(sessions);
@@ -674,37 +660,6 @@ mod tests {
             a.serve_learn(&above),
             Some(LearnAnswer::Entries(_))
         ));
-    }
-
-    #[test]
-    fn byte_interval_triggers_compaction() {
-        let mut a = acc();
-        a.set_snapshot_config(paxi::SnapshotConfig::every_bytes(64));
-        let mut sessions = SessionTable::new();
-        run_commits(&mut a, &mut sessions, 30); // 8B values, ~28B/cmd
-        assert!(a.snapshot_floor() > 0, "byte threshold fired");
-        assert!(a.log().retained_bytes() < 128);
-    }
-
-    #[test]
-    fn byte_trigger_ignores_unexecuted_tail() {
-        let mut a = acc();
-        a.set_snapshot_config(paxi::SnapshotConfig::every_bytes(100));
-        let sessions = SessionTable::new();
-        // One executed op (~28 payload bytes)...
-        a.commit(0, b(1), cmd(1));
-        a.execute_ready();
-        // ...plus a large accepted-but-uncommitted tail above a hole at
-        // slot 1, so nothing else can execute (or be truncated).
-        for s in 2..22 {
-            a.on_p2a(b(1), s, cmd(s), 0);
-        }
-        assert!(a.log().retained_bytes() > 100);
-        assert!(
-            !a.maybe_compact(&sessions),
-            "the untruncatable in-flight tail must not trip the byte threshold"
-        );
-        assert_eq!(a.snapshot_floor(), 0);
     }
 
     #[test]

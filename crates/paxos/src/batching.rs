@@ -78,11 +78,6 @@ impl BatchLane {
         self.batcher.config()
     }
 
-    /// Current adaptive fill target (diagnostics).
-    pub fn batch_target(&self) -> usize {
-        self.batcher.target()
-    }
-
     /// Commands currently buffered (diagnostics).
     pub fn buffered(&self) -> usize {
         self.batcher.len()

@@ -16,9 +16,6 @@ pub struct PaxosConfig {
     pub election_timeout_max: SimDuration,
     /// Leader re-sends phase-2a for a slot still uncommitted after this.
     pub p2_retry_timeout: SimDuration,
-    /// CPU time charged per command applied to the state machine
-    /// (matches `CpuCostModel::calibrated().exec_cost` by default).
-    pub exec_cost: SimDuration,
     /// Delay before a follower sends a batched `LearnReq` for missing
     /// slots. Rate-limits gap repair so it never competes with the hot
     /// path (followers lagging briefly is invisible to clients — only
@@ -60,7 +57,6 @@ impl PaxosConfig {
             election_timeout_min: SimDuration::from_millis(100),
             election_timeout_max: SimDuration::from_millis(200),
             p2_retry_timeout: SimDuration::from_millis(50),
-            exec_cost: SimDuration::from_micros(40),
             learn_delay: SimDuration::from_millis(100),
             flexible_quorums: None,
             thrifty: false,
@@ -90,7 +86,6 @@ impl PaxosConfig {
             election_timeout_min: SimDuration::from_millis(600),
             election_timeout_max: SimDuration::from_millis(1200),
             p2_retry_timeout: SimDuration::from_millis(400),
-            exec_cost: SimDuration::from_micros(40),
             learn_delay: SimDuration::from_millis(300),
             flexible_quorums: None,
             thrifty: false,

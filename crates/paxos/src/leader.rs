@@ -68,7 +68,6 @@ const MAX_RETRY_SHIFT: u32 = 4;
 #[derive(Debug)]
 pub struct Leader {
     me: NodeId,
-    n: usize,
     /// Phase-1 quorum size (majority unless flexible quorums are used).
     q1: usize,
     /// Phase-2 quorum size.
@@ -99,7 +98,6 @@ impl Leader {
         assert!(q1 >= 1 && q1 <= n && q2 >= 1 && q2 <= n);
         Leader {
             me,
-            n,
             q1,
             q2,
             ballot: Ballot::ZERO,
@@ -116,11 +114,6 @@ impl Leader {
     /// The phase-2 quorum size in use.
     pub fn q2(&self) -> usize {
         self.q2
-    }
-
-    /// The cluster size this leader was configured for.
-    pub fn cluster_size(&self) -> usize {
-        self.n
     }
 
     /// Current ballot.

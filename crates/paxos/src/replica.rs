@@ -33,7 +33,7 @@ use paxi::{
     ReplicaCtx, ReplyBatcher, RequestId, SessionTable, Value,
 };
 use rand::Rng;
-use simnet::{NodeId, SimDuration, SimTime, TimerId};
+use simnet::{CpuCostModel, NodeId, SimDuration, SimTime, TimerId};
 use std::collections::VecDeque;
 
 /// Largest number of slots requested in one batched `LearnReq`.
@@ -383,7 +383,7 @@ impl<D: Dissemination> Replica<D> {
         if executed.is_empty() {
             return;
         }
-        ctx.charge(self.cfg.exec_cost * executed.len() as u64);
+        ctx.charge(CpuCostModel::EXEC_COST * executed.len() as u64);
         for (slot, id, value) in executed {
             let reply = ClientReply::ok(id, value);
             // Every replica caches the reply so retries are answered

@@ -23,12 +23,14 @@ pub struct CpuCostModel {
     pub per_byte: SimDuration,
     /// Cost of handling a timer firing.
     pub timer_cost: SimDuration,
-    /// Cost of applying one command to the state machine (protocols
-    /// charge this explicitly via `Context::charge` when they execute).
-    pub exec_cost: SimDuration,
 }
 
 impl CpuCostModel {
+    /// Cost of applying one command to the state machine. Protocols
+    /// charge it explicitly via `Context::charge` when they execute; it
+    /// is the ~40 µs of execution [`CpuCostModel::calibrated`] budgets.
+    pub const EXEC_COST: SimDuration = SimDuration::from_micros(40);
+
     /// Calibrated default, chosen so a 25-node Multi-Paxos cluster
     /// saturates near the paper's ≈2000 req/s (see DESIGN.md §2):
     /// the Paxos leader handles ≈50 messages per operation; at ~10 µs per
@@ -42,7 +44,6 @@ impl CpuCostModel {
             send_base: SimDuration::from_micros(8),
             per_byte: SimDuration::from_nanos(2),
             timer_cost: SimDuration::from_micros(1),
-            exec_cost: SimDuration::from_micros(40),
         }
     }
 
@@ -54,7 +55,6 @@ impl CpuCostModel {
             send_base: SimDuration::ZERO,
             per_byte: SimDuration::ZERO,
             timer_cost: SimDuration::ZERO,
-            exec_cost: SimDuration::ZERO,
         }
     }
 
@@ -104,7 +104,7 @@ mod tests {
         // 25-node Paxos: leader receives 1 client req + 24 acks + sends
         // 24 accepts + 1 reply = 50 messages/op at 8-byte payloads.
         let m = CpuCostModel::calibrated();
-        let per_op = m.recv_cost(32) * 25 + m.send_cost(32) * 25 + m.exec_cost;
+        let per_op = m.recv_cost(32) * 25 + m.send_cost(32) * 25 + CpuCostModel::EXEC_COST;
         let ops_per_sec = 1e9 / per_op.as_nanos() as f64;
         assert!(
             (1500.0..2500.0).contains(&ops_per_sec),

@@ -77,11 +77,6 @@ impl NetStats {
             self.nodes.resize(i + 1, NodeStats::default());
         }
     }
-
-    /// Sum of messages through every node.
-    pub fn total_msgs(&self) -> u64 {
-        self.nodes.iter().map(|n| n.msgs_total()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -119,6 +114,7 @@ mod tests {
         s.nodes[0].msgs_sent = 3;
         s.nodes[0].msgs_received = 2;
         s.nodes[1].msgs_sent = 1;
-        assert_eq!(s.total_msgs(), 6);
+        assert_eq!(s.nodes[0].msgs_total(), 5);
+        assert_eq!(s.nodes[1].msgs_total(), 1);
     }
 }

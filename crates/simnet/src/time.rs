@@ -95,18 +95,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Construct from fractional seconds. Panics on negative input.
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(s >= 0.0, "duration must be non-negative, got {s}");
-        SimDuration((s * 1_000_000_000.0).round() as u64)
-    }
-
-    /// Construct from fractional microseconds. Panics on negative input.
-    pub fn from_micros_f64(us: f64) -> Self {
-        assert!(us >= 0.0, "duration must be non-negative, got {us}");
-        SimDuration((us * 1_000.0).round() as u64)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -225,8 +213,6 @@ mod tests {
         assert_eq!(SimDuration::from_micros(5).as_nanos(), 5_000);
         assert_eq!(SimDuration::from_millis(5).as_nanos(), 5_000_000);
         assert_eq!(SimDuration::from_secs(5).as_nanos(), 5_000_000_000);
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
-        assert_eq!(SimDuration::from_micros_f64(1.5).as_nanos(), 1_500);
     }
 
     #[test]

@@ -62,14 +62,6 @@ impl Trace {
             .count()
     }
 
-    /// Count of delivered messages that crossed a region boundary.
-    pub fn cross_region_count(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| !e.dropped && e.cross_region)
-            .count()
-    }
-
     /// Clear all entries while keeping capacity.
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -132,7 +124,6 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert_eq!(t.count_label("p2a"), 2);
         assert_eq!(t.count_label("p2b"), 1);
-        assert_eq!(t.cross_region_count(), 1);
     }
 
     #[test]

@@ -91,14 +91,6 @@ impl TreeLog {
         true
     }
 
-    fn bytes(&self, executed_only: bool) -> usize {
-        let counted = self
-            .entries
-            .values()
-            .filter(|e| e.executed || !executed_only);
-        counted.map(|e| e.command.payload_bytes()).sum()
-    }
-
     fn unexecuted(&self) -> impl Iterator<Item = &LogEntry> {
         let window = self.entries.range(self.execute_cursor..);
         window.map(|(_, e)| e).filter(|e| !e.executed)
@@ -148,8 +140,6 @@ fn assert_same_log(log: &Log, model: &TreeLog) {
     prop_assert_eq!(log.compacted_up_to(), model.compacted);
     prop_assert_eq!(log.len(), model.entries.len());
     prop_assert_eq!(log.is_empty(), model.entries.is_empty());
-    prop_assert_eq!(log.retained_bytes(), model.bytes(false));
-    prop_assert_eq!(log.executed_bytes(), model.bytes(true));
     let committed = model.entries.values().filter(|e| e.committed).count();
     prop_assert_eq!(log.committed_count(), committed as u64);
     let next = model.entries.get(&model.execute_cursor);

@@ -364,25 +364,27 @@ fn flexible_quorum_read_waits_for_q1_answers() {
     assert_eq!(stats.pqr_inflight(), 0, "pending table must drain");
 }
 
-/// Exceeding `pqr_max_attempts` must abort the read, redirect the
+/// Exceeding `PQR_MAX_ATTEMPTS` must abort the read, redirect the
 /// client to the leader, and leave nothing behind in the pending table
 /// (the rinse-abort → leader-redirect path).
 #[test]
 fn rinse_abort_redirects_client_and_leaves_no_pending_read() {
     let at = SimDuration::from_millis;
     let proxy = NodeId(1);
-    let mut cfg = PigConfig::lan(1).with_pqr();
-    cfg.pqr_max_attempts = 2;
     // Every attempt sees the same unresolved in-flight write, so the
-    // read rinses until the attempt cap and must then give up.
-    let script = vec![
-        (at(1), proxy, get_request(1, 7)),
-        // attempt 1 → rinse (restart ≈ t=5ms → attempt 2)
-        (at(2), proxy, Envelope::Proto(qr_vote(1, 1, 1, 2, 5, true))),
-        // attempt 2 → rinse again (restart ≈ t=9ms → attempt 3 > cap)
-        (at(6), proxy, Envelope::Proto(qr_vote(1, 1, 2, 2, 5, true))),
-    ];
-    let (replies, stats) = scripted_proxy_run(cfg, script, SimDuration::from_millis(40));
+    // read rinses until the attempt cap and must then give up. Attempt
+    // k's vote lands at t = 4k − 2 ms; its rinse restarts the read
+    // 3 ms later as attempt k + 1, and the restart past the cap aborts.
+    let mut script = vec![(at(1), proxy, get_request(1, 7))];
+    for attempt in 1..=pigpaxos::config::PQR_MAX_ATTEMPTS {
+        let vote = qr_vote(1, 1, attempt, 2, 5, true);
+        script.push((at(4 * attempt as u64 - 2), proxy, Envelope::Proto(vote)));
+    }
+    let (replies, stats) = scripted_proxy_run(
+        PigConfig::lan(1).with_pqr(),
+        script,
+        SimDuration::from_millis(60),
+    );
     assert_eq!(replies.len(), 1, "one redirect reply: {replies:?}");
     let reply = &replies[0];
     assert!(!reply.ok, "aborted read must not report a value");

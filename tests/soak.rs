@@ -154,44 +154,6 @@ fn epaxos_soak_bounded_memory() {
     assert_soak("epaxos", &s);
 }
 
-/// The byte-based trigger also bounds memory: same soak (shortened), a
-/// byte threshold instead of an op count.
-#[test]
-fn byte_interval_soak_bounded_memory() {
-    // Paper-default commands average ~24 payload bytes (8 B values,
-    // 50/50 read mix, 20 B of id/key framing), so a 16 KiB threshold is
-    // roughly 700 retained commands per compaction cycle.
-    let threshold_bytes = 16 * 1024;
-    let cfg = PaxosConfig::lan()
-        .with_batch(paxi::BatchConfig::adaptive(
-            32,
-            SimDuration::from_micros(200),
-        ))
-        .with_snapshots(SnapshotConfig::every_bytes(threshold_bytes));
-    let r = Experiment::lan(cfg, 5)
-        .clients(16)
-        .client_pipeline(4)
-        .warmup(SimDuration::from_millis(500))
-        .measure(SimDuration::from_secs(if quick() { 2 } else { 8 }))
-        .run_sim(paxi::DEFAULT_SEED);
-    assert!(
-        r.protocol.violations().is_empty(),
-        "{:?}",
-        r.protocol.violations()
-    );
-    assert!(r.protocol.snapshots_taken() > 0, "byte trigger must fire");
-    // One threshold's worth of commands (lowballing the per-command
-    // size at 20 B), doubled for the in-flight window — same shape as
-    // the op-count gate.
-    let per_cmd = 20;
-    let bound = 2 * (threshold_bytes as u64) / per_cmd;
-    assert!(
-        r.protocol.max_log_len() <= bound,
-        "byte-triggered compaction must bound the log: {} > {bound}",
-        r.protocol.max_log_len()
-    );
-}
-
 /// Regression for the snapshot-capture staleness bug: `force_snapshot`
 /// with a static executed frontier must keep the snapshot already held,
 /// not recapture. A recapture at an unchanged `up_to` would freeze the
