@@ -10,6 +10,9 @@
 //! - With no paths, runs every `*.toml` under `scenarios/` (sorted).
 //! - `--check` lints the corpus: parse + validate only, no runs.
 //! - `--quick` / `PIG_QUICK=1` skips scenarios marked `quick = false`.
+//! - The `fingerprint` column is the hex of the run's whole message
+//!   trace (`TraceSummary::fingerprint`): two runs print the same one
+//!   only if they sent the same messages at the same times.
 //! - Exit code is non-zero if any scenario fails to parse, violates
 //!   safety, answers its clients non-linearizably, or misses its
 //!   `[expect]` block.
@@ -204,7 +207,7 @@ fn main() -> ExitCode {
         };
     }
 
-    let columns = "scenario,protocol,tput,p99_ms,retries,faults,converged,status";
+    let columns = "scenario,protocol,tput,p99_ms,retries,faults,converged,status,fingerprint";
     let mut table = Table::new("", columns);
     let mut ran = 0usize;
     for sc in &scenarios {
@@ -219,6 +222,10 @@ fn main() -> ExitCode {
             None => "-",
         };
         let status = if fails.is_empty() { "pass" } else { "FAIL" };
+        let trace = result
+            .transport
+            .trace
+            .expect("scenario runs capture the trace");
         table.row([
             sc.name.as_str().into(),
             sc.protocol.to_string().into(),
@@ -228,6 +235,7 @@ fn main() -> ExitCode {
             log.len().into(),
             converged.into(),
             status.into(),
+            format!("{:016x}", trace.fingerprint).into(),
         ]);
         for f in &fails {
             eprintln!("  {}: {f}", sc.name);

@@ -772,8 +772,10 @@ impl Scenario {
     /// Run this scenario with `proto` on the simulator: a
     /// [`Nemesis`] in the one extra client slot executes the fault
     /// schedule, and the clients' history is checked for
-    /// linearizability ([`crate::ClientResult::history`]). With `shards`
-    /// set, `replicas` is per shard and the clients are routers.
+    /// linearizability ([`crate::ClientResult::history`]). The message
+    /// trace is captured, so [`crate::TransportResult::trace`] carries
+    /// the run's fingerprint. With `shards` set, `replicas` is per shard
+    /// and the clients are routers.
     pub fn run_sim<P: ProtocolSpec>(&self, proto: P) -> (RunResult, NemesisLog) {
         let mut exp = match self.topology {
             TopologyKind::Lan => Experiment::lan(proto, self.replicas),
@@ -786,7 +788,8 @@ impl Scenario {
         .measure(self.measure)
         .drain(self.drain)
         .extra_client_nodes(1)
-        .check_linearizability();
+        .check_linearizability()
+        .capture_trace();
         if let Some(shards) = self.shards {
             exp = exp.shards(shards);
         }

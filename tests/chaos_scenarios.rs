@@ -123,6 +123,8 @@ fn chaos_runs_are_deterministic() {
     assert_eq!(a.client.retries, b.client.retries);
     assert_eq!(a.transport.node_msgs, b.transport.node_msgs);
     assert_eq!(a.protocol.replica_digests, b.protocol.replica_digests);
+    let fp = |r: &paxi::RunResult| r.transport.trace.expect("traced").fingerprint;
+    assert_eq!(fp(&a), fp(&b), "the whole message schedule");
 }
 
 /// Flaky links plus a follower crash/restart on plain Paxos: the
