@@ -53,6 +53,6 @@ mod tests {
     fn defaults_are_positive() {
         let costs = [ATTR_COST, GRAPH_VISIT_COST, simnet::CpuCostModel::EXEC_COST];
         assert!(costs.iter().all(|&c| c > SimDuration::ZERO));
-        assert!(!EpaxosConfig::default().snapshot.is_enabled());
+        assert_eq!(EpaxosConfig::default().snapshot, SnapshotConfig::disabled());
     }
 }

@@ -53,11 +53,6 @@ impl SnapshotConfig {
             interval_ops: Some(ops),
         }
     }
-
-    /// True when compaction is on.
-    pub fn is_enabled(&self) -> bool {
-        self.interval_ops.is_some()
-    }
 }
 
 /// A state-machine snapshot: everything a replica needs to serve (and
@@ -252,8 +247,7 @@ mod tests {
 
     #[test]
     fn config_triggers() {
-        assert!(!SnapshotConfig::disabled().is_enabled());
-        assert!(SnapshotConfig::every_ops(10).is_enabled());
+        assert_eq!(SnapshotConfig::disabled().interval_ops, None);
         assert_eq!(SnapshotConfig::every_ops(5).interval_ops, Some(5));
     }
 
