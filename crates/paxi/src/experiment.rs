@@ -307,9 +307,9 @@ impl<P: ProtocolSpec> Experiment<P> {
     /// `[g*R, (g+1)*R)`), every replica behind a
     /// [`crate::ShardGate`] and every client routing by key
     /// ([`TargetPolicy::ByKey`]).
-    /// The workload's key space is split into `shards` equal ranges. `shards(1)`
-    /// is a real, gated one-group deployment — not the same run as
-    /// leaving this unset. Requires a single-region topology.
+    /// The workload's key space is split into `shards` equal ranges.
+    /// `shards(1)` is a real, gated one-group deployment — not the same
+    /// run as leaving this unset. Requires a single-region topology.
     pub fn shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         assert_eq!(

@@ -5,9 +5,10 @@
 //! the executed prefix to be *compacted*: once a slot is executed its
 //! command can be folded into a state-machine snapshot and dropped from
 //! the log. A [`SnapshotConfig`] on a protocol's config decides when
-//! that happens (by executed-operation count); the [`Snapshot`] value is what a replica keeps after
-//! truncating — and what it ships to a lagging peer (or a newly elected
-//! leader) whose missing prefix is gone from every log.
+//! that happens (by executed-operation count); the [`Snapshot`] value
+//! is what a replica keeps after truncating — and what it ships to a
+//! lagging peer (or a newly elected leader) whose missing prefix is
+//! gone from every log.
 //!
 //! Compaction never touches undecided or unexecuted slots: the
 //! truncation point is always the executed frontier (`Log::execute_cursor`),

@@ -299,9 +299,9 @@ impl Acceptor {
 
     /// Snapshot + truncate if the configured trigger fired: the
     /// executed frontier advanced `interval_ops` past the floor.
-    /// `sessions` is the
-    /// replica's reply cache at this instant — it travels inside the
-    /// snapshot so a catch-up peer still answers retries exactly once.
+    /// `sessions` is the replica's reply cache at this instant — it
+    /// travels inside the snapshot so a catch-up peer still answers
+    /// retries exactly once.
     /// Returns `true` when a snapshot was taken.
     pub fn maybe_compact(&mut self, sessions: &SessionTable) -> bool {
         let Some(interval) = self.snapshot_cfg.interval_ops else {
