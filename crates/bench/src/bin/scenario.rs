@@ -17,7 +17,7 @@
 //!   safety, answers its clients non-linearizably, or misses its
 //!   `[expect]` block.
 
-use paxi::{Fault, NemesisLog, RunResult, Scenario, TopologyKind};
+use paxi::{NemesisLog, RunResult, Scenario, TopologyKind};
 use pigpaxos_bench::Cell::Float;
 use pigpaxos_bench::{Opts, Table};
 use std::path::{Path, PathBuf};
@@ -45,44 +45,6 @@ fn load(path: &Path) -> Result<Scenario, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("{}: read failed: {e}", path.display()))?;
     paxi::scenario::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Replica nodes a fault acts on (for the affected-shard computation;
-/// cluster-wide faults like `drop_rate` return none and are treated as
-/// affecting every shard by the caller).
-fn fault_nodes(f: &Fault) -> Vec<u32> {
-    match f {
-        Fault::Partition { a, b } | Fault::AsymmetricPartition { a, b } => {
-            a.iter().chain(b).copied().collect()
-        }
-        Fault::Crash(n) | Fault::Restart(n) => vec![*n],
-        Fault::CrashLoop { node, .. } | Fault::Slow { node, .. } => vec![*node],
-        Fault::Flaky { from, to, .. } => vec![*from, *to],
-        Fault::Storm { target, .. } => vec![*target],
-        Fault::Heal | Fault::ClearFlaky | Fault::ClearSlow | Fault::DropRate(_) => vec![],
-    }
-}
-
-/// Which of the `shards` groups any scheduled fault touches, for
-/// `min_shard_decided` judging.
-fn affected_shards(sc: &Scenario, shards: usize) -> Vec<bool> {
-    let replicas_per_shard = sc.replicas as u32;
-    let mut affected = vec![false; shards];
-    for ev in &sc.faults {
-        let nodes = fault_nodes(&ev.fault);
-        if nodes.is_empty() && !matches!(ev.fault, Fault::Heal) {
-            // Cluster-wide fault: no shard is exempt.
-            affected.iter_mut().for_each(|a| *a = true);
-            continue;
-        }
-        for n in nodes {
-            let s = (n / replicas_per_shard) as usize;
-            if s < shards {
-                affected[s] = true;
-            }
-        }
-    }
-    affected
 }
 
 fn dispatch(sc: &Scenario) -> (RunResult, NemesisLog) {
@@ -149,21 +111,6 @@ fn judge(sc: &Scenario, r: &RunResult, log: &NemesisLog) -> Vec<String> {
     if let Some(min) = sc.expect.min_samples {
         if (r.client.samples as u64) < min {
             fails.push(format!("samples {} < required {min}", r.client.samples));
-        }
-    }
-    // Validation admits `min_shard_decided` only on sharded scenarios.
-    if let Some(min) = sc.expect.min_shard_decided {
-        let affected = affected_shards(sc, r.protocol.groups.len());
-        for (s, (group, &hit)) in r.protocol.groups.iter().zip(&affected).enumerate() {
-            let decided = group.safety.decided_count();
-            if !hit && decided < min {
-                fails.push(format!(
-                    "unaffected shard {s} decided {decided} < required {min}"
-                ));
-            }
-        }
-        if affected.iter().all(|&a| a) {
-            fails.push("min_shard_decided set but every shard is touched by a fault".to_string());
         }
     }
     fails

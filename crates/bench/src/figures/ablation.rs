@@ -52,7 +52,7 @@ pub fn ablation_partial(o: &Opts) -> Report {
         cfg.partial_threshold = threshold;
         o.lan(cfg, 25)
             .clients(10) // moderate load: latency, not saturation, matters
-            .run_sim_with(SEED, |sim, _| {
+            .run_sim_with(SEED, |sim| {
                 // Groups of 8: g0 = nodes 1-8, g1 = 9-16, g2 = 17-24; one
                 // crash in g0 and one in g1.
                 sim.schedule_control(SimTime::from_millis(50), Control::Crash(NodeId(5)));

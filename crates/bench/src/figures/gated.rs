@@ -1,7 +1,7 @@
-//! The two sweeps CI gates on: each `assert!`s its floors in-process
-//! and returns the metrics `perf_gate` compares against a checked-in
+//! The sweep CI gates on: it `assert!`s its floors in-process and
+//! returns the metrics `perf_gate` compares against a checked-in
 //! baseline. The simulation is deterministic, so an unchanged tree
-//! reproduces the baselines bit-for-bit — which is also the proof that
+//! reproduces the baseline bit-for-bit — which is also the proof that
 //! refactors around the harness preserve behaviour.
 
 use super::{checked, pqr_cfg, pqr_probed};
@@ -244,75 +244,6 @@ pub fn batch_sweep(o: &Opts) -> Report {
     }
     Report {
         tables: vec![sweeps, hops],
-        metrics,
-    }
-}
-
-/// Shard-count scaling sweep: aggregate throughput of a sharded
-/// deployment as the number of consensus groups grows, at a **fixed
-/// per-shard cluster size** (3 replicas per group).
-///
-/// Single-group consensus serializes every command through one leader;
-/// sharding multiplies that bottleneck by the number of groups, so
-/// aggregate throughput should scale close to linearly in the shard
-/// count while per-key ordering inside each group is untouched. The
-/// closed-loop router population is scaled with the shard count (two
-/// routers per shard) so the offered load grows with the capacity under
-/// test rather than capping it.
-///
-/// Gate (asserted here and re-checked by `perf_gate` against
-/// `BENCH_shard_baseline.json` in CI): 8 shards must deliver at least
-/// 4x the aggregate throughput of 1 shard.
-///
-/// `--quick` shortens the windows and stops at 8 shards; the full run
-/// extends to 16 and 32. The metrics are `shard{N}_tput` keys plus the
-/// `shard_scaling_8_over_1` ratio.
-pub fn shard_sweep(o: &Opts) -> Report {
-    /// Fixed replica count per consensus group across the whole sweep.
-    const REPLICAS_PER_SHARD: usize = 3;
-    /// Minimum aggregate speedup required from 1 shard to 8 shards.
-    const MIN_SCALING_8_OVER_1: f64 = 4.0;
-
-    let counts: &[usize] = o.pick(&[1, 2, 4, 8], &[1, 2, 4, 8, 16, 32]);
-    let (warmup_ms, measure_ms) = o.pick((300, 1500), (500, 4000));
-    let title =
-        format!("Shard scaling sweep: Paxos, {REPLICAS_PER_SHARD} replicas/shard, 2 routers/shard");
-    let mut t = Table::new(title, "shards,tput");
-    let mut metrics = Vec::new();
-    let (mut base, mut tput8) = (0.0f64, 0.0f64);
-    for &shards in counts {
-        let exp = Experiment::lan(PaxosConfig::lan(), REPLICAS_PER_SHARD)
-            .shards(shards)
-            .clients(2 * shards)
-            .warmup(SimDuration::from_millis(warmup_ms))
-            .measure(SimDuration::from_millis(measure_ms));
-        let tput = checked(&format!("{shards}-shard run"), exp)
-            .client
-            .throughput;
-        if shards == 1 {
-            base = tput;
-        }
-        if shards == 8 {
-            tput8 = tput;
-        }
-        t.row([shards.into(), Float(tput, 0)]);
-        metrics.push((format!("shard{shards}_tput"), tput));
-    }
-    let scaling = if base > 0.0 { tput8 / base } else { 0.0 };
-    // Ratio key carries no perf_gate suffix on purpose: the gate treats
-    // it as informational, while the absolute `_tput` keys regress-check
-    // each point. The hard scaling floor lives right here instead.
-    metrics.push(("shard_scaling_8_over_1".to_string(), scaling));
-    t.notes.push(format!(
-        "8-shard scaling vs 1 shard: {scaling:.2}x (floor {MIN_SCALING_8_OVER_1:.0}x)"
-    ));
-    assert!(
-        scaling >= MIN_SCALING_8_OVER_1,
-        "sharding must scale: 8 shards gave {scaling:.2}x over 1 shard, \
-         need >= {MIN_SCALING_8_OVER_1:.0}x"
-    );
-    Report {
-        tables: vec![t],
         metrics,
     }
 }

@@ -161,7 +161,7 @@ pub fn fig13(o: &Opts) -> Report {
         .warmup(SimDuration::from_secs(0))
         .measure(SimDuration::from_secs(total_secs))
         .timeline_bucket(SimDuration::from_secs(1))
-        .run_sim_with(SEED, move |sim, _| {
+        .run_sim_with(SEED, move |sim| {
             sim.schedule_control(SimTime::from_secs(fault_start), Control::Crash(faulty));
             sim.schedule_control(SimTime::from_secs(fault_end), Control::Recover(faulty));
         });
@@ -291,7 +291,7 @@ pub fn flexible_quorums(o: &Opts) -> Report {
     thr.thrifty = true;
     let thrifty9 = o.lan(thr, 9).clients(4);
     let t_ok = thrifty9.run_sim(SEED);
-    let t_crash = thrifty9.run_sim_with(SEED, |sim, _| {
+    let t_crash = thrifty9.run_sim_with(SEED, |sim| {
         sim.schedule_control(SimTime::from_millis(200), Control::Crash(NodeId(1)));
     });
 

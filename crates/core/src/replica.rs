@@ -673,7 +673,7 @@ mod tests {
         // elected, losing five nodes — a whole relay group — leaves
         // phase 2 its quorum of three; majorities (six) cannot commit.
         let run = |cfg: PigConfig| {
-            with_cfg(cfg, 10, 4).run_sim_with(paxi::DEFAULT_SEED, |sim, _| {
+            with_cfg(cfg, 10, 4).run_sim_with(paxi::DEFAULT_SEED, |sim| {
                 for node in 1..=5 {
                     sim.schedule_control(SimTime::from_millis(200), Control::Crash(NodeId(node)));
                 }
@@ -704,7 +704,7 @@ mod tests {
     fn relay_timeout_delivers_partial_votes() {
         // Crash one node; the relay of its group must still answer within
         // the 50ms relay timeout, so commits continue at full speed.
-        let r = exp(9, 4, 2).run_sim_with(paxi::DEFAULT_SEED, |sim, _| {
+        let r = exp(9, 4, 2).run_sim_with(paxi::DEFAULT_SEED, |sim| {
             sim.schedule_control(SimTime::from_millis(50), Control::Crash(NodeId(8)));
         });
         assert!(r.protocol.violations().is_empty());

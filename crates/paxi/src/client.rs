@@ -13,7 +13,6 @@
 use crate::command::{ClientRequest, Command, Operation, RequestId};
 use crate::envelope::{Envelope, ProtoMessage};
 use crate::history::{tag, History};
-use crate::shard::{ShardCtl, ShardMap};
 use crate::workload::Workload;
 use parking_lot::Mutex;
 use simnet::{Actor, Context, NodeId, SimDuration, SimTime, TimerId};
@@ -28,29 +27,15 @@ pub enum TargetPolicy {
     Fixed(NodeId),
     /// A uniformly random replica per request (EPaxos clients).
     Random(Vec<NodeId>),
-    /// The leader of the group owning the operation's key under a local
-    /// (possibly stale) [`ShardMap`] copy; keyless operations go to
-    /// group 0. Draws nothing from the RNG. A redirect reply corrects a
-    /// stale map per request, a [`ShardCtl::MapUpdate`] wholesale.
-    ByKey {
-        /// The routing table as this client last saw it.
-        map: ShardMap,
-        /// Group leaders, indexed by [`crate::GroupId`].
-        leaders: Vec<NodeId>,
-    },
 }
 
 impl TargetPolicy {
-    fn pick(&self, op: &Operation, rng: &mut rand::rngs::StdRng) -> NodeId {
+    fn pick(&self, rng: &mut rand::rngs::StdRng) -> NodeId {
         match self {
             TargetPolicy::Fixed(n) => *n,
             TargetPolicy::Random(nodes) => {
                 use rand::Rng;
                 nodes[rng.gen_range(0..nodes.len())]
-            }
-            TargetPolicy::ByKey { map, leaders } => {
-                let group = op.key().map_or(0, |k| map.group_for(k) as usize);
-                leaders.get(group).copied().unwrap_or(leaders[0])
             }
         }
     }
@@ -170,7 +155,6 @@ fn jitter_seed(node: NodeId, seq: u64, attempt: u32) -> u64 {
 /// simultaneously (one user session multiplexing several operations
 /// over one connection); each completion immediately issues the next.
 /// Coalesced [`Envelope::ReplyBatch`] envelopes are unpacked in order.
-/// Under [`TargetPolicy::ByKey`] it is the sharded deployments' router.
 pub struct ClosedLoopClient<P> {
     target: TargetPolicy,
     workload: Workload,
@@ -261,7 +245,7 @@ impl<P: ProtoMessage> ClosedLoopClient<P> {
                 logged,
             },
         );
-        let to = self.target.pick(&command.op, ctx.rng());
+        let to = self.target.pick(ctx.rng());
         ctx.send(to, Envelope::Request(ClientRequest { command }));
         ctx.set_timer(self.retry_timeout, self.seq);
     }
@@ -272,9 +256,9 @@ impl<P: ProtoMessage> ClosedLoopClient<P> {
             let attempt = out.attempts;
             self.retries += 1;
             self.recorder.record_retry();
-            // Without a redirect hint, pick afresh: a key-routed client's
-            // map may have been refreshed since the first send.
-            let to = to.unwrap_or_else(|| self.target.pick(&command.op, ctx.rng()));
+            // Without a redirect hint, pick afresh: a client with a
+            // random target tries another replica.
+            let to = to.unwrap_or_else(|| self.target.pick(ctx.rng()));
             ctx.send(to, Envelope::Request(ClientRequest { command }));
             let delay = self.retry_delay(ctx.node(), seq, attempt);
             ctx.set_timer(delay, seq);
@@ -316,13 +300,6 @@ impl<P: ProtoMessage> Actor<Envelope<P>> for ClosedLoopClient<P> {
             Envelope::ReplyBatch(rs) => {
                 for r in rs {
                     self.handle_reply(r, ctx);
-                }
-            }
-            Envelope::Shard(ShardCtl::MapUpdate { map: new }) => {
-                if let TargetPolicy::ByKey { map, .. } = &mut self.target {
-                    if new.version() > map.version() {
-                        *map = new;
-                    }
                 }
             }
             // Clients ignore anything else.
@@ -535,100 +512,6 @@ mod tests {
             "coalesced replies must keep the pipeline moving, got {}",
             rec.len()
         );
-    }
-
-    /// A group leader behind the authoritative map: acks keys below
-    /// `split` if it is `NodeId(0)` (at or above if `NodeId(1)`),
-    /// redirects the rest to the other leader and counts them. With
-    /// `announce`, a misrouted request also earns the client the map.
-    struct RangeLeader {
-        split: u64,
-        misrouted: Arc<std::sync::atomic::AtomicU64>,
-        announce: Option<ShardMap>,
-    }
-    impl Actor<Envelope<NoProto>> for RangeLeader {
-        fn on_start(&mut self, _ctx: &mut Context<Envelope<NoProto>>) {}
-        fn on_message(
-            &mut self,
-            from: NodeId,
-            msg: Envelope<NoProto>,
-            ctx: &mut Context<Envelope<NoProto>>,
-        ) {
-            let Envelope::Request(req) = msg else { return };
-            let key = req.command.op.key().expect("workload ops are keyed");
-            let owner = NodeId((key >= self.split) as u32);
-            if owner == ctx.node() {
-                ctx.send(from, Envelope::Reply(ClientReply::ok(req.command.id, None)));
-                return;
-            }
-            self.misrouted
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let redirect = ClientReply::redirect(req.command.id, Some(owner));
-            ctx.send(from, Envelope::Reply(redirect));
-            if let Some(map) = self.announce.clone() {
-                ctx.send(from, Envelope::Shard(ShardCtl::MapUpdate { map }));
-            }
-        }
-        fn on_timer(&mut self, _id: TimerId, _kind: u64, _ctx: &mut Context<Envelope<NoProto>>) {}
-    }
-
-    /// The map after the upper half of 1000 keys moved to group 1.
-    fn moved_map() -> ShardMap {
-        let mut map = ShardMap::uniform(1, 1000);
-        assert!(map.split(500) && map.move_range(500, 1));
-        map
-    }
-
-    /// Two leaders splitting 1000 keys at 500, one key-routing client
-    /// starting from `client_map`. Returns (completions, retries,
-    /// misrouted requests, requests received by each leader).
-    fn run_by_key(client_map: ShardMap, announce: bool) -> (usize, u64, u64, [u64; 2]) {
-        let truth = moved_map();
-        let misrouted = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let mut sim: Simulation<Envelope<NoProto>> =
-            Simulation::new(Topology::lan(3), CpuCostModel::free(), 3);
-        for _ in 0..2 {
-            sim.add_actor(Box::new(RangeLeader {
-                split: 500,
-                misrouted: misrouted.clone(),
-                announce: announce.then(|| truth.clone()),
-            }));
-        }
-        let rec = ClientRecorder::new();
-        let target = TargetPolicy::ByKey {
-            map: client_map,
-            leaders: vec![NodeId(0), NodeId(1)],
-        };
-        sim.add_actor(client(target, &rec));
-        sim.run_until(SimTime::from_millis(100));
-        let received = [0, 1].map(|n| sim.stats().nodes[n].msgs_received);
-        let misrouted = misrouted.load(std::sync::atomic::Ordering::Relaxed);
-        (rec.len(), rec.retries(), misrouted, received)
-    }
-
-    #[test]
-    fn by_key_routes_to_the_owner_follows_redirects_and_takes_map_updates() {
-        // A current map: every request lands on its owner first time.
-        let (done, retries, misrouted, received) = run_by_key(moved_map(), false);
-        assert!(done > 100, "only {done} completions");
-        assert_eq!((retries, misrouted), (0, 0));
-        assert!(received[0] > 0 && received[1] > 0, "{received:?}");
-
-        // The map from before the move (group 0 owns all): each upper-half key
-        // costs one redirect, followed to the hinted leader.
-        let stale = ShardMap::uniform(1, 1000);
-        let (done, retries, misrouted, received) = run_by_key(stale.clone(), false);
-        assert!(done > 100, "only {done} completions");
-        assert!(misrouted > 10, "stale map must misroute, got {misrouted}");
-        assert_eq!(retries, misrouted, "one resend per redirect");
-        assert_eq!(received[1], misrouted, "leader 1 only sees redirects");
-
-        // The same stale map, but the first redirect comes with the
-        // newer map: the client re-routes and never misroutes again.
-        let (done, _, misrouted, received) = run_by_key(stale, true);
-        assert!(done > 100, "only {done} completions");
-        assert_eq!(misrouted, 1);
-        assert!(received[1] > 10, "{received:?}");
     }
 
     /// Answers every request with the id another client would use.

@@ -46,7 +46,7 @@ pub fn check_replica<P: ProtocolSpec>(proto: P, n: usize, clients: usize) {
     );
 
     let follower = NodeId(n as u32 - 1);
-    let r = exp.run_sim_with(DEFAULT_SEED, |sim, _| {
+    let r = exp.run_sim_with(DEFAULT_SEED, |sim| {
         sim.schedule_control(at(100), Control::Crash(follower));
     });
     assert!(
@@ -65,7 +65,7 @@ pub fn check_replica<P: ProtocolSpec>(proto: P, n: usize, clients: usize) {
     let r = exp
         .measure(SimDuration::from_secs(3))
         .target(TargetPolicy::Random(everyone))
-        .run_sim_with(DEFAULT_SEED, |sim, _| {
+        .run_sim_with(DEFAULT_SEED, |sim| {
             sim.schedule_control(at(700), Control::Crash(NodeId(0)));
         });
     assert!(

@@ -6,8 +6,8 @@
 //! both, and so clients are protocol-agnostic.
 
 use crate::command::{ClientReply, ClientRequest};
-use crate::shard::ShardCtl;
 use simnet::{Message, Wire};
+use std::convert::Infallible;
 
 /// A protocol-internal message (phase-1a/1b/2a/2b, relays, etc.).
 pub trait ProtoMessage: Clone + std::fmt::Debug + 'static {
@@ -32,16 +32,15 @@ pub enum Envelope<P> {
     /// replies target the destination client, which unpacks them in
     /// order.
     ReplyBatch(Vec<ClientReply>),
-    /// Shard-control traffic (range moves, snapshot installs, routing
-    /// map updates). Protocol-independent: handled by the
-    /// [`crate::shard::ShardGate`] decorator in front of each replica,
-    /// never by protocol code.
-    Shard(ShardCtl),
+    /// Has no value and is never sent or decoded. It lives only until
+    /// the benchmark crate, which still names it in a match, drops that
+    /// arm; then the variant goes too.
+    Shard(Infallible),
     /// Replica → replica (protocol internal).
     Proto(P),
 }
 
-/// Client and shard traffic is sized by its encoder; a protocol message
+/// Client traffic is sized by its encoder; a protocol message
 /// by its own `wire_size`, so a protocol needs no [`Wire`] encoding to
 /// run on the simulator.
 impl<P: ProtoMessage> Message for Envelope<P> {
@@ -50,7 +49,7 @@ impl<P: ProtoMessage> Message for Envelope<P> {
             Envelope::Request(r) => r.wire_len(),
             Envelope::Reply(r) => r.wire_len(),
             Envelope::ReplyBatch(rs) => crate::wire::reply_batch_len(rs),
-            Envelope::Shard(c) => c.wire_len(),
+            Envelope::Shard(never) => match *never {},
             Envelope::Proto(p) => p.wire_size(),
         }
     }
@@ -60,7 +59,7 @@ impl<P: ProtoMessage> Message for Envelope<P> {
             Envelope::Request(_) => "request",
             Envelope::Reply(_) => "reply",
             Envelope::ReplyBatch(_) => "reply_batch",
-            Envelope::Shard(c) => c.label(),
+            Envelope::Shard(never) => match *never {},
             Envelope::Proto(p) => p.label(),
         }
     }

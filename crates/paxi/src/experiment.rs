@@ -11,9 +11,6 @@
 //! * **topology** — a [`simnet::Topology`] (LAN, multi-region WAN);
 //! * **workload & clients** — [`Workload`], client count, pipeline
 //!   depth, target policy;
-//! * **sharding** — unset, one consensus group serves every key;
-//!   [`Experiment::shards`] runs that many independent groups behind
-//!   key-range routing (see [`crate::shard`]);
 //! * **substrate** — the deterministic simulator
 //!   ([`Experiment::run_sim`]), or real OS threads on one readiness loop
 //!   per core, passing messages in memory ([`Experiment::run_threads`])
@@ -69,13 +66,6 @@
 //! let result = Experiment::lan(PigConfig::lan(3), 25)
 //!     .clients(40)
 //!     .run_sim(paxi::DEFAULT_SEED);
-//!
-//! // Four Paxos groups of three, eight routers, one live range move:
-//! let sharded = Experiment::lan(PaxosConfig::lan(), 3)
-//!     .shards(4)
-//!     .clients(8)
-//!     .move_range(SimDuration::from_millis(600), 250, 3)
-//!     .run_sim(paxi::DEFAULT_SEED);
 //! ```
 //!
 //! and sweeps that used to be copy-pasted binaries become loops:
@@ -89,11 +79,9 @@
 
 use crate::client::TargetPolicy;
 use crate::cluster::ClusterConfig;
-use crate::command::Key;
 use crate::envelope::{Envelope, ProtoMessage};
 use crate::harness::{self, LoadPoint, RunResult};
 use crate::replica::{Replica, ReplicaActor};
-use crate::shard::{GroupId, ShardLayout, ShardMove};
 use crate::workload::Workload;
 use pig_runtime::{NetRuntime, Runtime};
 use simnet::{Actor, NodeId, SimDuration, Simulation, Topology};
@@ -114,7 +102,7 @@ pub trait ProtocolSpec: Clone + 'static {
     type Msg: ProtoMessage + Send;
 
     /// The concrete replica type [`ProtocolSpec::replica`] builds.
-    /// Named, not boxed, so a decorator such as [`crate::ShardGate`]
+    /// Named, not boxed, so a decorator
     /// can read its [`Replica::applied`] state. `Send` so the same
     /// replica serves both the simulator and the wall-clock runtimes.
     type Replica: Replica<Self::Msg> + Send;
@@ -145,7 +133,7 @@ pub trait ProtocolSpec: Clone + 'static {
 }
 
 /// One fully described experiment: protocol × topology × workload ×
-/// client population × sharding, runnable on any execution substrate.
+/// client population, runnable on any execution substrate.
 ///
 /// Construct with [`Experiment::lan`] or [`Experiment::wan`]; refine
 /// with the fluent setters; execute with [`run_sim`](Experiment::run_sim),
@@ -160,8 +148,7 @@ pub trait ProtocolSpec: Clone + 'static {
 #[derive(Clone)]
 pub struct Experiment<P: ProtocolSpec> {
     pub(crate) proto: P,
-    /// Covers one group's replicas; clients (and, when sharded, the
-    /// other groups) are appended at run time.
+    /// Covers the replicas; clients are appended at run time.
     pub(crate) topology: Topology,
     pub(crate) n_clients: usize,
     pub(crate) client_pipeline: usize,
@@ -175,8 +162,6 @@ pub struct Experiment<P: ProtocolSpec> {
     pub(crate) capture_trace: bool,
     pub(crate) check_history: bool,
     target: Option<TargetPolicy>,
-    pub(crate) shards: Option<usize>,
-    pub(crate) moves: Vec<ShardMove>,
 }
 
 impl<P: ProtocolSpec> Experiment<P> {
@@ -199,8 +184,6 @@ impl<P: ProtocolSpec> Experiment<P> {
             capture_trace: false,
             check_history: false,
             target: None,
-            shards: None,
-            moves: Vec::new(),
         }
     }
 
@@ -219,8 +202,7 @@ impl<P: ProtocolSpec> Experiment<P> {
 
     // ---- fluent settings -------------------------------------------------
 
-    /// Number of closed-loop clients (the offered-load control);
-    /// routers when the experiment is sharded.
+    /// Number of closed-loop clients (the offered-load control).
     pub fn clients(mut self, n: usize) -> Self {
         self.n_clients = n;
         self
@@ -295,38 +277,9 @@ impl<P: ProtocolSpec> Experiment<P> {
     }
 
     /// Override the client target policy. Without this, clients use the
-    /// protocol's [`ProtocolSpec::default_target`]. Ignored when
-    /// sharded: routers send each key to its owning group's leader.
+    /// protocol's [`ProtocolSpec::default_target`].
     pub fn target(mut self, target: TargetPolicy) -> Self {
         self.target = Some(target);
-        self
-    }
-
-    /// Run `shards` independent consensus groups, each a copy of this
-    /// experiment's replica topology (group *g* owns nodes
-    /// `[g*R, (g+1)*R)`), every replica behind a
-    /// [`crate::ShardGate`] and every client routing by key
-    /// ([`TargetPolicy::ByKey`]).
-    /// The workload's key space is split into `shards` equal ranges.
-    /// `shards(1)` is a real, gated one-group deployment — not the same
-    /// run as leaving this unset. Requires a single-region topology.
-    pub fn shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        assert_eq!(
-            self.topology.num_regions(),
-            1,
-            "sharded experiments run on a single-region topology"
-        );
-        self.shards = Some(shards);
-        self
-    }
-
-    /// Schedule a live range move at `at`: the range starting at
-    /// `start` migrates to shard `to`. May be called repeatedly;
-    /// chained moves must be spaced far enough apart for each to
-    /// commit before the next fires. Needs [`shards`](Self::shards).
-    pub fn move_range(mut self, at: SimDuration, start: Key, to: GroupId) -> Self {
-        self.moves.push(ShardMove { at, start, to });
         self
     }
 
@@ -347,19 +300,18 @@ impl<P: ProtocolSpec> Experiment<P> {
         &self.proto
     }
 
-    /// The replica topology of one group (clients are appended at run
-    /// time).
+    /// The replica topology (clients are appended at run time).
     pub fn topology(&self) -> &Topology {
         &self.topology
     }
 
-    /// Number of consensus replicas (per group, when sharded).
+    /// Number of consensus replicas.
     pub fn n_replicas(&self) -> usize {
         self.topology.num_nodes()
     }
 
-    /// The target policy unsharded clients will use: the explicit
-    /// override if set, otherwise the protocol's default.
+    /// The target policy clients will use: the explicit override if
+    /// set, otherwise the protocol's default.
     pub fn resolved_target(&self) -> TargetPolicy {
         match &self.target {
             Some(t) => t.clone(),
@@ -377,18 +329,17 @@ impl<P: ProtocolSpec> Experiment<P> {
     /// bit-identical results (the determinism contract the perf gate
     /// relies on).
     pub fn run_sim(&self, seed: u64) -> RunResult {
-        self.run_sim_with(seed, |_, _| {})
+        self.run_sim_with(seed, |_| {})
     }
 
     /// Run on the simulator with a setup/fault-injection hook. The hook
     /// fires after all actors are registered and before the simulation
     /// starts — schedule crashes, partitions, drop rates, or add custom
     /// client actors into [`extra_client_nodes`](Self::extra_client_nodes)
-    /// slots. It also receives the run's [`ShardLayout`] (one group
-    /// unless sharded), to aim faults at a group's node range.
+    /// slots.
     pub fn run_sim_with<H>(&self, seed: u64, hook: H) -> RunResult
     where
-        H: FnOnce(&mut Simulation<Envelope<P::Msg>>, &ShardLayout),
+        H: FnOnce(&mut Simulation<Envelope<P::Msg>>),
     {
         harness::drive_sim(self, seed, hook)
     }
@@ -413,8 +364,8 @@ impl<P: ProtocolSpec> Experiment<P> {
     /// Run the *same* experiment over real TCP sockets via
     /// `pig_runtime::NetRuntime`: the same loops as
     /// [`run_threads`](Self::run_threads), a loopback TCP connection per
-    /// communicating pair, every cross-node message (client, protocol,
-    /// and shard-control) encoded to its [`simnet::Wire`] bytes and
+    /// communicating pair, every cross-node message (client and
+    /// protocol) encoded to its [`simnet::Wire`] bytes and
     /// decoded on arrival — the full production I/O path minus
     /// geographic distance. It reports what `run_threads` reports, plus
     /// the socket counters in [`crate::TransportResult::net`].
@@ -467,7 +418,7 @@ pub(crate) mod tests {
     use crate::session::SessionTable;
 
     // ---- the instant-ack protocol every harness-level unit test in
-    // ---- this crate runs (here, `harness`, `shard`) -------------------
+    // ---- this crate runs (here and in `harness`) ----------------------
 
     #[derive(Debug, Clone)]
     pub(crate) struct NoProto;
@@ -746,44 +697,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn one_shard_is_gated_and_differs_from_unsharded() {
-        // With one group and instant acks the gate and router add no
-        // traffic, so the difference shows in what the replicas are
-        // told: a shard group must tolerate gaps in client sequences.
-        let plain = small().clients(2).run_sim(7);
-        let gated = small().clients(2).shards(1).run_sim(7);
-        assert!(gated.protocol.violations().is_empty());
-        assert!(gated.client.samples > 100, "got {}", gated.client.samples);
-        assert!(!plain.protocol.groups[0].client_gaps);
-        assert!(
-            gated.protocol.groups[0].client_gaps,
-            "a shard group sees gappy seqs"
-        );
-    }
-
-    #[test]
-    fn sharded_drain_judges_convergence_within_each_group() {
-        let r = Experiment::lan(InstantSpec, 2)
-            .shards(2)
-            .clients(4)
-            .warmup(SimDuration::from_millis(100))
-            .measure(SimDuration::from_millis(300))
-            .drain(SimDuration::from_millis(50))
-            .run_sim(7);
-        assert_eq!(r.protocol.groups.len(), 2);
-        let digests = r.protocol.replica_digests.as_ref().expect("drained");
-        assert_eq!(digests.len(), 4);
-        assert_ne!(digests[0], digests[2], "groups hold different state");
-        assert_eq!(r.protocol.converged(), Some(true));
-    }
-
-    #[test]
-    #[should_panic(expected = "single-region topology")]
-    fn sharding_a_multi_region_topology_is_rejected() {
-        let _ = Experiment::wan(InstantSpec, 3).shards(2);
-    }
-
-    #[test]
     fn extra_client_nodes_leave_slots_for_custom_actors() {
         use std::cell::RefCell;
         use std::rc::Rc;
@@ -829,14 +742,12 @@ pub(crate) mod tests {
 
         let got = Rc::new(RefCell::new(0));
         let got2 = got.clone();
-        let r = small()
-            .extra_client_nodes(1)
-            .run_sim_with(5, move |sim, _| {
-                sim.add_actor(Box::new(OneShot {
-                    to: NodeId(0),
-                    got: got2,
-                }));
-            });
+        let r = small().extra_client_nodes(1).run_sim_with(5, move |sim| {
+            sim.add_actor(Box::new(OneShot {
+                to: NodeId(0),
+                got: got2,
+            }));
+        });
         assert!(r.protocol.violations().is_empty());
         assert_eq!(*got.borrow(), 1, "custom client actor got its reply");
     }

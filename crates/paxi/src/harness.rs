@@ -1,12 +1,11 @@
 //! The run engine behind [`crate::Experiment`]. Every run — any
-//! protocol, one group or many, any substrate — takes one path:
+//! protocol, any substrate — takes one path:
 //!
-//! 1. **deploy**: stamp out all actors in node-id order —
-//!    each group's replicas (behind [`ShardGate`]s when the experiment
-//!    is sharded) and the clients ([`ClosedLoopClient`]s, routing by
-//!    key when sharded) — plus the [`ShardLayout`] that says who is
-//!    where and the [`ClientRecorder`] every client reports into, with
-//!    the run's operation history when it is checked.
+//! 1. **deploy**: stamp out all actors in node-id order — the
+//!    replicas of the one consensus group, then the clients
+//!    ([`ClosedLoopClient`]s) — plus the [`ClusterConfig`] they share
+//!    and the [`ClientRecorder`] every client reports into, with the
+//!    run's operation history when it is checked.
 //! 2. **drive**: run the actors on one substrate. The simulator driver
 //!    fires the setup hook, then runs warm-up, the measurement window
 //!    and the optional drain; the wall-clock driver runs the readiness
@@ -14,18 +13,17 @@
 //!    all of it — the window `(0, wall]`. Each measures what the
 //!    clients saw in its window and what its transport carried.
 //! 3. **assemble**: the one place a [`RunResult`] is built, from those
-//!    two parts and the groups that ran.
+//!    two parts and the cluster that ran.
 //!
 //! A result has the same shape on every substrate. What a substrate or
 //! an opt-in cannot observe is `None` in it, never zero or empty.
 
-use crate::client::{ClientRecorder, ClosedLoopClient, Sample, TargetPolicy};
+use crate::client::{ClientRecorder, ClosedLoopClient, Sample};
 use crate::cluster::ClusterConfig;
 use crate::envelope::Envelope;
 use crate::experiment::{Experiment, ProtocolSpec};
 use crate::history::{History, HistoryCheck};
 use crate::metrics::{mean, percentile};
-use crate::shard::{GroupId, ShardGate, ShardLayout, ShardMap};
 use pig_runtime::{LoopRuntime, NetRunStats};
 use simnet::{Actor, CpuCostModel, NodeId, SimDuration, SimTime, Simulation};
 use std::collections::BTreeMap;
@@ -307,78 +305,27 @@ pub(crate) type BoxedActor<M> = Box<dyn Actor<Envelope<M>> + Send>;
 
 /// Everything one run deploys.
 struct Deployment<M> {
-    layout: ShardLayout,
+    cluster: ClusterConfig,
     /// All actors, in node-id order.
     actors: Vec<BoxedActor<M>>,
     recorder: ClientRecorder,
 }
 
-/// Materialize the node assignment and the actors for one run (fresh
-/// per-group safety monitors and compaction counters). Node-id space,
-/// in order: group 0's replicas, group 1's, …, clients, empty hook
-/// slots.
+/// Materialize the actors for one run, with a fresh safety monitor
+/// and compaction counters. Node-id space, in order: the replicas, the
+/// clients, empty hook slots.
 fn deploy<P: ProtocolSpec>(exp: &Experiment<P>) -> Deployment<P::Msg> {
-    let r = exp.topology.num_nodes();
-    let clusters: Vec<ClusterConfig> = match exp.shards {
-        None => vec![ClusterConfig::new(r)],
-        Some(s) => (0..s)
-            .map(|g| ClusterConfig::with_range(g * r, r))
-            .collect(),
-    };
-    let n_replicas = clusters.len() * r;
-    let routers: Vec<NodeId> = (n_replicas..n_replicas + exp.n_clients)
-        .map(NodeId::from)
-        .collect();
-    let layout = ShardLayout {
-        shards: clusters.len(),
-        replicas_per_shard: r,
-        map: ShardMap::uniform(clusters.len() as u32, exp.workload.num_keys),
-        leaders: clusters.iter().map(|c| c.leader).collect(),
-        clusters,
-        total_nodes: n_replicas + routers.len() + exp.extra_client_nodes,
-        routers,
-    };
-
+    let cluster = ClusterConfig::new(exp.topology.num_nodes());
     let recorder = if exp.check_history {
         ClientRecorder::with_history()
     } else {
         ClientRecorder::new()
     };
-    let gated = exp.shards.is_some();
-    let notify: Vec<NodeId> = layout
-        .leaders
-        .iter()
-        .chain(layout.routers.iter())
-        .copied()
-        .collect();
-    let mut actors: Vec<BoxedActor<P::Msg>> = Vec::with_capacity(layout.total_nodes);
-    for (g, cluster) in layout.clusters.iter().enumerate() {
-        for &node in &cluster.replicas {
-            if !gated {
-                actors.push(exp.proto.build_replica(node, cluster));
-                continue;
-            }
-            let mut gate = ShardGate::new(
-                exp.proto.replica(node, cluster),
-                g as GroupId,
-                layout.map.clone(),
-                layout.leaders.clone(),
-                notify.clone(),
-            );
-            if node == cluster.leader {
-                gate = gate.with_moves(exp.moves.clone());
-            }
-            actors.push(Box::new(gate));
-        }
+    let mut actors: Vec<BoxedActor<P::Msg>> = Vec::with_capacity(cluster.n() + exp.n_clients);
+    for &node in &cluster.replicas {
+        actors.push(exp.proto.build_replica(node, &cluster));
     }
-    let target = if gated {
-        TargetPolicy::ByKey {
-            map: layout.map.clone(),
-            leaders: layout.leaders.clone(),
-        }
-    } else {
-        exp.resolved_target()
-    };
+    let target = exp.resolved_target();
     for _ in 0..exp.n_clients {
         actors.push(Box::new(
             ClosedLoopClient::<P::Msg>::new(
@@ -391,7 +338,7 @@ fn deploy<P: ProtocolSpec>(exp: &Experiment<P>) -> Deployment<P::Msg> {
         ));
     }
     Deployment {
-        layout,
+        cluster,
         actors,
         recorder,
     }
@@ -402,13 +349,14 @@ fn deploy<P: ProtocolSpec>(exp: &Experiment<P>) -> Deployment<P::Msg> {
 pub(crate) fn drive_sim<P, H>(exp: &Experiment<P>, seed: u64, hook: H) -> RunResult
 where
     P: ProtocolSpec,
-    H: FnOnce(&mut Simulation<Envelope<P::Msg>>, &ShardLayout),
+    H: FnOnce(&mut Simulation<Envelope<P::Msg>>),
 {
     let d = deploy(exp);
-    let layout = &d.layout;
+    let cluster = &d.cluster;
     let mut topology = exp.topology.clone();
     // Clients attach to region 0, the leader's.
-    topology.add_nodes(layout.total_nodes - topology.num_nodes(), 0);
+    topology.add_nodes(exp.n_clients + exp.extra_client_nodes, 0);
+    let total_nodes = topology.num_nodes();
     let mut sim: Simulation<Envelope<P::Msg>> =
         Simulation::new(topology, CpuCostModel::calibrated(), seed);
     if exp.capture_trace {
@@ -417,7 +365,7 @@ where
     for actor in d.actors {
         sim.add_actor(actor);
     }
-    hook(&mut sim, layout);
+    hook(&mut sim);
 
     sim.run_for(exp.warmup);
     let start = sim.now();
@@ -426,12 +374,12 @@ where
     let end = sim.now();
     let after = sim.stats().clone();
 
-    // Optional drain: silence the clients, let the groups quiesce and
-    // sample per-replica state digests. Skipped entirely (no extra
-    // events, schedule unchanged) when `drain` is zero.
-    let n_replicas = layout.shards * layout.replicas_per_shard;
+    // Optional drain: silence the clients, let the replicas quiesce and
+    // sample their state digests. Skipped entirely (no extra events,
+    // schedule unchanged) when `drain` is zero.
+    let n_replicas = cluster.n();
     let replica_digests = (exp.drain > SimDuration::ZERO).then(|| {
-        for i in n_replicas..layout.total_nodes {
+        for i in n_replicas..total_nodes {
             sim.crash(NodeId::from(i));
         }
         sim.run_for(exp.drain);
@@ -447,10 +395,10 @@ where
     let cross_region = (after.cross_region_msgs - before.cross_region_msgs) as f64 / ops;
     let mut transport = TransportResult {
         cross_region_msgs_per_op: Some(cross_region),
-        ..TransportResult::new(node_msgs.collect(), &layout.clusters, ops)
+        ..TransportResult::new(node_msgs.collect(), std::slice::from_ref(cluster), ops)
     };
     if let Some(trace) = sim.trace() {
-        let is_leader = |n: NodeId| layout.leaders.contains(&n);
+        let is_leader = |n: NodeId| n == cluster.leader;
         let mut labels = BTreeMap::new();
         let mut leader = [0usize; 3]; // protocol sent, replies sent, protocol received
         let in_window = |at: SimTime| at > start && at <= end;
@@ -465,7 +413,7 @@ where
                 leader[2] += 1;
             }
         }
-        let per_leader_op = |i: usize| leader[i] as f64 / (ops * layout.leaders.len() as f64);
+        let per_leader_op = |i: usize| leader[i] as f64 / ops;
         transport.label_counts = Some(labels);
         transport.trace = Some(TraceSummary {
             fingerprint: trace.fingerprint(),
@@ -474,7 +422,7 @@ where
             leader_proto_recv_per_op: per_leader_op(2),
         });
     }
-    assemble(d.layout.clusters, client, transport, replica_digests)
+    assemble(vec![d.cluster], client, transport, replica_digests)
 }
 
 /// A wall-clock runtime's `run_for`.
@@ -504,9 +452,9 @@ where
     let transport = TransportResult {
         label_counts: Some(net.delivered_by_label.clone()),
         net: Some(net),
-        ..TransportResult::new(node_msgs, &d.layout.clusters, client.ops())
+        ..TransportResult::new(node_msgs, std::slice::from_ref(&d.cluster), client.ops())
     };
-    assemble(d.layout.clusters, client, transport, None)
+    assemble(vec![d.cluster], client, transport, None)
 }
 
 /// The one place a [`RunResult`] is built: the client and transport

@@ -13,8 +13,7 @@
 //! | protocol | any [`ProtocolSpec`] | `PaxosConfig`, `PigConfig`, `EpaxosConfig` |
 //! | topology | [`simnet::Topology`] | `Topology::lan(25)`, 3-region WAN |
 //! | workload & clients | [`Workload`] + builder knobs | read ratio, payload, pipeline |
-//! | sharding | [`Experiment::shards`] | unset = one group; `shards(4)` = four groups behind key-range routing |
-//! | substrate | a run method | [`Experiment::run_sim`], [`Experiment::run_threads`], [`Experiment::run_net`] |
+//! //! | substrate | a run method | [`Experiment::run_sim`], [`Experiment::run_threads`], [`Experiment::run_net`] |
 //!
 //! ```text
 //! use paxi::Experiment;
@@ -78,7 +77,6 @@ pub mod replica;
 pub mod safety;
 pub mod scenario;
 pub mod session;
-pub mod shard;
 pub mod snapshot;
 pub mod wire;
 pub mod workload;
@@ -102,6 +100,5 @@ pub use replica::{Ctx, Replica, ReplicaActor, ReplicaCtx};
 pub use safety::SafetyMonitor;
 pub use scenario::{Expectations, Fault, FaultEvent, Scenario, ScenarioError, TopologyKind};
 pub use session::{SessionTable, DEFAULT_SESSION_WINDOW};
-pub use shard::{GroupId, KeyRange, ShardCtl, ShardGate, ShardLayout, ShardMap, ShardMove};
 pub use snapshot::{CompactionStats, Snapshot, SnapshotConfig};
 pub use workload::{KeyDistribution, Workload};

@@ -53,11 +53,7 @@ pub trait Replica<P: ProtoMessage>: 'static {
     fn on_timer(&mut self, _id: TimerId, _kind: u64, _ctx: &mut Ctx<P>) {}
     /// The state this replica has executed, read-only: its key-value
     /// store and the session table that records the reply of every
-    /// executed command. A replica that answers a client only after
-    /// executing the command here lets a sharding gate serve range
-    /// moves from the store and retries from the table instead of
-    /// keeping copies of its own ([`crate::ShardGate`] requires
-    /// `Some`). The default `None` opts out.
+    /// executed command. The default `None` opts out.
     fn applied(&self) -> Option<(&KvStore, &SessionTable)> {
         None
     }
@@ -85,9 +81,8 @@ impl<P: ProtoMessage, R: Replica<P>> Actor<Envelope<P>> for ReplicaActor<R> {
             Envelope::Proto(p) => self.0.on_proto(from, p, ctx),
             // Replicas do not receive client replies; a stray one (e.g.
             // a redirect bouncing off a misconfigured client) is dropped.
-            // Shard-control traffic is handled by the gate decorator in
-            // sharded deployments; a bare replica drops it too.
-            Envelope::Reply(_) | Envelope::ReplyBatch(_) | Envelope::Shard(_) => {}
+            Envelope::Reply(_) | Envelope::ReplyBatch(_) => {}
+            Envelope::Shard(never) => match never {},
         }
     }
 

@@ -60,20 +60,6 @@
 //! | `drop_rate` | `p` | uniform drop probability on every link |
 //! | `storm` | `target`, `count` | burst of `count` junk requests at `target` |
 //! | `crash_loop` | `node`, `period_ms`, `count` | crash `node`, recover half a period later, repeat `count` times |
-//!
-//! ## Sharded scenarios
-//!
-//! Setting `shards = N` at the root sets [`crate::Experiment::shards`]:
-//! `replicas` becomes the per-shard replica count (so the node-id space
-//! is `N * replicas` replicas — shard *s* owning the contiguous range
-//! `[s*replicas, (s+1)*replicas)` — followed by `clients` routers), and
-//! fault node ids may reference any replica in that larger space.
-//! Sharded scenarios are LAN-only; `drain_ms` and `converged` work as
-//! for a single cluster, judged within each shard. The extra expectation
-//! `min_shard_decided` then asserts that every shard whose nodes are
-//! *not* referenced by any fault still decided at least that many
-//! slots — the blast-radius check that a fault in one shard leaves the
-//! others committing.
 
 use crate::experiment::{Experiment, ProtocolSpec};
 use crate::harness::RunResult;
@@ -188,10 +174,6 @@ pub struct Expectations {
     pub max_client_retries: Option<u64>,
     /// Minimum completed samples in the measurement window.
     pub min_samples: Option<u64>,
-    /// Sharded scenarios only: minimum decided-slot count for every
-    /// shard none of whose nodes are referenced by any fault (the
-    /// blast-radius check — unaffected shards must keep committing).
-    pub min_shard_decided: Option<u64>,
 }
 
 /// A fully parsed scenario: everything the driver needs to build an
@@ -204,12 +186,8 @@ pub struct Scenario {
     /// string — protocol dispatch happens in the driver, which depends
     /// on the protocol crates; this crate does not.
     pub protocol: String,
-    /// Number of consensus replicas — per shard, when `shards` is set.
+    /// Number of consensus replicas.
     pub replicas: usize,
-    /// Number of key-range shards; `None` runs a single unsharded
-    /// cluster. When set, the run sets [`crate::Experiment::shards`]:
-    /// `shards * replicas` replica nodes and `clients` routers.
-    pub shards: Option<usize>,
     /// PigPaxos relay-group count (ignored by other protocols).
     pub groups: Option<usize>,
     /// Replica topology family.
@@ -594,10 +572,6 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
         return Err(ScenarioError("`replicas` must be positive".into()));
     }
     let clients = require(take_u64(&mut root, "clients")?, "clients")? as usize;
-    let shards = take_u64(&mut root, "shards")?.map(|s| s as usize);
-    if shards == Some(0) {
-        return Err(ScenarioError("`shards` must be positive".into()));
-    }
     let groups = take_u64(&mut root, "groups")?.map(|g| g as usize);
     if let Some(g) = groups {
         if g == 0 || g > replicas {
@@ -657,7 +631,6 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
         min_throughput: take_f64(&mut expect_table, "min_throughput")?,
         max_client_retries: take_u64(&mut expect_table, "max_client_retries")?,
         min_samples: take_u64(&mut expect_table, "min_samples")?,
-        min_shard_decided: take_u64(&mut expect_table, "min_shard_decided")?,
     };
     reject_unknown(&expect_table, "expect")?;
 
@@ -670,7 +643,6 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
         name,
         protocol,
         replicas,
-        shards,
         groups,
         topology,
         clients,
@@ -691,22 +663,9 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
 
 impl Scenario {
     /// Cross-field validation: every fault must reference nodes inside
-    /// the cluster (the full `shards * replicas` space when sharded)
-    /// and fire within the run (warmup + measure).
+    /// the cluster and fire within the run (warmup + measure).
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        if self.shards.is_some() && self.topology == TopologyKind::Wan {
-            return Err(ScenarioError(format!(
-                "scenario `{}`: sharded scenarios are lan-only",
-                self.name
-            )));
-        }
-        if self.expect.min_shard_decided.is_some() && self.shards.is_none() {
-            return Err(ScenarioError(format!(
-                "scenario `{}`: `min_shard_decided` requires `shards`",
-                self.name
-            )));
-        }
-        let n = (self.replicas * self.shards.unwrap_or(1)) as u32;
+        let n = self.replicas as u32;
         let horizon = self.warmup + self.measure;
         let check_node = |node: u32, what: &str| {
             if node >= n {
@@ -774,8 +733,7 @@ impl Scenario {
     /// schedule, and the clients' history is checked for
     /// linearizability ([`crate::ClientResult::history`]). The message
     /// trace is captured, so [`crate::TransportResult::trace`] carries
-    /// the run's fingerprint. With `shards` set, `replicas` is per shard
-    /// and the clients are routers.
+    /// the run's fingerprint.
     pub fn run_sim<P: ProtocolSpec>(&self, proto: P) -> (RunResult, NemesisLog) {
         let mut exp = match self.topology {
             TopologyKind::Lan => Experiment::lan(proto, self.replicas),
@@ -790,15 +748,12 @@ impl Scenario {
         .extra_client_nodes(1)
         .check_linearizability()
         .capture_trace();
-        if let Some(shards) = self.shards {
-            exp = exp.shards(shards);
-        }
         if let Some(t) = self.retry_timeout {
             exp = exp.retry_timeout(t);
         }
         let log = NemesisLog::new();
         let (faults, nemesis_log) = (self.faults.clone(), log.clone());
-        let result = exp.run_sim_with(self.seed, move |sim, _| {
+        let result = exp.run_sim_with(self.seed, move |sim| {
             sim.add_actor(Box::new(Nemesis::<P::Msg>::new(faults, nemesis_log)));
         });
         (result, log)
@@ -1012,44 +967,40 @@ b = [3, 4]
     }
 
     #[test]
-    fn crash_loop_and_sharding_parse() {
+    fn crash_loop_parses() {
         let text = r#"
-name = "shard-loop"
+name = "loop"
 protocol = "paxos"
 replicas = 3
-shards = 3
-clients = 6
+clients = 3
 measure_ms = 4000
 drain_ms = 500
 
 [[faults]]
 at_ms = 500
 kind = "crash_loop"
-node = 8            # valid: sharded node space is 3 * 3 = 9
+node = 2
 period_ms = 400
 count = 3
 
 [expect]
-min_shard_decided = 50
-converged = true    # sharded runs drain and judge each shard
+converged = true
 "#;
         let s = parse(text).expect("parses");
-        assert_eq!(s.shards, Some(3));
         assert_eq!(
             s.faults[0].fault,
             Fault::CrashLoop {
-                node: 8,
+                node: 2,
                 period: SimDuration::from_millis(400),
                 count: 3
             }
         );
-        assert_eq!(s.expect.min_shard_decided, Some(50));
         assert_eq!(s.expect.converged, Some(true));
     }
 
     #[test]
-    fn sharding_and_crash_loop_rejections() {
-        // Node 8 is outside an unsharded 3-replica cluster.
+    fn crash_loop_rejections() {
+        // Node 8 is outside a 3-replica cluster.
         assert_rejects(
             "name = \"x\"\nprotocol = \"paxos\"\nreplicas = 3\nclients = 1\n\
              measure_ms = 4000\n\
@@ -1071,19 +1022,10 @@ converged = true    # sharded runs drain and judge each shard
              period_ms = 100\ncount = 0\n",
             "1..=1000",
         );
+        // One consensus group per run: the retired key is unknown.
         assert_rejects(
-            "name = \"x\"\nprotocol = \"paxos\"\nreplicas = 3\nshards = 2\n\
-             clients = 1\ntopology = \"wan\"\n",
-            "lan-only",
-        );
-        assert_rejects(
-            "name = \"x\"\nprotocol = \"paxos\"\nreplicas = 3\nclients = 1\n\
-             [expect]\nmin_shard_decided = 10\n",
-            "requires `shards`",
-        );
-        assert_rejects(
-            "name = \"x\"\nprotocol = \"paxos\"\nreplicas = 3\nshards = 0\nclients = 1\n",
-            "`shards` must be positive",
+            "name = \"x\"\nprotocol = \"paxos\"\nreplicas = 3\nshards = 2\nclients = 1\n",
+            "unknown scenario key `shards`",
         );
     }
 

@@ -293,19 +293,14 @@ impl<P: ProtoMessage + Wire> Wire for Envelope<P> {
             Envelope::Request(req) => out.put_wire(req),
             Envelope::Reply(rep) => out.put_wire(rep),
             Envelope::ReplyBatch(reps) => put_reply_batch(reps, out),
-            Envelope::Shard(c) => out.put_wire(c),
+            Envelope::Shard(never) => match *never {},
             Envelope::Proto(p) => out.put_wire(p),
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         // Byte 1 of the header is the domain; protocol messages carry
-        // their own full header, so dispatch without consuming. Shard
-        // control rides its own domain so the protocol decoder never
-        // sees it.
-        if r.peek(1)? == simnet::wire::DOMAIN_SHARD {
-            return Ok(Envelope::Shard(crate::shard::ShardCtl::decode(r)?));
-        }
+        // their own full header, so dispatch without consuming.
         if r.peek(1)? != DOMAIN_CLIENT {
             return Ok(Envelope::Proto(P::decode(r)?));
         }

@@ -921,7 +921,7 @@ mod tests {
         // Crash one of the thrifty quorum members: every commit now
         // rides the retry path (paper: "a single faulty or sluggish
         // node in Q2 stalls the performance").
-        let crashed = base.run_sim_with(paxi::DEFAULT_SEED, |sim, _| {
+        let crashed = base.run_sim_with(paxi::DEFAULT_SEED, |sim| {
             sim.schedule_control(SimTime::from_millis(100), Control::Crash(NodeId(1)));
         });
         assert!(crashed.protocol.violations().is_empty());

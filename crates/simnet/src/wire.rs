@@ -87,9 +87,6 @@ pub const DOMAIN_PAXOS: u8 = 1;
 pub const DOMAIN_PIG: u8 = 2;
 /// Domain tag for EPaxos protocol messages.
 pub const DOMAIN_EPAXOS: u8 = 3;
-/// Domain tag for shard-control traffic (range moves, snapshot
-/// installs, routing-map updates).
-pub const DOMAIN_SHARD: u8 = 4;
 
 /// A decoded value stays a window into its frame's allocation only while
 /// that allocation is at most this many times the value's own length;

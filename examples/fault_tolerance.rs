@@ -35,7 +35,7 @@ fn main() {
         // crash by redirecting to whoever wins the next election.
         .target(TargetPolicy::Random((0..25u32).map(NodeId).collect()))
         .retry_timeout(SimDuration::from_millis(400))
-        .run_sim_with(paxi::DEFAULT_SEED, move |sim, _| {
+        .run_sim_with(paxi::DEFAULT_SEED, move |sim| {
             // One follower in relay group 0 crashes…
             sim.schedule_control(SimTime::from_secs(crash_t), Control::Crash(NodeId(5)));
             // …recovers and catches up via batched LearnReq…

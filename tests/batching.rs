@@ -297,7 +297,7 @@ fn an_oversized_read_result_leaves_the_reply_batch() {
         .extra_client_nodes(1)
         .warmup(SimDuration::ZERO)
         .measure(SimDuration::from_millis(200))
-        .run_sim_with(5, move |sim, _| {
+        .run_sim_with(5, move |sim| {
             sim.add_actor(Box::new(BigReadClient {
                 acked: 0,
                 envelopes: envelopes2,

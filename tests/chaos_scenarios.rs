@@ -19,7 +19,7 @@ fn backoff_caps_retry_storm_during_quorum_outage() {
         .retry_timeout(SimDuration::from_millis(100))
         .warmup(SimDuration::from_millis(300))
         .measure(SimDuration::from_millis(4000))
-        .run_sim_with(paxi::DEFAULT_SEED, |sim, _| {
+        .run_sim_with(paxi::DEFAULT_SEED, |sim| {
             // Crash both followers: the leader keeps accepting requests
             // but can never reach quorum, so no client hears a reply.
             for node in [1u32, 2] {

@@ -39,7 +39,7 @@ fn assert_safe(name: &str, r: &RunResult) {
 #[test]
 fn pigpaxos_survives_minority_of_crashes() {
     // f = 4 crashes in a 9-node cluster (2f+1 = 9): progress must continue.
-    let r = exp(PigConfig::lan(2), 9, 6).run_sim_with(paxi::DEFAULT_SEED, |sim, _| {
+    let r = exp(PigConfig::lan(2), 9, 6).run_sim_with(paxi::DEFAULT_SEED, |sim| {
         for (i, node) in [5u32, 6, 7, 8].iter().enumerate() {
             sim.schedule_control(
                 SimTime::from_millis(400 + 100 * i as u64),
@@ -58,7 +58,7 @@ fn pigpaxos_survives_minority_of_crashes() {
 #[test]
 fn pigpaxos_stalls_without_majority_but_stays_safe() {
     // 5 crashes of 9 leave 4 < majority: commits must stop, safety holds.
-    let r = exp(PigConfig::lan(2), 9, 4).run_sim_with(paxi::DEFAULT_SEED, |sim, _| {
+    let r = exp(PigConfig::lan(2), 9, 4).run_sim_with(paxi::DEFAULT_SEED, |sim| {
         for node in 5..9u32 {
             sim.schedule_control(SimTime::from_millis(600), Control::Crash(NodeId(node)));
         }
@@ -73,7 +73,7 @@ fn pigpaxos_stalls_without_majority_but_stays_safe() {
 fn pigpaxos_recovers_after_majority_restored() {
     let r = exp(PigConfig::lan(2), 9, 4)
         .measure(SimDuration::from_secs(3))
-        .run_sim_with(paxi::DEFAULT_SEED, |sim, _| {
+        .run_sim_with(paxi::DEFAULT_SEED, |sim| {
             for node in 4..9u32 {
                 sim.schedule_control(SimTime::from_millis(500), Control::Crash(NodeId(node)));
             }
@@ -94,7 +94,7 @@ fn safety_holds_under_random_message_loss() {
     // The drop-rate scenario is protocol-generic; run the identical
     // schedule for both leader-based protocols.
     fn lossy<P: ProtocolSpec>(proto: P) -> paxi::RunResult {
-        exp(proto, 5, 4).run_sim_with(paxi::DEFAULT_SEED, |sim, _| {
+        exp(proto, 5, 4).run_sim_with(paxi::DEFAULT_SEED, |sim| {
             sim.set_drop_rate(0.05);
         })
     }
@@ -115,7 +115,7 @@ fn safety_holds_under_random_message_loss() {
 fn partition_heals_and_cluster_catches_up() {
     let r = exp(PigConfig::lan(2), 5, 4)
         .measure(SimDuration::from_secs(3))
-        .run_sim_with(paxi::DEFAULT_SEED, |sim, _| {
+        .run_sim_with(paxi::DEFAULT_SEED, |sim| {
             // Cut off two followers for a second, then heal.
             for a in [3u32, 4] {
                 for b in 0..3u32 {
@@ -144,7 +144,7 @@ fn relay_crash_is_transient_thanks_to_rotation() {
     // Crash a node; rounds that pick it as relay lose a group, but the
     // next retry picks fresh relays (§3.4). Latency must stay bounded
     // well below the client retry timeout.
-    let r = exp(PigConfig::lan(3), 25, 8).run_sim_with(paxi::DEFAULT_SEED, |sim, _| {
+    let r = exp(PigConfig::lan(3), 25, 8).run_sim_with(paxi::DEFAULT_SEED, |sim| {
         sim.schedule_control(SimTime::from_millis(400), Control::Crash(NodeId(3)));
     });
     assert_safe("", &r);
@@ -169,7 +169,7 @@ fn lagging_follower_rejoins_via_snapshot_after_prefix_truncated() {
         exp(proto, 5, 6)
             .measure(SimDuration::from_secs(3))
             .capture_trace()
-            .run_sim_with(paxi::DEFAULT_SEED, |sim, _| {
+            .run_sim_with(paxi::DEFAULT_SEED, |sim| {
                 sim.schedule_control(SimTime::from_millis(400), Control::Crash(NodeId(4)));
                 sim.schedule_control(SimTime::from_millis(1900), Control::Recover(NodeId(4)));
             })
@@ -223,7 +223,7 @@ fn leader_change_after_prefix_truncated_recovers_from_peer_snapshots() {
     let r = exp(cfg, 5, 4)
         .measure(SimDuration::from_secs(4))
         .target(TargetPolicy::Random((0..5u32).map(NodeId).collect()))
-        .run_sim_with(paxi::DEFAULT_SEED, |sim, _| {
+        .run_sim_with(paxi::DEFAULT_SEED, |sim| {
             sim.schedule_control(SimTime::from_millis(400), Control::Crash(NodeId(4)));
             sim.schedule_control(SimTime::from_millis(1800), Control::Recover(NodeId(4)));
             sim.schedule_control(SimTime::from_millis(1850), Control::Crash(NodeId(0)));
@@ -250,7 +250,7 @@ fn paxos_and_pigpaxos_handle_leader_crash_with_reelection() {
         exp(proto, 5, 3)
             .measure(SimDuration::from_secs(3))
             .target(TargetPolicy::Random((0..5u32).map(NodeId).collect()))
-            .run_sim_with(paxi::DEFAULT_SEED, |sim, _| {
+            .run_sim_with(paxi::DEFAULT_SEED, |sim| {
                 sim.schedule_control(SimTime::from_millis(800), Control::Crash(NodeId(0)));
             })
     }
@@ -379,7 +379,7 @@ fn check_big_writes<P: ProtocolSpec>(proto: P) {
         .workload(Workload::paper_default())
         .extra_client_nodes(1)
         .measure(SimDuration::from_secs(3))
-        .run_sim_with(paxi::DEFAULT_SEED, move |sim, _| {
+        .run_sim_with(paxi::DEFAULT_SEED, move |sim| {
             sim.add_actor(Box::new(BigWriter::<P::Msg> {
                 replicas: 5,
                 target: 0,

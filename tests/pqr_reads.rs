@@ -476,7 +476,7 @@ fn pqr_reads_stay_linearizable_across_snapshot_catch_up() {
         .warmup(SimDuration::ZERO)
         .measure(SimDuration::from_secs(4))
         .check_linearizability()
-        .run_sim_with(paxi::DEFAULT_SEED, |sim, _| {
+        .run_sim_with(paxi::DEFAULT_SEED, |sim| {
             // Node 7 sleeps through ~2s of compacting traffic; its gap
             // repair must come back as state, not slots.
             sim.schedule_control(SimTime::from_millis(400), Control::Crash(NodeId(7)));

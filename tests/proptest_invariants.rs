@@ -1,6 +1,6 @@
 //! Property-based tests over the core data structures' invariants.
 
-use paxi::{Ballot, Command, Log, Operation, RequestId, ShardMap, Value, VoteTracker};
+use paxi::{Ballot, Command, Log, Operation, RequestId, Value, VoteTracker};
 use pigpaxos::{GroupSpec, RelayGroups};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -269,61 +269,6 @@ proptest! {
         prop_assert_eq!(da < db, a < b);
     }
 
-    /// Any sequence of splits, local moves, and remote move
-    /// installations keeps a [`ShardMap`] well-formed: the ranges stay
-    /// disjoint and cover the whole key space (first start is 0, starts
-    /// strictly increase, last range unbounded), the version never goes
-    /// backwards and bumps exactly when a mutation reports success, and
-    /// `group_for` always agrees with a linear scan of `ranges()`.
-    #[test]
-    fn shard_map_mutations_keep_ranges_disjoint_and_covering(
-        groups in 1u32..8,
-        key_space in 8u64..2_000,
-        ops in prop::collection::vec(
-            (0u8..3, 0u64..2_200, 0u32..8, 0u64..4),
-            1..60,
-        ),
-        probes in prop::collection::vec(0u64..3_000, 8),
-    ) {
-        let mut map = ShardMap::uniform(groups, key_space);
-        prop_assert!(map.is_valid());
-        for (kind, key, group, bump) in ops {
-            let before = map.version();
-            let changed = match kind {
-                0 => map.split(key),
-                1 => map.move_range(key, group),
-                // install_move only accepts strictly newer versions;
-                // bump = 0 exercises the replay-rejection path.
-                _ => map.install_move(key, group, before + bump),
-            };
-            prop_assert!(map.is_valid(), "invalid after op {kind} at {key}");
-            if changed {
-                prop_assert!(map.version() > before, "success must bump version");
-            } else {
-                prop_assert_eq!(map.version(), before, "no-op must not bump version");
-            }
-
-            // Disjoint + covering, spelled out from the ranges view:
-            // starts at 0, each end meets the next start, open-ended tail.
-            let ranges = map.ranges();
-            prop_assert_eq!(ranges[0].0.start, 0);
-            prop_assert_eq!(ranges[ranges.len() - 1].0.end, None);
-            for w in ranges.windows(2) {
-                prop_assert_eq!(w[0].0.end, Some(w[1].0.start));
-            }
-
-            // group_for is total and matches the unique containing range.
-            for &k in &probes {
-                let owners: Vec<_> = ranges
-                    .iter()
-                    .filter(|(r, _)| r.contains(k))
-                    .map(|&(_, g)| g)
-                    .collect();
-                prop_assert_eq!(owners.len(), 1, "key {k} covered exactly once");
-                prop_assert_eq!(map.group_for(k), owners[0]);
-            }
-        }
-    }
 }
 
 proptest! {
@@ -595,7 +540,7 @@ fn chaos_run<P: paxi::ProtocolSpec>(
         .drain(SimDuration::from_millis(1800))
         .extra_client_nodes(1)
         .check_linearizability()
-        .run_sim_with(seed, move |sim, _| {
+        .run_sim_with(seed, move |sim| {
             sim.add_actor(Box::new(paxi::Nemesis::<P::Msg>::new(schedule, log)));
         })
 }

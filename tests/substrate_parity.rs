@@ -294,64 +294,6 @@ fn compacting_epaxos_bounds_memory_on_both_substrates() {
     );
 }
 
-/// The sharded deployment is substrate-agnostic the same way: one
-/// sharded `Experiment` value — four consensus groups multiplexed over
-/// one node-id space, routed by key — must commit with zero violations
-/// on the simulator, on OS threads, and over TCP loopback with every
-/// message (client, protocol, and shard-control) as wire bytes.
-#[test]
-fn sharded_experiment_runs_on_all_three_substrates() {
-    let experiment = Experiment::lan(PaxosConfig::lan(), 1)
-        .shards(4)
-        .clients(4)
-        .warmup(SimDuration::from_millis(200))
-        .measure(SimDuration::from_millis(600));
-
-    let sim = experiment.run_sim(7);
-    assert!(
-        sim.protocol.violations().is_empty(),
-        "sim: {:?}",
-        sim.protocol.violations()
-    );
-    assert!(
-        sim.client.samples > 100,
-        "sim made progress: {}",
-        sim.client.samples
-    );
-    assert!(
-        sim.protocol.decided() > 50,
-        "sim decided slots: {}",
-        sim.protocol.decided()
-    );
-
-    let threads = experiment.run_threads(7, Duration::from_millis(500));
-    assert!(
-        threads.protocol.violations().is_empty(),
-        "threads: {:?}",
-        threads.protocol.violations()
-    );
-    assert!(
-        threads.client.samples > 50,
-        "threads made progress: {}",
-        threads.client.samples
-    );
-
-    let net = experiment.run_net(7, Duration::from_millis(500));
-    assert!(
-        net.protocol.violations().is_empty(),
-        "net: {:?}",
-        net.protocol.violations()
-    );
-    assert!(
-        net.client.samples > 50,
-        "net made progress: {}",
-        net.client.samples
-    );
-    // 4 shard replicas + 4 routers all moved real TCP traffic.
-    assert_counted("sharded net", &net, 8);
-    assert_clean_transport("sharded paxos", &net);
-}
-
 #[test]
 fn batched_pigpaxos_safe_on_threads() {
     // The whole batching-v2 pipeline on wall-clock timers: flush

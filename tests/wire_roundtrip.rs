@@ -607,3 +607,22 @@ fn p2b_vote_slot_delta_at_the_15_bit_cap() {
     };
     check(&msg, msg.wire_size());
 }
+
+/// Domain 4 once carried key-range control messages. A peer still
+/// speaking that schema must get a clean rejection from every
+/// protocol's envelope, never a value. The frame is the older encoding
+/// of a range-move acknowledgement for version 2.
+#[test]
+fn the_retired_domain_is_rejected_by_every_protocol() {
+    #[rustfmt::skip]
+    const FRAME: [u8; 32] = [
+        1, 4, 2, 0, 0, 0, 0, 0, // version 1, domain 4, kind 2, flags, aux0
+        0, 0, 0, 0, 0, 0, 0, 0, // aux1
+        0, 0, 0, 0, 0, 0, 0, 0, // aux2
+        2, 0, 0, 0, 0, 0, 0, 0, // the acknowledged version
+    ];
+    let frame = Bytes::from(FRAME.to_vec());
+    Envelope::<PaxosMsg>::decode_frame(&frame).unwrap_err();
+    Envelope::<PigMsg>::decode_frame(&frame).unwrap_err();
+    Envelope::<EpaxosMsg>::decode_frame(&frame).unwrap_err();
+}

@@ -7,8 +7,8 @@
 
 use epaxos::{Attrs, EpaxosMsg, InstanceId};
 use paxi::{
-    Ballot, ClientReply, ClientRequest, Command, Envelope, KeyRange, KvStore, Operation,
-    ProtoMessage, RequestId, SessionTable, ShardCtl, ShardMap, Snapshot, Value,
+    Ballot, ClientReply, ClientRequest, Command, Envelope, KvStore, Operation, ProtoMessage,
+    RequestId, SessionTable, Snapshot, Value,
 };
 use paxos::{P1bVote, P2bVote, PaxosMsg, QrProbe, QrProbeVote, QrVoteEntry};
 use pigpaxos::{PigMsg, RelayPlan};
@@ -347,8 +347,7 @@ fn epaxos() -> Vec<(&'static str, EpaxosMsg)> {
     ]
 }
 
-/// Client traffic and shard control, each as the envelope the network
-/// carries.
+/// Client traffic, each as the envelope the network carries.
 fn envelopes() -> Vec<(&'static str, Envelope<PaxosMsg>)> {
     let request = |command| Envelope::Request(ClientRequest { command });
     vec![
@@ -370,27 +369,6 @@ fn envelopes() -> Vec<(&'static str, Envelope<PaxosMsg>)> {
                 ClientReply::ok(rid(2), None),
                 ClientReply::redirect(rid(3), Some(NodeId(0))),
             ]),
-        ),
-        (
-            "Shard(Install)",
-            Envelope::Shard(ShardCtl::Install {
-                version: 2,
-                range: KeyRange {
-                    start: 333,
-                    end: Some(666),
-                },
-                snapshot: Box::new(snapshot()),
-            }),
-        ),
-        (
-            "Shard(InstallAck)",
-            Envelope::Shard(ShardCtl::InstallAck { version: 2 }),
-        ),
-        (
-            "Shard(MapUpdate)",
-            Envelope::Shard(ShardCtl::MapUpdate {
-                map: ShardMap::uniform(3, 999),
-            }),
         ),
         (
             "Proto(Heartbeat)",
@@ -453,9 +431,6 @@ const RECORDED: &[(&str, usize)] = &[
     ("Reply with a value", 44),
     ("Reply, redirect", 36),
     ("ReplyBatch", 74),
-    ("Shard(Install)", 339),
-    ("Shard(InstallAck)", 32),
-    ("Shard(MapUpdate)", 72),
     ("Proto(Heartbeat)", 40),
 ];
 
