@@ -22,11 +22,13 @@ use crate::messages::{PigMsg, RelayPlan};
 use crate::pqr::{PendingReads, ReadOutcome};
 use crate::probe_batch::{ProbeBatcher, ProbePush, ProbeRelease};
 use crate::relay::{AggKey, Flush, RelayTable, UplinkCoalescer, VoteSet};
-use paxi::{ClientReply, ClusterConfig, Command, CompactionStats, Ctx, ReplicaCtx};
+use paxi::{
+    ClientReply, ClusterConfig, Command, CompactionStats, Ctx, Envelope, ReplicaActor, ReplicaCtx,
+};
 use paxos::{Dissemination, PaxosConfig, PaxosMsg, QrProbe, QrProbeVote, QrVoteEntry, Reach};
 use rand::rngs::StdRng;
 use rand::Rng;
-use simnet::NodeId;
+use simnet::{Actor, NodeId};
 use std::collections::BTreeSet;
 
 // Timer kinds live in the low byte, above the core's [`paxos::Timer`]
@@ -540,14 +542,21 @@ impl Dissemination for RelayTree {
 /// replicas so follower proxies serve the reads (§4.3).
 impl paxi::ProtocolSpec for PigConfig {
     type Msg = PigMsg;
-    type Replica = PigReplica;
 
     fn protocol_name(&self) -> &'static str {
         "pigpaxos"
     }
 
-    fn replica(&self, node: NodeId, cluster: &ClusterConfig) -> PigReplica {
-        PigReplica::new(node, cluster.clone(), self.clone())
+    fn build_replica(
+        &self,
+        node: NodeId,
+        cluster: &ClusterConfig,
+    ) -> Box<dyn Actor<Envelope<PigMsg>> + Send> {
+        Box::new(ReplicaActor(PigReplica::new(
+            node,
+            cluster.clone(),
+            self.clone(),
+        )))
     }
 
     fn default_target(&self, replicas: &[NodeId]) -> paxi::TargetPolicy {

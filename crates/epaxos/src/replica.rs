@@ -20,9 +20,9 @@ use crate::messages::{Attrs, EpaxosMsg, InstanceId};
 use paxi::log::MAX_HOLE;
 use paxi::{
     fast_quorum, majority, Ballot, ClientReply, ClientRequest, ClusterConfig, Command, Ctx,
-    KvStore, Replica, ReplicaCtx, RequestId, SessionTable,
+    Envelope, KvStore, Replica, ReplicaActor, ReplicaCtx, RequestId, SessionTable,
 };
-use simnet::{CpuCostModel, NodeId, TimerId};
+use simnet::{Actor, CpuCostModel, NodeId, TimerId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -515,10 +515,8 @@ impl Replica<EpaxosMsg> for EpaxosReplica {
 
     fn on_timer(&mut self, _id: TimerId, _kind: u64, _ctx: &mut Ctx<EpaxosMsg>) {}
 
-    /// `try_execute` records every executed command's reply in
-    /// `sessions` before the reply can leave.
-    fn applied(&self) -> Option<(&KvStore, &SessionTable)> {
-        Some((&self.kv, &self.sessions))
+    fn applied(&self) -> Option<&KvStore> {
+        Some(&self.kv)
     }
 }
 
@@ -529,14 +527,21 @@ impl Replica<EpaxosMsg> for EpaxosReplica {
 /// client setup.
 impl paxi::ProtocolSpec for EpaxosConfig {
     type Msg = EpaxosMsg;
-    type Replica = EpaxosReplica;
 
     fn protocol_name(&self) -> &'static str {
         "epaxos"
     }
 
-    fn replica(&self, node: NodeId, cluster: &ClusterConfig) -> EpaxosReplica {
-        EpaxosReplica::new(node, cluster.clone(), self.clone())
+    fn build_replica(
+        &self,
+        node: NodeId,
+        cluster: &ClusterConfig,
+    ) -> Box<dyn Actor<Envelope<EpaxosMsg>> + Send> {
+        Box::new(ReplicaActor(EpaxosReplica::new(
+            node,
+            cluster.clone(),
+            self.clone(),
+        )))
     }
 
     fn default_target(&self, replicas: &[NodeId]) -> paxi::TargetPolicy {

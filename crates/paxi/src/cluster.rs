@@ -14,16 +14,9 @@ pub struct ClusterConfig {
     /// Shared safety checker for this run.
     pub safety: SafetyMonitor,
     /// Shared compaction/memory counters for this run (replicas report
-    /// retained log lengths and snapshot events; `ProtocolResult` sums
-    /// them over groups).
+    /// retained log lengths and snapshot events; `ProtocolResult` reads
+    /// them).
     pub stats: CompactionStats,
-    /// True when a client's sequence numbers may legitimately skip this
-    /// cluster (sharded deployments: each key routes to one group, so
-    /// any single group sees a gappy per-client subsequence). Protocols
-    /// that enforce per-client issue order in their decided log must
-    /// turn that sequencing off when set, or a gap would be held back
-    /// forever waiting for commands that went to another group.
-    pub client_gaps: bool,
 }
 
 impl ClusterConfig {
@@ -34,24 +27,6 @@ impl ClusterConfig {
             leader: NodeId(0),
             safety: SafetyMonitor::new(),
             stats: CompactionStats::new(),
-            client_gaps: false,
-        }
-    }
-
-    /// A cluster of `n` replicas occupying the contiguous node-id range
-    /// `[start, start + n)`, with the first as the stable leader. Shard
-    /// groups use this to carve disjoint namespaces out of one node-id
-    /// space; each group gets its own safety monitor and compaction
-    /// counters (merged at result assembly). Sets `client_gaps`: a
-    /// range-carved group only ever sees the slice of each client's
-    /// command sequence that routes to it.
-    pub fn with_range(start: usize, n: usize) -> Self {
-        ClusterConfig {
-            replicas: (start..start + n).map(NodeId::from).collect(),
-            leader: NodeId::from(start),
-            safety: SafetyMonitor::new(),
-            stats: CompactionStats::new(),
-            client_gaps: true,
         }
     }
 
@@ -84,15 +59,6 @@ mod tests {
         let peers = c.peers(NodeId(0));
         assert_eq!(peers.len(), 4);
         assert!(!peers.contains(&NodeId(0)));
-    }
-
-    #[test]
-    fn range_cluster_offsets_ids_and_leader() {
-        let c = ClusterConfig::with_range(6, 3);
-        assert_eq!(c.replicas, vec![NodeId(6), NodeId(7), NodeId(8)]);
-        assert_eq!(c.leader, NodeId(6));
-        assert_eq!(c.majority(), 2);
-        assert_eq!(c.peers(NodeId(7)), vec![NodeId(6), NodeId(8)]);
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //!
 //! ```
 //! use paxi::Experiment;
-//! # use paxi::{ClusterConfig, ProtocolSpec};
+//! # use paxi::{ClusterConfig, Envelope, ProtocolSpec};
 //! # use paxi::{ClientReply, ClientRequest};
-//! # use paxi::{Ctx, Replica, ReplicaCtx};
-//! # use simnet::{NodeId, SimDuration};
+//! # use paxi::{Ctx, Replica, ReplicaActor, ReplicaCtx};
+//! # use simnet::{Actor, NodeId, SimDuration};
 //! # #[derive(Debug, Clone)]
 //! # struct NoMsg;
 //! # impl paxi::ProtoMessage for NoMsg { fn wire_size(&self) -> usize { 0 } }
@@ -44,10 +44,13 @@
 //! # struct AckSpec;
 //! # impl ProtocolSpec for AckSpec {
 //! #     type Msg = NoMsg;
-//! #     type Replica = Ack;
 //! #     fn protocol_name(&self) -> &'static str { "ack" }
-//! #     fn replica(&self, _node: NodeId, cluster: &ClusterConfig) -> Ack {
-//! #         Ack(cluster.clone(), 0)
+//! #     fn build_replica(
+//! #         &self,
+//! #         _node: NodeId,
+//! #         cluster: &ClusterConfig,
+//! #     ) -> Box<dyn Actor<Envelope<NoMsg>> + Send> {
+//! #         Box::new(ReplicaActor(Ack(cluster.clone(), 0)))
 //! #     }
 //! # }
 //! // A 1-node "cluster" of instant-ack replicas, 4 closed-loop clients:
@@ -81,7 +84,6 @@ use crate::client::TargetPolicy;
 use crate::cluster::ClusterConfig;
 use crate::envelope::{Envelope, ProtoMessage};
 use crate::harness::{self, LoadPoint, RunResult};
-use crate::replica::{Replica, ReplicaActor};
 use crate::workload::Workload;
 use pig_runtime::{NetRuntime, Runtime};
 use simnet::{Actor, NodeId, SimDuration, Simulation, Topology};
@@ -101,27 +103,17 @@ pub trait ProtocolSpec: Clone + 'static {
     /// thread substrate moves messages across OS threads.
     type Msg: ProtoMessage + Send;
 
-    /// The concrete replica type [`ProtocolSpec::replica`] builds.
-    /// Named, not boxed, so a decorator
-    /// can read its [`Replica::applied`] state. `Send` so the same
-    /// replica serves both the simulator and the wall-clock runtimes.
-    type Replica: Replica<Self::Msg> + Send;
-
     /// Short protocol name for reports ("paxos", "pigpaxos", "epaxos").
     fn protocol_name(&self) -> &'static str;
 
-    /// Build the replica for `node` of `cluster`.
-    fn replica(&self, node: NodeId, cluster: &ClusterConfig) -> Self::Replica;
-
-    /// The replica for `node` as a boxed actor: [`ProtocolSpec::replica`]
-    /// behind a [`ReplicaActor`].
+    /// Build the replica actor for `node` of `cluster` (a
+    /// [`crate::Replica`] behind a [`crate::ReplicaActor`]). `Send` so the same replica serves
+    /// both the simulator and the wall-clock runtimes.
     fn build_replica(
         &self,
         node: NodeId,
         cluster: &ClusterConfig,
-    ) -> Box<dyn Actor<Envelope<Self::Msg>> + Send> {
-        Box::new(ReplicaActor(self.replica(node, cluster)))
-    }
+    ) -> Box<dyn Actor<Envelope<Self::Msg>> + Send>;
 
     /// The target policy clients use when the experiment does not set
     /// one explicitly. Defaults to the stable leader (replica 0);
@@ -414,8 +406,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::command::{ClientReply, ClientRequest};
     use crate::kv::KvStore;
-    use crate::replica::{Ctx, ReplicaCtx};
-    use crate::session::SessionTable;
+    use crate::replica::{Ctx, Replica, ReplicaActor, ReplicaCtx};
 
     // ---- the instant-ack protocol every harness-level unit test in
     // ---- this crate runs (here and in `harness`) ----------------------
@@ -439,13 +430,11 @@ pub(crate) mod tests {
         }
     }
 
-    /// Single-replica "consensus": applies every request to a local KV,
-    /// records its reply in a session table, and records the decision
-    /// with its group's safety monitor.
+    /// Single-replica "consensus": applies every request to a local KV
+    /// and records the decision with its cluster's safety monitor.
     pub(crate) struct Instant {
         cluster: ClusterConfig,
         kv: KvStore,
-        sessions: SessionTable,
         slot: u64,
     }
     impl Replica<NoProto> for Instant {
@@ -453,18 +442,11 @@ pub(crate) mod tests {
             self.cluster.safety.record(0, self.slot, req.command.id);
             self.slot += 1;
             let value = self.kv.apply(&req.command.op);
-            let reply = ClientReply::ok(req.command.id, value);
-            self.sessions.record(&reply);
-            ctx.reply(client, reply);
+            ctx.reply(client, ClientReply::ok(req.command.id, value));
         }
         fn on_proto(&mut self, _f: NodeId, _m: NoProto, _c: &mut Ctx<NoProto>) {}
-        fn applied(&self) -> Option<(&KvStore, &SessionTable)> {
-            Some((&self.kv, &self.sessions))
-        }
-        /// Every replica of a group reports the same digest, and no
-        /// two groups do.
-        fn state_digest(&self) -> Option<u64> {
-            Some(self.cluster.leader.0 as u64)
+        fn applied(&self) -> Option<&KvStore> {
+            Some(&self.kv)
         }
     }
 
@@ -472,17 +454,19 @@ pub(crate) mod tests {
     pub(crate) struct InstantSpec;
     impl ProtocolSpec for InstantSpec {
         type Msg = NoProto;
-        type Replica = Instant;
         fn protocol_name(&self) -> &'static str {
             "instant"
         }
-        fn replica(&self, _node: NodeId, cluster: &ClusterConfig) -> Instant {
-            Instant {
+        fn build_replica(
+            &self,
+            _node: NodeId,
+            cluster: &ClusterConfig,
+        ) -> Box<dyn Actor<Envelope<NoProto>> + Send> {
+            Box::new(ReplicaActor(Instant {
                 cluster: cluster.clone(),
                 kv: KvStore::new(),
-                sessions: SessionTable::new(),
                 slot: 0,
-            }
+            }))
         }
     }
 
@@ -664,12 +648,15 @@ pub(crate) mod tests {
     struct FirstWriteWinsSpec;
     impl ProtocolSpec for FirstWriteWinsSpec {
         type Msg = NoProto;
-        type Replica = FirstWriteWins;
         fn protocol_name(&self) -> &'static str {
             "first-write-wins"
         }
-        fn replica(&self, _node: NodeId, _cluster: &ClusterConfig) -> FirstWriteWins {
-            FirstWriteWins(KvStore::new())
+        fn build_replica(
+            &self,
+            _node: NodeId,
+            _cluster: &ClusterConfig,
+        ) -> Box<dyn Actor<Envelope<NoProto>> + Send> {
+            Box::new(ReplicaActor(FirstWriteWins(KvStore::new())))
         }
     }
 

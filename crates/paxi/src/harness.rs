@@ -34,12 +34,12 @@ use std::time::Duration;
 pub const DEFAULT_SEED: u64 = 0x9199_7a05;
 
 /// Metrics from one run, in three parts: what the clients saw, what the
-/// consensus groups decided and what the transport carried.
+/// consensus group decided and what the transport carried.
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// Throughput and latency as the clients measured them.
     pub client: ClientResult,
-    /// The groups that ran, and what their replicas agreed on.
+    /// The cluster that ran, and what its replicas agreed on.
     pub protocol: ProtocolResult,
     /// Messages per node, per label and per operation.
     pub transport: TransportResult,
@@ -126,14 +126,13 @@ impl ClientResult {
     }
 }
 
-/// The consensus groups that ran — one, unless the experiment was
-/// sharded. Every count here is read from them, summed over groups.
+/// The consensus group that ran. Every count here is read from it.
 #[derive(Debug, Clone)]
 pub struct ProtocolResult {
-    /// Each group with the [`crate::SafetyMonitor`] and compaction
-    /// counters its replicas reported into, for per-group inspection
-    /// (decided counts, decision logs) after the run.
-    pub groups: Vec<ClusterConfig>,
+    /// The cluster with the [`crate::SafetyMonitor`] and compaction
+    /// counters its replicas reported into, for inspection (decided
+    /// counts, decision logs) after the run.
+    pub cluster: ClusterConfig,
     /// Per-replica state digests after the drain, indexed by replica
     /// node id (`None` for a replica that reports none); `Some` when
     /// [`crate::Experiment::drain`] was non-zero on the simulator.
@@ -141,44 +140,38 @@ pub struct ProtocolResult {
 }
 
 impl ProtocolResult {
-    fn sum(&self, count: fn(&ClusterConfig) -> u64) -> u64 {
-        self.groups.iter().map(count).sum()
-    }
-
     /// Distinct slots decided across the run.
     pub fn decided(&self) -> u64 {
-        self.sum(|c| c.safety.decided_count())
+        self.cluster.safety.decided_count()
     }
 
-    /// Safety violations detected in any group (must be empty).
+    /// Safety violations detected (must be empty).
     pub fn violations(&self) -> Vec<String> {
-        let all = self.groups.iter().flat_map(|c| c.safety.violations());
-        all.collect()
+        self.cluster.safety.violations()
     }
 
     /// Largest retained log length (slots, or EPaxos instances) any
     /// replica reported — the quantity log compaction bounds. 0 when no
     /// replica reported.
     pub fn max_log_len(&self) -> u64 {
-        let lens = self.groups.iter().map(|c| c.stats.max_log_len());
-        lens.max().unwrap_or(0)
+        self.cluster.stats.max_log_len()
     }
 
     /// Snapshots taken (log compactions) across all replicas.
     pub fn snapshots_taken(&self) -> u64 {
-        self.sum(|c| c.stats.snapshots_taken())
+        self.cluster.stats.snapshots_taken()
     }
 
     /// Snapshots installed *from a peer* (the catch-up path a lagging
     /// follower or newly elected leader takes when its missing prefix
     /// was truncated everywhere).
     pub fn snapshots_installed(&self) -> u64 {
-        self.sum(|c| c.stats.snapshots_installed())
+        self.cluster.stats.snapshots_installed()
     }
 
     /// Quorum reads opened at proxies (0 for non-PQR configurations).
     pub fn pqr_reads_started(&self) -> u64 {
-        self.sum(|c| c.stats.pqr_started())
+        self.cluster.stats.pqr_started()
     }
 
     /// Quorum reads still pending at some proxy when the run ended.
@@ -186,29 +179,21 @@ impl ProtocolResult {
     /// at most the number of in-flight client operations — anything
     /// larger is a `PendingReads` leak.
     pub fn pqr_reads_inflight(&self) -> u64 {
-        self.sum(|c| c.stats.pqr_inflight())
+        self.cluster.stats.pqr_inflight()
     }
 
-    /// Whether, within every group, all digest-reporting replicas
-    /// converged to the same state after the drain phase (groups hold
-    /// different keys, so digests are never compared across groups).
-    /// `None` without digests, or when no group has two reporting
-    /// replicas.
+    /// Whether all digest-reporting replicas converged to the same
+    /// state after the drain phase. `None` without digests, or with
+    /// fewer than two reporting replicas.
     pub fn converged(&self) -> Option<bool> {
-        let all = self.replica_digests.as_ref()?;
-        let mut verdict = None;
-        for group in &self.groups {
-            let digests: Vec<u64> = group
-                .replicas
-                .iter()
-                .filter_map(|r| all.get(r.index()).copied().flatten())
-                .collect();
-            if digests.len() >= 2 {
-                let agree = digests.windows(2).all(|w| w[0] == w[1]);
-                verdict = Some(verdict.unwrap_or(true) && agree);
-            }
-        }
-        verdict
+        let digests: Vec<u64> = self
+            .replica_digests
+            .as_ref()?
+            .iter()
+            .flatten()
+            .copied()
+            .collect();
+        (digests.len() >= 2).then(|| digests.windows(2).all(|w| w[0] == w[1]))
     }
 }
 
@@ -220,8 +205,8 @@ pub struct TransportResult {
     /// Per-node messages handled (sent + received), indexed by node id;
     /// replicas first, then clients.
     pub node_msgs: Vec<u64>,
-    /// Messages handled by a group's leader per completed operation —
-    /// the empirical `Ml` of the paper's §6 (mean over groups).
+    /// Messages handled by the leader per completed operation — the
+    /// empirical `Ml` of the paper's §6.
     pub leader_msgs_per_op: f64,
     /// Mean messages handled per non-leader replica per operation — the
     /// empirical `Mf`.
@@ -244,18 +229,18 @@ pub struct TransportResult {
 }
 
 impl TransportResult {
-    /// `node_msgs` and the group leaders' and followers' loads over
-    /// `ops`; everything else not observed (yet).
-    fn new(node_msgs: Vec<u64>, groups: &[ClusterConfig], ops: f64) -> TransportResult {
+    /// `node_msgs` and the leader's and followers' loads over `ops`;
+    /// everything else not observed (yet).
+    fn new(node_msgs: Vec<u64>, cluster: &ClusterConfig, ops: f64) -> TransportResult {
         let load = |n: &NodeId| node_msgs.get(n.index()).copied().unwrap_or(0) as f64 / ops;
-        let leaders: Vec<f64> = groups.iter().map(|c| load(&c.leader)).collect();
-        let followers: Vec<f64> = groups
+        let followers: Vec<f64> = cluster
+            .replicas
             .iter()
-            .flat_map(|c| c.replicas.iter().filter(move |&&n| n != c.leader))
+            .filter(|&&n| n != cluster.leader)
             .map(load)
             .collect();
         TransportResult {
-            leader_msgs_per_op: mean(&leaders),
+            leader_msgs_per_op: load(&cluster.leader),
             follower_msgs_per_op: mean(&followers),
             node_msgs,
             label_counts: None,
@@ -266,8 +251,8 @@ impl TransportResult {
     }
 }
 
-/// A traced window's fingerprint and the group leaders' traffic in it,
-/// per completed operation and averaged over leaders.
+/// A traced window's fingerprint and the leader's traffic in it, per
+/// completed operation.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceSummary {
     /// FNV fingerprint of the full message trace. Identical seeds and
@@ -395,7 +380,7 @@ where
     let cross_region = (after.cross_region_msgs - before.cross_region_msgs) as f64 / ops;
     let mut transport = TransportResult {
         cross_region_msgs_per_op: Some(cross_region),
-        ..TransportResult::new(node_msgs.collect(), std::slice::from_ref(cluster), ops)
+        ..TransportResult::new(node_msgs.collect(), cluster, ops)
     };
     if let Some(trace) = sim.trace() {
         let is_leader = |n: NodeId| n == cluster.leader;
@@ -422,7 +407,7 @@ where
             leader_proto_recv_per_op: per_leader_op(2),
         });
     }
-    assemble(vec![d.cluster], client, transport, replica_digests)
+    assemble(d.cluster, client, transport, replica_digests)
 }
 
 /// A wall-clock runtime's `run_for`.
@@ -452,22 +437,22 @@ where
     let transport = TransportResult {
         label_counts: Some(net.delivered_by_label.clone()),
         net: Some(net),
-        ..TransportResult::new(node_msgs, std::slice::from_ref(&d.cluster), client.ops())
+        ..TransportResult::new(node_msgs, &d.cluster, client.ops())
     };
-    assemble(vec![d.cluster], client, transport, None)
+    assemble(d.cluster, client, transport, None)
 }
 
 /// The one place a [`RunResult`] is built: the client and transport
-/// parts a run measured, and the groups that ran with any digests
-/// sampled from them.
+/// parts a run measured, and the cluster that ran with any digests
+/// sampled from it.
 fn assemble(
-    groups: Vec<ClusterConfig>,
+    cluster: ClusterConfig,
     client: ClientResult,
     transport: TransportResult,
     replica_digests: Option<Vec<Option<u64>>>,
 ) -> RunResult {
     let protocol = ProtocolResult {
-        groups,
+        cluster,
         replica_digests,
     };
     RunResult {

@@ -55,31 +55,8 @@ impl KvStore {
         self.data.is_empty()
     }
 
-    /// A copy restricted to keys in `[start, end)`; `end = None` means
-    /// unbounded. The `applied` count is carried over verbatim — the
-    /// filter carves the key space, not the history — so the unbounded
-    /// full range (`0, None`) is bit-identical to a plain clone,
-    /// fingerprint included — and is one, not a rebuild key by key.
-    pub fn filtered(&self, start: Key, end: Option<Key>) -> KvStore {
-        if start == Key::MIN && end.is_none() {
-            return self.clone();
-        }
-        let data = self
-            .data
-            .iter()
-            .filter(|(&k, _)| k >= start && end.map_or(true, |e| k < e))
-            .map(|(&k, v)| (k, v.clone()))
-            .collect();
-        KvStore {
-            data,
-            applied: self.applied,
-        }
-    }
-
-    /// All entries in ascending key order. Sorting makes iteration
-    /// deterministic regardless of hash-map internals, which matters
-    /// when the entries drive message emission (a shard install replays
-    /// the transferred range as ordered writes).
+    /// All entries in ascending key order, so iteration is
+    /// deterministic regardless of hash-map internals.
     pub fn sorted_entries(&self) -> Vec<(Key, Value)> {
         let mut entries: Vec<(Key, Value)> =
             self.data.iter().map(|(&k, v)| (k, v.clone())).collect();
@@ -212,26 +189,6 @@ mod tests {
         assert_eq!(back.applied(), kv.applied());
         // Deterministic regardless of map iteration order.
         assert_eq!(kv.encode(), back.encode());
-    }
-
-    #[test]
-    fn filtered_carves_ranges_and_full_range_is_a_clone() {
-        let mut kv = KvStore::new();
-        for k in 0..10u64 {
-            kv.apply(&Operation::Put(k, Value::zeros(k as usize)));
-        }
-        kv.apply(&Operation::Get(3));
-        let mid = kv.filtered(3, Some(7));
-        assert_eq!(mid.len(), 4);
-        assert!(mid.peek(3).is_some() && mid.peek(6).is_some());
-        assert!(mid.peek(2).is_none() && mid.peek(7).is_none());
-        assert_eq!(mid.applied(), kv.applied(), "history count carried over");
-        let tail = kv.filtered(8, None);
-        assert_eq!(tail.len(), 2);
-        // Unbounded full range must be indistinguishable from a clone.
-        let full = kv.filtered(0, None);
-        assert_eq!(full.fingerprint(), kv.fingerprint());
-        assert_eq!(full.encode(), kv.encode());
     }
 
     #[test]

@@ -8,7 +8,6 @@
 use crate::command::{ClientReply, ClientRequest};
 use crate::envelope::{Envelope, ProtoMessage};
 use crate::kv::KvStore;
-use crate::session::SessionTable;
 use simnet::{Actor, Context, NodeId, TimerId};
 
 /// The context type replicas operate on.
@@ -51,10 +50,9 @@ pub trait Replica<P: ProtoMessage>: 'static {
     fn on_proto(&mut self, from: NodeId, msg: P, ctx: &mut Ctx<P>);
     /// A timer fired.
     fn on_timer(&mut self, _id: TimerId, _kind: u64, _ctx: &mut Ctx<P>) {}
-    /// The state this replica has executed, read-only: its key-value
-    /// store and the session table that records the reply of every
-    /// executed command. The default `None` opts out.
-    fn applied(&self) -> Option<(&KvStore, &SessionTable)> {
+    /// The key-value store this replica has executed commands into,
+    /// read-only. The default `None` opts out.
+    fn applied(&self) -> Option<&KvStore> {
         None
     }
     /// A stable digest of this replica's applied state. Convergence
@@ -63,7 +61,7 @@ pub trait Replica<P: ProtoMessage>: 'static {
     /// [`Replica::applied`] store, so `None` when that opts out. See
     /// [`simnet::Actor::state_digest`].
     fn state_digest(&self) -> Option<u64> {
-        self.applied().map(|(kv, _)| kv.fingerprint())
+        self.applied().map(KvStore::fingerprint)
     }
 }
 

@@ -91,32 +91,20 @@ impl PartialEq for Snapshot {
 }
 
 impl Snapshot {
-    /// Capture a snapshot restricted to keys in `[start, end)`
-    /// (`end = None` means unbounded). The state machine and the
-    /// freshness index are filtered to the range; `sessions` travels
-    /// whole, because retry replay is per-client, not per-key. The
-    /// full-map capture path is the unbounded range `(0, None)`, which
-    /// filters nothing and is therefore identical to the historical
-    /// clone-everything capture. Shard moves capture only the moving
-    /// range — the point of this path: the departing slice ships
-    /// without paying for (or leaking) the keys that stay behind.
-    pub fn for_range(
+    /// Capture the whole state: a clone of `kv` and `sessions`, and
+    /// the freshness index sorted by key.
+    pub fn capture(
         up_to: u64,
         kv: &KvStore,
         last_write_slot: &HashMap<Key, u64>,
         sessions: &SessionTable,
-        start: Key,
-        end: Option<Key>,
     ) -> Self {
-        let mut last_write_slots: Vec<(Key, u64)> = last_write_slot
-            .iter()
-            .filter(|(&k, _)| k >= start && end.map_or(true, |e| k < e))
-            .map(|(&k, &s)| (k, s))
-            .collect();
+        let mut last_write_slots: Vec<(Key, u64)> =
+            last_write_slot.iter().map(|(&k, &s)| (k, s)).collect();
         last_write_slots.sort_unstable();
         Snapshot {
             up_to,
-            kv: kv.filtered(start, end),
+            kv: kv.clone(),
             last_write_slots,
             sessions: sessions.clone(),
         }
@@ -288,21 +276,18 @@ mod tests {
     }
 
     #[test]
-    fn for_range_filters_state_and_index_and_full_range_matches_clone() {
+    fn capture_clones_the_state_and_sorts_the_index() {
         let mut kv = KvStore::new();
         let mut idx = std::collections::HashMap::new();
-        for k in 0..8u64 {
+        for k in (0..8u64).rev() {
             kv.apply(&Operation::Put(k, Value::zeros(4)));
-            idx.insert(k, k);
+            idx.insert(k, 7 - k);
         }
-        let sessions = SessionTable::new();
-        let part = Snapshot::for_range(8, &kv, &idx, &sessions, 2, Some(5));
-        assert_eq!(part.kv.len(), 3);
-        assert_eq!(part.last_write_slots, vec![(2, 2), (3, 3), (4, 4)]);
-        let full = Snapshot::for_range(8, &kv, &idx, &sessions, 0, None);
-        assert_eq!(full.kv.fingerprint(), kv.fingerprint());
-        assert_eq!(full.last_write_slots.len(), 8);
-        assert_eq!(full.kv.encode(), kv.encode(), "unbounded range == clone");
+        let snap = Snapshot::capture(8, &kv, &idx, &SessionTable::new());
+        assert_eq!(snap.up_to, 8);
+        assert_eq!(snap.kv.encode(), kv.encode());
+        let want: Vec<(u64, u64)> = (0..8).map(|k| (k, 7 - k)).collect();
+        assert_eq!(snap.last_write_slots, want);
     }
 
     #[test]

@@ -62,10 +62,9 @@ impl Workload {
 
     /// Zipfian hot-key skew with rank-frequency exponent `theta`
     /// (otherwise the paper defaults). `theta ≈ 0.99` is the classic
-    /// YCSB skew; higher concentrates more mass on fewer keys. This is
-    /// the workload shape that makes sharding interesting: a uniform
-    /// key space shards trivially, a skewed one concentrates load on
-    /// whichever group owns the hot ranks.
+    /// YCSB skew; higher concentrates more mass on fewer keys, so more
+    /// concurrent commands conflict on the same key (what EPaxos pays
+    /// for, in the `conflict_sweep` figure).
     pub fn zipfian(theta: f64) -> Self {
         assert!(theta > 0.0, "zipf exponent must be positive");
         Workload {

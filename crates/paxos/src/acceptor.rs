@@ -335,16 +335,11 @@ impl Acceptor {
             .as_ref()
             .is_some_and(|s| s.up_to >= up_to);
         if !fresh {
-            // The full map is just the unbounded range of the
-            // range-filtered capture path — one code path serves
-            // compaction and shard moves.
-            self.latest_snapshot = Some(Snapshot::for_range(
+            self.latest_snapshot = Some(Snapshot::capture(
                 up_to,
                 &self.kv,
                 &self.last_write_slot,
                 sessions,
-                0,
-                None,
             ));
         }
         self.log.truncate_below(up_to);

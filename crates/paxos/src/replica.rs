@@ -29,11 +29,11 @@ use crate::config::PaxosConfig;
 use crate::leader::{Leader, Phase1Outcome};
 use crate::messages::{P2bVote, PaxosMsg, QrProbeVote, QrVoteEntry, META_LEN_MAX};
 use paxi::{
-    Ballot, ClientReply, ClientRequest, ClusterConfig, Command, Ctx, Key, KvStore, ProtoMessage,
-    ReplicaCtx, ReplyBatcher, RequestId, SessionTable, Value,
+    Ballot, ClientReply, ClientRequest, ClusterConfig, Command, Ctx, Envelope, Key, KvStore,
+    ProtoMessage, ReplicaActor, ReplicaCtx, ReplyBatcher, RequestId, SessionTable, Value,
 };
 use rand::Rng;
-use simnet::{CpuCostModel, NodeId, SimDuration, SimTime, TimerId};
+use simnet::{Actor, CpuCostModel, NodeId, SimDuration, SimTime, TimerId};
 use std::collections::VecDeque;
 
 /// Largest number of slots requested in one batched `LearnReq`.
@@ -211,12 +211,10 @@ impl<D: Dissemination> Replica<D> {
             None => Leader::new(me, cluster.n()),
         };
         // Every command of every client flows through the leader's log,
-        // so per-client sequencing holds — unless some bypass it. The
-        // cluster may be one shard of many (a client's sequence skips
-        // the commands routed to other groups), or the disseminator
-        // serves some commands off the log (PQR reads at follower
-        // proxies): either way a gap would be held forever.
-        let sequencing = !cluster.client_gaps && !d.bypasses_log();
+        // so per-client sequencing holds — unless the disseminator serves
+        // some commands off the log (PQR reads at follower proxies): a
+        // gap would then be held forever.
+        let sequencing = !d.bypasses_log();
         Replica {
             me,
             lane: BatchLane::new(cfg.batch.clone(), sequencing),
@@ -785,10 +783,8 @@ impl<D: Dissemination> paxi::Replica<D::Msg> for Replica<D> {
         }
     }
 
-    /// `reply_executed` records every executed command's reply in
-    /// `sessions` before the reply can leave.
-    fn applied(&self) -> Option<(&KvStore, &SessionTable)> {
-        Some((self.acceptor.kv(), &self.sessions))
+    fn applied(&self) -> Option<&KvStore> {
+        Some(self.acceptor.kv())
     }
 }
 
@@ -798,14 +794,21 @@ impl<D: Dissemination> paxi::Replica<D::Msg> for Replica<D> {
 /// (replica 0).
 impl paxi::ProtocolSpec for PaxosConfig {
     type Msg = PaxosMsg;
-    type Replica = PaxosReplica;
 
     fn protocol_name(&self) -> &'static str {
         "paxos"
     }
 
-    fn replica(&self, node: NodeId, cluster: &ClusterConfig) -> PaxosReplica {
-        PaxosReplica::new(node, cluster.clone(), self.clone())
+    fn build_replica(
+        &self,
+        node: NodeId,
+        cluster: &ClusterConfig,
+    ) -> Box<dyn Actor<Envelope<PaxosMsg>> + Send> {
+        Box::new(ReplicaActor(PaxosReplica::new(
+            node,
+            cluster.clone(),
+            self.clone(),
+        )))
     }
 }
 

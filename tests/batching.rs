@@ -38,7 +38,7 @@ fn run_cluster<P: ProtocolSpec>(
     seed: u64,
     measure: SimDuration,
 ) -> ClusterConfig {
-    let mut r = Experiment::lan(proto, n)
+    let r = Experiment::lan(proto, n)
         .clients(clients)
         .client_pipeline(pipeline)
         .warmup(SimDuration::ZERO)
@@ -49,7 +49,7 @@ fn run_cluster<P: ProtocolSpec>(
         "cluster must make progress, got {}",
         r.client.samples
     );
-    r.protocol.groups.remove(0)
+    r.protocol.cluster
 }
 
 /// In slot order, every client's sequence numbers must be strictly

@@ -113,13 +113,11 @@ fn cmd(seq: u64) -> Command {
 fn forged(slot: u64) -> Vec<PaxosMsg> {
     let ballot = Ballot::new(u32::MAX, NodeId(0));
     let entry_slot = slot.min((1 << 48) - 1);
-    let nothing = Snapshot::for_range(
+    let nothing = Snapshot::capture(
         0,
         &KvStore::new(),
         &Default::default(),
         &SessionTable::new(),
-        0,
-        None,
     );
     vec![
         PaxosMsg::P2a {
