@@ -107,8 +107,9 @@ pub trait ProtocolSpec: Clone + 'static {
     fn protocol_name(&self) -> &'static str;
 
     /// Build the replica actor for `node` of `cluster` (a
-    /// [`crate::Replica`] behind a [`crate::ReplicaActor`]). `Send` so the same replica serves
-    /// both the simulator and the wall-clock runtimes.
+    /// [`crate::Replica`] behind a [`crate::ReplicaActor`]). `Send` so
+    /// the same replica serves both the simulator and the wall-clock
+    /// runtimes.
     fn build_replica(
         &self,
         node: NodeId,
