@@ -1,23 +1,23 @@
 //! Scenario-matrix chaos driver: run the checked-in corpus of chaos
-//! scenarios (`scenarios/*.toml`) with a nemesis executing each fault
-//! schedule, and the safety monitor and the linearizability check of
-//! the client history riding every run.
+//! scenarios (`scenarios/*.toml`), each with its fault schedule, and the
+//! safety monitor and the linearizability check of the client history
+//! riding every run.
 //!
 //! ```text
-//! scenario [--check] [--quick] [--csv] [paths...]
+//! scenario [--check] [--csv] [paths...]
 //! ```
 //!
 //! - With no paths, runs every `*.toml` under `scenarios/` (sorted).
 //! - `--check` lints the corpus: parse + validate only, no runs.
-//! - `--quick` / `PIG_QUICK=1` skips scenarios marked `quick = false`.
+//! - The `faults` column counts the schedule's `[[faults]]` tables.
 //! - The `fingerprint` column is the hex of the run's whole message
 //!   trace (`TraceSummary::fingerprint`): two runs print the same one
 //!   only if they sent the same messages at the same times.
 //! - Exit code is non-zero if any scenario fails to parse, violates
-//!   safety, answers its clients non-linearizably, or misses its
-//!   `[expect]` block.
+//!   safety, answers its clients non-linearizably, leaves a scheduled
+//!   fault without effect, or misses its `[expect]` block.
 
-use paxi::{NemesisLog, RunResult, Scenario, TopologyKind};
+use paxi::{RunResult, Scenario, TopologyKind};
 use pigpaxos_bench::Cell::Float;
 use pigpaxos_bench::{Opts, Table};
 use std::path::{Path, PathBuf};
@@ -47,7 +47,7 @@ fn load(path: &Path) -> Result<Scenario, String> {
     paxi::scenario::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn dispatch(sc: &Scenario) -> (RunResult, NemesisLog) {
+fn dispatch(sc: &Scenario) -> RunResult {
     let wan = matches!(sc.topology, TopologyKind::Wan);
     match sc.protocol.as_str() {
         "paxos" if wan => sc.run_sim(paxos::PaxosConfig::wan()),
@@ -70,7 +70,7 @@ fn dispatch(sc: &Scenario) -> (RunResult, NemesisLog) {
 
 /// Judge one result against the scenario's expectations. Returns the
 /// list of failures (empty = pass).
-fn judge(sc: &Scenario, r: &RunResult, log: &NemesisLog) -> Vec<String> {
+fn judge(sc: &Scenario, r: &RunResult) -> Vec<String> {
     let mut fails = Vec::new();
     if !r.protocol.violations().is_empty() {
         fails.push(format!("SAFETY VIOLATIONS: {:?}", r.protocol.violations()));
@@ -78,11 +78,11 @@ fn judge(sc: &Scenario, r: &RunResult, log: &NemesisLog) -> Vec<String> {
     if let Some(h) = r.client.history.as_ref().filter(|h| !h.linearizable()) {
         fails.push(format!("NOT LINEARIZABLE: {:?}", h.violations));
     }
-    if log.len() != sc.faults.len() {
+    let applied = r.transport.faults_applied.unwrap_or(0);
+    if applied != sc.scheduled_faults() {
         fails.push(format!(
-            "nemesis executed {}/{} faults",
-            log.len(),
-            sc.faults.len()
+            "{applied} of {} scheduled faults took effect",
+            sc.scheduled_faults()
         ));
     }
     if let Some(want) = sc.expect.converged {
@@ -118,7 +118,7 @@ fn judge(sc: &Scenario, r: &RunResult, log: &NemesisLog) -> Vec<String> {
 
 fn main() -> ExitCode {
     let opts = Opts::from_env();
-    let (check_only, quick) = (opts.check, opts.quick);
+    let check_only = opts.check;
     let paths = corpus_paths(&opts);
     if paths.is_empty() {
         eprintln!("scenario: no scenario files found (looked in scenarios/)");
@@ -156,13 +156,9 @@ fn main() -> ExitCode {
 
     let columns = "scenario,protocol,tput,p99_ms,retries,faults,converged,status,fingerprint";
     let mut table = Table::new("", columns);
-    let mut ran = 0usize;
     for sc in &scenarios {
-        if quick && !sc.quick {
-            continue;
-        }
-        let (result, log) = dispatch(sc);
-        let fails = judge(sc, &result, &log);
+        let result = dispatch(sc);
+        let fails = judge(sc, &result);
         let converged = match result.protocol.converged() {
             Some(true) => "yes",
             Some(false) => "NO",
@@ -179,7 +175,7 @@ fn main() -> ExitCode {
             Float(result.client.throughput, 1),
             Float(result.client.p99_latency_ms, 3),
             result.client.retries.into(),
-            log.len().into(),
+            sc.faults.len().into(),
             converged.into(),
             status.into(),
             format!("{:016x}", trace.fingerprint).into(),
@@ -190,15 +186,9 @@ fn main() -> ExitCode {
         if !fails.is_empty() {
             failures += 1;
         }
-        ran += 1;
     }
     print!("{}", table.render(opts.csv));
-    println!(
-        "\n{} scenario(s) ran, {} failed{}",
-        ran,
-        failures,
-        if quick { " (quick mode)" } else { "" }
-    );
+    println!("\n{} scenario(s) ran, {failures} failed", scenarios.len());
     if failures == 0 {
         ExitCode::SUCCESS
     } else {

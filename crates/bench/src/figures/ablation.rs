@@ -8,7 +8,7 @@ use epaxos::EpaxosConfig;
 use paxi::{BatchConfig, KeyDistribution, ProtocolSpec, RunResult, Workload};
 use paxos::PaxosConfig;
 use pigpaxos::PigConfig;
-use simnet::{Control, NodeId, SimDuration, SimTime};
+use simnet::{Control, NodeId, SimDuration};
 
 /// Ablation: single-level vs. two-level relay trees (§6.3).
 ///
@@ -50,14 +50,14 @@ pub fn ablation_partial(o: &Opts) -> Report {
     let run_one = |threshold: Option<usize>| -> RunResult {
         let mut cfg = PigConfig::lan(3);
         cfg.partial_threshold = threshold;
+        // Groups of 8: g0 = nodes 1-8, g1 = 9-16, g2 = 17-24; one crash
+        // in g0 and one in g1.
+        let at = SimDuration::from_millis(50);
         o.lan(cfg, 25)
             .clients(10) // moderate load: latency, not saturation, matters
-            .run_sim_with(SEED, |sim| {
-                // Groups of 8: g0 = nodes 1-8, g1 = 9-16, g2 = 17-24; one
-                // crash in g0 and one in g1.
-                sim.schedule_control(SimTime::from_millis(50), Control::Crash(NodeId(5)));
-                sim.schedule_control(SimTime::from_millis(50), Control::Crash(NodeId(12)));
-            })
+            .fault(at, Control::Crash(NodeId(5)))
+            .fault(at, Control::Crash(NodeId(12)))
+            .run_sim(SEED)
     };
     let title = "Ablation: partial response collection (§4.2; 25 nodes, 3 relay groups, \
                  one crashed member in two groups, 10 clients)";

@@ -10,7 +10,7 @@ use epaxos::EpaxosConfig;
 use paxi::{BatchConfig, ProtocolSpec, ReplyCoalesce, RunResult, Workload};
 use paxos::PaxosConfig;
 use pigpaxos::{GroupSpec, PigConfig};
-use simnet::{Control, NodeId, SimDuration, SimTime};
+use simnet::{Control, NodeId, SimDuration};
 
 /// Tables 1 and 2: analytical message load at the leader and followers
 /// for different relay-group counts (25-node and 9-node clusters).
@@ -161,10 +161,9 @@ pub fn fig13(o: &Opts) -> Report {
         .warmup(SimDuration::from_secs(0))
         .measure(SimDuration::from_secs(total_secs))
         .timeline_bucket(SimDuration::from_secs(1))
-        .run_sim_with(SEED, move |sim| {
-            sim.schedule_control(SimTime::from_secs(fault_start), Control::Crash(faulty));
-            sim.schedule_control(SimTime::from_secs(fault_end), Control::Recover(faulty));
-        });
+        .fault(SimDuration::from_secs(fault_start), Control::Crash(faulty))
+        .fault(SimDuration::from_secs(fault_end), Control::Recover(faulty))
+        .run_sim(SEED);
     assert!(
         result.protocol.violations().is_empty(),
         "safety violated: {:?}",
@@ -291,9 +290,9 @@ pub fn flexible_quorums(o: &Opts) -> Report {
     thr.thrifty = true;
     let thrifty9 = o.lan(thr, 9).clients(4);
     let t_ok = thrifty9.run_sim(SEED);
-    let t_crash = thrifty9.run_sim_with(SEED, |sim| {
-        sim.schedule_control(SimTime::from_millis(200), Control::Crash(NodeId(1)));
-    });
+    let t_crash = thrifty9
+        .fault(SimDuration::from_millis(200), Control::Crash(NodeId(1)))
+        .run_sim(SEED);
 
     let title = "Flexible quorums & thrifty (paper §2.2): N=10 LAN (6,6) vs (Q1=8, Q2=3); \
                  N=15 WAN (8,8) vs (Q1=11, Q2=5 in the leader's region); N=9 LAN thrifty";

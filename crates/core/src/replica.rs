@@ -572,7 +572,7 @@ impl paxi::ProtocolSpec for PigConfig {
 mod tests {
     use super::*;
     use paxi::{Experiment, TargetPolicy};
-    use simnet::{Control, SimDuration, SimTime};
+    use simnet::{Control, SimDuration};
 
     fn exp(n: usize, clients: usize, groups: usize) -> Experiment<PigConfig> {
         with_cfg(PigConfig::lan(groups), n, clients)
@@ -682,11 +682,11 @@ mod tests {
         // elected, losing five nodes — a whole relay group — leaves
         // phase 2 its quorum of three; majorities (six) cannot commit.
         let run = |cfg: PigConfig| {
-            with_cfg(cfg, 10, 4).run_sim_with(paxi::DEFAULT_SEED, |sim| {
-                for node in 1..=5 {
-                    sim.schedule_control(SimTime::from_millis(200), Control::Crash(NodeId(node)));
-                }
-            })
+            let mut exp = with_cfg(cfg, 10, 4);
+            for node in 1..=5 {
+                exp = exp.fault(SimDuration::from_millis(200), Control::Crash(NodeId(node)));
+            }
+            exp.run_sim(paxi::DEFAULT_SEED)
         };
         let mut flexible = PigConfig::lan(2);
         flexible.paxos.flexible_quorums = Some((8, 3));
@@ -713,9 +713,9 @@ mod tests {
     fn relay_timeout_delivers_partial_votes() {
         // Crash one node; the relay of its group must still answer within
         // the 50ms relay timeout, so commits continue at full speed.
-        let r = exp(9, 4, 2).run_sim_with(paxi::DEFAULT_SEED, |sim| {
-            sim.schedule_control(SimTime::from_millis(50), Control::Crash(NodeId(8)));
-        });
+        let r = exp(9, 4, 2)
+            .fault(SimDuration::from_millis(50), Control::Crash(NodeId(8)))
+            .run_sim(paxi::DEFAULT_SEED);
         assert!(r.protocol.violations().is_empty());
         assert!(r.client.throughput > 100.0);
         assert!(

@@ -10,7 +10,7 @@
 use crate::client::TargetPolicy;
 use crate::experiment::{Experiment, ProtocolSpec};
 use crate::harness::DEFAULT_SEED;
-use simnet::{Control, NodeId, SimDuration, SimTime};
+use simnet::{Control, NodeId, SimDuration};
 
 /// Run `proto` on an `n`-replica LAN with `clients` closed-loop clients
 /// through three simulated runs and panic on the first broken promise:
@@ -23,7 +23,7 @@ pub fn check_replica<P: ProtocolSpec>(proto: P, n: usize, clients: usize) {
         .clients(clients)
         .warmup(SimDuration::from_millis(300))
         .measure(SimDuration::from_millis(700));
-    let at = |ms| SimTime::from_millis(ms);
+    let at = SimDuration::from_millis;
 
     let r = exp.run_sim(DEFAULT_SEED);
     assert!(
@@ -46,9 +46,10 @@ pub fn check_replica<P: ProtocolSpec>(proto: P, n: usize, clients: usize) {
     );
 
     let follower = NodeId(n as u32 - 1);
-    let r = exp.run_sim_with(DEFAULT_SEED, |sim| {
-        sim.schedule_control(at(100), Control::Crash(follower));
-    });
+    let r = exp
+        .clone()
+        .fault(at(100), Control::Crash(follower))
+        .run_sim(DEFAULT_SEED);
     assert!(
         r.protocol.violations().is_empty(),
         "{name} n={n}: {:?}",
@@ -65,9 +66,8 @@ pub fn check_replica<P: ProtocolSpec>(proto: P, n: usize, clients: usize) {
     let r = exp
         .measure(SimDuration::from_secs(3))
         .target(TargetPolicy::Random(everyone))
-        .run_sim_with(DEFAULT_SEED, |sim| {
-            sim.schedule_control(at(700), Control::Crash(NodeId(0)));
-        });
+        .fault(at(700), Control::Crash(NodeId(0)))
+        .run_sim(DEFAULT_SEED);
     assert!(
         r.protocol.violations().is_empty(),
         "{name} n={n}: {:?}",

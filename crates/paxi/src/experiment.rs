@@ -11,6 +11,9 @@
 //! * **topology** — a [`simnet::Topology`] (LAN, multi-region WAN);
 //! * **workload & clients** — [`Workload`], client count, pipeline
 //!   depth, target policy;
+//! * **faults** — a schedule of [`Fault`]s at offsets from the start of
+//!   the run ([`Experiment::fault`]): crashes, partitions, flaky or slow
+//!   links, message storms;
 //! * **substrate** — the deterministic simulator
 //!   ([`Experiment::run_sim`]), or real OS threads on one readiness loop
 //!   per core, passing messages in memory ([`Experiment::run_threads`])
@@ -84,6 +87,7 @@ use crate::client::TargetPolicy;
 use crate::cluster::ClusterConfig;
 use crate::envelope::{Envelope, ProtoMessage};
 use crate::harness::{self, LoadPoint, RunResult};
+use crate::scenario::Fault;
 use crate::workload::Workload;
 use pig_runtime::{NetRuntime, Runtime};
 use simnet::{Actor, NodeId, SimDuration, Simulation, Topology};
@@ -130,7 +134,7 @@ pub trait ProtocolSpec: Clone + 'static {
 ///
 /// Construct with [`Experiment::lan`] or [`Experiment::wan`]; refine
 /// with the fluent setters; execute with [`run_sim`](Experiment::run_sim),
-/// [`run_sim_with`](Experiment::run_sim_with) (fault injection),
+/// [`run_sim_with`](Experiment::run_sim_with) (custom actors),
 /// [`run_threads`](Experiment::run_threads),
 /// [`run_net`](Experiment::run_net) (TCP sockets),
 /// [`load_sweep`](Experiment::load_sweep), or
@@ -154,6 +158,8 @@ pub struct Experiment<P: ProtocolSpec> {
     pub(crate) drain: SimDuration,
     pub(crate) capture_trace: bool,
     pub(crate) check_history: bool,
+    /// The fault schedule, as offsets from the start of the run.
+    pub(crate) faults: Vec<(SimDuration, Fault)>,
     target: Option<TargetPolicy>,
 }
 
@@ -176,6 +182,7 @@ impl<P: ProtocolSpec> Experiment<P> {
             drain: SimDuration::ZERO,
             capture_trace: false,
             check_history: false,
+            faults: Vec::new(),
             target: None,
         }
     }
@@ -210,8 +217,7 @@ impl<P: ProtocolSpec> Experiment<P> {
 
     /// Extra client-side topology nodes with **no** harness-spawned
     /// clients; a [`run_sim_with`](Experiment::run_sim_with) hook can
-    /// populate them with custom client actors (a nemesis, a scripted
-    /// client).
+    /// populate them with custom client actors (a scripted client).
     pub fn extra_client_nodes(mut self, n: usize) -> Self {
         self.extra_client_nodes = n;
         self
@@ -286,6 +292,27 @@ impl<P: ProtocolSpec> Experiment<P> {
         self
     }
 
+    /// Inject `fault` at `at` after the start of the run: a
+    /// [`simnet::Control`] (crash, recover, block or heal links, flaky or
+    /// slow links, drop rate) or a [`Fault::Storm`]. The driver applies
+    /// the schedule; a storm puts the actor that sends it in one more
+    /// client slot. `at` must fall before `warmup + measure + drain`, or
+    /// the run panics. Simulator only for now: the wall-clock runtimes
+    /// panic on a non-empty schedule.
+    ///
+    /// ```
+    /// # use paxi::Experiment;
+    /// # use simnet::{Control, NodeId, SimDuration};
+    /// # fn crash_and_return<P: paxi::ProtocolSpec>(exp: Experiment<P>) -> Experiment<P> {
+    /// exp.fault(SimDuration::from_millis(400), Control::Crash(NodeId(0)))
+    ///     .fault(SimDuration::from_millis(900), Control::Recover(NodeId(0)))
+    /// # }
+    /// ```
+    pub fn fault(mut self, at: SimDuration, fault: impl Into<Fault>) -> Self {
+        self.faults.push((at, fault.into()));
+        self
+    }
+
     // ---- accessors -------------------------------------------------------
 
     /// The protocol configuration this experiment runs.
@@ -322,14 +349,14 @@ impl<P: ProtocolSpec> Experiment<P> {
     /// bit-identical results (the determinism contract the perf gate
     /// relies on).
     pub fn run_sim(&self, seed: u64) -> RunResult {
-        self.run_sim_with(seed, |_| {})
+        harness::drive_sim(self, seed, |_| {})
     }
 
-    /// Run on the simulator with a setup/fault-injection hook. The hook
-    /// fires after all actors are registered and before the simulation
-    /// starts — schedule crashes, partitions, drop rates, or add custom
-    /// client actors into [`extra_client_nodes`](Self::extra_client_nodes)
-    /// slots.
+    /// Run on the simulator with a setup hook. The hook fires after all
+    /// actors are registered and the fault schedule is queued, before
+    /// the simulation starts: add custom client actors into
+    /// [`extra_client_nodes`](Self::extra_client_nodes) slots, or set
+    /// what must hold before the first `on_start` (a drop rate).
     pub fn run_sim_with<H>(&self, seed: u64, hook: H) -> RunResult
     where
         H: FnOnce(&mut Simulation<Envelope<P::Msg>>),
@@ -350,6 +377,9 @@ impl<P: ProtocolSpec> Experiment<P> {
     /// ones are 0), and `node_msgs` and `label_counts` derive from them
     /// — over the whole run, election included, so compare rates rather
     /// than raw counts against simulator runs.
+    ///
+    /// Panics on a non-empty [`fault`](Self::fault) schedule: the
+    /// wall-clock runtimes do not apply faults yet.
     pub fn run_threads(&self, seed: u64, wall: Duration) -> RunResult {
         harness::drive_wall(self, Runtime::new(seed), Runtime::run_for, wall)
     }
@@ -368,6 +398,9 @@ impl<P: ProtocolSpec> Experiment<P> {
     /// traffic. The encoded size of every message equals its
     /// [`ProtoMessage::wire_size`], so the bytes crossing these sockets
     /// are exactly the bytes the simulator's CPU model charges for.
+    ///
+    /// Panics on a non-empty [`fault`](Self::fault) schedule, as
+    /// [`run_threads`](Self::run_threads) does.
     pub fn run_net(&self, seed: u64, wall: Duration) -> RunResult
     where
         P::Msg: simnet::Wire,

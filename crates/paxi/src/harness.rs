@@ -3,12 +3,14 @@
 //!
 //! 1. **deploy**: stamp out all actors in node-id order — the
 //!    replicas of the one consensus group, then the clients
-//!    ([`ClosedLoopClient`]s) — plus the [`ClusterConfig`] they share
+//!    ([`ClosedLoopClient`]s), then the nemesis that sends storms when
+//!    the fault schedule has one — plus the [`ClusterConfig`] they share
 //!    and the [`ClientRecorder`] every client reports into, with the
 //!    run's operation history when it is checked.
 //! 2. **drive**: run the actors on one substrate. The simulator driver
-//!    fires the setup hook, then runs warm-up, the measurement window
-//!    and the optional drain; the wall-clock driver runs the readiness
+//!    queues the fault schedule's controls and fires the setup hook,
+//!    then runs warm-up, the measurement window and the optional drain;
+//!    the wall-clock driver runs the readiness
 //!    loops, in memory or over TCP, for a wall-clock span and measures
 //!    all of it — the window `(0, wall]`. Each measures what the
 //!    clients saw in its window and what its transport carried.
@@ -24,6 +26,8 @@ use crate::envelope::Envelope;
 use crate::experiment::{Experiment, ProtocolSpec};
 use crate::history::{History, HistoryCheck};
 use crate::metrics::{mean, percentile};
+use crate::nemesis::Nemesis;
+use crate::scenario::Fault;
 use pig_runtime::{LoopRuntime, NetRunStats};
 use simnet::{Actor, CpuCostModel, NodeId, SimDuration, SimTime, Simulation};
 use std::collections::BTreeMap;
@@ -226,6 +230,11 @@ pub struct TransportResult {
     /// over TCP also reconnects, undecodable and dropped frames, which a
     /// healthy run has none of); `Some` on the wall-clock substrates.
     pub net: Option<NetRunStats>,
+    /// Faults of the [`crate::Experiment::fault`] schedule that took
+    /// effect: controls applied plus storm bursts sent; `Some` on the
+    /// simulator. A run whose whole schedule took effect counts every
+    /// fault of it.
+    pub faults_applied: Option<u64>,
 }
 
 impl TransportResult {
@@ -247,6 +256,7 @@ impl TransportResult {
             cross_region_msgs_per_op: None,
             trace: None,
             net: None,
+            faults_applied: None,
         }
     }
 }
@@ -294,11 +304,14 @@ struct Deployment<M> {
     /// All actors, in node-id order.
     actors: Vec<BoxedActor<M>>,
     recorder: ClientRecorder,
+    /// Where the [`Nemesis`] runs, if the schedule has a storm.
+    nemesis: Option<NodeId>,
 }
 
 /// Materialize the actors for one run, with a fresh safety monitor
 /// and compaction counters. Node-id space, in order: the replicas, the
-/// clients, empty hook slots.
+/// clients, the [`Nemesis`] if the schedule has a storm, empty hook
+/// slots.
 fn deploy<P: ProtocolSpec>(exp: &Experiment<P>) -> Deployment<P::Msg> {
     let cluster = ClusterConfig::new(exp.topology.num_nodes());
     let recorder = if exp.check_history {
@@ -322,15 +335,21 @@ fn deploy<P: ProtocolSpec>(exp: &Experiment<P>) -> Deployment<P::Msg> {
             .with_pipeline(exp.client_pipeline),
         ));
     }
+    let nemesis = Nemesis::<P::Msg>::for_storms(&exp.faults).map(|nemesis| {
+        actors.push(Box::new(nemesis));
+        NodeId::from(actors.len() - 1)
+    });
     Deployment {
         cluster,
         actors,
         recorder,
+        nemesis,
     }
 }
 
-/// The simulator driver: `hook`, then warm-up, the measurement window
-/// and the optional drain, in simulated time.
+/// The simulator driver: the fault schedule's controls and `hook`, then
+/// warm-up, the measurement window and the optional drain, in simulated
+/// time.
 pub(crate) fn drive_sim<P, H>(exp: &Experiment<P>, seed: u64, hook: H) -> RunResult
 where
     P: ProtocolSpec,
@@ -338,9 +357,10 @@ where
 {
     let d = deploy(exp);
     let cluster = &d.cluster;
+    let n_replicas = cluster.n();
     let mut topology = exp.topology.clone();
     // Clients attach to region 0, the leader's.
-    topology.add_nodes(exp.n_clients + exp.extra_client_nodes, 0);
+    topology.add_nodes(d.actors.len() - n_replicas + exp.extra_client_nodes, 0);
     let total_nodes = topology.num_nodes();
     let mut sim: Simulation<Envelope<P::Msg>> =
         Simulation::new(topology, CpuCostModel::calibrated(), seed);
@@ -349,6 +369,16 @@ where
     }
     for actor in d.actors {
         sim.add_actor(actor);
+    }
+    let run_end = exp.warmup + exp.measure + exp.drain;
+    for (at, fault) in &exp.faults {
+        assert!(
+            *at < run_end,
+            "{fault:?} at {at} fires after the run ends ({run_end})"
+        );
+        if let Fault::Control(c) = fault {
+            sim.schedule_control(SimTime::ZERO + *at, *c);
+        }
     }
     hook(&mut sim);
 
@@ -362,7 +392,6 @@ where
     // Optional drain: silence the clients, let the replicas quiesce and
     // sample their state digests. Skipped entirely (no extra events,
     // schedule unchanged) when `drain` is zero.
-    let n_replicas = cluster.n();
     let replica_digests = (exp.drain > SimDuration::ZERO).then(|| {
         for i in n_replicas..total_nodes {
             sim.crash(NodeId::from(i));
@@ -378,8 +407,16 @@ where
     let node_msgs = after.nodes.iter().zip(before.nodes.iter());
     let node_msgs = node_msgs.map(|(a, b)| a.msgs_total() - b.msgs_total());
     let cross_region = (after.cross_region_msgs - before.cross_region_msgs) as f64 / ops;
+    // The drain's own client crashes are not faults of the schedule; the
+    // nemesis's fired timers are its storm bursts.
+    let drained = replica_digests
+        .as_ref()
+        .map_or(0, |_| total_nodes - n_replicas);
+    let stats = sim.stats();
+    let storms = d.nemesis.map_or(0, |n| stats.nodes[n.index()].timers_fired);
     let mut transport = TransportResult {
         cross_region_msgs_per_op: Some(cross_region),
+        faults_applied: Some(stats.controls_applied - drained as u64 + storms),
         ..TransportResult::new(node_msgs.collect(), cluster, ops)
     };
     if let Some(trace) = sim.trace() {
@@ -425,6 +462,10 @@ pub(crate) fn drive_wall<P, T>(
 where
     P: ProtocolSpec,
 {
+    assert!(
+        exp.faults.is_empty(),
+        "the wall-clock runtimes do not apply faults yet (ROADMAP.md item 6)"
+    );
     let d = deploy(exp);
     for actor in d.actors {
         rt.add_actor(actor);
@@ -491,8 +532,8 @@ mod tests {
     use std::time::Duration;
 
     /// Which optional observations a run made: timeline, history,
-    /// digests, labels, cross-region, trace, net.
-    fn observed(r: &RunResult) -> [bool; 7] {
+    /// digests, labels, cross-region, trace, net, faults applied.
+    fn observed(r: &RunResult) -> [bool; 8] {
         [
             r.client.timeline.is_some(),
             r.client.history.is_some(),
@@ -501,6 +542,7 @@ mod tests {
             r.transport.cross_region_msgs_per_op.is_some(),
             r.transport.trace.is_some(),
             r.transport.net.is_some(),
+            r.transport.faults_applied.is_some(),
         ]
     }
 
@@ -515,47 +557,84 @@ mod tests {
             (
                 "sim",
                 exp.run_sim(7),
-                [false, false, false, false, true, false, false],
+                [false, false, false, false, true, false, false, true],
             ),
             (
                 "traced",
                 exp.clone().capture_trace().run_sim(7),
-                [false, false, false, true, true, true, false],
+                [false, false, false, true, true, true, false, true],
             ),
             (
                 "drained",
                 drained.run_sim(7),
-                [false, false, true, false, true, false, false],
+                [false, false, true, false, true, false, false, true],
             ),
             (
                 "bucketed",
                 bucketed.run_sim(7),
-                [true, false, false, false, true, false, false],
+                [true, false, false, false, true, false, false, true],
             ),
             (
                 "checked",
                 checked.run_sim(7),
-                [false, true, false, false, true, false, false],
+                [false, true, false, false, true, false, false, true],
             ),
             (
                 "threads",
                 exp.run_threads(7, wall),
-                [false, false, false, true, false, false, true],
+                [false, false, false, true, false, false, true, false],
             ),
             (
                 "tcp",
                 exp.run_net(7, wall),
-                [false, false, false, true, false, false, true],
+                [false, false, false, true, false, false, true, false],
             ),
             (
                 "checked tcp",
                 checked.run_net(7, wall),
-                [false, true, false, true, false, false, true],
+                [false, true, false, true, false, false, true, false],
             ),
         ];
         for (name, r, want) in runs {
             assert_eq!(observed(&r), want, "{name}");
         }
+    }
+
+    #[test]
+    fn a_drained_run_counts_only_its_own_faults() {
+        let ms = SimDuration::from_millis;
+        let crash = simnet::Control::Crash(simnet::NodeId(0));
+        let r = small()
+            .clients(2)
+            .drain(ms(50))
+            .fault(ms(100), crash)
+            .fault(ms(1010), simnet::Control::Recover(simnet::NodeId(0)))
+            .run_sim(7);
+        assert_eq!(
+            r.transport.faults_applied,
+            Some(2),
+            "one fires in the drain"
+        );
+        let r = small().clients(2).fault(ms(999), crash).run_sim(7);
+        assert_eq!(r.transport.faults_applied, Some(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "fires after the run ends")]
+    fn a_fault_after_the_run_ends_is_rejected() {
+        let at = SimDuration::from_secs(1);
+        let crash = simnet::Control::Crash(simnet::NodeId(0));
+        small().clients(1).fault(at, crash).run_sim(7);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not apply faults yet")]
+    fn the_threads_runtime_refuses_a_fault() {
+        let crash = simnet::Control::Crash(simnet::NodeId(0));
+        small()
+            .clients(1)
+            .fault(SimDuration::from_millis(10), crash)
+            .run_threads(7, Duration::from_millis(50));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! | protocol | any [`ProtocolSpec`] | `PaxosConfig`, `PigConfig`, `EpaxosConfig` |
 //! | topology | [`simnet::Topology`] | `Topology::lan(25)`, 3-region WAN |
 //! | workload & clients | [`Workload`] + builder knobs | read ratio, payload, pipeline |
-//! //! | substrate | a run method | [`Experiment::run_sim`], [`Experiment::run_threads`], [`Experiment::run_net`] |
+//! | faults | [`Fault`]s at offsets, [`Experiment::fault`] | crash, partition, flaky link, storm |
+//! | substrate | a run method | [`Experiment::run_sim`], [`Experiment::run_threads`], [`Experiment::run_net`] |
 //!
 //! ```text
 //! use paxi::Experiment;
@@ -71,7 +72,7 @@ pub mod history;
 pub mod kv;
 pub mod log;
 pub mod metrics;
-pub mod nemesis;
+mod nemesis;
 pub mod quorum;
 pub mod replica;
 pub mod safety;
@@ -94,11 +95,10 @@ pub use harness::{
 pub use history::HistoryCheck;
 pub use kv::KvStore;
 pub use log::{Log, LogEntry};
-pub use nemesis::{Nemesis, NemesisLog};
 pub use quorum::{fast_quorum, majority, FlexibleQuorum, VoteTracker};
 pub use replica::{Ctx, Replica, ReplicaActor, ReplicaCtx};
 pub use safety::SafetyMonitor;
-pub use scenario::{Expectations, Fault, FaultEvent, Scenario, ScenarioError, TopologyKind};
+pub use scenario::{Expectations, Fault, FaultEntry, Scenario, ScenarioError, TopologyKind};
 pub use session::{SessionTable, DEFAULT_SESSION_WINDOW};
 pub use snapshot::{CompactionStats, Snapshot, SnapshotConfig};
 pub use workload::{KeyDistribution, Workload};

@@ -1,181 +1,52 @@
-//! The nemesis: an in-simulation actor that executes a scenario's
-//! fault schedule.
+//! The nemesis: the actor that sends a run's message storms.
 //!
-//! A [`Nemesis`] occupies one `extra_client_nodes` slot (the same
-//! mechanism custom checker clients use — see
-//! [`crate::Experiment::extra_client_nodes`]) and arms one timer per
-//! [`FaultEvent`] at start. When a timer fires it injects the fault
-//! through [`simnet::Context::control`] — partitions as directional
-//! link blocks, crashes, flaky links, slow nodes, drop rates — or, for
-//! [`Fault::Storm`], sends the burst of junk requests itself. Running
-//! faults *inside* the simulation (rather than pre-scheduling them on
-//! the [`simnet::Simulation`]) keeps the schedule in scenario files and
-//! the execution deterministic: timers are ordinary events in the
-//! run's single event order.
+//! Every other fault of an [`crate::Experiment::fault`] schedule is a
+//! [`simnet::Control`] the simulator applies itself. A
+//! [`Fault::Storm`](crate::Fault::Storm) has to send messages, so the
+//! driver puts a [`Nemesis`] in one more client slot when the schedule
+//! has a storm. It arms one timer per storm at start and sends the burst
+//! when the timer fires: timers are ordinary events in the run's single
+//! event order, so the run stays deterministic.
 
 use crate::command::{ClientRequest, Command, Operation, RequestId};
 use crate::envelope::{Envelope, ProtoMessage};
-use crate::scenario::{Fault, FaultEvent};
-use parking_lot::Mutex;
-use simnet::{Actor, Context, Control, NodeId, SimDuration, SimTime, TimerId};
-use std::collections::HashMap;
+use crate::scenario::Fault;
+use simnet::{Actor, Context, NodeId, SimDuration, TimerId};
 use std::marker::PhantomData;
-use std::sync::Arc;
 
-/// Timer kinds at or above this value are crash-loop ticks
-/// (`LOOP_BASE + schedule index`); plain schedule indices stay far
-/// below, so the two kind spaces cannot collide.
-const LOOP_BASE: u64 = 1 << 32;
-
-/// In-flight state for one [`Fault::CrashLoop`] schedule entry.
-struct LoopState {
-    node: NodeId,
-    period: SimDuration,
-    /// Crashes still to inject (the first one happens on entry).
-    remaining: u32,
-    /// Whether the node is currently crashed by this loop.
-    down: bool,
-}
-
-/// Shared record of executed faults: `(when, description)` per fault,
-/// in execution order. Cloneable handle, same pattern as
-/// [`crate::ClientRecorder`].
-#[derive(Debug, Clone, Default)]
-pub struct NemesisLog(Arc<Mutex<Vec<(SimTime, String)>>>);
-
-impl NemesisLog {
-    /// Fresh empty log.
-    pub fn new() -> Self {
-        NemesisLog::default()
-    }
-
-    /// Append an executed-fault record.
-    pub fn record(&self, at: SimTime, what: String) {
-        self.0.lock().push((at, what));
-    }
-
-    /// Copy out all records.
-    pub fn entries(&self) -> Vec<(SimTime, String)> {
-        self.0.lock().clone()
-    }
-
-    /// Number of faults executed so far.
-    pub fn len(&self) -> usize {
-        self.0.lock().len()
-    }
-
-    /// True when no fault has executed yet.
-    pub fn is_empty(&self) -> bool {
-        self.0.lock().is_empty()
-    }
-}
-
-/// The fault-executing actor. Generic over the protocol message type
+/// The storm-sending actor. Generic over the protocol message type
 /// exactly like [`crate::ClosedLoopClient`] — it never constructs
-/// protocol messages, only control effects and client-shaped storms.
-pub struct Nemesis<P> {
-    schedule: Vec<FaultEvent>,
-    log: NemesisLog,
-    storm_seq: u64,
-    loops: HashMap<u64, LoopState>,
+/// protocol messages, only client-shaped requests.
+pub(crate) struct Nemesis<P> {
+    /// `(at, target, count)` per storm.
+    storms: Vec<(SimDuration, NodeId, u32)>,
+    seq: u64,
     _proto: PhantomData<P>,
 }
 
 impl<P> Nemesis<P> {
-    /// A nemesis executing `schedule`, recording into `log`.
-    pub fn new(schedule: Vec<FaultEvent>, log: NemesisLog) -> Self {
-        Nemesis {
-            schedule,
-            log,
-            storm_seq: 0,
-            loops: HashMap::new(),
+    /// The nemesis that sends the storms of `faults`; `None` if it has
+    /// none.
+    pub(crate) fn for_storms(faults: &[(SimDuration, Fault)]) -> Option<Self> {
+        let storms: Vec<_> = faults
+            .iter()
+            .filter_map(|&(at, f)| match f {
+                Fault::Storm { target, count } => Some((at, target, count)),
+                Fault::Control(_) => None,
+            })
+            .collect();
+        (!storms.is_empty()).then_some(Nemesis {
+            storms,
+            seq: 0,
             _proto: PhantomData,
-        }
-    }
-}
-
-impl<P: ProtoMessage> Nemesis<P> {
-    fn execute(&mut self, index: usize, fault: Fault, ctx: &mut Context<Envelope<P>>) {
-        self.log.record(ctx.now(), format!("{fault:?}"));
-        match fault {
-            Fault::Partition { a, b } => {
-                for &x in &a {
-                    for &y in &b {
-                        ctx.control(Control::BlockLink(NodeId(x), NodeId(y)));
-                        ctx.control(Control::BlockLink(NodeId(y), NodeId(x)));
-                    }
-                }
-            }
-            Fault::AsymmetricPartition { a, b } => {
-                // One direction only: `a`'s messages toward `b` die,
-                // the reverse links stay up. `Heal` clears these too.
-                for &x in &a {
-                    for &y in &b {
-                        ctx.control(Control::BlockLink(NodeId(x), NodeId(y)));
-                    }
-                }
-            }
-            Fault::Heal => ctx.control(Control::HealAllLinks),
-            Fault::Crash(node) => ctx.control(Control::Crash(NodeId(node))),
-            Fault::Restart(node) => ctx.control(Control::Recover(NodeId(node))),
-            Fault::Flaky { from, to, p } => {
-                ctx.control(Control::FlakyLink(NodeId(from), NodeId(to), p));
-            }
-            Fault::ClearFlaky => ctx.control(Control::ClearFlakyLinks),
-            Fault::Slow { node, extra } => ctx.control(Control::SlowNode(NodeId(node), extra)),
-            Fault::ClearSlow => ctx.control(Control::ClearSlowNodes),
-            Fault::DropRate(p) => ctx.control(Control::SetDropRate(p)),
-            Fault::CrashLoop {
-                node,
-                period,
-                count,
-            } => {
-                // First crash now; the recover/crash cadence then runs
-                // on half-period `LOOP_BASE` ticks, which `on_timer`
-                // dispatches before the schedule lookup. Logged once —
-                // the scenario judge matches log entries 1:1 against
-                // the fault schedule.
-                ctx.control(Control::Crash(NodeId(node)));
-                self.loops.insert(
-                    index as u64,
-                    LoopState {
-                        node: NodeId(node),
-                        period,
-                        remaining: count - 1,
-                        down: true,
-                    },
-                );
-                ctx.set_timer(period / 2, LOOP_BASE + index as u64);
-            }
-            Fault::Storm { target, count } => {
-                // A burst of read requests from one misbehaving client:
-                // distinct sequence numbers so duplicate suppression
-                // does not absorb the storm. Replies are ignored.
-                for _ in 0..count {
-                    self.storm_seq += 1;
-                    let id = RequestId {
-                        client: ctx.node(),
-                        seq: self.storm_seq,
-                    };
-                    ctx.send(
-                        NodeId(target),
-                        Envelope::Request(ClientRequest {
-                            command: Command {
-                                id,
-                                op: Operation::Get(self.storm_seq % 16),
-                            },
-                        }),
-                    );
-                }
-            }
-        }
+        })
     }
 }
 
 impl<P: ProtoMessage> Actor<Envelope<P>> for Nemesis<P> {
     fn on_start(&mut self, ctx: &mut Context<Envelope<P>>) {
-        for (i, ev) in self.schedule.iter().enumerate() {
-            ctx.set_timer(ev.at, i as u64);
+        for (i, &(at, _, _)) in self.storms.iter().enumerate() {
+            ctx.set_timer(at, i as u64);
         }
     }
 
@@ -184,223 +55,60 @@ impl<P: ProtoMessage> Actor<Envelope<P>> for Nemesis<P> {
     }
 
     fn on_timer(&mut self, _id: TimerId, kind: u64, ctx: &mut Context<Envelope<P>>) {
-        if kind >= LOOP_BASE {
-            self.loop_tick(kind - LOOP_BASE, ctx);
-            return;
+        // A burst of read requests from one misbehaving client: distinct
+        // sequence numbers so duplicate suppression does not absorb the
+        // storm.
+        let (_, target, count) = self.storms[kind as usize];
+        for _ in 0..count {
+            self.seq += 1;
+            let id = RequestId {
+                client: ctx.node(),
+                seq: self.seq,
+            };
+            ctx.send(
+                target,
+                Envelope::Request(ClientRequest {
+                    command: Command {
+                        id,
+                        op: Operation::Get(self.seq % 16),
+                    },
+                }),
+            );
         }
-        let Some(ev) = self.schedule.get(kind as usize) else {
-            return;
-        };
-        let fault = ev.fault.clone();
-        self.execute(kind as usize, fault, ctx);
-    }
-}
-
-impl<P: ProtoMessage> Nemesis<P> {
-    /// One half-period tick of a crash loop: recover if down, crash
-    /// again if up and crashes remain. The loop always ends with the
-    /// node recovered.
-    fn loop_tick(&mut self, index: u64, ctx: &mut Context<Envelope<P>>) {
-        let Some(state) = self.loops.get_mut(&index) else {
-            return;
-        };
-        if state.down {
-            ctx.control(Control::Recover(state.node));
-            state.down = false;
-            if state.remaining == 0 {
-                self.loops.remove(&index);
-                return;
-            }
-        } else {
-            ctx.control(Control::Crash(state.node));
-            state.down = true;
-            state.remaining -= 1;
-        }
-        let period = state.period;
-        ctx.set_timer(period / 2, LOOP_BASE + index);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::command::ClientReply;
-    use crate::replica::{Ctx, Replica, ReplicaActor, ReplicaCtx};
-    use simnet::{CpuCostModel, SimDuration, Simulation, Topology};
-
-    #[derive(Debug, Clone)]
-    struct NoProto;
-    impl ProtoMessage for NoProto {
-        fn wire_size(&self) -> usize {
-            0
-        }
-    }
-
-    /// Acks everything and counts requests.
-    struct Counting {
-        seen: Arc<Mutex<u64>>,
-    }
-    impl Replica<NoProto> for Counting {
-        fn on_request(&mut self, client: NodeId, req: ClientRequest, ctx: &mut Ctx<NoProto>) {
-            *self.seen.lock() += 1;
-            ctx.reply(client, ClientReply::ok(req.command.id, None));
-        }
-        fn on_proto(&mut self, _f: NodeId, _m: NoProto, _c: &mut Ctx<NoProto>) {}
-    }
-
-    fn at(ms: u64, fault: Fault) -> FaultEvent {
-        FaultEvent {
-            at: SimDuration::from_millis(ms),
-            fault,
-        }
-    }
+    use crate::experiment::tests::small;
+    use crate::Fault;
+    use simnet::{Control, NodeId, SimDuration};
 
     #[test]
-    fn nemesis_executes_schedule_in_order() {
-        let mut sim: Simulation<Envelope<NoProto>> =
-            Simulation::new(Topology::lan(3), CpuCostModel::free(), 5);
-        let seen = Arc::new(Mutex::new(0));
-        sim.add_actor(Box::new(ReplicaActor(Counting { seen: seen.clone() })));
-        sim.add_actor(Box::new(ReplicaActor(Counting {
-            seen: Arc::new(Mutex::new(0)),
-        })));
-        let log = NemesisLog::new();
-        sim.add_actor(Box::new(Nemesis::<NoProto>::new(
-            vec![
-                at(10, Fault::Crash(1)),
-                at(20, Fault::Restart(1)),
-                at(
-                    30,
-                    Fault::Storm {
-                        target: 0,
-                        count: 25,
-                    },
-                ),
-            ],
-            log.clone(),
-        )));
-        sim.run_until(simnet::SimTime::from_millis(100));
-        let entries = log.entries();
-        assert_eq!(entries.len(), 3);
-        assert!(entries[0].1.contains("Crash"));
-        assert!(entries[1].1.contains("Restart"));
-        assert!(entries[2].1.contains("Storm"));
-        assert!(
-            entries.windows(2).all(|w| w[0].0 <= w[1].0),
-            "log is time-ordered"
-        );
-        assert_eq!(*seen.lock(), 25, "storm burst arrived at the target");
-    }
-
-    #[test]
-    fn crash_loop_cycles_and_ends_recovered() {
-        struct Chatter {
-            peer: NodeId,
-        }
-        impl Actor<Envelope<NoProto>> for Chatter {
-            fn on_start(&mut self, ctx: &mut Context<Envelope<NoProto>>) {
-                ctx.set_timer(SimDuration::from_millis(5), 0);
-            }
-            fn on_message(
-                &mut self,
-                _f: NodeId,
-                _m: Envelope<NoProto>,
-                _c: &mut Context<Envelope<NoProto>>,
-            ) {
-            }
-            fn on_timer(&mut self, _i: TimerId, _k: u64, ctx: &mut Context<Envelope<NoProto>>) {
-                ctx.send(self.peer, Envelope::Proto(NoProto));
-                ctx.set_timer(SimDuration::from_millis(5), 0);
-            }
-        }
-        let run = |faults: Vec<FaultEvent>| {
-            let mut sim: Simulation<Envelope<NoProto>> =
-                Simulation::new(Topology::lan(3), CpuCostModel::free(), 5);
-            sim.add_actor(Box::new(Chatter { peer: NodeId(1) }));
-            sim.add_actor(Box::new(Chatter { peer: NodeId(0) }));
-            let log = NemesisLog::new();
-            sim.add_actor(Box::new(Nemesis::<NoProto>::new(faults, log.clone())));
-            sim.run_until(simnet::SimTime::from_millis(200));
-            (sim.stats().msgs_dropped, log.len())
+    fn storms_reach_their_target_and_are_counted() {
+        let ms = SimDuration::from_millis;
+        let storm = Fault::Storm {
+            target: NodeId(0),
+            count: 25,
         };
-        let (permanent, _) = run(vec![at(10, Fault::Crash(1))]);
-        // Down windows: [10,30) and [50,70); up from 70ms on.
-        let (looped, log_len) = run(vec![at(
-            10,
-            Fault::CrashLoop {
-                node: 1,
-                period: SimDuration::from_millis(40),
-                count: 2,
-            },
-        )]);
-        assert_eq!(log_len, 1, "the loop logs as one scheduled fault");
-        assert!(looped > 0, "down windows drop traffic");
-        assert!(
-            looped < permanent / 2,
-            "node recovers between and after crashes: {looped} vs {permanent}"
+        let quiet = small().clients(1).capture_trace().run_sim(5);
+        let stormy = small()
+            .clients(1)
+            .capture_trace()
+            .fault(ms(300), storm)
+            .fault(ms(400), Control::HealAllLinks)
+            .fault(ms(500), storm)
+            .run_sim(5);
+        let requests = |r: &crate::RunResult| r.label_per_op("request").expect("traced");
+        assert_eq!(stormy.transport.faults_applied, Some(3));
+        assert_eq!(quiet.transport.faults_applied, Some(0));
+        assert_eq!(
+            stormy.transport.node_msgs.len(),
+            quiet.transport.node_msgs.len() + 1,
+            "the storms get a slot of their own"
         );
-    }
-
-    #[test]
-    fn nemesis_partition_blocks_and_heal_restores() {
-        // Node 2 (nemesis) partitions node 0 from node 1 at 10ms and
-        // heals at 50ms; a probing client on node 3 relays a request
-        // through… simpler: verify via message stats that the storm at
-        // 60ms reaches a node that was crashed during the partition
-        // window. Here we exercise Partition/Heal control emission and
-        // assert the blocked link drops traffic between replicas.
-        struct Chatter {
-            peer: NodeId,
-        }
-        impl Actor<Envelope<NoProto>> for Chatter {
-            fn on_start(&mut self, ctx: &mut Context<Envelope<NoProto>>) {
-                ctx.set_timer(SimDuration::from_millis(5), 0);
-            }
-            fn on_message(
-                &mut self,
-                _f: NodeId,
-                _m: Envelope<NoProto>,
-                _c: &mut Context<Envelope<NoProto>>,
-            ) {
-            }
-            fn on_timer(&mut self, _i: TimerId, _k: u64, ctx: &mut Context<Envelope<NoProto>>) {
-                ctx.send(self.peer, Envelope::Proto(NoProto));
-                ctx.set_timer(SimDuration::from_millis(5), 0);
-            }
-        }
-
-        let run = |faults: Vec<FaultEvent>| {
-            let mut sim: Simulation<Envelope<NoProto>> =
-                Simulation::new(Topology::lan(3), CpuCostModel::free(), 5);
-            sim.add_actor(Box::new(Chatter { peer: NodeId(1) }));
-            sim.add_actor(Box::new(Chatter { peer: NodeId(0) }));
-            sim.add_actor(Box::new(Nemesis::<NoProto>::new(faults, NemesisLog::new())));
-            sim.run_until(simnet::SimTime::from_millis(100));
-            sim.stats().msgs_dropped
-        };
-        let no_faults = run(vec![]);
-        assert_eq!(no_faults, 0);
-        let partitioned = run(vec![at(
-            10,
-            Fault::Partition {
-                a: vec![0],
-                b: vec![1],
-            },
-        )]);
-        assert!(partitioned > 10, "partition drops traffic: {partitioned}");
-        let healed = run(vec![
-            at(
-                10,
-                Fault::Partition {
-                    a: vec![0],
-                    b: vec![1],
-                },
-            ),
-            at(20, Fault::Heal),
-        ]);
-        assert!(
-            healed < partitioned / 2,
-            "healing restores the link: {healed} vs {partitioned}"
-        );
+        let nemesis = *stormy.transport.node_msgs.last().unwrap();
+        assert_eq!(nemesis, 2 * 25 * 2, "50 requests out, 50 replies in");
+        assert!(requests(&stormy) > requests(&quiet));
     }
 }

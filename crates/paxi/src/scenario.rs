@@ -3,10 +3,11 @@
 //!
 //! A scenario file is a small TOML document (parsed by a self-contained
 //! subset parser — no external dependency) naming a protocol, a
-//! cluster shape, a client population, a fault schedule for the
-//! [`crate::nemesis::Nemesis`] actor, and expectations the run must
-//! meet. [`Scenario::run_sim`] runs one; every run also checks that
-//! what the clients saw is linearizable. The checked-in corpus under
+//! cluster shape, a client population, a fault schedule and
+//! expectations the run must meet. The parser expands each fault into
+//! the timed [`Fault`]s it stands for, and [`Scenario::run_sim`] hands
+//! them to [`Experiment::fault`]; every run also checks that what the
+//! clients saw is linearizable. The checked-in corpus under
 //! `scenarios/` is executed by the `scenario` driver binary and by CI's
 //! chaos job; the same parser backs the driver's `--check` lint mode.
 //!
@@ -44,28 +45,27 @@
 //! min_throughput = 50.0
 //! ```
 //!
-//! Fault kinds and their fields:
+//! Fault kinds, their fields and the timed faults they expand to:
 //!
-//! | kind | fields | effect |
+//! | kind | fields | faults |
 //! |---|---|---|
-//! | `partition` | `a`, `b` (node lists) | block every link between the groups |
-//! | `asym_partition` | `a`, `b` (node lists) | drop only `a → b`; `b → a` keeps flowing |
-//! | `heal` | — | unblock all links |
-//! | `crash` | `node` | crash-stop the node |
-//! | `restart` | `node` | recover a crashed node |
-//! | `flaky` | `from`, `to`, `p` | drop each `from → to` message with probability `p` |
-//! | `clear_flaky` | — | restore all flaky links |
-//! | `slow` | `node`, `extra_us` | inflate the node's send/receive latency |
-//! | `clear_slow` | — | restore all slow nodes |
-//! | `drop_rate` | `p` | uniform drop probability on every link |
-//! | `storm` | `target`, `count` | burst of `count` junk requests at `target` |
-//! | `crash_loop` | `node`, `period_ms`, `count` | crash `node`, recover half a period later, repeat `count` times |
+//! | `partition` | `a`, `b` (node lists) | `BlockLink` both ways for every pair in `a × b` |
+//! | `asym_partition` | `a`, `b` (node lists) | `BlockLink` `a → b` only; `b → a` keeps flowing |
+//! | `heal` | — | `HealAllLinks` |
+//! | `crash` | `node` | `Crash` |
+//! | `restart` | `node` | `Recover` |
+//! | `flaky` | `from`, `to`, `p` | `FlakyLink`: drop each `from → to` message with probability `p` |
+//! | `clear_flaky` | — | `ClearFlakyLinks` |
+//! | `slow` | `node`, `extra_us` | `SlowNode`: inflate the node's send/receive latency |
+//! | `clear_slow` | — | `ClearSlowNodes` |
+//! | `drop_rate` | `p` | `SetDropRate`: uniform drop probability on every link |
+//! | `storm` | `target`, `count` | [`Fault::Storm`]: a burst of `count` junk requests at `target` |
+//! | `crash_loop` | `node`, `period_ms`, `count` | `count` × (`Crash`, then `Recover` half a period later), a period apart |
 
 use crate::experiment::{Experiment, ProtocolSpec};
 use crate::harness::RunResult;
-use crate::nemesis::{Nemesis, NemesisLog};
 use crate::workload::{KeyDistribution, Workload};
-use simnet::SimDuration;
+use simnet::{Control, NodeId, SimDuration};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -78,87 +78,53 @@ pub enum TopologyKind {
     Wan,
 }
 
-/// One scheduled fault.
-#[derive(Debug, Clone, PartialEq)]
+/// A fault a run injects at an offset from its start (see
+/// [`Experiment::fault`]): a [`Control`] the simulator applies, or a
+/// storm, the one fault that has to send messages.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fault {
-    /// Block every link between node group `a` and node group `b`
-    /// (both directions).
-    Partition {
-        /// One side of the partition.
-        a: Vec<u32>,
-        /// The other side.
-        b: Vec<u32>,
-    },
-    /// Block only the `a → b` direction: messages from group `a`
-    /// toward group `b` are dropped while `b → a` is still delivered —
-    /// the one-way link failure (bad NIC, asymmetric routing) that a
-    /// full partition masks. Leader-based protocols must either keep a
-    /// quorum that excludes the dead direction or re-elect around it.
-    AsymmetricPartition {
-        /// Senders whose messages toward `b` are dropped.
-        a: Vec<u32>,
-        /// Receivers whose replies toward `a` still flow.
-        b: Vec<u32>,
-    },
-    /// Unblock all links.
-    Heal,
-    /// Crash-stop a node.
-    Crash(u32),
-    /// Recover a crashed node (state intact).
-    Restart(u32),
-    /// Make the directional link flaky with the given drop probability.
-    Flaky {
-        /// Sending node.
-        from: u32,
-        /// Receiving node.
-        to: u32,
-        /// Per-message drop probability in `[0, 1]`.
-        p: f64,
-    },
-    /// Restore every flaky link.
-    ClearFlaky,
-    /// Inflate a node's send/receive latency by `extra`.
-    Slow {
-        /// The degraded node.
-        node: u32,
-        /// Added latency per message.
-        extra: SimDuration,
-    },
-    /// Restore every slow node.
-    ClearSlow,
-    /// Set the uniform drop probability for all links.
-    DropRate(f64),
+    /// A crash, a recovery, a blocked, healed, flaky or slow link, a drop
+    /// rate: anything the network itself does.
+    Control(Control),
     /// Burst `count` junk read requests at `target` in one handler
     /// invocation (a message storm from a misbehaving client).
     Storm {
         /// Node the burst is aimed at.
-        target: u32,
+        target: NodeId,
         /// Number of requests in the burst.
-        count: u32,
-    },
-    /// Repeatedly crash-and-recover a node: crash at the scheduled
-    /// time, recover half a `period` later, crash again a full `period`
-    /// after the previous crash, until `count` crashes have fired. The
-    /// node ends the loop recovered. Models a crash-looping process
-    /// under a restart supervisor.
-    CrashLoop {
-        /// The node to crash repeatedly.
-        node: u32,
-        /// Full crash + recover cycle length.
-        period: SimDuration,
-        /// Total number of crashes.
         count: u32,
     },
 }
 
-/// A [`Fault`] with its scheduled time (offset from simulation start).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultEvent {
-    /// When the nemesis executes the fault.
-    pub at: SimDuration,
-    /// What happens.
-    pub fault: Fault,
+impl From<Control> for Fault {
+    fn from(c: Control) -> Self {
+        Fault::Control(c)
+    }
 }
+
+impl Fault {
+    /// The nodes this fault names.
+    fn nodes(&self) -> [Option<NodeId>; 2] {
+        match *self {
+            Fault::Control(Control::Crash(n) | Control::Recover(n) | Control::SlowNode(n, _))
+            | Fault::Storm { target: n, .. } => [Some(n), None],
+            Fault::Control(Control::BlockLink(a, b) | Control::FlakyLink(a, b, _)) => {
+                [Some(a), Some(b)]
+            }
+            Fault::Control(
+                Control::HealAllLinks
+                | Control::SetDropRate(_)
+                | Control::ClearFlakyLinks
+                | Control::ClearSlowNodes,
+            ) => [None, None],
+        }
+    }
+}
+
+/// The timed faults one `[[faults]]` table stands for, in the order they
+/// are scheduled: one for most kinds, one per blocked link for a
+/// partition, one per crash and per recovery for a crash loop.
+pub type FaultEntry = Vec<(SimDuration, Fault)>;
 
 /// Pass/fail expectations checked by the scenario driver after a run.
 /// All fields optional; absent means "don't check".
@@ -208,13 +174,11 @@ pub struct Scenario {
     pub retry_timeout: Option<SimDuration>,
     /// Workload specification.
     pub workload: Workload,
-    /// The fault schedule, in file order.
-    pub faults: Vec<FaultEvent>,
+    /// The fault schedule: one entry per `[[faults]]` table, in file
+    /// order.
+    pub faults: Vec<FaultEntry>,
     /// Post-run checks.
     pub expect: Expectations,
-    /// Whether the scenario runs under `--quick` / `PIG_QUICK=1`
-    /// (default `true`; long soaks opt out with `quick = false`).
-    pub quick: bool,
 }
 
 /// Parse or validation failure, with enough context to fix the file.
@@ -466,61 +430,78 @@ fn take_prob(t: &mut Table, key: &str, line_hint: usize) -> Result<f64, Scenario
     Ok(p)
 }
 
-fn parse_fault(mut t: Table, index: usize) -> Result<FaultEvent, ScenarioError> {
+fn take_node(t: &mut Table, key: &str) -> Result<NodeId, ScenarioError> {
+    Ok(NodeId(require(take_u64(t, key)?, key)? as u32))
+}
+
+/// `a` and `b` of a partition: non-empty, disjoint node lists.
+fn take_sides(t: &mut Table, kind: &str, line: usize) -> Result<[Vec<u32>; 2], ScenarioError> {
+    let a = require(take_nodes(t, "a")?, "a")?;
+    let b = require(take_nodes(t, "b")?, "b")?;
+    if a.is_empty() || b.is_empty() {
+        return err(line, format!("{kind} groups must be non-empty"));
+    }
+    if a.iter().any(|n| b.contains(n)) {
+        return err(line, format!("{kind} groups must be disjoint"));
+    }
+    Ok([a, b])
+}
+
+/// One `[[faults]]` table, expanded into the timed faults it stands for.
+fn parse_fault(mut t: Table, index: usize) -> Result<FaultEntry, ScenarioError> {
     // Best line for errors that aren't tied to a present key.
     let line_hint = t.values().map(|&(_, l)| l).min().unwrap_or(0);
     let at_ms = require(take_u64(&mut t, "at_ms")?, "at_ms")
         .map_err(|_| ScenarioError(format!("fault #{}: missing `at_ms`", index + 1)))?;
     let kind = require(take_str(&mut t, "kind")?, "kind")
         .map_err(|_| ScenarioError(format!("fault #{}: missing `kind`", index + 1)))?;
-    let fault = match kind.as_str() {
-        "partition" => {
-            let a = require(take_nodes(&mut t, "a")?, "a")?;
-            let b = require(take_nodes(&mut t, "b")?, "b")?;
-            if a.is_empty() || b.is_empty() {
-                return err(line_hint, "partition groups must be non-empty");
+    let at = SimDuration::from_millis(at_ms);
+    let now = |c: Control| vec![(at, Fault::Control(c))];
+    let entry = match kind.as_str() {
+        // Every link between the sides is blocked: for each `x` in `a`
+        // and `y` in `b`, `x → y` and (not for `asym_partition`, which
+        // keeps `b → a` flowing) `y → x`. `heal` clears both kinds.
+        "partition" | "asym_partition" => {
+            let [a, b] = take_sides(&mut t, &kind, line_hint)?;
+            let link = |x, y| (at, Control::BlockLink(NodeId(x), NodeId(y)).into());
+            let mut links = Vec::new();
+            for &x in &a {
+                for &y in &b {
+                    links.push(link(x, y));
+                    if kind == "partition" {
+                        links.push(link(y, x));
+                    }
+                }
             }
-            if a.iter().any(|n| b.contains(n)) {
-                return err(line_hint, "partition groups must be disjoint");
-            }
-            Fault::Partition { a, b }
+            links
         }
-        "asym_partition" => {
-            let a = require(take_nodes(&mut t, "a")?, "a")?;
-            let b = require(take_nodes(&mut t, "b")?, "b")?;
-            if a.is_empty() || b.is_empty() {
-                return err(line_hint, "asym_partition groups must be non-empty");
-            }
-            if a.iter().any(|n| b.contains(n)) {
-                return err(line_hint, "asym_partition groups must be disjoint");
-            }
-            Fault::AsymmetricPartition { a, b }
+        "heal" => now(Control::HealAllLinks),
+        "crash" => now(Control::Crash(take_node(&mut t, "node")?)),
+        "restart" => now(Control::Recover(take_node(&mut t, "node")?)),
+        "flaky" => {
+            let (from, to) = (take_node(&mut t, "from")?, take_node(&mut t, "to")?);
+            let p = take_prob(&mut t, "p", line_hint)?;
+            now(Control::FlakyLink(from, to, p))
         }
-        "heal" => Fault::Heal,
-        "crash" => Fault::Crash(require(take_u64(&mut t, "node")?, "node")? as u32),
-        "restart" => Fault::Restart(require(take_u64(&mut t, "node")?, "node")? as u32),
-        "flaky" => Fault::Flaky {
-            from: require(take_u64(&mut t, "from")?, "from")? as u32,
-            to: require(take_u64(&mut t, "to")?, "to")? as u32,
-            p: take_prob(&mut t, "p", line_hint)?,
-        },
-        "clear_flaky" => Fault::ClearFlaky,
-        "slow" => Fault::Slow {
-            node: require(take_u64(&mut t, "node")?, "node")? as u32,
-            extra: SimDuration::from_micros(require(take_u64(&mut t, "extra_us")?, "extra_us")?),
-        },
-        "clear_slow" => Fault::ClearSlow,
-        "drop_rate" => Fault::DropRate(take_prob(&mut t, "p", line_hint)?),
+        "clear_flaky" => now(Control::ClearFlakyLinks),
+        "slow" => {
+            let node = take_node(&mut t, "node")?;
+            let extra = require(take_u64(&mut t, "extra_us")?, "extra_us")?;
+            now(Control::SlowNode(node, SimDuration::from_micros(extra)))
+        }
+        "clear_slow" => now(Control::ClearSlowNodes),
+        "drop_rate" => now(Control::SetDropRate(take_prob(&mut t, "p", line_hint)?)),
         "storm" => {
             let count = require(take_u64(&mut t, "count")?, "count")?;
             if count == 0 || count > 100_000 {
                 return err(line_hint, "storm `count` must be in 1..=100000");
             }
-            Fault::Storm {
-                target: require(take_u64(&mut t, "target")?, "target")? as u32,
-                count: count as u32,
-            }
+            let (target, count) = (take_node(&mut t, "target")?, count as u32);
+            vec![(at, Fault::Storm { target, count })]
         }
+        // Crash at `at`, recover half a period later, crash again a full
+        // period after the last crash, `count` times: the node ends the
+        // loop recovered.
         "crash_loop" => {
             let count = require(take_u64(&mut t, "count")?, "count")?;
             if count == 0 || count > 1000 {
@@ -530,19 +511,17 @@ fn parse_fault(mut t: Table, index: usize) -> Result<FaultEvent, ScenarioError> 
             if period_ms == 0 {
                 return err(line_hint, "crash_loop `period_ms` must be positive");
             }
-            Fault::CrashLoop {
-                node: require(take_u64(&mut t, "node")?, "node")? as u32,
-                period: SimDuration::from_millis(period_ms),
-                count: count as u32,
-            }
+            let node = take_node(&mut t, "node")?;
+            let half = SimDuration::from_millis(period_ms) / 2;
+            let cycle = [Control::Crash(node), Control::Recover(node)];
+            (0..2 * count)
+                .map(|k| (at + half * k, cycle[k as usize % 2].into()))
+                .collect()
         }
         other => return err(line_hint, format!("unknown fault kind `{other}`")),
     };
     reject_unknown(&t, "fault")?;
-    Ok(FaultEvent {
-        at: SimDuration::from_millis(at_ms),
-        fault,
-    })
+    Ok(entry)
 }
 
 /// Parse a scenario file.
@@ -598,7 +577,6 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
     let measure = SimDuration::from_millis(take_u64(&mut root, "measure_ms")?.unwrap_or(3000));
     let drain = SimDuration::from_millis(take_u64(&mut root, "drain_ms")?.unwrap_or(0));
     let retry_timeout = take_u64(&mut root, "retry_timeout_ms")?.map(SimDuration::from_millis);
-    let quick = take_bool(&mut root, "quick")?.unwrap_or(true);
     reject_unknown(&root, "scenario")?;
 
     let mut wl_table = raw.workload;
@@ -655,68 +633,35 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
         workload,
         faults,
         expect,
-        quick,
     };
     scenario.validate()?;
     Ok(scenario)
 }
 
 impl Scenario {
-    /// Cross-field validation: every fault must reference nodes inside
-    /// the cluster and fire within the run (warmup + measure).
+    /// Cross-field validation: every fault must name nodes inside the
+    /// cluster and fire within the run (warmup + measure).
     pub fn validate(&self) -> Result<(), ScenarioError> {
         let n = self.replicas as u32;
         let horizon = self.warmup + self.measure;
-        let check_node = |node: u32, what: &str| {
-            if node >= n {
-                return Err(ScenarioError(format!(
-                    "scenario `{}`: {what} node {node} outside cluster of {n}",
-                    self.name
-                )));
-            }
-            Ok(())
-        };
-        for (i, ev) in self.faults.iter().enumerate() {
-            if ev.at >= horizon {
-                return Err(ScenarioError(format!(
-                    "scenario `{}`: fault #{} at {} fires after the run ends ({})",
-                    self.name,
-                    i + 1,
-                    ev.at,
-                    horizon
-                )));
-            }
-            match &ev.fault {
-                Fault::Partition { a, b } | Fault::AsymmetricPartition { a, b } => {
-                    for &x in a.iter().chain(b.iter()) {
-                        check_node(x, "partition")?;
-                    }
+        for (i, entry) in self.faults.iter().enumerate() {
+            for (at, fault) in entry {
+                if let Some(node) = fault.nodes().into_iter().flatten().find(|x| x.0 >= n) {
+                    return Err(ScenarioError(format!(
+                        "scenario `{}`: fault #{} names node {} outside cluster of {n}",
+                        self.name,
+                        i + 1,
+                        node.0
+                    )));
                 }
-                Fault::Crash(node) | Fault::Restart(node) => check_node(*node, "crash/restart")?,
-                Fault::Flaky { from, to, .. } => {
-                    check_node(*from, "flaky")?;
-                    check_node(*to, "flaky")?;
+                if *at >= horizon {
+                    return Err(ScenarioError(format!(
+                        "scenario `{}`: fault #{} has {fault:?} at {at}, after the run ends \
+                         ({horizon})",
+                        self.name,
+                        i + 1,
+                    )));
                 }
-                Fault::Slow { node, .. } => check_node(*node, "slow")?,
-                Fault::Storm { target, .. } => check_node(*target, "storm")?,
-                Fault::CrashLoop {
-                    node,
-                    period,
-                    count,
-                } => {
-                    check_node(*node, "crash_loop")?;
-                    // The last recovery must land inside the run too.
-                    let last = ev.at + *period * (*count as u64 - 1) + *period / 2;
-                    if last >= horizon {
-                        return Err(ScenarioError(format!(
-                            "scenario `{}`: fault #{} crash_loop ends at {last} \
-                             after the run ends ({horizon})",
-                            self.name,
-                            i + 1,
-                        )));
-                    }
-                }
-                Fault::Heal | Fault::ClearFlaky | Fault::ClearSlow | Fault::DropRate(_) => {}
             }
         }
         if self.expect.converged == Some(true) && self.drain == SimDuration::ZERO {
@@ -728,13 +673,20 @@ impl Scenario {
         Ok(())
     }
 
-    /// Run this scenario with `proto` on the simulator: a
-    /// [`Nemesis`] in the one extra client slot executes the fault
-    /// schedule, and the clients' history is checked for
-    /// linearizability ([`crate::ClientResult::history`]). The message
-    /// trace is captured, so [`crate::TransportResult::trace`] carries
-    /// the run's fingerprint.
-    pub fn run_sim<P: ProtocolSpec>(&self, proto: P) -> (RunResult, NemesisLog) {
+    /// The number of timed faults the schedule expands to: what
+    /// [`crate::TransportResult::faults_applied`] counts when every
+    /// one of them took effect.
+    pub fn scheduled_faults(&self) -> u64 {
+        self.faults.iter().map(|e| e.len() as u64).sum()
+    }
+
+    /// Run this scenario with `proto` on the simulator, each fault of
+    /// its schedule handed to [`Experiment::fault`], and the clients'
+    /// history checked for linearizability
+    /// ([`crate::ClientResult::history`]). The message trace is
+    /// captured, so [`crate::TransportResult::trace`] carries the run's
+    /// fingerprint.
+    pub fn run_sim<P: ProtocolSpec>(&self, proto: P) -> RunResult {
         let mut exp = match self.topology {
             TopologyKind::Lan => Experiment::lan(proto, self.replicas),
             TopologyKind::Wan => Experiment::wan(proto, self.replicas),
@@ -745,18 +697,15 @@ impl Scenario {
         .warmup(self.warmup)
         .measure(self.measure)
         .drain(self.drain)
-        .extra_client_nodes(1)
         .check_linearizability()
         .capture_trace();
         if let Some(t) = self.retry_timeout {
             exp = exp.retry_timeout(t);
         }
-        let log = NemesisLog::new();
-        let (faults, nemesis_log) = (self.faults.clone(), log.clone());
-        let result = exp.run_sim_with(self.seed, move |sim| {
-            sim.add_actor(Box::new(Nemesis::<P::Msg>::new(faults, nemesis_log)));
-        });
-        (result, log)
+        for (at, fault) in self.faults.iter().flatten() {
+            exp = exp.fault(*at, *fault);
+        }
+        exp.run_sim(self.seed)
     }
 }
 
@@ -821,28 +770,25 @@ min_throughput = 10.0
         assert!((s.workload.read_ratio - 0.25).abs() < 1e-12);
         assert_eq!(s.workload.payload_size, 16);
         assert_eq!(s.workload.num_keys, 500);
-        assert_eq!(s.faults.len(), 3);
+        assert_eq!(s.faults.len(), 3, "one entry per table");
+        let ms = SimDuration::from_millis;
+        let link = |x, y| (ms(1000), Control::BlockLink(NodeId(x), NodeId(y)).into());
+        assert_eq!(s.faults[0].len(), 2 * 3 * 4, "both ways for every pair");
+        assert_eq!(s.faults[0][..3], [link(0, 3), link(3, 0), link(0, 4)]);
+        assert_eq!(s.faults[1], [(ms(2000), Control::HealAllLinks.into())]);
         assert_eq!(
-            s.faults[0],
-            FaultEvent {
-                at: SimDuration::from_millis(1000),
-                fault: Fault::Partition {
-                    a: vec![0, 1, 2],
-                    b: vec![3, 4, 5, 6],
-                },
-            }
+            s.faults[2],
+            [(
+                ms(2200),
+                Fault::Storm {
+                    target: NodeId(0),
+                    count: 50
+                }
+            )]
         );
-        assert_eq!(s.faults[1].fault, Fault::Heal);
-        assert_eq!(
-            s.faults[2].fault,
-            Fault::Storm {
-                target: 0,
-                count: 50
-            }
-        );
+        assert_eq!(s.scheduled_faults(), 24 + 1 + 1);
         assert_eq!(s.expect.converged, Some(true));
         assert_eq!(s.expect.min_throughput, Some(10.0));
-        assert!(s.quick, "quick defaults to true");
     }
 
     #[test]
@@ -906,27 +852,23 @@ kind = "drop_rate"
 p = 0.01
 "#;
         let s = parse(text).expect("parses");
-        assert_eq!(s.faults.len(), 7);
-        assert_eq!(s.faults[0].fault, Fault::Crash(0));
-        assert_eq!(s.faults[1].fault, Fault::Restart(0));
+        let faults: Vec<_> = s.faults.iter().flatten().cloned().collect();
+        let at = |ms, c: Control| (SimDuration::from_millis(ms), Fault::Control(c));
         assert_eq!(
-            s.faults[2].fault,
-            Fault::Flaky {
-                from: 1,
-                to: 2,
-                p: 0.5
-            }
+            faults,
+            [
+                at(1, Control::Crash(NodeId(0))),
+                at(2, Control::Recover(NodeId(0))),
+                at(3, Control::FlakyLink(NodeId(1), NodeId(2), 0.5)),
+                at(4, Control::ClearFlakyLinks),
+                at(
+                    5,
+                    Control::SlowNode(NodeId(3), SimDuration::from_micros(250))
+                ),
+                at(6, Control::ClearSlowNodes),
+                at(7, Control::SetDropRate(0.01)),
+            ]
         );
-        assert_eq!(s.faults[3].fault, Fault::ClearFlaky);
-        assert_eq!(
-            s.faults[4].fault,
-            Fault::Slow {
-                node: 3,
-                extra: SimDuration::from_micros(250)
-            }
-        );
-        assert_eq!(s.faults[5].fault, Fault::ClearSlow);
-        assert_eq!(s.faults[6].fault, Fault::DropRate(0.01));
     }
 
     #[test]
@@ -945,13 +887,11 @@ a = [0]
 b = [3, 4]
 "#;
         let s = parse(text).expect("parses");
-        assert_eq!(
-            s.faults[0].fault,
-            Fault::AsymmetricPartition {
-                a: vec![0],
-                b: vec![3, 4]
-            }
-        );
+        let one_way = |y| {
+            let c = Control::BlockLink(NodeId(0), NodeId(y));
+            (SimDuration::from_millis(100), Fault::Control(c))
+        };
+        assert_eq!(s.faults, [vec![one_way(3), one_way(4)]], "only a → b");
         assert_rejects(
             "name = \"x\"\nprotocol = \"paxos\"\nreplicas = 3\nclients = 1\n\
              measure_ms = 4000\n\
@@ -987,15 +927,47 @@ count = 3
 converged = true
 "#;
         let s = parse(text).expect("parses");
-        assert_eq!(
-            s.faults[0].fault,
-            Fault::CrashLoop {
-                node: 2,
-                period: SimDuration::from_millis(400),
-                count: 3
-            }
-        );
+        assert_eq!(s.faults.len(), 1);
+        assert_eq!(s.faults[0].len(), 6, "three crashes, three recoveries");
         assert_eq!(s.expect.converged, Some(true));
+    }
+
+    #[test]
+    fn crash_loop_expands_to_alternating_crash_and_recover() {
+        let s = parse(include_str!(
+            "../../../scenarios/paxos_leader_crash_loop.toml"
+        ))
+        .expect("parses");
+        let want: Vec<_> = (0..8)
+            .map(|k| {
+                let c = if k % 2 == 0 {
+                    Control::Crash(NodeId(0))
+                } else {
+                    Control::Recover(NodeId(0))
+                };
+                (SimDuration::from_millis(800 + 300 * k), Fault::Control(c))
+            })
+            .collect();
+        assert_eq!(s.faults, [want], "Recover(0) at 2 900 ms is the last");
+    }
+
+    #[test]
+    fn partition_expands_to_block_links_both_ways() {
+        let s = parse(
+            "name = \"x\"\nprotocol = \"paxos\"\nreplicas = 3\nclients = 1\n\
+             [[faults]]\nat_ms = 10\nkind = \"partition\"\na = [0, 1]\nb = [2]\n\
+             [[faults]]\nat_ms = 20\nkind = \"heal\"\n",
+        )
+        .expect("parses");
+        let at = |ms, c: Control| (SimDuration::from_millis(ms), Fault::Control(c));
+        let link = |x, y| at(10, Control::BlockLink(NodeId(x), NodeId(y)));
+        assert_eq!(
+            s.faults,
+            [
+                vec![link(0, 2), link(2, 0), link(1, 2), link(2, 1)],
+                vec![at(20, Control::HealAllLinks)],
+            ]
+        );
     }
 
     #[test]
@@ -1050,6 +1022,11 @@ converged = true
         assert_rejects(
             "name = \"x\"\nprotocol = \"paxos\"\nreplicas = 3\nclients = 1\nbogus = 1\n",
             "bogus",
+        );
+        // Every scenario runs in every mode: there is no `quick` key.
+        assert_rejects(
+            "name = \"x\"\nprotocol = \"paxos\"\nreplicas = 3\nclients = 1\nquick = false\n",
+            "unknown scenario key `quick`",
         );
         assert_rejects(
             "name = \"x\"\nprotocol = \"paxos\"\nreplicas = 3\nclients = 1\n[weird]\n",

@@ -816,7 +816,7 @@ impl paxi::ProtocolSpec for PaxosConfig {
 mod tests {
     use super::*;
     use paxi::Experiment;
-    use simnet::{Control, SimTime};
+    use simnet::{Control, SimDuration};
 
     fn exp(n: usize, clients: usize) -> Experiment<PaxosConfig> {
         Experiment::lan(PaxosConfig::lan(), n)
@@ -924,9 +924,9 @@ mod tests {
         // Crash one of the thrifty quorum members: every commit now
         // rides the retry path (paper: "a single faulty or sluggish
         // node in Q2 stalls the performance").
-        let crashed = base.run_sim_with(paxi::DEFAULT_SEED, |sim| {
-            sim.schedule_control(SimTime::from_millis(100), Control::Crash(NodeId(1)));
-        });
+        let crashed = base
+            .fault(SimDuration::from_millis(100), Control::Crash(NodeId(1)))
+            .run_sim(paxi::DEFAULT_SEED);
         assert!(crashed.protocol.violations().is_empty());
         assert!(
             crashed.client.mean_latency_ms > healthy.client.mean_latency_ms * 5.0,

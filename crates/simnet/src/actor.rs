@@ -97,10 +97,10 @@ pub enum Effect<M> {
     /// Charge extra CPU time to this node (protocol processing beyond
     /// message handling: state-machine execution, dependency-graph work).
     Charge(SimDuration),
-    /// Apply a fault-injection [`Control`] to the network. Emitted by
-    /// nemesis actors; the simulator applies it when the handler's
-    /// effects are processed. The thread runtime ignores it (fault
-    /// injection is a simulator-only facility).
+    /// Apply a fault-injection [`Control`] to the network; the simulator
+    /// applies it when the handler's effects are processed. The
+    /// wall-clock runtime ignores it (fault injection is a
+    /// simulator-only facility).
     Control(Control),
 }
 
@@ -174,9 +174,8 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// Queue a fault-injection [`Control`] (crash, partition, flaky
-    /// link, …) for the simulator to apply after this handler returns.
-    /// This is how a nemesis actor executes a fault schedule from
-    /// inside the simulation; under the thread runtime it is a no-op.
+    /// link, …) for the simulator to apply after this handler returns;
+    /// under the wall-clock runtime it is a no-op.
     pub fn control(&mut self, c: Control) {
         self.effects.push(Effect::Control(c));
     }

@@ -45,7 +45,7 @@ pub fn derive_node_seed(master: u64, index: usize) -> u64 {
 
 /// Fault-injection and control operations that can be scheduled for a
 /// future simulated time.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Control {
     /// Node stops processing; all messages and timers addressed to it are
     /// silently dropped (crash model of the paper's §3.1).
@@ -54,8 +54,6 @@ pub enum Control {
     Recover(NodeId),
     /// Drop all messages from `0` to `1` (directional).
     BlockLink(NodeId, NodeId),
-    /// Remove a directional block.
-    UnblockLink(NodeId, NodeId),
     /// Remove all link blocks.
     HealAllLinks,
     /// Set the uniform drop probability for every message in flight
@@ -230,27 +228,6 @@ impl<M: Message> Simulation<M> {
         self.apply_control(Control::Crash(node));
     }
 
-    /// Recover a node immediately.
-    pub fn recover(&mut self, node: NodeId) {
-        self.apply_control(Control::Recover(node));
-    }
-
-    /// Block both directions between every pair in `a × b` (a symmetric
-    /// network partition).
-    pub fn partition(&mut self, a: &[NodeId], b: &[NodeId]) {
-        for &x in a {
-            for &y in b {
-                self.blocked_links.insert((x.0, y.0));
-                self.blocked_links.insert((y.0, x.0));
-            }
-        }
-    }
-
-    /// Remove all link blocks.
-    pub fn heal(&mut self) {
-        self.blocked_links.clear();
-    }
-
     /// Inject a message from the outside world (e.g. a test driving a
     /// single actor). Delivered after the link latency from `from`.
     pub fn inject(&mut self, from: NodeId, to: NodeId, msg: M, delay: SimDuration) {
@@ -288,6 +265,7 @@ impl<M: Message> Simulation<M> {
     }
 
     fn apply_control(&mut self, c: Control) {
+        self.stats.controls_applied += 1;
         match c {
             Control::Crash(n) => self.crashed[n.index()] = true,
             Control::Recover(n) => {
@@ -301,39 +279,28 @@ impl<M: Message> Simulation<M> {
             Control::BlockLink(a, b) => {
                 self.blocked_links.insert((a.0, b.0));
             }
-            Control::UnblockLink(a, b) => {
-                self.blocked_links.remove(&(a.0, b.0));
-            }
             Control::HealAllLinks => self.blocked_links.clear(),
             Control::SetDropRate(p) => self.set_drop_rate(p),
-            Control::FlakyLink(a, b, p) => self.set_flaky_link(a, b, p),
+            // Flaky drops consume network randomness only for messages
+            // that actually cross a flaky link, so configurations without
+            // flaky links keep a bit-identical event schedule.
+            Control::FlakyLink(a, b, p) => {
+                assert!((0.0..=1.0).contains(&p), "drop probability required");
+                if p == 0.0 {
+                    self.flaky_links.remove(&(a.0, b.0));
+                } else {
+                    self.flaky_links.insert((a.0, b.0), p);
+                }
+            }
             Control::ClearFlakyLinks => self.flaky_links.clear(),
-            Control::SlowNode(n, extra) => self.set_slow_node(n, extra),
+            Control::SlowNode(n, extra) => {
+                if extra == SimDuration::ZERO {
+                    self.slow_nodes.remove(&n.0);
+                } else {
+                    self.slow_nodes.insert(n.0, extra);
+                }
+            }
             Control::ClearSlowNodes => self.slow_nodes.clear(),
-        }
-    }
-
-    /// Make the directional link `from → to` flaky with the given drop
-    /// probability; `0.0` restores it. Flaky drops consume network
-    /// randomness only for messages that actually cross a flaky link, so
-    /// configurations without flaky links keep a bit-identical event
-    /// schedule.
-    pub fn set_flaky_link(&mut self, from: NodeId, to: NodeId, p: f64) {
-        assert!((0.0..=1.0).contains(&p), "drop probability required");
-        if p == 0.0 {
-            self.flaky_links.remove(&(from.0, to.0));
-        } else {
-            self.flaky_links.insert((from.0, to.0), p);
-        }
-    }
-
-    /// Add `extra` delivery latency to every message sent or received by
-    /// `node`; `SimDuration::ZERO` restores it.
-    pub fn set_slow_node(&mut self, node: NodeId, extra: SimDuration) {
-        if extra == SimDuration::ZERO {
-            self.slow_nodes.remove(&node.0);
-        } else {
-            self.slow_nodes.insert(node.0, extra);
         }
     }
 
@@ -534,10 +501,9 @@ impl<M: Message> Simulation<M> {
                     cursor += d;
                 }
                 Effect::Control(c) => {
-                    // Nemesis-injected fault: takes effect immediately,
-                    // in effect order (messages already emitted by this
-                    // handler were sent before the fault landed).
-                    self.stats.controls_applied += 1;
+                    // Takes effect immediately, in effect order (messages
+                    // already emitted by this handler were sent before
+                    // the fault landed).
                     self.apply_control(c);
                 }
             }
@@ -706,10 +672,11 @@ mod tests {
     #[test]
     fn partition_and_heal() {
         let mut sim = ping_pong_sim(5, 1);
-        sim.partition(&[NodeId(0)], &[NodeId(1)]);
+        sim.apply_control(Control::BlockLink(NodeId(0), NodeId(1)));
+        sim.apply_control(Control::BlockLink(NodeId(1), NodeId(0)));
         sim.run_until(SimTime::from_millis(1));
         assert_eq!(sim.stats().nodes[1].msgs_received, 0);
-        sim.heal();
+        sim.apply_control(Control::HealAllLinks);
         sim.inject(
             NodeId(0),
             NodeId(1),
@@ -733,7 +700,7 @@ mod tests {
     fn flaky_link_drops_probabilistically_and_directionally() {
         let mut sim = ping_pong_sim(5, 200);
         // Only the forward direction is flaky; replies are reliable.
-        sim.set_flaky_link(NodeId(0), NodeId(1), 0.5);
+        sim.apply_control(Control::FlakyLink(NodeId(0), NodeId(1), 0.5));
         sim.run_until(SimTime::from_secs(1));
         let through = sim.stats().nodes[1].msgs_received;
         let flaky = sim.stats().msgs_dropped_flaky;
@@ -750,7 +717,7 @@ mod tests {
     #[test]
     fn flaky_link_certain_drop_and_clear() {
         let mut sim = ping_pong_sim(5, 10);
-        sim.set_flaky_link(NodeId(0), NodeId(1), 1.0);
+        sim.apply_control(Control::FlakyLink(NodeId(0), NodeId(1), 1.0));
         sim.run_until(SimTime::from_millis(10));
         assert_eq!(sim.stats().msgs_dropped_flaky, 10);
         sim.apply_control(Control::ClearFlakyLinks);
@@ -783,7 +750,8 @@ mod tests {
             sim.add_actor(Box::new(Ponger));
             sim.add_actor(Box::new(Ponger));
             if flaky {
-                sim.set_flaky_link(NodeId(2), NodeId(0), 0.9); // never carries traffic
+                sim.apply_control(Control::FlakyLink(NodeId(2), NodeId(0), 0.9));
+                // no traffic
             }
             sim.run_until(SimTime::from_secs(1));
             (sim.stats().msgs_delivered, sim.now())
@@ -803,7 +771,10 @@ mod tests {
                 last_pong_at: SimTime::ZERO,
             }));
             sim.add_actor(Box::new(Ponger));
-            sim.set_slow_node(NodeId(1), SimDuration::from_millis(extra_ms));
+            sim.apply_control(Control::SlowNode(
+                NodeId(1),
+                SimDuration::from_millis(extra_ms),
+            ));
             sim.run_until(SimTime::from_secs(10));
             sim.stats().msgs_delivered
         };
@@ -817,7 +788,7 @@ mod tests {
             last_pong_at: SimTime::ZERO,
         }));
         sim.add_actor(Box::new(Ponger));
-        sim.set_slow_node(NodeId(1), SimDuration::from_millis(5));
+        sim.apply_control(Control::SlowNode(NodeId(1), SimDuration::from_millis(5)));
         sim.run_until(SimTime::from_millis(4));
         assert_eq!(
             sim.stats().nodes[1].msgs_received,
@@ -892,7 +863,7 @@ mod tests {
         sim.add_actor(Box::new(Ponger));
         sim.add_actor(Box::new(CrashOther { victim: NodeId(1) }));
         sim.run_until(SimTime::from_secs(1));
-        assert_eq!(sim.stats().controls_applied, 1, "nemesis effect applied");
+        assert_eq!(sim.stats().controls_applied, 1, "actor effect applied");
         sim.inject(
             NodeId(0),
             NodeId(1),
@@ -901,6 +872,22 @@ mod tests {
         );
         sim.run_until(SimTime::from_secs(2));
         assert_eq!(sim.stats().nodes[1].msgs_dropped_crashed, 1);
+    }
+
+    #[test]
+    fn every_applied_control_is_counted() {
+        let mut sim = ping_pong_sim(5, 1);
+        sim.schedule_control(SimTime::from_millis(1), Control::Crash(NodeId(1)));
+        sim.schedule_control(SimTime::from_millis(2), Control::Recover(NodeId(1)));
+        sim.schedule_control(SimTime::from_secs(2), Control::HealAllLinks);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.stats().controls_applied, 2, "the third is not due yet");
+        sim.crash(NodeId(0));
+        assert_eq!(
+            sim.stats().controls_applied,
+            3,
+            "a direct call is a control too"
+        );
     }
 
     #[test]

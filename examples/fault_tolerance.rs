@@ -16,7 +16,7 @@
 
 use paxi::{Experiment, TargetPolicy};
 use pigpaxos::PigConfig;
-use simnet::{Control, NodeId, SimDuration, SimTime};
+use simnet::{Control, NodeId, SimDuration};
 
 fn main() {
     let quick = std::env::var_os("PIG_QUICK").is_some();
@@ -35,17 +35,19 @@ fn main() {
         // crash by redirecting to whoever wins the next election.
         .target(TargetPolicy::Random((0..25u32).map(NodeId).collect()))
         .retry_timeout(SimDuration::from_millis(400))
-        .run_sim_with(paxi::DEFAULT_SEED, move |sim| {
-            // One follower in relay group 0 crashes…
-            sim.schedule_control(SimTime::from_secs(crash_t), Control::Crash(NodeId(5)));
-            // …recovers and catches up via batched LearnReq…
-            sim.schedule_control(SimTime::from_secs(recover_t), Control::Recover(NodeId(5)));
-            // …then the leader itself crashes; a follower takes over.
-            sim.schedule_control(
-                SimTime::from_secs(leader_crash_t),
-                Control::Crash(NodeId(0)),
-            );
-        });
+        // One follower in relay group 0 crashes…
+        .fault(SimDuration::from_secs(crash_t), Control::Crash(NodeId(5)))
+        // …recovers and catches up via batched LearnReq…
+        .fault(
+            SimDuration::from_secs(recover_t),
+            Control::Recover(NodeId(5)),
+        )
+        // …then the leader itself crashes; a follower takes over.
+        .fault(
+            SimDuration::from_secs(leader_crash_t),
+            Control::Crash(NodeId(0)),
+        )
+        .run_sim(paxi::DEFAULT_SEED);
 
     assert!(
         result.protocol.violations().is_empty(),

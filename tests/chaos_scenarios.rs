@@ -1,10 +1,10 @@
 //! Chaos-harness integration tests: the client retry-storm regression
 //! the capped-backoff bugfix exists for, plus end-to-end coverage of
-//! the scenario-file → nemesis → convergence-check pipeline outside
-//! the `scenario` driver binary.
+//! the scenario-file → fault schedule → convergence-check pipeline
+//! outside the `scenario` driver binary.
 
 use paxi::{Experiment, TopologyKind};
-use simnet::{Control, NodeId, SimDuration, SimTime};
+use simnet::{Control, NodeId, SimDuration};
 
 /// Regression for the fixed-interval retry storm: with a quorum down
 /// for a full 2s window, clients used to re-send every `retry_timeout`
@@ -19,14 +19,13 @@ fn backoff_caps_retry_storm_during_quorum_outage() {
         .retry_timeout(SimDuration::from_millis(100))
         .warmup(SimDuration::from_millis(300))
         .measure(SimDuration::from_millis(4000))
-        .run_sim_with(paxi::DEFAULT_SEED, |sim| {
-            // Crash both followers: the leader keeps accepting requests
-            // but can never reach quorum, so no client hears a reply.
-            for node in [1u32, 2] {
-                sim.schedule_control(SimTime::from_millis(500), Control::Crash(NodeId(node)));
-                sim.schedule_control(SimTime::from_millis(2500), Control::Recover(NodeId(node)));
-            }
-        });
+        // Crash both followers: the leader keeps accepting requests but
+        // can never reach quorum, so no client hears a reply.
+        .fault(SimDuration::from_millis(500), Control::Crash(NodeId(1)))
+        .fault(SimDuration::from_millis(2500), Control::Recover(NodeId(1)))
+        .fault(SimDuration::from_millis(500), Control::Crash(NodeId(2)))
+        .fault(SimDuration::from_millis(2500), Control::Recover(NodeId(2)))
+        .run_sim(paxi::DEFAULT_SEED);
 
     assert!(
         result.protocol.violations().is_empty(),
@@ -76,8 +75,8 @@ converged = true
 min_samples = 20
 "#;
 
-/// Full pipeline: parse a scenario from text, run it with its nemesis,
-/// and check the scenario's own expectations and the client history —
+/// Full pipeline: parse a scenario from text, run it with its fault
+/// schedule, and check the scenario's own expectations and the client history —
 /// everything the `scenario` binary does, minus the file I/O, so a unit
 /// failure localizes to the library layer.
 #[test]
@@ -85,17 +84,17 @@ fn scenario_text_drives_nemesis_end_to_end() {
     let sc = paxi::scenario::parse(PARTITION_SCENARIO).expect("scenario parses");
     assert_eq!(sc.topology, TopologyKind::Lan);
 
-    let (result, log) = sc.run_sim(pigpaxos::PigConfig::lan(sc.groups.unwrap()));
+    let result = sc.run_sim(pigpaxos::PigConfig::lan(sc.groups.unwrap()));
     assert!(
         result.protocol.violations().is_empty(),
         "{:?}",
         result.protocol.violations()
     );
     assert_eq!(
-        log.len(),
-        sc.faults.len(),
-        "nemesis must execute every scheduled fault: {:?}",
-        log.entries()
+        result.transport.faults_applied,
+        Some(sc.scheduled_faults()),
+        "every scheduled fault must take effect: {:?}",
+        sc.faults
     );
     assert_eq!(
         result.protocol.converged(),
@@ -109,13 +108,13 @@ fn scenario_text_drives_nemesis_end_to_end() {
 }
 
 /// The same scenario under the same seed must reproduce bit-for-bit —
-/// the chaos layer (nemesis timers, flaky-link RNG, backoff jitter)
+/// the chaos layer (scheduled faults, flaky-link RNG, backoff jitter)
 /// must not leak nondeterminism into the run.
 #[test]
 fn chaos_runs_are_deterministic() {
     let run = || {
         let sc = paxi::scenario::parse(PARTITION_SCENARIO).expect("scenario parses");
-        sc.run_sim(pigpaxos::PigConfig::lan(2)).0
+        sc.run_sim(pigpaxos::PigConfig::lan(2))
     };
     let (a, b) = (run(), run());
     assert_eq!(a.client.samples, b.client.samples);
@@ -167,13 +166,13 @@ kind = "clear_flaky"
 converged = true
 "#;
     let sc = paxi::scenario::parse(text).expect("scenario parses");
-    let (result, log) = sc.run_sim(paxos::PaxosConfig::lan());
+    let result = sc.run_sim(paxos::PaxosConfig::lan());
     assert!(
         result.protocol.violations().is_empty(),
         "{:?}",
         result.protocol.violations()
     );
-    assert_eq!(log.len(), sc.faults.len());
+    assert_eq!(result.transport.faults_applied, Some(sc.scheduled_faults()));
     assert_eq!(
         result.protocol.converged(),
         Some(true),
@@ -193,13 +192,13 @@ converged = true
 fn a_returning_leader_answers_no_client_with_anothers_reply() {
     let text = include_str!("../scenarios/pig_deposed_leader_returns.toml");
     let sc = paxi::scenario::parse(text).expect("scenario parses");
-    let (result, log) = sc.run_sim(pigpaxos::PigConfig::lan(sc.groups.unwrap()));
+    let result = sc.run_sim(pigpaxos::PigConfig::lan(sc.groups.unwrap()));
     assert!(
         result.protocol.violations().is_empty(),
         "{:?}",
         result.protocol.violations()
     );
-    assert_eq!(log.len(), sc.faults.len());
+    assert_eq!(result.transport.faults_applied, Some(sc.scheduled_faults()));
     assert_eq!(result.protocol.converged(), Some(true));
     let h = result.client.history.expect("scenarios check the history");
     assert!(h.linearizable(), "{:?}", h.violations);

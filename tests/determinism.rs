@@ -4,7 +4,7 @@ use epaxos::EpaxosConfig;
 use paxi::Experiment;
 use paxos::PaxosConfig;
 use pigpaxos::PigConfig;
-use simnet::SimDuration;
+use simnet::{Control, NodeId, SimDuration};
 
 fn exp<P: paxi::ProtocolSpec>(proto: P) -> Experiment<P> {
     Experiment::lan(proto, 9)
@@ -167,12 +167,9 @@ fn golden_pig_n9_batched_reply_coalescing() {
 
 #[test]
 fn golden_pig_n25_follower_crash() {
-    let r = golden_exp(PigConfig::lan(3), 25).run_sim_with(42, |sim| {
-        sim.schedule_control(
-            simnet::SimTime::from_millis(100),
-            simnet::Control::Crash(simnet::NodeId(5)),
-        );
-    });
+    let r = golden_exp(PigConfig::lan(3), 25)
+        .fault(SimDuration::from_millis(100), Control::Crash(NodeId(5)))
+        .run_sim(42);
     check_golden(
         "pig n=25 r=3 follower crash",
         &r,
@@ -228,14 +225,12 @@ fn golden_epaxos_n5() {
 /// Clients spread over all `n` replicas; the leader crashes at 400 ms
 /// and comes back, deposed, at 900 ms.
 fn leader_crash_and_recover<P: paxi::ProtocolSpec>(proto: P, n: u32) -> paxi::RunResult {
-    use simnet::{Control, NodeId, SimTime};
     golden_exp(proto, n as usize)
         .measure(SimDuration::from_millis(1300))
         .target(paxi::TargetPolicy::Random((0..n).map(NodeId).collect()))
-        .run_sim_with(42, |sim| {
-            sim.schedule_control(SimTime::from_millis(400), Control::Crash(NodeId(0)));
-            sim.schedule_control(SimTime::from_millis(900), Control::Recover(NodeId(0)));
-        })
+        .fault(SimDuration::from_millis(400), Control::Crash(NodeId(0)))
+        .fault(SimDuration::from_millis(900), Control::Recover(NodeId(0)))
+        .run_sim(42)
 }
 
 /// The shape the `sim-failover` benchmark had to avoid: a PigPaxos
@@ -251,11 +246,9 @@ fn pig_leader_crash_with_pipelined_clients_repeats_in_one_process() {
             .clients(4)
             .client_pipeline(8)
             .measure(SimDuration::from_millis(1300))
-            .run_sim_with(42, |sim| {
-                use simnet::{Control, NodeId, SimTime};
-                sim.schedule_control(SimTime::from_millis(400), Control::Crash(NodeId(0)));
-                sim.schedule_control(SimTime::from_millis(900), Control::Recover(NodeId(0)));
-            })
+            .fault(SimDuration::from_millis(400), Control::Crash(NodeId(0)))
+            .fault(SimDuration::from_millis(900), Control::Recover(NodeId(0)))
+            .run_sim(42)
     };
     let first = run();
     assert!(first.protocol.violations().is_empty());

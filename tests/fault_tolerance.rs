@@ -1,8 +1,8 @@
 //! Fault-injection integration tests: crashes, partitions, message
 //! loss, and recovery — safety (agreement, and a linearizable client
 //! history) must hold in every scenario, and liveness whenever a
-//! majority is reachable. Fault schedules ride the
-//! `run_sim_with` hook; everything else is the standard builder.
+//! majority is reachable. Fault schedules are
+//! [`Experiment::fault`] calls; everything else is the standard builder.
 
 use paxi::{
     ClientRequest, Command, Envelope, Experiment, Operation, ProtoMessage, ProtocolSpec, RequestId,
@@ -27,6 +27,22 @@ fn exp<P: ProtocolSpec>(proto: P, n: usize, clients: usize) -> Experiment<P> {
         .check_linearizability()
 }
 
+fn ms(ms: u64) -> SimDuration {
+    SimDuration::from_millis(ms)
+}
+
+/// `exp` with `control` applied to each of `nodes` at `at_ms`.
+fn on_each<P: ProtocolSpec>(
+    exp: Experiment<P>,
+    at_ms: u64,
+    nodes: impl IntoIterator<Item = u32>,
+    control: fn(NodeId) -> Control,
+) -> Experiment<P> {
+    nodes
+        .into_iter()
+        .fold(exp, |e, n| e.fault(ms(at_ms), control(NodeId(n))))
+}
+
 /// No two replicas decided a slot differently, and what the clients
 /// saw is linearizable.
 fn assert_safe(name: &str, r: &RunResult) {
@@ -39,14 +55,14 @@ fn assert_safe(name: &str, r: &RunResult) {
 #[test]
 fn pigpaxos_survives_minority_of_crashes() {
     // f = 4 crashes in a 9-node cluster (2f+1 = 9): progress must continue.
-    let r = exp(PigConfig::lan(2), 9, 6).run_sim_with(paxi::DEFAULT_SEED, |sim| {
-        for (i, node) in [5u32, 6, 7, 8].iter().enumerate() {
-            sim.schedule_control(
-                SimTime::from_millis(400 + 100 * i as u64),
-                Control::Crash(NodeId(*node)),
-            );
-        }
-    });
+    let mut e = exp(PigConfig::lan(2), 9, 6);
+    for node in 5..9u32 {
+        e = e.fault(
+            ms(400 + 100 * (node as u64 - 5)),
+            Control::Crash(NodeId(node)),
+        );
+    }
+    let r = e.run_sim(paxi::DEFAULT_SEED);
     assert_safe("", &r);
     assert!(
         r.client.throughput > 50.0,
@@ -58,29 +74,23 @@ fn pigpaxos_survives_minority_of_crashes() {
 #[test]
 fn pigpaxos_stalls_without_majority_but_stays_safe() {
     // 5 crashes of 9 leave 4 < majority: commits must stop, safety holds.
-    let r = exp(PigConfig::lan(2), 9, 4).run_sim_with(paxi::DEFAULT_SEED, |sim| {
-        for node in 5..9u32 {
-            sim.schedule_control(SimTime::from_millis(600), Control::Crash(NodeId(node)));
-        }
-        sim.schedule_control(SimTime::from_millis(600), Control::Crash(NodeId(4)));
-        // Nothing decided after the mass crash may conflict — checked
-        // by the shared safety monitor automatically.
-    });
+    // Nothing decided after the mass crash may conflict — checked by
+    // the shared safety monitor automatically.
+    let r = on_each(
+        exp(PigConfig::lan(2), 9, 4),
+        600,
+        [5, 6, 7, 8, 4],
+        Control::Crash,
+    )
+    .run_sim(paxi::DEFAULT_SEED);
     assert_safe("", &r);
 }
 
 #[test]
 fn pigpaxos_recovers_after_majority_restored() {
-    let r = exp(PigConfig::lan(2), 9, 4)
-        .measure(SimDuration::from_secs(3))
-        .run_sim_with(paxi::DEFAULT_SEED, |sim| {
-            for node in 4..9u32 {
-                sim.schedule_control(SimTime::from_millis(500), Control::Crash(NodeId(node)));
-            }
-            for node in 4..9u32 {
-                sim.schedule_control(SimTime::from_millis(1500), Control::Recover(NodeId(node)));
-            }
-        });
+    let e = exp(PigConfig::lan(2), 9, 4).measure(SimDuration::from_secs(3));
+    let e = on_each(e, 500, 4..9, Control::Crash);
+    let r = on_each(e, 1500, 4..9, Control::Recover).run_sim(paxi::DEFAULT_SEED);
     assert_safe("", &r);
     assert!(
         r.client.throughput > 100.0,
@@ -113,24 +123,18 @@ fn safety_holds_under_random_message_loss() {
 
 #[test]
 fn partition_heals_and_cluster_catches_up() {
-    let r = exp(PigConfig::lan(2), 5, 4)
-        .measure(SimDuration::from_secs(3))
-        .run_sim_with(paxi::DEFAULT_SEED, |sim| {
-            // Cut off two followers for a second, then heal.
-            for a in [3u32, 4] {
-                for b in 0..3u32 {
-                    sim.schedule_control(
-                        SimTime::from_millis(500),
-                        Control::BlockLink(NodeId(a), NodeId(b)),
-                    );
-                    sim.schedule_control(
-                        SimTime::from_millis(500),
-                        Control::BlockLink(NodeId(b), NodeId(a)),
-                    );
-                }
-            }
-            sim.schedule_control(SimTime::from_millis(1500), Control::HealAllLinks);
-        });
+    // Cut off two followers for a second, then heal.
+    let mut e = exp(PigConfig::lan(2), 5, 4).measure(SimDuration::from_secs(3));
+    for a in [3u32, 4] {
+        for b in 0..3u32 {
+            e = e
+                .fault(ms(500), Control::BlockLink(NodeId(a), NodeId(b)))
+                .fault(ms(500), Control::BlockLink(NodeId(b), NodeId(a)));
+        }
+    }
+    let r = e
+        .fault(ms(1500), Control::HealAllLinks)
+        .run_sim(paxi::DEFAULT_SEED);
     assert_safe("", &r);
     assert!(
         r.client.throughput > 100.0,
@@ -144,9 +148,9 @@ fn relay_crash_is_transient_thanks_to_rotation() {
     // Crash a node; rounds that pick it as relay lose a group, but the
     // next retry picks fresh relays (§3.4). Latency must stay bounded
     // well below the client retry timeout.
-    let r = exp(PigConfig::lan(3), 25, 8).run_sim_with(paxi::DEFAULT_SEED, |sim| {
-        sim.schedule_control(SimTime::from_millis(400), Control::Crash(NodeId(3)));
-    });
+    let r = exp(PigConfig::lan(3), 25, 8)
+        .fault(ms(400), Control::Crash(NodeId(3)))
+        .run_sim(paxi::DEFAULT_SEED);
     assert_safe("", &r);
     assert!(r.client.throughput > 500.0);
     assert!(
@@ -169,10 +173,9 @@ fn lagging_follower_rejoins_via_snapshot_after_prefix_truncated() {
         exp(proto, 5, 6)
             .measure(SimDuration::from_secs(3))
             .capture_trace()
-            .run_sim_with(paxi::DEFAULT_SEED, |sim| {
-                sim.schedule_control(SimTime::from_millis(400), Control::Crash(NodeId(4)));
-                sim.schedule_control(SimTime::from_millis(1900), Control::Recover(NodeId(4)));
-            })
+            .fault(ms(400), Control::Crash(NodeId(4)))
+            .fault(ms(1900), Control::Recover(NodeId(4)))
+            .run_sim(paxi::DEFAULT_SEED)
     }
     for (name, r) in [
         (
@@ -223,11 +226,10 @@ fn leader_change_after_prefix_truncated_recovers_from_peer_snapshots() {
     let r = exp(cfg, 5, 4)
         .measure(SimDuration::from_secs(4))
         .target(TargetPolicy::Random((0..5u32).map(NodeId).collect()))
-        .run_sim_with(paxi::DEFAULT_SEED, |sim| {
-            sim.schedule_control(SimTime::from_millis(400), Control::Crash(NodeId(4)));
-            sim.schedule_control(SimTime::from_millis(1800), Control::Recover(NodeId(4)));
-            sim.schedule_control(SimTime::from_millis(1850), Control::Crash(NodeId(0)));
-        });
+        .fault(ms(400), Control::Crash(NodeId(4)))
+        .fault(ms(1800), Control::Recover(NodeId(4)))
+        .fault(ms(1850), Control::Crash(NodeId(0)))
+        .run_sim(paxi::DEFAULT_SEED);
     assert_safe("", &r);
     assert!(
         r.client.throughput > 30.0,
@@ -250,9 +252,8 @@ fn paxos_and_pigpaxos_handle_leader_crash_with_reelection() {
         exp(proto, 5, 3)
             .measure(SimDuration::from_secs(3))
             .target(TargetPolicy::Random((0..5u32).map(NodeId).collect()))
-            .run_sim_with(paxi::DEFAULT_SEED, |sim| {
-                sim.schedule_control(SimTime::from_millis(800), Control::Crash(NodeId(0)));
-            })
+            .fault(ms(800), Control::Crash(NodeId(0)))
+            .run_sim(paxi::DEFAULT_SEED)
     }
     for (name, r) in [
         ("paxos", crash_leader(PaxosConfig::lan())),
@@ -379,6 +380,7 @@ fn check_big_writes<P: ProtocolSpec>(proto: P) {
         .workload(Workload::paper_default())
         .extra_client_nodes(1)
         .measure(SimDuration::from_secs(3))
+        .fault(ms(500), Control::Crash(NodeId(0)))
         .run_sim_with(paxi::DEFAULT_SEED, move |sim| {
             sim.add_actor(Box::new(BigWriter::<P::Msg> {
                 replicas: 5,
@@ -389,7 +391,6 @@ fn check_big_writes<P: ProtocolSpec>(proto: P) {
                 outcome: seen,
                 _proto: std::marker::PhantomData,
             }));
-            sim.schedule_control(SimTime::from_millis(500), Control::Crash(NodeId(0)));
         });
     assert_safe("", &r);
     let outcome = outcome.borrow();

@@ -5,7 +5,7 @@ use pigpaxos::{GroupSpec, RelayGroups};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simnet::{NodeId, SimDuration, Wire};
+use simnet::{Control, NodeId, SimDuration, Wire};
 
 fn cmd(seq: u64) -> Command {
     Command {
@@ -473,7 +473,7 @@ proptest! {
     }
 }
 
-/// Expand raw fault draws into a nemesis schedule. Each draw is
+/// Expand raw fault draws into a fault schedule. Each draw is
 /// `(at_ms, kind, x, y, p)`; `kind % 3` selects the fault family and
 /// the remaining fields are reinterpreted per family (the vendored
 /// proptest stub has no `prop_oneof`/`prop_map`, so the sum type is
@@ -487,49 +487,46 @@ proptest! {
 ///
 /// A final global heal + clear sweep runs before the measure window
 /// closes so the drain phase starts from a connected cluster.
-fn chaos_schedule(n: u32, drawn: Vec<(u64, usize, u32, u32, f64)>) -> Vec<paxi::FaultEvent> {
+fn chaos_schedule(n: u32, drawn: Vec<(u64, usize, u32, u32, f64)>) -> Vec<(SimDuration, Control)> {
     let mut events = Vec::new();
-    let mut push = |at_ms: u64, fault: paxi::Fault| {
-        events.push(paxi::FaultEvent {
-            at: SimDuration::from_millis(at_ms),
-            fault,
-        });
-    };
+    let mut push = |at_ms: u64, c: Control| events.push((SimDuration::from_millis(at_ms), c));
     for (at, kind, x, y, p) in drawn {
         match kind % 3 {
             0 => {
                 let minority = 1 + x % ((n - 1) / 2);
-                let a: Vec<u32> = (0..minority).collect();
-                let b: Vec<u32> = (minority..n).collect();
-                push(at, paxi::Fault::Partition { a, b });
-                push(at + 400, paxi::Fault::Heal);
+                for a in 0..minority {
+                    for b in minority..n {
+                        push(at, Control::BlockLink(NodeId(a), NodeId(b)));
+                        push(at, Control::BlockLink(NodeId(b), NodeId(a)));
+                    }
+                }
+                push(at + 400, Control::HealAllLinks);
             }
             1 => {
-                push(at, paxi::Fault::Crash(x % n));
-                push(at + 400, paxi::Fault::Restart(x % n));
+                push(at, Control::Crash(NodeId(x % n)));
+                push(at + 400, Control::Recover(NodeId(x % n)));
             }
             _ => {
-                let (from, to) = (x % n, y % n);
+                let (from, to) = (NodeId(x % n), NodeId(y % n));
                 if from != to {
-                    push(at, paxi::Fault::Flaky { from, to, p });
-                    push(at + 400, paxi::Fault::ClearFlaky);
+                    push(at, Control::FlakyLink(from, to, p));
+                    push(at + 400, Control::ClearFlakyLinks);
                 }
             }
         }
     }
-    push(1900, paxi::Fault::Heal);
-    push(1900, paxi::Fault::ClearFlaky);
+    push(1900, Control::HealAllLinks);
+    push(1900, Control::ClearFlakyLinks);
     events
 }
 
-/// Run one nemesis schedule against one protocol and return the result.
+/// Run one fault schedule against one protocol and return the result.
 fn chaos_run<P: paxi::ProtocolSpec>(
     proto: P,
     seed: u64,
-    schedule: Vec<paxi::FaultEvent>,
+    schedule: Vec<(SimDuration, Control)>,
 ) -> paxi::RunResult {
-    let log = paxi::NemesisLog::new();
-    paxi::Experiment::lan(proto, 5)
+    let exp = paxi::Experiment::lan(proto, 5)
         .clients(4)
         .workload(paxi::Workload {
             num_keys: 10,
@@ -538,11 +535,11 @@ fn chaos_run<P: paxi::ProtocolSpec>(
         .warmup(SimDuration::from_millis(300))
         .measure(SimDuration::from_millis(2200))
         .drain(SimDuration::from_millis(1800))
-        .extra_client_nodes(1)
-        .check_linearizability()
-        .run_sim_with(seed, move |sim| {
-            sim.add_actor(Box::new(paxi::Nemesis::<P::Msg>::new(schedule, log)));
-        })
+        .check_linearizability();
+    schedule
+        .into_iter()
+        .fold(exp, |e, (at, c)| e.fault(at, c))
+        .run_sim(seed)
 }
 
 proptest! {
@@ -573,12 +570,14 @@ proptest! {
         ),
     ) {
         let schedule = chaos_schedule(5, drawn);
+        let scheduled = schedule.len() as u64;
         let (result, check_convergence) = match proto {
             0 => (chaos_run(paxos::PaxosConfig::lan(), seed, schedule), true),
             1 => (chaos_run(pigpaxos::PigConfig::lan(2), seed, schedule), true),
             _ => (chaos_run(epaxos::EpaxosConfig::default(), seed, schedule), false),
         };
         prop_assert!(result.protocol.violations().is_empty(), "violations: {:?}", result.protocol.violations());
+        prop_assert_eq!(result.transport.faults_applied, Some(scheduled));
         let history = result.client.history.as_ref().expect("checked");
         prop_assert!(history.linearizable(), "history: {:?}", history.violations);
         if check_convergence {
