@@ -81,7 +81,7 @@ pub enum TopologyKind {
 /// A fault a run injects at an offset from its start (see
 /// [`Experiment::fault`]): a [`Control`] the simulator applies, or a
 /// storm, the one fault that has to send messages.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub enum Fault {
     /// A crash, a recovery, a blocked, healed, flaky or slow link, a drop
     /// rate: anything the network itself does.
@@ -713,6 +713,11 @@ impl Scenario {
 mod tests {
     use super::*;
 
+    /// What `v` prints: faults compare by their `Debug` form.
+    fn shown<T: fmt::Debug>(v: T) -> String {
+        format!("{v:?}")
+    }
+
     const FULL: &str = r#"
 # A full-featured scenario.
 name = "pig-partition-heal"   # trailing comment
@@ -772,19 +777,28 @@ min_throughput = 10.0
         assert_eq!(s.workload.num_keys, 500);
         assert_eq!(s.faults.len(), 3, "one entry per table");
         let ms = SimDuration::from_millis;
-        let link = |x, y| (ms(1000), Control::BlockLink(NodeId(x), NodeId(y)).into());
+        let link = |x, y| {
+            (
+                ms(1000),
+                Fault::Control(Control::BlockLink(NodeId(x), NodeId(y))),
+            )
+        };
         assert_eq!(s.faults[0].len(), 2 * 3 * 4, "both ways for every pair");
-        assert_eq!(s.faults[0][..3], [link(0, 3), link(3, 0), link(0, 4)]);
-        assert_eq!(s.faults[1], [(ms(2000), Control::HealAllLinks.into())]);
         assert_eq!(
-            s.faults[2],
-            [(
+            shown(&s.faults[0][..3]),
+            shown([link(0, 3), link(3, 0), link(0, 4)])
+        );
+        let heal = Fault::Control(Control::HealAllLinks);
+        assert_eq!(shown(&s.faults[1]), shown([(ms(2000), heal)]));
+        assert_eq!(
+            shown(&s.faults[2]),
+            shown([(
                 ms(2200),
                 Fault::Storm {
                     target: NodeId(0),
                     count: 50
                 }
-            )]
+            )])
         );
         assert_eq!(s.scheduled_faults(), 24 + 1 + 1);
         assert_eq!(s.expect.converged, Some(true));
@@ -852,11 +866,11 @@ kind = "drop_rate"
 p = 0.01
 "#;
         let s = parse(text).expect("parses");
-        let faults: Vec<_> = s.faults.iter().flatten().cloned().collect();
+        let faults: Vec<_> = s.faults.iter().flatten().collect();
         let at = |ms, c: Control| (SimDuration::from_millis(ms), Fault::Control(c));
         assert_eq!(
-            faults,
-            [
+            shown(faults),
+            shown([
                 at(1, Control::Crash(NodeId(0))),
                 at(2, Control::Recover(NodeId(0))),
                 at(3, Control::FlakyLink(NodeId(1), NodeId(2), 0.5)),
@@ -867,7 +881,7 @@ p = 0.01
                 ),
                 at(6, Control::ClearSlowNodes),
                 at(7, Control::SetDropRate(0.01)),
-            ]
+            ])
         );
     }
 
@@ -891,7 +905,11 @@ b = [3, 4]
             let c = Control::BlockLink(NodeId(0), NodeId(y));
             (SimDuration::from_millis(100), Fault::Control(c))
         };
-        assert_eq!(s.faults, [vec![one_way(3), one_way(4)]], "only a → b");
+        assert_eq!(
+            shown(&s.faults),
+            shown([vec![one_way(3), one_way(4)]]),
+            "only a → b"
+        );
         assert_rejects(
             "name = \"x\"\nprotocol = \"paxos\"\nreplicas = 3\nclients = 1\n\
              measure_ms = 4000\n\
@@ -948,7 +966,11 @@ converged = true
                 (SimDuration::from_millis(800 + 300 * k), Fault::Control(c))
             })
             .collect();
-        assert_eq!(s.faults, [want], "Recover(0) at 2 900 ms is the last");
+        assert_eq!(
+            shown(&s.faults),
+            shown([want]),
+            "Recover(0) at 2 900 ms is the last"
+        );
     }
 
     #[test]
@@ -962,11 +984,11 @@ converged = true
         let at = |ms, c: Control| (SimDuration::from_millis(ms), Fault::Control(c));
         let link = |x, y| at(10, Control::BlockLink(NodeId(x), NodeId(y)));
         assert_eq!(
-            s.faults,
-            [
+            shown(&s.faults),
+            shown([
                 vec![link(0, 2), link(2, 0), link(1, 2), link(2, 1)],
                 vec![at(20, Control::HealAllLinks)],
-            ]
+            ])
         );
     }
 

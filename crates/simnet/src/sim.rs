@@ -45,7 +45,7 @@ pub fn derive_node_seed(master: u64, index: usize) -> u64 {
 
 /// Fault-injection and control operations that can be scheduled for a
 /// future simulated time.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub enum Control {
     /// Node stops processing; all messages and timers addressed to it are
     /// silently dropped (crash model of the paper's §3.1).
