@@ -143,7 +143,7 @@ pub struct Expectations {
 }
 
 /// A fully parsed scenario: everything the driver needs to build an
-/// [`crate::Experiment`], attach a nemesis, run, and judge the result.
+/// [`crate::Experiment`], schedule its faults, run, and judge the result.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Unique name (reports, CI artifacts).
