@@ -222,8 +222,8 @@ pub fn pqr_reads(o: &Opts) -> Report {
     let columns = "pqr_batching,batch,qr_read_per_op,qr_vote_per_op,leader_proto_sent_per_op,tput";
     let title = "PQR reads × batching (9 nodes, 2 groups, 90% reads)";
     let mut batching = Table::new(title, columns);
-    let adaptive32 = BatchConfig::adaptive(32, SimDuration::from_micros(200))
-        .with_reply_coalescing(SimDuration::ZERO);
+    let adaptive32 =
+        BatchConfig::adaptive(32, SimDuration::from_micros(200)).with_reply_coalescing();
     for (name, batch) in [("off", BatchConfig::disabled()), ("adaptive32", adaptive32)] {
         let r = pqr_probed(o, name, pqr_cfg(false).with_batch(batch));
         batching.row([

@@ -47,7 +47,7 @@ fn pig_v1(max_batch: usize) -> PigConfig {
 
 /// PigPaxos with the full batching-v2 pipeline.
 fn pig_v2(batch: BatchConfig) -> PigConfig {
-    PigConfig::lan(2).with_batch(batch.with_reply_coalescing(SimDuration::ZERO))
+    PigConfig::lan(2).with_batch(batch.with_reply_coalescing())
 }
 
 /// Batching pipeline sweep: throughput, latency, and per-hop leader

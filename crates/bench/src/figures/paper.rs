@@ -1,13 +1,13 @@
 //! The paper's own evaluation: Tables 1–2, Figures 7–13, and the
 //! claims of §2.2, §6.1 and §6.4 that a run can check.
 
-use super::{checked, curve, curve_table, max_tput, SEED};
+use super::{curve, curve_table, max_tput, SEED};
 use crate::Cell::Float;
 use crate::{Opts, Report, Table};
 use analytical::{follower_load, leader_load, paxos_follower_load, paxos_leader_load};
 use analytical::{table1, table2};
 use epaxos::EpaxosConfig;
-use paxi::{BatchConfig, ProtocolSpec, ReplyCoalesce, RunResult, Workload};
+use paxi::{ProtocolSpec, RunResult, Workload};
 use paxos::PaxosConfig;
 use pigpaxos::{GroupSpec, PigConfig};
 use simnet::{Control, NodeId, SimDuration};
@@ -325,19 +325,13 @@ pub fn flexible_quorums(o: &Opts) -> Report {
 /// Paper claim: 2 vs. 6 leader-side cross-WAN messages per write (3×
 /// saving); measured numbers include the response direction, so the
 /// expected measured ratio is the same 3× at 4 vs. 12 total crossings.
-///
-/// The second section measures the ROADMAP open item "cross-wave reply
-/// windows": on a WAN, reply envelopes are expensive, so a small
-/// positive `ReplyCoalesce::Window` that merges replies *across*
-/// execution waves might amortize further than the zero-latency
-/// per-wave mode — at the cost of added client latency.
 pub fn wan_traffic(o: &Opts) -> Report {
     let n = 9; // 3 regions × 3 nodes
     let paxos_exp = o.wan(PaxosConfig::wan(), n).clients(10);
     let groups = GroupSpec::per_region(paxos_exp.topology(), NodeId(0));
     let cross_region = |r: RunResult| r.transport.cross_region_msgs_per_op.expect("simulated");
     let paxos = cross_region(paxos_exp.workload(Workload::write_only(8)).run_sim(SEED));
-    let pig_exp = o.wan(PigConfig::wan(groups.clone()), n).clients(10);
+    let pig_exp = o.wan(PigConfig::wan(groups), n).clients(10);
     let pig = cross_region(pig_exp.workload(Workload::write_only(8)).run_sim(SEED));
 
     let columns = "protocol,measured_cross_region_per_op,model_one_way_per_op";
@@ -350,36 +344,5 @@ pub fn wan_traffic(o: &Opts) -> Report {
     let saving = format!("measured saving: {:.1}x (paper: 3x)", paxos / pig);
     traffic.notes.push(saving);
 
-    // ── Cross-wave reply windows (ROADMAP open item) ──────────────────
-    // Pipelined clients near the leader, batched writes, and a sweep of
-    // the reply-coalescing window: does merging replies across waves
-    // pay on a WAN?
-    let columns = "reply_window,window_us,replies_per_op,p50_ms,p99_ms,tput";
-    let title = "cross-wave reply windows (batched writes, 8 clients x pipeline 8)";
-    let mut windows = Table::new(title, columns);
-    for window_us in [0u64, 500, 2_000, 8_000] {
-        let mut batch = BatchConfig::new(16, SimDuration::from_micros(200));
-        batch.replies = ReplyCoalesce::Window(SimDuration::from_micros(window_us));
-        let exp = o
-            .wan(PigConfig::wan(groups.clone()).with_batch(batch), n)
-            .clients(8)
-            .client_pipeline(8)
-            .workload(Workload::write_only(8));
-        let r = checked(&format!("{window_us}us"), exp.capture_trace());
-        windows.row([
-            "reply_window".into(),
-            window_us.into(),
-            Float(
-                r.transport
-                    .trace
-                    .expect("trace captured")
-                    .leader_replies_per_op,
-                3,
-            ),
-            Float(r.client.p50_latency_ms, 3),
-            Float(r.client.p99_latency_ms, 3),
-            Float(r.client.throughput, 0),
-        ]);
-    }
-    Report::new(vec![traffic, windows])
+    Report::new(vec![traffic])
 }

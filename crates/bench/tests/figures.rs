@@ -62,10 +62,6 @@ fn cheap_entries_print_their_declared_csv() {
             "protocol,measured_cross_region_per_op,model_one_way_per_op",
             2,
         ),
-        (
-            "reply_window,window_us,replies_per_op,p50_ms,p99_ms,tput",
-            4,
-        ),
     ];
     let printed = figures(&[&["--quick", "--csv"], &names[..]].concat());
 

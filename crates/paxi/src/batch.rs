@@ -18,10 +18,10 @@
 //!
 //! **Reply coalescing** ([`ReplyBatcher`]): execution of a batch
 //! produces a wave of client replies, and a pipelined client can have
-//! several commands in the same wave. The leader buffers replies per
-//! destination and ships each destination one `ReplyBatch` envelope,
-//! amortizing the reply leg the same way `P2aBatch` amortizes the
-//! accept leg.
+//! several commands in the same wave. The leader buffers the wave's
+//! replies per destination and ships each destination one `ReplyBatch`
+//! envelope when the wave ends, amortizing the reply leg the same way
+//! `P2aBatch` amortizes the accept leg. No reply waits past its wave.
 //!
 //! The batcher is protocol-agnostic plumbing: the Paxos replica sends
 //! one `P2aBatch` per follower per flush under direct dissemination and
@@ -95,8 +95,9 @@ pub struct BatchConfig {
     /// Adaptive sizing: the fill target tracks the observed arrival
     /// rate in `[1, max_batch]` instead of sitting at `max_batch`.
     pub adaptive: bool,
-    /// Client-reply coalescing policy for executed commands.
-    pub replies: ReplyCoalesce,
+    /// Coalesce the client replies of one execution wave into one
+    /// envelope per destination.
+    pub coalesce_replies: bool,
 }
 
 impl BatchConfig {
@@ -106,7 +107,7 @@ impl BatchConfig {
             max_batch: 1,
             max_delay: SimDuration::ZERO,
             adaptive: false,
-            replies: ReplyCoalesce::Off,
+            coalesce_replies: false,
         }
     }
 
@@ -118,7 +119,7 @@ impl BatchConfig {
             max_batch,
             max_delay,
             adaptive: false,
-            replies: ReplyCoalesce::Off,
+            coalesce_replies: false,
         }
     }
 
@@ -131,11 +132,10 @@ impl BatchConfig {
         }
     }
 
-    /// Enable reply coalescing with the given flush window
-    /// (`SimDuration::ZERO` groups replies produced by one execution
-    /// wave without delaying them).
-    pub fn with_reply_coalescing(mut self, window: SimDuration) -> Self {
-        self.replies = ReplyCoalesce::Window(window);
+    /// Enable reply coalescing: the replies produced by one execution
+    /// wave ship grouped per destination, without being delayed.
+    pub fn with_reply_coalescing(mut self) -> Self {
+        self.coalesce_replies = true;
         self
     }
 
@@ -252,113 +252,45 @@ impl Batcher {
     }
 }
 
-/// Client-reply coalescing policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplyCoalesce {
-    /// One `Reply` envelope per executed command (the baseline).
-    Off,
-    /// Buffer replies per destination and flush them in one `ReplyBatch`
-    /// envelope after at most this window. `SimDuration::ZERO` groups
-    /// the replies of a single execution wave without delaying them.
-    Window(SimDuration),
-}
-
-impl ReplyCoalesce {
-    /// True when coalescing is on.
-    pub fn enabled(&self) -> bool {
-        matches!(self, ReplyCoalesce::Window(_))
-    }
-
-    /// The flush window (ZERO when off or immediate).
-    pub fn window(&self) -> SimDuration {
-        match self {
-            ReplyCoalesce::Off => SimDuration::ZERO,
-            ReplyCoalesce::Window(w) => *w,
-        }
-    }
-}
-
-/// Buffers executed-command replies per destination client so one
-/// envelope carries a whole wave. Keyed by a `BTreeMap` so flush order
+/// Buffers one execution wave's replies per destination client so one
+/// envelope carries the whole wave. Keyed by a `BTreeMap` so flush order
 /// is deterministic (the simulator's trace fingerprint depends on it).
 #[derive(Debug)]
 pub struct ReplyBatcher {
-    mode: ReplyCoalesce,
+    on: bool,
     buf: BTreeMap<NodeId, Vec<ClientReply>>,
 }
 
 impl ReplyBatcher {
-    /// Empty buffer with the given policy.
-    pub fn new(mode: ReplyCoalesce) -> Self {
+    /// Empty buffer; `on` is [`BatchConfig::coalesce_replies`].
+    pub fn new(on: bool) -> Self {
         ReplyBatcher {
-            mode,
+            on,
             buf: BTreeMap::new(),
         }
     }
 
-    /// The active policy.
-    pub fn mode(&self) -> ReplyCoalesce {
-        self.mode
-    }
-
-    /// True when coalescing is on.
-    pub fn enabled(&self) -> bool {
-        self.mode.enabled()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Buffer a reply. Returns true when this push made the buffer
-    /// non-empty (the caller arms the flush timer if the window is
-    /// non-zero).
-    pub fn push(&mut self, client: NodeId, reply: ClientReply) -> bool {
-        let was_empty = self.buf.is_empty();
-        self.buf.entry(client).or_default().push(reply);
-        was_empty
-    }
-
-    /// Drain everything, grouped per destination in ascending node
-    /// order.
-    pub fn flush(&mut self) -> Vec<(NodeId, Vec<ClientReply>)> {
-        std::mem::take(&mut self.buf).into_iter().collect()
-    }
-
     /// Route one executed-command reply: sent immediately when
     /// coalescing is off or the reply is too large for a batch's packed
-    /// length field; otherwise buffered. Returns the window the
-    /// caller's flush timer must cover when this push started a
-    /// non-empty buffer under a non-zero window (the caller owns the
-    /// timer kind and knows whether one is already in flight).
+    /// length field; otherwise buffered until [`ReplyBatcher::end_wave`].
     pub fn deliver<P: ProtoMessage>(
         &mut self,
         client: NodeId,
         reply: ClientReply,
         ctx: &mut Ctx<P>,
-    ) -> Option<SimDuration> {
-        if !self.enabled() || !crate::wire::fits_reply_batch(&reply) {
+    ) {
+        if self.on && crate::wire::fits_reply_batch(&reply) {
+            self.buf.entry(client).or_default().push(reply);
+        } else {
             ctx.reply(client, reply);
-            return None;
         }
-        let window = self.mode.window();
-        let first = self.push(client, reply);
-        (first && window > SimDuration::ZERO).then_some(window)
     }
 
-    /// End of one execution wave: in zero-window mode the wave's
-    /// replies ship now (grouped per destination, never delayed).
+    /// End of one execution wave: ship its buffered replies, one
+    /// (possibly batched) envelope per destination client in ascending
+    /// node order.
     pub fn end_wave<P: ProtoMessage>(&mut self, ctx: &mut Ctx<P>) {
-        if self.enabled() && self.mode.window() == SimDuration::ZERO {
-            self.flush_into(ctx);
-        }
-    }
-
-    /// Ship every buffered reply, one (possibly batched) envelope per
-    /// destination client.
-    pub fn flush_into<P: ProtoMessage>(&mut self, ctx: &mut Ctx<P>) {
-        for (client, replies) in self.flush() {
+        for (client, replies) in std::mem::take(&mut self.buf) {
             ctx.reply_many(client, replies);
         }
     }
@@ -483,30 +415,51 @@ mod tests {
 
     #[test]
     fn reply_batcher_groups_per_destination_in_order() {
-        let mut r = ReplyBatcher::new(ReplyCoalesce::Window(SimDuration::ZERO));
-        assert!(r.enabled());
+        use crate::envelope::Envelope;
+        use rand::SeedableRng;
+        use simnet::Effect;
+
+        #[derive(Debug, Clone)]
+        struct Nil;
+        impl ProtoMessage for Nil {
+            fn wire_size(&self) -> usize {
+                0
+            }
+        }
+
         let id = |c: u32, s: u64| RequestId {
             client: NodeId(c),
             seq: s,
         };
-        assert!(r.push(NodeId(9), ClientReply::ok(id(9, 1), None)));
-        assert!(!r.push(NodeId(3), ClientReply::ok(id(3, 1), None)));
-        assert!(!r.push(NodeId(9), ClientReply::ok(id(9, 2), None)));
-        let out = r.flush();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].0, NodeId(3), "deterministic ascending node order");
-        assert_eq!(out[1].0, NodeId(9));
-        assert_eq!(out[1].1.len(), 2, "both replies to client 9 coalesced");
-        assert!(r.is_empty());
-        assert!(r.push(NodeId(1), ClientReply::ok(id(1, 1), None)));
-    }
-
-    #[test]
-    fn reply_coalesce_modes() {
-        assert!(!ReplyCoalesce::Off.enabled());
-        assert_eq!(ReplyCoalesce::Off.window(), SimDuration::ZERO);
-        let w = ReplyCoalesce::Window(SimDuration::from_micros(100));
-        assert!(w.enabled());
-        assert_eq!(w.window(), SimDuration::from_micros(100));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut effects: Vec<Effect<Envelope<Nil>>> = Vec::new();
+        let mut seq = 0;
+        let mut ctx = Ctx::new(SimTime::ZERO, NodeId(0), &mut rng, &mut effects, &mut seq);
+        let mut r = ReplyBatcher::new(true);
+        r.deliver(NodeId(9), ClientReply::ok(id(9, 1), None), &mut ctx);
+        r.deliver(NodeId(3), ClientReply::ok(id(3, 1), None), &mut ctx);
+        r.deliver(NodeId(9), ClientReply::ok(id(9, 2), None), &mut ctx);
+        r.end_wave(&mut ctx);
+        // The buffer is empty again: a second wave end sends nothing.
+        r.end_wave(&mut ctx);
+        let sent: Vec<(NodeId, usize)> = effects
+            .iter()
+            .map(|e| match e {
+                Effect::Send {
+                    to,
+                    msg: Envelope::Reply(_),
+                } => (*to, 1),
+                Effect::Send {
+                    to,
+                    msg: Envelope::ReplyBatch(b),
+                } => (*to, b.len()),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            sent,
+            [(NodeId(3), 1), (NodeId(9), 2)],
+            "one envelope per client, ascending node order, both replies to 9 coalesced"
+        );
     }
 }

@@ -296,9 +296,10 @@ impl<P: ProtocolSpec> Experiment<P> {
     /// [`simnet::Control`] (crash, recover, block or heal links, flaky or
     /// slow links, drop rate) or a [`Fault::Storm`]. The driver applies
     /// the schedule; a storm puts the actor that sends it in one more
-    /// client slot. `at` must fall before `warmup + measure + drain`, or
-    /// the run panics. Simulator only for now: the wall-clock runtimes
-    /// panic on a non-empty schedule.
+    /// client slot. A control at zero is applied before any actor
+    /// starts. `at` must fall before `warmup + measure + drain`, or the
+    /// run panics. Simulator only for now: the wall-clock runtimes panic
+    /// on a non-empty schedule.
     ///
     /// ```
     /// # use paxi::Experiment;
@@ -355,8 +356,7 @@ impl<P: ProtocolSpec> Experiment<P> {
     /// Run on the simulator with a setup hook. The hook fires after all
     /// actors are registered and the fault schedule is queued, before
     /// the simulation starts: add custom client actors into
-    /// [`extra_client_nodes`](Self::extra_client_nodes) slots, or set
-    /// what must hold before the first `on_start` (a drop rate).
+    /// [`extra_client_nodes`](Self::extra_client_nodes) slots.
     pub fn run_sim_with<H>(&self, seed: u64, hook: H) -> RunResult
     where
         H: FnOnce(&mut Simulation<Envelope<P::Msg>>),

@@ -29,7 +29,7 @@ use crate::metrics::{mean, percentile};
 use crate::nemesis::Nemesis;
 use crate::scenario::Fault;
 use pig_runtime::{LoopRuntime, NetRunStats};
-use simnet::{Actor, CpuCostModel, NodeId, SimDuration, SimTime, Simulation};
+use simnet::{Actor, Control, CpuCostModel, NodeId, SimDuration, SimTime, Simulation};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -349,7 +349,7 @@ fn deploy<P: ProtocolSpec>(exp: &Experiment<P>) -> Deployment<P::Msg> {
 
 /// The simulator driver: the fault schedule's controls and `hook`, then
 /// warm-up, the measurement window and the optional drain, in simulated
-/// time.
+/// time. A control due at zero is applied before any actor starts.
 pub(crate) fn drive_sim<P, H>(exp: &Experiment<P>, seed: u64, hook: H) -> RunResult
 where
     P: ProtocolSpec,
@@ -376,8 +376,10 @@ where
             *at < run_end,
             "{fault:?} at {at} fires after the run ends ({run_end})"
         );
-        if let Fault::Control(c) = fault {
-            sim.schedule_control(SimTime::ZERO + *at, *c);
+        match fault {
+            Fault::Control(c) if *at == SimDuration::ZERO => sim.apply(*c),
+            Fault::Control(c) => sim.schedule_control(SimTime::ZERO + *at, *c),
+            Fault::Storm { .. } => {}
         }
     }
     hook(&mut sim);
@@ -394,7 +396,7 @@ where
     // schedule unchanged) when `drain` is zero.
     let replica_digests = (exp.drain > SimDuration::ZERO).then(|| {
         for i in n_replicas..total_nodes {
-            sim.crash(NodeId::from(i));
+            sim.apply(Control::Crash(NodeId::from(i)));
         }
         sim.run_for(exp.drain);
         (0..n_replicas)

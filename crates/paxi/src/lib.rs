@@ -83,7 +83,7 @@ pub mod wire;
 pub mod workload;
 
 pub use ballot::Ballot;
-pub use batch::{BatchConfig, BatchPush, Batcher, RateEstimator, ReplyBatcher, ReplyCoalesce};
+pub use batch::{BatchConfig, BatchPush, Batcher, RateEstimator, ReplyBatcher};
 pub use client::{ClientRecorder, ClosedLoopClient, Sample, TargetPolicy};
 pub use cluster::ClusterConfig;
 pub use command::{ClientReply, ClientRequest, Command, Key, Operation, RequestId, Value};

@@ -58,8 +58,6 @@ pub enum Timer {
     Learn,
     /// The admission lane's `max_delay` batch flush.
     Batch,
-    /// The reply-coalescing window.
-    Reply,
 }
 
 impl Timer {
@@ -68,7 +66,7 @@ impl Timer {
 
     fn of(kind: u64) -> Option<Timer> {
         use Timer::*;
-        [Election, Heartbeat, RetryScan, Learn, Batch, Reply]
+        [Election, Heartbeat, RetryScan, Learn, Batch]
             .into_iter()
             .find(|&t| t as u64 == kind)
     }
@@ -187,10 +185,8 @@ pub struct Replica<D: Dissemination> {
     /// Client-command admission: duplicate suppression, per-client
     /// sequencing, and the batch buffer (active leader only).
     lane: BatchLane,
-    /// Executed-command replies buffered per destination client.
+    /// One execution wave's replies, buffered per destination client.
     replies: ReplyBatcher,
-    /// True while a reply flush timer is in flight.
-    reply_timer_armed: bool,
     election_timeout: SimDuration,
     /// Highest watermark we observed with gaps below it; a learn timer
     /// is armed while repair is pending.
@@ -218,8 +214,7 @@ impl<D: Dissemination> Replica<D> {
         Replica {
             me,
             lane: BatchLane::new(cfg.batch.clone(), sequencing),
-            replies: ReplyBatcher::new(cfg.batch.replies),
-            reply_timer_armed: false,
+            replies: ReplyBatcher::new(cfg.batch.coalesce_replies),
             cfg,
             acceptor,
             leader,
@@ -282,10 +277,8 @@ impl<D: Dissemination> Replica<D> {
 
     /// Abandon leadership: redirect every command queued during the
     /// campaign and every command the admission lane still holds
-    /// (buffered or awaiting predecessors) toward `to`, cancel the
-    /// batch flush timer so it cannot fire into the next term, and ship
-    /// any replies still buffered for coalescing (executed results stay
-    /// valid across abdication).
+    /// (buffered or awaiting predecessors) toward `to`, and cancel the
+    /// batch flush timer so it cannot fire into the next term.
     fn abdicate(&mut self, to: NodeId, ctx: &mut Ctx<D::Msg>) {
         self.leader.demote();
         self.known_leader = Some(to);
@@ -296,7 +289,6 @@ impl<D: Dissemination> Replica<D> {
         if let Some(t) = timer {
             ctx.cancel_timer(t);
         }
-        self.replies.flush_into(ctx);
     }
 
     /// Run a client command through the admission lane and propose
@@ -395,12 +387,7 @@ impl<D: Dissemination> Replica<D> {
             let Some(client) = self.take_waiting(slot).filter(|&c| c == id.client) else {
                 continue;
             };
-            if let Some(window) = self.replies.deliver(client, reply, ctx) {
-                if !self.reply_timer_armed {
-                    self.reply_timer_armed = true;
-                    ctx.set_timer(window, Timer::Reply as u64);
-                }
-            }
+            self.replies.deliver(client, reply, ctx);
         }
         self.replies.end_wave(ctx);
         // Executions advance the session table, which can release held
@@ -774,10 +761,6 @@ impl<D: Dissemination> paxi::Replica<D::Msg> for Replica<D> {
                     let batch = self.lane.on_flush_timer();
                     self.propose_batch(batch, ctx);
                 }
-            }
-            Some(Timer::Reply) => {
-                self.reply_timer_armed = false;
-                self.replies.flush_into(ctx);
             }
             None => D::on_timer(self, kind, ctx),
         }

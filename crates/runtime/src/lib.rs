@@ -186,8 +186,6 @@ impl<M: Message> Node<M> {
                 }
                 // Real CPU time is really spent; nothing to account.
                 Effect::Charge(_) => {}
-                // Fault injection is the simulator's: nemeses run fault-free.
-                Effect::Control(_) => {}
             }
         }
     }

@@ -7,7 +7,6 @@
 //! effects), and independent of the execution environment.
 
 use crate::id::{NodeId, TimerId};
-use crate::sim::Control;
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 
@@ -97,11 +96,6 @@ pub enum Effect<M> {
     /// Charge extra CPU time to this node (protocol processing beyond
     /// message handling: state-machine execution, dependency-graph work).
     Charge(SimDuration),
-    /// Apply a fault-injection [`Control`] to the network; the simulator
-    /// applies it when the handler's effects are processed. The
-    /// wall-clock runtime ignores it (fault injection is a
-    /// simulator-only facility).
-    Control(Control),
 }
 
 /// Handler-scope view of the world given to an actor.
@@ -171,13 +165,6 @@ impl<'a, M> Context<'a, M> {
     /// command to the state machine).
     pub fn charge(&mut self, d: SimDuration) {
         self.effects.push(Effect::Charge(d));
-    }
-
-    /// Queue a fault-injection [`Control`] (crash, partition, flaky
-    /// link, …) for the simulator to apply after this handler returns;
-    /// under the wall-clock runtime it is a no-op.
-    pub fn control(&mut self, c: Control) {
-        self.effects.push(Effect::Control(c));
     }
 
     /// Re-queue a pre-built effect verbatim. The counterpart of

@@ -56,8 +56,7 @@ pub enum Control {
     BlockLink(NodeId, NodeId),
     /// Remove all link blocks.
     HealAllLinks,
-    /// Set the uniform drop probability for every message in flight
-    /// (the schedulable form of [`Simulation::set_drop_rate`]).
+    /// Set the uniform probability of dropping any message in flight.
     SetDropRate(f64),
     /// Make the directional link `0 → 1` flaky: each message crossing
     /// it is dropped with the given probability. A probability of `0.0`
@@ -188,12 +187,6 @@ impl<M: Message> Simulation<M> {
         self.trace.as_ref()
     }
 
-    /// Set a uniform probability of dropping any message in flight.
-    pub fn set_drop_rate(&mut self, p: f64) {
-        assert!((0.0..=1.0).contains(&p), "drop rate must be a probability");
-        self.drop_rate = p;
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.time
@@ -221,11 +214,6 @@ impl<M: Message> Simulation<M> {
     /// Schedule a control operation at an absolute simulated time.
     pub fn schedule_control(&mut self, at: SimTime, control: Control) {
         self.push_event(at, EventKind::Control(control));
-    }
-
-    /// Crash a node immediately.
-    pub fn crash(&mut self, node: NodeId) {
-        self.apply_control(Control::Crash(node));
     }
 
     /// Inject a message from the outside world (e.g. a test driving a
@@ -264,7 +252,8 @@ impl<M: Message> Simulation<M> {
         Some((ev.at, kind.expect("a queued event owns a full cell")))
     }
 
-    fn apply_control(&mut self, c: Control) {
+    /// Apply a control now, as if scheduled at the current time.
+    pub fn apply(&mut self, c: Control) {
         self.stats.controls_applied += 1;
         match c {
             Control::Crash(n) => self.crashed[n.index()] = true,
@@ -280,7 +269,10 @@ impl<M: Message> Simulation<M> {
                 self.blocked_links.insert((a.0, b.0));
             }
             Control::HealAllLinks => self.blocked_links.clear(),
-            Control::SetDropRate(p) => self.set_drop_rate(p),
+            Control::SetDropRate(p) => {
+                assert!((0.0..=1.0).contains(&p), "drop rate must be a probability");
+                self.drop_rate = p;
+            }
             // Flaky drops consume network randomness only for messages
             // that actually cross a flaky link, so configurations without
             // flaky links keep a bit-identical event schedule.
@@ -358,7 +350,7 @@ impl<M: Message> Simulation<M> {
 
     fn dispatch(&mut self, kind: EventKind<M>) {
         match kind {
-            EventKind::Control(c) => self.apply_control(c),
+            EventKind::Control(c) => self.apply(c),
             EventKind::Timer { node, id, kind } => {
                 if self.cancelled_timers.remove(&id.0) {
                     return;
@@ -500,12 +492,6 @@ impl<M: Message> Simulation<M> {
                 Effect::Charge(d) => {
                     cursor += d;
                 }
-                Effect::Control(c) => {
-                    // Takes effect immediately, in effect order (messages
-                    // already emitted by this handler were sent before
-                    // the fault landed).
-                    self.apply_control(c);
-                }
             }
         }
         self.effects_scratch = effects;
@@ -633,7 +619,7 @@ mod tests {
     #[test]
     fn crashed_node_drops_messages() {
         let mut sim = ping_pong_sim(5, 10);
-        sim.crash(NodeId(1));
+        sim.apply(Control::Crash(NodeId(1)));
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(pinger_pongs(&sim), 0);
         assert_eq!(sim.stats().nodes[1].msgs_dropped_crashed, 10);
@@ -642,7 +628,7 @@ mod tests {
     #[test]
     fn recovery_resumes_processing() {
         let mut sim = ping_pong_sim(5, 1);
-        sim.crash(NodeId(1));
+        sim.apply(Control::Crash(NodeId(1)));
         sim.schedule_control(SimTime::from_millis(10), Control::Recover(NodeId(1)));
         sim.run_until(SimTime::from_millis(5));
         assert_eq!(pinger_pongs(&sim), 0);
@@ -662,7 +648,7 @@ mod tests {
     fn blocked_link_drops_directionally() {
         let mut sim = ping_pong_sim(5, 10);
         // Block only the reply direction.
-        sim.apply_control(Control::BlockLink(NodeId(1), NodeId(0)));
+        sim.apply(Control::BlockLink(NodeId(1), NodeId(0)));
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.stats().nodes[1].msgs_received, 10, "pings still arrive");
         assert_eq!(pinger_pongs(&sim), 0, "pongs blocked");
@@ -672,11 +658,11 @@ mod tests {
     #[test]
     fn partition_and_heal() {
         let mut sim = ping_pong_sim(5, 1);
-        sim.apply_control(Control::BlockLink(NodeId(0), NodeId(1)));
-        sim.apply_control(Control::BlockLink(NodeId(1), NodeId(0)));
+        sim.apply(Control::BlockLink(NodeId(0), NodeId(1)));
+        sim.apply(Control::BlockLink(NodeId(1), NodeId(0)));
         sim.run_until(SimTime::from_millis(1));
         assert_eq!(sim.stats().nodes[1].msgs_received, 0);
-        sim.apply_control(Control::HealAllLinks);
+        sim.apply(Control::HealAllLinks);
         sim.inject(
             NodeId(0),
             NodeId(1),
@@ -690,7 +676,7 @@ mod tests {
     #[test]
     fn drop_rate_one_drops_everything() {
         let mut sim = ping_pong_sim(5, 50);
-        sim.set_drop_rate(1.0);
+        sim.apply(Control::SetDropRate(1.0));
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.stats().msgs_delivered, 0);
         assert_eq!(sim.stats().msgs_dropped, 50);
@@ -700,7 +686,7 @@ mod tests {
     fn flaky_link_drops_probabilistically_and_directionally() {
         let mut sim = ping_pong_sim(5, 200);
         // Only the forward direction is flaky; replies are reliable.
-        sim.apply_control(Control::FlakyLink(NodeId(0), NodeId(1), 0.5));
+        sim.apply(Control::FlakyLink(NodeId(0), NodeId(1), 0.5));
         sim.run_until(SimTime::from_secs(1));
         let through = sim.stats().nodes[1].msgs_received;
         let flaky = sim.stats().msgs_dropped_flaky;
@@ -717,10 +703,10 @@ mod tests {
     #[test]
     fn flaky_link_certain_drop_and_clear() {
         let mut sim = ping_pong_sim(5, 10);
-        sim.apply_control(Control::FlakyLink(NodeId(0), NodeId(1), 1.0));
+        sim.apply(Control::FlakyLink(NodeId(0), NodeId(1), 1.0));
         sim.run_until(SimTime::from_millis(10));
         assert_eq!(sim.stats().msgs_dropped_flaky, 10);
-        sim.apply_control(Control::ClearFlakyLinks);
+        sim.apply(Control::ClearFlakyLinks);
         sim.inject(
             NodeId(0),
             NodeId(1),
@@ -750,7 +736,7 @@ mod tests {
             sim.add_actor(Box::new(Ponger));
             sim.add_actor(Box::new(Ponger));
             if flaky {
-                sim.apply_control(Control::FlakyLink(NodeId(2), NodeId(0), 0.9));
+                sim.apply(Control::FlakyLink(NodeId(2), NodeId(0), 0.9));
                 // no traffic
             }
             sim.run_until(SimTime::from_secs(1));
@@ -771,7 +757,7 @@ mod tests {
                 last_pong_at: SimTime::ZERO,
             }));
             sim.add_actor(Box::new(Ponger));
-            sim.apply_control(Control::SlowNode(
+            sim.apply(Control::SlowNode(
                 NodeId(1),
                 SimDuration::from_millis(extra_ms),
             ));
@@ -788,7 +774,7 @@ mod tests {
             last_pong_at: SimTime::ZERO,
         }));
         sim.add_actor(Box::new(Ponger));
-        sim.apply_control(Control::SlowNode(NodeId(1), SimDuration::from_millis(5)));
+        sim.apply(Control::SlowNode(NodeId(1), SimDuration::from_millis(5)));
         sim.run_until(SimTime::from_millis(4));
         assert_eq!(
             sim.stats().nodes[1].msgs_received,
@@ -832,46 +818,8 @@ mod tests {
         assert_eq!(pinger_pongs(&sim), 0, "pong still in flight (+2ms)");
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(pinger_pongs(&sim), 1, "slowed pong arrives eventually");
-        sim.apply_control(Control::ClearSlowNodes);
+        sim.apply(Control::ClearSlowNodes);
         assert!(sim.slow_nodes.is_empty());
-    }
-
-    /// Emits a control effect from inside a handler (a minimal nemesis).
-    struct CrashOther {
-        victim: NodeId,
-    }
-    impl Actor<TestMsg> for CrashOther {
-        fn on_start(&mut self, ctx: &mut Context<TestMsg>) {
-            ctx.set_timer(SimDuration::from_millis(1), 0);
-        }
-        fn on_message(&mut self, _f: NodeId, _m: TestMsg, _c: &mut Context<TestMsg>) {}
-        fn on_timer(&mut self, _i: TimerId, _k: u64, ctx: &mut Context<TestMsg>) {
-            ctx.control(Control::Crash(self.victim));
-        }
-    }
-
-    #[test]
-    fn actor_emitted_control_effect_crashes_victim() {
-        let topo = Topology::lan_with(3, LatencyModel::constant(SimDuration::from_micros(100)));
-        let mut sim: Simulation<TestMsg> = Simulation::new(topo, CpuCostModel::free(), 1);
-        sim.add_actor(Box::new(Pinger {
-            peer: NodeId(1),
-            count: 1,
-            pongs: 0,
-            last_pong_at: SimTime::ZERO,
-        }));
-        sim.add_actor(Box::new(Ponger));
-        sim.add_actor(Box::new(CrashOther { victim: NodeId(1) }));
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(sim.stats().controls_applied, 1, "actor effect applied");
-        sim.inject(
-            NodeId(0),
-            NodeId(1),
-            TestMsg::Ping(9),
-            SimDuration::from_micros(1),
-        );
-        sim.run_until(SimTime::from_secs(2));
-        assert_eq!(sim.stats().nodes[1].msgs_dropped_crashed, 1);
     }
 
     #[test]
@@ -882,7 +830,7 @@ mod tests {
         sim.schedule_control(SimTime::from_secs(2), Control::HealAllLinks);
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.stats().controls_applied, 2, "the third is not due yet");
-        sim.crash(NodeId(0));
+        sim.apply(Control::Crash(NodeId(0)));
         assert_eq!(
             sim.stats().controls_applied,
             3,

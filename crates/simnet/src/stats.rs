@@ -55,8 +55,8 @@ pub struct NetStats {
     /// Messages dropped specifically by per-link flakiness
     /// (`Control::FlakyLink`) — a subset of `msgs_dropped`.
     pub msgs_dropped_flaky: u64,
-    /// Fault-injection [`crate::Control`]s applied: scheduled, emitted by
-    /// an actor, or applied at once by [`crate::Simulation::crash`].
+    /// Fault-injection [`crate::Control`]s applied: scheduled, or applied
+    /// at once by [`crate::Simulation::apply`].
     pub controls_applied: u64,
     /// Total messages delivered.
     pub msgs_delivered: u64,

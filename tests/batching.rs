@@ -23,8 +23,7 @@ fn batched(max_batch: usize) -> BatchConfig {
 
 /// The full batching-v2 policy: adaptive sizing + coalesced replies.
 fn adaptive_coalesced(max_batch: usize) -> BatchConfig {
-    BatchConfig::adaptive(max_batch, SimDuration::from_micros(200))
-        .with_reply_coalescing(SimDuration::ZERO)
+    BatchConfig::adaptive(max_batch, SimDuration::from_micros(200)).with_reply_coalescing()
 }
 
 /// Run a batched cluster and keep the `ClusterConfig` (and thus the
@@ -140,7 +139,7 @@ proptest! {
         let batch = if adaptive {
             adaptive_coalesced(32)
         } else {
-            batched(8).with_reply_coalescing(SimDuration::ZERO)
+            batched(8).with_reply_coalescing()
         };
         let cluster = run_cluster(
             PigConfig::lan(2).with_batch(batch),
@@ -292,7 +291,7 @@ fn an_oversized_read_result_leaves_the_reply_batch() {
     let envelopes = Rc::new(RefCell::new(Vec::new()));
     let reads = Rc::new(RefCell::new(HashMap::new()));
     let (envelopes2, reads2) = (envelopes.clone(), reads.clone());
-    let batch = batched(16).with_reply_coalescing(SimDuration::ZERO);
+    let batch = batched(16).with_reply_coalescing();
     let r = Experiment::lan(PaxosConfig::lan().with_batch(batch), 3)
         .extra_client_nodes(1)
         .warmup(SimDuration::ZERO)
@@ -339,10 +338,8 @@ fn reply_coalescing_cuts_leader_reply_envelopes() {
     let mut v1_cfg = PigConfig::lan(2).with_batch(batched(16));
     v1_cfg.relay_coalesce_window = SimDuration::ZERO; // PR-1 behaviour
     let base = pipelined(v1_cfg).run_sim(paxi::DEFAULT_SEED);
-    let v2 = pipelined(
-        PigConfig::lan(2).with_batch(batched(16).with_reply_coalescing(SimDuration::ZERO)),
-    )
-    .run_sim(paxi::DEFAULT_SEED);
+    let v2 = pipelined(PigConfig::lan(2).with_batch(batched(16).with_reply_coalescing()))
+        .run_sim(paxi::DEFAULT_SEED);
     assert!(
         base.protocol.violations().is_empty(),
         "{:?}",

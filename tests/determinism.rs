@@ -147,7 +147,7 @@ fn golden_paxos_n5_batched() {
 
 #[test]
 fn golden_pig_n9_batched_reply_coalescing() {
-    let batch = batch16().with_reply_coalescing(SimDuration::from_micros(100));
+    let batch = batch16().with_reply_coalescing();
     let r = golden_exp(PigConfig::lan(3).with_batch(batch), 9)
         .client_pipeline(4)
         .run_sim(42);
@@ -155,11 +155,11 @@ fn golden_pig_n9_batched_reply_coalescing() {
         "pig n=9 r=3 B=16 coalesced replies",
         &r,
         Golden {
-            fingerprint: 0x7583_6469_47ec_2644,
-            decided: 4416,
+            fingerprint: 0x9d3f_f460_1384_993d,
+            decided: 4704,
             node_msgs: &[
-                4785, 670, 604, 645, 619, 667, 633, 565, 560, 460, 464, 461, 461, 465, 462, 463,
-                461,
+                5344, 716, 633, 683, 668, 704, 659, 589, 601, 518, 519, 510, 533, 519, 547, 489,
+                554,
             ],
         },
     );
@@ -180,6 +180,33 @@ fn golden_pig_n25_follower_crash() {
                 13191, 5695, 5672, 5538, 5902, 0, 5437, 5718, 5373, 6372, 6470, 6127, 6022, 6357,
                 6462, 6239, 6155, 6385, 6715, 6197, 6449, 6049, 6162, 6008, 6239, 414, 414, 414,
                 414, 414, 414, 416, 414,
+            ],
+        },
+    );
+}
+
+/// The `ablation_partial` figure's threshold row: one crashed member in
+/// two of the three relay groups, so every commit waits on a relay
+/// that answers at its threshold of 5 votes or at its timeout.
+#[test]
+fn golden_pig_n25_partial_threshold_two_crashes() {
+    let mut cfg = PigConfig::lan(3);
+    cfg.partial_threshold = Some(5);
+    let at = SimDuration::from_millis(50);
+    let r = golden_exp(cfg, 25)
+        .clients(10)
+        .fault(at, Control::Crash(NodeId(5)))
+        .fault(at, Control::Crash(NodeId(12)))
+        .run_sim(42);
+    check_golden(
+        "pig n=25 r=3 partial threshold 5, two crashes",
+        &r,
+        Golden {
+            fingerprint: 0x58a9_934f_bb4f_d397,
+            decided: 343,
+            node_msgs: &[
+                977, 336, 413, 304, 233, 0, 280, 375, 322, 243, 363, 341, 0, 328, 293, 408, 343,
+                388, 381, 410, 304, 291, 380, 409, 434, 18, 20, 20, 18, 18, 18, 20, 18, 18, 20,
             ],
         },
     );

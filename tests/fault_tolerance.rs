@@ -104,9 +104,9 @@ fn safety_holds_under_random_message_loss() {
     // The drop-rate scenario is protocol-generic; run the identical
     // schedule for both leader-based protocols.
     fn lossy<P: ProtocolSpec>(proto: P) -> paxi::RunResult {
-        exp(proto, 5, 4).run_sim_with(paxi::DEFAULT_SEED, |sim| {
-            sim.set_drop_rate(0.05);
-        })
+        exp(proto, 5, 4)
+            .fault(SimDuration::ZERO, Control::SetDropRate(0.05))
+            .run_sim(paxi::DEFAULT_SEED)
     }
     for (name, r) in [
         ("paxos", lossy(PaxosConfig::lan())),
@@ -119,6 +119,20 @@ fn safety_holds_under_random_message_loss() {
             r.client.throughput
         );
     }
+}
+
+#[test]
+fn a_drop_rate_at_zero_eats_the_first_sends() {
+    // A control due at zero lands before any actor starts, so not even
+    // `on_start`'s sends (the leader's first relay round) get through.
+    let r = Experiment::lan(PigConfig::lan(2), 5)
+        .warmup(SimDuration::ZERO)
+        .measure(ms(100))
+        .capture_trace()
+        .fault(SimDuration::ZERO, Control::SetDropRate(1.0))
+        .run_sim(paxi::DEFAULT_SEED);
+    let delivered = r.transport.label_counts.expect("trace captured");
+    assert!(delivered.is_empty(), "delivered: {delivered:?}");
 }
 
 #[test]

@@ -300,8 +300,7 @@ fn batched_pigpaxos_safe_on_threads() {
     // timers, reply coalescing, and relay round coalescing must not
     // depend on simulated time to stay safe.
     let cfg = PigConfig::lan(2).with_batch(
-        paxi::BatchConfig::adaptive(16, SimDuration::from_micros(200))
-            .with_reply_coalescing(SimDuration::ZERO),
+        paxi::BatchConfig::adaptive(16, SimDuration::from_micros(200)).with_reply_coalescing(),
     );
     let r = Experiment::lan(cfg, 5)
         .clients(4)
