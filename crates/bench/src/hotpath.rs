@@ -3,7 +3,7 @@
 //! Three paths dominate a loaded leader's CPU budget (the paper's whole
 //! argument is that this budget is the scalability ceiling): the leader
 //! decide/execute pipeline (`propose_batch` → per-peer fan-out →
-//! `accept_batch` → vote counting → execution → replies), the relay
+//! `accept_batch` → `apply_batch_votes` → execution → replies), the relay
 //! aggregation path (PigPaxos `RelayTable`), and `Wire` encode/decode.
 //! This module drives each one directly — no simulator, no actors, no
 //! timers — over the same public APIs the replicas use, so the
@@ -26,13 +26,16 @@ use paxos::{
 };
 use pigpaxos::relay::{AggKey, Flush, RelayTable, VoteSet};
 use simnet::{Bytes, NodeId, SimTime, Wire};
+use std::collections::VecDeque;
 
 /// Payload bytes per benched `Put` value (matches the default workload).
 const VALUE_BYTES: usize = 64;
 
 /// A self-contained n-replica cluster driven wave-by-wave through the
-/// batched leader pipeline: exactly the per-wave work a loaded
-/// `PaxosReplica` leader performs, minus the substrate.
+/// leader pipeline: exactly the per-wave work a loaded `PaxosReplica`
+/// leader performs, minus the substrate. The replica runs every batch
+/// size through the same functions, so `batch = 1` drives the unbatched
+/// path (`P2a`/`P2b`) and larger batches the `P2aBatch`/`P2bBatch` one.
 pub struct LeaderPipeline {
     leader: Leader,
     leader_acc: Acceptor,
@@ -45,6 +48,8 @@ pub struct LeaderPipeline {
     // long-lived replica rather than a cold start.
     fanout: Vec<PaxosMsg>,
     replies: Vec<ClientReply>,
+    /// `(slot, client)` owed a reply, as `Replica.waiting`.
+    waiting: VecDeque<(u64, NodeId)>,
 }
 
 impl LeaderPipeline {
@@ -77,6 +82,7 @@ impl LeaderPipeline {
             batch,
             fanout: Vec::new(),
             replies: Vec::new(),
+            waiting: VecDeque::new(),
         }
     }
 
@@ -97,7 +103,7 @@ impl LeaderPipeline {
         batch
     }
 
-    /// Run one full wave: propose a batch, fan the `P2aBatch` out to
+    /// Run one full wave: propose a batch, fan its phase-2a out to
     /// every follower, accept it at each, count the returning vote
     /// batches at the leader, execute the decided prefix, and build the
     /// client replies. Decides the whole batch and returns the
@@ -112,36 +118,31 @@ impl LeaderPipeline {
         // Leader: allocate slots, self-accept, build the wave message,
         // and clone it per peer exactly as `fanout` does.
         let ((), d) = alloc::measure(|| {
-            let proposal = propose_batch(&mut self.leader, &mut self.leader_acc, batch, now);
-            let msg = PaxosMsg::P2aBatch {
-                ballot: proposal.ballot,
-                first_slot: proposal.first_slot,
-                commands: proposal.commands,
-                commit_up_to: proposal.commit_up_to,
-            };
+            let proposal = propose_batch(
+                &mut self.leader,
+                &mut self.leader_acc,
+                batch,
+                now,
+                &mut self.waiting,
+            );
             self.fanout.clear();
             for _ in 0..self.followers.len() {
-                self.fanout.push(msg.clone());
+                self.fanout.push(proposal.msg.clone());
             }
         });
         leader_allocs += d.allocs;
 
-        // Followers: accept the batch and vote (not leader work — kept
-        // outside the measured segments).
+        // Followers: accept the phase-2a and vote (not leader work —
+        // kept outside the measured segments).
         let mut vote_batches: Vec<Vec<P2bVote>> = Vec::with_capacity(self.followers.len());
-        for (i, follower) in self.followers.iter_mut().enumerate() {
-            let Some(PaxosMsg::P2aBatch {
-                ballot,
-                first_slot,
-                commands,
-                commit_up_to,
-            }) = self.fanout.get(i).cloned()
-            else {
-                unreachable!("fanout holds one P2aBatch per follower")
-            };
-            let acc = accept_batch(follower, ballot, first_slot, &commands, commit_up_to);
+        for (follower, msg) in self.followers.iter_mut().zip(&self.fanout) {
+            let acc = accept_batch(follower, msg);
             follower.execute_ready();
-            vote_batches.push(acc.votes);
+            let Some(PaxosMsg::P2b { votes, .. } | PaxosMsg::P2bBatch { votes, .. }) = acc.reply
+            else {
+                unreachable!("every follower votes on its phase-2a")
+            };
+            vote_batches.push(votes);
         }
 
         // Leader: count each follower's vote batch, execute the ready
@@ -157,7 +158,8 @@ impl LeaderPipeline {
                     continue;
                 };
                 assert!(wave.preempted.is_none(), "nothing contends in the harness");
-                for (_slot, id, value) in wave.executed {
+                for (slot, id, value) in wave.executed {
+                    assert_eq!(self.waiting.pop_front().map(|(s, _)| s), Some(slot));
                     let reply = ClientReply::ok(id, value);
                     self.sessions.record(&reply);
                     self.replies.push(reply);
@@ -265,16 +267,8 @@ pub fn retained_backing_ratio(waves: usize, batch: usize, value_bytes: usize) ->
         let mut buf = vec![0; RECV_BUFFER_BYTES.max(encoded.len())];
         buf[..encoded.len()].copy_from_slice(&encoded);
         let frame = Bytes::from(buf).slice(..encoded.len());
-        let PaxosMsg::P2aBatch {
-            commands,
-            commit_up_to,
-            ..
-        } = decode_message(&frame)
-        else {
-            unreachable!("a P2aBatch decodes as one")
-        };
-        let accepted = accept_batch(&mut follower, ballot, first_slot, &commands, commit_up_to);
-        for (_slot, id, value) in accepted.advances.into_iter().flat_map(|a| a.executed) {
+        let accepted = accept_batch(&mut follower, &decode_message(&frame));
+        for (_slot, id, value) in accepted.advance.executed {
             sessions.record(&ClientReply::ok(id, value));
             ids.push(id);
         }

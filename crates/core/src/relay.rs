@@ -26,9 +26,9 @@ pub enum AggKey {
     P1(Ballot),
     /// Phase-2 for (ballot, slot).
     P2(Ballot, u64),
-    /// Batched phase-2 for (ballot, first slot, last slot) — the
-    /// leader-side command-batching fast path. Votes carry their own
-    /// slots, so aggregation is still plain concatenation.
+    /// Batched phase-2 for (ballot, first slot, last slot) — a flushed
+    /// batch of two or more commands. Votes carry their own slots, so
+    /// aggregation is still plain concatenation.
     P2Span(Ballot, u64, u64),
     /// A quorum read for (reader proxy, read id, attempt) — §4.3. The
     /// attempt keys the round so a re-probe after a rinse restart opens

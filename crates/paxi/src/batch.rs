@@ -24,9 +24,10 @@
 //! `P2aBatch` amortizes the accept leg. No reply waits past its wave.
 //!
 //! The batcher is protocol-agnostic plumbing: the Paxos replica sends
-//! one `P2aBatch` per follower per flush under direct dissemination and
+//! one phase-2a per follower per flush under direct dissemination and
 //! one per *relay group* under PigPaxos's relay tree, so the two
-//! compose (relay fan-in × batch amortization).
+//! compose (relay fan-in × batch amortization). A flush of one command
+//! travels as a `P2a`, a larger one as a `P2aBatch`.
 
 use crate::command::{ClientReply, Command, RequestId};
 use crate::envelope::ProtoMessage;

@@ -41,6 +41,19 @@ pub struct CommitAdvance {
     pub learn_needed: Option<u64>,
 }
 
+impl CommitAdvance {
+    /// Fold the advance of a later slot of the same phase-2a into this
+    /// one, so the message leaves one execution wave and one repair.
+    pub fn absorb(&mut self, later: CommitAdvance) {
+        if self.executed.is_empty() {
+            self.executed = later.executed;
+        } else {
+            self.executed.extend(later.executed);
+        }
+        self.learn_needed = self.learn_needed.max(later.learn_needed);
+    }
+}
+
 impl Acceptor {
     /// New acceptor for `node`, reporting commits to `safety`.
     /// Compaction is off until [`Acceptor::set_snapshot_config`].

@@ -1,11 +1,11 @@
-//! Leader/acceptor plumbing for batched accept rounds.
+//! Leader/acceptor plumbing for phase 2, one command or many.
 //!
-//! There is one replica ([`crate::replica::Replica`]) and it batches one
-//! way — only the *dissemination* of the resulting `P2aBatch` (full
-//! fan-out vs. relay tree) is pluggable, so the two protocols cannot
-//! drift by construction. This module holds the pieces of that path
-//! that need no handler context, which is also what lets
-//! `pigpaxos_bench::hotpath` drive them without a simulator:
+//! There is one replica ([`crate::replica::Replica`]) and it runs phase 2
+//! one way, whatever the batch size — only the *dissemination* of the
+//! resulting phase-2a (full fan-out vs. relay tree) is pluggable, so
+//! the two protocols cannot drift by construction. This module holds
+//! the pieces of that path that need no handler context, which is also
+//! what lets `pigpaxos_bench::hotpath` drive them without a simulator:
 //!
 //! - [`BatchLane`]: client-command admission at an active leader —
 //!   duplicate suppression, per-client sequencing (pipelined clients'
@@ -13,21 +13,23 @@
 //!   successors until their predecessors are proposed so the decided
 //!   log preserves per-client issue order), and the size-or-time
 //!   (or adaptive) batch buffer;
-//! - [`propose_batch`] / [`accept_batch`]: slot allocation, self-voting,
-//!   and follower-side acceptance for a batched phase-2a;
-//! - [`count_batch_votes`] / [`apply_batch_votes`]: the leader-side
-//!   quorum counting guard and commit-the-wave-then-execute-once step.
+//! - [`propose_batch`] / [`accept_own`]: slot allocation, the wire form
+//!   (a lone command is a batch of one, sent as a `P2a`), and the
+//!   leader's own acceptance and vote;
+//! - [`accept_batch`]: a follower's acceptance of either phase-2a form,
+//!   and its reply;
+//! - [`apply_batch_votes`]: the leader's one guarded count of a `P2b`
+//!   or `P2bBatch`, committing the wave and then executing once.
 
 use crate::acceptor::{Acceptor, CommitAdvance};
-use crate::leader::{BatchVotesOutcome, Leader};
-use crate::messages::P2bVote;
+use crate::leader::Leader;
+use crate::messages::{P2bVote, PaxosMsg};
 use crate::replica::{Executed, Timer};
 use paxi::{
     Ballot, BatchConfig, BatchPush, Batcher, Command, Ctx, ProtoMessage, RequestId, SessionTable,
 };
 use simnet::{NodeId, SimTime, TimerId};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, VecDeque};
 
 /// A flushed batch ready to propose: `(client, command)` pairs in
 /// admission order.
@@ -294,22 +296,7 @@ impl BatchLane {
     }
 }
 
-/// Count a batched set of phase-2b votes at the leader, guarded against
-/// inactive leadership and stale ballots. `None` means the votes do not
-/// apply; otherwise the caller must apply every commit and any
-/// preemption in the outcome.
-pub fn count_batch_votes(
-    leader: &mut Leader,
-    ballot: Ballot,
-    votes: Vec<P2bVote>,
-) -> Option<BatchVotesOutcome> {
-    if !leader.is_active() || ballot != leader.ballot() {
-        return None;
-    }
-    Some(leader.on_p2b_batch(votes))
-}
-
-/// What a batched vote wave produced: one execution wave of replies to
+/// What a counted vote wave produced: one execution wave of replies to
 /// ship, plus any preempting ballot the caller must abdicate to (after
 /// delivering the replies — a quorum of acks means *chosen*).
 #[derive(Debug)]
@@ -320,119 +307,146 @@ pub struct VoteWave {
     pub preempted: Option<Ballot>,
 }
 
-/// Count a batched vote wave and apply it: commit every decided slot
-/// first, then execute the ready prefix *once*, so the wave produces a
-/// single batch of replies (what reply coalescing amortizes into
-/// per-client envelopes). `None` when the votes do not apply.
+/// The one count of phase-2b votes at the leader, for a `P2b` and a
+/// `P2bBatch` alike: guarded against inactive leadership and a header
+/// ballot that is not the leader's (`None`: the votes do not apply),
+/// then every decided slot is committed and the ready prefix executed
+/// *once*, so the wave produces a single batch of replies.
 pub fn apply_batch_votes(
     leader: &mut Leader,
     acceptor: &mut Acceptor,
     ballot: Ballot,
     votes: Vec<P2bVote>,
 ) -> Option<VoteWave> {
-    let out = count_batch_votes(leader, ballot, votes)?;
-    let ballot = leader.ballot();
-    for (slot, cmd, _client) in out.committed {
-        acceptor.commit(slot, ballot, cmd);
+    if !leader.is_active() || ballot != leader.ballot() {
+        return None;
     }
+    let preempted = leader.on_p2b_batch(votes, |slot, cmd| acceptor.commit(slot, ballot, cmd));
     Some(VoteWave {
         executed: acceptor.execute_ready(),
-        preempted: out.preempted,
+        preempted,
     })
 }
 
-/// Everything a replica must apply and send after proposing a batch:
-/// the wire payload fields plus the leader's local side effects.
+/// A phase-2a the leader has proposed and accepted itself: what it
+/// must fan out, and what its own acceptance left to apply first.
 #[derive(Debug)]
-pub struct BatchProposal {
-    /// Leader's ballot at proposal time.
-    pub ballot: Ballot,
-    /// Slot of `commands[0]`; the batch occupies consecutive slots.
-    pub first_slot: u64,
-    /// Commit watermark to piggyback.
-    pub commit_up_to: u64,
-    /// The batched commands, in slot order, ready to fan out by
-    /// refcount (shared with every peer's `P2aBatch`).
-    pub commands: Arc<[Command]>,
-    /// `(slot, client)` pairs the replica must await execution for.
-    pub waiting: Vec<(u64, NodeId)>,
+pub struct Proposal {
+    /// The phase-2a: a `P2a` for one command, a `P2aBatch` for more.
+    pub msg: PaxosMsg,
+    /// Commit advances from accepting it locally, folded into one.
+    pub advance: CommitAdvance,
     /// Slots the leader's own vote already decided (1-node quorums).
     pub self_commits: Vec<(u64, Command)>,
-    /// Commit advances produced by accepting locally.
-    pub advances: Vec<CommitAdvance>,
 }
 
-/// Allocate consecutive slots for `batch`, register each command with
-/// the leader, and feed the leader's own acceptor vote per slot.
-/// `batch` must be non-empty.
+/// Propose a flushed batch: allocate consecutive slots, register each
+/// command with the leader, queue `(slot, client)` on `waiting` for the
+/// reply, and accept the resulting phase-2a locally ([`accept_own`]).
+/// This is where N commands start costing one message per follower (or
+/// per relay group) instead of N. `batch` must be non-empty.
 pub fn propose_batch(
     leader: &mut Leader,
     acceptor: &mut Acceptor,
-    batch: Vec<(NodeId, Command)>,
+    batch: Batch,
     now: SimTime,
-) -> BatchProposal {
-    debug_assert!(!batch.is_empty(), "propose_batch needs commands");
+    waiting: &mut VecDeque<(u64, NodeId)>,
+) -> Proposal {
+    let mut first_slot = None;
+    for (client, cmd) in &batch {
+        let slot = leader.propose(Some(*client), cmd.clone(), now);
+        first_slot.get_or_insert(slot);
+        waiting.push_back((slot, *client));
+    }
+    let first_slot = first_slot.expect("propose_batch needs commands");
+    accept_own(
+        leader,
+        acceptor,
+        first_slot,
+        batch.into_iter().map(|(_, cmd)| cmd),
+    )
+}
+
+/// The leader's own half of a phase-2a for `commands` at consecutive
+/// slots from `first_slot`, each already registered with `leader`
+/// (by [`propose_batch`], or as a phase-1 reproposal): build the wire
+/// form — one command rides in a `P2a`, more in a `P2aBatch` — under
+/// the leader's ballot and its acceptor's watermark, accept every slot
+/// in its own acceptor, and count its own votes.
+pub fn accept_own(
+    leader: &mut Leader,
+    acceptor: &mut Acceptor,
+    first_slot: u64,
+    mut commands: impl ExactSizeIterator<Item = Command>,
+) -> Proposal {
     let ballot = leader.ballot();
     let commit_up_to = acceptor.commit_watermark();
-    let mut first_slot = None;
-    let mut commands = Vec::with_capacity(batch.len());
-    let mut waiting = Vec::with_capacity(batch.len());
+    let msg = match commands.len() {
+        1 => PaxosMsg::P2a {
+            ballot,
+            slot: first_slot,
+            command: commands.next().expect("one command"),
+            commit_up_to,
+        },
+        _ => PaxosMsg::P2aBatch {
+            ballot,
+            first_slot,
+            commands: commands.collect(),
+            commit_up_to,
+        },
+    };
+    let mut advance = CommitAdvance::default();
     let mut self_commits = Vec::new();
-    let mut advances = Vec::new();
-    for (client, cmd) in batch {
-        let slot = leader.propose(Some(client), cmd.clone(), now);
-        first_slot.get_or_insert(slot);
-        waiting.push((slot, client));
+    let (_, _, commands, _) = msg.as_p2a().expect("built as a phase-2a");
+    for (slot, command) in (first_slot..).zip(commands) {
         let (own, adv) = acceptor
-            .on_p2a(ballot, slot, cmd.clone(), commit_up_to)
+            .on_p2a(ballot, slot, command.clone(), commit_up_to)
             .expect("a slot this leader allocated is in reach of its own log");
-        advances.push(adv);
-        if let Ok(Some((slot, cmd, _))) = leader.on_p2b_vote(own) {
-            self_commits.push((slot, cmd));
+        advance.absorb(adv);
+        if let Ok(Some(decided)) = leader.on_p2b_vote(own) {
+            self_commits.push(decided);
         }
-        commands.push(cmd);
     }
-    BatchProposal {
-        ballot,
-        first_slot: first_slot.expect("non-empty batch"),
-        commit_up_to,
-        commands: commands.into(),
-        waiting,
+    Proposal {
+        msg,
+        advance,
         self_commits,
-        advances,
     }
 }
 
-/// A follower's local processing of a batched phase-2a.
-#[derive(Debug)]
+/// A replica's acceptance of a phase-2a from its leader.
+#[derive(Debug, Default)]
 pub struct BatchAccept {
-    /// One vote per slot of the batch, in slot order.
-    pub votes: Vec<P2bVote>,
-    /// Commit advances from the piggybacked watermark.
-    pub advances: Vec<CommitAdvance>,
-    /// True if any slot was accepted (leader contact is real).
-    pub any_ok: bool,
-    /// Ballot for the reply header: always the *request* ballot, so the
-    /// reply reaches the proposing leader's (and any relay's) round
-    /// matching even when every vote is a rejection — the rejecting
-    /// votes themselves carry the promised ballot, which is how a
-    /// preempted leader learns of the higher ballot immediately instead
-    /// of waiting for its P1a or heartbeat.
-    pub reply_ballot: Ballot,
+    /// The answer: a `P2b` to a `P2a`, a `P2bBatch` to a `P2aBatch`.
+    /// `None` when no slot was in reach, or the message is no phase-2a.
+    pub reply: Option<PaxosMsg>,
+    /// Commit advances from the piggybacked watermark, folded into one.
+    pub advance: CommitAdvance,
+    /// The request's ballot, when any slot was accepted under it: the
+    /// leader contact is real.
+    pub accepted: Option<Ballot>,
 }
 
-/// Accept every slot of a batched phase-2a against `acceptor`. Slots
-/// the acceptor's log cannot reach (or that overflow `u64`) get no vote;
-/// they are a suffix of the batch, reach being a single bound.
-pub fn accept_batch(
-    acceptor: &mut Acceptor,
-    ballot: Ballot,
-    first_slot: u64,
-    commands: &[Command],
-    commit_up_to: u64,
-) -> BatchAccept {
+/// The one accept body for both phase-2a forms (a `P2a` is a batch of
+/// one): accept every slot against `acceptor`. Slots the acceptor's
+/// log cannot reach (or that overflow `u64`) get no vote; they are a
+/// suffix of the batch, reach being a single bound.
+///
+/// The reply keeps the request's form, and each form its own header:
+/// - a `P2b` is headed by the voter's ballot, so a rejection carries
+///   the promised ballot there and fails the old leader's ballot guard:
+///   a direct-Paxos leader drops it, and is deposed only by the new
+///   leader's own messages;
+/// - a `P2bBatch` is headed by the request's ballot, so it reaches the
+///   proposing leader's (and any relay's) round matching even when
+///   every vote is a rejection; the rejecting votes carry the promised
+///   ballot, and the leader abdicates at once.
+pub fn accept_batch(acceptor: &mut Acceptor, msg: &PaxosMsg) -> BatchAccept {
+    let Some((ballot, first_slot, commands, commit_up_to)) = msg.as_p2a() else {
+        return BatchAccept::default();
+    };
     let mut votes = Vec::with_capacity(commands.len());
-    let mut advances = Vec::with_capacity(commands.len());
+    let mut advance = CommitAdvance::default();
     let mut any_ok = false;
     for (i, command) in commands.iter().enumerate() {
         let Some((vote, adv)) = first_slot
@@ -443,13 +457,25 @@ pub fn accept_batch(
         };
         any_ok |= vote.ok;
         votes.push(vote);
-        advances.push(adv);
+        advance.absorb(adv);
     }
+    let reply = votes.last().copied().map(|last| match msg {
+        PaxosMsg::P2a { .. } => PaxosMsg::P2b {
+            ballot: last.ballot,
+            slot: last.slot,
+            votes,
+        },
+        _ => PaxosMsg::P2bBatch {
+            ballot,
+            first_slot,
+            last_slot: last.slot,
+            votes,
+        },
+    });
     BatchAccept {
-        votes,
-        advances,
-        any_ok,
-        reply_ballot: ballot,
+        reply,
+        advance,
+        accepted: any_ok.then_some(ballot),
     }
 }
 
@@ -499,18 +525,22 @@ mod tests {
     fn propose_allocates_consecutive_slots_and_tracks_clients() {
         let mut leader = active_leader(5);
         let mut acceptor = Acceptor::new(NodeId(0), SafetyMonitor::new());
+        let mut waiting = VecDeque::new();
         let batch = vec![
             (NodeId(10), cmd(1)),
             (NodeId(11), cmd(2)),
             (NodeId(12), cmd(3)),
         ];
-        let p = propose_batch(&mut leader, &mut acceptor, batch, SimTime::ZERO);
-        assert_eq!(p.first_slot, 0);
-        assert_eq!(p.commands.len(), 3);
-        assert_eq!(
-            p.waiting,
-            vec![(0, NodeId(10)), (1, NodeId(11)), (2, NodeId(12))]
+        let p = propose_batch(
+            &mut leader,
+            &mut acceptor,
+            batch,
+            SimTime::ZERO,
+            &mut waiting,
         );
+        assert!(matches!(p.msg, PaxosMsg::P2aBatch { first_slot: 0, .. }));
+        assert_eq!(p.msg.as_p2a().map(|(_, _, c, _)| c.len()), Some(3));
+        assert_eq!(waiting, [(0, NodeId(10)), (1, NodeId(11)), (2, NodeId(12))]);
         assert!(
             p.self_commits.is_empty(),
             "5-node quorum needs more than the self vote"
@@ -519,26 +549,75 @@ mod tests {
     }
 
     #[test]
+    fn lone_command_is_a_batch_of_one_sent_as_p2a() {
+        let mut leader = active_leader(3);
+        let mut acceptor = Acceptor::new(NodeId(0), SafetyMonitor::new());
+        let mut waiting = VecDeque::new();
+        let batch = vec![(NodeId(10), cmd(1))];
+        let p = propose_batch(
+            &mut leader,
+            &mut acceptor,
+            batch,
+            SimTime::ZERO,
+            &mut waiting,
+        );
+        assert_eq!(
+            p.msg,
+            PaxosMsg::P2a {
+                ballot: leader.ballot(),
+                slot: 0,
+                command: cmd(1),
+                commit_up_to: 0,
+            }
+        );
+        assert_eq!(waiting, [(0, NodeId(10))]);
+        assert!(acceptor.log().get(0).is_some(), "the leader accepted it");
+        assert_eq!(leader.outstanding().len(), 1, "own vote alone is no quorum");
+    }
+
+    #[test]
     fn one_node_cluster_self_commits_whole_batch() {
         let mut leader = active_leader(1);
         let mut acceptor = Acceptor::new(NodeId(0), SafetyMonitor::new());
         let batch = vec![(NodeId(10), cmd(1)), (NodeId(11), cmd(2))];
-        let p = propose_batch(&mut leader, &mut acceptor, batch, SimTime::ZERO);
+        let p = propose_batch(
+            &mut leader,
+            &mut acceptor,
+            batch,
+            SimTime::ZERO,
+            &mut VecDeque::new(),
+        );
         assert_eq!(p.self_commits.len(), 2, "quorum of one: own vote decides");
         assert!(leader.outstanding().is_empty());
+    }
+
+    fn p2a_batch(ballot: Ballot, first_slot: u64, commands: Vec<Command>) -> PaxosMsg {
+        PaxosMsg::P2aBatch {
+            ballot,
+            first_slot,
+            commands: commands.into(),
+            commit_up_to: 0,
+        }
     }
 
     #[test]
     fn accept_batch_votes_per_slot() {
         let mut acceptor = Acceptor::new(NodeId(1), SafetyMonitor::new());
         let ballot = Ballot::new(1, NodeId(0));
-        let acc = accept_batch(&mut acceptor, ballot, 5, &[cmd(1), cmd(2)], 0);
-        assert!(acc.any_ok);
-        assert_eq!(acc.reply_ballot, ballot);
-        assert_eq!(acc.votes.len(), 2);
-        assert_eq!(acc.votes[0].slot, 5);
-        assert_eq!(acc.votes[1].slot, 6);
-        assert!(acc.votes.iter().all(|v| v.ok));
+        let acc = accept_batch(&mut acceptor, &p2a_batch(ballot, 5, vec![cmd(1), cmd(2)]));
+        assert_eq!(acc.accepted, Some(ballot));
+        let Some(PaxosMsg::P2bBatch {
+            ballot: header,
+            first_slot: 5,
+            last_slot: 6,
+            votes,
+        }) = acc.reply
+        else {
+            panic!("a P2aBatch is answered by a P2bBatch: {:?}", acc.reply);
+        };
+        assert_eq!(header, ballot);
+        assert_eq!(votes.iter().map(|v| v.slot).collect::<Vec<_>>(), [5, 6]);
+        assert!(votes.iter().all(|v| v.ok));
     }
 
     #[test]
@@ -547,15 +626,18 @@ mod tests {
         let high = Ballot::new(9, NodeId(2));
         acceptor.on_p1a(high, 0);
         let stale = Ballot::new(1, NodeId(0));
-        let acc = accept_batch(&mut acceptor, stale, 0, &[cmd(1)], 0);
-        assert!(!acc.any_ok);
+        let acc = accept_batch(&mut acceptor, &p2a_batch(stale, 0, vec![cmd(1)]));
+        assert_eq!(acc.accepted, None);
+        let Some(PaxosMsg::P2bBatch { ballot, votes, .. }) = acc.reply else {
+            panic!("a P2aBatch is answered by a P2bBatch: {:?}", acc.reply);
+        };
         assert_eq!(
-            acc.reply_ballot, stale,
+            ballot, stale,
             "reply header keeps the request ballot so the proposer's \
              round matching accepts the nack"
         );
         assert_eq!(
-            acc.votes[0].ballot, high,
+            votes[0].ballot, high,
             "the vote itself carries the promised ballot for preemption"
         );
     }
@@ -563,6 +645,7 @@ mod tests {
     #[test]
     fn rejected_batch_preempts_the_proposing_leader_immediately() {
         let mut leader = active_leader(3);
+        let mut own = Acceptor::new(NodeId(0), SafetyMonitor::new());
         let ballot = leader.ballot();
         let slot = leader.propose(Some(NodeId(10)), cmd(1), SimTime::ZERO);
 
@@ -570,23 +653,27 @@ mod tests {
         let mut follower = Acceptor::new(NodeId(1), SafetyMonitor::new());
         let high = Ballot::new(50, NodeId(2));
         follower.on_p1a(high, 0);
-        let acc = accept_batch(&mut follower, ballot, slot, &[cmd(1)], 0);
+        let acc = accept_batch(&mut follower, &p2a_batch(ballot, slot, vec![cmd(1)]));
+        let Some(PaxosMsg::P2bBatch { ballot, votes, .. }) = acc.reply else {
+            panic!("a P2aBatch is answered by a P2bBatch: {:?}", acc.reply);
+        };
 
         // The reply header matches the leader's ballot, so the guard
         // passes and the nack is seen at once.
-        let out = count_batch_votes(&mut leader, acc.reply_ballot, acc.votes)
+        let wave = apply_batch_votes(&mut leader, &mut own, ballot, votes)
             .expect("request-ballot header must pass the leader guard");
-        assert_eq!(out.preempted, Some(high));
+        assert_eq!(wave.preempted, Some(high));
     }
 
     #[test]
     fn count_votes_guards_inactive_and_stale() {
         let mut leader = active_leader(3);
+        let mut own = Acceptor::new(NodeId(0), SafetyMonitor::new());
         let stale = Ballot::new(999, NodeId(7));
-        assert!(count_batch_votes(&mut leader, stale, vec![]).is_none());
+        assert!(apply_batch_votes(&mut leader, &mut own, stale, vec![]).is_none());
         leader.demote();
         let b = leader.ballot();
-        assert!(count_batch_votes(&mut leader, b, vec![]).is_none());
+        assert!(apply_batch_votes(&mut leader, &mut own, b, vec![]).is_none());
     }
 
     // ---- BatchLane ------------------------------------------------------

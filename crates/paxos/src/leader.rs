@@ -30,18 +30,6 @@ pub enum Phase1Outcome {
     },
 }
 
-/// Outcome of [`Leader::on_p2b_batch`]: slots that reached quorum plus
-/// any preempting ballot seen while counting.
-#[derive(Debug, PartialEq)]
-pub struct BatchVotesOutcome {
-    /// `(slot, command, waiting client)` per newly decided slot, in
-    /// slot order.
-    pub committed: Vec<(u64, Command, Option<NodeId>)>,
-    /// Highest preempting ballot observed, if any — the replica must
-    /// still apply every commit before abdicating.
-    pub preempted: Option<Ballot>,
-}
-
 /// A proposal in flight.
 #[derive(Debug)]
 pub struct Outstanding {
@@ -208,8 +196,8 @@ impl Leader {
     }
 
     /// Allocate a slot and register the proposal. The caller constructs
-    /// and disseminates the P2a and feeds the leader's own acceptor vote
-    /// back via [`Leader::on_p2b_votes`].
+    /// and disseminates the phase-2a and feeds the leader's own acceptor
+    /// vote back via [`Leader::on_p2b_vote`].
     pub fn propose(&mut self, client: Option<NodeId>, command: Command, now: SimTime) -> u64 {
         assert!(self.active, "propose on inactive leader");
         let slot = self.next_slot;
@@ -235,15 +223,12 @@ impl Leader {
     }
 
     /// Feed a single phase-2b vote for the slot it carries. Returns the
-    /// commit if the vote completed a quorum: `(slot, command, waiting
-    /// client)`. A preempting higher ballot is reported via
-    /// `Err(higher)`. This is the allocation-free core of the vote
-    /// path; the batched entry points layer ordering on top of it.
-    #[allow(clippy::type_complexity)]
-    pub fn on_p2b_vote(
-        &mut self,
-        v: P2bVote,
-    ) -> Result<Option<(u64, Command, Option<NodeId>)>, Ballot> {
+    /// commit if the vote completed a quorum: `(slot, command)`. A
+    /// preempting higher ballot is reported via `Err(higher)`. This is
+    /// the allocation-free core of the vote path: the leader's own vote
+    /// goes straight in, and [`Leader::on_p2b_batch`] orders every
+    /// received vote on top of it.
+    pub fn on_p2b_vote(&mut self, v: P2bVote) -> Result<Option<(u64, Command)>, Ballot> {
         let Some(out) = self.outstanding.get_mut(&v.slot) else {
             return Ok(None); // already committed or unknown
         };
@@ -256,41 +241,22 @@ impl Leader {
         }
         if out.tracker.ack(v.node, self.ballot) {
             let out = self.outstanding.remove(&v.slot).expect("present");
-            return Ok(Some((v.slot, out.command, out.client)));
+            return Ok(Some((v.slot, out.command)));
         }
         Ok(None)
     }
 
-    /// Feed phase-2b votes. Returns slots that just reached quorum:
-    /// `(slot, command, waiting client)`. A preempting higher ballot is
-    /// reported via `Err(higher)`.
-    #[allow(clippy::type_complexity)]
-    pub fn on_p2b_votes(
-        &mut self,
-        slot: u64,
-        votes: Vec<P2bVote>,
-    ) -> Result<Option<(u64, Command, Option<NodeId>)>, Ballot> {
-        if !self.outstanding.contains_key(&slot) {
-            return Ok(None); // already committed or unknown
-        }
-        for v in votes {
-            match self.on_p2b_vote(P2bVote { slot, ..v })? {
-                Some(c) => return Ok(Some(c)),
-                None => continue,
-            }
-        }
-        Ok(None)
-    }
-
-    /// Feed a batched set of phase-2b votes spanning multiple slots
-    /// (one `P2bVote` per `(node, slot)` pair, as carried by
-    /// `P2bBatch`). Votes are counted per slot — in slot order, so
-    /// commits come out ready for in-order execution — through the
-    /// ordinary single-slot quorum counting. Every slot of the
-    /// batch is counted even when one slot reports a preempting ballot:
-    /// a quorum of acks at our ballot means *chosen*, and dropping such
-    /// a commit would strand its client (the slot is already out of
-    /// `outstanding`, so `demote` could not re-queue it).
+    /// Feed the phase-2b votes of one `P2b` or `P2bBatch` (one
+    /// `P2bVote` per `(node, slot)` pair, possibly aggregated by a
+    /// relay). Votes are counted per slot — in slot order, so commits
+    /// come out ready for in-order execution — through
+    /// [`Leader::on_p2b_vote`], and each slot that reaches quorum is
+    /// handed to `decided` as `(slot, command)`. Returns the highest
+    /// preempting ballot seen, if any. Every slot is counted even when
+    /// one reports a preempting ballot: a quorum of acks at our ballot
+    /// means *chosen*, and dropping such a commit would strand its
+    /// client (the slot is already out of `outstanding`, so `demote`
+    /// could not re-queue it).
     ///
     /// The votes are ordered with an in-place *stable* insertion sort
     /// instead of being grouped into per-slot containers: follower
@@ -298,7 +264,11 @@ impl Leader {
     /// the sort is near-linear, allocates nothing, and stability keeps
     /// each slot's votes in arrival order — preserving exactly which
     /// vote completes a quorum or reports a preemption first.
-    pub fn on_p2b_batch(&mut self, mut votes: Vec<P2bVote>) -> BatchVotesOutcome {
+    pub fn on_p2b_batch(
+        &mut self,
+        mut votes: Vec<P2bVote>,
+        mut decided: impl FnMut(u64, Command),
+    ) -> Option<Ballot> {
         for i in 1..votes.len() {
             let mut j = i;
             while j > 0 && votes[j - 1].slot > votes[j].slot {
@@ -306,10 +276,7 @@ impl Leader {
                 j -= 1;
             }
         }
-        let mut out = BatchVotesOutcome {
-            committed: Vec::new(),
-            preempted: None,
-        };
+        let mut preempted = None;
         let mut i = 0;
         while i < votes.len() {
             let slot = votes[i].slot;
@@ -322,23 +289,20 @@ impl Leader {
             // moot (the old per-slot grouping behaved identically).
             for &vote in &votes[i..end] {
                 match self.on_p2b_vote(vote) {
-                    Ok(Some(c)) => {
-                        out.committed.push(c);
+                    Ok(Some((slot, command))) => {
+                        decided(slot, command);
                         break;
                     }
                     Ok(None) => {}
                     Err(higher) => {
-                        out.preempted = Some(match out.preempted {
-                            Some(prev) => prev.max(higher),
-                            None => higher,
-                        });
+                        preempted = preempted.max(Some(higher));
                         break;
                     }
                 }
             }
             i = end;
         }
-        out
+        preempted
     }
 
     /// Demote after preemption: drop in-flight proposals back into the
@@ -442,6 +406,14 @@ mod tests {
             slot,
             ok: true,
         }
+    }
+
+    /// Count `votes` as one phase-2b: the slots it decided, in order,
+    /// and any preempting ballot.
+    fn count(l: &mut Leader, votes: Vec<P2bVote>) -> (Vec<(u64, Command)>, Option<Ballot>) {
+        let mut decided = Vec::new();
+        let preempted = l.on_p2b_batch(votes, |slot, cmd| decided.push((slot, cmd)));
+        (decided, preempted)
     }
 
     #[test]
@@ -569,18 +541,12 @@ mod tests {
         let mut l = active_leader(5);
         let b = l.ballot();
         let slot = l.propose(Some(NodeId(10)), cmd(1), SimTime::ZERO);
-        assert_eq!(l.on_p2b_votes(slot, vec![p2b_ok(0, b, slot)]), Ok(None));
-        assert_eq!(l.on_p2b_votes(slot, vec![p2b_ok(1, b, slot)]), Ok(None));
-        let r = l
-            .on_p2b_votes(slot, vec![p2b_ok(2, b, slot)])
-            .unwrap()
-            .unwrap();
-        assert_eq!(r.0, slot);
-        assert_eq!(r.1, cmd(1));
-        assert_eq!(r.2, Some(NodeId(10)));
+        assert_eq!(l.on_p2b_vote(p2b_ok(0, b, slot)), Ok(None));
+        assert_eq!(l.on_p2b_vote(p2b_ok(1, b, slot)), Ok(None));
+        assert_eq!(l.on_p2b_vote(p2b_ok(2, b, slot)), Ok(Some((slot, cmd(1)))));
         assert!(l.outstanding().is_empty());
         // Late votes for a committed slot are harmless.
-        assert_eq!(l.on_p2b_votes(slot, vec![p2b_ok(3, b, slot)]), Ok(None));
+        assert_eq!(l.on_p2b_vote(p2b_ok(3, b, slot)), Ok(None));
     }
 
     #[test]
@@ -590,9 +556,9 @@ mod tests {
         let slot = l.propose(None, cmd(1), SimTime::ZERO);
         // A PigPaxos relay aggregate carrying 3 votes at once.
         let votes = vec![p2b_ok(0, b, slot), p2b_ok(1, b, slot), p2b_ok(2, b, slot)];
-        let r = l.on_p2b_votes(slot, votes).unwrap();
-        assert!(
-            r.is_some(),
+        assert_eq!(
+            count(&mut l, votes),
+            (vec![(slot, cmd(1))], None),
             "aggregate satisfying quorum commits immediately"
         );
     }
@@ -608,7 +574,7 @@ mod tests {
             slot,
             ok: false,
         };
-        assert_eq!(l.on_p2b_votes(slot, vec![nack]), Err(higher));
+        assert_eq!(count(&mut l, vec![nack]), (vec![], Some(higher)));
     }
 
     #[test]
@@ -700,20 +666,19 @@ mod tests {
         // One P2bBatch worth of votes: two nodes ack both slots (own
         // vote per slot arrives first, as the replica does it).
         for s in [s0, s1] {
-            assert_eq!(l.on_p2b_votes(s, vec![p2b_ok(0, b, s)]), Ok(None));
+            assert_eq!(l.on_p2b_vote(p2b_ok(0, b, s)), Ok(None));
         }
         let votes = vec![
-            p2b_ok(1, b, s0),
             p2b_ok(1, b, s1),
-            p2b_ok(2, b, s0),
+            p2b_ok(1, b, s0),
             p2b_ok(2, b, s1),
+            p2b_ok(2, b, s0),
         ];
-        let out = l.on_p2b_batch(votes);
-        assert_eq!(out.preempted, None);
-        assert_eq!(out.committed.len(), 2);
-        assert_eq!(out.committed[0].0, s0, "commits come out in slot order");
-        assert_eq!(out.committed[1].0, s1);
-        assert_eq!(out.committed[0].2, Some(NodeId(10)));
+        assert_eq!(
+            count(&mut l, votes),
+            (vec![(s0, cmd(1)), (s1, cmd(2))], None),
+            "commits come out in slot order"
+        );
         assert!(l.outstanding().is_empty());
     }
 
@@ -732,9 +697,7 @@ mod tests {
                 ok: false,
             },
         ];
-        let out = l.on_p2b_batch(votes);
-        assert_eq!(out.preempted, Some(higher));
-        assert!(out.committed.is_empty());
+        assert_eq!(count(&mut l, votes), (vec![], Some(higher)));
     }
 
     #[test]
@@ -746,8 +709,8 @@ mod tests {
         let s0 = l.propose(Some(NodeId(10)), cmd(1), SimTime::ZERO);
         let s1 = l.propose(Some(NodeId(11)), cmd(2), SimTime::ZERO);
         for s in [s0, s1] {
-            assert_eq!(l.on_p2b_votes(s, vec![p2b_ok(0, b, s)]), Ok(None));
-            assert_eq!(l.on_p2b_votes(s, vec![p2b_ok(1, b, s)]), Ok(None));
+            assert_eq!(l.on_p2b_vote(p2b_ok(0, b, s)), Ok(None));
+            assert_eq!(l.on_p2b_vote(p2b_ok(1, b, s)), Ok(None));
         }
         let higher = Ballot::new(50, NodeId(3));
         let votes = vec![
@@ -759,13 +722,10 @@ mod tests {
                 ok: false,
             },
         ];
-        let out = l.on_p2b_batch(votes);
         assert_eq!(
-            out.committed.len(),
-            1,
+            count(&mut l, votes),
+            (vec![(s0, cmd(1))], Some(higher)),
             "quorum-complete slot survives the nack"
         );
-        assert_eq!(out.committed[0].0, s0);
-        assert_eq!(out.preempted, Some(higher));
     }
 }

@@ -26,11 +26,11 @@ pub mod replica;
 
 pub use acceptor::{Acceptor, CommitAdvance, LearnAnswer};
 pub use batching::{
-    accept_batch, apply_batch_votes, count_batch_votes, propose_batch, Batch, BatchAccept,
-    BatchLane, BatchProposal, VoteWave,
+    accept_batch, accept_own, apply_batch_votes, propose_batch, Batch, BatchAccept, BatchLane,
+    Proposal, VoteWave,
 };
 pub use config::PaxosConfig;
-pub use leader::{BatchVotesOutcome, Leader, Outstanding, Phase1Outcome};
+pub use leader::{Leader, Outstanding, Phase1Outcome};
 pub use messages::{
     P1bVote, P2bVote, PaxosMsg, QrProbe, QrProbeVote, QrVoteEntry, QR_PROBE_LABELS,
 };

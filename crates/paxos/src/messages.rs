@@ -142,10 +142,11 @@ pub enum PaxosMsg {
         /// Individual acks.
         votes: Vec<P2bVote>,
     },
-    /// Phase-2a for a *contiguous run* of slots — the leader-side
-    /// client-command batching fast path. One message amortizes
-    /// `commands.len()` accept rounds; slot `first_slot + i` carries
-    /// `commands[i]`. Semantically identical to that many `P2a`s.
+    /// Phase-2a for a *contiguous run* of slots — the form a flushed
+    /// batch of two or more commands takes (a batch of one is a `P2a`).
+    /// One message amortizes `commands.len()` accept rounds; slot
+    /// `first_slot + i` carries `commands[i]`. Semantically identical to
+    /// that many `P2a`s.
     P2aBatch {
         /// Leader's ballot.
         ballot: Ballot,
@@ -259,6 +260,28 @@ pub enum PaxosMsg {
         /// Individual per-probe answers.
         votes: Vec<QrProbeVote>,
     },
+}
+
+impl PaxosMsg {
+    /// A phase-2a's `(ballot, first_slot, commands, commit_up_to)`,
+    /// whichever its form: a `P2a` is a batch of one.
+    pub fn as_p2a(&self) -> Option<(Ballot, u64, &[Command], u64)> {
+        match self {
+            PaxosMsg::P2a {
+                ballot,
+                slot,
+                command,
+                commit_up_to,
+            } => Some((*ballot, *slot, std::slice::from_ref(command), *commit_up_to)),
+            PaxosMsg::P2aBatch {
+                ballot,
+                first_slot,
+                commands,
+                commit_up_to,
+            } => Some((*ballot, *first_slot, commands, *commit_up_to)),
+            _ => None,
+        }
+    }
 }
 
 impl ProtoMessage for PaxosMsg {
@@ -420,10 +443,15 @@ fn decode_p2b_vote(base: u64, r: &mut WireReader<'_>) -> Result<P2bVote, WireErr
     let node = NodeId(r.u32("p2b.node")?);
     let ballot = Ballot::decode(r)?;
     let packed = r.u16("p2b.packed")?;
+    // The base slot comes off the wire too, so their sum may name no
+    // slot at all.
+    let slot = base
+        .checked_add((packed & 0x7FFF) as u64)
+        .ok_or(WireError::Overflow { what: "p2b.slot" })?;
     Ok(P2bVote {
         node,
         ballot,
-        slot: base + (packed & 0x7FFF) as u64,
+        slot,
         ok: packed & (1 << 15) != 0,
     })
 }

@@ -24,10 +24,10 @@
 //! paper's contribution.
 
 use crate::acceptor::{Acceptor, CommitAdvance, LearnAnswer};
-use crate::batching::{self, Batch, BatchLane};
+use crate::batching::{self, Batch, BatchLane, Proposal};
 use crate::config::PaxosConfig;
 use crate::leader::{Leader, Phase1Outcome};
-use crate::messages::{P2bVote, PaxosMsg, QrProbeVote, QrVoteEntry, META_LEN_MAX};
+use crate::messages::{PaxosMsg, QrProbeVote, QrVoteEntry, META_LEN_MAX};
 use paxi::{
     Ballot, ClientReply, ClientRequest, ClusterConfig, Command, Ctx, Envelope, Key, KvStore,
     ProtoMessage, ReplicaActor, ReplicaCtx, ReplyBatcher, RequestId, SessionTable, Value,
@@ -263,7 +263,13 @@ impl<D: Dissemination> Replica<D> {
                 self.known_leader = Some(self.me);
                 for (slot, cmd) in reproposals {
                     self.leader.register(slot, cmd.clone(), None, ctx.now());
-                    self.send_accepts(slot, cmd, ctx);
+                    let p = batching::accept_own(
+                        &mut self.leader,
+                        &mut self.acceptor,
+                        slot,
+                        std::iter::once(cmd),
+                    );
+                    self.fan_out_proposal(p, ctx);
                 }
                 // Serve commands that queued up during the campaign,
                 // through the same admission path as live requests.
@@ -307,55 +313,27 @@ impl<D: Dissemination> Replica<D> {
         }
     }
 
-    /// Propose a flushed batch: allocate consecutive slots, self-vote
-    /// each, then fan out a single `P2aBatch` carrying all of them —
-    /// this is where N commands start costing one message per follower
-    /// (or per relay group) instead of N.
-    fn propose_batch(&mut self, mut batch: Batch, ctx: &mut Ctx<D::Msg>) {
-        if batch.len() <= 1 {
-            if let Some((client, cmd)) = batch.pop() {
-                let slot = self.leader.propose(Some(client), cmd.clone(), ctx.now());
-                self.waiting.push_back((slot, client));
-                self.send_accepts(slot, cmd, ctx);
-            }
-            return;
-        }
-        let p = batching::propose_batch(&mut self.leader, &mut self.acceptor, batch, ctx.now());
-        self.waiting.extend(p.waiting);
-        for adv in p.advances {
-            self.finish_advance(adv, ctx);
-        }
+    /// Propose a flushed batch of any size (see
+    /// [`batching::propose_batch`]) and fan it out.
+    fn propose_batch(&mut self, batch: Batch, ctx: &mut Ctx<D::Msg>) {
+        let p = batching::propose_batch(
+            &mut self.leader,
+            &mut self.acceptor,
+            batch,
+            ctx.now(),
+            &mut self.waiting,
+        );
+        self.fan_out_proposal(p, ctx);
+    }
+
+    /// Apply what the leader's own acceptance of a phase-2a produced,
+    /// then fan the phase-2a out to a quorum.
+    fn fan_out_proposal(&mut self, p: Proposal, ctx: &mut Ctx<D::Msg>) {
+        self.finish_advance(p.advance, ctx);
         for (slot, cmd) in p.self_commits {
             self.commit_and_execute(slot, cmd, ctx);
         }
-        let msg = PaxosMsg::P2aBatch {
-            ballot: p.ballot,
-            first_slot: p.first_slot,
-            commands: p.commands,
-            commit_up_to: p.commit_up_to,
-        };
-        D::fan_out(self, msg, Reach::Quorum, ctx);
-    }
-
-    /// Self-vote on one slot, then fan its `P2a` out.
-    fn send_accepts(&mut self, slot: u64, command: Command, ctx: &mut Ctx<D::Msg>) {
-        let ballot = self.leader.ballot();
-        let commit_up_to = self.acceptor.commit_watermark();
-        let (own, adv) = self
-            .acceptor
-            .on_p2a(ballot, slot, command.clone(), commit_up_to)
-            .expect("a slot this leader allocated is in reach of its own log");
-        self.finish_advance(adv, ctx);
-        if let Ok(Some((slot, cmd, _client))) = self.leader.on_p2b_vote(own) {
-            self.commit_and_execute(slot, cmd, ctx);
-        }
-        let msg = PaxosMsg::P2a {
-            ballot,
-            slot,
-            command,
-            commit_up_to,
-        };
-        D::fan_out(self, msg, Reach::Quorum, ctx);
+        D::fan_out(self, p.msg, Reach::Quorum, ctx);
     }
 
     fn commit_and_execute(&mut self, slot: u64, cmd: Command, ctx: &mut Ctx<D::Msg>) {
@@ -503,68 +481,28 @@ impl<D: Dissemination> Replica<D> {
                 }
                 None
             }
-            PaxosMsg::P2a {
-                ballot,
-                slot,
-                command,
-                commit_up_to,
-            } => {
-                let (vote, adv) = self.acceptor.on_p2a(ballot, slot, command, commit_up_to)?;
-                if vote.ok {
+            msg @ (PaxosMsg::P2a { .. } | PaxosMsg::P2aBatch { .. }) => {
+                let acc = batching::accept_batch(&mut self.acceptor, &msg);
+                if let Some(ballot) = acc.accepted {
                     self.follow(ballot, false, ctx);
                 }
-                self.finish_advance(adv, ctx);
-                let ballot = vote.ballot;
-                let votes = vec![vote];
-                Some(PaxosMsg::P2b {
-                    ballot,
-                    slot,
-                    votes,
-                })
+                self.finish_advance(acc.advance, ctx);
+                acc.reply
             }
-            PaxosMsg::P2b {
-                ballot,
-                slot,
-                votes,
-            } => {
-                if self.leader.is_active() && ballot == self.leader.ballot() {
-                    match self.leader.on_p2b_votes(slot, votes) {
-                        Ok(Some((slot, cmd, _client))) => self.commit_and_execute(slot, cmd, ctx),
-                        Ok(None) => {}
-                        Err(higher) => self.abdicate(higher.node(), ctx),
-                    }
-                }
-                None
-            }
-            PaxosMsg::P2aBatch {
-                ballot,
-                first_slot,
-                commands,
-                commit_up_to,
-            } => {
-                let acc = batching::accept_batch(
+            PaxosMsg::P2b { ballot, votes, .. } | PaxosMsg::P2bBatch { ballot, votes, .. } => {
+                let wave = batching::apply_batch_votes(
+                    &mut self.leader,
                     &mut self.acceptor,
                     ballot,
-                    first_slot,
-                    &commands,
-                    commit_up_to,
-                );
-                for adv in acc.advances {
-                    self.finish_advance(adv, ctx);
+                    votes,
+                )?;
+                // Commits stand even when the same response reports a
+                // preemption: a quorum of acks means *chosen*, and the
+                // slot is already out of `outstanding`.
+                self.reply_executed(wave.executed, ctx);
+                if let Some(higher) = wave.preempted {
+                    self.abdicate(higher.node(), ctx);
                 }
-                if acc.any_ok {
-                    self.follow(ballot, false, ctx);
-                }
-                let last_slot = acc.votes.last()?.slot;
-                Some(PaxosMsg::P2bBatch {
-                    ballot: acc.reply_ballot,
-                    first_slot,
-                    last_slot,
-                    votes: acc.votes,
-                })
-            }
-            PaxosMsg::P2bBatch { ballot, votes, .. } => {
-                self.count_batch_votes(ballot, votes, ctx);
                 None
             }
             PaxosMsg::Heartbeat {
@@ -639,22 +577,6 @@ impl<D: Dissemination> Replica<D> {
             // Quorum-read answers belong to whoever proxies the read —
             // a disseminator's business (PigPaxos); strays are dropped.
             PaxosMsg::QrVote { .. } | PaxosMsg::QrVoteBatch { .. } => None,
-        }
-    }
-
-    /// Feed a batched phase-2b response through the guard +
-    /// commit-the-wave-then-execute-once helper. Commits are applied
-    /// even when the same batch reports a preemption — a quorum of acks
-    /// means *chosen*, and the slot is already out of `outstanding`.
-    fn count_batch_votes(&mut self, ballot: Ballot, votes: Vec<P2bVote>, ctx: &mut Ctx<D::Msg>) {
-        let Some(wave) =
-            batching::apply_batch_votes(&mut self.leader, &mut self.acceptor, ballot, votes)
-        else {
-            return;
-        };
-        self.reply_executed(wave.executed, ctx);
-        if let Some(higher) = wave.preempted {
-            self.abdicate(higher.node(), ctx);
         }
     }
 }
@@ -758,8 +680,11 @@ impl<D: Dissemination> paxi::Replica<D::Msg> for Replica<D> {
             Some(Timer::Learn) => self.send_learn_request(ctx),
             Some(Timer::Batch) => {
                 if self.leader.is_active() {
+                    // The buffer may have been flushed by size already.
                     let batch = self.lane.on_flush_timer();
-                    self.propose_batch(batch, ctx);
+                    if !batch.is_empty() {
+                        self.propose_batch(batch, ctx);
+                    }
                 }
             }
             None => D::on_timer(self, kind, ctx),
@@ -798,8 +723,119 @@ impl paxi::ProtocolSpec for PaxosConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paxi::Experiment;
-    use simnet::{Control, SimDuration};
+    use crate::messages::{P1bVote, P2bVote};
+    use paxi::{Experiment, Operation, Replica as _};
+    use rand::{rngs::StdRng, SeedableRng};
+    use simnet::{Context, Control, SimDuration};
+
+    /// Run `f` in a handler context of its own at time zero; what it
+    /// sends and arms is dropped.
+    fn in_handler<R>(f: impl FnOnce(&mut Ctx<PaxosMsg>) -> R) -> R {
+        let mut rng = StdRng::seed_from_u64(1);
+        let (mut effects, mut seq) = (Vec::new(), 0);
+        f(&mut Context::new(
+            SimTime::ZERO,
+            NodeId(0),
+            &mut rng,
+            &mut effects,
+            &mut seq,
+        ))
+    }
+
+    #[test]
+    fn a_rejection_is_headed_by_the_promise_alone_and_by_the_request_in_a_batch() {
+        // The rule each reply form follows today. A lone `P2b` is
+        // headed by the voter's ballot, which fails the proposing
+        // leader's guard; a `P2bBatch` keeps the request's, and the
+        // leader abdicates on the nack inside it.
+        let command = Command {
+            id: RequestId {
+                client: NodeId(9),
+                seq: 1,
+            },
+            op: Operation::Put(1, Value::zeros(8)),
+        };
+        let mut leader = PaxosReplica::new(NodeId(0), ClusterConfig::new(3), PaxosConfig::lan());
+        let ballot = in_handler(|ctx| {
+            leader.on_start(ctx);
+            let ballot = leader.leader.ballot();
+            let votes = vec![P1bVote {
+                node: NodeId(1),
+                ballot,
+                ok: true,
+                accepted: vec![],
+                snapshot: None,
+            }];
+            leader.handle(PaxosMsg::P1b { ballot, votes }, ctx);
+            let request = ClientRequest {
+                command: command.clone(),
+            };
+            leader.on_request(NodeId(9), request, ctx);
+            ballot
+        });
+        assert!(leader.leader.is_active());
+        assert_eq!(leader.leader.outstanding().len(), 1, "slot 0 is in flight");
+
+        // A follower promised to a higher ballot rejects slot 0.
+        let promised = Ballot::new(9, NodeId(2));
+        let mut follower = PaxosReplica::new(NodeId(1), ClusterConfig::new(3), PaxosConfig::lan());
+        let lone = PaxosMsg::P2a {
+            ballot,
+            slot: 0,
+            command: command.clone(),
+            commit_up_to: 0,
+        };
+        let batch = PaxosMsg::P2aBatch {
+            ballot,
+            first_slot: 0,
+            commands: vec![command].into(),
+            commit_up_to: 0,
+        };
+        let (p2b, p2b_batch) = in_handler(|ctx| {
+            follower.handle(
+                PaxosMsg::P1a {
+                    ballot: promised,
+                    from: 0,
+                },
+                ctx,
+            );
+            (follower.handle(lone, ctx), follower.handle(batch, ctx))
+        });
+        let nack = P2bVote {
+            node: NodeId(1),
+            ballot: promised,
+            slot: 0,
+            ok: false,
+        };
+        let p2b = p2b.expect("a rejected P2a is answered");
+        assert_eq!(
+            p2b,
+            PaxosMsg::P2b {
+                ballot: promised,
+                slot: 0,
+                votes: vec![nack],
+            }
+        );
+        let p2b_batch = p2b_batch.expect("a rejected P2aBatch is answered");
+        assert_eq!(
+            p2b_batch,
+            PaxosMsg::P2bBatch {
+                ballot,
+                first_slot: 0,
+                last_slot: 0,
+                votes: vec![nack],
+            }
+        );
+
+        in_handler(|ctx| leader.handle(p2b, ctx));
+        assert!(
+            leader.leader.is_active() && leader.known_leader() == Some(NodeId(0)),
+            "a leader at the old ballot ignores a P2b headed by the promise"
+        );
+        in_handler(|ctx| leader.handle(p2b_batch, ctx));
+        assert!(!leader.leader.is_active(), "the nack in a P2bBatch deposes");
+        assert_eq!(leader.known_leader(), Some(NodeId(2)));
+    }
 
     fn exp(n: usize, clients: usize) -> Experiment<PaxosConfig> {
         Experiment::lan(PaxosConfig::lan(), n)

@@ -114,6 +114,11 @@ pub enum WireError {
     },
     /// The header's version byte is not [`WIRE_VERSION`].
     BadVersion(u8),
+    /// A number derived from decoded fields does not fit its type.
+    Overflow {
+        /// What was being decoded.
+        what: &'static str,
+    },
     /// Bytes remained after the value was fully decoded.
     TrailingBytes {
         /// The message kind that was being decoded ([`Wire::KIND`]).
@@ -129,6 +134,7 @@ impl fmt::Display for WireError {
             WireError::Truncated { what } => write!(f, "truncated while decoding {what}"),
             WireError::BadTag { what, got } => write!(f, "bad tag {got:#x} for {what}"),
             WireError::BadVersion(v) => write!(f, "unsupported wire version {v}"),
+            WireError::Overflow { what } => write!(f, "{what} overflows"),
             WireError::TrailingBytes { what, extra } => {
                 write!(f, "{extra} trailing bytes after decoding {what}")
             }

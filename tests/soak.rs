@@ -163,7 +163,9 @@ fn epaxos_soak_bounded_memory() {
 #[test]
 fn snapshot_capture_skips_static_frontier() {
     use paxi::{Ballot, ClientReply, SafetyMonitor, SessionTable};
-    use paxos::{accept_batch, apply_batch_votes, propose_batch, Acceptor, Leader, Phase1Outcome};
+    use paxos::{
+        accept_batch, apply_batch_votes, propose_batch, Acceptor, Leader, PaxosMsg, Phase1Outcome,
+    };
     use simnet::SimTime;
 
     fn decide_wave(
@@ -186,16 +188,13 @@ fn snapshot_capture_skips_static_frontier() {
                 (client, cmd)
             })
             .collect();
-        let p = propose_batch(leader, acc, batch, now);
-        let a = accept_batch(
-            follower,
-            p.ballot,
-            p.first_slot,
-            &p.commands,
-            p.commit_up_to,
-        );
+        let p = propose_batch(leader, acc, batch, now, &mut Default::default());
+        let Some(PaxosMsg::P2bBatch { ballot, votes, .. }) = accept_batch(follower, &p.msg).reply
+        else {
+            panic!("the follower votes on the whole batch");
+        };
         follower.execute_ready();
-        let wave = apply_batch_votes(leader, acc, p.ballot, a.votes).expect("wave must decide");
+        let wave = apply_batch_votes(leader, acc, ballot, votes).expect("wave must decide");
         assert!(wave.preempted.is_none(), "nothing contends here");
         for (_slot, id, value) in wave.executed {
             sessions.record(&ClientReply::ok(id, value));

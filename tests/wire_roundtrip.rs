@@ -608,6 +608,43 @@ fn p2b_vote_slot_delta_at_the_15_bit_cap() {
     check(&msg, msg.wire_size());
 }
 
+/// A vote's slot is the message's base slot plus its 15-bit delta, and
+/// both come off the wire: a base of `u64::MAX` with a nonzero delta
+/// names no slot, in either vote-carrying form, and must be refused.
+#[test]
+fn p2b_vote_slot_past_u64_max_is_refused() {
+    let ballot = Ballot::new(2, NodeId(1));
+    let vote = P2bVote {
+        node: NodeId(3),
+        ballot,
+        slot: u64::MAX,
+        ok: true,
+    };
+    let forms = [
+        PaxosMsg::P2b {
+            ballot,
+            slot: u64::MAX,
+            votes: vec![vote],
+        },
+        PaxosMsg::P2bBatch {
+            ballot,
+            first_slot: u64::MAX,
+            last_slot: u64::MAX,
+            votes: vec![vote],
+        },
+    ];
+    for msg in forms {
+        let mut bytes = msg.encode();
+        // The vote's packed `(ok, delta)` u16 ends the frame: keep the
+        // ok bit, make the delta 5.
+        let n = bytes.len();
+        bytes[n - 2] = 5;
+        bytes[n - 1] &= 0x80;
+        let decoded = PaxosMsg::decode_frame(&Bytes::from(bytes));
+        assert!(decoded.is_err(), "{msg:?} tampered decoded as {decoded:?}");
+    }
+}
+
 /// Domain 4 once carried key-range control messages. A peer still
 /// speaking that schema must get a clean rejection from every
 /// protocol's envelope, never a value. The frame is the older encoding
