@@ -14,6 +14,10 @@
 //! - `*_reduction` / `*_tput` (higher is better): fail when the current
 //!   value falls more than 10% below the baseline.
 //!
+//! A key that is *better* than its baseline by more than 10% fails too,
+//! as `STALE (re-record)`: a baseline left behind by an improvement
+//! would let the metric slide back that far before the gate noticed.
+//!
 //! Keys present only in the current run are informational (new metrics
 //! do not need a baseline to land); keys missing from the current run
 //! fail the gate — a silently dropped metric would otherwise disable
@@ -38,6 +42,25 @@ fn direction(key: &str) -> Direction {
         Direction::HigherIsBetter
     } else {
         Direction::Ignore
+    }
+}
+
+/// The gate's judgement of one key: `Ok(label)` passes, `Err(label)`
+/// fails.
+fn verdict(key: &str, base: f64, cur: f64) -> Result<&'static str, &'static str> {
+    // How much better than the baseline the current value is
+    // (negative when worse).
+    let gain = match direction(key) {
+        Direction::LowerIsBetter => base - cur,
+        Direction::HigherIsBetter => cur - base,
+        Direction::Ignore => return Ok("info"),
+    };
+    if gain < -base * TOLERANCE {
+        Err("FAIL")
+    } else if gain > base * TOLERANCE {
+        Err("STALE (re-record)")
+    } else {
+        Ok("ok")
     }
 }
 
@@ -83,25 +106,16 @@ fn main() -> ExitCode {
         } else {
             0.0
         };
-        let ok = match direction(key) {
-            Direction::LowerIsBetter => cur <= base * (1.0 + TOLERANCE),
-            Direction::HigherIsBetter => cur >= base * (1.0 - TOLERANCE),
-            Direction::Ignore => true,
-        };
-        let verdict = match (ok, matches!(direction(key), Direction::Ignore)) {
-            (_, true) => "info",
-            (true, _) => "ok",
-            (false, _) => {
-                failures += 1;
-                "FAIL"
-            }
-        };
+        let verdict = verdict(key, *base, cur).unwrap_or_else(|bad| {
+            failures += 1;
+            bad
+        });
         println!("{key:<34} {base:>12.3} {cur:>12.3} {delta_pct:>+7.1}%  {verdict}");
     }
 
     if failures > 0 {
         eprintln!(
-            "\nperf_gate: {failures} metric(s) regressed beyond {:.0}%",
+            "\nperf_gate: {failures} metric(s) regressed or went stale beyond {:.0}%",
             TOLERANCE * 100.0
         );
         ExitCode::FAILURE
@@ -111,5 +125,30 @@ fn main() -> ExitCode {
             TOLERANCE * 100.0
         );
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::verdict;
+
+    #[test]
+    fn verdict_fails_regressions_and_stale_baselines_both_ways() {
+        // Lower is better.
+        assert_eq!(verdict("x_per_op", 1.0, 1.05), Ok("ok"));
+        assert_eq!(verdict("x_per_op", 1.0, 0.95), Ok("ok"));
+        assert_eq!(verdict("x_ms", 1.0, 1.2), Err("FAIL"));
+        assert_eq!(
+            verdict("x_per_op", 0.892578, 0.392578),
+            Err("STALE (re-record)")
+        );
+        // Higher is better.
+        assert_eq!(verdict("x_tput", 100.0, 91.0), Ok("ok"));
+        assert_eq!(verdict("x_tput", 100.0, 109.0), Ok("ok"));
+        assert_eq!(verdict("x_reduction", 4.0, 3.2), Err("FAIL"));
+        assert_eq!(verdict("x_tput", 100.0, 120.0), Err("STALE (re-record)"));
+        // Other keys are only shown.
+        assert_eq!(verdict("x_bytes", 1.0, 9.0), Ok("info"));
+        assert_eq!(verdict("x_per_op", 0.0, 0.0), Ok("ok"));
     }
 }

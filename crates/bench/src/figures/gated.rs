@@ -37,12 +37,10 @@ fn batch_cfg(max_batch: usize) -> BatchConfig {
     }
 }
 
-/// PigPaxos with the PR-1 behaviour: fixed batching only, no reply or
-/// relay-round coalescing.
+/// PigPaxos with the PR-1 behaviour: fixed batching only, one reply
+/// envelope per command.
 fn pig_v1(max_batch: usize) -> PigConfig {
-    let mut cfg = PigConfig::lan(2).with_batch(batch_cfg(max_batch));
-    cfg.relay_coalesce_window = SimDuration::ZERO;
-    cfg
+    PigConfig::lan(2).with_batch(batch_cfg(max_batch))
 }
 
 /// PigPaxos with the full batching-v2 pipeline.
@@ -60,11 +58,11 @@ fn pig_v2(batch: BatchConfig) -> PigConfig {
 ///    leader-sent *protocol* messages per committed command must drop
 ///    ≥ 4× at `B = 16` vs. unbatched — the original acceptance gate.
 /// 2. **Batching v2 end-to-end** (pipelined clients): compares the PR-1
-///    configuration (fixed `B = 16`, one reply envelope per command,
-///    per-round relay uplinks) against the full pipeline — reply
-///    coalescing + multi-round relay aggregate coalescing. Gate: total
-///    leader-sent messages per command (protocol **and** replies) drop
-///    ≥ 2×.
+///    configuration (fixed `B = 16`, one reply envelope per command)
+///    against the full pipeline, which coalesces each vote wave's
+///    replies into one envelope per client. Both send one relay uplink
+///    per group per accept round. Gate: total leader-sent messages per
+///    command (protocol **and** replies) drop ≥ 2×.
 /// 3. **Adaptive sizing**: at low load the EWMA sizer must keep p50
 ///    within 1.2× of unbatched; under saturation it must amortize like
 ///    a large fixed batch.
@@ -134,7 +132,7 @@ pub fn batch_sweep(o: &Opts) -> Report {
         checked(&format!("pigpaxos B={b}"), saturated(o, pig_v1(b)))
     });
 
-    // ── 2. Batching v2 end-to-end (reply + relay-round coalescing) ────
+    // ── 2. Batching v2 end-to-end (reply coalescing) ──────────────────
     let v1 = checked("v1", pipelined(o, pig_v1(16)));
     let v2 = checked("v2", pipelined(o, pig_v2(batch_cfg(16))));
     let v1_total = trace(&v1).leader_sent_per_op();

@@ -10,6 +10,10 @@ pub const PQR_MAX_ATTEMPTS: u32 = 8;
 
 /// Full PigPaxos configuration: the underlying Paxos timers plus the
 /// relay overlay parameters.
+///
+/// A relay answers once per round: it sends its group's aggregate up
+/// when the round completes, meets `partial_threshold`, sees a
+/// rejection, or times out, batched rounds included.
 #[derive(Debug, Clone)]
 pub struct PigConfig {
     /// Timers and execution cost of the underlying Multi-Paxos.
@@ -25,14 +29,6 @@ pub struct PigConfig {
     /// first aggregate once it holds this many votes (including its own).
     /// `None` waits for the whole group (the basic protocol).
     pub partial_threshold: Option<usize>,
-    /// Multi-round aggregate coalescing: a relay holds completed
-    /// batched-round (`P2aBatch`) aggregates for up to this window and
-    /// ships several rounds' votes to the leader in one `P2bBatch` — a
-    /// second multiplier on top of leader-side command batching.
-    /// `SimDuration::ZERO` disables it. Only effective with
-    /// single-level trees (`levels == 1`); sub-relays must preserve
-    /// per-round uplinks for their parents' round matching.
-    pub relay_coalesce_window: SimDuration,
     /// Dynamic relay groups (§4.1): reshuffle membership at this period.
     pub reshuffle_interval: Option<SimDuration>,
     /// Relay tree depth: 1 = the paper's default single relay layer;
@@ -75,7 +71,6 @@ impl PigConfig {
             relay_timeout: SimDuration::from_millis(50),
             relay_scan_interval: SimDuration::from_millis(5),
             partial_threshold: None,
-            relay_coalesce_window: SimDuration::from_micros(250),
             reshuffle_interval: None,
             levels: 1,
             rotate_relays: true,
@@ -142,7 +137,6 @@ impl PigConfig {
             relay_timeout: SimDuration::from_millis(300),
             relay_scan_interval: SimDuration::from_millis(25),
             partial_threshold: None,
-            relay_coalesce_window: SimDuration::from_millis(2),
             reshuffle_interval: None,
             levels: 1,
             rotate_relays: true,

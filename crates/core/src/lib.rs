@@ -63,5 +63,4 @@ pub use groups::{GroupSpec, RelayGroups};
 pub use messages::{PigMsg, RelayPlan};
 pub use pqr::{PendingReads, ReadOutcome};
 pub use probe_batch::{ProbeBatcher, ProbePush};
-pub use relay::UplinkCoalescer;
 pub use replica::{build_plan, PigReplica, RelayTree};

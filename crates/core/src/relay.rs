@@ -5,18 +5,14 @@
 //! so far, and a deadline. Votes are flushed to the requester when the
 //! group is complete, when the partial-response threshold (§4.2) is met,
 //! immediately on any rejection (paper footnote 2), or when the relay
-//! timeout expires (§3.4).
-//!
-//! On top of per-round aggregation, [`UplinkCoalescer`] lets a relay
-//! merge *several completed batched rounds'* aggregates into one uplink
-//! `P2bBatch` — the second multiplier on top of leader-side command
-//! batching: `P2bVote`s carry their own slots, so the leader's per-slot
-//! grouping decodes a multi-round span exactly like a single round.
+//! timeout expires (§3.4). Each flush is one uplink: a relay answers
+//! once per round, batched or not (a batched round's `P2bVote`s carry
+//! their own slots).
 
 use paxi::Ballot;
 use paxos::{P1bVote, P2bVote, PaxosMsg, QrProbeVote, QrVoteEntry};
-use simnet::{NodeId, SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use simnet::{NodeId, SimTime};
+use std::collections::HashMap;
 
 /// Identifies one aggregation round at a relay. Ordered, so rounds
 /// expiring in one scan flush in a fixed order.
@@ -381,117 +377,6 @@ impl RelayTable {
     }
 }
 
-#[derive(Debug)]
-struct SpanBuf {
-    first_slot: u64,
-    last_slot: u64,
-    votes: Vec<P2bVote>,
-    rounds: usize,
-}
-
-/// Maximum rounds one coalesced uplink may span before it is flushed
-/// regardless of the window.
-pub const MAX_COALESCED_ROUNDS: usize = 4;
-
-/// Coalesces completed batched-round aggregates bound for the same
-/// destination into one multi-round `P2bBatch` uplink.
-///
-/// Only all-ok `P2Span` flushes are buffered; every other flush (single
-/// rounds, phase-1, quorum reads, and anything carrying a rejection)
-/// passes straight through — and a rejection additionally forces the
-/// buffer out, so preemption signals are never delayed.
-#[derive(Debug)]
-pub struct UplinkCoalescer {
-    window: SimDuration,
-    buf: BTreeMap<(NodeId, Ballot), SpanBuf>,
-}
-
-impl UplinkCoalescer {
-    /// Coalesce for up to `window` or [`MAX_COALESCED_ROUNDS`] rounds
-    /// per uplink. A zero `window` disables coalescing entirely.
-    pub fn new(window: SimDuration) -> Self {
-        UplinkCoalescer {
-            window,
-            buf: BTreeMap::new(),
-        }
-    }
-
-    /// A pass-through coalescer (every flush ships immediately).
-    pub fn disabled() -> Self {
-        UplinkCoalescer::new(SimDuration::ZERO)
-    }
-
-    /// The configured coalescing window.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Offer a completed aggregation flush. Returns the messages to
-    /// send now and whether this call started a coalescing window (the
-    /// caller arms the flush timer).
-    pub fn offer(&mut self, f: Flush) -> (Vec<(NodeId, PaxosMsg)>, bool) {
-        let coalescable = self.window > SimDuration::ZERO
-            && matches!(f.key, AggKey::P2Span(..))
-            && !f.votes.has_rejection();
-        if !coalescable {
-            // Rejections must not arrive after younger coalesced votes:
-            // drain the buffer first, then the pass-through flush.
-            let mut out = if f.votes.has_rejection() {
-                self.flush_all()
-            } else {
-                Vec::new()
-            };
-            out.push((f.reply_to, f.votes.into_message(f.key)));
-            return (out, false);
-        }
-        let AggKey::P2Span(ballot, first, last) = f.key else {
-            unreachable!("checked coalescable");
-        };
-        let VoteSet::P2(votes) = f.votes else {
-            unreachable!("P2Span flushes carry P2 votes");
-        };
-        let was_empty = self.buf.is_empty();
-        let entry = self.buf.entry((f.reply_to, ballot)).or_insert(SpanBuf {
-            first_slot: first,
-            last_slot: last,
-            votes: Vec::new(),
-            rounds: 0,
-        });
-        entry.first_slot = entry.first_slot.min(first);
-        entry.last_slot = entry.last_slot.max(last);
-        entry.votes.extend(votes);
-        entry.rounds += 1;
-        if entry.rounds >= MAX_COALESCED_ROUNDS {
-            let key = (f.reply_to, ballot);
-            let buf = self.buf.remove(&key).expect("present");
-            return (vec![(f.reply_to, Self::into_msg(ballot, buf))], false);
-        }
-        (Vec::new(), was_empty)
-    }
-
-    /// Drain every buffered span (the coalesce-window timer).
-    pub fn flush_all(&mut self) -> Vec<(NodeId, PaxosMsg)> {
-        std::mem::take(&mut self.buf)
-            .into_iter()
-            .map(|((reply_to, ballot), buf)| (reply_to, Self::into_msg(ballot, buf)))
-            .collect()
-    }
-
-    fn into_msg(ballot: Ballot, buf: SpanBuf) -> PaxosMsg {
-        PaxosMsg::P2bBatch {
-            ballot,
-            first_slot: buf.first_slot,
-            last_slot: buf.last_slot,
-            votes: buf.votes,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -739,103 +624,6 @@ mod tests {
             .collect();
         let slots = [5, 9, 1, 3].map(|slot| AggKey::P2(b(), slot));
         assert_eq!(order, slots);
-    }
-
-    fn span_flush(reply_to: u32, first: u64, last: u64, ok: bool) -> Flush {
-        let votes: Vec<P2bVote> = (first..=last)
-            .map(|s| P2bVote {
-                node: NodeId(1),
-                ballot: b(),
-                slot: s,
-                ok,
-            })
-            .collect();
-        Flush {
-            reply_to: NodeId(reply_to),
-            key: AggKey::P2Span(b(), first, last),
-            votes: VoteSet::P2(votes),
-        }
-    }
-
-    #[test]
-    fn coalescer_merges_rounds_into_one_uplink() {
-        let mut c = UplinkCoalescer::new(SimDuration::from_micros(250));
-        let (out, arm) = c.offer(span_flush(0, 0, 3, true));
-        assert!(out.is_empty(), "first round buffered");
-        assert!(arm, "first buffered round starts the window");
-        let (out, arm) = c.offer(span_flush(0, 4, 7, true));
-        assert!(out.is_empty() && !arm, "second round joins the buffer");
-        let flushed = c.flush_all();
-        assert_eq!(flushed.len(), 1, "two rounds, one uplink message");
-        match &flushed[0].1 {
-            PaxosMsg::P2bBatch {
-                first_slot,
-                last_slot,
-                votes,
-                ..
-            } => {
-                assert_eq!((*first_slot, *last_slot), (0, 7), "span widened");
-                assert_eq!(votes.len(), 8, "all votes of both rounds");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn coalescer_round_cap_flushes_immediately() {
-        let mut c = UplinkCoalescer::new(SimDuration::from_micros(250));
-        for round in 0..MAX_COALESCED_ROUNDS as u64 - 1 {
-            let held = c.offer(span_flush(0, 2 * round, 2 * round + 1, true));
-            assert!(held.0.is_empty());
-        }
-        let (out, _) = c.offer(span_flush(0, 6, 7, true));
-        assert_eq!(out.len(), 1, "round cap ships the merged uplink");
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn coalescer_rejection_drains_buffer_and_passes_through() {
-        let mut c = UplinkCoalescer::new(SimDuration::from_micros(250));
-        c.offer(span_flush(0, 0, 1, true));
-        let (out, arm) = c.offer(span_flush(0, 2, 3, false));
-        assert!(!arm);
-        assert_eq!(out.len(), 2, "buffered span + the rejection itself");
-        match &out[1].1 {
-            PaxosMsg::P2bBatch { votes, .. } => assert!(votes.iter().all(|v| !v.ok)),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn coalescer_disabled_and_non_span_pass_through() {
-        let mut c = UplinkCoalescer::disabled();
-        let (out, arm) = c.offer(span_flush(0, 0, 3, true));
-        assert_eq!(out.len(), 1);
-        assert!(!arm);
-
-        let mut c = UplinkCoalescer::new(SimDuration::from_micros(250));
-        let single = Flush {
-            reply_to: NodeId(0),
-            key: AggKey::P2(b(), 7),
-            votes: own_p2(1, true),
-        };
-        let (out, arm) = c.offer(single);
-        assert_eq!(out.len(), 1, "single-slot rounds never coalesce");
-        assert!(!arm);
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn coalescer_keeps_destinations_separate() {
-        let mut c = UplinkCoalescer::new(SimDuration::from_micros(250));
-        c.offer(span_flush(0, 0, 1, true));
-        c.offer(span_flush(5, 2, 3, true));
-        let flushed = c.flush_all();
-        assert_eq!(flushed.len(), 2, "one uplink per destination");
-        assert_eq!(flushed[0].0, NodeId(0));
-        assert_eq!(flushed[1].0, NodeId(5));
     }
 
     #[test]

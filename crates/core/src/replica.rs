@@ -21,7 +21,7 @@ use crate::groups::{GroupSpec, RelayGroups};
 use crate::messages::{PigMsg, RelayPlan};
 use crate::pqr::{PendingReads, ReadOutcome};
 use crate::probe_batch::{ProbeBatcher, ProbePush, ProbeRelease};
-use crate::relay::{AggKey, Flush, RelayTable, UplinkCoalescer, VoteSet};
+use crate::relay::{AggKey, Flush, RelayTable, VoteSet};
 use paxi::{
     ClientReply, ClusterConfig, Command, CompactionStats, Ctx, Envelope, ReplicaActor, ReplicaCtx,
 };
@@ -32,10 +32,9 @@ use simnet::{Actor, NodeId};
 use std::collections::BTreeSet;
 
 // Timer kinds live in the low byte, above the core's [`paxos::Timer`]
-// range; the payload (e.g. a read id) in the rest.
+// range; the payload (e.g. a read id) in the rest. `+ 2` is unused.
 const T_RELAY_SCAN: u64 = paxos::Timer::DISSEMINATION_BASE;
 const T_RESHUFFLE: u64 = T_RELAY_SCAN + 1;
-const T_AGG_FLUSH: u64 = T_RELAY_SCAN + 2;
 const T_PQR_RINSE: u64 = T_RELAY_SCAN + 3;
 const T_PROBE_FLUSH: u64 = T_RELAY_SCAN + 4;
 const T_PROBE_WAVE: u64 = T_RELAY_SCAN + 5;
@@ -53,10 +52,6 @@ pub struct RelayTree {
     cfg: PigConfig,
     groups: RelayGroups,
     relays: RelayTable,
-    /// Multi-round uplink coalescing (relay role).
-    coalescer: UplinkCoalescer,
-    /// True while an uplink coalesce-window timer is in flight.
-    agg_timer_armed: bool,
     reads: PendingReads,
     /// Votes a quorum read needs before it may answer.
     read_quorum: usize,
@@ -143,7 +138,7 @@ impl RelayTree {
                     r.d.relays
                         .open(key, reply_to, expect, own, threshold, deadline);
                 if let Some(f) = flush {
-                    r.d.send_flush(f, ctx);
+                    Self::send_flush(f, ctx);
                 }
             }
             // Not a round (a relayed catch-up request, say): the answer
@@ -169,25 +164,16 @@ impl RelayTree {
             }
             Ok((key, votes)) if r.d.relays.expects(key, from) => {
                 if let Some(f) = r.d.relays.add(key, from, votes) {
-                    r.d.send_flush(f, ctx);
+                    Self::send_flush(f, ctx);
                 }
             }
             Ok((key, votes)) => r.deliver(from, votes.into_message(key), ctx),
         }
     }
 
-    /// Ship a completed aggregation, possibly holding batched-round
-    /// aggregates in the uplink coalescer so several accept rounds share
-    /// one `P2bBatch` to the leader.
-    fn send_flush(&mut self, f: Flush, ctx: &mut Ctx<PigMsg>) {
-        let (msgs, arm) = self.coalescer.offer(f);
-        for (to, msg) in msgs {
-            ctx.send_proto(to, PigMsg::Direct(msg));
-        }
-        if arm && !self.agg_timer_armed {
-            self.agg_timer_armed = true;
-            ctx.set_timer(self.coalescer.window(), T_AGG_FLUSH);
-        }
+    /// Ship a completed aggregation: one uplink per round.
+    fn send_flush(f: Flush, ctx: &mut Ctx<PigMsg>) {
+        ctx.send_proto(f.reply_to, PigMsg::Direct(f.votes.into_message(f.key)));
     }
 
     // ---- quorum reads (§4.3) ---------------------------------------------
@@ -389,21 +375,11 @@ impl Dissemination for RelayTree {
             }
             other => other.clone(),
         };
-        // Sub-relays must answer their parent per round (the parent's
-        // aggregation is keyed by the round's exact span), so multi-
-        // round coalescing is only safe on single-level trees.
-        let coalescer = if cfg.levels == 1 {
-            UplinkCoalescer::new(cfg.relay_coalesce_window)
-        } else {
-            UplinkCoalescer::disabled()
-        };
         let paxos = cfg.paxos.clone();
         let tree = RelayTree {
             me,
             groups: RelayGroups::build(&cluster.peers(me), &spec),
             relays: RelayTable::new(),
-            coalescer,
-            agg_timer_armed: false,
             reads: PendingReads::new(),
             // A read must meet every phase-2 quorum, as phase 1 must.
             read_quorum: paxos
@@ -477,7 +453,7 @@ impl Dissemination for RelayTree {
             T_RELAY_SCAN => {
                 let d = &mut r.d;
                 for f in d.relays.expire(ctx.now()) {
-                    d.send_flush(f, ctx);
+                    Self::send_flush(f, ctx);
                 }
                 // Piggyback the quorum-read starvation sweep: a read
                 // whose current attempt has waited far longer than any
@@ -498,12 +474,6 @@ impl Dissemination for RelayTree {
                 r.d.groups.reshuffle(ctx.rng());
                 if let Some(interval) = r.d.cfg.reshuffle_interval {
                     ctx.set_timer(interval, T_RESHUFFLE);
-                }
-            }
-            T_AGG_FLUSH => {
-                r.d.agg_timer_armed = false;
-                for (to, msg) in r.d.coalescer.flush_all() {
-                    ctx.send_proto(to, PigMsg::Direct(msg));
                 }
             }
             T_PQR_RINSE => match r.d.reads.restart(payload, ctx.now()) {

@@ -274,8 +274,8 @@ pub struct TraceSummary {
     /// Leader-sent client-reply envelopes (`reply` + `reply_batch`) —
     /// what reply coalescing amortizes.
     pub leader_replies_per_op: f64,
-    /// Protocol messages *received* by the leader (the relay→leader
-    /// uplink hop that multi-round aggregate coalescing amortizes).
+    /// Protocol messages *received* by the leader: the relay→leader
+    /// uplink hop, one aggregate per relay per round.
     pub leader_proto_recv_per_op: f64,
 }
 

@@ -169,7 +169,7 @@ impl Leader {
                     }
                 }
             }
-            if self.p1_tracker.ack(v.node, self.ballot) {
+            if self.p1_tracker.ack(v.node, v.ballot) {
                 return self.finish_campaign(watermark);
             }
         }
@@ -239,7 +239,7 @@ impl Leader {
             out.tracker.nack(v.node);
             return Ok(None);
         }
-        if out.tracker.ack(v.node, self.ballot) {
+        if out.tracker.ack(v.node, v.ballot) {
             let out = self.outstanding.remove(&v.slot).expect("present");
             return Ok(Some((v.slot, out.command)));
         }
@@ -547,6 +547,31 @@ mod tests {
         assert!(l.outstanding().is_empty());
         // Late votes for a committed slot are harmless.
         assert_eq!(l.on_p2b_vote(p2b_ok(3, b, slot)), Ok(None));
+    }
+
+    #[test]
+    fn ok_votes_at_an_older_ballot_complete_no_quorum() {
+        let mut l = Leader::new(NodeId(0), 3);
+        let old = l.start_campaign(Ballot::ZERO);
+        let b = l.start_campaign(old);
+        assert!(old < b);
+        assert_eq!(
+            l.on_p1b_votes(vec![p1b_ok(0, b), p1b_ok(1, old)], 0, REACH),
+            Phase1Outcome::Pending,
+            "a promise to the old ballot is not one to the new"
+        );
+        assert!(matches!(
+            l.on_p1b_votes(vec![p1b_ok(1, b)], 0, REACH),
+            Phase1Outcome::Won { .. }
+        ));
+        let slot = l.propose(None, cmd(1), SimTime::ZERO);
+        assert_eq!(l.on_p2b_vote(p2b_ok(0, b, slot)), Ok(None));
+        assert_eq!(
+            l.on_p2b_vote(p2b_ok(1, old, slot)),
+            Ok(None),
+            "an accept at the old ballot is not one at the new"
+        );
+        assert_eq!(l.on_p2b_vote(p2b_ok(1, b, slot)), Ok(Some((slot, cmd(1)))));
     }
 
     #[test]

@@ -207,9 +207,8 @@ fn pigpaxos_batched_read_your_writes() {
 
 #[test]
 fn adaptive_coalesced_read_your_writes() {
-    // The full v2 pipeline (adaptive sizing, reply coalescing, relay
-    // round coalescing) must preserve sequential consistency for a
-    // lone put-then-get client.
+    // The full v2 pipeline (adaptive sizing, reply coalescing) must
+    // preserve sequential consistency for a lone put-then-get client.
     check_read_your_writes(PaxosConfig::lan().with_batch(adaptive_coalesced(32)), 5);
     check_read_your_writes(PigConfig::lan(2).with_batch(adaptive_coalesced(32)), 5);
 }
@@ -335,9 +334,7 @@ fn pipelined<P: ProtocolSpec>(proto: P) -> Experiment<P> {
 /// baseline at the same batch size.
 #[test]
 fn reply_coalescing_cuts_leader_reply_envelopes() {
-    let mut v1_cfg = PigConfig::lan(2).with_batch(batched(16));
-    v1_cfg.relay_coalesce_window = SimDuration::ZERO; // PR-1 behaviour
-    let base = pipelined(v1_cfg).run_sim(paxi::DEFAULT_SEED);
+    let base = pipelined(PigConfig::lan(2).with_batch(batched(16))).run_sim(paxi::DEFAULT_SEED);
     let v2 = pipelined(PigConfig::lan(2).with_batch(batched(16).with_reply_coalescing()))
         .run_sim(paxi::DEFAULT_SEED);
     assert!(

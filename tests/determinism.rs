@@ -155,11 +155,11 @@ fn golden_pig_n9_batched_reply_coalescing() {
         "pig n=9 r=3 B=16 coalesced replies",
         &r,
         Golden {
-            fingerprint: 0x9d3f_f460_1384_993d,
-            decided: 4704,
+            fingerprint: 0x349f_2485_c407_737c,
+            decided: 5024,
             node_msgs: &[
-                5344, 716, 633, 683, 668, 704, 659, 589, 601, 518, 519, 510, 533, 519, 547, 489,
-                554,
+                5917, 772, 703, 725, 722, 752, 724, 657, 663, 529, 553, 557, 628, 624, 624, 525,
+                557,
             ],
         },
     );

@@ -297,8 +297,8 @@ fn compacting_epaxos_bounds_memory_on_both_substrates() {
 #[test]
 fn batched_pigpaxos_safe_on_threads() {
     // The whole batching-v2 pipeline on wall-clock timers: flush
-    // timers, reply coalescing, and relay round coalescing must not
-    // depend on simulated time to stay safe.
+    // timers and reply coalescing must not depend on simulated time to
+    // stay safe.
     let cfg = PigConfig::lan(2).with_batch(
         paxi::BatchConfig::adaptive(16, SimDuration::from_micros(200)).with_reply_coalescing(),
     );
