@@ -219,8 +219,8 @@ pub fn relay_aggregate_round(ballot: Ballot, first_slot: u64, batch: usize, grou
     panic!("aggregation over the full group must flush");
 }
 
-/// Size of the receive buffers the socket substrate decodes frames out
-/// of (`READ_CHUNK` in `pig_runtime::net`).
+/// Size of the staging buffers the socket substrate decodes frames with
+/// under 1 KiB of payload out of (`READ_CHUNK` in `pig_runtime::net`).
 const RECV_BUFFER_BYTES: usize = 64 * 1024;
 
 /// Memory a follower keeps resident per byte of value it retains.

@@ -2,13 +2,14 @@
 //!
 //! A quorum read avoids the leader entirely: the proxy (any replica the
 //! client contacted) probes a majority of replicas for their latest
-//! executed write to the key. If any probed replica holds an
-//! accepted-but-uncommitted write to the key, the read must *rinse* —
-//! retry until the in-flight write resolves — otherwise returning the
-//! highest-slot value is linearizable: every committed write is executed
-//! by at least... visible to at least one member of any majority, and
-//! the pending-write check rules out in-flight writes that could commit
-//! "in the past" of the read.
+//! executed write to the key. If any probed replica holds a write to the
+//! key that it has not executed — accepted, or committed but waiting
+//! behind a hole — the read must *rinse*: retry until that write is
+//! executed. Otherwise returning the highest-slot value is linearizable:
+//! every committed write is *accepted* by a majority, so at least one
+//! member of any probed majority holds it, executed or pending, and the
+//! pending-write check rules out in-flight writes that could commit "in
+//! the past" of the read.
 //!
 //! Every probe and answer carries the read's **attempt** number. A
 //! rinse restart clears the collected votes and bumps the attempt, and

@@ -311,12 +311,13 @@ impl Log {
         (from..to).filter(|&s| self.get(s).is_none()).collect()
     }
 
-    /// True if any accepted-but-uncommitted entry at or above `from`
-    /// writes `key` — the "pending write" check of Paxos Quorum Reads.
-    pub fn has_uncommitted_write(&self, key: crate::command::Key, from: u64) -> bool {
-        self.occupied_from(from).any(|(_, e)| {
-            !e.committed && !e.command.op.is_read() && e.command.op.key() == Some(key)
-        })
+    /// True if any entry at or above `from` writes `key`, accepted or
+    /// committed — the "pending write" check of Paxos Quorum Reads. From
+    /// the execute cursor on, a committed write is as unseen as an
+    /// accepted one: it may wait behind a hole.
+    pub fn has_unexecuted_write(&self, key: crate::command::Key, from: u64) -> bool {
+        self.occupied_from(from)
+            .any(|(_, e)| !e.command.op.is_read() && e.command.op.key() == Some(key))
     }
 }
 

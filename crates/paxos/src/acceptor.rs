@@ -235,8 +235,8 @@ impl Acceptor {
     }
 
     /// This replica's answer to a quorum read (PQR): the last executed
-    /// write to `key` plus whether any uncommitted write to it is in
-    /// flight here.
+    /// write to `key` plus whether any write to it waits here unexecuted,
+    /// committed or not.
     pub fn read_state(&self, key: Key) -> QrVoteEntry {
         QrVoteEntry {
             node: self.node,
@@ -244,7 +244,7 @@ impl Acceptor {
             value: self.kv.peek(key).cloned(),
             pending_write: self
                 .log
-                .has_uncommitted_write(key, self.log.execute_cursor()),
+                .has_unexecuted_write(key, self.log.execute_cursor()),
         }
     }
 

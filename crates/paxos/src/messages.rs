@@ -59,8 +59,8 @@ pub struct QrVoteEntry {
     pub value_slot: u64,
     /// The executed value (None if the key was never written).
     pub value: Option<Value>,
-    /// True if this replica has accepted-but-uncommitted writes to the
-    /// key — the reader must rinse (retry) until they resolve.
+    /// True if this replica holds writes to the key it has not executed,
+    /// committed or not — the reader must rinse (retry) until they are.
     pub pending_write: bool,
 }
 

@@ -25,12 +25,21 @@
 //!   writes on. Every socket has `TCP_NODELAY`, accepted ones too: a
 //!   reply held back by Nagle until the delayed ACK of its request
 //!   costs far more than the segment it saves.
-//! - **Receive**: `accept`, or one `read` into the socket's buffer per
-//!   ready descriptor and turn, its complete frames decoded and handled
-//!   right there. A payload is a slice of that buffer, which comes back
-//!   for the next read once no message borrows it (`drain_frames`;
-//!   [`simnet::wire::VALUE_PIN_RATIO`] decides which values are copied
-//!   out). A writable-only event costs no `read`.
+//! - **Receive**: `accept`, or reads of at most `READ_CHUNK` bytes in
+//!   all per ready descriptor and turn, the frames each completes decoded
+//!   and handled right there; one read, unless it ends on a large
+//!   frame's prefix. Reads append to a `READ_CHUNK` staging buffer that
+//!   is never zeroed. A frame with less than `LARGE` (1 KiB) of
+//!   payload is decoded in place and its values are copied out
+//!   ([`simnet::wire::VALUE_PIN_RATIO`]), so the staging buffer comes
+//!   back for the next read every time. A larger frame ends up in a
+//!   buffer of exactly its own length, which its values slice: copied
+//!   there if it arrived whole in a staging read; otherwise its bytes so
+//!   far move there and the rest is read straight into it, by one
+//!   `readv` that also takes the next frame's prefix. That buffer is
+//!   never reserved more than `READ_CHUNK` past the bytes received, so
+//!   a length prefix alone cannot size an allocation (`Inbox`). A
+//!   writable-only event costs no read.
 //! - **Send**: a frame is encoded onto its peer's buffer, so `write`s are
 //!   paid per turn, not per message; a buffer that reaches `FLUSH_BYTES`
 //!   is written at once.
@@ -58,8 +67,9 @@
 use crate::epoll::{Epoll, EPOLLIN, EPOLLOUT, EPOLL_CTL_ADD, EPOLL_CTL_MOD};
 use crate::event_loop::{loops_for, Deliver, Door, Local, Transport};
 use crate::{LoopRuntime, NetRunStats};
+use simnet::wire::VALUE_PIN_RATIO;
 use simnet::{Bytes, Message, NodeId, Wire};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{Error, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
@@ -72,8 +82,11 @@ const MAX_FRAME: usize = 64 * 1024 * 1024;
 const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
 /// Reconnect delay ceiling.
 const MAX_BACKOFF: Duration = Duration::from_millis(500);
-/// Receive buffers start this long and grow by as much at a time.
+/// Most bytes one read takes from a socket: the staging buffer's length.
 const READ_CHUNK: usize = 64 * 1024;
+/// Payloads this long or longer are read into a buffer of their own: a
+/// value this long in the staging buffer would stay a window into it.
+const LARGE: usize = READ_CHUNK / VALUE_PIN_RATIO;
 /// A peer's buffer this long is written at once, not at the end of the turn.
 const FLUSH_BYTES: usize = READ_CHUNK;
 
@@ -89,12 +102,6 @@ impl<M: Message + Wire + Send> NetRuntime<M> {
     pub fn run_for(&mut self, wall: Duration) -> NetRunStats {
         self.run_on(loops_for(self.actors.len()), wall)
     }
-}
-
-/// A zero-filled receive buffer of at least `min_len` bytes, kept at
-/// `len == capacity` so `read` fills `buf[filled..]` directly.
-fn recv_buffer(min_len: usize) -> Vec<u8> {
-    vec![0; min_len.max(READ_CHUNK)]
 }
 
 /// Append the frame of `msg` from `from` to `out`, encoded in place.
@@ -117,8 +124,7 @@ struct Sock {
     /// The node at the other end: known on connect; on accept, from the
     /// sender of the first frame.
     peer: Option<NodeId>,
-    buf: Vec<u8>,
-    filled: usize,
+    inbox: Inbox,
 }
 
 /// A loop's sockets by descriptor, and the epoll instance they are on.
@@ -138,13 +144,11 @@ impl Sockets {
         if self.by_fd.len() <= fd {
             self.by_fd.resize_with(fd + 1, || None);
         }
-        let (buf, filled) = (recv_buffer(READ_CHUNK), 0);
         self.by_fd[fd] = Some(Sock {
             stream,
             slot,
             peer,
-            buf,
-            filled,
+            inbox: Inbox::new(),
         });
         Some(fd)
     }
@@ -327,43 +331,50 @@ impl Tcp {
         s
     }
 
-    /// `read` once from socket `fd` and deliver the frames that
-    /// completes; a socket that ended goes. Returns its slot.
+    /// Read from socket `fd` and deliver the frames that completes; a
+    /// socket that ended goes. Returns its slot. A read that ends on the
+    /// prefix of a large frame reads on into that frame, so back-to-back
+    /// large frames cost a `readv` each, until `READ_CHUNK` bytes were
+    /// read this turn.
     fn read<M: Message + Wire>(&mut self, fd: usize, mut deliver: impl Deliver<M, Self>) -> usize {
-        let sock = self.socks.get(fd);
-        let s = sock.slot;
-        if sock.filled == sock.buf.len() {
-            // A frame straddles the buffer end: grow in place.
-            sock.buf.resize(sock.filled + READ_CHUNK, 0);
-        }
-        match (&sock.stream).read(&mut sock.buf[sock.filled..]) {
-            Ok(0) => self.close(fd),
-            Ok(n) => sock.filled += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
-            Err(_) => self.close(fd),
-        }
-        let Some(sock) = self.socks.by_fd[fd].as_mut() else {
-            return s;
-        };
-        if sock.peer.is_none() && sock.filled >= FRAME_PREFIX {
-            // Accepted, and the caller is known now: its node writes to
-            // the caller here, unless it has a socket there already.
-            let from = frame_sender(&sock.buf);
-            sock.peer = Some(from);
-            if let Some(peer) = self.peers[s]
-                .get_mut(from.index())
-                .filter(|p| p.fd.is_none())
-            {
-                peer.fd = Some(fd);
+        let s = self.socks.get(fd).slot;
+        let mut budget = READ_CHUNK;
+        loop {
+            let sock = self.socks.get(fd);
+            let (n, full) = match sock.inbox.read_from(&sock.stream, budget) {
+                Ok((0, _)) => break self.close(fd),
+                Ok(read) => read,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+                    break
+                }
+                Err(_) => break self.close(fd),
+            };
+            budget -= n;
+            // The first frame's prefix is staged whole before anything of
+            // the stream is delivered or moves to a large frame's buffer.
+            if sock.peer.is_none() && sock.inbox.staged.len() >= FRAME_PREFIX {
+                // Accepted, and the caller is known now: its node writes
+                // to the caller here, unless it has a socket there already.
+                let from = frame_sender(&sock.inbox.staged);
+                sock.peer = Some(from);
+                if let Some(peer) = self.peers[s]
+                    .get_mut(from.index())
+                    .filter(|p| p.fd.is_none())
+                {
+                    peer.fd = Some(fd);
+                }
+            }
+            // Out of its socket while its frames are handled by `self`,
+            // which may write on that socket but closes none.
+            let mut inbox = std::mem::take(&mut self.socks.get(fd).inbox);
+            let to_slot = |from, msg| deliver(self, s, from, msg);
+            self.net.decode_errors += inbox.drain(to_slot);
+            let more = full && budget > 0 && !inbox.large.is_empty();
+            self.socks.get(fd).inbox = inbox;
+            if !more {
+                break;
             }
         }
-        // Out of its socket while its frames are handled by `self`, which
-        // may write on that socket but closes none.
-        let (mut buf, mut filled) = (std::mem::take(&mut sock.buf), sock.filled);
-        let to_slot = |from, msg| deliver(self, s, from, msg);
-        self.net.decode_errors += drain_frames(&mut buf, &mut filled, to_slot);
-        let sock = self.socks.get(fd);
-        (sock.buf, sock.filled) = (buf, filled);
         s
     }
 
@@ -447,57 +458,178 @@ impl<M: Message + Wire + Send> Transport<M> for Tcp {
     }
 }
 
-/// Deliver every complete frame in `buf[..filled]`, each payload decoded
-/// as a slice of the buffer frozen into one [`Bytes`] (no byte copied);
-/// returns how many did not decode. A partial frame at the tail is kept;
-/// the allocation comes back for the next read unless a decoded message
-/// still borrows it (a large value does, until it is dropped).
+/// `struct iovec`.
+#[repr(C)]
+struct IoVec {
+    base: *mut u8,
+    len: usize,
+}
+
+extern "C" {
+    fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
+    fn readv(fd: i32, iov: *const IoVec, iovcnt: i32) -> isize;
+}
+
+/// The byte count a read call returned, or the error it set.
+fn read_count(rc: isize) -> std::io::Result<usize> {
+    usize::try_from(rc).map_err(|_| Error::last_os_error())
+}
+
+/// What a socket has read and not yet delivered: whole frames, then at
+/// most one torn frame, in one of two buffers.
+#[derive(Default)]
+struct Inbox {
+    /// Where reads go while no large frame is underway: `READ_CHUNK` of
+    /// capacity, never zeroed. Between reads it holds at most a torn
+    /// frame with less than `LARGE` of payload, or part of a prefix.
+    staged: Vec<u8>,
+    /// The large frame underway, prefix included, once its prefix is
+    /// read. Reserved at most `READ_CHUNK` past its bytes and never past
+    /// the frame's end, which is its capacity when it is complete.
+    large: Vec<u8>,
+}
+
+impl Inbox {
+    fn new() -> Self {
+        Inbox {
+            staged: Vec::with_capacity(READ_CHUNK),
+            large: Vec::new(),
+        }
+    }
+
+    /// One read of at most `budget` (> 0) bytes from `stream`: into the
+    /// large frame underway, and the next frame's prefix behind it into
+    /// the staging buffer, or else into the staging buffer. Returns the
+    /// bytes read, 0 at the end of the stream, and whether that was all
+    /// it asked for, so more may wait.
+    fn read_from(
+        &mut self,
+        stream: &impl AsRawFd,
+        budget: usize,
+    ) -> std::io::Result<(usize, bool)> {
+        let fd = stream.as_raw_fd();
+        if self.large.is_empty() {
+            let spare = self.staged.spare_capacity_mut();
+            let asked = spare.len().min(budget);
+            // SAFETY: `spare` is writable for `spare.len()` bytes, and
+            // `recv` writes at most `asked <= spare.len()` of them.
+            let n = read_count(unsafe { recv(fd, spare.as_mut_ptr().cast(), asked, 0) })?;
+            // SAFETY: `recv` initialised the `n` bytes past the length.
+            unsafe { self.staged.set_len(self.staged.len() + n) };
+            return Ok((n, n == asked));
+        }
+        // While a large frame is underway nothing is staged.
+        let rest = frame_end(&self.large) - self.large.len();
+        let into_large = rest.min(budget);
+        let into_staged = (budget - into_large).min(FRAME_PREFIX);
+        self.large.reserve_exact(into_large);
+        let iov = [
+            (&mut self.large, into_large),
+            (&mut self.staged, into_staged),
+        ]
+        .map(|(buf, len)| IoVec {
+            base: buf.spare_capacity_mut()[..len].as_mut_ptr().cast(),
+            len,
+        });
+        // SAFETY: each entry is spare capacity of its buffer, writable
+        // for its `len` bytes, and `readv` writes at most that.
+        let n = read_count(unsafe { readv(fd, iov.as_ptr(), 2) })?;
+        let large = n.min(into_large);
+        // SAFETY: `readv` fills the entries in order, so it initialised
+        // `large` bytes past `large`'s length and the rest past `staged`'s.
+        unsafe {
+            self.large.set_len(self.large.len() + large);
+            self.staged.set_len(self.staged.len() + n - large);
+        }
+        Ok((n, n == into_large + into_staged))
+    }
+
+    /// Deliver every frame the reads so far completed: the large frame,
+    /// if it is whole, then the staged ones. Returns how many did not
+    /// decode.
+    fn drain<M: Wire>(&mut self, mut deliver: impl FnMut(NodeId, M)) -> u64 {
+        let mut errors = 0;
+        if !self.large.is_empty() && self.large.len() == frame_end(&self.large) {
+            let from = frame_sender(&self.large);
+            let frame = Bytes::from(std::mem::take(&mut self.large));
+            errors += deliver_frame(from, frame.slice(FRAME_PREFIX..), &mut deliver);
+        }
+        errors + drain_frames(&mut self.staged, &mut self.large, &mut deliver)
+    }
+}
+
+/// Where the frame starting `buf` ends, prefix included.
+fn frame_end(buf: &[u8]) -> usize {
+    FRAME_PREFIX + frame_len(buf)
+}
+
+/// Decode `payload` and hand it to `deliver` as `from`'s; 1 if it did
+/// not decode, else 0.
+fn deliver_frame<M: Wire>(
+    from: NodeId,
+    payload: Bytes,
+    deliver: &mut impl FnMut(NodeId, M),
+) -> u64 {
+    match M::decode_frame(&payload) {
+        Ok(msg) => {
+            deliver(from, msg);
+            0
+        }
+        Err(_) => 1,
+    }
+}
+
+/// Deliver every whole frame in `buf`, and keep the torn one after them
+/// at its front — or, if it is a large frame's start, in `large`, which
+/// is empty until then; returns how many did not decode. A frame with
+/// less than `LARGE` of payload is decoded as a slice of `buf` frozen
+/// into one [`Bytes`], which copies every value in it out
+/// ([`VALUE_PIN_RATIO`]), so `buf` always comes back whole; a larger one
+/// is copied into a buffer of its own first. A length past `MAX_FRAME`
+/// is corruption: it counts as an error, and it and all after it go.
 fn drain_frames<M: Wire>(
     buf: &mut Vec<u8>,
-    filled: &mut usize,
-    mut deliver: impl FnMut(NodeId, M),
+    large: &mut Vec<u8>,
+    deliver: &mut impl FnMut(NodeId, M),
 ) -> u64 {
-    // Find the end of the last complete frame. A length past MAX_FRAME
-    // is corruption: count it, deliver what precedes it, drop the rest.
-    let (consumed, _) = whole_frames(buf, *filled);
-    let corrupt = *filled - consumed >= FRAME_PREFIX && frame_len(&buf[consumed..]) > MAX_FRAME;
+    let (consumed, _) = whole_frames(buf, buf.len());
+    let tail = buf.len() - consumed;
+    let torn_len = (tail >= FRAME_PREFIX).then(|| frame_len(&buf[consumed..]));
+    let corrupt = torn_len.is_some_and(|len| len > MAX_FRAME);
     let mut errors = u64::from(corrupt);
-    if consumed == 0 {
-        if corrupt {
-            *filled = 0;
+    if consumed > 0 {
+        let frozen = Bytes::from(std::mem::take(buf));
+        let mut off = 0;
+        while off < consumed {
+            let (from, end) = (
+                frame_sender(&frozen[off..]),
+                off + frame_end(&frozen[off..]),
+            );
+            let payload = off + FRAME_PREFIX..end;
+            let payload = if payload.len() < LARGE {
+                frozen.slice(payload)
+            } else {
+                Bytes::copy_from_slice(&frozen[payload])
+            };
+            errors += deliver_frame(from, payload, deliver);
+            off = end;
         }
-        return errors;
+        *buf = frozen
+            .try_reclaim()
+            .expect("no value under LARGE stays a window into the staging buffer");
     }
-    let tail = if corrupt { 0 } else { *filled - consumed };
-
-    let frozen = Bytes::from(std::mem::take(buf));
-    let mut off = 0;
-    while off < consumed {
-        let s = frozen.as_slice();
-        let len = frame_len(&s[off..]);
-        let from = frame_sender(&s[off..]);
-        let payload = frozen.slice(off + FRAME_PREFIX..off + FRAME_PREFIX + len);
-        match M::decode_frame(&payload) {
-            Ok(msg) => deliver(from, msg),
-            Err(_) => errors += 1,
+    match torn_len {
+        _ if corrupt => buf.clear(),
+        Some(len) if len >= LARGE => {
+            // Reserved at most a read ahead: a prefix alone sizes nothing.
+            *large = Vec::with_capacity((FRAME_PREFIX + len).min(tail + READ_CHUNK));
+            large.extend_from_slice(&buf[consumed..]);
+            buf.clear();
         }
-        off += FRAME_PREFIX + len;
+        _ => {
+            buf.drain(..consumed);
+        }
     }
-
-    // The partial frame goes to the front of the buffer, or of a fresh
-    // one while some message pins this.
-    *buf = match frozen.try_reclaim() {
-        Ok(mut same) => {
-            same.copy_within(consumed..consumed + tail, 0);
-            same
-        }
-        Err(pinned) => {
-            let mut fresh = recv_buffer(tail);
-            fresh[..tail].copy_from_slice(&pinned.as_slice()[consumed..consumed + tail]);
-            fresh
-        }
-    };
-    *filled = tail;
     errors
 }
 
@@ -507,9 +639,11 @@ mod tests {
     use crate::event_loop::{mailbox, Loop};
     use crate::mem::Mem;
     use crate::Node;
+    use proptest::prelude::*;
     use simnet::{
         Actor, Context, SimDuration, TimerId, WireError, WireHeader, WirePut, WireReader,
     };
+    use std::io::Read;
     use std::sync::{mpsc, Arc, Mutex};
 
     #[derive(Debug, Clone, PartialEq)]
@@ -669,6 +803,27 @@ mod tests {
         assert_eq!(&frame[FRAME_PREFIX..], &msg.encode()[..]);
     }
 
+    /// A zero-filled buffer of `min_len` bytes or `READ_CHUNK`, whichever
+    /// is longer, for a test to write frames into by index.
+    fn recv_buffer(min_len: usize) -> Vec<u8> {
+        vec![0; min_len.max(READ_CHUNK)]
+    }
+
+    /// [`super::drain_frames`] over `buf[..*filled]`, after which the torn
+    /// frame is `buf[..*filled]` and `buf` is as long as before.
+    fn drain_frames<M: Wire>(
+        buf: &mut Vec<u8>,
+        filled: &mut usize,
+        mut deliver: impl FnMut(NodeId, M),
+    ) -> u64 {
+        let len = buf.len();
+        buf.truncate(*filled);
+        let errors = super::drain_frames(buf, &mut Vec::new(), &mut deliver);
+        *filled = buf.len();
+        buf.resize(len, 0);
+        errors
+    }
+
     /// Everything `drain_frames` delivers when `stream` reaches it in
     /// the two pieces either side of `cut`, and the decode errors.
     fn drain_all(stream: &[u8], cut: usize) -> (Vec<(NodeId, u64)>, u64) {
@@ -727,22 +882,21 @@ mod tests {
         SocketAddr::from(([127, 0, 0, 2], listen().1.port()))
     }
 
-    /// Read a blocking `conn` to its end through `drain_frames`, as a
-    /// loop does; returns the numbers received and the decode errors.
-    fn read_to_end(mut conn: TcpStream) -> (Vec<u64>, u64) {
-        let mut buf = recv_buffer(READ_CHUNK);
-        let (mut filled, mut errors) = (0, 0);
+    /// Read a blocking `conn` to its end through an [`Inbox`], as a loop
+    /// does; returns what was delivered and the decode errors.
+    fn inbox_to_end<M: Wire>(conn: &TcpStream) -> (Vec<(NodeId, M)>, u64) {
+        let (mut inbox, mut errors) = (Inbox::new(), 0);
         let mut got = Vec::new();
-        loop {
-            if filled == buf.len() {
-                buf.resize(filled + READ_CHUNK, 0);
-            }
-            match conn.read(&mut buf[filled..]) {
-                Ok(0) | Err(_) => return (got, errors),
-                Ok(n) => filled += n,
-            }
-            errors += drain_frames(&mut buf, &mut filled, |_, msg: Num| got.push(msg.0));
+        while let Ok((1.., _)) = inbox.read_from(conn, READ_CHUNK) {
+            errors += inbox.drain(|from, msg| got.push((from, msg)));
         }
+        (got, errors)
+    }
+
+    /// [`inbox_to_end`] of `Num`s: the numbers received and the errors.
+    fn read_to_end(conn: TcpStream) -> (Vec<u64>, u64) {
+        let (got, errors) = inbox_to_end::<Num>(&conn);
+        (got.into_iter().map(|(_, msg)| msg.0).collect(), errors)
     }
 
     /// Node 0 with a listener nobody calls, and node *i* at `addrs[i]`.
@@ -1284,5 +1438,170 @@ mod tests {
         assert_eq!(errors, 0);
         assert!(streamed.len() >= 100, "{} frames streamed", streamed.len());
         assert!(streamed.iter().copied().eq(0..streamed.len() as u64));
+    }
+
+    /// A frame's payload as the decoder handed it over.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Raw(Bytes);
+    impl Message for Raw {
+        fn wire_size(&self) -> usize {
+            self.0.len()
+        }
+        fn label(&self) -> &'static str {
+            "raw"
+        }
+    }
+    impl Wire for Raw {
+        fn put<W: WirePut>(&self, out: &mut W) {
+            out.put_slice(&self.0);
+        }
+        fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+            Ok(Raw(r.rest_value()))
+        }
+    }
+
+    /// `len` bytes of `byte` as a `Raw`.
+    fn raw(byte: u8, len: usize) -> Raw {
+        Raw(Bytes::from(vec![byte; len]))
+    }
+
+    /// Payload lengths either side of `LARGE` and of `READ_CHUNK`.
+    const PAYLOADS: [usize; 5] = [8, LARGE - 1, LARGE, 16_000, 70_000];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Wherever the stream is cut, every frame arrives once, whole and
+        /// in order, and a large one in a buffer that holds no other
+        /// frame's bytes.
+        #[test]
+        fn frames_arrive_whole_in_order_and_once_wherever_the_stream_is_cut(
+            sizes in prop::collection::vec(0..PAYLOADS.len(), 1..10),
+            cuts in prop::collection::vec(0usize..1 << 20, 0..12),
+        ) {
+            let sent: Vec<(NodeId, Raw)> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| (NodeId(i as u32), raw(i as u8, PAYLOADS[k])))
+                .collect();
+            let mut stream = Vec::new();
+            for (from, msg) in &sent {
+                encode_frame(*from, msg, &mut stream);
+            }
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % stream.len()).collect();
+            cuts.sort_unstable();
+            cuts.push(stream.len());
+            let (listener, addr) = listen();
+            let writer = std::thread::spawn(move || {
+                let mut conn = TcpStream::connect(addr).unwrap();
+                conn.set_nodelay(true).unwrap();
+                let mut at = 0;
+                for cut in cuts {
+                    conn.write_all(&stream[at..cut]).unwrap();
+                    at = cut;
+                    std::thread::yield_now();
+                }
+            });
+            let (got, errors) = inbox_to_end::<Raw>(&listener.accept().unwrap().0);
+            writer.join().unwrap();
+            prop_assert_eq!(errors, 0);
+            prop_assert_eq!(got.len(), sent.len());
+            for (i, ((from, Raw(payload)), want)) in got.iter().zip(&sent).enumerate() {
+                prop_assert!((from, payload) == (&want.0, &want.1 .0), "frame {}", i);
+                if payload.len() >= LARGE {
+                    let held = payload.backing_capacity();
+                    prop_assert!(held <= FRAME_PREFIX + payload.len(), "frame {}: {} held", i, held);
+                }
+            }
+        }
+    }
+
+    /// Sends node 1 `count` values of `len` bytes as it starts.
+    struct Burst {
+        count: usize,
+        len: usize,
+    }
+    impl Actor<Raw> for Burst {
+        fn on_start(&mut self, ctx: &mut Context<Raw>) {
+            (0..self.count).for_each(|i| ctx.send(NodeId(1), raw(i as u8, self.len)));
+        }
+        fn on_message(&mut self, _f: NodeId, _m: Raw, _c: &mut Context<Raw>) {}
+        fn on_timer(&mut self, _i: TimerId, _k: u64, _c: &mut Context<Raw>) {}
+    }
+
+    /// Keeps every value it is sent.
+    struct Keeper(Arc<Mutex<Vec<Bytes>>>);
+    impl Actor<Raw> for Keeper {
+        fn on_message(&mut self, _f: NodeId, m: Raw, _c: &mut Context<Raw>) {
+            self.0.lock().unwrap().push(m.0);
+        }
+        fn on_timer(&mut self, _i: TimerId, _k: u64, _c: &mut Context<Raw>) {}
+    }
+
+    #[test]
+    fn a_kept_large_value_holds_only_its_own_frame() {
+        // A window into a shared 64 KiB read buffer held 4x its 16 000 B.
+        let kept = Arc::new(Mutex::new(Vec::new()));
+        let mut rt: NetRuntime<Raw> = NetRuntime::new(7);
+        rt.add_actor(Burst {
+            count: 64,
+            len: 16_000,
+        });
+        rt.add_actor(Keeper(kept.clone()));
+        let stats = rt.run_for(Duration::from_millis(300));
+        assert_eq!((stats.decode_errors, stats.frames_dropped), (0, 0));
+        let kept = kept.lock().unwrap();
+        assert_eq!(kept.len(), 64, "every value arrived");
+        let held: usize = kept.iter().map(Bytes::backing_capacity).sum();
+        let own: usize = kept.iter().map(Bytes::len).sum();
+        let ratio = held as f64 / own as f64;
+        assert!(ratio <= 1.01, "kept values hold {ratio:.3}x their bytes");
+    }
+
+    #[test]
+    fn a_length_prefix_alone_reserves_at_most_one_read_ahead() {
+        // A caller claims a frame just under `MAX_FRAME` and sends 100
+        // bytes of it: the buffer waiting for the rest stays a read long.
+        let (l0, a0) = listen();
+        let mut liar = TcpStream::connect(a0).unwrap();
+        liar.write_all(&(MAX_FRAME as u32 - 1).to_le_bytes())
+            .unwrap();
+        liar.write_all(&1u32.to_le_bytes()).unwrap();
+        liar.write_all(&[7; 100]).unwrap();
+        let got = Got::default();
+        let node: Vec<Boxed> = vec![Box::new(Recorder(got.clone()))];
+        let wall = Duration::from_millis(100);
+        let done = run_tcp_loop(node, vec![l0], &[a0], wall);
+        let mut socks = done.links.socks.by_fd.iter().flatten();
+        let large = &socks.next().expect("the caller's socket").inbox.large;
+        assert_eq!(large.len(), FRAME_PREFIX + 100);
+        assert!(
+            large.capacity() <= READ_CHUNK + FRAME_PREFIX + 100,
+            "{} bytes reserved",
+            large.capacity()
+        );
+        assert!(got.lock().unwrap().is_empty());
+        drop(liar);
+    }
+
+    #[test]
+    fn a_socket_closed_inside_a_large_frame_delivers_none_of_it() {
+        // A whole frame, then 5 000 bytes of a 16 000-byte one, then the
+        // end of the stream: only the whole one is delivered, and nothing
+        // torn reaches a decoder.
+        let (l0, a0) = listen();
+        let mut conn = TcpStream::connect(a0).unwrap();
+        conn.write_all(&frame_of(NodeId(1), &Num(7))).unwrap();
+        let mut torn = Vec::new();
+        encode_frame(NodeId(1), &raw(9, 16_000), &mut torn);
+        conn.write_all(&torn[..5_000]).unwrap();
+        drop(conn);
+        let got = Got::default();
+        let node: Vec<Boxed> = vec![Box::new(Recorder(got.clone()))];
+        let wall = Duration::from_millis(100);
+        let done = run_tcp_loop(node, vec![l0], &[a0], wall);
+        assert_eq!(*got.lock().unwrap(), vec![(NodeId(1), 7)]);
+        assert_eq!(done.links.net.decode_errors, 0);
+        assert!(open_socks(&done.links).is_empty(), "the socket went");
     }
 }

@@ -91,9 +91,12 @@ pub const DOMAIN_EPAXOS: u8 = 3;
 /// A decoded value stays a window into its frame's allocation only while
 /// that allocation is at most this many times the value's own length;
 /// past it the value is copied out. A window keeps the *whole* allocation
-/// resident, so without the bound one 8-byte value in a store pins the
-/// 64 KiB receive buffer it arrived in. On those buffers the bound
-/// copies values under 1 KiB and leaves larger ones zero-copy.
+/// resident, so without the bound one 8-byte value in a store would pin
+/// the 64 KiB buffer the TCP transport stages its reads in. The
+/// transport leans on the bound: it decodes a frame with under 1 KiB
+/// (64 KiB / 64) of payload inside that staging buffer, where every value
+/// is copied out, and gives a larger frame a buffer of exactly its own
+/// length, which a value of at least 1/64 of the frame keeps as a window.
 pub const VALUE_PIN_RATIO: usize = 64;
 
 /// A decoding failure. Encoding is infallible (size invariants are

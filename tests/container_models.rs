@@ -160,10 +160,12 @@ fn assert_same_log(log: &Log, model: &TreeLog) {
             .collect();
         prop_assert_eq!(log.holes(from, top), holes);
         for key in 0..LOG_KEYS {
-            let pending = model.entries.range(from..).any(|(_, e)| {
-                !e.committed && !e.command.op.is_read() && e.command.op.key() == Some(key)
-            });
-            prop_assert_eq!(log.has_uncommitted_write(key, from), pending);
+            // Committed entries count too: PQR's pending-write check.
+            let pending = model
+                .entries
+                .range(from..)
+                .any(|(_, e)| !e.command.op.is_read() && e.command.op.key() == Some(key));
+            prop_assert_eq!(log.has_unexecuted_write(key, from), pending);
         }
     }
     for client in (100..100 + LOG_CLIENTS).map(NodeId) {

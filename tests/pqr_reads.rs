@@ -495,3 +495,51 @@ fn pqr_reads_stay_linearizable_across_snapshot_catch_up() {
         "the rejoining follower must have installed a peer snapshot"
     );
 }
+
+/// A write that is committed but waits behind a hole at the execute
+/// cursor is in no replica's `last_write_slot` yet. Unless a probe
+/// counts it as pending, a quorum read answers with the value before it
+/// although its client already saw it done. The schedule loses messages
+/// and splits the cluster so that a majority holds three such puts to
+/// key 0 behind a hole while a pipeline-1 client reads the key.
+#[test]
+fn a_committed_write_not_yet_executed_forces_a_rinse() {
+    let (a, b) = ([0u32, 1], [2u32, 3, 4]);
+    let mut exp = Experiment::lan(PigConfig::lan(2).with_pqr(), 5)
+        .clients(3)
+        .client_pipeline(1)
+        .workload(Workload {
+            num_keys: 2,
+            ..Workload::paper_default()
+        })
+        .warmup(SimDuration::from_millis(300))
+        .measure(SimDuration::from_millis(2200))
+        .drain(SimDuration::from_millis(500))
+        .check_linearizability();
+    let ms = SimDuration::from_millis;
+    exp = exp
+        .fault(ms(700), Control::SetDropRate(0.05))
+        .fault(ms(701), Control::FlakyLink(NodeId(4), NodeId(0), 0.3));
+    for &x in &a {
+        for &y in &b {
+            exp = exp
+                .fault(ms(1001), Control::BlockLink(NodeId(x), NodeId(y)))
+                .fault(ms(1001), Control::BlockLink(NodeId(y), NodeId(x)));
+        }
+    }
+    let r = exp
+        .fault(ms(1101), Control::ClearFlakyLinks)
+        .fault(ms(1339), Control::FlakyLink(NodeId(1), NodeId(2), 0.3))
+        .fault(ms(1401), Control::HealAllLinks)
+        .fault(ms(1739), Control::ClearFlakyLinks)
+        .fault(ms(1900), Control::SetDropRate(0.0))
+        .run_sim(44);
+    assert!(
+        r.protocol.violations().is_empty(),
+        "{:?}",
+        r.protocol.violations()
+    );
+    let h = r.client.history.as_ref().expect("checked");
+    assert!(h.linearizable(), "{:?}", h.violations);
+    assert!(h.reads > 0, "{h:?}");
+}
