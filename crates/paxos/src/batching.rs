@@ -371,7 +371,7 @@ pub fn propose_batch(
 /// slots from `first_slot`, each already registered with `leader`
 /// (by [`propose_batch`], or as a phase-1 reproposal): build the wire
 /// form — one command rides in a `P2a`, more in a `P2aBatch` — under
-/// the leader's ballot and its acceptor's watermark, accept every slot
+/// the leader's ballot and [`Leader::piggyback_frontier`], accept every slot
 /// in its own acceptor, and count its own votes.
 pub fn accept_own(
     leader: &mut Leader,
@@ -380,7 +380,7 @@ pub fn accept_own(
     mut commands: impl ExactSizeIterator<Item = Command>,
 ) -> Proposal {
     let ballot = leader.ballot();
-    let commit_up_to = acceptor.commit_watermark();
+    let commit_up_to = leader.piggyback_frontier(acceptor.commit_watermark());
     let msg = match commands.len() {
         1 => PaxosMsg::P2a {
             ballot,

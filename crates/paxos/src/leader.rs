@@ -124,6 +124,21 @@ impl Leader {
         &self.outstanding
     }
 
+    /// The commit frontier this leader may piggyback on a phase-2a or
+    /// heartbeat: `watermark` (its acceptor's), but never past its
+    /// lowest outstanding slot. A slot leaves `outstanding` only when
+    /// this leader's own quorum decides it at its own ballot, while the
+    /// acceptor's watermark also counts slots learned as decided at
+    /// *other* ballots; a follower still holding this leader's value
+    /// for such a slot would commit it on the piggyback, although that
+    /// value was never chosen.
+    pub fn piggyback_frontier(&self, watermark: u64) -> u64 {
+        self.outstanding
+            .keys()
+            .next()
+            .map_or(watermark, |&lowest| lowest.min(watermark))
+    }
+
     /// Start (or restart) a phase-1 campaign with a ballot above
     /// `at_least`. Returns the new ballot to put in the P1a.
     pub fn start_campaign(&mut self, at_least: Ballot) -> Ballot {

@@ -648,7 +648,9 @@ impl<D: Dissemination> paxi::Replica<D::Msg> for Replica<D> {
                 if self.leader.is_active() {
                     let msg = PaxosMsg::Heartbeat {
                         ballot: self.leader.ballot(),
-                        commit_up_to: self.acceptor.commit_watermark(),
+                        commit_up_to: self
+                            .leader
+                            .piggyback_frontier(self.acceptor.commit_watermark()),
                     };
                     D::fan_out(self, msg, Reach::All, ctx);
                 }
@@ -664,7 +666,9 @@ impl<D: Dissemination> paxi::Replica<D::Msg> for Replica<D> {
                         .leader
                         .stale_proposals(ctx.now(), self.cfg.p2_retry_timeout);
                     let ballot = self.leader.ballot();
-                    let commit_up_to = self.acceptor.commit_watermark();
+                    let commit_up_to = self
+                        .leader
+                        .piggyback_frontier(self.acceptor.commit_watermark());
                     for (slot, command) in stale {
                         let msg = PaxosMsg::P2a {
                             ballot,
@@ -835,6 +839,124 @@ mod tests {
         in_handler(|ctx| leader.handle(p2b_batch, ctx));
         assert!(!leader.leader.is_active(), "the nack in a P2bBatch deposes");
         assert_eq!(leader.known_leader(), Some(NodeId(2)));
+    }
+
+    /// Run `f` in a handler context at time zero and return what it
+    /// sent to other replicas; timers it arms are dropped.
+    fn sends(f: impl FnOnce(&mut Ctx<PaxosMsg>)) -> Vec<(NodeId, PaxosMsg)> {
+        let mut rng = StdRng::seed_from_u64(1);
+        let (mut effects, mut seq) = (Vec::new(), 0);
+        f(&mut Context::new(
+            SimTime::ZERO,
+            NodeId(0),
+            &mut rng,
+            &mut effects,
+            &mut seq,
+        ));
+        effects
+            .into_iter()
+            .filter_map(|e| match e {
+                simnet::Effect::Send {
+                    to,
+                    msg: Envelope::Proto(m),
+                } => Some((to, m)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn put(client: u32, seq: u64) -> ClientRequest {
+        ClientRequest {
+            command: Command {
+                id: RequestId {
+                    client: NodeId(client),
+                    seq,
+                },
+                op: Operation::Put(1, Value::zeros(8)),
+            },
+        }
+    }
+
+    /// The `P2a` among `sent` that goes to `to`.
+    fn p2a_to(sent: Vec<(NodeId, PaxosMsg)>, to: NodeId) -> PaxosMsg {
+        sent.into_iter()
+            .find(|(dst, m)| *dst == to && matches!(m, PaxosMsg::P2a { .. }))
+            .map(|(_, m)| m)
+            .expect("a P2a to the follower")
+    }
+
+    /// A deposed leader learns that slot 0, which only it and n1
+    /// accepted, was decided as a no-op, from a `LearnRep` headed by
+    /// `header`. Its next proposal must not piggyback a frontier past
+    /// slot 0: n1 still holds the leader's own value there at the
+    /// leader's ballot and would commit it.
+    fn deposed_leader_learns_slot_0(header: impl FnOnce(Ballot, Ballot) -> Ballot) {
+        let cluster = ClusterConfig::new(5);
+        let mut n0 = PaxosReplica::new(NodeId(0), cluster.clone(), PaxosConfig::lan());
+        let mut n1 = PaxosReplica::new(NodeId(1), cluster.clone(), PaxosConfig::lan());
+        // Step 1: n0 leads at b1 and gets slot 0 accepted by itself and
+        // n1 only; the value is not chosen.
+        let b1 = in_handler(|ctx| {
+            n0.on_start(ctx);
+            let ballot = n0.leader.ballot();
+            let promise = |node| P1bVote {
+                node: NodeId(node),
+                ballot,
+                ok: true,
+                accepted: vec![],
+                snapshot: None,
+            };
+            let votes = vec![promise(1), promise(2)];
+            n0.handle(PaxosMsg::P1b { ballot, votes }, ctx);
+            ballot
+        });
+        assert!(n0.leader.is_active());
+        let p2a = p2a_to(
+            sends(|ctx| n0.on_request(NodeId(8), put(8, 1), ctx)),
+            NodeId(1),
+        );
+        in_handler(|ctx| n1.handle(p2a, ctx));
+        // Steps 2 and 3: a majority without n0 and n1 elects b2 and
+        // decides a no-op at slot 0; n0 learns it but still leads at b1.
+        let b2 = Ballot::new(b1.round() + 1, NodeId(3));
+        let learned = PaxosMsg::LearnRep {
+            ballot: header(b1, b2),
+            entries: vec![(0, Command::noop())],
+        };
+        in_handler(|ctx| n0.handle(learned, ctx));
+        assert!(n0.leader.is_active() && n0.leader.ballot() == b1);
+        // Step 4: n0 proposes slot 1, and n1 applies its piggyback.
+        let p2a = p2a_to(
+            sends(|ctx| n0.on_request(NodeId(9), put(9, 1), ctx)),
+            NodeId(1),
+        );
+        let PaxosMsg::P2a {
+            slot, commit_up_to, ..
+        } = p2a
+        else {
+            unreachable!("p2a_to returns a P2a")
+        };
+        assert_eq!(slot, 1);
+        assert_eq!(commit_up_to, 0, "slot 0 was never decided by n0's quorum");
+        in_handler(|ctx| n1.handle(p2a, ctx));
+        assert!(
+            cluster.safety.violations().is_empty(),
+            "{:?}",
+            cluster.safety.violations()
+        );
+    }
+
+    #[test]
+    fn a_deposed_leader_piggybacks_only_what_its_own_quorum_decided() {
+        deposed_leader_learns_slot_0(|_, b2| b2);
+    }
+
+    #[test]
+    fn a_learn_reply_relabelled_with_the_old_ballot_commits_nothing_either() {
+        // The responder is still promised to b1, and a `LearnRep` is
+        // headed by the responder's promise: the decision at b2 comes
+        // back labelled b1, so no higher-ballot check can catch it.
+        deposed_leader_learns_slot_0(|b1, _| b1);
     }
 
     fn exp(n: usize, clients: usize) -> Experiment<PaxosConfig> {
