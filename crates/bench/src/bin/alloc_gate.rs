@@ -59,8 +59,8 @@ const REQUIRED_REDUCTION: f64 = 0.25;
 const MAX_DECODE_ALLOCS_PER_OP: f64 = 4.0;
 
 /// Ceiling on resident bytes per retained byte of small value. A value
-/// that owns its bytes scores 1; one kept as a window into its receive
-/// buffer scores 8192 at 8 B.
+/// that owns its bytes scores 1; 8 B values kept as windows into their
+/// 64 KiB receive buffers, 15 to a buffer, score 546.
 const MAX_RETAINED_BYTES_PER_VALUE_BYTE: f64 = 2.0;
 
 fn main() {

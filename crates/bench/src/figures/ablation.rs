@@ -186,14 +186,15 @@ pub fn conflict_sweep(o: &Opts) -> Report {
 /// interaction with PQR reads": quorum reads bypass the leader's
 /// batcher entirely (probes fan out through the relay tree on arrival),
 /// so command batching should amortize only the *write* traffic while
-/// per-operation probe counts stay constant. The section counts
-/// `qr_read`/`qr_vote` wire messages per completed operation with
-/// batching off and on to check exactly that.
+/// per-operation probe counts stay constant. The section counts probe
+/// waves and their answers (`qr_read_batch`/`qr_vote_batch` wire
+/// messages; without probe batching each read is a wave of one) per
+/// completed operation with batching off and on to check exactly that.
 ///
 /// Section 3 measures the fix for that open item: **probe batching**
 /// (`PigConfig::with_probe_batch`). Pending read keys coalesce into
-/// one `QrReadBatch` per relay wave, so the per-read probe
-/// fan-out/fan-in amortizes the same way `P2aBatch` amortizes write
+/// one `QrReadBatch` per relay wave instead of a wave each, so the
+/// per-read probe fan-out/fan-in amortizes the same way `P2aBatch` amortizes write
 /// rounds. The section sweeps the same 9-node / 2-group / 90%-read /
 /// 40-client scenario with probe batching off and on (probe msgs/op
 /// must drop ≥ 3×), and checks the low-load guard: a lone client's
@@ -229,8 +230,8 @@ pub fn pqr_reads(o: &Opts) -> Report {
         batching.row([
             "pqr_batching".into(),
             name.into(),
-            Float(r.label_per_op("qr_read").expect("trace captured"), 3),
-            Float(r.label_per_op("qr_vote").expect("trace captured"), 3),
+            Float(r.label_per_op("qr_read_batch").expect("trace captured"), 3),
+            Float(r.label_per_op("qr_vote_batch").expect("trace captured"), 3),
             Float(
                 r.transport
                     .trace

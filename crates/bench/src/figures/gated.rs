@@ -75,8 +75,8 @@ fn pig_v2(batch: BatchConfig) -> PigConfig {
 /// 5. **PQR probe batching**: the 9-node / 2-group / 90%-read / 40-
 ///    client scenario with probe batching off vs on
 ///    (`PigConfig::with_probe_batch`). Gate: probe messages per
-///    operation (`qr_read`+`qr_vote`+`qr_read_batch`+`qr_vote_batch`)
-///    drop ≥ 3×. Probe batching is off by default everywhere else, so
+///    operation (`qr_read_batch` + `qr_vote_batch`; unbatched, each
+///    read is a wave of one) drop ≥ 3×. Probe batching is off by default everywhere else, so
 ///    sections 1–4 and the pre-existing baseline keys are untouched.
 ///
 /// The metrics are what `perf_gate` checks against

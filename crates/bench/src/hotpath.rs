@@ -220,19 +220,28 @@ pub fn relay_aggregate_round(ballot: Ballot, first_slot: u64, batch: usize, grou
 }
 
 /// Size of the staging buffers the socket substrate decodes frames with
-/// under 1 KiB of payload out of (`READ_CHUNK` in `pig_runtime::net`).
+/// under [`LARGE_FRAME_BYTES`] of payload out of (`READ_CHUNK` in
+/// `pig_runtime::net`).
 const RECV_BUFFER_BYTES: usize = 64 * 1024;
+
+/// Payloads this long or longer get a receive buffer of exactly their
+/// own length from the socket substrate (`LARGE` in `pig_runtime::net`).
+const LARGE_FRAME_BYTES: usize = RECV_BUFFER_BYTES / simnet::wire::VALUE_PIN_RATIO;
 
 /// Memory a follower keeps resident per byte of value it retains.
 ///
 /// Feeds a follower `waves` `P2aBatch`es of `batch - 1` writes of
-/// `value_bytes` each and one read, the way they arrive over TCP — each
-/// decoded as a window of a 64 KiB receive buffer — then walks every
-/// value reachable from its log, its store and its session table, and
-/// divides the capacity of the allocations those values keep alive by
-/// the values' own lengths. An allocation shared by k values counts k
-/// times, so this is an upper bound; 1.0 means every value owns exactly
-/// its bytes, and a window into a receive buffer scores thousands.
+/// `value_bytes` each and one read, laid out as the TCP transport
+/// receives them: a frame with under 1 KiB of payload (64 KiB /
+/// `simnet::wire::VALUE_PIN_RATIO`) is decoded as a window of a 64 KiB
+/// receive buffer, a larger one out of a buffer of exactly its own
+/// length. Then it walks every value
+/// reachable from the follower's log, its store and its session table,
+/// and divides the capacity of the allocations those values keep alive
+/// by the values' own lengths, counting each allocation and each value
+/// once however many places hold it. 1.0 means every value owns exactly
+/// its bytes; a small value kept as a window into a receive buffer
+/// scores in the hundreds.
 pub fn retained_backing_ratio(waves: usize, batch: usize, value_bytes: usize) -> f64 {
     assert!(batch >= 2 && value_bytes >= 1);
     let ballot = Ballot::new(1, NodeId(0));
@@ -240,6 +249,7 @@ pub fn retained_backing_ratio(waves: usize, batch: usize, value_bytes: usize) ->
     follower.on_p1a(ballot, 0);
     let mut sessions = SessionTable::new();
     let mut ids = Vec::new();
+    let mut frames = Vec::new();
     for wave in 0..waves as u64 {
         let first_slot = wave * batch as u64;
         let commands: Vec<Command> = (0..batch as u64)
@@ -264,10 +274,15 @@ pub fn retained_backing_ratio(waves: usize, batch: usize, value_bytes: usize) ->
             commit_up_to: first_slot, // every earlier wave is decided
         };
         let encoded = encode_message(&sent);
-        let mut buf = vec![0; RECV_BUFFER_BYTES.max(encoded.len())];
-        buf[..encoded.len()].copy_from_slice(&encoded);
-        let frame = Bytes::from(buf).slice(..encoded.len());
+        let frame = if encoded.len() >= LARGE_FRAME_BYTES {
+            Bytes::copy_from_slice(&encoded)
+        } else {
+            let mut buf = vec![0; RECV_BUFFER_BYTES];
+            buf[..encoded.len()].copy_from_slice(&encoded);
+            Bytes::from(buf).slice(..encoded.len())
+        };
         let accepted = accept_batch(&mut follower, &decode_message(&frame));
+        frames.push(frame);
         for (_slot, id, value) in accepted.advance.executed {
             sessions.record(&ClientReply::ok(id, value));
             ids.push(id);
@@ -284,12 +299,28 @@ pub fn retained_backing_ratio(waves: usize, batch: usize, value_bytes: usize) ->
     let replied = ids
         .iter()
         .filter_map(|&id| sessions.replay(id)?.value.as_ref());
-    let (held, own) = logged
+    // One entry per value, however many places hold a clone of it.
+    let values: std::collections::BTreeMap<_, _> = logged
         .chain(stored)
         .chain(replied)
-        .fold((0usize, 0usize), |(held, own), v| {
-            (held + v.0.backing_capacity(), own + v.len())
-        });
+        .map(|v| (v.0.as_slice().as_ptr(), &v.0))
+        .collect();
+    let mut pinned = vec![false; frames.len()];
+    let (mut held, mut own) = (0usize, 0usize);
+    for v in values.values() {
+        own += v.len();
+        let window = frames
+            .iter()
+            .position(|f| f.as_slice().as_ptr_range().contains(&v.as_slice().as_ptr()));
+        match window {
+            Some(i) => pinned[i] = true,
+            None => held += v.backing_capacity(),
+        }
+    }
+    held += (frames.iter().zip(pinned))
+        .filter(|&(_, pinned)| pinned)
+        .map(|(f, _)| f.backing_capacity())
+        .sum::<usize>();
     assert!(own > 0, "the follower must have retained values");
     held as f64 / own as f64
 }
@@ -339,9 +370,11 @@ mod tests {
 
     #[test]
     fn retained_ratio_sees_windows_and_not_copies() {
-        // 8 B values are copied out of their receive buffers; 4 KiB ones
-        // stay windows into 64 KiB, and the probe shows it.
+        // 8 B values are copied out of their 64 KiB receive buffers;
+        // 4 KiB ones stay windows into a frame buffer of their wave's
+        // own length, which holds little besides them.
         assert_eq!(retained_backing_ratio(4, 16, 8), 1.0);
-        assert_eq!(retained_backing_ratio(4, 16, 4096), 16.0);
+        let ratio = retained_backing_ratio(4, 16, 4096);
+        assert!((1.0..=1.01).contains(&ratio), "{ratio}");
     }
 }

@@ -50,8 +50,8 @@ pub struct PigConfig {
     /// pending read keys coalesce into one `QrReadBatch` per relay
     /// wave (size-or-time/adaptive sizing via the shared
     /// [`paxi::BatchConfig`] machinery, plus at-most-one-outstanding-
-    /// wave self-clocking). Disabled by default — every read then pays
-    /// its own `QrRead` fan-out, the pre-batching behaviour.
+    /// wave self-clocking). Disabled by default — every read then goes
+    /// out at once as a wave of one and pays its own fan-out.
     pub probe_batch: paxi::BatchConfig,
 }
 

@@ -22,11 +22,12 @@
 //!
 //! The paper's §4.3 observation is that the probe fan-out/fan-in has the
 //! same shape as phase-2, so it can ride the same relay trees: the
-//! proxy disseminates `QrRead` through one random relay per group and
-//! receives aggregated `QrVote`s back. With probe batching
+//! proxy disseminates a probe wave (`QrReadBatch`) through one random
+//! relay per group and receives aggregated `QrVoteBatch`es back. A lone
+//! read is a wave of one; with probe batching
 //! ([`crate::probe_batch::ProbeBatcher`]) several pending reads share
-//! one `QrReadBatch` per relay wave. This module tracks the proxy-side
-//! state; the relay plumbing reuses [`crate::relay::RelayTable`].
+//! one wave. This module tracks the proxy-side state; the relay
+//! plumbing reuses [`crate::relay::RelayTable`].
 
 use paxi::{Key, RequestId, Value};
 use paxos::QrVoteEntry;
@@ -94,7 +95,7 @@ impl PendingReads {
 
     /// Open a read for `client` (answering `request`) on `key`, needing
     /// `need` distinct probe answers (a majority of replicas). Returns
-    /// the read id to embed in the `QrRead`.
+    /// the read id to embed in its probes.
     ///
     /// A retry of a request already being read for *supersedes* the old
     /// entry (the old id is dropped and its late votes will be

@@ -85,9 +85,10 @@ pub struct ProbeBatcher {
 }
 
 impl ProbeBatcher {
-    /// Empty batcher with the given policy. `BatchConfig::disabled()`
-    /// (the default) turns the whole mechanism off — the replica sends
-    /// classic per-read `QrRead` probes instead.
+    /// Empty batcher with the given policy. Under
+    /// `BatchConfig::disabled()` (the default) every probe flushes at
+    /// once as a wave of one, and the replica opens no wave gate, so
+    /// concurrent reads never wait behind each other.
     pub fn new(cfg: BatchConfig) -> Self {
         ProbeBatcher {
             buf: Vec::with_capacity(cfg.max_batch),

@@ -10,7 +10,7 @@
 //! their own slots).
 
 use paxi::Ballot;
-use paxos::{P1bVote, P2bVote, PaxosMsg, QrProbeVote, QrVoteEntry};
+use paxos::{P1bVote, P2bVote, PaxosMsg, QrProbeVote};
 use simnet::{NodeId, SimTime};
 use std::collections::HashMap;
 
@@ -26,12 +26,10 @@ pub enum AggKey {
     /// batch of two or more commands. Votes carry their own slots, so
     /// aggregation is still plain concatenation.
     P2Span(Ballot, u64, u64),
-    /// A quorum read for (reader proxy, read id, attempt) — §4.3. The
-    /// attempt keys the round so a re-probe after a rinse restart opens
-    /// a *fresh* aggregation instead of topping up the stale one.
-    Qr(NodeId, u64, u32),
-    /// A batched quorum-read wave for (reader proxy, wave id): several
-    /// reads' probes disseminated and aggregated as one round.
+    /// A quorum-read wave for (reader proxy, wave id) — §4.3: one or
+    /// more reads' probes disseminated and aggregated as one round. A
+    /// rinse restart re-probes in a new wave, so it opens a *fresh*
+    /// aggregation instead of topping up the stale one.
     QrBatch(NodeId, u64),
 }
 
@@ -54,12 +52,6 @@ impl AggKey {
                 let last_slot = first_slot.saturating_add(commands.len().saturating_sub(1) as u64);
                 AggKey::P2Span(ballot, first_slot, last_slot)
             }
-            PaxosMsg::QrRead {
-                reader,
-                id,
-                attempt,
-                ..
-            } => AggKey::Qr(reader, id, attempt),
             PaxosMsg::QrReadBatch { reader, wave, .. } => AggKey::QrBatch(reader, wave),
             _ => return None,
         })
@@ -73,9 +65,7 @@ pub enum VoteSet {
     P1(Vec<P1bVote>),
     /// Phase-2b acks.
     P2(Vec<P2bVote>),
-    /// Quorum-read answers.
-    Qr(Vec<QrVoteEntry>),
-    /// Batched quorum-read answers (one entry per probe of the wave).
+    /// Quorum-read answers (one entry per probe of the wave).
     QrBatch(Vec<QrProbeVote>),
 }
 
@@ -84,7 +74,6 @@ impl VoteSet {
         match self {
             VoteSet::P1(v) => v.len(),
             VoteSet::P2(v) => v.len(),
-            VoteSet::Qr(v) => v.len(),
             VoteSet::QrBatch(v) => v.len(),
         }
     }
@@ -97,7 +86,7 @@ impl VoteSet {
         match self {
             VoteSet::P1(v) => v.iter().any(|x| !x.ok),
             VoteSet::P2(v) => v.iter().any(|x| !x.ok),
-            VoteSet::Qr(_) | VoteSet::QrBatch(_) => false, // reads have no rejections
+            VoteSet::QrBatch(_) => false, // reads have no rejections
         }
     }
 
@@ -105,7 +94,6 @@ impl VoteSet {
         match (self, other) {
             (VoteSet::P1(a), VoteSet::P1(b)) => a.extend(b),
             (VoteSet::P2(a), VoteSet::P2(b)) => a.extend(b),
-            (VoteSet::Qr(a), VoteSet::Qr(b)) => a.extend(b),
             (VoteSet::QrBatch(a), VoteSet::QrBatch(b)) => a.extend(b),
             _ => debug_assert!(false, "phase-mismatched vote aggregation"),
         }
@@ -115,7 +103,6 @@ impl VoteSet {
         match self {
             VoteSet::P1(v) => VoteSet::P1(std::mem::take(v)),
             VoteSet::P2(v) => VoteSet::P2(std::mem::take(v)),
-            VoteSet::Qr(v) => VoteSet::Qr(std::mem::take(v)),
             VoteSet::QrBatch(v) => VoteSet::QrBatch(std::mem::take(v)),
         }
     }
@@ -143,12 +130,6 @@ impl VoteSet {
                 AggKey::P2Span(ballot, first_slot, last_slot),
                 VoteSet::P2(votes),
             ),
-            PaxosMsg::QrVote {
-                reader,
-                id,
-                attempt,
-                votes,
-            } => (AggKey::Qr(reader, id, attempt), VoteSet::Qr(votes)),
             PaxosMsg::QrVoteBatch {
                 reader,
                 wave,
@@ -175,12 +156,6 @@ impl VoteSet {
                     votes,
                 }
             }
-            (VoteSet::Qr(votes), AggKey::Qr(reader, id, attempt)) => PaxosMsg::QrVote {
-                reader,
-                id,
-                attempt,
-                votes,
-            },
             (VoteSet::QrBatch(votes), AggKey::QrBatch(reader, wave)) => PaxosMsg::QrVoteBatch {
                 reader,
                 wave,
@@ -270,7 +245,6 @@ impl RelayTable {
                     votes: match &own_vote {
                         VoteSet::P1(_) => VoteSet::P1(Vec::new()),
                         VoteSet::P2(_) => VoteSet::P2(Vec::new()),
-                        VoteSet::Qr(_) => VoteSet::Qr(Vec::new()),
                         VoteSet::QrBatch(_) => VoteSet::QrBatch(Vec::new()),
                     },
                     deadline,

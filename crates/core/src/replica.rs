@@ -156,9 +156,6 @@ impl RelayTree {
         let me = r.d.me;
         match VoteSet::from_message(inner) {
             Err(other) => r.deliver(from, other, ctx),
-            Ok((AggKey::Qr(reader, id, attempt), VoteSet::Qr(votes))) if reader == me => {
-                r.d.feed_read_votes(id, attempt, votes, ctx);
-            }
             Ok((AggKey::QrBatch(reader, wave), VoteSet::QrBatch(votes))) if reader == me => {
                 r.d.on_probe_uplink(wave, from, votes, ctx);
             }
@@ -200,8 +197,8 @@ impl RelayTree {
     }
 
     /// Send (or re-send) the read probe: own answer first, then the
-    /// relay-tree fan-out — per read (`QrRead`), or coalesced into the
-    /// next probe wave when probe batching is on.
+    /// relay-tree fan-out in a probe wave — a wave of one, at once,
+    /// unless probe batching is on and coalesces it into the next.
     fn probe_quorum_read(
         &mut self,
         id: u64,
@@ -214,34 +211,26 @@ impl RelayTree {
         if !still_collecting {
             return;
         }
-        if self.probes.enabled() {
-            match self.probes.push(QrProbe { id, attempt, key }, ctx.now()) {
-                ProbePush::Flush(probes) => self.send_probe_wave(probes, ctx),
-                ProbePush::ArmTimer => self.arm_probe_hold_timer(ctx),
-                ProbePush::Buffered => {}
-            }
-        } else {
-            let reader = self.me;
-            let probe = PaxosMsg::QrRead {
-                reader,
-                id,
-                attempt,
-                key,
-            };
-            self.disseminate(probe, ctx, |_| {});
+        match self.probes.push(QrProbe { id, attempt, key }, ctx.now()) {
+            ProbePush::Flush(probes) => self.send_probe_wave(probes, ctx),
+            ProbePush::ArmTimer => self.arm_probe_hold_timer(ctx),
+            ProbePush::Buffered => {}
         }
     }
 
-    /// Ship one coalesced probe wave down the relay tree. Probes whose
-    /// read completed (or restarted onto a newer attempt) while they
-    /// sat buffered are dropped first; the wave gate closes until every
-    /// relay uplink returns or the wave timeout fires.
+    /// Ship one probe wave down the relay tree. Probes whose read
+    /// completed (or restarted onto a newer attempt) while they sat
+    /// buffered are dropped first. With probe batching on, the wave
+    /// gate closes until every relay uplink returns or the wave timeout
+    /// fires; without it there is no gate, so concurrent reads each go
+    /// out at once.
     fn send_probe_wave(&mut self, mut probes: Vec<QrProbe>, ctx: &mut Ctx<PigMsg>) {
         probes.retain(|p| self.reads.attempt_of(p.id) == Some(p.attempt));
         if probes.is_empty() {
             return; // nothing live; the gate stays open
         }
         let wave = self.probes.next_wave();
+        let gated = self.probes.enabled();
         let mut relays = BTreeSet::new();
         let msg = PaxosMsg::QrReadBatch {
             reader: self.me,
@@ -249,7 +238,9 @@ impl RelayTree {
             probes,
         };
         self.disseminate(msg, ctx, |relay| {
-            relays.insert(relay);
+            if gated {
+                relays.insert(relay);
+            }
         });
         if !relays.is_empty() {
             self.probes.wave_opened(wave, relays);

@@ -58,8 +58,8 @@ impl RunResult {
 
     /// Sum of [`RunResult::label_per_op`] over several labels — the
     /// handle on message families that batch under a different label
-    /// (e.g. PQR probe cost = `qr_read` + `qr_vote` + `qr_read_batch` +
-    /// `qr_vote_batch`). Returns `None` unless labels were counted.
+    /// (e.g. PQR probe cost = `qr_read_batch` + `qr_vote_batch`, summed
+    /// over `paxos::QR_PROBE_LABELS`). Returns `None` unless labels were counted.
     pub fn labels_per_op(&self, labels: &[&str]) -> Option<f64> {
         self.transport.label_counts.as_ref().map(|c| {
             labels
@@ -216,7 +216,7 @@ pub struct TransportResult {
     /// empirical `Mf`.
     pub follower_msgs_per_op: f64,
     /// Delivered (non-dropped) messages by wire label (`"p2a"`,
-    /// `"qr_read"`, `"reply_batch"`, …); `Some` on the wall-clock
+    /// `"qr_read_batch"`, `"reply_batch"`, …); `Some` on the wall-clock
     /// substrates, and on the simulator with
     /// [`crate::Experiment::capture_trace`].
     pub label_counts: Option<BTreeMap<&'static str, u64>>,

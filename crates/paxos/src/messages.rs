@@ -64,12 +64,12 @@ pub struct QrVoteEntry {
     pub pending_write: bool,
 }
 
-/// Every wire label a quorum-read probe or answer can travel under —
-/// single probes and batched waves. Benchmarks and tests sum delivered
+/// Every wire label a quorum-read probe or answer travels under: a
+/// probe wave and its answers. Benchmarks and tests sum delivered
 /// messages over this list to get "probe msgs/op"; keeping it next to
 /// [`PaxosMsg`]'s `label()` match means a label rename cannot silently
 /// zero out a measurement.
-pub const QR_PROBE_LABELS: &[&str] = &["qr_read", "qr_vote", "qr_read_batch", "qr_vote_batch"];
+pub const QR_PROBE_LABELS: &[&str] = &["qr_read_batch", "qr_vote_batch"];
 
 /// One key probe inside a [`PaxosMsg::QrReadBatch`]: the proxy-local
 /// read id, the read's *attempt* number (rinse retries bump it; answers
@@ -209,39 +209,13 @@ pub enum PaxosMsg {
         /// the requester also asked for.
         entries: Vec<(u64, Command)>,
     },
-    /// Quorum-read probe from a reading proxy (§4.3).
-    QrRead {
-        /// The proxy driving the read (aggregates travel back to it).
-        reader: NodeId,
-        /// Proxy-local read id.
-        id: u64,
-        /// The read's attempt number. A rinse restart bumps it, and the
-        /// proxy drops answers tagged with an older attempt — a stale
-        /// vote counted toward a newer attempt could complete the read
-        /// without re-checking for pending writes, breaking
-        /// linearizability.
-        attempt: u32,
-        /// The key being read.
-        key: Key,
-    },
-    /// Quorum-read answers (singleton when direct, aggregated by
-    /// PigPaxos relays, like P1b/P2b).
-    QrVote {
-        /// The proxy this answers.
-        reader: NodeId,
-        /// The read id it answers.
-        id: u64,
-        /// The attempt it answers (echoed from the `QrRead`).
-        attempt: u32,
-        /// Individual replica answers.
-        votes: Vec<QrVoteEntry>,
-    },
-    /// A *wave* of quorum-read probes — the probe-side counterpart of
-    /// `P2aBatch`. The proxy coalesces the keys of several pending
-    /// reads and ships them down the relay tree in one message per
-    /// group; each replica answers all probes in one pass, and each
-    /// relay returns a single aggregated [`PaxosMsg::QrVoteBatch`]
-    /// uplink per wave.
+    /// A *wave* of quorum-read probes from a reading proxy (§4.3) — the
+    /// probe-side counterpart of `P2aBatch`. A lone read is a wave of
+    /// one; with probe batching the proxy coalesces the keys of several
+    /// pending reads into one wave. Either way it goes down the relay
+    /// tree in one message per group, each replica answers all probes
+    /// in one pass, and each relay returns a single aggregated
+    /// [`PaxosMsg::QrVoteBatch`] uplink per wave.
     QrReadBatch {
         /// The proxy driving the reads (aggregates travel back to it).
         reader: NodeId,
@@ -301,8 +275,6 @@ impl ProtoMessage for PaxosMsg {
             PaxosMsg::LearnReq { .. } => "learnreq",
             PaxosMsg::LearnRep { .. } => "learnrep",
             PaxosMsg::SnapshotTransfer { .. } => "snapshot",
-            PaxosMsg::QrRead { .. } => "qr_read",
-            PaxosMsg::QrVote { .. } => "qr_vote",
             PaxosMsg::QrReadBatch { .. } => "qr_read_batch",
             PaxosMsg::QrVoteBatch { .. } => "qr_vote_batch",
         }
@@ -324,8 +296,6 @@ const KIND_HEARTBEAT: u8 = 6;
 const KIND_LEARN_REQ: u8 = 7;
 const KIND_LEARN_REP: u8 = 8;
 const KIND_SNAPSHOT: u8 = 9;
-const KIND_QR_READ: u8 = 10;
-const KIND_QR_VOTE: u8 = 11;
 const KIND_QR_READ_BATCH: u8 = 12;
 const KIND_QR_VOTE_BATCH: u8 = 13;
 
@@ -608,32 +578,6 @@ impl Wire for PaxosMsg {
                     put_learn_entry(*slot, cmd, out);
                 }
             }
-            PaxosMsg::QrRead {
-                reader,
-                id,
-                attempt,
-                key,
-            } => {
-                out.put_wire(&header(KIND_QR_READ));
-                out.put_u32(reader.0);
-                out.put_u64(*id);
-                out.put_u32(*attempt);
-                out.put_u64(*key);
-            }
-            PaxosMsg::QrVote {
-                reader,
-                id,
-                attempt,
-                votes,
-            } => {
-                out.put_wire(&header(KIND_QR_VOTE).aux0(votes.len() as u32));
-                out.put_u32(reader.0);
-                out.put_u64(*id);
-                out.put_u32(*attempt);
-                for v in votes {
-                    put_qr_entry(v, out);
-                }
-            }
             PaxosMsg::QrReadBatch {
                 reader,
                 wave,
@@ -773,28 +717,6 @@ impl Wire for PaxosMsg {
                     ballot,
                     snapshot,
                     entries,
-                })
-            }
-            KIND_QR_READ => Ok(PaxosMsg::QrRead {
-                reader: NodeId(r.u32("qr_read.reader")?),
-                id: r.u64("qr_read.id")?,
-                attempt: r.u32("qr_read.attempt")?,
-                key: r.u64("qr_read.key")?,
-            }),
-            KIND_QR_VOTE => {
-                let reader = NodeId(r.u32("qr_vote.reader")?);
-                let id = r.u64("qr_vote.id")?;
-                let attempt = r.u32("qr_vote.attempt")?;
-                // 4 node + 6 slot + 1 flags + 2 len per entry.
-                let mut votes = Vec::with_capacity(r.capacity_for(h.aux0 as usize, 13));
-                for _ in 0..h.aux0 {
-                    votes.push(decode_qr_entry(r)?);
-                }
-                Ok(PaxosMsg::QrVote {
-                    reader,
-                    id,
-                    attempt,
-                    votes,
                 })
             }
             KIND_QR_READ_BATCH => {
@@ -986,17 +908,10 @@ mod tests {
 
     #[test]
     fn probe_batch_scales_sublinearly_vs_single_probes() {
-        let single = |id| PaxosMsg::QrRead {
+        let wave = |wave, ids: std::ops::Range<u64>| PaxosMsg::QrReadBatch {
             reader: NodeId(1),
-            id,
-            attempt: 1,
-            key: 7,
-        };
-        let singles: usize = (0..8).map(|i| single(i).wire_size()).sum();
-        let batch = PaxosMsg::QrReadBatch {
-            reader: NodeId(1),
-            wave: 0,
-            probes: (0..8)
+            wave,
+            probes: ids
                 .map(|id| QrProbe {
                     id,
                     attempt: 1,
@@ -1004,9 +919,11 @@ mod tests {
                 })
                 .collect(),
         };
+        let singles: usize = (0..8).map(|i| wave(i, i..i + 1).wire_size()).sum();
+        let batch = wave(0, 0..8);
         assert!(
             batch.wire_size() < singles,
-            "one probe wave ({}B) must beat 8 single probes ({singles}B)",
+            "one probe wave of 8 ({}B) must beat 8 waves of one ({singles}B)",
             batch.wire_size()
         );
         assert_eq!(batch.label(), "qr_read_batch");

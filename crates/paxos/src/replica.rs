@@ -547,17 +547,6 @@ impl<D: Dissemination> Replica<D> {
                 self.reply_executed(executed, ctx);
                 None
             }
-            PaxosMsg::QrRead {
-                reader,
-                id,
-                attempt,
-                key,
-            } => Some(PaxosMsg::QrVote {
-                reader,
-                id,
-                attempt,
-                votes: vec![self.read_state(key)],
-            }),
             PaxosMsg::QrReadBatch {
                 reader,
                 wave,
@@ -576,7 +565,7 @@ impl<D: Dissemination> Replica<D> {
             }
             // Quorum-read answers belong to whoever proxies the read —
             // a disseminator's business (PigPaxos); strays are dropped.
-            PaxosMsg::QrVote { .. } | PaxosMsg::QrVoteBatch { .. } => None,
+            PaxosMsg::QrVoteBatch { .. } => None,
         }
     }
 }

@@ -96,16 +96,16 @@ fn failure(mode: Mode, schedule: Schedule, seed: u64) -> Option<String> {
 /// Every `(mode, schedule, seed)` of `runs` that fails, run on two
 /// threads.
 fn failures(runs: &[(Mode, Schedule, u64)]) -> Vec<String> {
-    let (even, odd): (Vec<_>, Vec<_>) = runs.iter().enumerate().partition(|(i, _)| i % 2 == 0);
-    let sweep = |part: Vec<(usize, &(Mode, Schedule, u64))>| -> Vec<String> {
-        part.into_iter()
-            .filter_map(|(_, &(mode, schedule, seed))| failure(mode, schedule, seed))
+    let sweep = |part: &[(Mode, Schedule, u64)]| -> Vec<String> {
+        part.iter()
+            .filter_map(|&(mode, schedule, seed)| failure(mode, schedule, seed))
             .collect()
     };
+    let (first, second) = runs.split_at(runs.len() / 2);
     std::thread::scope(|s| {
-        let odd = s.spawn(|| sweep(odd));
-        let mut out = sweep(even);
-        out.extend(odd.join().expect("sweep thread"));
+        let second = s.spawn(|| sweep(second));
+        let mut out = sweep(first);
+        out.extend(second.join().expect("sweep thread"));
         out
     })
 }

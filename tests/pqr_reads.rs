@@ -227,20 +227,27 @@ impl Actor<Envelope<PigMsg>> for Mute {
     fn on_timer(&mut self, _i: TimerId, _k: u64, _c: &mut Context<Envelope<PigMsg>>) {}
 }
 
+/// One replica's answer to read `id`'s probe for `attempt`, as a
+/// one-vote uplink of that attempt's probe wave. Without probe batching
+/// the proxy sends each attempt of its one read as a wave of its own,
+/// so wave `n` carries attempt `n`.
 fn qr_vote(reader: u32, id: u64, attempt: u32, node: u32, slot: u64, pending: bool) -> PigMsg {
-    PigMsg::Direct(PaxosMsg::QrVote {
+    PigMsg::Direct(PaxosMsg::QrVoteBatch {
         reader: NodeId(reader),
-        id,
-        attempt,
-        votes: vec![paxos::QrVoteEntry {
-            node: NodeId(node),
-            value_slot: slot,
-            value: if slot == 0 {
-                None
-            } else {
-                Some(Value::zeros(slot as usize))
+        wave: attempt as u64,
+        votes: vec![paxos::QrProbeVote {
+            id,
+            attempt,
+            entry: paxos::QrVoteEntry {
+                node: NodeId(node),
+                value_slot: slot,
+                value: if slot == 0 {
+                    None
+                } else {
+                    Some(Value::zeros(slot as usize))
+                },
+                pending_write: pending,
             },
-            pending_write: pending,
         }],
     })
 }
@@ -399,6 +406,61 @@ fn rinse_abort_redirects_client_and_leaves_no_pending_read() {
         0,
         "aborting must remove the read from the pending table"
     );
+}
+
+/// A replica that records every probe wave relayed to it, as `(time,
+/// wave, probes)`, and answers none.
+struct WaveTap(Rc<RefCell<Vec<(SimTime, u64, usize)>>>);
+impl Actor<Envelope<PigMsg>> for WaveTap {
+    fn on_message(&mut self, _f: NodeId, m: Envelope<PigMsg>, c: &mut Context<Envelope<PigMsg>>) {
+        if let Envelope::Proto(PigMsg::ToRelay {
+            inner: PaxosMsg::QrReadBatch { wave, probes, .. },
+            ..
+        }) = m
+        {
+            self.0.borrow_mut().push((c.now(), wave, probes.len()));
+        }
+    }
+    fn on_timer(&mut self, _i: TimerId, _k: u64, _c: &mut Context<Envelope<PigMsg>>) {}
+}
+
+/// Without probe batching a read waits for nothing: k reads that reach
+/// one proxy in the same instant go out as k waves of one probe each,
+/// although no relay ever answers. A wave gate would hold reads 2..k
+/// behind the first wave until its uplinks return or it times out.
+#[test]
+fn without_probe_batching_concurrent_reads_each_go_out_at_once() {
+    let (k, start) = (4, SimDuration::from_millis(1));
+    let waves = Rc::new(RefCell::new(Vec::new()));
+    let cluster = ClusterConfig::new(3);
+    let mut sim: simnet::Simulation<Envelope<PigMsg>> = simnet::Simulation::new(
+        simnet::Topology::lan(4),
+        simnet::CpuCostModel::free(),
+        paxi::DEFAULT_SEED,
+    );
+    sim.add_actor(Box::new(WaveTap(waves.clone())));
+    sim.add_actor(
+        PigConfig::lan(1)
+            .with_pqr()
+            .build_replica(NodeId(1), &cluster),
+    );
+    sim.add_actor(Box::new(WaveTap(waves.clone())));
+    let script = (1..=k)
+        .map(|seq| (start, NodeId(1), get_request(seq, seq)))
+        .collect();
+    sim.add_actor(Box::new(ScriptedActor {
+        script,
+        replies: Rc::new(RefCell::new(Vec::new())),
+    }));
+    sim.run_until(SimTime::ZERO + SimDuration::from_millis(20));
+    let waves = waves.borrow();
+    assert_eq!(waves.len(), k as usize, "one wave per read: {waves:?}");
+    assert!(waves.iter().all(|&(_, _, probes)| probes == 1), "{waves:?}");
+    let mut ids: Vec<u64> = waves.iter().map(|&(_, wave, _)| wave).collect();
+    ids.dedup();
+    assert_eq!(ids.len(), k as usize, "distinct waves: {waves:?}");
+    let last = waves.iter().map(|&(at, _, _)| at).max().expect("waves");
+    assert!(last < SimTime::ZERO + start * 2, "{waves:?}");
 }
 
 // ---- PQR × snapshots (log compaction interaction) ----------------------

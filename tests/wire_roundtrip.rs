@@ -280,26 +280,6 @@ fn paxos_msg() -> impl Strategy<Value = PaxosMsg> {
                 entries,
             }
         }),
-        (any::<u32>(), any::<u64>(), any::<u32>(), any::<u64>()).prop_map(
-            |(reader, id, attempt, key)| PaxosMsg::QrRead {
-                reader: NodeId(reader),
-                id,
-                attempt,
-                key,
-            }
-        ),
-        (
-            any::<u32>(),
-            any::<u64>(),
-            any::<u32>(),
-            proptest::collection::vec(qr_entry(), 0..4),
-        )
-            .prop_map(|(reader, id, attempt, votes)| PaxosMsg::QrVote {
-                reader: NodeId(reader),
-                id,
-                attempt,
-                votes,
-            }),
         (
             any::<u32>(),
             any::<u64>(),

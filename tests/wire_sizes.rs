@@ -188,24 +188,6 @@ fn paxos() -> Vec<(&'static str, PaxosMsg)> {
             },
         ),
         (
-            "QrRead",
-            PaxosMsg::QrRead {
-                reader: NodeId(4),
-                id: 6,
-                attempt: 2,
-                key: 42,
-            },
-        ),
-        (
-            "QrVote",
-            PaxosMsg::QrVote {
-                reader: NodeId(4),
-                id: 6,
-                attempt: 2,
-                votes: vec![qr_entry(Some(24)), qr_entry(None)],
-            },
-        ),
-        (
             "QrReadBatch",
             PaxosMsg::QrReadBatch {
                 reader: NodeId(4),
@@ -413,8 +395,6 @@ const RECORDED: &[(&str, usize)] = &[
     ("LearnReq", 56),
     ("LearnRep", 116),
     ("SnapshotTransfer", 355),
-    ("QrRead", 48),
-    ("QrVote", 90),
     ("QrReadBatch", 76),
     ("QrVoteBatch", 94),
     ("Direct(P2a)", 76),
